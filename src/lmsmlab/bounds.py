@@ -28,7 +28,7 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw, moment_constant, unit_sas
+from .stable import StableLaw, _rng, moment_constant, unit_sas
 from .wavelet import PhiKernel, _GL_X, _GL_W
 
 __all__ = [
@@ -277,7 +277,7 @@ def _draw_direct_coeffs(
                 raise
     n_cells = W.shape[1]
     scale = law.scale * delta ** (1.0 / law.alpha)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    rng = _rng(seed)
     out = np.empty((replicates, len(list(ks))))
     done = 0
     while done < replicates:
@@ -441,14 +441,11 @@ def approx_error_check(
         maxima = []
         for j in j_list:
             ks, _ = index_set(intervals.interval(j), j)
-            m = round(2.0**-j / t_step)
-            x = np.arange(m + 1) / m
-            wav = np.asarray(wavelet.evaluator(x), dtype=float)
             lev = pyramid.level(j)
             worst = 0.0
             for k in ks:
                 h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-                d_tilde = frozen_coeff_on_path(interp, wav, j, k, h_k)
+                d_tilde = frozen_coeff_on_path(interp, wavelet, j, k, h_k)
                 worst = max(worst, abs(lev[k] - d_tilde))
             maxima.append(worst)
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))

@@ -1,5 +1,8 @@
 """Command line front end: simulate, coeffs, estimate, verify, experiment.
 
+``simulate`` and ``coeffs`` write replicate 0 of the configured experiment:
+the same path and pyramid that ``run_replicate(config, 0)`` computes.
+
 Seed precedence: --seed flag, then the LMSMLAB_SEED environment variable,
 then the config file; whichever wins is echoed in the output manifest.
 """
@@ -11,16 +14,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .coeffs import build_pyramid, pyramid_to_csv
 from .harness import (
     ExperimentConfig,
+    replicate_path,
     run_experiment,
     run_verification,
     write_reports,
 )
-from .process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
@@ -48,20 +49,10 @@ def _resolve(args) -> ExperimentConfig:
     return cfg
 
 
-def _one_replicate_path(cfg: ExperimentConfig):
-    delta = cfg.noise_delta
-    grid = make_noise_grid(cfg.law, -cfg.t_tail, 1.0, delta, cfg.seed)
-    H = cfg.hurst()
-    interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, 1.0, n_nodes=cfg.v_nodes)
-    n_mesh = int(round(1.0 / delta))
-    times = np.arange(n_mesh + 1) * delta
-    return simulate_lmsm(grid, times, H, interpolant=interp)
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = _one_replicate_path(cfg)
+    path = replicate_path(cfg, 0)
     fname = os.path.join(cfg.out_dir, "path.csv")
     path.to_csv(fname)
     print(fname)
@@ -71,8 +62,8 @@ def cmd_simulate(args) -> int:
 def cmd_coeffs(args) -> int:
     cfg = _resolve(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    path = _one_replicate_path(cfg)
-    pyramid = build_pyramid(path, cfg.wavelet(), cfg.j_range, cfg.intervals())
+    pyramid = build_pyramid(replicate_path(cfg, 0), cfg.wavelet(), cfg.j_range,
+                            cfg.intervals())
     fname = os.path.join(cfg.out_dir, "pyramid.csv")
     pyramid_to_csv(pyramid, fname)
     print(fname)

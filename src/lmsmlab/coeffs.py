@@ -1,10 +1,10 @@
 """Wavelet coefficient pyramids, dyadic index sets and the max statistic.
 
 Coefficients are d_{j,k} = 2^j int Y(t) psi(2^j t - k) dt, integrated by
-trapezoid on the path's own sample grid; after the change of variables
+trapezoid on the path's own uniform sample mesh; after the change of variables
 x = 2^j t - k this is int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor
-never appears explicitly.  psi vanishes at 0 and 1, so cells missing exact
-endpoint samples lose nothing.
+never appears explicitly.  Every cell of a level holds the same m + 1
+samples, so one weight vector (``WaveletSpec.cell_weights``) serves the level.
 """
 
 from __future__ import annotations
@@ -102,54 +102,21 @@ class CoeffPyramid:
 
 
 class ResolutionError(ValueError):
-    """Path too sparse inside a dyadic cell for trustworthy quadrature."""
+    """Path off a uniform mesh, or too sparse inside a dyadic cell, for quadrature."""
 
 
-def compute_coeff(path: SamplePath, w: WaveletSpec, j: int, k: int) -> float:
-    """Trapezoid quadrature of int_0^1 Y((x + k) 2^-j) psi(x) dx on path samples."""
-    lo = k * 2.0**-j
-    hi = (k + 1) * 2.0**-j
-    sel = (path.times >= lo - 1e-12) & (path.times <= hi + 1e-12)
-    t = path.times[sel]
-    y = path.values[sel]
-    if t.size < 16:
-        raise ResolutionError(
-            f"cell ({j}, {k}) holds {t.size} samples; at least 16 required"
-        )
-    x = np.clip(2.0**j * t - k, 0.0, 1.0)
-    integrand = y * np.asarray(w.evaluator(x), dtype=float)
-    # psi(0) = psi(1) = 0 for admissible wavelets, so absent endpoint samples
-    # contribute exact zeros
-    if x[0] > 1e-12:
-        x = np.concatenate([[0.0], x])
-        integrand = np.concatenate([[0.0], integrand])
-    if x[-1] < 1.0 - 1e-12:
-        x = np.concatenate([x, [1.0]])
-        integrand = np.concatenate([integrand, [0.0]])
-    return float(np.trapezoid(integrand, x))
-
-
-def _uniform_mesh_step(path: SamplePath) -> float | None:
-    if path.times.size < 3:
-        return None
-    steps = np.diff(path.times)
-    step = steps[0]
-    if step <= 0 or not np.allclose(steps, step, rtol=0.0, atol=1e-12):
-        return None
-    return float(step)
-
-
-def _level_coeffs_mesh(
-    path: SamplePath, w: WaveletSpec, j: int, ks: list[int], step: float
+def _level_coeffs(
+    path: SamplePath, w: WaveletSpec, j: int, ks: list[int]
 ) -> dict[int, float]:
     # all cells at one level share the same in-cell weight vector
+    steps = np.diff(path.times)
+    step = float(steps[0]) if steps.size else 0.0
+    if step <= 0 or not np.allclose(steps, step, rtol=0.0, atol=1e-12):
+        raise ResolutionError("coefficient quadrature needs a path on a uniform mesh")
     m = round(2.0**-j / step)
     if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
         raise ResolutionError(f"mesh step {step} incompatible with level {j}")
-    x = np.arange(m + 1) / m
-    trap = np.ones(m + 1)
-    trap[0] = trap[-1] = 0.5
-    wv = trap * np.asarray(w.evaluator(x), dtype=float) / m
+    wv = w.cell_weights(m)
     t0 = path.times[0]
     out = {}
     for k in ks:
@@ -160,18 +127,17 @@ def _level_coeffs_mesh(
     return out
 
 
+def compute_coeff(path: SamplePath, w: WaveletSpec, j: int, k: int) -> float:
+    """Trapezoid quadrature of int_0^1 Y((x + k) 2^-j) psi(x) dx on the path's mesh."""
+    return _level_coeffs(path, w, j, [k])[k]
+
+
 def build_pyramid(
     path: SamplePath, w: WaveletSpec, j_range, intervals: IntervalSequence
 ) -> CoeffPyramid:
     """All coefficients with cells inside I_j, for each level j in j_range."""
-    step = _uniform_mesh_step(path)
-    levels = {}
-    for j in j_range:
-        ks, _ = index_set(intervals.interval(j), j)
-        if step is not None:
-            levels[j] = _level_coeffs_mesh(path, w, j, ks, step)
-        else:
-            levels[j] = {k: compute_coeff(path, w, j, k) for k in ks}
+    levels = {j: _level_coeffs(path, w, j, index_set(intervals.interval(j), j)[0])
+              for j in j_range}
     seed = int(path.provenance.get("seed", -1))
     return CoeffPyramid(
         levels=levels,

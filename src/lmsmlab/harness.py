@@ -8,6 +8,7 @@ and identical (config, seed) pairs produce byte-identical CSV artifacts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from .bounds import (
     rq_sweep_report,
     scale_param_check,
 )
-from .coeffs import build_pyramid, index_set, max_coeff
+from .coeffs import ResolutionError, build_pyramid, index_set, max_coeff
 from .estimators import (
     DegenerateReplicate,
     EstimateRecord,
@@ -43,6 +44,8 @@ from .estimators import (
 )
 from .process import (
     MeshFieldInterpolant,
+    SamplePath,
+    TruncationError,
     hurst_from_id,
     make_noise_grid,
     simulate_lmsm,
@@ -55,6 +58,7 @@ __all__ = [
     "ConvergenceTable",
     "run_experiment",
     "run_replicate",
+    "replicate_path",
     "run_verification",
     "fmt17",
 ]
@@ -152,7 +156,10 @@ class ExperimentConfig:
         return cls(**d)
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """sha256 of the science: every field but how and where the run executes."""
+        science = {k: v for k, v in self.to_dict().items()
+                   if k not in ("workers", "out_dir")}
+        blob = json.dumps(science, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
 
@@ -196,25 +203,30 @@ class ConvergenceTable:
         raise KeyError(f"no row for level {j}")
 
 
-def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
-    """All per-scale estimates for replicate r (noise stream seed ^ r)."""
-    law = config.law
+def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
+    """Replicate r's path Y(t) = X(t, H(t)) on the delta/path_refine mesh of
+    [0, 1], from the noise stream seed ^ r."""
     H = config.hurst()
-    wavelet = config.wavelet()
-    kernel = PhiKernel(config.alpha, wavelet)
-    intervals = config.intervals()
-    delta = config.noise_delta
-    grid = make_noise_grid(law, -config.t_tail, 1.0, delta, config.seed ^ r)
+    grid = make_noise_grid(config.law, -config.t_tail, 1.0, config.noise_delta,
+                           config.seed ^ r)
     interp = MeshFieldInterpolant(
         grid, H.h_low, H.h_high, 1.0,
         n_nodes=config.v_nodes, refine=config.path_refine,
     )
     n_mesh = int(round(1.0 / interp.t_step))
     times = np.arange(n_mesh + 1) * interp.t_step
-    path = simulate_lmsm(
+    return simulate_lmsm(
         grid, times, H, interpolant=interp, tail_tol=config.path_tail_tol
     )
-    pyramid = build_pyramid(path, wavelet, config.j_range, intervals)
+
+
+def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
+    """All per-scale estimates for replicate r (noise stream seed ^ r)."""
+    H = config.hurst()
+    wavelet = config.wavelet()
+    kernel = PhiKernel(config.alpha, wavelet)
+    intervals = config.intervals()
+    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.j_range, intervals)
 
     records = []
     for j in config.j_range:
@@ -247,7 +259,12 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
 
 def _replicate_task(args):
     config_dict, r = args
-    return r, run_replicate(ExperimentConfig.from_dict(config_dict), r)
+    return run_replicate(ExperimentConfig.from_dict(config_dict), r)
+
+
+# the domain errors that fail one replicate; any other exception is a bug and
+# ends the run
+_REPLICATE_ERRORS = (TruncationError, DegenerateReplicate, ResolutionError)
 
 
 def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTable:
@@ -324,17 +341,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Conv
     tasks = [(config.to_dict(), r) for r in range(config.replicates)]
     per_replicate: dict = {}
     failures: dict = {}
+    # (r, get) per replicate: get() returns the records or raises the error
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for r, recs in pool.map(_replicate_task, tasks):
-                per_replicate[r] = recs
+            futures = [pool.submit(_replicate_task, args) for args in tasks]
+        outcomes = [(args[1], fut.result) for args, fut in zip(tasks, futures)]
     else:
-        for args in tasks:
-            r = args[1]
-            try:
-                per_replicate[r] = _replicate_task(args)[1]
-            except Exception as exc:  # noqa: BLE001 - replicate isolation is the policy
-                failures[r] = repr(exc)
+        outcomes = [(args[1], functools.partial(_replicate_task, args)) for args in tasks]
+    for r, get in outcomes:
+        try:
+            per_replicate[r] = get()
+        except _REPLICATE_ERRORS as exc:
+            failures[r] = repr(exc)
     if failures and len(failures) > 0.2 * config.replicates:
         raise RuntimeError(
             f"{len(failures)}/{config.replicates} replicates failed: {failures}"

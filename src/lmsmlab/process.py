@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
-from .stable import StableLaw, unit_sas
-from .wavelet import PhiKernel
+from .stable import StableLaw, _rng, unit_sas
+from .wavelet import PhiKernel, WaveletSpec
 
 __all__ = [
     "HurstFunction",
@@ -206,8 +206,7 @@ def make_noise_grid(
     i0 = -t_min / delta
     if abs(i0 - round(i0)) > 1e-9:
         raise ValueError("t_min must be an integer multiple of delta")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
-    xi = unit_sas(law.alpha, n, rng)
+    xi = unit_sas(law.alpha, n, _rng(seed))
     increments = law.scale * delta ** (1.0 / law.alpha) * xi
     increments.setflags(write=False)
     return NoiseGrid(
@@ -233,31 +232,39 @@ def _field_tail_bound(u: float, kappa: float, alpha: float, t_min: float) -> flo
     return (kappa * max(u, 0.0)) ** alpha * T ** (-p) / p
 
 
+def _kappa(alpha: float, v: float) -> float:
+    kappa = v - 1.0 / alpha
+    if not 0.0 < kappa < 1.0 or v >= 1.0:
+        raise ValueError(f"v must lie in (1/alpha, 1), got {v}")
+    return kappa
+
+
+def _field_kernel(grid: NoiseGrid, u: float, v: float) -> tuple[np.ndarray, float]:
+    """Riemann weights of X(u, v) over the grid, and the certified bound on the
+    alpha-mass lost below t_min relative to the kernel's total alpha-mass."""
+    alpha = grid.law.alpha
+    kappa = _kappa(alpha, v)
+    s = grid.left_endpoints()
+    w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
+    mass = float(np.sum(np.abs(w) ** alpha) * grid.delta)
+    tail = _field_tail_bound(u, kappa, alpha, grid.t_min)
+    return w, tail / (mass + tail) if tail > 0.0 else 0.0
+
+
 def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> float:
     """X(u, v) as the left-endpoint Riemann sum over the grid.
 
     Signals (TruncationError) when the certified bound on the alpha-mass lost
     below t_min exceeds ``tail_tol`` of the kernel's total alpha-mass.
     """
-    alpha = grid.law.alpha
-    kappa = v - 1.0 / alpha
-    if not 0.0 < kappa < 1.0 or v >= 1.0:
-        raise ValueError(f"v must lie in (1/alpha, 1), got {v}")
     if u < 0 or u > grid.t_max:
         raise ValueError("u must lie in [0, t_max]")
-    if u == 0.0:
-        return 0.0
-    s = grid.left_endpoints()
-    w = np.where(s < u, (u - s).clip(min=0.0) ** kappa, 0.0) - np.where(
-        s < 0, (-s).clip(min=0.0) ** kappa, 0.0
-    )
-    mass = float(np.sum(np.abs(w) ** alpha) * grid.delta)
-    tail = _field_tail_bound(u, kappa, alpha, grid.t_min)
-    if tail > tail_tol * (mass + tail):
+    w, lost = _field_kernel(grid, u, v)
+    if lost > tail_tol:
         raise TruncationError(
-            f"noise domain too short: tail bound {tail:.3e} vs mass {mass:.3e}"
+            f"noise domain too short: relative tail mass {lost:.3e} > {tail_tol}"
         )
-    return float(w @ grid.increments)
+    return 0.0 if u == 0.0 else float(w @ grid.increments)
 
 
 def _mesh_count(grid: NoiseGrid, t_top: float) -> int:
@@ -279,10 +286,7 @@ def field_on_mesh(
     coefficient quadrature accurate at deep levels without touching the noise
     resolution.
     """
-    alpha = grid.law.alpha
-    kappa = v - 1.0 / alpha
-    if not 0.0 < kappa < 1.0 or v >= 1.0:
-        raise ValueError(f"v must lie in (1/alpha, 1), got {v}")
+    kappa = _kappa(grid.law.alpha, v)
     if refine < 1:
         raise ValueError("refine must be >= 1")
     K = _mesh_count(grid, t_top)
@@ -344,38 +348,33 @@ class MeshFieldInterpolant:
             )
             self.weights = _bary_weights(n_nodes)
 
-    def at(self, v: np.ndarray) -> np.ndarray:
-        """X(m*delta, v[m]) for a per-mesh-point array of v values."""
+    def at(self, v, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """X(m*t_step, v) on mesh indices [start, stop), for one v or one v per index."""
+        vals = self.values[:, start:stop]
         v = np.asarray(v, dtype=float)
         if self.nodes.size == 1:
             if np.any(np.abs(v - self.nodes[0]) > 1e-12):
                 raise ValueError("constant-H interpolant queried off its node")
-            return self.values[0].copy()
-        diff = v[None, :] - self.nodes[:, None]
+            return vals[0].copy()
+        # node axis first: one coefficient per node for a single v, else a row
+        col = (-1,) + (1,) * v.ndim
+        diff = v - self.nodes.reshape(col)
         exact = np.isclose(diff, 0.0, atol=1e-15)
         diff = np.where(exact, 1.0, diff)
-        coef = self.weights[:, None] / diff
-        out = (coef * self.values).sum(axis=0) / coef.sum(axis=0)
-        hit_any = exact.any(axis=0)
-        if hit_any.any():
-            idx = exact.argmax(axis=0)
-            out[hit_any] = self.values[idx[hit_any], np.arange(v.size)[hit_any]]
+        coef = self.weights.reshape(col) / diff
+        # barycentric sums accumulated node by node
+        num, den = coef[0] * vals[0], coef[0]
+        for c, row in zip(coef[1:], vals[1:]):
+            num += c * row
+            den = den + c
+        out = num / den
+        hit = exact.any(axis=0)
+        if np.any(hit):
+            node = exact.argmax(axis=0)
+            if v.ndim == 0:
+                return vals[node].copy()
+            out[hit] = vals[node[hit], np.flatnonzero(hit)]
         return out
-
-    def at_constant(self, v: float, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """X(m*delta, v) for fixed v on mesh indices [start, stop)."""
-        stop = self.values.shape[1] if stop is None else stop
-        vals = self.values[:, start:stop]
-        if self.nodes.size == 1:
-            if abs(v - self.nodes[0]) > 1e-12:
-                raise ValueError("constant-H interpolant queried off its node")
-            return vals[0].copy()
-        diff = float(v) - self.nodes
-        hit = np.argmin(np.abs(diff))
-        if abs(diff[hit]) < 1e-15:
-            return vals[hit].copy()
-        coef = self.weights / diff
-        return (coef @ vals) / coef.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +421,7 @@ def sample_path_from_csv(fname) -> SamplePath:
 
 def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
     """Relative alpha-mass of the field kernel lost below t_min, worst case."""
-    kappa = v - 1.0 / grid.law.alpha
-    s = grid.left_endpoints()
-    w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
-    mass = float(np.sum(np.abs(w) ** grid.law.alpha) * grid.delta)
-    tail = _field_tail_bound(u, kappa, grid.law.alpha, grid.t_min)
-    return tail / (mass + tail)
+    return _field_kernel(grid, u, v)[1]
 
 
 def simulate_lmsm(
@@ -500,22 +494,17 @@ def simulate_lmsm(
 
 
 def frozen_coeff_on_path(
-    interp: MeshFieldInterpolant, wavelet_values: np.ndarray, j: int, k: int, h_k: float
+    interp: MeshFieldInterpolant, w: WaveletSpec, j: int, k: int, h_k: float
 ) -> float:
     """Frozen-Hurst coefficient 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt.
 
-    Uses the same trapezoid discretization as the path-route coefficient, so
-    their difference isolates the Hurst-variation effect only.  The caller
-    supplies psi sampled on the in-cell mesh (including both endpoints).
+    Uses the same trapezoid cell weights as the path-route coefficient, so
+    their difference isolates the Hurst-variation effect only.
     """
     step = interp.t_step
-    m = wavelet_values.size - 1
+    m = round(2.0**-j / step)
     start = round(k * 2.0**-j / step)
-    x = interp.at_constant(h_k, start, start + m + 1)
-    trap = np.ones(m + 1)
-    trap[0] = trap[-1] = 0.5
-    # d = int_0^1 X((k+x)2^-j, h_k) psi(x) dx with x-step 2^j * t_step
-    return float(np.sum(trap * wavelet_values * x) * (2.0**j * step))
+    return float(w.cell_weights(m) @ interp.at(h_k, start, start + m + 1))
 
 
 def direct_coeff_weights(

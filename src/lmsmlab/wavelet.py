@@ -84,6 +84,12 @@ class WaveletSpec:
             out[k] = quad(lambda t, k=k: t**k * self.evaluator(t), 0.0, 1.0, limit=200)[0]
         return out
 
+    def cell_weights(self, m: int) -> np.ndarray:
+        """Trapezoid weights w with int_0^1 f(x) psi(x) dx ~ w @ f(i/m), i = 0..m."""
+        trap = np.ones(m + 1)
+        trap[0] = trap[-1] = 0.5
+        return trap * np.asarray(self.evaluator(np.arange(m + 1) / m), dtype=float) / m
+
 
 def _quartic_evaluator(t):
     t = np.asarray(t, dtype=float)

@@ -124,23 +124,24 @@ def test_covariance_of_independent_synthetic_coefficients_is_null():
 
 def test_approx_check_constant_hurst_routes_coincide():
     # with constant H the frozen-Hurst coefficient IS the path coefficient:
-    # same interpolant level, same trapezoid, identical to the last bit
-    from lmsmlab.coeffs import build_pyramid, index_set
+    # same interpolant level, same trapezoid, identical to the last bit; the
+    # refined interpolant has m = 128 samples per cell, as at j = 12 in the
+    # experiments
+    from lmsmlab.coeffs import build_pyramid
     from lmsmlab.estimators import build_global_intervals
     from lmsmlab.process import MeshFieldInterpolant, frozen_coeff_on_path, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
+    w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=333)
-    interp = MeshFieldInterpolant(grid, 0.8, 0.8, 1.0)
-    times = np.arange(2**10 + 1) * 2.0**-10
-    path = simulate_lmsm(grid, times, H, interpolant=interp)
-    pyr = build_pyramid(path, L.default_wavelet(), (5,), build_global_intervals((0.0, 1.0), 5))
-    m = 2**5
-    x = np.arange(m + 1) / m
-    wav = np.asarray(L.default_wavelet().evaluator(x), dtype=float)
-    for k in (0, 7, 31):
-        frozen = frozen_coeff_on_path(interp, wav, 5, k, 0.8)
-        assert frozen == pytest.approx(pyr.value(5, k), abs=1e-16)
+    for refine in (1, 4):
+        interp = MeshFieldInterpolant(grid, 0.8, 0.8, 1.0, refine=refine)
+        times = np.arange(2**10 * refine + 1) * interp.t_step
+        path = simulate_lmsm(grid, times, H, interpolant=interp)
+        pyr = build_pyramid(path, w, (5,), build_global_intervals((0.0, 1.0), 5))
+        for k in (0, 7, 31):
+            frozen = frozen_coeff_on_path(interp, w, 5, k, 0.8)
+            assert frozen == pytest.approx(pyr.value(5, k), abs=1e-16)
 
 
 def test_covariance_check_enforces_replicate_floor():

@@ -90,6 +90,17 @@ def test_compute_coeff_requires_resolution():
         compute_coeff(path, L.default_wavelet(), 0, 0)
 
 
+def test_off_mesh_path_raises_resolution_error():
+    # only a uniform mesh gives every cell of a level the same weight vector
+    grid = L.make_noise_grid(L.StableLaw(1.5, 1.0), -2.0, 1.0, 2.0**-8, seed=41)
+    times = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(6).uniform(0, 1, 200)]))
+    path = L.simulate_lmsm(grid, times, L.constant_hurst(0.75), tail_tol=0.5)
+    with pytest.raises(ResolutionError):
+        compute_coeff(path, L.default_wavelet(), 0, 0)
+    with pytest.raises(ResolutionError):
+        build_pyramid(path, L.default_wavelet(), (0, 1), L.build_global_intervals((0.0, 1.0), 1))
+
+
 def test_build_pyramid_structure_and_zero_path():
     w = L.default_wavelet()
     t = np.arange(2**12 + 1) / 2**12

@@ -3,12 +3,16 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lmsmlab.bounds import BoundReport
 from lmsmlab.cli import main as cli_main
+from lmsmlab.coeffs import pyramid_to_csv
 from lmsmlab.harness import (
     ConvergenceTable,
     ExperimentConfig,
@@ -17,6 +21,7 @@ from lmsmlab.harness import (
     run_replicate,
     write_reports,
 )
+from lmsmlab.process import TruncationError, sample_path_from_csv
 
 FAST = dict(
     alpha=1.5,
@@ -41,6 +46,13 @@ def test_config_roundtrip_and_hash():
     assert back.config_hash() == cfg.config_hash()
     cfg2 = ExperimentConfig(**{**FAST, "seed": 315})
     assert cfg2.config_hash() != cfg.config_hash()
+
+
+def test_config_hash_names_the_science_only():
+    cfg = ExperimentConfig(**FAST)
+    elsewhere = ExperimentConfig(**{**FAST, "workers": 2, "out_dir": "/elsewhere"})
+    assert elsewhere.config_hash() == cfg.config_hash()
+    assert ExperimentConfig(**{**FAST, "seed": 315}).config_hash() != cfg.config_hash()
 
 
 def test_fmt17_roundtrips():
@@ -113,6 +125,59 @@ def test_cli_simulate_coeffs_estimate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_writes_replicate_zero(tmp_path, monkeypatch, capsys):
+    import lmsmlab.harness as hmod
+
+    cfg = ExperimentConfig(**{**FAST, "out_dir": str(tmp_path / "out")})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["--config", str(cfg_path), "simulate"]) == 0
+    assert cli_main(["--config", str(cfg_path), "coeffs"]) == 0
+    capsys.readouterr()
+
+    # capture the path and pyramid that the experiment's replicate 0 uses
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(hmod, name, wrapped)
+
+    spy("simulate_lmsm", hmod.simulate_lmsm)
+    spy("build_pyramid", hmod.build_pyramid)
+    run_replicate(cfg, 0)
+
+    path = sample_path_from_csv(tmp_path / "out" / "path.csv")
+    assert path.times.size == round(cfg.path_refine / cfg.delta) + 1
+    assert np.array_equal(path.times, seen["simulate_lmsm"].times)
+    assert np.array_equal(path.values, seen["simulate_lmsm"].values)
+    pyramid_to_csv(seen["build_pyramid"], tmp_path / "replicate0.csv")
+    assert filecmp.cmp(tmp_path / "out" / "pyramid.csv", tmp_path / "replicate0.csv",
+                       shallow=False)
+
+
+def test_benchmark_trace_hooks_exist(tmp_path):
+    # the benchmark wraps these module names; a missing one or a call that
+    # leaves harness would silently zero a per-layer metric
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import json, sys
+sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+import tracing
+from lmsmlab import harness
+tracer = tracing.Tracer()
+tracing.install(tracer, full=True)
+harness.run_replicate(harness.ExperimentConfig(**{FAST!r}), 0)
+print(json.dumps(sorted({{span[0] for span in tracer.spans}})))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, check=True)
+    names = set(json.loads(done.stdout.splitlines()[-1]))
+    assert {"harness.run_replicate", "process.make_noise_grid", "process.simulate_lmsm",
+            "coeffs.build_pyramid", "process.field_on_mesh"} <= names
+
+
 def test_cli_seed_precedence(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**FAST, "hurst_params": [0.8], "j_range": [4],
@@ -152,7 +217,7 @@ def test_failure_policy_aborts_past_twenty_percent(tmp_path, monkeypatch):
 
     def flaky(args):
         if args[1] == 0:
-            raise RuntimeError("synthetic replicate failure")
+            raise TruncationError("synthetic replicate failure")
         return real_task(args)
 
     monkeypatch.setattr(hmod, "_replicate_task", flaky)
@@ -165,6 +230,22 @@ def test_failure_policy_aborts_past_twenty_percent(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
     assert list(manifest["failed_replicates"]) == ["0"]
     assert table.rows
+
+    # a programming error is not a failed replicate: it ends the run
+    def broken(args):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(hmod, "_replicate_task", broken)
+    with pytest.raises(RuntimeError, match="^synthetic bug$"):
+        run_experiment(cfg_ok, out_dir=str(tmp_path / "bug"))
+
+
+def test_parallel_runs_isolate_replicate_failures(tmp_path):
+    # every replicate fails its path truncation audit; workers > 1 must record
+    # the failures like a serial run, not raise the first one
+    cfg = ExperimentConfig(**{**FAST, "path_tail_tol": 1e-9, "workers": 2})
+    with pytest.raises(RuntimeError, match="2/2 replicates failed.*TruncationError"):
+        run_experiment(cfg, out_dir=str(tmp_path))
 
 
 def test_worker_count_does_not_change_results(tmp_path):

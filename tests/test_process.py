@@ -95,9 +95,28 @@ def test_interpolant_matches_exact_nodes_and_offnode():
     rng = np.random.default_rng(2)
     for v in rng.uniform(0.7, 0.85, 4):
         exact = field_on_mesh(g, float(v))
-        approx = interp.at_constant(float(v))
+        approx = interp.at(float(v))
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(exact - approx)) < 1e-9 * scale
+
+
+def test_interpolant_one_v_and_per_index_v_agree_bitwise():
+    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=31)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=12, refine=2)
+    vals = interp.values
+    v = np.linspace(0.7, 0.85, vals.shape[1])
+    v[5] = interp.nodes[3]  # a node hit
+    # reference: the broadcast barycentric formula, summed over the node axis
+    diff = v[None, :] - interp.nodes[:, None]
+    exact = np.isclose(diff, 0.0, atol=1e-15)
+    coef = interp.weights[:, None] / np.where(exact, 1.0, diff)
+    ref = (coef * vals).sum(axis=0) / coef.sum(axis=0)
+    hit = exact.any(axis=0)
+    ref[hit] = vals[exact.argmax(axis=0)[hit], np.flatnonzero(hit)]
+    assert hit.sum() == 3  # both end nodes and the one placed at index 5
+    assert np.array_equal(interp.at(v), ref)
+    for h in (0.7731, float(interp.nodes[3])):
+        assert np.array_equal(interp.at(h, 40, 169), interp.at(np.full(vals.shape[1], h))[40:169])
 
 
 def test_constant_hurst_path_is_lfsm_code_path():
