@@ -9,7 +9,11 @@ contract ||sum f(s_i) dZ_i||_alpha**alpha = sum |f(s_i)|**alpha * delta.
 
 Mesh-aligned evaluation is accelerated by FFT convolution, which computes the
 very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i
-is a discrete convolution.  Time-varying Hurst values are then obtained by
+is a discrete convolution.  Only the outputs at t in [0, t_top] are read, so
+each transform has length n_cells + t_top/delta (rounded up to a fast size)
+instead of the full linear-convolution length n_cells + (t_top - t_min)/delta:
+every product that wraps around the circular convolution lands before t = 0,
+outside the window that is read.  Time-varying Hurst values are then obtained by
 barycentric interpolation across a Chebyshev grid of v-nodes; the field is
 analytic in v, so a few dozen nodes reach near machine precision.
 """
@@ -285,6 +289,13 @@ def field_on_mesh(
     cells (one convolution per residue class), which is what keeps trapezoid
     coefficient quadrature accurate at deep levels without touching the noise
     resolution.
+
+    The transforms are circular convolutions of length L = next_fast_len(
+    n_cells + K), K = t_top/delta, shorter than the full linear convolution
+    (n_cells + i0 + K).  The product dz[i] * g[l] lands on index i + l, or on
+    i + l - L when that reaches L; since i + l <= (n_cells - 1) + (i0 + K), a
+    wrapped term lands below i0, outside the window [i0, i0 + K] that is read.
+    Raises ValueError when t_top lies outside [0, t_max].
     """
     kappa = _kappa(grid.law.alpha, v)
     if refine < 1:
@@ -292,8 +303,12 @@ def field_on_mesh(
     K = _mesh_count(grid, t_top)
     i0 = grid.origin_index
     dz = grid.increments
+    if K < 0 or i0 + K > dz.size:
+        raise ValueError("t_top must lie in [0, t_max]")
     q = np.arange(i0 + K + 1, dtype=float)
-    n_fft = next_fast_len(dz.size + q.size - 1)
+    # wrap-free length (see docstring); the max matters only for t_max = 0,
+    # where the one-point window [i0, i0] must still fit below L
+    n_fft = next_fast_len(max(dz.size, i0 + 1) + K)
     zf = grid._noise_rfft(n_fft)
     out = np.empty(K * refine + 1)
     b = None
@@ -303,7 +318,9 @@ def field_on_mesh(
         if rho == 0:
             g[0] = 0.0
             b = float(g[1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
-        conv = irfft(zf * rfft(g, n_fft), n_fft)
+        spec = rfft(g, n_fft)
+        spec *= zf
+        conv = irfft(spec, n_fft)
         a = conv[i0 : i0 + K + 1]
         if rho == 0:
             out[::refine] = a - b

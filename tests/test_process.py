@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 import lmsmlab as L
@@ -87,6 +88,56 @@ def test_refined_mesh_consistency():
     assert np.allclose(x4[::4], x1, atol=1e-12)
     direct = eval_field(g, 5 * 2.0**-9, 0.75, tail_tol=0.5)
     assert x4[5] == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("refine,t_top", [(2, 1.0), (8, 1.0), (8, 0.5)])
+def test_fft_length_at_aliasing_boundary(refine, t_top):
+    # n_cells + K is already a fast length, so the transforms run at exactly the
+    # shortest wrap-free length; one point shorter would corrupt mesh index 1
+    # (residue 1), which the sweep below includes
+    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-7, seed=41)
+    n_min = g.n_cells + round(t_top / g.delta)
+    assert next_fast_len(n_min) == n_min
+    mesh = field_on_mesh(g, 0.8, t_top, refine)
+    assert mesh.size == round(t_top / g.delta) * refine + 1
+    for m, x in enumerate(mesh):
+        direct = eval_field(g, m * g.delta / refine, 0.8, tail_tol=1.0)
+        assert x == pytest.approx(direct, abs=1e-10 + 1e-9 * abs(direct))
+
+
+def test_fft_length_contract(monkeypatch):
+    # every transform takes its length as the second positional argument,
+    # n_cells + K rounded up to a fast length, never the linear-convolution size
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((args[1] if len(args) > 1 else None, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(L.process, "rfft", recording(L.process.rfft))
+    monkeypatch.setattr(L.process, "irfft", recording(L.process.irfft))
+    g = make_noise_grid(LAW, -3.0, 1.0, 2.0**-8, seed=43)
+    refine, t_top = 3, 0.75
+    n_fft = next_fast_len(g.n_cells + round(t_top / g.delta))
+    field_on_mesh(g, 0.8, t_top, refine)
+    assert len(calls) == 2 * refine + 1  # plus the noise spectrum, once per grid
+    field_on_mesh(g, 0.75, t_top, refine)
+    assert len(calls) == 4 * refine + 1
+    assert all(n == n_fft and not kw for n, kw in calls)
+
+
+def test_field_on_mesh_rejects_times_past_the_grid():
+    g = make_noise_grid(LAW, -2.0, 0.5, 2.0**-8, seed=47)
+    assert field_on_mesh(g, 0.8, 0.5).size == 2**7 + 1
+    with pytest.raises(ValueError, match="t_max"):
+        field_on_mesh(g, 0.8, 1.0)
+    with pytest.raises(ValueError, match="t_max"):
+        field_on_mesh(g, 0.8, -2.0**-8)
+    times = np.arange(2**8 + 1) * 2.0**-8
+    with pytest.raises(ValueError, match="t_max"):
+        L.simulate_lmsm(g, times, L.constant_hurst(0.8), tail_tol=1.0)
 
 
 def test_interpolant_matches_exact_nodes_and_offnode():
