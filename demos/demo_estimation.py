@@ -5,7 +5,7 @@ convergence tables: raw log2-ratio estimates (which carry a visible
 finite-scale constant), the constant-corrected column, and the
 stability-index estimates for which the kernel constant cancels by itself.
 
-Run:  python demos/demo_estimation.py   (about two minutes)
+Run:  python demos/demo_estimation.py   (about two minutes; writes demo_est_*/ here)
 """
 
 from lmsmlab.harness import ExperimentConfig, run_experiment
@@ -23,14 +23,14 @@ def show(table, label, target):
 cfg_const = ExperimentConfig(
     alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
     j_range=(6, 8, 10), delta=2.0**-14, path_refine=8,
-    replicates=10, seed=1, out_dir="/tmp/demo_est_const",
+    replicates=10, seed=1, out_dir="demo_est_const",
 )
 show(run_experiment(cfg_const), "constant H = 0.8 on [0, 1]", "min H = 0.8")
 
 cfg_lin = ExperimentConfig(
     alpha=1.5, hurst_name="linear", hurst_params=(0.7, 0.15),
     j_range=(6, 8, 10), delta=2.0**-14, path_refine=8, v_nodes=16,
-    replicates=10, seed=2, out_dir="/tmp/demo_est_lin",
+    replicates=10, seed=2, out_dir="demo_est_lin",
 )
 show(run_experiment(cfg_lin), "H(t) = 0.7 + 0.15 t on [0, 1]", "min H = 0.7, mean 0.775")
 
@@ -38,7 +38,7 @@ cfg_loc = ExperimentConfig(
     alpha=1.5, hurst_name="sine", hurst_params=(0.75, 0.08),
     j_range=(6, 8, 10), interval_mode="local", t0=0.25,
     delta=2.0**-14, path_refine=8, v_nodes=16,
-    replicates=10, seed=3, out_dir="/tmp/demo_est_loc",
+    replicates=10, seed=3, out_dir="demo_est_loc",
 )
 show(run_experiment(cfg_loc), "local estimate at t0 = 0.25 for the sine profile",
      "H(t0) = 0.83")

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .coeffs import build_pyramid, index_set
+from .coeffs import build_pyramid, frozen_level, index_set
 from .estimators import build_global_intervals
 from .process import (
     HurstFunction,
     MeshFieldInterpolant,
     TruncationError,
     direct_coeff_weights,
-    frozen_coeff_on_path,
     make_noise_grid,
     simulate_lmsm,
 )
@@ -261,11 +260,10 @@ def _draw_direct_coeffs(
     ks,
     replicates: int,
     seed: int,
-    delta: float | None = None,
-    chunk: int = 1024,
 ) -> np.ndarray:
-    """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per row."""
-    delta = delta if delta is not None else 2.0 ** -(j + 4)
+    """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per row,
+    on cells of width 2^-(j+4); the chunk of 1024 rows fixes the draw order."""
+    delta, chunk = 2.0 ** -(j + 4), 1024
     t_min = -1.0  # grown until the certified window fits
     while True:
         try:
@@ -297,13 +295,12 @@ def scale_param_check(
     beta: float,
     replicates: int = 10_000,
     seed: int = 20_000,
-    delta: float | None = None,
     rel_tol: float = 0.05,
 ) -> BoundReport:
     """Compare the MC scale of d~_{j,k} with 2**(-j H_k) ||Phi(., H_k)|| by quadrature."""
     if replicates < 10_000:
         raise ValueError("at least 1e4 replicates required")
-    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed, delta)
+    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
     c_beta = moment_constant(beta, law.alpha)
     rel_errors, targets, estimates = [], [], []
     for col, k in enumerate(ks):
@@ -340,7 +337,6 @@ def covariance_mc_check(
     beta: float,
     replicates: int = 10_000,
     seed: int = 30_000,
-    delta: float | None = None,
     slack: float = 0.3,
 ) -> BoundReport:
     """Empirical covariance of |d~|**beta pairs against the (1 + lag)**-lambda envelope.
@@ -356,7 +352,7 @@ def covariance_mc_check(
     ks = [k0] + [k0 + q for q in lags]
     if (max(ks) + 1) * 2.0**-j > 1.0:
         raise ValueError("lag set does not fit inside [0, 1] at this level")
-    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed, delta)
+    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
     a = np.abs(coeffs) ** beta
     base = a[:, 0]
     lam = lambda_exponent(law.alpha, max(H.h_high, 1.0 / law.alpha + 1e-9))
@@ -408,24 +404,22 @@ def approx_error_check(
     j_list,
     replicates: int = 20,
     seed: int = 40_000,
-    delta: float | None = None,
-    t_tail: float = 8.0,
     slack: float = 0.15,
     pass_fraction: float = 0.8,
-    n_nodes: int = 24,
-    refine: int = 4,
 ) -> BoundReport:
     """Regress log2 max_k |d_{j,k} - d~_{j,k}| on j; the slope should reach -rho_H.
 
     Both routes share one noise grid and one trapezoid discretization; the
     frozen-Hurst coefficient integrates X(t, H(k 2^-j)) over the same cell
-    samples, so the difference isolates the Hurst variation.
+    samples, so the difference isolates the Hurst variation.  Noise cells are
+    2^-(max j + 4) wide on [-8, 1), refined 4 times, with 24 v-nodes.
     """
     j_list = sorted(int(j) for j in j_list)
     if len(j_list) < 4:
         raise ValueError("need at least 4 levels for the slope regression")
     rho = H.holder_exponent
-    delta = delta if delta is not None else 2.0 ** -(max(j_list) + 4)
+    delta = 2.0 ** -(max(j_list) + 4)
+    t_tail, n_nodes, refine = 8.0, 24, 4
     t_step = delta / refine
     n_mesh = int(round(1.0 / t_step))
     times = np.arange(n_mesh + 1) * t_step
@@ -440,14 +434,8 @@ def approx_error_check(
         pyramid = build_pyramid(path, wavelet, j_list, intervals)
         maxima = []
         for j in j_list:
-            ks, _ = index_set(intervals.interval(j), j)
-            lev = pyramid.level(j)
-            worst = 0.0
-            for k in ks:
-                h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-                d_tilde = frozen_coeff_on_path(interp, wavelet, j, k, h_k)
-                worst = max(worst, abs(lev[k] - d_tilde))
-            maxima.append(worst)
+            d_tilde = frozen_level(interp, wavelet, j, index_set(intervals.interval(j), j), H)
+            maxima.append(float(np.max(np.abs(pyramid.level(j) - d_tilde))))
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))
     slopes = np.array(slopes)
     frac = float(np.mean(slopes <= -rho + slack))

@@ -91,14 +91,12 @@ class EstimateRecord:
 
 def empirical_mean(pyramid: CoeffPyramid, j: int, nu, beta: float) -> float:
     """V_j: mean of |d_{j,k}|**beta over the index set nu."""
-    nu = list(nu)
-    if not nu:
-        raise ValueError("empty index set")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lev = pyramid.level(j)
-    vals = np.array([abs(lev[k]) for k in nu])
-    return float(np.mean(vals**beta))
+    vals = pyramid.level(j, nu)
+    if vals.size == 0:
+        raise ValueError("empty index set")
+    return float(np.mean(np.abs(vals) ** beta))
 
 
 def estimate_hmin(v_j: float, j: int, beta: float) -> float:

@@ -231,11 +231,11 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     records = []
     for j in config.j_range:
         i_j = intervals.interval(j)
-        ks, n_j = index_set(i_j, j)
+        ks = index_set(i_j, j)
         rec = EstimateRecord(
-            j=j, v_j=math.nan, h_hat=math.nan, d_j=math.nan, n_j=n_j, interval=i_j
+            j=j, v_j=math.nan, h_hat=math.nan, d_j=math.nan, n_j=len(ks), interval=i_j
         )
-        if n_j == 0:
+        if not ks:
             rec.flags.append("empty_index_set")
             records.append(rec)
             continue

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from .stable import StableLaw, _rng, unit_sas
-from .wavelet import PhiKernel, WaveletSpec
+from .wavelet import PhiKernel
 
 __all__ = [
     "HurstFunction",
@@ -42,7 +42,6 @@ __all__ = [
     "eval_field",
     "field_on_mesh",
     "simulate_lmsm",
-    "frozen_coeff_on_path",
     "direct_coeff_weights",
     "simulate_coeff_direct",
 ]
@@ -351,27 +350,27 @@ class MeshFieldInterpolant:
     def __init__(self, grid: NoiseGrid, h_low: float, h_high: float,
                  t_top: float = 1.0, n_nodes: int = 48, refine: int = 1):
         self.grid = grid
-        self.t_top = t_top
+        self.h_low, self.h_high = h_low, h_high
         self.refine = int(refine)
         self.t_step = grid.delta / self.refine
-        if h_high - h_low < 1e-13:
-            self.nodes = np.array([h_low])
-            self.values = field_on_mesh(grid, h_low, t_top, self.refine)[None, :]
-            self.weights = np.array([1.0])
-        else:
-            self.nodes = _cheb_nodes(h_low, h_high, n_nodes)
-            self.values = np.stack(
-                [field_on_mesh(grid, v, t_top, self.refine) for v in self.nodes]
-            )
-            self.weights = _bary_weights(n_nodes)
+        pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
+        self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
+        self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
+        self.values = np.stack([field_on_mesh(grid, v, t_top, self.refine)
+                                for v in self.nodes])
 
     def at(self, v, start: int = 0, stop: int | None = None) -> np.ndarray:
         """X(m*t_step, v) on mesh indices [start, stop), for one v or one v per index."""
-        vals = self.values[:, start:stop]
+        return self.combine(v, self.values[:, start:stop])
+
+    def combine(self, v, vals: np.ndarray) -> np.ndarray:
+        """Barycentric combination at v of per-node rows ``vals`` (node axis
+        first), e.g. of any linear functional of the node fields.  Raises
+        ValueError for v outside [h_low, h_high]: it never extrapolates."""
         v = np.asarray(v, dtype=float)
+        if np.any((v < self.h_low - 1e-12) | (v > self.h_high + 1e-12)):
+            raise ValueError(f"v outside the interpolant's [{self.h_low}, {self.h_high}]")
         if self.nodes.size == 1:
-            if np.any(np.abs(v - self.nodes[0]) > 1e-12):
-                raise ValueError("constant-H interpolant queried off its node")
             return vals[0].copy()
         # node axis first: one coefficient per node for a single v, else a row
         col = (-1,) + (1,) * v.ndim
@@ -458,10 +457,14 @@ def simulate_lmsm(
     ``tail_tol`` bounds the relative alpha-mass the noise-domain truncation
     may cost raw path values; wavelet coefficients are far less sensitive
     (their kernel decays two orders faster) and recertify their own windows.
+    A given ``interpolant`` must be built on ``grid`` and cover H's range;
+    otherwise ValueError.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < 0.0 or times.max() > 1.0):
         raise ValueError("times must lie in [0, 1]")
+    if interpolant is not None and interpolant.grid is not grid:
+        raise ValueError("the interpolant was built on another noise grid")
     H.validate(grid.law.alpha)
     h_t = np.asarray(H(times), dtype=float)
     t_step = interpolant.t_step if interpolant is not None else grid.delta / refine
@@ -508,20 +511,6 @@ def simulate_lmsm(
 # ---------------------------------------------------------------------------
 # Direct (frozen-Hurst) wavelet coefficients
 # ---------------------------------------------------------------------------
-
-
-def frozen_coeff_on_path(
-    interp: MeshFieldInterpolant, w: WaveletSpec, j: int, k: int, h_k: float
-) -> float:
-    """Frozen-Hurst coefficient 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt.
-
-    Uses the same trapezoid cell weights as the path-route coefficient, so
-    their difference isolates the Hurst-variation effect only.
-    """
-    step = interp.t_step
-    m = round(2.0**-j / step)
-    start = round(k * 2.0**-j / step)
-    return float(w.cell_weights(m) @ interp.at(h_k, start, start + m + 1))
 
 
 def direct_coeff_weights(

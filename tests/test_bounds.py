@@ -127,9 +127,9 @@ def test_approx_check_constant_hurst_routes_coincide():
     # same interpolant level, same trapezoid, identical to the last bit; the
     # refined interpolant has m = 128 samples per cell, as at j = 12 in the
     # experiments
-    from lmsmlab.coeffs import build_pyramid
+    from lmsmlab.coeffs import build_pyramid, frozen_level
     from lmsmlab.estimators import build_global_intervals
-    from lmsmlab.process import MeshFieldInterpolant, frozen_coeff_on_path, make_noise_grid, simulate_lmsm
+    from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
     w = L.default_wavelet()
@@ -139,9 +139,31 @@ def test_approx_check_constant_hurst_routes_coincide():
         times = np.arange(2**10 * refine + 1) * interp.t_step
         path = simulate_lmsm(grid, times, H, interpolant=interp)
         pyr = build_pyramid(path, w, (5,), build_global_intervals((0.0, 1.0), 5))
-        for k in (0, 7, 31):
-            frozen = frozen_coeff_on_path(interp, w, 5, k, 0.8)
-            assert frozen == pytest.approx(pyr.value(5, k), abs=1e-16)
+        frozen = frozen_level(interp, w, 5, range(32), H)
+        assert np.array_equal(frozen, pyr.level(5))
+
+
+def test_frozen_level_matches_per_shift_definition():
+    # node-wise quadrature combined at h_k against the quadrature of the field
+    # interpolated at h_k; k = 0 puts h_k on the first Chebyshev node exactly
+    from lmsmlab.coeffs import frozen_level
+    from lmsmlab.process import MeshFieldInterpolant, make_noise_grid
+
+    H = L.linear_hurst(0.7, 0.15)
+    w = L.default_wavelet()
+    grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=334)
+    interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, 1.0, n_nodes=16, refine=4)
+    assert float(H(0.0)) == interp.nodes[0]
+    for j in (5, 8):
+        m = round(2.0**-j / interp.t_step)
+        ks = range(2**j)
+        frozen = frozen_level(interp, w, j, ks, H)
+        per_shift = np.array([
+            w.cell_weights(m) @ interp.at(float(H(k * 2.0**-j)), k * m, k * m + m + 1)
+            for k in ks
+        ])
+        assert np.max(np.abs(frozen - per_shift)) <= 1e-12 * np.max(np.abs(per_shift))
+        assert frozen[0] == pytest.approx(per_shift[0], rel=1e-9)
 
 
 def test_covariance_check_enforces_replicate_floor():

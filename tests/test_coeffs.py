@@ -44,12 +44,9 @@ def dense_poly_path(coeffs, n=1 << 16) -> SamplePath:
 
 
 def test_index_set_enumeration():
-    ks, n = index_set((0.0, 1.0), 3)
-    assert ks == list(range(8)) and n == 8
-    ks, n = index_set((0.3, 0.4), 2)
-    assert ks == [] and n == 0
-    ks, n = index_set((0.25, 0.75), 2)
-    assert ks == [1, 2] and n == 2
+    assert index_set((0.0, 1.0), 3) == range(8)
+    assert len(index_set((0.3, 0.4), 2)) == 0
+    assert index_set((0.25, 0.75), 2) == range(1, 3)
 
 
 def test_index_set_monotone_in_interval():
@@ -59,8 +56,8 @@ def test_index_set_monotone_in_interval():
         pad = rng.uniform(0, 0.2, 2)
         big = (max(a - pad[0], 0.0), min(b + pad[1], 1.0))
         for j in (2, 4, 6):
-            inner, _ = index_set((a, b), j)
-            outer, _ = index_set(big, j)
+            inner = index_set((a, b), j)
+            outer = index_set(big, j)
             assert set(inner) <= set(outer)
 
 
@@ -109,27 +106,35 @@ def test_build_pyramid_structure_and_zero_path():
     pyr = build_pyramid(path, w, (4, 5, 6), seq)
     assert set(pyr.levels) == {4, 5, 6}
     for j in (4, 5, 6):
-        ks, _ = index_set((0.0, 1.0), j)
-        assert sorted(pyr.level(j)) == ks
-        assert all(v == 0.0 for v in pyr.level(j).values())
+        assert pyr.k0[j] == 0 and len(pyr.level(j)) == len(index_set((0.0, 1.0), j))
+        assert np.all(pyr.level(j) == 0.0)
     assert pyr.seed == 4
 
 
 def test_mesh_and_generic_quadrature_agree():
+    # the strided level product against the explicit per-cell dot product; the
+    # summation order differs, so allow twice the float64 bound on the
+    # rounding error of an (m + 1)-term dot product
     w = L.default_wavelet()
     rng = np.random.default_rng(12)
     t = np.arange(2**12 + 1) / 2**12
     y = np.cumsum(rng.normal(size=t.size)) * 2.0**-6
     path = SamplePath(times=t, values=y, provenance={})
-    seq = L.build_global_intervals((0.0, 1.0), 5)
-    pyr = build_pyramid(path, w, (5,), seq)
-    for k in (0, 13, 31):
-        assert pyr.value(5, k) == pytest.approx(compute_coeff(path, w, 5, k), abs=1e-14)
+    seq = L.build_global_intervals((0.0, 1.0), 8)
+    for j, m in ((8, 16), (5, 128)):
+        pyr = build_pyramid(path, w, (j,), seq)
+        wv = w.cell_weights(m)
+        for k in range(2**j):
+            cell = y[k * m : k * m + m + 1]
+            tol = 2 * (m + 1) * np.finfo(float).eps * float(np.abs(wv) @ np.abs(cell))
+            assert abs(pyr.value(j, k) - float(wv @ cell)) <= tol
+            assert abs(compute_coeff(path, w, j, k) - float(wv @ cell)) <= tol
 
 
 def test_max_coeff_basics():
-    levels = {3: {2: -0.5, 3: 0.25, 4: 0.1}, 4: {5: 0.0, 6: 0.0}}
-    pyr = CoeffPyramid(levels=levels, source="direct_kernel", wavelet_id="quartic", seed=0)
+    levels = {3: np.array([-0.5, 0.25, 0.1]), 4: np.zeros(2)}
+    pyr = CoeffPyramid(levels=levels, k0={3: 2, 4: 5}, source="direct_kernel",
+                       wavelet_id="quartic", seed=0)
     assert max_coeff(pyr, 3, (0.25, 0.625)) == 0.5
     assert max_coeff(pyr, 4, (0.3125, 0.4375)) == 0.0
     with pytest.raises(ValueError):
@@ -139,15 +144,17 @@ def test_max_coeff_basics():
 def test_max_over_unit_interval_equals_global_max():
     rng = np.random.default_rng(3)
     for j in (2, 3, 5):
-        lev = {k: float(rng.normal()) for k in range(2**j)}
-        pyr = CoeffPyramid(levels={j: lev}, source="direct_kernel", wavelet_id="q", seed=0)
-        assert max_coeff(pyr, j, (0.0, 1.0)) == max(abs(v) for v in lev.values())
+        lev = rng.normal(size=2**j)
+        pyr = CoeffPyramid(levels={j: lev}, k0={j: 0}, source="direct_kernel",
+                           wavelet_id="q", seed=0)
+        assert max_coeff(pyr, j, (0.0, 1.0)) == max(abs(v) for v in lev)
 
 
 def test_pyramid_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(44)
-    levels = {j: {k: float(rng.standard_cauchy()) for k in range(2**j)} for j in (2, 3)}
-    pyr = CoeffPyramid(levels=levels, source="path_quadrature", wavelet_id="quartic", seed=17)
+    levels = {j: rng.standard_cauchy(size=2**j) for j in (2, 3)}
+    pyr = CoeffPyramid(levels=levels, k0={2: 0, 3: 0}, source="path_quadrature",
+                       wavelet_id="quartic", seed=17)
     fname = tmp_path / "pyr.csv"
     pyramid_to_csv(pyr, fname)
     back = pyramid_from_csv(fname)
@@ -171,4 +178,41 @@ def test_interval_sequence_invariants():
 
 def test_pyramid_rejects_cells_outside_unit_interval():
     with pytest.raises(ValueError):
-        CoeffPyramid(levels={2: {4: 1.0}}, source="direct_kernel", wavelet_id="q", seed=0)
+        CoeffPyramid(levels={2: np.array([1.0])}, k0={2: 4}, source="direct_kernel",
+                     wavelet_id="q", seed=0)
+
+
+def test_pyramid_csv_golden_bytes(tmp_path):
+    # levels ascending, shifts ascending within a level, repr of each value
+    pyr = CoeffPyramid(levels={2: np.array([1e-3, 0.1 + 0.2]), 1: np.array([0.5, -0.25])},
+                       k0={2: 1, 1: 0}, source="path_quadrature", wavelet_id="quartic",
+                       seed=3)
+    fname = tmp_path / "pyr.csv"
+    pyramid_to_csv(pyr, fname)
+    assert fname.read_bytes() == (
+        b"# wavelet: quartic\n"
+        b"# seed: 3\n"
+        b"j,k,value,source\n"
+        b"1,0,0.5,path_quadrature\n"
+        b"1,1,-0.25,path_quadrature\n"
+        b"2,1,0.001,path_quadrature\n"
+        b"2,2,0.30000000000000004,path_quadrature\n"
+    )
+
+
+def test_pyramid_from_csv_rejects_gaps(tmp_path):
+    fname = tmp_path / "gap.csv"
+    fname.write_text("j,k,value,source\n3,1,0.5,path_quadrature\n3,3,0.25,path_quadrature\n")
+    with pytest.raises(ValueError):
+        pyramid_from_csv(fname)
+
+
+def test_level_rejects_missing_shifts():
+    pyr = CoeffPyramid(levels={3: np.arange(3.0)}, k0={3: 2}, source="direct_kernel",
+                       wavelet_id="q", seed=0)
+    assert list(pyr.level(3, range(3, 5))) == [1.0, 2.0]
+    for ks in (range(1, 3), range(4, 6), [7]):
+        with pytest.raises(ValueError):
+            pyr.level(3, ks)
+    with pytest.raises(ValueError):
+        pyr.value(3, 5)

@@ -170,6 +170,32 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
         assert np.array_equal(interp.at(h, 40, 169), interp.at(np.full(vals.shape[1], h))[40:169])
 
 
+def test_interpolant_refuses_to_extrapolate():
+    # H = 0.75 + 0.2 t leaves the interpolant's [0.75, 0.8] at t = 0.25
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
+    interp = MeshFieldInterpolant(g, 0.75, 0.8, 1.0, n_nodes=16)
+    times = np.arange(2**10 + 1) * interp.t_step
+    with pytest.raises(ValueError, match="outside"):
+        L.simulate_lmsm(g, times, L.linear_hurst(0.75, 0.2), interpolant=interp,
+                        tail_tol=1.0)
+    interp.at(0.8 + 5e-13)  # inside the 1e-12 slack
+    for v in (0.8 + 2e-12, np.array([0.76, 0.7499])):
+        with pytest.raises(ValueError):
+            interp.at(v)
+    pinned = MeshFieldInterpolant(g, 0.8, 0.8, 1.0)
+    with pytest.raises(ValueError):
+        pinned.at(0.8 + 2e-12)
+
+
+def test_simulate_rejects_an_interpolant_of_another_grid():
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
+    other = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=30)
+    interp = MeshFieldInterpolant(other, 0.7, 0.85, 1.0, n_nodes=8)
+    times = np.arange(2**10 + 1) * interp.t_step
+    with pytest.raises(ValueError, match="grid"):
+        L.simulate_lmsm(g, times, L.linear_hurst(0.7, 0.15), interpolant=interp)
+
+
 def test_constant_hurst_path_is_lfsm_code_path():
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=37)
     H = L.constant_hurst(0.8)
