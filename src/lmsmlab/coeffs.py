@@ -4,9 +4,9 @@ Coefficients are d_{j,k} = 2^j int Y(t) psi(2^j t - k) dt, integrated by
 trapezoid on the path's own uniform sample mesh; after the change of variables
 x = 2^j t - k this is int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor
 never appears explicitly.  Every cell of a level holds the same m + 1
-samples, so a level is one strided view of the samples times one weight
-vector (``WaveletSpec.cell_weights``).  A pyramid holds one array per level;
-index sets are ``range`` objects of shifts.
+samples, so a level is one weight vector (``WaveletSpec.cell_weights``)
+applied tap by tap to strided views of the samples.  A pyramid holds one
+array per level; index sets are ``range`` objects of shifts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .process import HurstFunction, MeshFieldInterpolant, SamplePath
 from .wavelet import WaveletSpec
@@ -118,7 +117,9 @@ def _level_coeffs(
     values: np.ndarray, t0: float, step: float, w: WaveletSpec, j: int, ks: range
 ) -> np.ndarray:
     """Level-j coefficients for the shifts ks, per row of ``values`` sampled at
-    t0 + i step: one strided view of the cells times the shared cell weights."""
+    t0 + i step: the shared cell weights applied tap by tap to strided views,
+    so every coefficient is summed in the same order whatever the number of
+    rows or shifts."""
     m = round(2.0**-j / step)
     if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
         raise ResolutionError(f"mesh step {step} incompatible with level {j}")
@@ -126,8 +127,11 @@ def _level_coeffs(
     n = len(ks)
     if n and (start < 0 or start + n * m >= values.shape[-1]):
         raise ResolutionError(f"samples do not cover cells ({j}, {ks.start}..{ks.stop - 1})")
-    cells = sliding_window_view(values, m + 1, axis=-1)[..., start::m, :][..., :n, :]
-    return cells @ w.cell_weights(m)
+    out = np.zeros(values.shape[:-1] + (n,))
+    stop = start + n * m
+    for tap, weight in enumerate(w.cell_weights(m)):
+        out += weight * values[..., start + tap : stop + tap : m]
+    return out
 
 
 def _path_level(path: SamplePath, w: WaveletSpec, j: int, ks: range) -> np.ndarray:

@@ -7,15 +7,19 @@ defining stochastic integrals: cell i carries an independent SaS increment of
 scale delta**(1/alpha), so discrete integrals inherit the continuous scale
 contract ||sum f(s_i) dZ_i||_alpha**alpha = sum |f(s_i)|**alpha * delta.
 
-Mesh-aligned evaluation is accelerated by FFT convolution, which computes the
+Mesh-aligned evaluation on [0, t_top] splits the noise at s = -2 t_top.  The
+near cells [-2 t_top, t_max) go through FFT convolution, which computes the
 very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i
 is a discrete convolution.  Only the outputs at t in [0, t_top] are read, so
-each transform has length n_cells + t_top/delta (rounded up to a fast size)
-instead of the full linear-convolution length n_cells + (t_top - t_min)/delta:
-every product that wraps around the circular convolution lands before t = 0,
-outside the window that is read.  Time-varying Hurst values are then obtained by
-barycentric interpolation across a Chebyshev grid of v-nodes; the field is
-analytic in v, so a few dozen nodes reach near machine precision.
+each transform has length n_near + t_top/delta (rounded up to a fast size)
+instead of the full linear-convolution length: every product that wraps
+around the circular convolution lands before t = 0, outside the window that
+is read.  The far cells s_i < -2 t_top add a function of t that is analytic
+on a disc of radius 2 t_top around 0, summed as a binomial-moment power series
+around t_top/2 whose ratio is below 1/5; a certified remainder bound fixes the
+number of terms (see ``field_on_mesh``).  Time-varying Hurst values are then
+obtained by barycentric interpolation across a Chebyshev grid of v-nodes; the
+field is analytic in v, so a few dozen nodes reach near machine precision.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from .stable import StableLaw, _rng, unit_sas
-from .wavelet import PhiKernel
+from .wavelet import PhiKernel, _binom_coeffs, _poly_eval
 
 __all__ = [
     "HurstFunction",
@@ -185,10 +189,11 @@ class NoiseGrid:
         """Index i0 with s_{i0} = 0; the mesh is anchored so this is exact."""
         return int(round(-self.t_min / self.delta))
 
-    def _noise_rfft(self, n_fft: int) -> np.ndarray:
-        key = ("zf", n_fft)
+    def _noise_rfft(self, n_fft: int, i_start: int) -> np.ndarray:
+        """Spectrum of the increments from cell i_start on, zero-padded to n_fft."""
+        key = ("zf", n_fft, i_start)
         if key not in self._cache:
-            self._cache[key] = rfft(self.increments, n_fft)
+            self._cache[key] = rfft(self.increments[i_start:], n_fft)
         return self._cache[key]
 
 
@@ -278,10 +283,48 @@ def _mesh_count(grid: NoiseGrid, t_top: float) -> int:
     return ki
 
 
+def _far_series_terms(kappa: float, ratio: float) -> int:
+    """Fewest terms N whose certified remainder (``_far_remainder``) is at most
+    the unit roundoff 2^-53: below the rounding the moment sums carry anyway."""
+    n = 1
+    while _far_remainder(kappa, ratio, n) > 2.0**-53:
+        n += 1
+    return n
+
+
+def _far_remainder(kappa: float, ratio: float, n_terms: int) -> float:
+    # |binom(k, n)| <= k/n and |h|/(x_i + c) <= ratio < 1, so the terms past
+    # n_terms sum to at most k/(N+1) * ratio^(N+1)/(1 - ratio) times
+    # S = sum_far (x_i + c)^k |dZ_i|
+    return kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
+
+
+def _far_coeffs(
+    x: np.ndarray, dz: np.ndarray, kappa: float, c: float, n_terms: int
+) -> np.ndarray:
+    """Power-series coefficients in h of sum_i [(x_i + c + h)^kappa - x_i^kappa] dZ_i.
+
+    With y = x + c, (y + h)^k = sum_n binom(k, n) h^n y^(k-n), so coefficient n
+    is binom(k, n) * sum y_i^(k-n) dZ_i (n >= 1) and coefficient 0 is
+    sum [y_i^k - x_i^k] dZ_i.  Moments are summed in chunks, one pass each."""
+    mom = np.zeros(n_terms + 1)
+    chunk = 16384
+    for lo in range(0, x.size, chunk):
+        xs, ds = x[lo : lo + chunk], dz[lo : lo + chunk]
+        y = xs + c
+        w = ds * y**kappa
+        mom[0] += float((w - ds * xs**kappa).sum())
+        y_inv = 1.0 / y
+        for n in range(1, n_terms + 1):
+            w *= y_inv
+            mom[n] += float(w.sum())
+    return _binom_coeffs(kappa, n_terms) * mom
+
+
 def field_on_mesh(
     grid: NoiseGrid, v: float, t_top: float = 1.0, refine: int = 1
 ) -> np.ndarray:
-    """X(m*delta/refine, v) for m = 0..refine*t_top/delta, via FFT convolution.
+    """X(m*delta/refine, v) for m = 0..refine*t_top/delta.
 
     Identical (up to float rounding) to calling eval_field at each mesh time.
     ``refine`` samples the discrete-noise field on a mesh finer than the noise
@@ -289,27 +332,36 @@ def field_on_mesh(
     coefficient quadrature accurate at deep levels without touching the noise
     resolution.
 
-    The transforms are circular convolutions of length L = next_fast_len(
-    n_cells + K), K = t_top/delta, shorter than the full linear convolution
-    (n_cells + i0 + K).  The product dz[i] * g[l] lands on index i + l, or on
-    i + l - L when that reaches L; since i + l <= (n_cells - 1) + (i0 + K), a
-    wrapped term lands below i0, outside the window [i0, i0 + K] that is read.
+    The noise is split at s = -2 t_top.  Near cells [-2 t_top, t_max) go
+    through FFT convolution.  Its circular transforms have length L =
+    next_fast_len(n_near + K), K = t_top/delta, with the near window's origin
+    at i0 = min(2K, index of s = 0): the product dz[i] * g[l] lands on index
+    i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
+    (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
+    that is read.  Far cells s_i < -2 t_top, x_i = -s_i > 2 t_top, add
+    sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power series in h = t - c,
+    c = t_top/2, whose ratio |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/5.
+    With |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
+    kappa/(N+1) * r^(N+1)/(1 - r) * sum_far (x_i + c)^kappa |dZ_i|, and N is
+    the fewest terms that put this factor below 2^-53.
     Raises ValueError when t_top lies outside [0, t_max].
     """
     kappa = _kappa(grid.law.alpha, v)
     if refine < 1:
         raise ValueError("refine must be >= 1")
     K = _mesh_count(grid, t_top)
-    i0 = grid.origin_index
-    dz = grid.increments
-    if K < 0 or i0 + K > dz.size:
+    i_origin = grid.origin_index
+    if K < 0 or i_origin + K > grid.n_cells:
         raise ValueError("t_top must lie in [0, t_max]")
+    out = np.zeros(K * refine + 1)
+    if K == 0:
+        return out  # the u = 0 kernel vanishes identically
+    i_near = max(i_origin - 2 * K, 0)  # first near cell
+    i0 = i_origin - i_near
+    dz = grid.increments[i_near:]
     q = np.arange(i0 + K + 1, dtype=float)
-    # wrap-free length (see docstring); the max matters only for t_max = 0,
-    # where the one-point window [i0, i0] must still fit below L
-    n_fft = next_fast_len(max(dz.size, i0 + 1) + K)
-    zf = grid._noise_rfft(n_fft)
-    out = np.empty(K * refine + 1)
+    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
+    zf = grid._noise_rfft(n_fft, i_near)
     b = None
     for rho in range(refine):
         # g[n] = ((n + rho/refine) * delta)_+^kappa; A at t = (q + rho/refine) delta
@@ -325,6 +377,13 @@ def field_on_mesh(
             out[::refine] = a - b
         else:
             out[rho::refine] = (a - b)[:K]
+    if i_near > 0:
+        x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
+        c = 0.5 * t_top
+        ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
+        coef = _far_coeffs(x, grid.increments[:i_near], kappa, c,
+                           _far_series_terms(kappa, ratio))
+        out += _poly_eval(coef, np.arange(out.size) * (grid.delta / refine) - c)
     out[0] = 0.0  # the u = 0 kernel vanishes identically
     return out
 

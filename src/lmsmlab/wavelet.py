@@ -39,12 +39,23 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def _poly_eval(coeffs: np.ndarray, x):
-    """Evaluate an ascending-coefficient polynomial (Horner)."""
+    """Evaluate an ascending-coefficient polynomial (Horner, in place)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        out = out * x + c
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
     return out
+
+
+def _binom_coeffs(kappa: float, n_max: int) -> np.ndarray:
+    """binom(kappa, n) for n = 0..n_max, by b_n = b_{n-1} (kappa - n + 1) / n.
+
+    For 0 < kappa < 1 and n >= 1, |binom(kappa, n)| <= kappa / n."""
+    b = [1.0]
+    for n in range(1, n_max + 1):
+        b.append(b[-1] * ((kappa - n + 1.0) / n))
+    return np.array(b)
 
 
 def _poly_der(coeffs: np.ndarray) -> np.ndarray:
@@ -302,14 +313,13 @@ class PhiKernel:
         x = -s
         acc = np.zeros_like(x)
         xpow = x**kappa
-        b = 1.0
+        b = _binom_coeffs(kappa, self._n_series)
         for n in range(self._n_series + 1):
             if n > 0:
-                b *= (kappa - n + 1.0) / n
                 xpow = xpow / x
             mn = self._moments[n]
             if mn != 0.0:
-                acc += b * mn * xpow
+                acc += b[n] * mn * xpow
         return acc
 
     def phi_error_estimate(self, s, v: float):
@@ -340,9 +350,7 @@ class PhiKernel:
         if far.any():
             x = -s_arr[far]
             n = self._n_series
-            b = 1.0
-            for m in range(1, n + 2):
-                b *= abs(kappa - m + 1.0) / m
+            b = _binom_coeffs(kappa, n + 1)[n + 1]
             tail = abs(b) * np.max(np.abs(self._moments)) * x ** (kappa - n - 1.0)
             err[far] = tail / (1.0 - 1.0 / np.maximum(x, 2.0)) + 4.0 * np.finfo(float).eps * x**kappa * np.max(
                 np.abs(self._moments)
@@ -373,15 +381,12 @@ class PhiKernel:
         S = float(s_cut)
         if S < 2.0:
             raise ValueError("envelope valid only for s_cut >= 2")
-        b = 1.0
+        b = _binom_coeffs(kappa, self._n_series)
         total = 0.0
         spow = 1.0  # S**(2-n) relative to n=2
-        for n in range(self._n_series + 1):
-            if n > 0:
-                b *= (kappa - n + 1.0) / n
-            if n >= 2:
-                total += abs(b * self._moments[n]) * spow
-                spow /= S
+        for n in range(2, self._n_series + 1):
+            total += abs(b[n] * self._moments[n]) * spow
+            spow /= S
         return total
 
     def tail_alpha_mass(self, s_cut: float, v: float) -> float:

@@ -20,7 +20,7 @@ from lmsmlab.coeffs import (
     pyramid_from_csv,
     pyramid_to_csv,
 )
-from lmsmlab.coeffs import ResolutionError
+from lmsmlab.coeffs import ResolutionError, _level_coeffs
 from lmsmlab.process import SamplePath
 
 QUARTIC = (Fraction(0), Fraction(1), Fraction(-6), Fraction(10), Fraction(-5))
@@ -112,7 +112,7 @@ def test_build_pyramid_structure_and_zero_path():
 
 
 def test_mesh_and_generic_quadrature_agree():
-    # the strided level product against the explicit per-cell dot product; the
+    # the tap-by-tap level sum against the explicit per-cell dot product; the
     # summation order differs, so allow twice the float64 bound on the
     # rounding error of an (m + 1)-term dot product
     w = L.default_wavelet()
@@ -129,6 +129,22 @@ def test_mesh_and_generic_quadrature_agree():
             tol = 2 * (m + 1) * np.finfo(float).eps * float(np.abs(wv) @ np.abs(cell))
             assert abs(pyr.value(j, k) - float(wv @ cell)) <= tol
             assert abs(compute_coeff(path, w, j, k) - float(wv @ cell)) <= tol
+
+
+def test_one_cell_and_level_routes_agree_bitwise():
+    # one cell (compute_coeff), one level (build_pyramid) and many rows (the
+    # frozen route) sum every coefficient in the same order
+    w = L.default_wavelet()
+    rng = np.random.default_rng(12)
+    t = np.arange(2**12 + 1) / 2**12
+    y = np.cumsum(rng.normal(size=t.size)) * 2.0**-6
+    path = SamplePath(times=t, values=y, provenance={})
+    seq = L.build_global_intervals((0.0, 1.0), 8)
+    for j in (5, 8):
+        level = build_pyramid(path, w, (j,), seq).level(j)
+        assert np.array_equal([compute_coeff(path, w, j, k) for k in range(2**j)], level)
+        rows = _level_coeffs(np.stack([-y, y, 2 * y]), 0.0, 2.0**-12, w, j, range(2**j))
+        assert np.array_equal(rows[1], level)
 
 
 def test_max_coeff_basics():

@@ -23,7 +23,7 @@ from lmsmlab.process import (
     sample_path_from_csv,
 )
 from lmsmlab.stable import moment_constant, unit_sas
-from lmsmlab.wavelet import PhiKernel
+from lmsmlab.wavelet import PhiKernel, _poly_eval
 
 LAW = L.StableLaw(1.5, 1.0)
 
@@ -90,24 +90,34 @@ def test_refined_mesh_consistency():
     assert x4[5] == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("refine,t_top", [(2, 1.0), (8, 1.0), (8, 0.5)])
-def test_fft_length_at_aliasing_boundary(refine, t_top):
-    # n_cells + K is already a fast length, so the transforms run at exactly the
-    # shortest wrap-free length; one point shorter would corrupt mesh index 1
-    # (residue 1), which the sweep below includes
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-7, seed=41)
-    n_min = g.n_cells + round(t_top / g.delta)
-    assert next_fast_len(n_min) == n_min
-    mesh = field_on_mesh(g, 0.8, t_top, refine)
+def _near_cells(g, t_top):
+    # cells from s = -2 t_top (or t_min) on: the noise the FFT convolution sees
+    K = round(t_top / g.delta)
+    return g.n_cells - max(g.origin_index - 2 * K, 0)
+
+
+def _assert_matches_direct_sums(g, v, t_top, refine, mesh, tol):
     assert mesh.size == round(t_top / g.delta) * refine + 1
     for m, x in enumerate(mesh):
-        direct = eval_field(g, m * g.delta / refine, 0.8, tail_tol=1.0)
-        assert x == pytest.approx(direct, abs=1e-10 + 1e-9 * abs(direct))
+        direct = eval_field(g, m * g.delta / refine, v, tail_tol=1.0)
+        assert x == pytest.approx(direct, abs=tol, rel=tol)
+
+
+@pytest.mark.parametrize("refine,t_top", [(2, 1.0), (8, 1.0), (8, 0.5)])
+def test_fft_length_at_aliasing_boundary(refine, t_top):
+    # n_near + K is already a fast length, so the transforms run at exactly the
+    # shortest wrap-free length; one point shorter would corrupt mesh index 1
+    # (residue 1), which the sweep below includes.  t_min = -4 leaves a far part.
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-7, seed=41)
+    n_min = _near_cells(g, t_top) + round(t_top / g.delta)
+    assert n_min < g.n_cells and next_fast_len(n_min) == n_min
+    mesh = field_on_mesh(g, 0.8, t_top, refine)
+    _assert_matches_direct_sums(g, 0.8, t_top, refine, mesh, 1e-12)
 
 
 def test_fft_length_contract(monkeypatch):
     # every transform takes its length as the second positional argument,
-    # n_cells + K rounded up to a fast length, never the linear-convolution size
+    # n_near + K rounded up to a fast length, never the linear-convolution size
     calls = []
 
     def recording(fn):
@@ -120,12 +130,62 @@ def test_fft_length_contract(monkeypatch):
     monkeypatch.setattr(L.process, "irfft", recording(L.process.irfft))
     g = make_noise_grid(LAW, -3.0, 1.0, 2.0**-8, seed=43)
     refine, t_top = 3, 0.75
-    n_fft = next_fast_len(g.n_cells + round(t_top / g.delta))
+    n_fft = next_fast_len(_near_cells(g, t_top) + round(t_top / g.delta))
     field_on_mesh(g, 0.8, t_top, refine)
     assert len(calls) == 2 * refine + 1  # plus the noise spectrum, once per grid
     field_on_mesh(g, 0.75, t_top, refine)
     assert len(calls) == 4 * refine + 1
     assert all(n == n_fft and not kw for n, kw in calls)
+
+
+@pytest.mark.parametrize("t_min,t_top,refine", [
+    # refine 8 at t_min = -4 is in test_fft_length_at_aliasing_boundary
+    (-4.0, 1.0, 1), (-4.0, 1.0, 3), (-4.0, 0.5, 1), (-4.0, 0.5, 3),
+    (-1.5, 1.0, 3),  # t_min > -2 t_top: no far part
+    (-2.0, 1.0, 3),  # the first cell starts exactly at s = -2 t_top
+    (-2.0 - 2.0**-7, 1.0, 3),  # one far cell
+])
+def test_near_far_split_matches_direct_sums(t_min, t_top, refine):
+    g = make_noise_grid(LAW, t_min, 1.0, 2.0**-7, seed=53)
+    for v in (0.7, 0.95):
+        mesh = field_on_mesh(g, v, t_top, refine)
+        _assert_matches_direct_sums(g, v, t_top, refine, mesh, 1e-12)
+
+
+def test_noise_spectrum_cache_keys_the_near_start():
+    # t_top = 1 and 127/128 share one transform length but not the near start
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-7, seed=59)
+    starts = [g.n_cells - _near_cells(g, t) for t in (1.0, 127 / 128)]
+    lengths = [next_fast_len(_near_cells(g, t) + round(t / g.delta)) for t in (1.0, 127 / 128)]
+    assert starts[0] != starts[1] and lengths[0] == lengths[1]
+    field_on_mesh(g, 0.8, 1.0, 2)
+    mesh = field_on_mesh(g, 0.8, 127 / 128, 2)
+    _assert_matches_direct_sums(g, 0.8, 127 / 128, 2, mesh, 1e-12)
+
+
+def test_far_series_remainder_is_certified():
+    # the truncated series against the exact far sum, a direct Riemann sum
+    t_top, delta, v = 1.0, 2.0**-6, 0.8
+    g = make_noise_grid(LAW, -6.0, 1.0, delta, seed=61)
+    kappa = v - 1.0 / LAW.alpha
+    n_far = g.origin_index - round(2 * t_top / delta)
+    x = -g.left_endpoints()[:n_far]
+    c = 0.5 * t_top
+    ratio = c / (x.min() + c)
+    h = np.arange(round(t_top / delta) * 4 + 1) * (delta / 4) - c
+    kernel = (x[:, None] + c + h) ** kappa - x[:, None] ** kappa
+    for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
+        exact = dz @ kernel
+        scale = float((x + c) ** kappa @ np.abs(dz))
+        for n_terms in (1, 2, 4, 8):
+            coef = L.process._far_coeffs(x, dz, kappa, c, n_terms)
+            err = np.max(np.abs(_poly_eval(coef, h) - exact))
+            bound = L.process._far_remainder(kappa, ratio, n_terms) * scale
+            assert err <= bound + 1e-13
+            if dz.min() > 0:  # one-signed noise: the bound is not vacuous
+                assert err > bound / 100
+    n = L.process._far_series_terms(kappa, ratio)
+    assert L.process._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.process._far_remainder(kappa, ratio, n - 1)
 
 
 def test_field_on_mesh_rejects_times_past_the_grid():
