@@ -46,6 +46,7 @@ from .process import (
     MeshFieldInterpolant,
     SamplePath,
     TruncationError,
+    _set_fft_workers,
     hurst_from_id,
     make_noise_grid,
     simulate_lmsm,
@@ -333,6 +334,13 @@ def _manifest(config: ExperimentConfig, extra: dict) -> dict:
     }
 
 
+def _replicate_pool(workers: int) -> ProcessPoolExecutor:
+    """Process pool for replicates; each worker runs its transforms on one
+    thread, so the pool's processes do not oversubscribe the CPUs."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_set_fft_workers,
+                               initargs=(1,))
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ConvergenceTable:
     """Run the full replicate batch, aggregate, and write artifacts to disk."""
     config.validate()
@@ -343,7 +351,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Conv
     failures: dict = {}
     # (r, get) per replicate: get() returns the records or raises the error
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with _replicate_pool(config.workers) as pool:
             futures = [pool.submit(_replicate_task, args) for args in tasks]
         outcomes = [(args[1], fut.result) for args, fut in zip(tasks, futures)]
     else:

@@ -17,21 +17,27 @@ around the circular convolution lands before t = 0, outside the window that
 is read.  The far cells s_i < -2 t_top add a function of t that is analytic
 on a disc of radius 2 t_top around 0, summed as a binomial-moment power series
 around t_top/2 whose ratio is below 1/5; a certified remainder bound fixes the
-number of terms (see ``field_on_mesh``).  Time-varying Hurst values are then
-obtained by barycentric interpolation across a Chebyshev grid of v-nodes; the
-field is analytic in v, so a few dozen nodes reach near machine precision.
+number of terms (see ``field_on_mesh``).  One call builds the field for a
+whole batch of v: the kernel values share one log t, each v's residue
+transforms run as one 2-D transform on every CPU of the process (one per
+worker of ``run_experiment``'s process pool), and the far series of every v
+comes from one pass over the far noise, with the batch's largest certified
+term count.  Time-varying Hurst values are then obtained by barycentric
+interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
+so a few dozen nodes reach near machine precision.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from .stable import StableLaw, _rng, unit_sas
-from .wavelet import PhiKernel, _binom_coeffs, _poly_eval
+from .wavelet import PhiKernel, _binom_coeffs
 
 __all__ = [
     "HurstFunction",
@@ -275,6 +281,17 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     return 0.0 if u == 0.0 else float(w @ grid.increments)
 
 
+# threads per 2-D transform in field_on_mesh: every CPU this process may run
+# on; a worker of run_experiment's process pool sets 1 (``_set_fft_workers``)
+# so that the pool's processes do not oversubscribe the CPUs
+_fft_workers = len(os.sched_getaffinity(0))
+
+
+def _set_fft_workers(n: int) -> None:
+    global _fft_workers
+    _fft_workers = int(n)
+
+
 def _mesh_count(grid: NoiseGrid, t_top: float) -> int:
     k = t_top / grid.delta
     ki = int(round(k))
@@ -300,32 +317,38 @@ def _far_remainder(kappa: float, ratio: float, n_terms: int) -> float:
 
 
 def _far_coeffs(
-    x: np.ndarray, dz: np.ndarray, kappa: float, c: float, n_terms: int
+    x: np.ndarray, dz: np.ndarray, kappa, c: float, n_terms: int
 ) -> np.ndarray:
-    """Power-series coefficients in h of sum_i [(x_i + c + h)^kappa - x_i^kappa] dZ_i.
+    """Power-series coefficients in h of sum_i [(x_i + c + h)^kappa - x_i^kappa] dZ_i,
+    one row per entry of a 1-D ``kappa`` (one 1-D row for a scalar).
 
     With y = x + c, (y + h)^k = sum_n binom(k, n) h^n y^(k-n), so coefficient n
     is binom(k, n) * sum y_i^(k-n) dZ_i (n >= 1) and coefficient 0 is
-    sum [y_i^k - x_i^k] dZ_i.  Moments are summed in chunks, one pass each."""
-    mom = np.zeros(n_terms + 1)
+    sum [y_i^k - x_i^k] dZ_i.  One chunked pass serves every kappa and shares
+    log y: the moments are E @ P with E[k, i] = y_i^k and P[i, n] = dZ_i y_i^-n."""
+    kap = np.atleast_1d(np.asarray(kappa, dtype=float))[:, None]
+    mom = np.zeros((kap.size, n_terms + 1))
     chunk = 16384
     for lo in range(0, x.size, chunk):
         xs, ds = x[lo : lo + chunk], dz[lo : lo + chunk]
         y = xs + c
-        w = ds * y**kappa
-        mom[0] += float((w - ds * xs**kappa).sum())
+        e = np.exp(kap * np.log(y))
+        mom[:, 0] += (e - np.exp(kap * np.log(xs))) @ ds
         y_inv = 1.0 / y
-        for n in range(1, n_terms + 1):
-            w *= y_inv
-            mom[n] += float(w.sum())
-    return _binom_coeffs(kappa, n_terms) * mom
+        p = np.empty((n_terms, xs.size))
+        p[0] = ds * y_inv
+        for n in range(1, n_terms):
+            np.multiply(p[n - 1], y_inv, out=p[n])
+        mom[:, 1:] += e @ p.T
+    coef = np.array([_binom_coeffs(k, n_terms) for k in kap[:, 0]]) * mom
+    return coef if np.ndim(kappa) else coef[0]
 
 
-def field_on_mesh(
-    grid: NoiseGrid, v: float, t_top: float = 1.0, refine: int = 1
-) -> np.ndarray:
+def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np.ndarray:
     """X(m*delta/refine, v) for m = 0..refine*t_top/delta.
 
+    ``v`` is one Hurst value (1-D result) or a 1-D array of them: the result
+    then has one row per v, written into one preallocated array.
     Identical (up to float rounding) to calling eval_field at each mesh time.
     ``refine`` samples the discrete-noise field on a mesh finer than the noise
     cells (one convolution per residue class), which is what keeps trapezoid
@@ -338,54 +361,70 @@ def field_on_mesh(
     at i0 = min(2K, index of s = 0): the product dz[i] * g[l] lands on index
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
-    that is read.  Far cells s_i < -2 t_top, x_i = -s_i > 2 t_top, add
-    sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power series in h = t - c,
-    c = t_top/2, whose ratio |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/5.
-    With |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
-    kappa/(N+1) * r^(N+1)/(1 - r) * sum_far (x_i + c)^kappa |dZ_i|, and N is
-    the fewest terms that put this factor below 2^-53.
+    that is read.  The kernel values g = t^kappa at the refine residues share
+    one log t, and each v's refine residue transforms run as one 2-D
+    transform on as many threads as this process has CPUs (one in a worker
+    of ``run_experiment``'s process pool).  Far cells s_i < -2 t_top,
+    x_i = -s_i > 2 t_top, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a
+    power series in h = t - c, c = t_top/2, whose ratio |h|/(x_i + c) is at
+    most r = c/(min x_i + c) < 1/5.  With |binom(kappa, n)| <= kappa/n the
+    remainder after N terms is at most kappa/(N+1) * r^(N+1)/(1 - r) *
+    sum_far (x_i + c)^kappa |dZ_i|.  N is the fewest terms that put this
+    factor below 2^-53 for every v of the batch (the largest over the batch),
+    so each row's own bound holds.
     Raises ValueError when t_top lies outside [0, t_max].
     """
-    kappa = _kappa(grid.law.alpha, v)
+    vs = np.asarray(v, dtype=float)
+    if vs.ndim > 1:
+        raise ValueError("v must be a scalar or a 1-D array")
+    kappa = np.array([_kappa(grid.law.alpha, x) for x in vs.reshape(-1)])
     if refine < 1:
         raise ValueError("refine must be >= 1")
     K = _mesh_count(grid, t_top)
     i_origin = grid.origin_index
     if K < 0 or i_origin + K > grid.n_cells:
         raise ValueError("t_top must lie in [0, t_max]")
-    out = np.zeros(K * refine + 1)
-    if K == 0:
-        return out  # the u = 0 kernel vanishes identically
-    i_near = max(i_origin - 2 * K, 0)  # first near cell
-    i0 = i_origin - i_near
-    dz = grid.increments[i_near:]
-    q = np.arange(i0 + K + 1, dtype=float)
-    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
-    zf = grid._noise_rfft(n_fft, i_near)
-    b = None
-    for rho in range(refine):
-        # g[n] = ((n + rho/refine) * delta)_+^kappa; A at t = (q + rho/refine) delta
-        g = ((q + rho / refine) * grid.delta) ** kappa
-        if rho == 0:
-            g[0] = 0.0
-            b = float(g[1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
-        spec = rfft(g, n_fft)
-        spec *= zf
-        conv = irfft(spec, n_fft)
-        a = conv[i0 : i0 + K + 1]
-        if rho == 0:
-            out[::refine] = a - b
-        else:
-            out[rho::refine] = (a - b)[:K]
-    if i_near > 0:
-        x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
-        c = 0.5 * t_top
-        ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
-        coef = _far_coeffs(x, grid.increments[:i_near], kappa, c,
-                           _far_series_terms(kappa, ratio))
-        out += _poly_eval(coef, np.arange(out.size) * (grid.delta / refine) - c)
-    out[0] = 0.0  # the u = 0 kernel vanishes identically
-    return out
+    out = np.zeros((kappa.size, K * refine + 1))
+    if K > 0:  # else the u = 0 kernel vanishes identically
+        i_near = max(i_origin - 2 * K, 0)  # first near cell
+        i0 = i_origin - i_near
+        dz = grid.increments[i_near:]
+        n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
+        zf = grid._noise_rfft(n_fft, i_near)
+        # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
+        # kernel value at t = 0 exactly 0
+        with np.errstate(divide="ignore"):
+            log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
+                           * grid.delta)
+        g = np.zeros((refine, n_fft))  # the zero tail pads each transform
+        gk = g[:, : log_t.shape[1]]
+        for k, row in zip(kappa, out):
+            np.exp(np.multiply(log_t, k, out=gk), out=gk)
+            b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
+            spec = rfft(g, n_fft, axis=-1, workers=_fft_workers)
+            spec *= zf
+            conv = irfft(spec, n_fft, axis=-1, workers=_fft_workers)
+            # mesh index q*refine + rho reads row rho at column i0 + q
+            row[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
+            row[-1] = conv[0, i0 + K]
+            row -= b
+        if i_near > 0:
+            x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
+            c = 0.5 * t_top
+            ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
+            n_terms = max(_far_series_terms(k, ratio) for k in kappa)
+            coef = _far_coeffs(x, grid.increments[:i_near], kappa, c, n_terms)
+            # out += coef @ V, V[n, m] = h_m^n, the power basis built in chunks
+            chunk = 16384
+            for lo in range(0, out.shape[1], chunk):
+                h = np.arange(lo, min(lo + chunk, out.shape[1])) * (grid.delta / refine) - c
+                basis = np.empty((n_terms + 1, h.size))
+                basis[0] = 1.0
+                for n in range(n_terms):
+                    np.multiply(basis[n], h, out=basis[n + 1])
+                out[:, lo : lo + h.size] += coef @ basis
+    out[:, 0] = 0.0  # the u = 0 kernel vanishes identically
+    return out if vs.ndim else out[0]
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -415,8 +454,7 @@ class MeshFieldInterpolant:
         pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
         self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
         self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
-        self.values = np.stack([field_on_mesh(grid, v, t_top, self.refine)
-                                for v in self.nodes])
+        self.values = field_on_mesh(grid, self.nodes, t_top, self.refine)
 
     def at(self, v, start: int = 0, stop: int | None = None) -> np.ndarray:
         """X(m*t_step, v) on mesh indices [start, stop), for one v or one v per index."""
@@ -431,24 +469,28 @@ class MeshFieldInterpolant:
             raise ValueError(f"v outside the interpolant's [{self.h_low}, {self.h_high}]")
         if self.nodes.size == 1:
             return vals[0].copy()
-        # node axis first: one coefficient per node for a single v, else a row
-        col = (-1,) + (1,) * v.ndim
-        diff = v - self.nodes.reshape(col)
-        exact = np.isclose(diff, 0.0, atol=1e-15)
-        diff = np.where(exact, 1.0, diff)
-        coef = self.weights.reshape(col) / diff
-        # barycentric sums accumulated node by node
-        num, den = coef[0] * vals[0], coef[0]
-        for c, row in zip(coef[1:], vals[1:]):
-            num += c * row
-            den = den + c
+        # barycentric sums accumulated node by node, each node's coefficient
+        # row built in turn: no n_nodes x N temporaries
+        seen = np.zeros(v.shape, dtype=bool)
+        hits = []  # (node row, indices whose first exact node it is)
+        for i, (node, w, row) in enumerate(zip(self.nodes, self.weights, vals)):
+            diff = v - node
+            exact = np.abs(diff) <= 1e-15
+            if v.ndim == 0 and exact:
+                return row.copy()
+            c = w / np.where(exact, 1.0, diff)
+            if i == 0:
+                num, den = c * row, c
+            else:
+                num += c * row
+                den += c
+            first = exact & ~seen
+            if np.any(first):
+                hits.append((row, np.flatnonzero(first)))
+                seen |= exact
         out = num / den
-        hit = exact.any(axis=0)
-        if np.any(hit):
-            node = exact.argmax(axis=0)
-            if v.ndim == 0:
-                return vals[node].copy()
-            out[hit] = vals[node[hit], np.flatnonzero(hit)]
+        for row, idx in hits:
+            out[idx] = row[idx]
         return out
 
 

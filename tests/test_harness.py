@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lmsmlab import harness
 from lmsmlab.bounds import BoundReport
 from lmsmlab.cli import main as cli_main
 from lmsmlab.coeffs import pyramid_to_csv
@@ -246,6 +247,19 @@ def test_parallel_runs_isolate_replicate_failures(tmp_path):
     cfg = ExperimentConfig(**{**FAST, "path_tail_tol": 1e-9, "workers": 2})
     with pytest.raises(RuntimeError, match="2/2 replicates failed.*TruncationError"):
         run_experiment(cfg, out_dir=str(tmp_path))
+
+
+def _fft_workers_here():
+    from lmsmlab import process
+    return process._fft_workers
+
+
+def test_pool_workers_run_one_fft_thread():
+    # run_experiment's pool: one transform thread per process, so two
+    # processes do not each claim every CPU; the parent keeps every CPU
+    with harness._replicate_pool(2) as pool:
+        assert pool.submit(_fft_workers_here).result(timeout=60) == 1
+    assert _fft_workers_here() == len(os.sched_getaffinity(0))
 
 
 def test_worker_count_does_not_change_results(tmp_path):

@@ -6,6 +6,7 @@ so empirical fractional moments can be compared against quadrature targets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,13 +117,15 @@ def test_fft_length_at_aliasing_boundary(refine, t_top):
 
 
 def test_fft_length_contract(monkeypatch):
-    # every transform takes its length as the second positional argument,
-    # n_near + K rounded up to a fast length, never the linear-convolution size
+    # one 1-D noise transform per grid, then per v one 2-D rfft and one 2-D
+    # irfft with a row per residue; every call takes its length as the second
+    # positional argument, n_near + K rounded up to a fast length, never the
+    # linear-convolution size, and no keyword but axis and workers
     calls = []
 
     def recording(fn):
         def wrapper(*args, **kwargs):
-            calls.append((args[1] if len(args) > 1 else None, kwargs))
+            calls.append((np.shape(args[0]), args[1] if len(args) > 1 else None, kwargs))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -132,10 +135,32 @@ def test_fft_length_contract(monkeypatch):
     refine, t_top = 3, 0.75
     n_fft = next_fast_len(_near_cells(g, t_top) + round(t_top / g.delta))
     field_on_mesh(g, 0.8, t_top, refine)
-    assert len(calls) == 2 * refine + 1  # plus the noise spectrum, once per grid
-    field_on_mesh(g, 0.75, t_top, refine)
-    assert len(calls) == 4 * refine + 1
-    assert all(n == n_fft and not kw for n, kw in calls)
+    assert len(calls) == 1 + 2  # the noise spectrum, once per grid
+    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), t_top, refine)
+    assert len(calls) == 1 + 2 + 2 * 3
+    assert all(n == n_fft for _, n, _ in calls)
+    (noise_shape, _, noise_kw), batched = calls[0], calls[1:]
+    assert len(noise_shape) == 1 and not noise_kw
+    for shape, _, kw in batched:
+        assert len(shape) == 2 and shape[0] == refine
+        assert set(kw) <= {"axis", "workers"} and kw.get("axis", -1) == -1
+
+
+def test_batched_rows_match_one_v_calls():
+    # rows are not bitwise equal to one-v calls: the far series' matrix
+    # products sum a 1-row and a 16-row product in different orders
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-12, seed=67)
+    vs = np.linspace(0.7, 0.95, 16)
+    batch = field_on_mesh(g, vs, 1.0, 8)
+    assert batch.shape == (16, 2**12 * 8 + 1)
+    for v, row in zip(vs, batch):
+        one = field_on_mesh(g, float(v), 1.0, 8)
+        assert one.shape == row.shape
+        assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
+    with pytest.raises(ValueError):
+        field_on_mesh(g, vs.reshape(4, 4))
+    with pytest.raises(ValueError):
+        field_on_mesh(g, np.array([0.8, 0.6]))  # one v below 1/alpha
 
 
 @pytest.mark.parametrize("t_min,t_top,refine", [
@@ -147,9 +172,10 @@ def test_fft_length_contract(monkeypatch):
 ])
 def test_near_far_split_matches_direct_sums(t_min, t_top, refine):
     g = make_noise_grid(LAW, t_min, 1.0, 2.0**-7, seed=53)
-    for v in (0.7, 0.95):
-        mesh = field_on_mesh(g, v, t_top, refine)
-        _assert_matches_direct_sums(g, v, t_top, refine, mesh, 1e-12)
+    vs = (0.7, 0.95)
+    for v, row in zip(vs, field_on_mesh(g, np.array(vs), t_top, refine)):
+        for mesh in (field_on_mesh(g, v, t_top, refine), row):
+            _assert_matches_direct_sums(g, v, t_top, refine, mesh, 1e-12)
 
 
 def test_noise_spectrum_cache_keys_the_near_start():
@@ -186,6 +212,17 @@ def test_far_series_remainder_is_certified():
                 assert err > bound / 100
     n = L.process._far_series_terms(kappa, ratio)
     assert L.process._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.process._far_remainder(kappa, ratio, n - 1)
+    # a vector of kappa: one row per kappa, each within its own bound
+    kappas = np.array([0.7, 0.8, 0.95]) - 1.0 / LAW.alpha
+    for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
+        for n_terms in (1, 2, 4, 8):
+            rows = L.process._far_coeffs(x, dz, kappas, c, n_terms)
+            assert rows.shape == (kappas.size, n_terms + 1)
+            for k, coef in zip(kappas, rows):
+                exact = dz @ ((x[:, None] + c + h) ** k - x[:, None] ** k)
+                scale = float((x + c) ** k @ np.abs(dz))
+                err = np.max(np.abs(_poly_eval(coef, h) - exact))
+                assert err <= L.process._far_remainder(k, ratio, n_terms) * scale + 1e-13
 
 
 def test_field_on_mesh_rejects_times_past_the_grid():
@@ -228,6 +265,59 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     assert np.array_equal(interp.at(v), ref)
     for h in (0.7731, float(interp.nodes[3])):
         assert np.array_equal(interp.at(h, 40, 169), interp.at(np.full(vals.shape[1], h))[40:169])
+
+
+def _node_axis_combine(interp, v, vals):
+    # the barycentric combination with node-axis coefficient arrays, as it
+    # stood before combine built one node row at a time
+    v = np.asarray(v, dtype=float)
+    col = (-1,) + (1,) * v.ndim
+    diff = v - interp.nodes.reshape(col)
+    exact = np.isclose(diff, 0.0, atol=1e-15)
+    diff = np.where(exact, 1.0, diff)
+    coef = interp.weights.reshape(col) / diff
+    num, den = coef[0] * vals[0], coef[0]
+    for c, row in zip(coef[1:], vals[1:]):
+        num += c * row
+        den = den + c
+    out = num / den
+    hit = exact.any(axis=0)
+    if np.any(hit):
+        node = exact.argmax(axis=0)
+        if v.ndim == 0:
+            return vals[node].copy()
+        out[hit] = vals[node[hit], np.flatnonzero(hit)]
+    return out
+
+
+def test_combine_equals_node_axis_formula():
+    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=37)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=12, refine=2)
+    vals = interp.values
+    v = np.linspace(0.7, 0.85, vals.shape[1])
+    v[[5, 9]] = interp.nodes[[3, 7]]  # node hits inside, besides both ends
+    levels = vals[:, ::64]  # per-node rows of any linear functional
+    cases = [(v, vals), (0.7731, vals), (float(interp.nodes[3]), vals),
+             (float(interp.nodes[0]), vals), (v[::64], levels), (0.81, levels)]
+    for x, rows in cases:
+        got = interp.combine(x, rows)
+        assert got.shape == rows.shape[1:]
+        assert np.array_equal(got, _node_axis_combine(interp, x, rows))
+
+
+def test_combine_streams_node_rows():
+    # an array of v costs a few rows of temporaries, not n_nodes x N arrays
+    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-10, seed=39)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=16, refine=8)
+    n = interp.values.shape[1]
+    v = np.linspace(0.7, 0.85, n)
+    tracemalloc.start()
+    try:
+        interp.at(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 8
 
 
 def test_interpolant_refuses_to_extrapolate():
