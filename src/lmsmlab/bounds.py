@@ -280,7 +280,8 @@ def _draw_direct_coeffs(
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
-        dz = scale * unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
+        dz = unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
+        dz *= scale
         out[done : done + m] = dz @ W.T
         done += m
     return out

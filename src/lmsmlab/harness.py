@@ -46,12 +46,11 @@ from .process import (
     MeshFieldInterpolant,
     SamplePath,
     TruncationError,
-    _set_fft_workers,
     hurst_from_id,
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw
+from .stable import StableLaw, _set_threads
 from .wavelet import PhiKernel, default_wavelet
 
 __all__ = [
@@ -335,9 +334,10 @@ def _manifest(config: ExperimentConfig, extra: dict) -> dict:
 
 
 def _replicate_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool for replicates; each worker runs its transforms on one
-    thread, so the pool's processes do not oversubscribe the CPUs."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_set_fft_workers,
+    """Process pool for replicates; each worker's thread budget is 1 (noise
+    transform and FFTs on one thread), so the pool's processes do not
+    oversubscribe the CPUs."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                initargs=(1,))
 
 

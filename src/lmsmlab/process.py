@@ -19,8 +19,8 @@ on a disc of radius 2 t_top around 0, summed as a binomial-moment power series
 around t_top/2 whose ratio is below 1/5; a certified remainder bound fixes the
 number of terms (see ``field_on_mesh``).  One call builds the field for a
 whole batch of v: the kernel values share one log t, each v's residue
-transforms run as one 2-D transform on every CPU of the process (one per
-worker of ``run_experiment``'s process pool), and the far series of every v
+transforms run as one 2-D transform on the process's one thread budget,
+shared with the noise sampler (see ``stable``), and the far series of every v
 comes from one pass over the far noise, with the batch's largest certified
 term count.  Time-varying Hurst values are then obtained by barycentric
 interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
@@ -30,12 +30,12 @@ so a few dozen nodes reach near machine precision.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
+from . import stable
 from .stable import StableLaw, _rng, unit_sas
 from .wavelet import PhiKernel, _binom_coeffs
 
@@ -281,17 +281,6 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     return 0.0 if u == 0.0 else float(w @ grid.increments)
 
 
-# threads per 2-D transform in field_on_mesh: every CPU this process may run
-# on; a worker of run_experiment's process pool sets 1 (``_set_fft_workers``)
-# so that the pool's processes do not oversubscribe the CPUs
-_fft_workers = len(os.sched_getaffinity(0))
-
-
-def _set_fft_workers(n: int) -> None:
-    global _fft_workers
-    _fft_workers = int(n)
-
-
 def _mesh_count(grid: NoiseGrid, t_top: float) -> int:
     k = t_top / grid.delta
     ki = int(round(k))
@@ -363,8 +352,8 @@ def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
     that is read.  The kernel values g = t^kappa at the refine residues share
     one log t, and each v's refine residue transforms run as one 2-D
-    transform on as many threads as this process has CPUs (one in a worker
-    of ``run_experiment``'s process pool).  Far cells s_i < -2 t_top,
+    transform on the process's one thread budget (``stable._threads``, 1
+    in a worker of ``run_experiment``'s pool).  Far cells s_i < -2 t_top,
     x_i = -s_i > 2 t_top, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a
     power series in h = t - c, c = t_top/2, whose ratio |h|/(x_i + c) is at
     most r = c/(min x_i + c) < 1/5.  With |binom(kappa, n)| <= kappa/n the
@@ -401,9 +390,9 @@ def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np
         for k, row in zip(kappa, out):
             np.exp(np.multiply(log_t, k, out=gk), out=gk)
             b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
-            spec = rfft(g, n_fft, axis=-1, workers=_fft_workers)
+            spec = rfft(g, n_fft, axis=-1, workers=stable._threads)
             spec *= zf
-            conv = irfft(spec, n_fft, axis=-1, workers=_fft_workers)
+            conv = irfft(spec, n_fft, axis=-1, workers=stable._threads)
             # mesh index q*refine + rho reads row rho at column i0 + q
             row[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
             row[-1] = conv[0, i0 + K]

@@ -4,11 +4,29 @@ All heavy-tailed randomness in the package flows through this module.  The
 scale convention is the usual one for stable stochastic integrals: if
 ``S = int f dZ`` then ``||S||_alpha**alpha = int |f|**alpha``, and for
 ``alpha = 2`` a unit-scale variable is Gaussian with variance 2 (not 1).
+
+Unit-scale draws come from the Chambers-Mallows-Stuck transform of a uniform
+angle and a standard exponential (Chambers, Mallows & Stuck 1976;
+Samorodnitsky & Taqqu 1994).  The stream order is fixed: all ``n`` uniforms,
+then all ``n`` exponentials, from one Philox generator.  These draws stay
+serial, since the ziggurat exponential consumes a variable number of words
+and any split would change the realization.  The transform is elementwise,
+so it runs over fixed tiles of ``_TILE`` elements spread across the
+process's threads (numpy ufuncs release the GIL); every element goes through
+the same ufuncs in the same order as the whole-array expression, so the
+draws are bitwise identical for any thread count.
+
+The process has one thread budget, ``_threads``, shared by this transform
+and by ``process.field_on_mesh``'s FFTs: every CPU in the affinity mask,
+and 1 in each worker of ``run_experiment``'s process pool (``_set_threads``),
+so that the pool's processes do not oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,23 +78,77 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
 
 
+# elements per tile of the transform: a fixed slice, so the split never
+# depends on the thread count, and a tile's working set stays in cache
+_TILE = 2**15
+
+# the process's thread budget (see the module docstring); read at each call
+_threads = len(os.sched_getaffinity(0))
+
+
+def _set_threads(n: int) -> None:
+    global _threads
+    _threads = int(n)
+
+
 def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` unit-scale SaS variables via the trigonometric transform.
+    """Draw ``n`` unit-scale SaS variables via the trigonometric (CMS) transform.
+
+    ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials, so the
+    generator ends in the same state whatever the thread budget.  The
+    transform then overwrites the uniforms tile by tile, ``_TILE`` elements
+    at a time, on up to ``_threads`` threads started for this call (a
+    module-level pool would have no threads in a forked child).  It works in
+    place over the uniforms, the exponentials and one scratch tile per
+    thread, so it allocates nothing per tile.  Each element sees the same
+    ufuncs in the same order as the whole-array expression, so the result is
+    bitwise identical for every budget.
 
     For alpha = 2 this reduces to 2*sin(U)*sqrt(W), a centered Gaussian with
     variance 2, consistent with the stable scale convention.
     """
     if n == 0:
         return np.empty(0)
-    u = math.pi * (rng.random(n) - 0.5)
+    r = rng.random(n)
     w = rng.standard_exponential(n)
-    w = np.maximum(w, 1e-300)
-    if alpha == 2.0:
-        return 2.0 * np.sin(u) * np.sqrt(w)
-    su = np.sin(alpha * u)
-    cu = np.cos(u)
-    tilt = np.cos((1.0 - alpha) * u) / w
-    return (su / cu ** (1.0 / alpha)) * tilt ** ((1.0 - alpha) / alpha)
+    threads = min(_threads, -(-n // _TILE))
+    scratch = np.empty((threads, min(n, _TILE)))
+
+    def transform(k: int) -> None:
+        # thread k takes tiles k, k + threads, ...: the whole-array expression
+        # one ufunc at a time, over the tile's r and w and one scratch row
+        for i in range(k * _TILE, n, threads * _TILE):
+            u, e = r[i : i + _TILE], w[i : i + _TILE]
+            t = scratch[k, : u.size]
+            # u = pi (r - 1/2), e = max(w, 1e-300)
+            np.subtract(u, 0.5, out=u)
+            np.multiply(math.pi, u, out=u)
+            np.maximum(e, 1e-300, out=e)
+            if alpha == 2.0:
+                # 2 sin(u) sqrt(e)
+                np.sin(u, out=u)
+                np.multiply(2.0, u, out=u)
+                np.multiply(u, np.sqrt(e, out=e), out=u)
+                continue
+            # t = (cos((1 - alpha) u) / e)^((1 - alpha) / alpha)
+            np.multiply(1.0 - alpha, u, out=t)
+            np.cos(t, out=t)
+            np.divide(t, e, out=t)
+            np.power(t, (1.0 - alpha) / alpha, out=t)
+            # sin(alpha u) / cos(u)^(1 / alpha) * t
+            np.multiply(alpha, u, out=e)
+            np.sin(e, out=e)
+            np.cos(u, out=u)
+            np.power(u, 1.0 / alpha, out=u)
+            np.divide(e, u, out=e)
+            np.multiply(e, t, out=u)
+
+    if threads == 1:
+        transform(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(transform, range(threads)))
+    return r
 
 
 def sample_sas(law: StableLaw, n: int, seed: int) -> SampleBatch:

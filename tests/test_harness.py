@@ -249,17 +249,21 @@ def test_parallel_runs_isolate_replicate_failures(tmp_path):
         run_experiment(cfg, out_dir=str(tmp_path))
 
 
-def _fft_workers_here():
-    from lmsmlab import process
-    return process._fft_workers
+def _budget_and_draw():
+    from lmsmlab import stable
+    return stable._threads, stable.unit_sas(1.5, 3 * stable._TILE + 7, stable._rng(4))
 
 
-def test_pool_workers_run_one_fft_thread():
-    # run_experiment's pool: one transform thread per process, so two
-    # processes do not each claim every CPU; the parent keeps every CPU
+def test_pool_workers_share_one_thread_budget():
+    # run_experiment's pool: a worker's one thread budget (noise transform and
+    # FFTs) is 1, so two processes do not each claim every CPU; the parent
+    # keeps every CPU, and a noise draw is the same bits on either side
     with harness._replicate_pool(2) as pool:
-        assert pool.submit(_fft_workers_here).result(timeout=60) == 1
-    assert _fft_workers_here() == len(os.sched_getaffinity(0))
+        threads, draw = pool.submit(_budget_and_draw).result(timeout=60)
+    assert threads == 1
+    here_threads, here = _budget_and_draw()
+    assert here_threads == len(os.sched_getaffinity(0))
+    assert draw.tobytes() == here.tobytes()
 
 
 def test_worker_count_does_not_change_results(tmp_path):

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from lmsmlab.stable import StableLaw, moment_constant, sample_sas, tail_coefficient
+from lmsmlab import stable
+from lmsmlab.stable import (
+    StableLaw,
+    _rng,
+    moment_constant,
+    sample_sas,
+    tail_coefficient,
+    unit_sas,
+)
 
 
 def test_zero_scale_is_point_mass():
@@ -36,6 +44,47 @@ def test_determinism_and_stream_separation():
     c = sample_sas(StableLaw(1.5, 1.0), 1000, seed=43).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _cms_whole_array(alpha, n, rng):
+    # reference: the CMS transform as one whole-array expression
+    if n == 0:
+        return np.empty(0)
+    u = math.pi * (rng.random(n) - 0.5)
+    w = rng.standard_exponential(n)
+    w = np.maximum(w, 1e-300)
+    if alpha == 2.0:
+        return 2.0 * np.sin(u) * np.sqrt(w)
+    su = np.sin(alpha * u)
+    cu = np.cos(u)
+    tilt = np.cos((1.0 - alpha) * u) / w
+    return (su / cu ** (1.0 / alpha)) * tilt ** ((1.0 - alpha) / alpha)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
+    # tiles and threads change neither the values nor the generator's state;
+    # 4 threads take one tile each of the largest n, more threads than a
+    # small box has CPUs
+    monkeypatch.setattr(stable, "_threads", threads)
+    tile = stable._TILE
+    for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 7):
+        rng, ref_rng = _rng(9), _rng(9)
+        got = unit_sas(alpha, n, rng)
+        assert got.tobytes() == _cms_whole_array(alpha, n, ref_rng).tobytes(), n
+        assert rng.random() == ref_rng.random(), n
+
+
+def test_unit_sas_stream_is_pinned():
+    # first draws of key 1: a change to the stream order or the transform's
+    # arithmetic changes these bits
+    assert [x.hex() for x in unit_sas(1.5, 4, _rng(1)).tolist()] == [
+        "-0x1.f108ee17d0838p-1",
+        "0x1.1c35e40600ee5p+0",
+        "-0x1.0ee8fdf350275p+1",
+        "-0x1.08ddcdc812f86p+2",
+    ]
 
 
 def test_domain_validation():
