@@ -10,7 +10,7 @@ Run:  python demos/demo_kernel.py
 
 import numpy as np
 
-from lmsmlab import PhiKernel, default_wavelet, phi_lalpha_norm, validate_wavelet
+from lmsmlab import PhiKernel, default_wavelet, validate_wavelet
 
 w = default_wavelet()
 print("wavelet: psi(t) = t(1-t)(5t^2-5t+1) on [0,1]")

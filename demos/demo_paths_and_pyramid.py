@@ -29,13 +29,14 @@ refine = 8  # path sampled 8x finer than the noise cells
 grid = make_noise_grid(law, t_min=-8.0, t_max=1.0, delta=delta, seed=7)
 print(f"noise grid: {grid.n_cells:,} cells of width 2^-12 on [-8, 1)")
 
-times = np.arange(2**12 * refine + 1) * (delta / refine)
+# one route per path: the field X(t, v) on the delta/refine mesh of [0, 1]
+# for v across H's range, then Y(t) = X(t, H(t)) read off that mesh
 h_const = constant_hurst(0.8)
 h_vary = linear_hurst(0.7, 0.15)
-
-interp = MeshFieldInterpolant(grid, 0.7, 0.85, 1.0, n_nodes=16, refine=refine)
-path_const = simulate_lmsm(grid, times, h_const, refine=refine)
-path_vary = simulate_lmsm(grid, times, h_vary, interpolant=interp)
+field_const = MeshFieldInterpolant(grid, h_const.h_low, h_const.h_high, refine=refine)
+field_vary = MeshFieldInterpolant(grid, h_vary.h_low, h_vary.h_high, n_nodes=16, refine=refine)
+path_const = simulate_lmsm(field_const, h_const)
+path_vary = simulate_lmsm(field_vary, h_vary)
 
 print(f"Y(0) = {path_const.values[0]} (exactly zero by construction)")
 print("same noise, two regularity profiles: range of |Y|")

@@ -17,8 +17,6 @@ from .wavelet import (
     PhiKernel,
     default_wavelet,
     validate_wavelet,
-    phi_alpha,
-    phi_lalpha_norm,
 )
 from .process import (
     HurstFunction,

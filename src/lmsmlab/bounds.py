@@ -421,17 +421,12 @@ def approx_error_check(
     rho = H.holder_exponent
     delta = 2.0 ** -(max(j_list) + 4)
     t_tail, n_nodes, refine = 8.0, 24, 4
-    t_step = delta / refine
-    n_mesh = int(round(1.0 / t_step))
-    times = np.arange(n_mesh + 1) * t_step
     intervals = build_global_intervals((0.0, 1.0), max(j_list))
     slopes = []
     for r in range(replicates):
         grid = make_noise_grid(law, -t_tail, 1.0, delta, seed ^ r)
-        interp = MeshFieldInterpolant(
-            grid, H.h_low, H.h_high, 1.0, n_nodes=n_nodes, refine=refine
-        )
-        path = simulate_lmsm(grid, times, H, interpolant=interp)
+        interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=n_nodes, refine=refine)
+        path = simulate_lmsm(interp, H)
         pyramid = build_pyramid(path, wavelet, j_list, intervals)
         maxima = []
         for j in j_list:

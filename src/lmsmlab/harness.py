@@ -209,15 +209,10 @@ def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
     H = config.hurst()
     grid = make_noise_grid(config.law, -config.t_tail, 1.0, config.noise_delta,
                            config.seed ^ r)
-    interp = MeshFieldInterpolant(
-        grid, H.h_low, H.h_high, 1.0,
-        n_nodes=config.v_nodes, refine=config.path_refine,
+    field = MeshFieldInterpolant(
+        grid, H.h_low, H.h_high, n_nodes=config.v_nodes, refine=config.path_refine
     )
-    n_mesh = int(round(1.0 / interp.t_step))
-    times = np.arange(n_mesh + 1) * interp.t_step
-    return simulate_lmsm(
-        grid, times, H, interpolant=interp, tail_tol=config.path_tail_tol
-    )
+    return simulate_lmsm(field, H, tail_tol=config.path_tail_tol)
 
 
 def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:

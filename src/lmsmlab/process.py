@@ -7,7 +7,12 @@ defining stochastic integrals: cell i carries an independent SaS increment of
 scale delta**(1/alpha), so discrete integrals inherit the continuous scale
 contract ||sum f(s_i) dZ_i||_alpha**alpha = sum |f(s_i)|**alpha * delta.
 
-Mesh-aligned evaluation on [0, t_top] splits the noise at s = -2 t_top.  The
+A path is built one way: ``make_noise_grid``, then a ``MeshFieldInterpolant``
+of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
+``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that whole mesh.
+
+The interpolant's node fields come from ``field_on_mesh``, which evaluates
+X(., v) on the mesh of [0, t_top] and splits the noise at s = -2 t_top.  The
 near cells [-2 t_top, t_max) go through FFT convolution, which computes the
 very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i
 is a discrete convolution.  Only the outputs at t in [0, t_top] are read, so
@@ -24,20 +29,22 @@ shared with the noise sampler (see ``stable``), and the far series of every v
 comes from one pass over the far noise, with the batch's largest certified
 term count.  Time-varying Hurst values are then obtained by barycentric
 interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
-so a few dozen nodes reach near machine precision.
+so a few dozen nodes reach near machine precision.  ``eval_field`` is the
+direct Riemann sum at one point, the reference the mesh route is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft, irfft
 
 from . import stable
 from .stable import StableLaw, _rng, unit_sas
-from .wavelet import PhiKernel, _binom_coeffs
+from .wavelet import PhiKernel, _binom_coeffs, _kappa
 
 __all__ = [
     "HurstFunction",
@@ -181,7 +188,6 @@ class NoiseGrid:
     seed: int
     law: StableLaw
     increments: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_cells(self) -> int:
@@ -194,13 +200,6 @@ class NoiseGrid:
     def origin_index(self) -> int:
         """Index i0 with s_{i0} = 0; the mesh is anchored so this is exact."""
         return int(round(-self.t_min / self.delta))
-
-    def _noise_rfft(self, n_fft: int, i_start: int) -> np.ndarray:
-        """Spectrum of the increments from cell i_start on, zero-padded to n_fft."""
-        key = ("zf", n_fft, i_start)
-        if key not in self._cache:
-            self._cache[key] = rfft(self.increments[i_start:], n_fft)
-        return self._cache[key]
 
 
 def make_noise_grid(
@@ -244,13 +243,6 @@ def _field_tail_bound(u: float, kappa: float, alpha: float, t_min: float) -> flo
     T = -t_min
     p = alpha * (1.0 - kappa) - 1.0
     return (kappa * max(u, 0.0)) ** alpha * T ** (-p) / p
-
-
-def _kappa(alpha: float, v: float) -> float:
-    kappa = v - 1.0 / alpha
-    if not 0.0 < kappa < 1.0 or v >= 1.0:
-        raise ValueError(f"v must lie in (1/alpha, 1), got {v}")
-    return kappa
 
 
 def _field_kernel(grid: NoiseGrid, u: float, v: float) -> tuple[np.ndarray, float]:
@@ -379,7 +371,7 @@ def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np
         i0 = i_origin - i_near
         dz = grid.increments[i_near:]
         n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
-        zf = grid._noise_rfft(n_fft, i_near)
+        zf = rfft(dz, n_fft)
         # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
         # kernel value at t = 0 exactly 0
         with np.errstate(divide="ignore"):
@@ -432,10 +424,11 @@ def _bary_weights(n: int) -> np.ndarray:
 
 
 class MeshFieldInterpolant:
-    """X(t, v) on the (possibly refined) mesh for all v in [h_low, h_high]."""
+    """X(m*t_step, v), t_step = delta/refine, on the whole mesh of [0, 1] for
+    all v in [h_low, h_high]."""
 
     def __init__(self, grid: NoiseGrid, h_low: float, h_high: float,
-                 t_top: float = 1.0, n_nodes: int = 48, refine: int = 1):
+                 n_nodes: int = 48, refine: int = 1):
         self.grid = grid
         self.h_low, self.h_high = h_low, h_high
         self.refine = int(refine)
@@ -443,11 +436,11 @@ class MeshFieldInterpolant:
         pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
         self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
         self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
-        self.values = field_on_mesh(grid, self.nodes, t_top, self.refine)
+        self.values = field_on_mesh(grid, self.nodes, 1.0, self.refine)
 
-    def at(self, v, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """X(m*t_step, v) on mesh indices [start, stop), for one v or one v per index."""
-        return self.combine(v, self.values[:, start:stop])
+    def at(self, v) -> np.ndarray:
+        """X(m*t_step, v) on the whole mesh, for one v or one v per mesh index."""
+        return self.combine(v, self.values)
 
     def combine(self, v, vals: np.ndarray) -> np.ndarray:
         """Barycentric combination at v of per-node rows ``vals`` (node axis
@@ -531,61 +524,27 @@ def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
 
 
 def simulate_lmsm(
-    grid: NoiseGrid,
-    times,
-    H: HurstFunction,
-    n_nodes: int = 48,
-    interpolant: MeshFieldInterpolant | None = None,
-    tail_tol: float = 0.25,
-    refine: int = 1,
+    field: MeshFieldInterpolant, H: HurstFunction, tail_tol: float = 0.25
 ) -> SamplePath:
-    """Y(t) = X(t, H(t)) pathwise on the shared grid.
-
-    Mesh-aligned times use the FFT route (with v-interpolation when H varies);
-    off-mesh times fall back to direct Riemann sums per point.
+    """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of [0, 1]:
+    ``field.at(H(t))``, with Y(0) = 0 exactly.
 
     ``tail_tol`` bounds the relative alpha-mass the noise-domain truncation
     may cost raw path values; wavelet coefficients are far less sensitive
     (their kernel decays two orders faster) and recertify their own windows.
-    A given ``interpolant`` must be built on ``grid`` and cover H's range;
-    otherwise ValueError.
+    Raises ValueError when H leaves the interpolant's [h_low, h_high].
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and (times.min() < 0.0 or times.max() > 1.0):
-        raise ValueError("times must lie in [0, 1]")
-    if interpolant is not None and interpolant.grid is not grid:
-        raise ValueError("the interpolant was built on another noise grid")
+    grid = field.grid
     H.validate(grid.law.alpha)
-    h_t = np.asarray(H(times), dtype=float)
-    t_step = interpolant.t_step if interpolant is not None else grid.delta / refine
-    mesh_idx = times / t_step
-    on_mesh = np.allclose(mesh_idx, np.round(mesh_idx), atol=1e-9)
-    if times.size:
-        worst = path_truncation_audit(grid, float(times.max()), H.h_high)
-        if worst > tail_tol:
-            raise TruncationError(
-                f"noise domain too short for raw path values: "
-                f"relative tail mass {worst:.3e} > {tail_tol}"
-            )
-    if on_mesh and times.size > 8:
-        t_top = float(np.ceil(np.round(times.max() / t_step) * t_step / grid.delta - 1e-9)
-                      ) * grid.delta
-        interp = interpolant or MeshFieldInterpolant(
-            grid, H.h_low, H.h_high, t_top=max(t_top, grid.delta),
-            n_nodes=n_nodes, refine=refine,
+    worst = path_truncation_audit(grid, 1.0, H.h_high)
+    if worst > tail_tol:
+        raise TruncationError(
+            f"noise domain too short for raw path values: "
+            f"relative tail mass {worst:.3e} > {tail_tol}"
         )
-        idx = np.round(mesh_idx).astype(int)
-        h_mesh = np.asarray(
-            H(np.arange(interp.values.shape[1]) * interp.t_step), dtype=float
-        )
-        values = interp.at(h_mesh)[idx]
-    else:
-        values = np.array(
-            [eval_field(grid, float(t), float(h), tail_tol=tail_tol)
-             for t, h in zip(times, h_t)]
-        )
-    values = values.copy()
-    values[times == 0.0] = 0.0
+    times = np.arange(field.values.shape[1]) * field.t_step
+    values = field.at(H(times))
+    values[0] = 0.0
     provenance = {
         "kind": "lmsm",
         "alpha": grid.law.alpha,

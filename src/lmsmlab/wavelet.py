@@ -30,8 +30,6 @@ __all__ = [
     "validate_wavelet",
     "PhiKernel",
     "NormDetail",
-    "phi_alpha",
-    "phi_lalpha_norm",
 ]
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 16; reused by all panel rules.
@@ -56,6 +54,14 @@ def _binom_coeffs(kappa: float, n_max: int) -> np.ndarray:
     for n in range(1, n_max + 1):
         b.append(b[-1] * ((kappa - n + 1.0) / n))
     return np.array(b)
+
+
+def _kappa(alpha: float, v: float) -> float:
+    """kappa = v - 1/alpha for v in (1/alpha, 1); ValueError otherwise."""
+    kappa = v - 1.0 / alpha
+    if not 0.0 < kappa < 1.0 or v >= 1.0:
+        raise ValueError(f"v must lie in (1/alpha, 1) = ({1.0 / alpha:.6f}, 1), got {v}")
+    return kappa
 
 
 def _poly_der(coeffs: np.ndarray) -> np.ndarray:
@@ -266,17 +272,9 @@ class PhiKernel:
 
     # -- pointwise evaluation -------------------------------------------------
 
-    def _check_v(self, v: float) -> float:
-        kappa = v - 1.0 / self.alpha
-        if not 0.0 < kappa < 1.0 or v >= 1.0:
-            raise ValueError(
-                f"v must lie in (1/alpha, 1) = ({1.0 / self.alpha:.6f}, 1), got {v}"
-            )
-        return kappa
-
     def phi(self, s, v: float):
         """Phi(s, v); exactly zero for s >= 1, vectorized over ``s``."""
-        kappa = self._check_v(float(v))
+        kappa = _kappa(self.alpha, float(v))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros_like(s_arr)
         if self._taylor_polys is not None:
@@ -329,7 +327,7 @@ class PhiKernel:
         Series branch: first neglected term over the geometric tail ratio.
         Quadrature fallback: the scipy-reported absolute error is comparable.
         """
-        kappa = self._check_v(float(v))
+        kappa = _kappa(self.alpha, float(v))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         err = np.zeros_like(s_arr)
         if self._taylor_polys is None:
@@ -391,7 +389,7 @@ class PhiKernel:
 
     def tail_alpha_mass(self, s_cut: float, v: float) -> float:
         """Upper bound on int_{-inf}^{-s_cut} |Phi(u, v)|**alpha du."""
-        kappa = self._check_v(float(v))
+        kappa = _kappa(self.alpha, float(v))
         a = self.alpha
         A = self.decay_envelope_constant(s_cut, kappa)
         p = a * (2.0 - kappa) - 1.0  # > 0 for all admissible (alpha, v)
@@ -429,7 +427,7 @@ class PhiKernel:
         hit = self._norm_cache.get(key)
         if hit is not None:
             return hit
-        self._check_v(float(v))
+        _kappa(self.alpha, float(v))
         a = self.alpha
         s_max = 64.0
         mass = self._alpha_integral(v, -s_max, self.quad_points)
@@ -469,13 +467,3 @@ class PhiKernel:
             vals = (1.0 + np.abs(s)) ** expo * np.abs(self.phi(s, float(v)))
             best = max(best, float(np.max(vals)))
         return best
-
-
-def phi_alpha(kernel: PhiKernel, s, v: float):
-    """Kernel evaluation Phi(s, v); zero for s >= 1 without any quadrature."""
-    return kernel.phi(s, v)
-
-
-def phi_lalpha_norm(kernel: PhiKernel, v: float, tol: float = 1e-6) -> float:
-    """(int |Phi(u, v)|**alpha du)**(1/alpha) with certified truncation."""
-    return kernel.lalpha_norm(v, tol)

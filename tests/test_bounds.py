@@ -135,9 +135,8 @@ def test_approx_check_constant_hurst_routes_coincide():
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=333)
     for refine in (1, 4):
-        interp = MeshFieldInterpolant(grid, 0.8, 0.8, 1.0, refine=refine)
-        times = np.arange(2**10 * refine + 1) * interp.t_step
-        path = simulate_lmsm(grid, times, H, interpolant=interp)
+        interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
+        path = simulate_lmsm(interp, H)
         pyr = build_pyramid(path, w, (5,), build_global_intervals((0.0, 1.0), 5))
         frozen = frozen_level(interp, w, 5, range(32), H)
         assert np.array_equal(frozen, pyr.level(5))
@@ -152,14 +151,15 @@ def test_frozen_level_matches_per_shift_definition():
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=334)
-    interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, 1.0, n_nodes=16, refine=4)
+    interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
     assert float(H(0.0)) == interp.nodes[0]
     for j in (5, 8):
         m = round(2.0**-j / interp.t_step)
         ks = range(2**j)
         frozen = frozen_level(interp, w, j, ks, H)
         per_shift = np.array([
-            w.cell_weights(m) @ interp.at(float(H(k * 2.0**-j)), k * m, k * m + m + 1)
+            w.cell_weights(m) @ interp.combine(float(H(k * 2.0**-j)),
+                                               interp.values[:, k * m : k * m + m + 1])
             for k in ks
         ])
         assert np.max(np.abs(frozen - per_shift)) <= 1e-12 * np.max(np.abs(per_shift))

@@ -89,9 +89,10 @@ def test_compute_coeff_requires_resolution():
 
 def test_off_mesh_path_raises_resolution_error():
     # only a uniform mesh gives every cell of a level the same weight vector
-    grid = L.make_noise_grid(L.StableLaw(1.5, 1.0), -2.0, 1.0, 2.0**-8, seed=41)
-    times = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(6).uniform(0, 1, 200)]))
-    path = L.simulate_lmsm(grid, times, L.constant_hurst(0.75), tail_tol=0.5)
+    # (a path read from CSV can carry any increasing times)
+    rng = np.random.default_rng(6)
+    times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 200)]))
+    path = SamplePath(times=times, values=rng.standard_normal(times.size), provenance={})
     with pytest.raises(ResolutionError):
         compute_coeff(path, L.default_wavelet(), 0, 0)
     with pytest.raises(ResolutionError):

@@ -159,12 +159,12 @@ def test_cli_writes_replicate_zero(tmp_path, monkeypatch, capsys):
 
 
 def test_benchmark_trace_hooks_exist(tmp_path):
-    # the benchmark wraps these module names; a missing one or a call that
-    # leaves harness would silently zero a per-layer metric
+    # perfbench/run.py --trace 1 wraps these names: one renamed in src/ makes
+    # install() raise AttributeError, and a call that leaves harness would
+    # silently zero a per-layer metric
     root = Path(__file__).resolve().parents[1]
     script = f"""
-import json, sys
-sys.path[:0] = [{str(root / "src")!r}, {str(root / "perfbench")!r}]
+import json
 import tracing
 from lmsmlab import harness
 tracer = tracing.Tracer()
@@ -172,8 +172,11 @@ tracing.install(tracer, full=True)
 harness.run_replicate(harness.ExperimentConfig(**{FAST!r}), 0)
 print(json.dumps(sorted({{span[0] for span in tracer.spans}})))
 """
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=tmp_path, check=True)
+                          text=True, cwd=tmp_path, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
     names = set(json.loads(done.stdout.splitlines()[-1]))
     assert {"harness.run_replicate", "process.make_noise_grid", "process.simulate_lmsm",
             "coeffs.build_pyramid", "process.field_on_mesh"} <= names

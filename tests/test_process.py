@@ -117,7 +117,7 @@ def test_fft_length_at_aliasing_boundary(refine, t_top):
 
 
 def test_fft_length_contract(monkeypatch):
-    # one 1-D noise transform per grid, then per v one 2-D rfft and one 2-D
+    # one 1-D noise transform per call, then per v one 2-D rfft and one 2-D
     # irfft with a row per residue; every call takes its length as the second
     # positional argument, n_near + K rounded up to a fast length, never the
     # linear-convolution size, and no keyword but axis and workers
@@ -135,12 +135,12 @@ def test_fft_length_contract(monkeypatch):
     refine, t_top = 3, 0.75
     n_fft = next_fast_len(_near_cells(g, t_top) + round(t_top / g.delta))
     field_on_mesh(g, 0.8, t_top, refine)
-    assert len(calls) == 1 + 2  # the noise spectrum, once per grid
+    assert len(calls) == 1 + 2
     field_on_mesh(g, np.array([0.75, 0.8, 0.85]), t_top, refine)
-    assert len(calls) == 1 + 2 + 2 * 3
+    assert len(calls) == 1 + 2 + 1 + 2 * 3
     assert all(n == n_fft for _, n, _ in calls)
-    (noise_shape, _, noise_kw), batched = calls[0], calls[1:]
-    assert len(noise_shape) == 1 and not noise_kw
+    noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
+    assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
     for shape, _, kw in batched:
         assert len(shape) == 2 and shape[0] == refine
         assert set(kw) <= {"axis", "workers"} and kw.get("axis", -1) == -1
@@ -178,15 +178,15 @@ def test_near_far_split_matches_direct_sums(t_min, t_top, refine):
             _assert_matches_direct_sums(g, v, t_top, refine, mesh, 1e-12)
 
 
-def test_noise_spectrum_cache_keys_the_near_start():
+def test_near_starts_of_one_transform_length_match_direct_sums():
     # t_top = 1 and 127/128 share one transform length but not the near start
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-7, seed=59)
     starts = [g.n_cells - _near_cells(g, t) for t in (1.0, 127 / 128)]
     lengths = [next_fast_len(_near_cells(g, t) + round(t / g.delta)) for t in (1.0, 127 / 128)]
     assert starts[0] != starts[1] and lengths[0] == lengths[1]
-    field_on_mesh(g, 0.8, 1.0, 2)
-    mesh = field_on_mesh(g, 0.8, 127 / 128, 2)
-    _assert_matches_direct_sums(g, 0.8, 127 / 128, 2, mesh, 1e-12)
+    for t_top in (1.0, 127 / 128):
+        mesh = field_on_mesh(g, 0.8, t_top, 2)
+        _assert_matches_direct_sums(g, 0.8, t_top, 2, mesh, 1e-12)
 
 
 def test_far_series_remainder_is_certified():
@@ -232,14 +232,13 @@ def test_field_on_mesh_rejects_times_past_the_grid():
         field_on_mesh(g, 0.8, 1.0)
     with pytest.raises(ValueError, match="t_max"):
         field_on_mesh(g, 0.8, -2.0**-8)
-    times = np.arange(2**8 + 1) * 2.0**-8
     with pytest.raises(ValueError, match="t_max"):
-        L.simulate_lmsm(g, times, L.constant_hurst(0.8), tail_tol=1.0)
+        MeshFieldInterpolant(g, 0.8, 0.8)  # the path mesh covers [0, 1]
 
 
 def test_interpolant_matches_exact_nodes_and_offnode():
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=16)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16)
     rng = np.random.default_rng(2)
     for v in rng.uniform(0.7, 0.85, 4):
         exact = field_on_mesh(g, float(v))
@@ -250,7 +249,7 @@ def test_interpolant_matches_exact_nodes_and_offnode():
 
 def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=31)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=12, refine=2)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
     vals = interp.values
     v = np.linspace(0.7, 0.85, vals.shape[1])
     v[5] = interp.nodes[3]  # a node hit
@@ -263,8 +262,6 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     ref[hit] = vals[exact.argmax(axis=0)[hit], np.flatnonzero(hit)]
     assert hit.sum() == 3  # both end nodes and the one placed at index 5
     assert np.array_equal(interp.at(v), ref)
-    for h in (0.7731, float(interp.nodes[3])):
-        assert np.array_equal(interp.at(h, 40, 169), interp.at(np.full(vals.shape[1], h))[40:169])
 
 
 def _node_axis_combine(interp, v, vals):
@@ -292,7 +289,7 @@ def _node_axis_combine(interp, v, vals):
 
 def test_combine_equals_node_axis_formula():
     g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=37)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=12, refine=2)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
     vals = interp.values
     v = np.linspace(0.7, 0.85, vals.shape[1])
     v[[5, 9]] = interp.nodes[[3, 7]]  # node hits inside, besides both ends
@@ -308,7 +305,7 @@ def test_combine_equals_node_axis_formula():
 def test_combine_streams_node_rows():
     # an array of v costs a few rows of temporaries, not n_nodes x N arrays
     g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-10, seed=39)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, 1.0, n_nodes=16, refine=8)
+    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16, refine=8)
     n = interp.values.shape[1]
     v = np.linspace(0.7, 0.85, n)
     tracemalloc.start()
@@ -323,60 +320,54 @@ def test_combine_streams_node_rows():
 def test_interpolant_refuses_to_extrapolate():
     # H = 0.75 + 0.2 t leaves the interpolant's [0.75, 0.8] at t = 0.25
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
-    interp = MeshFieldInterpolant(g, 0.75, 0.8, 1.0, n_nodes=16)
-    times = np.arange(2**10 + 1) * interp.t_step
+    interp = MeshFieldInterpolant(g, 0.75, 0.8, n_nodes=16)
     with pytest.raises(ValueError, match="outside"):
-        L.simulate_lmsm(g, times, L.linear_hurst(0.75, 0.2), interpolant=interp,
-                        tail_tol=1.0)
+        L.simulate_lmsm(interp, L.linear_hurst(0.75, 0.2), tail_tol=1.0)
     interp.at(0.8 + 5e-13)  # inside the 1e-12 slack
     for v in (0.8 + 2e-12, np.array([0.76, 0.7499])):
         with pytest.raises(ValueError):
             interp.at(v)
-    pinned = MeshFieldInterpolant(g, 0.8, 0.8, 1.0)
+    pinned = MeshFieldInterpolant(g, 0.8, 0.8)
     with pytest.raises(ValueError):
         pinned.at(0.8 + 2e-12)
-
-
-def test_simulate_rejects_an_interpolant_of_another_grid():
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
-    other = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=30)
-    interp = MeshFieldInterpolant(other, 0.7, 0.85, 1.0, n_nodes=8)
-    times = np.arange(2**10 + 1) * interp.t_step
-    with pytest.raises(ValueError, match="grid"):
-        L.simulate_lmsm(g, times, L.linear_hurst(0.7, 0.15), interpolant=interp)
 
 
 def test_constant_hurst_path_is_lfsm_code_path():
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=37)
     H = L.constant_hurst(0.8)
-    times = np.arange(2**10 + 1) * 2.0**-10
-    path = L.simulate_lmsm(g, times, H)
+    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), H)
+    assert np.array_equal(path.times, np.arange(2**10 + 1) * 2.0**-10)
     mesh = field_on_mesh(g, 0.8)
     mesh[0] = 0.0
     assert np.array_equal(path.values, mesh)
     assert path.values[0] == 0.0
 
 
-def test_lmsm_offgrid_times_fall_back_to_direct():
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=41)
-    H = L.constant_hurst(0.75)
-    times = np.array([0.0, 0.111, 0.437, 0.9])
-    path = L.simulate_lmsm(g, times, H, tail_tol=0.5)
-    for t, y in zip(times, path.values):
-        assert y == pytest.approx(eval_field(g, float(t), 0.75, tail_tol=0.5), abs=1e-12)
+def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
+    # Y(m t_step) is the interpolant at H(m t_step), bit for bit, but Y(0) = 0
+    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-8, seed=41)
+    H = L.linear_hurst(0.7, 0.15)
+    refine = 4
+    field = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=refine)
+    path = L.simulate_lmsm(field, H)
+    times = np.arange(refine / g.delta + 1) * field.t_step
+    assert np.array_equal(path.times, times)
+    expect = field.at(H(times))
+    assert path.values[0] == 0.0
+    assert np.array_equal(path.values[1:], expect[1:])
 
 
 def test_lipschitz_coupling_in_hurst():
     # nearby Hurst functions on shared noise stay uniformly close
     g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=43)
-    times = np.arange(2**10 + 1) * 2.0**-10
+    def path(h):  # one pinned interpolant per constant H
+        return L.simulate_lmsm(MeshFieldInterpolant(g, h, h), L.constant_hurst(h)).values
+
     base = 0.75
+    y1 = path(base)
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
-        interp = MeshFieldInterpolant(g, base, base + eps, 1.0, n_nodes=12)
-        y1 = L.simulate_lmsm(g, times, L.constant_hurst(base), interpolant=interp)
-        y2 = L.simulate_lmsm(g, times, L.constant_hurst(base + eps), interpolant=interp)
-        ratios.append(np.max(np.abs(y2.values - y1.values)) / eps)
+        ratios.append(np.max(np.abs(path(base + eps) - y1)) / eps)
     ratios = np.array(ratios)
     assert np.all(ratios < 10.0 * np.median(ratios) + 1e-9)
     assert np.all(ratios > 0)
@@ -505,9 +496,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     kern = PhiKernel(1.5)
     H = L.constant_hurst(0.8)
     grid = make_noise_grid(LAW, -16.0, 1.0, 2.0**-11, seed=121)
-    refine = 8
-    times = np.arange(2**11 * refine + 1) * (2.0**-11 / refine)
-    path = L.simulate_lmsm(grid, times, H, refine=refine)
+    path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=8), H)
     from lmsmlab.coeffs import build_pyramid
     from lmsmlab.estimators import build_global_intervals
 
@@ -523,8 +512,8 @@ def test_cross_route_coefficients_agree_on_shared_noise():
 
 def test_path_csv_roundtrip(tmp_path):
     g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=111)
-    times = np.arange(2**8 + 1) * 2.0**-8
-    path = L.simulate_lmsm(g, times, L.constant_hurst(0.8), tail_tol=0.5)
+    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8),
+                           tail_tol=0.5)
     fname = tmp_path / "path.csv"
     path.to_csv(fname)
     back = sample_path_from_csv(fname)

@@ -10,8 +10,6 @@ from lmsmlab.wavelet import (
     PhiKernel,
     WaveletSpec,
     default_wavelet,
-    phi_alpha,
-    phi_lalpha_norm,
     validate_wavelet,
 )
 
@@ -75,12 +73,12 @@ def test_affine_annihilation():
 def test_phi_zero_beyond_support():
     k = PhiKernel(1.5)
     for s in (1.0, 1.5, 2.0, 100.0):
-        assert phi_alpha(k, s, 0.8) == 0.0
+        assert k.phi(s, 0.8) == 0.0
 
 
 def test_phi_matches_brute_oracle_at_spec_point():
     k = PhiKernel(1.5)
-    ours = phi_alpha(k, -5.0, 0.8)
+    ours = k.phi(-5.0, 0.8)
     oracle = brute_phi(-5.0, 0.8, 1.5)
     assert abs(ours - oracle) < 1e-6 * abs(oracle)
 
@@ -91,7 +89,7 @@ def test_phi_matches_brute_oracle_grid(alpha):
     v_lo, v_hi = 1.0 / alpha + 0.02, 0.97
     for s in (-30.0, -7.0, -2.0, -1.3, -0.4, 0.0, 0.3, 0.95):
         for v in (v_lo, 0.5 * (v_lo + v_hi), v_hi):
-            ours = phi_alpha(k, s, v)
+            ours = k.phi(s, v)
             oracle = brute_phi(s, v, alpha, n=400_001)
             assert ours == pytest.approx(oracle, rel=5e-6, abs=5e-12)
 
@@ -99,8 +97,8 @@ def test_phi_matches_brute_oracle_grid(alpha):
 def test_phi_branch_continuity_at_switch():
     k = PhiKernel(1.5)
     for v in (0.7, 0.8, 0.9):
-        left = phi_alpha(k, -2.0 - 1e-9, v)
-        right = phi_alpha(k, -2.0 + 1e-9, v)
+        left = k.phi(-2.0 - 1e-9, v)
+        right = k.phi(-2.0 + 1e-9, v)
         assert left == pytest.approx(right, rel=1e-7)
 
 
@@ -116,9 +114,9 @@ def test_norm_positive_and_continuous_in_v():
     k = PhiKernel(1.5)
     h_lo, h_hi = 0.7, 0.9
     for v in (h_lo, 0.5 * (h_lo + h_hi), h_hi):
-        assert phi_lalpha_norm(k, v) > 0.0
+        assert k.lalpha_norm(v) > 0.0
     grid = np.linspace(h_lo, h_hi, 21)
-    norms = np.array([phi_lalpha_norm(k, float(v)) for v in grid])
+    norms = np.array([k.lalpha_norm(float(v)) for v in grid])
     steps = np.abs(np.diff(norms))
     assert np.all(steps < 1e-2)
 
@@ -151,7 +149,7 @@ def test_phi_error_estimate_covers_independent_route_disagreement():
     k = PhiKernel(1.5)
     k_quad = PhiKernel(1.5, WaveletSpec(evaluator=default_wavelet().evaluator))
     for s in (-10.0, -2.5, -1.0, 0.3):
-        ours = phi_alpha(k, s, 0.8)
+        ours = k.phi(s, 0.8)
         bound = k.phi_error_estimate(s, 0.8)
         reference = k_quad.phi(s, 0.8)
         assert abs(ours - reference) < bound + 1e-11
