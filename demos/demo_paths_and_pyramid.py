@@ -26,7 +26,7 @@ from lmsmlab.process import MeshFieldInterpolant
 law = StableLaw(alpha=1.5, scale=1.0)
 delta = 2.0**-12
 refine = 8  # path sampled 8x finer than the noise cells
-grid = make_noise_grid(law, t_min=-8.0, t_max=1.0, delta=delta, seed=7)
+grid = make_noise_grid(law, t_min=-8.0, delta=delta, seed=7)
 print(f"noise grid: {grid.n_cells:,} cells of width 2^-12 on [-8, 1)")
 
 # one route per path: the field X(t, v) on the delta/refine mesh of [0, 1]

@@ -40,7 +40,6 @@ from .coeffs import (
     max_coeff,
 )
 from .estimators import (
-    EstimatorConfig,
     EstimateRecord,
     empirical_mean,
     estimate_hmin,

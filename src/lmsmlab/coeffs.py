@@ -36,8 +36,9 @@ class IntervalSequence:
     """Non-increasing compact intervals I_j in [0, 1], indexed by level j >= 0.
 
     The admissibility condition diam(I_j) >= 2**(1 - j/2) may legitimately
-    fail at small j for intervals inside [0, 1]; estimation then starts at
-    ``first_admissible``.
+    fail at small j for intervals inside [0, 1].  ``admissible`` and
+    ``first_admissible`` report it; nothing skips a level for it:
+    ``run_replicate`` estimates at every j of the configured ``j_range``.
     """
 
     intervals: tuple[tuple[float, float], ...]

@@ -22,7 +22,6 @@ from .stable import moment_constant
 from .wavelet import PhiKernel
 
 __all__ = [
-    "EstimatorConfig",
     "EstimateRecord",
     "DegenerateReplicate",
     "empirical_mean",
@@ -37,37 +36,6 @@ __all__ = [
 
 class DegenerateReplicate(ValueError):
     """A statistic left the estimator's domain (V_j = 0, D_j = 0, ...)."""
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimation knobs: moment order, interval construction, scale range.
-
-    beta must lie in (0, alpha/4) when alpha is known and in (0, 1/4]
-    otherwise; the default 0.25 is the endpoint always allowed for
-    alpha in (1, 2).
-    """
-
-    beta: float = 0.25
-    interval_mode: str = "global"  # "global" | "local"
-    interval: tuple[float, float] = (0.0, 1.0)
-    t0: float | None = None
-    j_range: tuple[int, ...] = tuple(range(4, 11))
-    alpha: float | None = None  # set when the stability index is known
-
-    def __post_init__(self):
-        if self.interval_mode not in ("global", "local"):
-            raise ValueError("interval_mode must be 'global' or 'local'")
-        if self.interval_mode == "local" and self.t0 is None:
-            raise ValueError("local mode needs t0")
-        if self.alpha is None:
-            if not 0.0 < self.beta <= 0.25:
-                raise ValueError("beta must lie in (0, 1/4] when alpha is unknown")
-        else:
-            if not 0.0 < self.beta < self.alpha / 4.0:
-                raise ValueError(
-                    f"beta={self.beta} outside (0, alpha/4) for alpha={self.alpha}"
-                )
 
 
 @dataclass
@@ -122,9 +90,9 @@ def corrected_hmin(
     beta: float,
     kernel: PhiKernel,
     h_bounds: tuple[float, float],
-    iterations: int = 3,
 ) -> float:
-    """Raw estimate plus the computable constant, via a clipped fixed point.
+    """Raw estimate plus the computable constant, via three steps of a clipped
+    fixed point.
 
     The plug-in level for the kernel norm is clipped to the declared
     admissible range, so the correction never uses the unknown H itself.
@@ -133,7 +101,7 @@ def corrected_hmin(
     lo, hi = h_bounds
     v_star = min(max(raw, lo), hi)
     out = raw
-    for _ in range(iterations):
+    for _ in range(3):
         out = raw + hmin_offset(kernel.alpha, beta, kernel, v_star, j)
         v_star = min(max(out, lo), hi)
     return out
@@ -142,8 +110,8 @@ def corrected_hmin(
 def build_global_intervals(interval: tuple[float, float], j_max: int) -> IntervalSequence:
     """I_j = I at every level; small-j diameter admissibility is simply waived.
 
-    Estimation starts at the first admissible level, which for I with
-    |I| <= 2 is the first j with 2**(1 - j/2) <= |I|.
+    ``first_admissible`` is the first j with 2**(1 - j/2) <= |I|; the
+    estimators run at every configured level all the same.
     """
     lo, hi = interval
     if hi <= lo:

@@ -34,7 +34,6 @@ from .coeffs import ResolutionError, build_pyramid, index_set, max_coeff
 from .estimators import (
     DegenerateReplicate,
     EstimateRecord,
-    EstimatorConfig,
     build_global_intervals,
     build_local_intervals,
     corrected_hmin,
@@ -121,18 +120,16 @@ class ExperimentConfig:
             return build_global_intervals(tuple(self.interval), j_max)
         return build_local_intervals(float(self.t0), j_max)
 
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            beta=self.beta,
-            interval_mode=self.interval_mode,
-            interval=tuple(self.interval),
-            t0=self.t0,
-            j_range=tuple(self.j_range),
-            alpha=self.alpha,
-        )
-
     def validate(self) -> None:
-        self.estimator_config()
+        # interval_mode and t0 first: intervals() reads float(self.t0)
+        if self.interval_mode not in ("global", "local"):
+            raise ValueError("interval_mode must be 'global' or 'local'")
+        if self.interval_mode == "local" and self.t0 is None:
+            raise ValueError("local mode needs t0")
+        if not 0.0 < self.beta < self.alpha / 4.0:
+            raise ValueError(
+                f"beta={self.beta} outside (0, alpha/4) for alpha={self.alpha}"
+            )
         self.hurst().validate(self.alpha)
         self.wavelet()
         self.intervals()
@@ -207,8 +204,7 @@ def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
     """Replicate r's path Y(t) = X(t, H(t)) on the delta/path_refine mesh of
     [0, 1], from the noise stream seed ^ r."""
     H = config.hurst()
-    grid = make_noise_grid(config.law, -config.t_tail, 1.0, config.noise_delta,
-                           config.seed ^ r)
+    grid = make_noise_grid(config.law, -config.t_tail, config.noise_delta, config.seed ^ r)
     field = MeshFieldInterpolant(
         grid, H.h_low, H.h_high, n_nodes=config.v_nodes, refine=config.path_refine
     )
@@ -406,9 +402,9 @@ def _lambda_grid_report() -> BoundReport:
     )
 
 
-def run_verification(config: ExperimentConfig, refine: bool = True) -> list[BoundReport]:
-    """The default bound-report suite; each deterministic report carries its
-    refinement drift (quadrature resolution doubled) when ``refine`` is on."""
+def run_verification(config: ExperimentConfig) -> list[BoundReport]:
+    """The default bound-report suite; each kernel-decay report carries its
+    refinement drift (quadrature resolution doubled)."""
     config.validate()
     law = config.law
     H = config.hurst()
@@ -424,15 +420,14 @@ def run_verification(config: ExperimentConfig, refine: bool = True) -> list[Boun
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
     for which in ("phi1", "phi2"):
         rep = phi_decay_report(kernel, H, max(config.j_range), lags, which)
-        if refine:
-            fine = phi_decay_report(
-                kernel, H, max(config.j_range), lags, which, panels_scale=32
-            )
-            drift = abs(fine.witnessed_constant - rep.witnessed_constant) / max(
-                abs(fine.witnessed_constant), 1e-300
-            )
-            rep.details["refinement_drift"] = drift
-            rep.passed = bool(rep.passed and drift < 0.01)
+        fine = phi_decay_report(
+            kernel, H, max(config.j_range), lags, which, panels_scale=32
+        )
+        drift = abs(fine.witnessed_constant - rep.witnessed_constant) / max(
+            abs(fine.witnessed_constant), 1e-300
+        )
+        rep.details["refinement_drift"] = drift
+        rep.passed = bool(rep.passed and drift < 0.01)
         reports.append(rep)
 
     reports.append(_lambda_grid_report())

@@ -12,24 +12,24 @@ of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
 ``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that whole mesh.
 
 The interpolant's node fields come from ``field_on_mesh``, which evaluates
-X(., v) on the mesh of [0, t_top] and splits the noise at s = -2 t_top.  The
-near cells [-2 t_top, t_max) go through FFT convolution, which computes the
-very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i
-is a discrete convolution.  Only the outputs at t in [0, t_top] are read, so
-each transform has length n_near + t_top/delta (rounded up to a fast size)
-instead of the full linear-convolution length: every product that wraps
-around the circular convolution lands before t = 0, outside the window that
-is read.  The far cells s_i < -2 t_top add a function of t that is analytic
-on a disc of radius 2 t_top around 0, summed as a binomial-moment power series
-around t_top/2 whose ratio is below 1/5; a certified remainder bound fixes the
-number of terms (see ``field_on_mesh``).  One call builds the field for a
-whole batch of v: the kernel values share one log t, each v's residue
-transforms run as one 2-D transform on the process's one thread budget,
-shared with the noise sampler (see ``stable``), and the far series of every v
-comes from one pass over the far noise, with the batch's largest certified
-term count.  Time-varying Hurst values are then obtained by barycentric
-interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
-so a few dozen nodes reach near machine precision.  ``eval_field`` is the
+X(., v) on the mesh of [0, 1] and splits the noise at s = -2.  The near
+cells [-2, 1) go through FFT convolution, which computes the very same
+Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a
+discrete convolution.  Only the outputs at t in [0, 1] are read, so each
+transform has length n_near + 1/delta (rounded up to a fast size) instead of
+the full linear-convolution length: every product that wraps around the
+circular convolution lands before t = 0, outside the window that is read.
+The far cells s_i < -2 add a function of t that is analytic on a disc of
+radius 2 around 0, summed as a binomial-moment power series around 1/2 whose
+ratio is below 1/5; a certified remainder bound fixes the number of terms
+(see ``field_on_mesh``).  One call builds the field for a whole batch of v:
+the kernel values share one log t, each v's residue transforms run as one
+2-D transform on the process's one thread budget, shared with the noise
+sampler (see ``stable``), and the far series of every v comes from one pass
+over the far noise, with the batch's largest certified term count.
+Time-varying Hurst values are then obtained by barycentric interpolation
+across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
+dozen nodes reach near machine precision.  ``eval_field`` is the
 direct Riemann sum at one point, the reference the mesh route is tested
 against.
 """
@@ -97,17 +97,18 @@ class HurstFunction:
     def is_constant(self) -> bool:
         return self.h_low == self.h_high
 
-    def validate(self, alpha: float, n_grid: int = 2001, seed: int = 7) -> None:
-        """Check the declared range and Hölder bound on grids; raise on violation."""
+    def validate(self, alpha: float) -> None:
+        """Check the declared range on 2001 grid points and the Hölder bound on
+        4096 random pairs; raise on violation."""
         if not (1.0 / alpha < self.h_low <= self.h_high < 1.0):
             raise ValueError(
                 f"range [{self.h_low}, {self.h_high}] not inside (1/alpha, 1)"
             )
-        t = np.linspace(0.0, 1.0, n_grid)
+        t = np.linspace(0.0, 1.0, 2001)
         h = np.asarray(self.evaluator(t), dtype=float)
         if h.min() < self.h_low - 1e-12 or h.max() > self.h_high + 1e-12:
             raise ValueError("evaluator leaves the declared [h_low, h_high] range")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         t1, t2 = rng.random(4096), rng.random(4096)
         lhs = np.abs(
             np.asarray(self.evaluator(t1), float) - np.asarray(self.evaluator(t2), float)
@@ -116,9 +117,9 @@ class HurstFunction:
         if np.any(lhs > rhs + 1e-12):
             raise ValueError("declared Hölder bound violated on random pairs")
 
-    def min_over(self, lo: float, hi: float, n: int = 4097) -> float:
-        """min H on [lo, hi] by dense-grid minimization."""
-        t = np.linspace(max(lo, 0.0), min(hi, 1.0), n)
+    def min_over(self, lo: float, hi: float) -> float:
+        """min H on [lo, hi] by minimization over 4097 grid points."""
+        t = np.linspace(max(lo, 0.0), min(hi, 1.0), 4097)
         return float(np.min(np.asarray(self.evaluator(t), dtype=float)))
 
 
@@ -176,14 +177,13 @@ def hurst_from_id(name: str, params) -> HurstFunction:
 
 @dataclass(frozen=True, eq=False)
 class NoiseGrid:
-    """Realized SaS noise increments on a uniform mesh of [t_min, t_max).
+    """Realized SaS noise increments on a uniform mesh of [t_min, 1).
 
     increments[i] is the noise mass of cell [s_i, s_i + delta),
     s_i = t_min + i*delta, with marginal scale law.scale * delta**(1/alpha).
     """
 
     t_min: float
-    t_max: float
     delta: float
     seed: int
     law: StableLaw
@@ -202,20 +202,17 @@ class NoiseGrid:
         return int(round(-self.t_min / self.delta))
 
 
-def make_noise_grid(
-    law: StableLaw, t_min: float, t_max: float, delta: float, seed: int
-) -> NoiseGrid:
-    """Draw the grid's increments, deterministically in (law, geometry, seed)."""
+def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> NoiseGrid:
+    """Draw the increments of the cells of [t_min, 1), deterministically in
+    (law, geometry, seed)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if t_min >= 0:
         raise ValueError("t_min must be negative (noise must cover kernel tails)")
-    if t_max <= t_min:
-        raise ValueError("t_max must exceed t_min")
-    n_float = (t_max - t_min) / delta
+    n_float = (1.0 - t_min) / delta
     n = int(round(n_float))
     if abs(n_float - n) > 1e-9:
-        raise ValueError("(t_max - t_min) / delta must be an integer cell count")
+        raise ValueError("(1 - t_min) / delta must be an integer cell count")
     i0 = -t_min / delta
     if abs(i0 - round(i0)) > 1e-9:
         raise ValueError("t_min must be an integer multiple of delta")
@@ -224,7 +221,6 @@ def make_noise_grid(
     increments.setflags(write=False)
     return NoiseGrid(
         t_min=float(t_min),
-        t_max=float(t_max),
         delta=float(delta),
         seed=int(seed),
         law=law,
@@ -263,22 +259,14 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     Signals (TruncationError) when the certified bound on the alpha-mass lost
     below t_min exceeds ``tail_tol`` of the kernel's total alpha-mass.
     """
-    if u < 0 or u > grid.t_max:
-        raise ValueError("u must lie in [0, t_max]")
+    if u < 0 or u > 1.0:
+        raise ValueError("u must lie in [0, 1]")
     w, lost = _field_kernel(grid, u, v)
     if lost > tail_tol:
         raise TruncationError(
             f"noise domain too short: relative tail mass {lost:.3e} > {tail_tol}"
         )
     return 0.0 if u == 0.0 else float(w @ grid.increments)
-
-
-def _mesh_count(grid: NoiseGrid, t_top: float) -> int:
-    k = t_top / grid.delta
-    ki = int(round(k))
-    if abs(k - ki) > 1e-9:
-        raise ValueError("t_top must be an integer multiple of delta")
-    return ki
 
 
 def _far_series_terms(kappa: float, ratio: float) -> int:
@@ -325,8 +313,8 @@ def _far_coeffs(
     return coef if np.ndim(kappa) else coef[0]
 
 
-def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np.ndarray:
-    """X(m*delta/refine, v) for m = 0..refine*t_top/delta.
+def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
+    """X(m*delta/refine, v) for m = 0..refine/delta: the mesh of [0, 1].
 
     ``v`` is one Hurst value (1-D result) or a 1-D array of them: the result
     then has one row per v, written into one preallocated array.
@@ -336,24 +324,23 @@ def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np
     coefficient quadrature accurate at deep levels without touching the noise
     resolution.
 
-    The noise is split at s = -2 t_top.  Near cells [-2 t_top, t_max) go
-    through FFT convolution.  Its circular transforms have length L =
-    next_fast_len(n_near + K), K = t_top/delta, with the near window's origin
+    The noise is split at s = -2.  Near cells [-2, 1) go through FFT
+    convolution.  Its circular transforms have length L =
+    next_fast_len(n_near + K), K = 1/delta, with the near window's origin
     at i0 = min(2K, index of s = 0): the product dz[i] * g[l] lands on index
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
     that is read.  The kernel values g = t^kappa at the refine residues share
     one log t, and each v's refine residue transforms run as one 2-D
     transform on the process's one thread budget (``stable._threads``, 1
-    in a worker of ``run_experiment``'s pool).  Far cells s_i < -2 t_top,
-    x_i = -s_i > 2 t_top, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a
-    power series in h = t - c, c = t_top/2, whose ratio |h|/(x_i + c) is at
-    most r = c/(min x_i + c) < 1/5.  With |binom(kappa, n)| <= kappa/n the
+    in a worker of ``run_experiment``'s pool).  Far cells s_i < -2,
+    x_i = -s_i > 2, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power
+    series in h = t - c, c = 1/2, whose ratio |h|/(x_i + c) is at most
+    r = c/(min x_i + c) < 1/5.  With |binom(kappa, n)| <= kappa/n the
     remainder after N terms is at most kappa/(N+1) * r^(N+1)/(1 - r) *
     sum_far (x_i + c)^kappa |dZ_i|.  N is the fewest terms that put this
     factor below 2^-53 for every v of the batch (the largest over the batch),
     so each row's own bound holds.
-    Raises ValueError when t_top lies outside [0, t_max].
     """
     vs = np.asarray(v, dtype=float)
     if vs.ndim > 1:
@@ -361,49 +348,46 @@ def field_on_mesh(grid: NoiseGrid, v, t_top: float = 1.0, refine: int = 1) -> np
     kappa = np.array([_kappa(grid.law.alpha, x) for x in vs.reshape(-1)])
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    K = _mesh_count(grid, t_top)
     i_origin = grid.origin_index
-    if K < 0 or i_origin + K > grid.n_cells:
-        raise ValueError("t_top must lie in [0, t_max]")
+    K = grid.n_cells - i_origin  # cells of [0, 1): 1/delta >= 1
     out = np.zeros((kappa.size, K * refine + 1))
-    if K > 0:  # else the u = 0 kernel vanishes identically
-        i_near = max(i_origin - 2 * K, 0)  # first near cell
-        i0 = i_origin - i_near
-        dz = grid.increments[i_near:]
-        n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
-        zf = rfft(dz, n_fft)
-        # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
-        # kernel value at t = 0 exactly 0
-        with np.errstate(divide="ignore"):
-            log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
-                           * grid.delta)
-        g = np.zeros((refine, n_fft))  # the zero tail pads each transform
-        gk = g[:, : log_t.shape[1]]
-        for k, row in zip(kappa, out):
-            np.exp(np.multiply(log_t, k, out=gk), out=gk)
-            b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
-            spec = rfft(g, n_fft, axis=-1, workers=stable._threads)
-            spec *= zf
-            conv = irfft(spec, n_fft, axis=-1, workers=stable._threads)
-            # mesh index q*refine + rho reads row rho at column i0 + q
-            row[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
-            row[-1] = conv[0, i0 + K]
-            row -= b
-        if i_near > 0:
-            x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
-            c = 0.5 * t_top
-            ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
-            n_terms = max(_far_series_terms(k, ratio) for k in kappa)
-            coef = _far_coeffs(x, grid.increments[:i_near], kappa, c, n_terms)
-            # out += coef @ V, V[n, m] = h_m^n, the power basis built in chunks
-            chunk = 16384
-            for lo in range(0, out.shape[1], chunk):
-                h = np.arange(lo, min(lo + chunk, out.shape[1])) * (grid.delta / refine) - c
-                basis = np.empty((n_terms + 1, h.size))
-                basis[0] = 1.0
-                for n in range(n_terms):
-                    np.multiply(basis[n], h, out=basis[n + 1])
-                out[:, lo : lo + h.size] += coef @ basis
+    i_near = max(i_origin - 2 * K, 0)  # first near cell, s >= -2
+    i0 = i_origin - i_near
+    dz = grid.increments[i_near:]
+    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
+    zf = rfft(dz, n_fft)
+    # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
+    # kernel value at t = 0 exactly 0
+    with np.errstate(divide="ignore"):
+        log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
+                       * grid.delta)
+    g = np.zeros((refine, n_fft))  # the zero tail pads each transform
+    gk = g[:, : log_t.shape[1]]
+    for k, row in zip(kappa, out):
+        np.exp(np.multiply(log_t, k, out=gk), out=gk)
+        b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
+        spec = rfft(g, n_fft, axis=-1, workers=stable._threads)
+        spec *= zf
+        conv = irfft(spec, n_fft, axis=-1, workers=stable._threads)
+        # mesh index q*refine + rho reads row rho at column i0 + q
+        row[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
+        row[-1] = conv[0, i0 + K]
+        row -= b
+    if i_near > 0:
+        x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
+        c = 0.5
+        ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
+        n_terms = max(_far_series_terms(k, ratio) for k in kappa)
+        coef = _far_coeffs(x, grid.increments[:i_near], kappa, c, n_terms)
+        # out += coef @ V, V[n, m] = h_m^n, the power basis built in chunks
+        chunk = 16384
+        for lo in range(0, out.shape[1], chunk):
+            h = np.arange(lo, min(lo + chunk, out.shape[1])) * (grid.delta / refine) - c
+            basis = np.empty((n_terms + 1, h.size))
+            basis[0] = 1.0
+            for n in range(n_terms):
+                np.multiply(basis[n], h, out=basis[n + 1])
+            out[:, lo : lo + h.size] += coef @ basis
     out[:, 0] = 0.0  # the u = 0 kernel vanishes identically
     return out if vs.ndim else out[0]
 
@@ -436,7 +420,7 @@ class MeshFieldInterpolant:
         pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
         self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
         self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
-        self.values = field_on_mesh(grid, self.nodes, 1.0, self.refine)
+        self.values = field_on_mesh(grid, self.nodes, self.refine)
 
     def at(self, v) -> np.ndarray:
         """X(m*t_step, v) on the whole mesh, for one v or one v per mesh index."""
@@ -569,18 +553,17 @@ def direct_coeff_weights(
     j: int,
     k: int,
     h_value: float,
-    tail_tol: float = 1e-6,
 ) -> tuple[int, np.ndarray]:
     """Riemann weights of the stable-integral representation of d~_{j,k}.
 
     Returns (i_start, w) so that d~ = w @ increments[i_start:i_start+len(w)]
     for any grid with this geometry.  The window is the smallest one whose
-    certified tail alpha-mass is below ``tail_tol`` of the kernel mass.
+    certified tail alpha-mass is below 1e-6 of the kernel mass.
     """
     alpha = phi.alpha
     norm_a = phi.lalpha_norm(h_value) ** alpha
     s_cut = 4.0
-    while phi.tail_alpha_mass(s_cut, h_value) > tail_tol * norm_a:
+    while phi.tail_alpha_mass(s_cut, h_value) > 1e-6 * norm_a:
         s_cut *= 2.0
         if s_cut > 2.0**40:
             raise TruncationError("cannot certify direct-coefficient window")
@@ -600,8 +583,7 @@ def direct_coeff_weights(
 
 
 def simulate_coeff_direct(
-    grid: NoiseGrid, phi: PhiKernel, j: int, k: int, H: HurstFunction,
-    tail_tol: float = 1e-6,
+    grid: NoiseGrid, phi: PhiKernel, j: int, k: int, H: HurstFunction
 ) -> float:
     """d~_{j,k} = 2^{-j(H_k - 1/alpha)} int Phi(2^j s - k, H_k) dZ(s), H_k = H(k 2^-j)."""
     if not (0.0 <= k * 2.0**-j and (k + 1) * 2.0**-j <= 1.0):
@@ -609,9 +591,7 @@ def simulate_coeff_direct(
     if phi.alpha != grid.law.alpha:
         raise ValueError("kernel and grid alpha differ")
     h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-    i_start, w = direct_coeff_weights(
-        grid.t_min, grid.delta, phi, j, k, h_k, tail_tol=tail_tol
-    )
+    i_start, w = direct_coeff_weights(grid.t_min, grid.delta, phi, j, k, h_k)
     seg = grid.increments[i_start : i_start + w.size]
     if seg.size != w.size:
         raise TruncationError("grid does not cover the coefficient support window")

@@ -76,12 +76,11 @@ class WaveletSpec:
     """Analyzing wavelet: continuous, supported in [0, 1], two vanishing moments.
 
     ``poly_coeffs`` (ascending monomial coefficients of psi restricted to
-    [0, 1]) unlock exact kernel evaluation; evaluator-only wavelets are
-    handled by quadrature.
+    [0, 1]) unlock exact kernel evaluation and moments; evaluator-only
+    wavelets are handled by quadrature.
     """
 
     evaluator: object
-    support: tuple[float, float] = (0.0, 1.0)
     moment_tolerance: float = 1e-12
     poly_coeffs: tuple[float, ...] | None = None
     name: str = "custom"
@@ -90,16 +89,20 @@ class WaveletSpec:
         return self.evaluator(t)
 
     def moments(self, n_max: int) -> np.ndarray:
-        """Moments M_n = int_0^1 t**n psi(t) dt for n = 0..n_max."""
+        """Moments M_n = int_0^1 t**n psi(t) dt for n = 0..n_max: exact for
+        polynomial wavelets, else by composite Simpson on 2^14 panels."""
         if self.poly_coeffs is not None:
             c = np.asarray(self.poly_coeffs)
             n = np.arange(n_max + 1)[:, None]
             i = np.arange(len(c))[None, :]
             return (c[None, :] / (n + i + 1)).sum(axis=1)
-        out = np.empty(n_max + 1)
-        for k in range(n_max + 1):
-            out[k] = quad(lambda t, k=k: t**k * self.evaluator(t), 0.0, 1.0, limit=200)[0]
-        return out
+        x = np.linspace(0.0, 1.0, (1 << 14) + 1)
+        psi = np.asarray(self.evaluator(x), dtype=float)
+        wts = np.ones(x.size)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        return np.array([float((x[1] - x[0]) / 3.0 * np.sum(wts * (x**k * psi)))
+                         for k in range(n_max + 1)])
 
     def cell_weights(self, m: int) -> np.ndarray:
         """Trapezoid weights w with int_0^1 f(x) psi(x) dx ~ w @ f(i/m), i = 0..m."""
@@ -122,7 +125,6 @@ def default_wavelet() -> WaveletSpec:
     """
     return WaveletSpec(
         evaluator=_quartic_evaluator,
-        support=(0.0, 1.0),
         moment_tolerance=1e-12,
         poly_coeffs=(0.0, 1.0, -6.0, 10.0, -5.0),
         name="quartic",
@@ -164,26 +166,6 @@ class WaveletValidation:
         return [k for k, ok in names.items() if not ok]
 
 
-def _moments_by_refinement(w: WaveletSpec) -> tuple[float, float]:
-    # Composite Simpson with one Richardson step; exact-enough for the
-    # polynomial default and honest for evaluator-only wavelets.
-    if w.poly_coeffs is not None:
-        m = w.moments(1)
-        return float(m[0]), float(m[1])
-
-    def simpson(f, n):
-        x = np.linspace(0.0, 1.0, n + 1)
-        y = f(x)
-        wts = np.ones(n + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        return float((x[1] - x[0]) / 3.0 * np.sum(wts * y))
-
-    m0 = simpson(lambda x: np.asarray(w.evaluator(x), float), 1 << 14)
-    m1 = simpson(lambda x: x * np.asarray(w.evaluator(x), float), 1 << 14)
-    return m0, m1
-
-
 def validate_wavelet(w: WaveletSpec, tol: float = 1e-10) -> WaveletValidation:
     """Check support, continuity, the two vanishing moments and non-triviality."""
     if tol <= 0:
@@ -204,7 +186,7 @@ def validate_wavelet(w: WaveletSpec, tol: float = 1e-10) -> WaveletValidation:
     inc1, inc2 = max_inc(20001), max_inc(40001)
     continuity_ok = bool(inc2 <= max(0.75 * inc1, tol))
 
-    m0, m1 = _moments_by_refinement(w)
+    m0, m1 = (float(m) for m in w.moments(1))
     grid = np.linspace(0.0, 1.0, 20001)
     sup = float(np.max(np.abs(np.asarray(w.evaluator(grid), float))))
 
@@ -227,26 +209,23 @@ class NormDetail:
     value: float
     s_max: float
     tail_bound: float
-    quad_points: int
 
 
 class PhiKernel:
     """Evaluator for Phi(s, v) = int (y - s)_+**(v - 1/alpha) psi(y) dy.
 
     Immutable after construction; evaluation is pure, so instances can be
-    shared freely.  ``quad_points`` scales every panel count, which is the
-    single knob refinement-drift checks double.
+    shared freely.
     """
 
     # switch point between the finite Taylor form and the far-field series
     _SERIES_CUT = -2.0
 
-    def __init__(self, alpha: float, wavelet: WaveletSpec | None = None, quad_points: int = 16):
+    def __init__(self, alpha: float, wavelet: WaveletSpec | None = None):
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {alpha}")
         self.alpha = float(alpha)
         self.wavelet = wavelet if wavelet is not None else default_wavelet()
-        self.quad_points = int(quad_points)
         self._norm_cache: dict = {}
         self._n_series = 80
         if self.wavelet.poly_coeffs is not None:
@@ -397,13 +376,12 @@ class PhiKernel:
 
     # -- L^alpha norm ----------------------------------------------------------
 
-    def _alpha_integral(self, v: float, s_min: float, panels_scale: int) -> float:
+    def _alpha_integral(self, v: float, s_min: float) -> float:
         """int_{s_min}^{1} |Phi(u, v)|**alpha du by graded composite Gauss rules."""
         a = self.alpha
-        # uniform panels on [-2, 1) (finer near the support where Phi turns),
-        # geometric panels from -2 down to s_min
-        n_near = 24 * max(1, panels_scale // 16)
-        near = np.linspace(-2.0, 1.0, n_near + 1)
+        # 24 uniform panels on [-2, 1) (finer near the support where Phi
+        # turns), geometric panels from -2 down to s_min
+        near = np.linspace(-2.0, 1.0, 24 + 1)
         geo = [-2.0]
         while geo[-1] > s_min:
             geo.append(max(geo[-1] * 1.35, s_min))
@@ -416,24 +394,25 @@ class PhiKernel:
             total += half * float(np.sum(_GL_W * np.abs(self.phi(x, v)) ** a))
         return total
 
-    def norm_detail(self, v: float, tol: float = 1e-6) -> NormDetail:
+    def norm_detail(self, v: float) -> NormDetail:
         """L^alpha norm over a truncated domain with a certified tail remainder.
 
         The truncation point doubles until the far-field tail bound drops
-        below ``tol`` of the accumulated mass; raises if that cannot be
+        below 1e-6 of the accumulated mass; raises if that cannot be
         achieved.
         """
-        key = (round(float(v), 14), tol, self.quad_points)
+        tol = 1e-6
+        key = round(float(v), 14)
         hit = self._norm_cache.get(key)
         if hit is not None:
             return hit
         _kappa(self.alpha, float(v))
         a = self.alpha
         s_max = 64.0
-        mass = self._alpha_integral(v, -s_max, self.quad_points)
+        mass = self._alpha_integral(v, -s_max)
         tail = self.tail_alpha_mass(s_max, v)
         while tail > tol * (mass + tail) and s_max < 2.0**24:
-            new_mass = self._alpha_integral(v, -2.0 * s_max, self.quad_points)
+            new_mass = self._alpha_integral(v, -2.0 * s_max)
             s_max *= 2.0
             mass = new_mass
             tail = self.tail_alpha_mass(s_max, v)
@@ -445,21 +424,19 @@ class PhiKernel:
             value=float(mass ** (1.0 / a)),
             s_max=float(s_max),
             tail_bound=float(tail),
-            quad_points=self.quad_points,
         )
         self._norm_cache[key] = detail
         return detail
 
-    def lalpha_norm(self, v: float, tol: float = 1e-6) -> float:
-        return self.norm_detail(v, tol).value
+    def lalpha_norm(self, v: float) -> float:
+        return self.norm_detail(v).value
 
-    def decay_constant(
-        self, h_high: float, v_grid, s_min: float = -1e3, n_s: int = 4000
-    ) -> float:
-        """Witnessed sup of (1 + |s|)**(2 + 1/alpha - h_high) |Phi(s, v)| on a grid."""
+    def decay_constant(self, h_high: float, v_grid, n_s: int = 4000) -> float:
+        """Witnessed sup of (1 + |s|)**(2 + 1/alpha - h_high) |Phi(s, v)| on a
+        grid of s in [-1000, 1]."""
         expo = 2.0 + 1.0 / self.alpha - h_high
         # geometric s-grid resolves both the support region and the far field
-        s_neg = -np.geomspace(1e-3, -s_min, n_s)
+        s_neg = -np.geomspace(1e-3, 1e3, n_s)
         s_pos = np.linspace(0.0, 1.0, n_s // 4)
         s = np.concatenate([s_neg[::-1], s_pos])
         best = 0.0

@@ -111,12 +111,12 @@ def test_criterion_06_approximation_lemma():
             f"{rep.details['passing_fraction']:.2f}, {elapsed:.0f}s")
 
 
-def test_criterion_07_theorem1_constant_hurst():
+def test_criterion_07_theorem1_constant_hurst(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(6, 8, 10), beta=0.25, delta=2.0**-15,
                            t_tail=8.0, path_refine=8, replicates=20, seed=70,
-                           out_dir="/tmp/lmsm_acc7")
+                           out_dir=str(tmp_path))
     table = run_experiment(cfg)
     errs = [abs(table.row(j)["h_corr_mean"] - 0.8) for j in (6, 8, 10)]
     elapsed = time.time() - t0
@@ -127,12 +127,12 @@ def test_criterion_07_theorem1_constant_hurst():
             f"|err| at j=6,8,10: {[f'{e:.4f}' for e in errs]}, inversions={inversions}, {elapsed:.0f}s")
 
 
-def test_criterion_08_theorem1_min_tracking():
+def test_criterion_08_theorem1_min_tracking(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(alpha=1.5, hurst_name="linear", hurst_params=(0.7, 0.15),
                            j_range=(8, 10, 12), beta=0.25, t_tail=8.0,
                            path_refine=8, v_nodes=16, replicates=20, seed=80,
-                           out_dir="/tmp/lmsm_acc8")
+                           out_dir=str(tmp_path))
     table = run_experiment(cfg)
     h12 = table.row(12)["h_corr_mean"]
     elapsed = time.time() - t0
@@ -142,12 +142,12 @@ def test_criterion_08_theorem1_min_tracking():
             f"h_hat(12)={h12:.4f} vs min 0.7 (need within 0.12 and below 0.755), {elapsed:.0f}s")
 
 
-def test_criterion_09_theorem1_local():
+def test_criterion_09_theorem1_local(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(alpha=1.5, hurst_name="sine", hurst_params=(0.75, 0.08),
                            j_range=(8, 10, 12), beta=0.25, interval_mode="local",
                            t0=0.25, t_tail=8.0, path_refine=8, v_nodes=16,
-                           replicates=20, seed=90, out_dir="/tmp/lmsm_acc9")
+                           replicates=20, seed=90, out_dir=str(tmp_path))
     table = run_experiment(cfg)
     target = 0.75 + 0.08 * math.sin(2.0 * math.pi * 0.25)
     h12 = table.row(12)["h_corr_mean"]
@@ -157,11 +157,11 @@ def test_criterion_09_theorem1_local():
             f"h_hat(12)={h12:.4f} vs H(t0)={target:.4f} (need within 0.12), {elapsed:.0f}s")
 
 
-def test_criterion_10_theorem2_alpha():
+def test_criterion_10_theorem2_alpha(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(12,), beta=0.25, t_tail=8.0, path_refine=8,
-                           replicates=50, seed=20260808, out_dir="/tmp/lmsm_acc10")
+                           replicates=50, seed=20260808, out_dir=str(tmp_path))
     table = run_experiment(cfg)
     row = table.row(12)
     elapsed = time.time() - t0

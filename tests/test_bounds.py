@@ -133,7 +133,7 @@ def test_approx_check_constant_hurst_routes_coincide():
 
     H = L.constant_hurst(0.8)
     w = L.default_wavelet()
-    grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=333)
+    grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=333)
     for refine in (1, 4):
         interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
         path = simulate_lmsm(interp, H)
@@ -150,7 +150,7 @@ def test_frozen_level_matches_per_shift_definition():
 
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
-    grid = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=334)
+    grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=334)
     interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
     assert float(H(0.0)) == interp.nodes[0]
     for j in (5, 8):

@@ -9,7 +9,6 @@ import lmsmlab as L
 from lmsmlab.coeffs import CoeffPyramid
 from lmsmlab.estimators import (
     DegenerateReplicate,
-    EstimatorConfig,
     build_global_intervals,
     build_local_intervals,
     corrected_hmin,
@@ -135,15 +134,16 @@ def test_estimate_alpha_flags_degenerates():
         estimate_alpha(-0.5, 1.0, 10)  # denominator -0.5 <= 0
 
 
-def test_estimator_config_beta_windows():
-    EstimatorConfig(beta=0.25)  # unknown alpha: endpoint allowed
-    with pytest.raises(ValueError):
-        EstimatorConfig(beta=0.3)  # unknown alpha
-    EstimatorConfig(beta=0.3, alpha=1.5)  # known alpha: (0, 0.375)
-    with pytest.raises(ValueError):
-        EstimatorConfig(beta=0.4, alpha=1.5)
-    with pytest.raises(ValueError):
-        EstimatorConfig(interval_mode="local")  # t0 missing
+def test_experiment_config_estimator_checks():
+    from lmsmlab.harness import ExperimentConfig
+
+    ExperimentConfig(alpha=1.5, beta=0.3).validate()  # (0, alpha/4) = (0, 0.375)
+    with pytest.raises(ValueError, match="alpha/4"):
+        ExperimentConfig(alpha=1.5, beta=0.4).validate()
+    with pytest.raises(ValueError, match="t0"):
+        ExperimentConfig(interval_mode="local").validate()
+    with pytest.raises(ValueError, match="interval_mode"):
+        ExperimentConfig(interval_mode="Local", t0=0.25).validate()
 
 
 def test_corrected_hmin_recovers_truth_on_synthetic_input():

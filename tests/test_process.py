@@ -30,8 +30,8 @@ LAW = L.StableLaw(1.5, 1.0)
 
 
 def test_grid_determinism_and_shape():
-    g1 = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=5)
-    g2 = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=5)
+    g1 = make_noise_grid(LAW, -2.0, 2.0**-8, seed=5)
+    g2 = make_noise_grid(LAW, -2.0, 2.0**-8, seed=5)
     assert np.array_equal(g1.increments, g2.increments)
     assert g1.n_cells == 3 * 2**8
     assert g1.origin_index == 2 * 2**8
@@ -39,43 +39,45 @@ def test_grid_determinism_and_shape():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        make_noise_grid(LAW, -1.0, 1.0, -0.1, seed=1)
+        make_noise_grid(LAW, -1.0, -0.1, seed=1)
     with pytest.raises(ValueError):
-        make_noise_grid(LAW, 0.5, 1.0, 0.01, seed=1)
-    with pytest.raises(ValueError):
-        make_noise_grid(LAW, -1.0, 1.0, 0.3, seed=1)  # non-integer cell count
+        make_noise_grid(LAW, 0.5, 0.01, seed=1)
+    with pytest.raises(ValueError, match="integer cell count"):
+        make_noise_grid(LAW, -1.0, 0.3, seed=1)
 
 
 def test_grid_increment_moments_match_constant():
-    g = make_noise_grid(LAW, -16384.0, 0.0, 1.0 / 64, seed=9)
+    g = make_noise_grid(LAW, -16383.0, 1.0 / 64, seed=9)
     assert g.n_cells >= 1_000_000
     mom = np.mean(np.abs(g.increments) ** 0.25) / g.delta ** (0.25 / LAW.alpha)
     assert mom == pytest.approx(moment_constant(0.25, LAW.alpha), rel=0.02)
 
 
 def test_unit_delta_increments_are_unit_scale():
-    g = make_noise_grid(LAW, -4.0, 0.0, 1.0, seed=31)
+    g = make_noise_grid(LAW, -3.0, 1.0, seed=31)
     direct = unit_sas(LAW.alpha, 4, np.random.Generator(np.random.Philox(key=np.uint64(31))))
     assert np.allclose(g.increments, direct)
 
 
 def test_field_zero_at_origin_and_domain_checks():
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=5)
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=5)
     assert eval_field(g, 0.0, 0.8) == 0.0
     with pytest.raises(ValueError):
         eval_field(g, -0.1, 0.8)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        eval_field(g, 1.0 + 2.0**-8, 0.8)  # past the grid's right end, 1
     with pytest.raises(ValueError):
         eval_field(g, 0.5, 0.6)  # v below 1/alpha
 
 
 def test_field_truncation_signal():
-    g = make_noise_grid(LAW, -1.0, 1.0, 2.0**-8, seed=5)
+    g = make_noise_grid(LAW, -1.0, 2.0**-8, seed=5)
     with pytest.raises(L.TruncationError):
         eval_field(g, 1.0, 0.9, tail_tol=1e-3)
 
 
 def test_fft_route_equals_direct_sums():
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-9, seed=17)
+    g = make_noise_grid(LAW, -4.0, 2.0**-9, seed=17)
     mesh = field_on_mesh(g, 0.8)
     for m in (0, 1, 3, 77, 512):
         direct = eval_field(g, m * 2.0**-9, 0.8, tail_tol=0.5)
@@ -83,7 +85,7 @@ def test_fft_route_equals_direct_sums():
 
 
 def test_refined_mesh_consistency():
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-7, seed=23)
+    g = make_noise_grid(LAW, -2.0, 2.0**-7, seed=23)
     x1 = field_on_mesh(g, 0.75, refine=1)
     x4 = field_on_mesh(g, 0.75, refine=4)
     assert np.allclose(x4[::4], x1, atol=1e-12)
@@ -91,29 +93,30 @@ def test_refined_mesh_consistency():
     assert x4[5] == pytest.approx(direct, abs=1e-12)
 
 
-def _near_cells(g, t_top):
-    # cells from s = -2 t_top (or t_min) on: the noise the FFT convolution sees
-    K = round(t_top / g.delta)
+def _near_cells(g):
+    # cells from s = -2 (or t_min) on: the noise the FFT convolution sees
+    K = round(1 / g.delta)
     return g.n_cells - max(g.origin_index - 2 * K, 0)
 
 
-def _assert_matches_direct_sums(g, v, t_top, refine, mesh, tol):
-    assert mesh.size == round(t_top / g.delta) * refine + 1
+def _assert_matches_direct_sums(g, v, refine, mesh, tol):
+    assert mesh.size == round(1 / g.delta) * refine + 1
     for m, x in enumerate(mesh):
         direct = eval_field(g, m * g.delta / refine, v, tail_tol=1.0)
         assert x == pytest.approx(direct, abs=tol, rel=tol)
 
 
-@pytest.mark.parametrize("refine,t_top", [(2, 1.0), (8, 1.0), (8, 0.5)])
-def test_fft_length_at_aliasing_boundary(refine, t_top):
+# ids: refine, then the mesh's right end
+@pytest.mark.parametrize("refine", [2, 8], ids=["2-1.0", "8-1.0"])
+def test_fft_length_at_aliasing_boundary(refine):
     # n_near + K is already a fast length, so the transforms run at exactly the
     # shortest wrap-free length; one point shorter would corrupt mesh index 1
     # (residue 1), which the sweep below includes.  t_min = -4 leaves a far part.
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-7, seed=41)
-    n_min = _near_cells(g, t_top) + round(t_top / g.delta)
+    g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
+    n_min = _near_cells(g) + round(1 / g.delta)
     assert n_min < g.n_cells and next_fast_len(n_min) == n_min
-    mesh = field_on_mesh(g, 0.8, t_top, refine)
-    _assert_matches_direct_sums(g, 0.8, t_top, refine, mesh, 1e-12)
+    mesh = field_on_mesh(g, 0.8, refine)
+    _assert_matches_direct_sums(g, 0.8, refine, mesh, 1e-12)
 
 
 def test_fft_length_contract(monkeypatch):
@@ -131,12 +134,13 @@ def test_fft_length_contract(monkeypatch):
 
     monkeypatch.setattr(L.process, "rfft", recording(L.process.rfft))
     monkeypatch.setattr(L.process, "irfft", recording(L.process.irfft))
-    g = make_noise_grid(LAW, -3.0, 1.0, 2.0**-8, seed=43)
-    refine, t_top = 3, 0.75
-    n_fft = next_fast_len(_near_cells(g, t_top) + round(t_top / g.delta))
-    field_on_mesh(g, 0.8, t_top, refine)
+    g = make_noise_grid(LAW, -1.25, 2.0**-8, seed=43)
+    refine = 3
+    n_fft = next_fast_len(_near_cells(g) + round(1 / g.delta))
+    assert n_fft == 840 > _near_cells(g) + round(1 / g.delta) == 832
+    field_on_mesh(g, 0.8, refine)
     assert len(calls) == 1 + 2
-    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), t_top, refine)
+    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
     assert len(calls) == 1 + 2 + 1 + 2 * 3
     assert all(n == n_fft for _, n, _ in calls)
     noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
@@ -149,12 +153,12 @@ def test_fft_length_contract(monkeypatch):
 def test_batched_rows_match_one_v_calls():
     # rows are not bitwise equal to one-v calls: the far series' matrix
     # products sum a 1-row and a 16-row product in different orders
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-12, seed=67)
+    g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=67)
     vs = np.linspace(0.7, 0.95, 16)
-    batch = field_on_mesh(g, vs, 1.0, 8)
+    batch = field_on_mesh(g, vs, 8)
     assert batch.shape == (16, 2**12 * 8 + 1)
     for v, row in zip(vs, batch):
-        one = field_on_mesh(g, float(v), 1.0, 8)
+        one = field_on_mesh(g, float(v), 8)
         assert one.shape == row.shape
         assert np.max(np.abs(row - one)) <= 1e-13 * np.max(np.abs(one))
     with pytest.raises(ValueError):
@@ -163,42 +167,36 @@ def test_batched_rows_match_one_v_calls():
         field_on_mesh(g, np.array([0.8, 0.6]))  # one v below 1/alpha
 
 
-@pytest.mark.parametrize("t_min,t_top,refine", [
+_SPLIT_CASES = [
     # refine 8 at t_min = -4 is in test_fft_length_at_aliasing_boundary
-    (-4.0, 1.0, 1), (-4.0, 1.0, 3), (-4.0, 0.5, 1), (-4.0, 0.5, 3),
-    (-1.5, 1.0, 3),  # t_min > -2 t_top: no far part
-    (-2.0, 1.0, 3),  # the first cell starts exactly at s = -2 t_top
-    (-2.0 - 2.0**-7, 1.0, 3),  # one far cell
-])
-def test_near_far_split_matches_direct_sums(t_min, t_top, refine):
-    g = make_noise_grid(LAW, t_min, 1.0, 2.0**-7, seed=53)
+    (-4.0, 1), (-4.0, 3),
+    (-1.5, 3),  # t_min > -2: no far part
+    (-2.0, 3),  # the first cell starts exactly at s = -2
+    (-2.0 - 2.0**-7, 3),  # one far cell
+]
+
+
+# ids: t_min, the mesh's right end, refine
+@pytest.mark.parametrize("t_min,refine", _SPLIT_CASES,
+                         ids=[f"{t}-1.0-{r}" for t, r in _SPLIT_CASES])
+def test_near_far_split_matches_direct_sums(t_min, refine):
+    g = make_noise_grid(LAW, t_min, 2.0**-7, seed=53)
     vs = (0.7, 0.95)
-    for v, row in zip(vs, field_on_mesh(g, np.array(vs), t_top, refine)):
-        for mesh in (field_on_mesh(g, v, t_top, refine), row):
-            _assert_matches_direct_sums(g, v, t_top, refine, mesh, 1e-12)
-
-
-def test_near_starts_of_one_transform_length_match_direct_sums():
-    # t_top = 1 and 127/128 share one transform length but not the near start
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-7, seed=59)
-    starts = [g.n_cells - _near_cells(g, t) for t in (1.0, 127 / 128)]
-    lengths = [next_fast_len(_near_cells(g, t) + round(t / g.delta)) for t in (1.0, 127 / 128)]
-    assert starts[0] != starts[1] and lengths[0] == lengths[1]
-    for t_top in (1.0, 127 / 128):
-        mesh = field_on_mesh(g, 0.8, t_top, 2)
-        _assert_matches_direct_sums(g, 0.8, t_top, 2, mesh, 1e-12)
+    for v, row in zip(vs, field_on_mesh(g, np.array(vs), refine)):
+        for mesh in (field_on_mesh(g, v, refine), row):
+            _assert_matches_direct_sums(g, v, refine, mesh, 1e-12)
 
 
 def test_far_series_remainder_is_certified():
     # the truncated series against the exact far sum, a direct Riemann sum
-    t_top, delta, v = 1.0, 2.0**-6, 0.8
-    g = make_noise_grid(LAW, -6.0, 1.0, delta, seed=61)
+    delta, v = 2.0**-6, 0.8
+    g = make_noise_grid(LAW, -6.0, delta, seed=61)
     kappa = v - 1.0 / LAW.alpha
-    n_far = g.origin_index - round(2 * t_top / delta)
+    n_far = g.origin_index - round(2 / delta)
     x = -g.left_endpoints()[:n_far]
-    c = 0.5 * t_top
+    c = 0.5
     ratio = c / (x.min() + c)
-    h = np.arange(round(t_top / delta) * 4 + 1) * (delta / 4) - c
+    h = np.arange(round(1 / delta) * 4 + 1) * (delta / 4) - c
     kernel = (x[:, None] + c + h) ** kappa - x[:, None] ** kappa
     for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
         exact = dz @ kernel
@@ -225,19 +223,8 @@ def test_far_series_remainder_is_certified():
                 assert err <= L.process._far_remainder(k, ratio, n_terms) * scale + 1e-13
 
 
-def test_field_on_mesh_rejects_times_past_the_grid():
-    g = make_noise_grid(LAW, -2.0, 0.5, 2.0**-8, seed=47)
-    assert field_on_mesh(g, 0.8, 0.5).size == 2**7 + 1
-    with pytest.raises(ValueError, match="t_max"):
-        field_on_mesh(g, 0.8, 1.0)
-    with pytest.raises(ValueError, match="t_max"):
-        field_on_mesh(g, 0.8, -2.0**-8)
-    with pytest.raises(ValueError, match="t_max"):
-        MeshFieldInterpolant(g, 0.8, 0.8)  # the path mesh covers [0, 1]
-
-
 def test_interpolant_matches_exact_nodes_and_offnode():
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
+    g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16)
     rng = np.random.default_rng(2)
     for v in rng.uniform(0.7, 0.85, 4):
@@ -248,7 +235,7 @@ def test_interpolant_matches_exact_nodes_and_offnode():
 
 
 def test_interpolant_one_v_and_per_index_v_agree_bitwise():
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=31)
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
     vals = interp.values
     v = np.linspace(0.7, 0.85, vals.shape[1])
@@ -288,7 +275,7 @@ def _node_axis_combine(interp, v, vals):
 
 
 def test_combine_equals_node_axis_formula():
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=37)
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=37)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
     vals = interp.values
     v = np.linspace(0.7, 0.85, vals.shape[1])
@@ -304,7 +291,7 @@ def test_combine_equals_node_axis_formula():
 
 def test_combine_streams_node_rows():
     # an array of v costs a few rows of temporaries, not n_nodes x N arrays
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-10, seed=39)
+    g = make_noise_grid(LAW, -2.0, 2.0**-10, seed=39)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16, refine=8)
     n = interp.values.shape[1]
     v = np.linspace(0.7, 0.85, n)
@@ -319,7 +306,7 @@ def test_combine_streams_node_rows():
 
 def test_interpolant_refuses_to_extrapolate():
     # H = 0.75 + 0.2 t leaves the interpolant's [0.75, 0.8] at t = 0.25
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=29)
+    g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
     interp = MeshFieldInterpolant(g, 0.75, 0.8, n_nodes=16)
     with pytest.raises(ValueError, match="outside"):
         L.simulate_lmsm(interp, L.linear_hurst(0.75, 0.2), tail_tol=1.0)
@@ -333,7 +320,7 @@ def test_interpolant_refuses_to_extrapolate():
 
 
 def test_constant_hurst_path_is_lfsm_code_path():
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=37)
+    g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=37)
     H = L.constant_hurst(0.8)
     path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), H)
     assert np.array_equal(path.times, np.arange(2**10 + 1) * 2.0**-10)
@@ -345,7 +332,7 @@ def test_constant_hurst_path_is_lfsm_code_path():
 
 def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
     # Y(m t_step) is the interpolant at H(m t_step), bit for bit, but Y(0) = 0
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-8, seed=41)
+    g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=41)
     H = L.linear_hurst(0.7, 0.15)
     refine = 4
     field = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=refine)
@@ -359,7 +346,7 @@ def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
 
 def test_lipschitz_coupling_in_hurst():
     # nearby Hurst functions on shared noise stay uniformly close
-    g = make_noise_grid(LAW, -4.0, 1.0, 2.0**-10, seed=43)
+    g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=43)
     def path(h):  # one pinned interpolant per constant H
         return L.simulate_lmsm(MeshFieldInterpolant(g, h, h), L.constant_hurst(h)).values
 
@@ -395,7 +382,7 @@ def test_field_scale_matches_quadrature_norm():
     # truncated-kernel norm computed by quadrature
     gamma, v = 0.25, 0.8
     t_min, delta = -64.0, 2.0**-8
-    g = make_noise_grid(LAW, t_min, 1.0, delta, seed=51)
+    g = make_noise_grid(LAW, t_min, delta, seed=51)
     kappa = v - 1.0 / LAW.alpha
 
     def f_abs_alpha(s):
@@ -412,7 +399,7 @@ def test_field_scale_matches_quadrature_norm():
 def test_lfsm_self_similarity_probe():
     # beta-moment of X(a t) is a**(beta H) times that of X(t), within MC error
     H, beta = 0.8, 0.25
-    g_geom = make_noise_grid(LAW, -64.0, 1.0, 2.0**-9, seed=61)
+    g_geom = make_noise_grid(LAW, -64.0, 2.0**-9, seed=61)
     mom = {}
     for t in (0.125, 0.25, 0.5, 1.0):
         samples = _field_weight_samples(g_geom, t, H, 2000, seed=int(1000 * t))
@@ -425,8 +412,8 @@ def test_lfsm_self_similarity_probe():
 def test_direct_coeff_linearity_in_noise():
     kern = PhiKernel(1.5)
     H = L.constant_hurst(0.8)
-    g1 = make_noise_grid(LAW, -16.0, 1.0, 2.0**-9, seed=71)
-    g2 = make_noise_grid(L.StableLaw(1.5, 2.0), -16.0, 1.0, 2.0**-9, seed=71)
+    g1 = make_noise_grid(LAW, -16.0, 2.0**-9, seed=71)
+    g2 = make_noise_grid(L.StableLaw(1.5, 2.0), -16.0, 2.0**-9, seed=71)
     d1 = L.simulate_coeff_direct(g1, kern, 4, 3, H)
     d2 = L.simulate_coeff_direct(g2, kern, 4, 3, H)
     assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
@@ -478,14 +465,14 @@ def test_direct_coeff_grid_refinement_stability():
 
 def test_direct_coeff_requires_coverage():
     kern = PhiKernel(1.5)
-    g = make_noise_grid(LAW, -2.0**-4, 1.0, 2.0**-9, seed=101)
+    g = make_noise_grid(LAW, -2.0**-4, 2.0**-9, seed=101)
     with pytest.raises(L.TruncationError):
         L.simulate_coeff_direct(g, kern, 4, 0, L.constant_hurst(0.8))
 
 
 def test_direct_coeff_cell_validation():
     kern = PhiKernel(1.5)
-    g = make_noise_grid(LAW, -16.0, 1.0, 2.0**-9, seed=103)
+    g = make_noise_grid(LAW, -16.0, 2.0**-9, seed=103)
     with pytest.raises(ValueError):
         L.simulate_coeff_direct(g, kern, 3, 8, L.constant_hurst(0.8))  # cell ends at 9/8
 
@@ -495,7 +482,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     # same object; with constant H they differ only by quadrature error
     kern = PhiKernel(1.5)
     H = L.constant_hurst(0.8)
-    grid = make_noise_grid(LAW, -16.0, 1.0, 2.0**-11, seed=121)
+    grid = make_noise_grid(LAW, -16.0, 2.0**-11, seed=121)
     path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=8), H)
     from lmsmlab.coeffs import build_pyramid
     from lmsmlab.estimators import build_global_intervals
@@ -511,7 +498,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
 
 
 def test_path_csv_roundtrip(tmp_path):
-    g = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=111)
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=111)
     path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8),
                            tail_tol=0.5)
     fname = tmp_path / "path.csv"
@@ -523,8 +510,8 @@ def test_path_csv_roundtrip(tmp_path):
 
 
 def test_truncation_audit_monotone_in_domain():
-    g_short = make_noise_grid(LAW, -2.0, 1.0, 2.0**-8, seed=5)
-    g_long = make_noise_grid(LAW, -64.0, 1.0, 2.0**-8, seed=5)
+    g_short = make_noise_grid(LAW, -2.0, 2.0**-8, seed=5)
+    g_long = make_noise_grid(LAW, -64.0, 2.0**-8, seed=5)
     a_short = path_truncation_audit(g_short, 1.0, 0.85)
     a_long = path_truncation_audit(g_long, 1.0, 0.85)
     assert a_long < a_short
