@@ -274,14 +274,14 @@ def _draw_direct_coeffs(
             if t_min < -65536.0:
                 raise
     n_cells = W.shape[1]
-    scale = law.scale * delta ** (1.0 / law.alpha)
+    # the noise scale goes into the weights once, not into every chunk
+    W *= law.scale * delta ** (1.0 / law.alpha)
     rng = _rng(seed)
     out = np.empty((replicates, len(list(ks))))
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
         dz = unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
-        dz *= scale
         out[done : done + m] = dz @ W.T
         done += m
     return out

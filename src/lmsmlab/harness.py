@@ -1,9 +1,12 @@
 """Batch experiment orchestration: configs, replicates, tables, manifests.
 
-Every knob lives in the config and is echoed into the output manifest; no
-defaults hide in code paths.  Replicate r draws its noise from the stream
-seed ^ r, so results are independent of worker count and execution order,
-and identical (config, seed) pairs produce byte-identical CSV artifacts.
+Every knob lives in the config; no defaults hide in code paths.  The output
+manifest echoes every field but ``out_dir``: like ``config_hash`` it records
+what a run computes, not where it writes, so no artifact depends on the
+output directory (which ``run_experiment`` may also take as an argument).
+Replicate r draws its noise from the stream seed ^ r, so results are
+independent of worker count and execution order, and identical (config,
+seed) pairs produce byte-identical CSV artifacts.
 """
 
 from __future__ import annotations
@@ -312,7 +315,7 @@ def _write_records_csv(fname, per_replicate: dict) -> None:
 
 def _manifest(config: ExperimentConfig, extra: dict) -> dict:
     return {
-        "config": config.to_dict(),
+        "config": {k: v for k, v in config.to_dict().items() if k != "out_dir"},
         "config_hash": config.config_hash(),
         "seed": config.seed,
         "versions": {

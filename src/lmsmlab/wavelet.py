@@ -35,6 +35,9 @@ __all__ = [
 # Gauss-Legendre nodes/weights on [-1, 1], order 16; reused by all panel rules.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
+# PhiKernel zeroes a polynomial wavelet's moments at or below this size
+_MOMENT_TOLERANCE = 1e-12
+
 
 def _poly_eval(coeffs: np.ndarray, x):
     """Evaluate an ascending-coefficient polynomial (Horner, in place)."""
@@ -81,7 +84,6 @@ class WaveletSpec:
     """
 
     evaluator: object
-    moment_tolerance: float = 1e-12
     poly_coeffs: tuple[float, ...] | None = None
     name: str = "custom"
 
@@ -125,7 +127,6 @@ def default_wavelet() -> WaveletSpec:
     """
     return WaveletSpec(
         evaluator=_quartic_evaluator,
-        moment_tolerance=1e-12,
         poly_coeffs=(0.0, 1.0, -6.0, 10.0, -5.0),
         name="quartic",
     )
@@ -243,7 +244,7 @@ class PhiKernel:
             # moments below the admissibility tolerance are exact zeros of the
             # ideal wavelet; keeping their rounding noise would wreck the
             # far-field decay order
-            m[np.abs(m) <= self.wavelet.moment_tolerance] = 0.0
+            m[np.abs(m) <= _MOMENT_TOLERANCE] = 0.0
             self._moments = m
         else:
             self._taylor_polys = None

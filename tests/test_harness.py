@@ -62,13 +62,19 @@ def test_fmt17_roundtrips():
 
 
 def test_experiment_outputs_and_determinism(tmp_path):
-    cfg = ExperimentConfig(**FAST)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg, out_dir=str(out1))
-    run_experiment(cfg, out_dir=str(out2))
-    for f in ("records.csv", "table.csv"):
+    # configs that differ only in out_dir (of different lengths) write
+    # byte-identical artifacts, manifest.json included; so does a run told
+    # another directory than its config's
+    out1, out2, out3 = tmp_path / "a", tmp_path / "bbbbbbbb", tmp_path / "c"
+    cfg = ExperimentConfig(**{**FAST, "out_dir": str(out1)})
+    run_experiment(cfg)
+    run_experiment(ExperimentConfig(**{**FAST, "out_dir": str(out2)}))
+    run_experiment(cfg, out_dir=str(out3))
+    for f in ("records.csv", "table.csv", "manifest.json"):
         assert filecmp.cmp(out1 / f, out2 / f, shallow=False)
+        assert filecmp.cmp(out1 / f, out3 / f, shallow=False)
     manifest = json.loads((out1 / "manifest.json").read_text())
+    assert "out_dir" not in manifest["config"]
     assert manifest["config_hash"] == cfg.config_hash()
     assert manifest["config"]["delta"] == cfg.delta
     assert manifest["failed_replicates"] == {}

@@ -47,18 +47,25 @@ def test_determinism_and_stream_separation():
 
 
 def _cms_whole_array(alpha, n, rng):
-    # reference: the CMS transform as one whole-array expression
+    # reference: the half-angle CMS transform as one whole-array expression
     if n == 0:
         return np.empty(0)
-    u = math.pi * (rng.random(n) - 0.5)
-    w = rng.standard_exponential(n)
-    w = np.maximum(w, 1e-300)
-    if alpha == 2.0:
-        return 2.0 * np.sin(u) * np.sqrt(w)
-    su = np.sin(alpha * u)
-    cu = np.cos(u)
-    tilt = np.cos((1.0 - alpha) * u) / w
-    return (su / cu ** (1.0 / alpha)) * tilt ** ((1.0 - alpha) / alpha)
+    r, w = rng.random(n), rng.standard_exponential(n)
+    q = math.pi / 2.0
+
+    def half_sine(x):  # sin(2 x) / 2
+        t = np.tan(x)
+        return t / (t * t + 1.0)
+
+    r = np.maximum(r, 2.0**-54)
+    m = np.rint(r) - r
+    a = np.abs(m)
+    c2 = half_sine(a * (q * (alpha - 1.0)) + q * (2.0 - alpha) / 2.0) / np.maximum(w, 1e-300)
+    c1 = half_sine(a * q)
+    x0 = (0.5 - a) * (q * alpha)
+    x1 = a * (q * alpha) + q * (1.0 - alpha / 2.0)
+    s = half_sine(np.copysign(np.minimum(x0, x1), m))
+    return s * np.exp(np.log(c2) * ((1.0 - alpha) / alpha) + np.log(c1) * (-1.0 / alpha))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -78,13 +85,85 @@ def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
 
 def test_unit_sas_stream_is_pinned():
     # first draws of key 1: a change to the stream order or the transform's
-    # arithmetic changes these bits
-    assert [x.hex() for x in unit_sas(1.5, 4, _rng(1)).tolist()] == [
+    # arithmetic changes these bits; the sin/cos/power route gave the second
+    # list, and the half-angle route moves each value by at most 1e-15
+    got = unit_sas(1.5, 4, _rng(1)).tolist()
+    assert [x.hex() for x in got] == [
+        "-0x1.f108ee17d0837p-1",
+        "0x1.1c35e40600ee6p+0",
+        "-0x1.0ee8fdf350277p+1",
+        "-0x1.08ddcdc812f89p+2",
+    ]
+    before = [
         "-0x1.f108ee17d0838p-1",
         "0x1.1c35e40600ee5p+0",
         "-0x1.0ee8fdf350275p+1",
         "-0x1.08ddcdc812f86p+2",
     ]
+    for x, b in zip(got, map(float.fromhex, before)):
+        assert abs(x - b) <= 1e-15 * abs(b)
+
+
+class _FixedDraws:
+    """Stands in for the generator: hands unit_sas given uniforms and exponentials."""
+
+    def __init__(self, r, w):
+        self.r, self.w = r, w
+
+    def random(self, n):
+        return self.r[:n].copy()
+
+    def standard_exponential(self, n):
+        return self.w[:n].copy()
+
+
+def _cms_mpmath(alpha, r, w):
+    # CMS at 50 digits from the exact r; unit_sas reads r = 0 as 2^-54
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        phi = mpmath.pi * (max(mpmath.mpf(r), mpmath.mpf(2) ** -54) - mpmath.mpf(0.5))
+        tilt = (mpmath.cos((1 - a) * phi) / mpmath.mpf(max(w, 1e-300))) ** ((1 - a) / a)
+        return float(mpmath.sin(a * phi) / mpmath.cos(phi) ** (1 / a) * tilt)
+
+
+def _cms_sin_cos_power(alpha, r, w):
+    # the direct CMS expression, for comparison near r = 0 and 1
+    u = math.pi * (r - 0.5)
+    tilt = np.cos((1.0 - alpha) * u) / np.maximum(w, 1e-300)
+    return np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha) * tilt ** ((1.0 - alpha) / alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 2.0])
+def test_unit_sas_matches_mpmath_oracle(alpha):
+    # uniforms on the generator's 2^-53 lattice: 500 random ones, 100 within
+    # 1e-6 of 0 and of 1 each, and the extreme lattice points
+    g = np.random.default_rng(2024)
+    lattice = 2.0**-53
+    near = 2**53 // 10**6
+    r = np.concatenate([
+        g.integers(0, 2**53, 500) * lattice,
+        g.integers(0, near, 100) * lattice,
+        1.0 - g.integers(1, near, 100) * lattice,
+        [0.0, lattice, 0.5, 1.0 - lattice],
+    ])
+    w = g.standard_exponential(r.size)
+    w[:3] = [0.0, 1e-310, 40.0]
+    got = unit_sas(alpha, r.size, _FixedDraws(r, w))
+    exact = np.array([_cms_mpmath(alpha, ri, wi) for ri, wi in zip(r, w)])
+    assert np.all(np.isfinite(got))
+    # r = 1/2 gives exactly 0, which the bound below demands bit for bit
+    assert np.all(np.abs(got - exact) <= 1e-13 * np.abs(exact))
+    # near 0 and 1 the sin/cos/power expression's error is set by the rounding
+    # of pi (r - 1/2); unit_sas takes its angles from min(r, 1 - r) and does
+    # no worse, and for alpha < 2 (no cancellation) far better
+    edge = slice(500, 700)
+    err = np.abs(got[edge] - exact[edge]) / np.abs(exact[edge])
+    old = _cms_sin_cos_power(alpha, r[edge], w[edge])
+    old_err = np.abs(old - exact[edge]) / np.abs(exact[edge])
+    assert np.all(err <= np.maximum(old_err, 1e-13))
+    if alpha < 2.0:
+        assert err.max() < 1e-3 * old_err.max()
 
 
 def test_domain_validation():
