@@ -35,7 +35,6 @@ from .coeffs import (
     IntervalSequence,
     CoeffPyramid,
     index_set,
-    compute_coeff,
     build_pyramid,
     max_coeff,
 )

@@ -22,7 +22,6 @@ from .estimators import build_global_intervals
 from .process import (
     HurstFunction,
     MeshFieldInterpolant,
-    TruncationError,
     direct_coeff_weights,
     make_noise_grid,
     simulate_lmsm,
@@ -237,21 +236,6 @@ def phi_decay_report(
 # ---------------------------------------------------------------------------
 
 
-def _coeff_weight_matrix(
-    phi: PhiKernel, H: HurstFunction, j: int, ks, t_min: float, delta: float
-) -> tuple[int, np.ndarray]:
-    rows = []
-    for k in ks:
-        h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-        rows.append(direct_coeff_weights(t_min, delta, phi, j, int(k), h_k))
-    i_lo = min(r[0] for r in rows)
-    i_hi = max(r[0] + r[1].size for r in rows)
-    W = np.zeros((len(rows), i_hi - i_lo))
-    for r, (i0, w) in enumerate(rows):
-        W[r, i0 - i_lo : i0 - i_lo + w.size] = w
-    return i_lo, W
-
-
 def _draw_direct_coeffs(
     law: StableLaw,
     phi: PhiKernel,
@@ -262,22 +246,22 @@ def _draw_direct_coeffs(
     seed: int,
 ) -> np.ndarray:
     """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per row,
-    on cells of width 2^-(j+4); the chunk of 1024 rows fixes the draw order."""
+    on cells of width 2^-(j+4) over the union of their certified windows; the
+    chunk of 1024 rows fixes the draw order."""
     delta, chunk = 2.0 ** -(j + 4), 1024
-    t_min = -1.0  # grown until the certified window fits
-    while True:
-        try:
-            _, W = _coeff_weight_matrix(phi, H, j, ks, t_min, delta)
-            break
-        except TruncationError:
-            t_min *= 2.0
-            if t_min < -65536.0:
-                raise
-    n_cells = W.shape[1]
+    rows = []
+    for k in ks:
+        h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
+        rows.append(direct_coeff_weights(delta, phi, j, int(k), h_k))
+    i_lo = min(i0 for i0, _ in rows)
+    n_cells = max(i0 + w.size for i0, w in rows) - i_lo
+    W = np.zeros((len(rows), n_cells))
+    for r, (i0, w) in enumerate(rows):
+        W[r, i0 - i_lo : i0 - i_lo + w.size] = w
     # the noise scale goes into the weights once, not into every chunk
     W *= law.scale * delta ** (1.0 / law.alpha)
     rng = _rng(seed)
-    out = np.empty((replicates, len(list(ks))))
+    out = np.empty((replicates, len(rows)))
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)

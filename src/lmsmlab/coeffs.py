@@ -22,7 +22,6 @@ __all__ = [
     "IntervalSequence",
     "CoeffPyramid",
     "index_set",
-    "compute_coeff",
     "build_pyramid",
     "frozen_level",
     "max_coeff",
@@ -36,9 +35,9 @@ class IntervalSequence:
     """Non-increasing compact intervals I_j in [0, 1], indexed by level j >= 0.
 
     The admissibility condition diam(I_j) >= 2**(1 - j/2) may legitimately
-    fail at small j for intervals inside [0, 1].  ``admissible`` and
-    ``first_admissible`` report it; nothing skips a level for it:
-    ``run_replicate`` estimates at every j of the configured ``j_range``.
+    fail at small j for intervals inside [0, 1]; nothing checks or skips a
+    level for it: ``run_replicate`` estimates at every j of the configured
+    ``j_range``.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -59,17 +58,6 @@ class IntervalSequence:
         if j < len(self.intervals):
             return self.intervals[j]
         return self.intervals[-1]
-
-    def admissible(self, j: int) -> bool:
-        lo, hi = self.interval(j)
-        return hi - lo >= 2.0 ** (1.0 - j / 2.0) - 1e-12
-
-    @property
-    def first_admissible(self) -> int:
-        for j in range(len(self.intervals) + 64):
-            if self.admissible(j):
-                return j
-        raise ValueError("no admissible level found")
 
 
 def index_set(interval: tuple[float, float], j: int) -> range:
@@ -141,11 +129,6 @@ def _path_level(path: SamplePath, w: WaveletSpec, j: int, ks: range) -> np.ndarr
     if step <= 0 or not np.allclose(steps, step, rtol=0.0, atol=1e-12):
         raise ResolutionError("coefficient quadrature needs a path on a uniform mesh")
     return _level_coeffs(path.values, path.times[0], step, w, j, ks)
-
-
-def compute_coeff(path: SamplePath, w: WaveletSpec, j: int, k: int) -> float:
-    """Trapezoid quadrature of int_0^1 Y((x + k) 2^-j) psi(x) dx on the path's mesh."""
-    return float(_path_level(path, w, j, range(k, k + 1))[0])
 
 
 def build_pyramid(

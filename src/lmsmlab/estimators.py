@@ -110,7 +110,7 @@ def corrected_hmin(
 def build_global_intervals(interval: tuple[float, float], j_max: int) -> IntervalSequence:
     """I_j = I at every level; small-j diameter admissibility is simply waived.
 
-    ``first_admissible`` is the first j with 2**(1 - j/2) <= |I|; the
+    The diameter condition 2**(1 - j/2) <= |I| holds from some j on; the
     estimators run at every configured level all the same.
     """
     lo, hi = interval

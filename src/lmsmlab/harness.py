@@ -3,7 +3,8 @@
 Every knob lives in the config; no defaults hide in code paths.  The output
 manifest echoes every field but ``out_dir``: like ``config_hash`` it records
 what a run computes, not where it writes, so no artifact depends on the
-output directory (which ``run_experiment`` may also take as an argument).
+output directory.  The path noise is unit-scale SaS, the law that
+``corrected_hmin`` assumes, and the analysing wavelet is ``default_wavelet``.
 Replicate r draws its noise from the stream seed ^ r, so results are
 independent of worker count and execution order, and identical (config,
 seed) pairs produce byte-identical CSV artifacts.
@@ -78,10 +79,8 @@ class ExperimentConfig:
     """Complete description of one Monte Carlo experiment."""
 
     alpha: float = 1.5
-    scale: float = 1.0
     hurst_name: str = "constant"
     hurst_params: tuple = (0.8,)
-    wavelet_id: str = "quartic"
     j_range: tuple = (6, 8, 10)
     beta: float = 0.25
     interval_mode: str = "global"
@@ -89,7 +88,6 @@ class ExperimentConfig:
     t0: float | None = None
     delta: float | None = None  # None: 2**-(max(j_range)+4)
     t_tail: float = 8.0
-    path_tail_tol: float = 0.25
     v_nodes: int = 16
     path_refine: int = 8  # path mesh = delta / path_refine
     replicates: int = 20
@@ -99,11 +97,10 @@ class ExperimentConfig:
     # verification-suite sizes
     verify_cov_replicates: int = 10_000
     verify_scale_replicates: int = 10_000
-    verify_approx_replicates: int = 20
 
     @property
     def law(self) -> StableLaw:
-        return StableLaw(alpha=self.alpha, scale=self.scale)
+        return StableLaw(alpha=self.alpha)
 
     @property
     def noise_delta(self) -> float:
@@ -113,8 +110,6 @@ class ExperimentConfig:
         return hurst_from_id(self.hurst_name, self.hurst_params)
 
     def wavelet(self):
-        if self.wavelet_id != "quartic":
-            raise ValueError(f"unknown wavelet id {self.wavelet_id!r}")
         return default_wavelet()
 
     def intervals(self):
@@ -134,7 +129,6 @@ class ExperimentConfig:
                 f"beta={self.beta} outside (0, alpha/4) for alpha={self.alpha}"
             )
         self.hurst().validate(self.alpha)
-        self.wavelet()
         self.intervals()
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -211,7 +205,7 @@ def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
     field = MeshFieldInterpolant(
         grid, H.h_low, H.h_high, n_nodes=config.v_nodes, refine=config.path_refine
     )
-    return simulate_lmsm(field, H, tail_tol=config.path_tail_tol)
+    return simulate_lmsm(field, H)
 
 
 def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
@@ -335,10 +329,11 @@ def _replicate_pool(workers: int) -> ProcessPoolExecutor:
                                initargs=(1,))
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> ConvergenceTable:
-    """Run the full replicate batch, aggregate, and write artifacts to disk."""
+def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
+    """Run the full replicate batch, aggregate, and write the artifacts to
+    ``config.out_dir``."""
     config.validate()
-    out = out_dir if out_dir is not None else config.out_dir
+    out = config.out_dir
     os.makedirs(out, exist_ok=True)
     tasks = [(config.to_dict(), r) for r in range(config.replicates)]
     per_replicate: dict = {}
@@ -459,8 +454,7 @@ def run_verification(config: ExperimentConfig) -> list[BoundReport]:
     h_approx = H if not H.is_constant else hurst_from_id("linear", (0.7, 0.15))
     reports.append(
         approx_error_check(
-            law, config.wavelet(), h_approx, [6, 7, 8, 9, 10, 11],
-            replicates=config.verify_approx_replicates, seed=config.seed + 3,
+            law, config.wavelet(), h_approx, [6, 7, 8, 9, 10, 11], seed=config.seed + 3
         )
     )
     return reports

@@ -233,40 +233,51 @@ def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> No
 # ---------------------------------------------------------------------------
 
 
-def _field_tail_bound(u: float, kappa: float, alpha: float, t_min: float) -> float:
-    # |(u-s)^k - (-s)^k| <= k*u*(-s)^(k-1) for s <= t_min < 0, so the omitted
-    # alpha-mass is at most k^a u^a T^(a(k-1)+1) / (a(1-k) - 1)
-    T = -t_min
-    p = alpha * (1.0 - kappa) - 1.0
-    return (kappa * max(u, 0.0)) ** alpha * T ** (-p) / p
+def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
+    """Certified upper bound on the share of the alpha-mass of X(u, v)'s
+    kernel that lies below t_min: tail / (m + tail).
 
-
-def _field_kernel(grid: NoiseGrid, u: float, v: float) -> tuple[np.ndarray, float]:
-    """Riemann weights of X(u, v) over the grid, and the certified bound on the
-    alpha-mass lost below t_min relative to the kernel's total alpha-mass."""
+    ``tail`` bounds the lost mass: |(u-s)^k - (-s)^k| <= k u (-s)^(k-1) for
+    s <= t_min < 0, so it is at most (k u)^a T^-p / p, T = -t_min and
+    p = a(1 - k) - 1 > 0.  ``m`` bounds the kernel's alpha-mass over the
+    grid's cells from below in closed form.  On [0, u) the kernel is
+    (u - s)^k, decreasing in s, so its left-endpoint sum is at least its
+    integral u^(a k + 1) / (a k + 1).  On [t_min, 0) the mean value theorem
+    gives |(u-s)^k - (-s)^k| >= k u (u - s)^(k-1), whose a-th power increases
+    in s, so its left-endpoint sum is at least its integral over
+    [t_min - delta, -delta].
+    """
     alpha = grid.law.alpha
     kappa = _kappa(alpha, v)
-    s = grid.left_endpoints()
-    w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
-    mass = float(np.sum(np.abs(w) ** alpha) * grid.delta)
-    tail = _field_tail_bound(u, kappa, alpha, grid.t_min)
-    return w, tail / (mass + tail) if tail > 0.0 else 0.0
+    if u <= 0.0:
+        return 0.0
+    p = alpha * (1.0 - kappa) - 1.0
+    tail = (kappa * u) ** alpha * (-grid.t_min) ** -p / p
+    near = u ** (alpha * kappa + 1.0) / (alpha * kappa + 1.0)
+    left = (kappa * u) ** alpha * (
+        (u + grid.delta) ** -p - (u - grid.t_min + grid.delta) ** -p) / p
+    return tail / (near + left + tail)
 
 
 def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> float:
     """X(u, v) as the left-endpoint Riemann sum over the grid.
 
-    Signals (TruncationError) when the certified bound on the alpha-mass lost
-    below t_min exceeds ``tail_tol`` of the kernel's total alpha-mass.
+    Signals (TruncationError) when ``path_truncation_audit`` bounds the
+    alpha-mass lost below t_min above ``tail_tol`` of the kernel's total.
     """
     if u < 0 or u > 1.0:
         raise ValueError("u must lie in [0, 1]")
-    w, lost = _field_kernel(grid, u, v)
+    lost = path_truncation_audit(grid, u, v)
     if lost > tail_tol:
         raise TruncationError(
             f"noise domain too short: relative tail mass {lost:.3e} > {tail_tol}"
         )
-    return 0.0 if u == 0.0 else float(w @ grid.increments)
+    if u == 0.0:
+        return 0.0
+    kappa = _kappa(grid.law.alpha, v)
+    s = grid.left_endpoints()
+    w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
+    return float(w @ grid.increments)
 
 
 def _far_series_terms(kappa: float, ratio: float) -> int:
@@ -502,11 +513,6 @@ def sample_path_from_csv(fname) -> SamplePath:
     return SamplePath(np.array(times), np.array(values), prov)
 
 
-def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
-    """Relative alpha-mass of the field kernel lost below t_min, worst case."""
-    return _field_kernel(grid, u, v)[1]
-
-
 def simulate_lmsm(
     field: MeshFieldInterpolant, H: HurstFunction, tail_tol: float = 0.25
 ) -> SamplePath:
@@ -547,7 +553,6 @@ def simulate_lmsm(
 
 
 def direct_coeff_weights(
-    t_min: float,
     delta: float,
     phi: PhiKernel,
     j: int,
@@ -556,9 +561,10 @@ def direct_coeff_weights(
 ) -> tuple[int, np.ndarray]:
     """Riemann weights of the stable-integral representation of d~_{j,k}.
 
-    Returns (i_start, w) so that d~ = w @ increments[i_start:i_start+len(w)]
-    for any grid with this geometry.  The window is the smallest one whose
-    certified tail alpha-mass is below 1e-6 of the kernel mass.
+    Returns (i_start, w) so that d~ = sum_i w[i] dZ over the cells
+    [(i_start + i) delta, (i_start + i + 1) delta): ``i_start`` counts cells
+    from s = 0, so the window needs no grid.  The window is the smallest one
+    whose certified tail alpha-mass is below 1e-6 of the kernel mass.
     """
     alpha = phi.alpha
     norm_a = phi.lalpha_norm(h_value) ** alpha
@@ -570,14 +576,9 @@ def direct_coeff_weights(
     # scaled coordinate u = 2^j s - k runs over [-s_cut, 1]
     s_lo = (k - s_cut) * 2.0**-j
     s_hi = (k + 1.0) * 2.0**-j
-    if s_lo < t_min:
-        raise TruncationError(
-            f"grid starts at {t_min} but the certified window needs {s_lo:.3f}"
-        )
-    i_start = int(math.ceil((s_lo - t_min) / delta - 1e-9))
-    i_stop = int(math.floor((s_hi - t_min) / delta + 1e-9))
-    i = np.arange(i_start, i_stop)
-    u = 2.0**j * (t_min + i * delta) - k
+    i_start = int(math.ceil(s_lo / delta - 1e-9))
+    i_stop = int(math.floor(s_hi / delta + 1e-9))
+    u = 2.0**j * (np.arange(i_start, i_stop) * delta) - k
     w = phi.phi(u, h_value) * 2.0 ** (-j * (h_value - 1.0 / alpha))
     return i_start, w
 
@@ -591,8 +592,11 @@ def simulate_coeff_direct(
     if phi.alpha != grid.law.alpha:
         raise ValueError("kernel and grid alpha differ")
     h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-    i_start, w = direct_coeff_weights(grid.t_min, grid.delta, phi, j, k, h_k)
-    seg = grid.increments[i_start : i_start + w.size]
-    if seg.size != w.size:
-        raise TruncationError("grid does not cover the coefficient support window")
-    return float(w @ seg)
+    i_start, w = direct_coeff_weights(grid.delta, phi, j, k, h_k)
+    lo = grid.origin_index + i_start
+    if lo < 0 or lo + w.size > grid.n_cells:
+        raise TruncationError(
+            f"grid [{grid.t_min}, 1) does not cover the certified window "
+            f"from {i_start * grid.delta:.3f}"
+        )
+    return float(w @ grid.increments[lo : lo + w.size])

@@ -192,9 +192,10 @@ def test_criterion_12_experiment_determinism(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(5, 6), beta=0.25, delta=2.0**-11, t_tail=4.0,
-                           path_refine=2, v_nodes=8, replicates=4, seed=120)
-    run_experiment(cfg, out_dir=str(tmp_path / "r1"))
-    run_experiment(cfg, out_dir=str(tmp_path / "r2"))
+                           path_refine=2, v_nodes=8, replicates=4, seed=120,
+                           out_dir=str(tmp_path / "r1"))
+    run_experiment(cfg)
+    run_experiment(ExperimentConfig(**{**cfg.to_dict(), "out_dir": str(tmp_path / "r2")}))
     same = all(
         filecmp.cmp(tmp_path / "r1" / f, tmp_path / "r2" / f, shallow=False)
         for f in ("records.csv", "table.csv", "manifest.json")
@@ -208,8 +209,7 @@ def test_verification_suite_bundle(tmp_path):
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(6, 8), beta=0.25, t_tail=8.0, seed=4057,
                            verify_cov_replicates=10_000,
-                           verify_scale_replicates=10_000,
-                           verify_approx_replicates=20)
+                           verify_scale_replicates=10_000)
     reports = run_verification(cfg)
     from lmsmlab.harness import write_reports
 

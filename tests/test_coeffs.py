@@ -14,7 +14,6 @@ from lmsmlab.coeffs import (
     CoeffPyramid,
     IntervalSequence,
     build_pyramid,
-    compute_coeff,
     index_set,
     max_coeff,
     pyramid_from_csv,
@@ -33,6 +32,12 @@ def exact_poly_coeff(path_coeffs) -> Fraction:
         for i, c in enumerate(QUARTIC):
             total += Fraction(a) * c / Fraction(n + i + 1)
     return total
+
+
+def coeff(path: SamplePath, j: int, k: int) -> float:
+    """d_{j,k} of the path, read off its level-j pyramid."""
+    seq = L.build_global_intervals((0.0, 1.0), j)
+    return build_pyramid(path, L.default_wavelet(), (j,), seq).value(j, k)
 
 
 def dense_poly_path(coeffs, n=1 << 16) -> SamplePath:
@@ -62,11 +67,10 @@ def test_index_set_monotone_in_interval():
 
 
 def test_constant_and_affine_paths_annihilated():
-    w = L.default_wavelet()
     const = dense_poly_path([3.7], n=1 << 17)
-    assert abs(compute_coeff(const, w, 0, 0)) < 1e-10
+    assert abs(coeff(const, 0, 0)) < 1e-10
     affine = dense_poly_path([1.0, -2.0], n=1 << 17)
-    assert abs(compute_coeff(affine, w, 0, 0)) < 1e-10
+    assert abs(coeff(affine, 0, 0)) < 1e-10
     # exact rational oracle agrees that affine paths integrate to zero
     assert exact_poly_coeff([1, -2]) == 0
 
@@ -76,7 +80,7 @@ def test_quadratic_path_matches_symbolic_oracle():
     oracle = exact_poly_coeff([0, 0, 1])
     assert oracle == Fraction(1, 420)
     path = dense_poly_path([0, 0, 1])
-    val = compute_coeff(path, L.default_wavelet(), 0, 0)
+    val = coeff(path, 0, 0)
     assert val == pytest.approx(float(oracle), rel=1e-7)
 
 
@@ -84,7 +88,7 @@ def test_compute_coeff_requires_resolution():
     t = np.linspace(0.0, 1.0, 9)
     path = SamplePath(times=t, values=np.zeros_like(t), provenance={})
     with pytest.raises(ResolutionError):
-        compute_coeff(path, L.default_wavelet(), 0, 0)
+        coeff(path, 0, 0)
 
 
 def test_off_mesh_path_raises_resolution_error():
@@ -93,8 +97,6 @@ def test_off_mesh_path_raises_resolution_error():
     rng = np.random.default_rng(6)
     times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 200)]))
     path = SamplePath(times=times, values=rng.standard_normal(times.size), provenance={})
-    with pytest.raises(ResolutionError):
-        compute_coeff(path, L.default_wavelet(), 0, 0)
     with pytest.raises(ResolutionError):
         build_pyramid(path, L.default_wavelet(), (0, 1), L.build_global_intervals((0.0, 1.0), 1))
 
@@ -129,12 +131,11 @@ def test_mesh_and_generic_quadrature_agree():
             cell = y[k * m : k * m + m + 1]
             tol = 2 * (m + 1) * np.finfo(float).eps * float(np.abs(wv) @ np.abs(cell))
             assert abs(pyr.value(j, k) - float(wv @ cell)) <= tol
-            assert abs(compute_coeff(path, w, j, k) - float(wv @ cell)) <= tol
 
 
-def test_one_cell_and_level_routes_agree_bitwise():
-    # one cell (compute_coeff), one level (build_pyramid) and many rows (the
-    # frozen route) sum every coefficient in the same order
+def test_row_and_level_routes_agree_bitwise():
+    # one level (build_pyramid) and many rows (the frozen route) sum every
+    # coefficient in the same order
     w = L.default_wavelet()
     rng = np.random.default_rng(12)
     t = np.arange(2**12 + 1) / 2**12
@@ -143,7 +144,6 @@ def test_one_cell_and_level_routes_agree_bitwise():
     seq = L.build_global_intervals((0.0, 1.0), 8)
     for j in (5, 8):
         level = build_pyramid(path, w, (j,), seq).level(j)
-        assert np.array_equal([compute_coeff(path, w, j, k) for k in range(2**j)], level)
         rows = _level_coeffs(np.stack([-y, y, 2 * y]), 0.0, 2.0**-12, w, j, range(2**j))
         assert np.array_equal(rows[1], level)
 
@@ -187,9 +187,6 @@ def test_interval_sequence_invariants():
     with pytest.raises(ValueError):
         IntervalSequence(((0.5, 0.5),))  # degenerate
     seq = IntervalSequence(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
-    assert not seq.admissible(0)  # needs diameter 2
-    assert seq.admissible(2)
-    assert seq.first_admissible == 2
     assert seq.interval(10) == (0.0, 1.0)  # constant tail
 
 

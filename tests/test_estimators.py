@@ -66,11 +66,17 @@ def test_estimate_hmin_degenerate_and_domain():
         estimate_hmin(0.5, 5, 0.0)
 
 
+def _admissible(seq, j):
+    # the diameter condition diam(I_j) >= 2^(1 - j/2)
+    lo, hi = seq.interval(j)
+    return hi - lo >= 2.0 ** (1.0 - j / 2.0) - 1e-12
+
+
 def test_global_intervals_constant_and_admissible_from_two():
     seq = build_global_intervals((0.0, 1.0), 8)
     for j in range(9):
         assert seq.interval(j) == (0.0, 1.0)
-    assert seq.first_admissible == 2
+    assert [j for j in range(9) if _admissible(seq, j)] == list(range(2, 9))
     for j in range(1, 9):
         lo1, hi1 = seq.interval(j - 1)
         lo2, hi2 = seq.interval(j)
@@ -112,7 +118,7 @@ def test_local_intervals_index_count_lower_bound():
     for t0 in (0.25, 0.5, 0.8):
         seq = build_local_intervals(t0, 14)
         for j in range(2, 15):
-            if seq.admissible(j):
+            if _admissible(seq, j):
                 assert len(index_set(seq.interval(j), j)) >= math.floor(2.0 ** (j / 2.0))
 
 

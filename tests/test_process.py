@@ -424,7 +424,7 @@ def test_direct_coeff_scale_identity_mc():
     h = 0.8
     j, k = 5, 7
     beta = 0.25
-    i0, w = direct_coeff_weights(-16.0, 2.0**-9, kern, j, k, h)
+    i0, w = direct_coeff_weights(2.0**-9, kern, j, k, h)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(81)))
     scale = (2.0**-9) ** (1.0 / 1.5)
     n_rep = 12_000
@@ -447,7 +447,7 @@ def test_direct_coeff_grid_refinement_stability():
     h, j, k, beta = 0.8, 4, 5, 0.25
     moments = []
     for delta, seed in ((2.0**-8, 91), (2.0**-9, 92)):
-        i0, w = direct_coeff_weights(-16.0, delta, kern, j, k, h)
+        i0, w = direct_coeff_weights(delta, kern, j, k, h)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         scale = delta ** (1.0 / 1.5)
         n_rep = 10_000
@@ -515,6 +515,32 @@ def test_truncation_audit_monotone_in_domain():
     a_short = path_truncation_audit(g_short, 1.0, 0.85)
     a_long = path_truncation_audit(g_long, 1.0, 0.85)
     assert a_long < a_short
+
+
+def _riemann_audit(grid, u, v):
+    # the audit's ratio with the kernel's alpha-mass summed over every cell
+    alpha = grid.law.alpha
+    kappa = v - 1.0 / alpha
+    s = grid.left_endpoints()
+    w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
+    mass = float(np.sum(np.abs(w) ** alpha) * grid.delta)
+    p = alpha * (1.0 - kappa) - 1.0
+    tail = (kappa * u) ** alpha * (-grid.t_min) ** -p / p
+    return tail / (mass + tail)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_truncation_audit_bounds_the_riemann_ratio(alpha):
+    # the closed-form mass is a lower bound on the Riemann sum, so the audit
+    # never reads below the ratio it certifies; and it stays close to it
+    for v in (1.0 / alpha + 0.05, 0.95):
+        for t_tail, delta in ((1.0, 2.0**-6), (1.0, 2.0**-10), (8.0, 2.0**-6),
+                              (8.0, 2.0**-10)):
+            g = make_noise_grid(L.StableLaw(alpha), -t_tail, delta, seed=1)
+            for u in (1.0, 0.5, delta):
+                brute = _riemann_audit(g, u, v)
+                audit = path_truncation_audit(g, u, v)
+                assert brute <= audit <= 1.25 * brute
 
 
 def test_hurst_validation():
