@@ -27,7 +27,7 @@ from .process import (
     simulate_lmsm,
 )
 from .stable import StableLaw, _rng, moment_constant, unit_sas
-from .wavelet import PhiKernel, _GL_X, _GL_W
+from .wavelet import PhiKernel, gauss_panel_sums
 
 __all__ = [
     "BoundReport",
@@ -153,13 +153,11 @@ def _phi_product_integral(
         step = max(abs(geo[-1] - hi), 1.0) * 0.35
         geo.append(max(geo[-1] - step, hi - s_span))
     edges = np.concatenate([np.array(geo[::-1]), core[1:]])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    vals = np.abs(phi.phi(u - k, h_k)) ** p_first
-    vals *= np.abs(phi.phi(u - l, h_l)) ** p_second
-    vals = vals.reshape(mid.size, _GL_X.size)
-    return float(np.sum(half * (vals @ _GL_W)))
+
+    def integrand(u):
+        return np.abs(phi.phi(u - k, h_k)) ** p_first * np.abs(phi.phi(u - l, h_l)) ** p_second
+
+    return float(np.sum(gauss_panel_sums(edges, integrand)))
 
 
 def phi1_integral(

@@ -112,7 +112,10 @@ def _level_coeffs(
     m = round(2.0**-j / step)
     if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
         raise ResolutionError(f"mesh step {step} incompatible with level {j}")
-    start = round((ks.start * 2.0**-j - t0) / step)
+    offset = (ks.start * 2.0**-j - t0) / step
+    start = round(offset)
+    if abs(offset - start) > 1e-9:
+        raise ResolutionError(f"cell ({j}, {ks.start}) starts between samples of the mesh")
     n = len(ks)
     if n and (start < 0 or start + n * m >= values.shape[-1]):
         raise ResolutionError(f"samples do not cover cells ({j}, {ks.start}..{ks.stop - 1})")

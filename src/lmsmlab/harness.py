@@ -134,6 +134,10 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.t_tail < 1.0:
             raise ValueError("t_tail must be >= 1")
+        if self.v_nodes < 2:
+            raise ValueError("v_nodes must be >= 2")
+        if self.path_refine < 1:
+            raise ValueError("path_refine must be >= 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)

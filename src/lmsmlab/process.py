@@ -429,6 +429,8 @@ class MeshFieldInterpolant:
         self.refine = int(refine)
         self.t_step = grid.delta / self.refine
         pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
+        if not pinned and n_nodes < 2:
+            raise ValueError(f"interpolating over [{h_low}, {h_high}] needs n_nodes >= 2")
         self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
         self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
         self.values = field_on_mesh(grid, self.nodes, self.refine)

@@ -9,11 +9,10 @@ is the fractional primitive of psi of order v - 1/alpha + 1; it vanishes for
 s >= 1 and decays like |s|**(v - 1/alpha - 2) as s -> -infinity, which is what
 makes wavelet coefficients of the motion well localized.
 
-For polynomial wavelets (the default quartic in particular) Phi is evaluated
-in closed form: a finite Taylor expansion of psi around s for moderate s, and
-a binomial-moment series for s <= -2 where the Taylor form would cancel
-catastrophically.  Non-polynomial wavelets fall back to adaptive quadrature
-with the endpoint singularity removed by substitution.
+A wavelet is a polynomial on [0, 1] (the default is the minimal-degree
+quartic), so Phi has one closed-form route: a finite Taylor expansion of psi
+around s for moderate s, and a binomial-moment series for s <= -2 where the
+Taylor form would cancel catastrophically.  There is no quadrature fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "WaveletSpec",
@@ -32,7 +30,7 @@ __all__ = [
     "NormDetail",
 ]
 
-# Gauss-Legendre nodes/weights on [-1, 1], order 16; reused by all panel rules.
+# Gauss-Legendre nodes/weights on [-1, 1], order 16; read only by gauss_panel_sums
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 # PhiKernel zeroes a polynomial wavelet's moments at or below this size
@@ -47,6 +45,15 @@ def _poly_eval(coeffs: np.ndarray, x):
         out *= x
         out += c
     return out
+
+
+def gauss_panel_sums(edges, f) -> np.ndarray:
+    """Integrals of f over the panels [edges[i], edges[i + 1]] by the 16-point
+    Gauss-Legendre rule; f maps the nodes, an array of panels x 16, to values."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return half * np.sum(_GL_W * f(mid[:, None] + half[:, None] * _GL_X), axis=1)
 
 
 def _binom_coeffs(kappa: float, n_max: int) -> np.ndarray:
@@ -76,47 +83,34 @@ def _poly_der(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Analyzing wavelet: continuous, supported in [0, 1], two vanishing moments.
+    """Analyzing wavelet psi: a polynomial on [0, 1], zero outside.
 
-    ``poly_coeffs`` (ascending monomial coefficients of psi restricted to
-    [0, 1]) unlock exact kernel evaluation and moments; evaluator-only
-    wavelets are handled by quadrature.
+    ``poly_coeffs`` are the ascending monomial coefficients of psi on
+    [0, 1]; they give the moments and the kernel Phi in closed form.
+    Admissibility (continuity, two vanishing moments, non-triviality) is
+    what ``validate_wavelet`` checks, not what this class assumes.
     """
 
-    evaluator: object
-    poly_coeffs: tuple[float, ...] | None = None
+    poly_coeffs: tuple[float, ...]
     name: str = "custom"
 
     def __call__(self, t):
-        return self.evaluator(t)
+        t = np.asarray(t, dtype=float)
+        inside = (t >= 0.0) & (t <= 1.0)
+        return np.where(inside, _poly_eval(np.asarray(self.poly_coeffs, dtype=float), t), 0.0)
 
     def moments(self, n_max: int) -> np.ndarray:
-        """Moments M_n = int_0^1 t**n psi(t) dt for n = 0..n_max: exact for
-        polynomial wavelets, else by composite Simpson on 2^14 panels."""
-        if self.poly_coeffs is not None:
-            c = np.asarray(self.poly_coeffs)
-            n = np.arange(n_max + 1)[:, None]
-            i = np.arange(len(c))[None, :]
-            return (c[None, :] / (n + i + 1)).sum(axis=1)
-        x = np.linspace(0.0, 1.0, (1 << 14) + 1)
-        psi = np.asarray(self.evaluator(x), dtype=float)
-        wts = np.ones(x.size)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        return np.array([float((x[1] - x[0]) / 3.0 * np.sum(wts * (x**k * psi)))
-                         for k in range(n_max + 1)])
+        """Exact moments M_n = int_0^1 t**n psi(t) dt for n = 0..n_max."""
+        c = np.asarray(self.poly_coeffs)
+        n = np.arange(n_max + 1)[:, None]
+        i = np.arange(len(c))[None, :]
+        return (c[None, :] / (n + i + 1)).sum(axis=1)
 
     def cell_weights(self, m: int) -> np.ndarray:
         """Trapezoid weights w with int_0^1 f(x) psi(x) dx ~ w @ f(i/m), i = 0..m."""
         trap = np.ones(m + 1)
         trap[0] = trap[-1] = 0.5
-        return trap * np.asarray(self.evaluator(np.arange(m + 1) / m), dtype=float) / m
-
-
-def _quartic_evaluator(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t >= 0.0) & (t <= 1.0)
-    return np.where(inside, t * (1.0 - t) * (5.0 * t * t - 5.0 * t + 1.0), 0.0)
+        return trap * self(np.arange(m + 1) / m) / m
 
 
 def default_wavelet() -> WaveletSpec:
@@ -125,11 +119,7 @@ def default_wavelet() -> WaveletSpec:
     Both first moments vanish exactly (they are the rational sums
     1/2 - 2 + 5/2 - 1 and 1/3 - 3/2 + 2 - 5/6).
     """
-    return WaveletSpec(
-        evaluator=_quartic_evaluator,
-        poly_coeffs=(0.0, 1.0, -6.0, 10.0, -5.0),
-        name="quartic",
-    )
+    return WaveletSpec(poly_coeffs=(0.0, 1.0, -6.0, 10.0, -5.0), name="quartic")
 
 
 @dataclass
@@ -175,21 +165,12 @@ def validate_wavelet(w: WaveletSpec, tol: float = 1e-10) -> WaveletValidation:
     outside = np.concatenate(
         [np.linspace(-2.0, -1e-9, 101), np.linspace(1.0 + 1e-9, 3.0, 101)]
     )
-    support_ok = bool(np.max(np.abs(np.asarray(w.evaluator(outside), float))) <= tol)
-
-    # Continuity heuristic: the largest jump between neighbouring samples must
-    # keep shrinking under grid refinement; a genuine discontinuity stalls.
-    def max_inc(n):
-        x = np.linspace(-0.25, 1.25, n)
-        y = np.asarray(w.evaluator(x), float)
-        return float(np.max(np.abs(np.diff(y))))
-
-    inc1, inc2 = max_inc(20001), max_inc(40001)
-    continuity_ok = bool(inc2 <= max(0.75 * inc1, tol))
-
+    support_ok = bool(np.max(np.abs(w(outside))) <= tol)
+    # a polynomial is continuous on [0, 1]; psi is continuous on the line
+    # exactly when it vanishes at both ends of its support
+    continuity_ok = bool(max(abs(float(w(0.0))), abs(float(w(1.0)))) <= tol)
     m0, m1 = (float(m) for m in w.moments(1))
-    grid = np.linspace(0.0, 1.0, 20001)
-    sup = float(np.max(np.abs(np.asarray(w.evaluator(grid), float))))
+    sup = float(np.max(np.abs(w(np.linspace(0.0, 1.0, 20001)))))
 
     return WaveletValidation(
         support_ok=support_ok,
@@ -229,26 +210,20 @@ class PhiKernel:
         self.wavelet = wavelet if wavelet is not None else default_wavelet()
         self._norm_cache: dict = {}
         self._n_series = 80
-        if self.wavelet.poly_coeffs is not None:
-            c = np.asarray(self.wavelet.poly_coeffs, dtype=float)
-            ders = [c]
-            while len(ders) < len(c):
-                ders.append(_poly_der(ders[-1]))
-            fact = 1.0
-            self._taylor_polys = []
-            for m, dc in enumerate(ders):
-                if m > 0:
-                    fact *= m
-                self._taylor_polys.append(dc / fact)
-            m = self.wavelet.moments(self._n_series)
-            # moments below the admissibility tolerance are exact zeros of the
-            # ideal wavelet; keeping their rounding noise would wreck the
-            # far-field decay order
-            m[np.abs(m) <= _MOMENT_TOLERANCE] = 0.0
-            self._moments = m
-        else:
-            self._taylor_polys = None
-            self._moments = None
+        # psi^(m) / m! for m = 0..degree
+        dc = np.asarray(self.wavelet.poly_coeffs, dtype=float)
+        fact = 1.0
+        self._taylor_polys = [dc]
+        for m in range(1, dc.size):
+            dc = _poly_der(dc)
+            fact *= m
+            self._taylor_polys.append(dc / fact)
+        m = self.wavelet.moments(self._n_series)
+        # moments below the admissibility tolerance are exact zeros of the
+        # ideal wavelet; keeping their rounding noise would wreck the
+        # far-field decay order
+        m[np.abs(m) <= _MOMENT_TOLERANCE] = 0.0
+        self._moments = m
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -257,32 +232,23 @@ class PhiKernel:
         kappa = _kappa(self.alpha, float(v))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros_like(s_arr)
-        if self._taylor_polys is not None:
-            near = (s_arr < 1.0) & (s_arr > self._SERIES_CUT)
-            far = s_arr <= self._SERIES_CUT
-            if near.any():
-                out[near] = self._phi_taylor(s_arr[near], kappa)
-            if far.any():
-                out[far] = self._phi_series(s_arr[far], kappa)
-        else:
-            inside = s_arr < 1.0
-            out[inside] = np.array(
-                [self._phi_quad(float(si), kappa) for si in s_arr[inside]]
-            )
+        near = (s_arr < 1.0) & (s_arr > self._SERIES_CUT)
+        far = s_arr <= self._SERIES_CUT
+        if near.any():
+            out[near] = sum(self._taylor_terms(s_arr[near], kappa))
+        if far.any():
+            out[far] = self._phi_series(s_arr[far], kappa)
         if np.isscalar(s) or np.asarray(s).ndim == 0:
             return float(out[0])
         return out
 
-    def _phi_taylor(self, s: np.ndarray, kappa: float) -> np.ndarray:
+    def _taylor_terms(self, s: np.ndarray, kappa: float):
         # Phi = sum_m psi^(m)(s)/m! * [(1-s)^(k+m+1) - (-s)_+^(k+m+1)]/(k+m+1)
         one_minus = 1.0 - s
         neg = np.maximum(-s, 0.0)
-        acc = np.zeros_like(s)
         for m, tp in enumerate(self._taylor_polys):
             p = kappa + m + 1.0
-            j = (one_minus**p - neg**p) / p
-            acc += _poly_eval(tp, s) * j
-        return acc
+            yield _poly_eval(tp, s) * ((one_minus**p - neg**p) / p)
 
     def _phi_series(self, s: np.ndarray, kappa: float) -> np.ndarray:
         # (y - s)^kappa = x^kappa (1 + y/x)^kappa with x = -s, so
@@ -303,27 +269,16 @@ class PhiKernel:
     def phi_error_estimate(self, s, v: float):
         """Conservative evaluation-error bound alongside phi(s, v).
 
-        Taylor branch: float cancellation, eps times the largest partial term.
+        Taylor branch: float cancellation, eps times the largest term.
         Series branch: first neglected term over the geometric tail ratio.
-        Quadrature fallback: the scipy-reported absolute error is comparable.
         """
         kappa = _kappa(self.alpha, float(v))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         err = np.zeros_like(s_arr)
-        if self._taylor_polys is None:
-            err[s_arr < 1.0] = 1e-11
-            return err if np.asarray(s).ndim else float(err[0])
         near = (s_arr < 1.0) & (s_arr > self._SERIES_CUT)
         far = s_arr <= self._SERIES_CUT
         if near.any():
-            sn = s_arr[near]
-            one_minus = 1.0 - sn
-            neg = np.maximum(-sn, 0.0)
-            peak = np.zeros_like(sn)
-            for m, tp in enumerate(self._taylor_polys):
-                p = kappa + m + 1.0
-                j = (one_minus**p - neg**p) / p
-                peak = np.maximum(peak, np.abs(_poly_eval(tp, sn) * j))
+            peak = np.max([np.abs(t) for t in self._taylor_terms(s_arr[near], kappa)], axis=0)
             err[near] = 16.0 * np.finfo(float).eps * peak
         if far.any():
             x = -s_arr[far]
@@ -337,25 +292,10 @@ class PhiKernel:
             return float(err[0])
         return err
 
-    def _phi_quad(self, s: float, kappa: float) -> float:
-        # substitution w = (y - s)^(kappa+1) removes the endpoint singularity
-        upper = (1.0 - s) ** (kappa + 1.0)
-        lower = max(-s, 0.0) ** (kappa + 1.0)
-        inv = 1.0 / (kappa + 1.0)
-
-        def integrand(w):
-            y = s + w**inv
-            return float(self.wavelet.evaluator(y))
-
-        val, _ = quad(integrand, lower, upper, limit=400, epsabs=1e-13, epsrel=1e-11)
-        return inv * val
-
     # -- far-field bounds ------------------------------------------------------
 
     def decay_envelope_constant(self, s_cut: float, kappa: float) -> float:
         """A(S) with |Phi(s, v)| <= A(S) * (-s)**(kappa - 2) for s <= -S <= -2."""
-        if self._moments is None:
-            raise NotImplementedError("far-field bound needs a polynomial wavelet")
         S = float(s_cut)
         if S < 2.0:
             raise ValueError("envelope valid only for s_cut >= 2")
@@ -387,13 +327,9 @@ class PhiKernel:
         while geo[-1] > s_min:
             geo.append(max(geo[-1] * 1.35, s_min))
         edges = np.concatenate([np.array(geo[::-1]), near[1:]])
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            x = mid + half * _GL_X
-            total += half * float(np.sum(_GL_W * np.abs(self.phi(x, v)) ** a))
-        return total
+        # panel integrals added one by one, in order: the norm's last bit
+        # depends on that order, and every estimate reads the norm
+        return float(sum(gauss_panel_sums(edges, lambda x: np.abs(self.phi(x, v)) ** a)))
 
     def norm_detail(self, v: float) -> NormDetail:
         """L^alpha norm over a truncated domain with a certified tail remainder.

@@ -101,6 +101,20 @@ def test_off_mesh_path_raises_resolution_error():
         build_pyramid(path, L.default_wavelet(), (0, 1), L.build_global_intervals((0.0, 1.0), 1))
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.3, 0.49])
+def test_offset_mesh_raises_resolution_error(offset):
+    # a uniform mesh shifted off the dyadic grid k 2^-j must not be read as
+    # if its first sample were a cell start
+    t = (np.arange(2**10 + 1) + offset) * 2.0**-10
+    path = SamplePath(times=t, values=t**0.7, provenance={})
+    seq = L.build_global_intervals((0.0, 1.0), 4)
+    if offset == 0.0:
+        assert np.all(np.isfinite(build_pyramid(path, L.default_wavelet(), (4,), seq).level(4)))
+    else:
+        with pytest.raises(ResolutionError):
+            build_pyramid(path, L.default_wavelet(), (4,), seq)
+
+
 def test_build_pyramid_structure_and_zero_path():
     w = L.default_wavelet()
     t = np.arange(2**12 + 1) / 2**12

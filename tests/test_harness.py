@@ -65,6 +65,17 @@ def test_readme_config_example_is_valid():
     assert cfg.hurst_name == "linear" and cfg.j_range == (8, 10, 12)
 
 
+@pytest.mark.parametrize("bad", [{"v_nodes": 1}, {"path_refine": 0}],
+                         ids=["v_nodes=1", "path_refine=0"])
+def test_config_rejects_unusable_mesh_settings(bad):
+    # each used to pass validate and fail only inside the replicate (a nan v
+    # for one node, a ZeroDivisionError for refine 0)
+    cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
+                              **bad})
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        cfg.validate()
+
+
 def test_fmt17_roundtrips():
     for x in (0.1, 2.0 ** -37 * 3.1415926, -1.7976931348623157e308, 1e-300):
         assert float(fmt17(x)) == x
@@ -175,7 +186,9 @@ def test_benchmark_trace_hooks_exist(tmp_path):
     # perfbench/run.py --trace 1 wraps these names: one renamed in src/ makes
     # install() raise AttributeError, and a call that leaves harness would
     # silently zero a per-layer metric; each workload's setup builds and
-    # validates its config, so a config field the benchmark passes cannot go
+    # validates its config, so a config field the benchmark passes cannot go;
+    # one bounds-mc pass (about 3 s) runs the kernel and bound calls the
+    # benchmark makes, so a changed signature there fails here too
     root = Path(__file__).resolve().parents[1]
     script = f"""
 import json
@@ -187,16 +200,24 @@ for bench in workload.WORKLOADS.values():
 tracer = tracing.Tracer()
 tracing.install(tracer, full=True)
 harness.run_replicate(harness.ExperimentConfig(**{FAST!r}), 0)
-print(json.dumps(sorted({{span[0] for span in tracer.spans}})))
+bounds_mc = workload.WORKLOADS["bounds-mc"]
+outcome = bounds_mc.outcome(bounds_mc.timed_call(tracer))
+print(json.dumps({{"names": sorted({{span[0] for span in tracer.spans}}),
+                  "attempted": outcome["attempted"], "failed": outcome["failed_reports"]}}))
 """
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "perfbench")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, cwd=tmp_path, env=env)
     assert done.returncode == 0, done.stderr[-2000:]
-    names = set(json.loads(done.stdout.splitlines()[-1]))
+    result = json.loads(done.stdout.splitlines()[-1])
+    names = set(result["names"])
     assert {"harness.run_replicate", "process.make_noise_grid", "process.simulate_lmsm",
             "coeffs.build_pyramid", "process.field_on_mesh"} <= names
+    assert {"bounds.rq_sweep_report", "bounds.phi_decay_report",
+            "bounds.covariance_mc_check", "bounds.scale_param_check",
+            "wavelet.norm_detail", "wavelet.phi"} <= names
+    assert result["attempted"] == 5 and result["failed"] == []
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch, capsys):

@@ -234,6 +234,14 @@ def test_interpolant_matches_exact_nodes_and_offnode():
         assert np.max(np.abs(exact - approx)) < 1e-9 * scale
 
 
+def test_interpolant_needs_two_nodes_on_a_range():
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
+    with pytest.raises(ValueError, match="n_nodes"):
+        MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=1)
+    pinned = MeshFieldInterpolant(g, 0.8, 0.8, n_nodes=1)  # constant H needs one
+    assert pinned.nodes.tolist() == [0.8]
+
+
 def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
