@@ -5,8 +5,8 @@ exponent) witness their constants on grids and certify stability under
 quadrature refinement.  Monte Carlo checks (coefficient scale, covariance
 decay, path-vs-frozen coefficient error) use the weight-vector form of the
 direct coefficients: weights depend only on grid geometry, so one weight
-matrix serves every replicate and the sampling cost is a single mat-vec per
-chunk of replicates.
+matrix serves every replicate and the sampling cost is one matrix product per
+chunk of replicates, taken in row blocks that BLAS runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -234,19 +234,19 @@ def phi_decay_report(
 # ---------------------------------------------------------------------------
 
 
-def _draw_direct_coeffs(
-    law: StableLaw,
-    phi: PhiKernel,
-    H: HurstFunction,
-    j: int,
-    ks,
-    replicates: int,
-    seed: int,
+# OpenBLAS runs a dgemm on the calling thread up to this many multiply-adds
+# (SMP_THRESHOLD_MIN 65,536 times GEMM_MULTITHREAD_THRESHOLD 4); above it the
+# product wakes BLAS worker threads, which then busy-wait and take the CPUs
+# that the sampler's threads need
+_SERIAL_GEMM_MADDS = 4 * 65_536
+
+
+def _direct_weight_matrix(
+    law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks
 ) -> np.ndarray:
-    """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per row,
-    on cells of width 2^-(j+4) over the union of their certified windows; the
-    chunk of 1024 rows fixes the draw order."""
-    delta, chunk = 2.0 ** -(j + 4), 1024
+    """(len(ks) x n_cells) frozen-Hurst coefficient weights on cells of width
+    2^-(j+4) over the union of their certified windows, noise scale included."""
+    delta = 2.0 ** -(j + 4)
     rows = []
     for k in ks:
         h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
@@ -258,13 +258,34 @@ def _draw_direct_coeffs(
         W[r, i0 - i_lo : i0 - i_lo + w.size] = w
     # the noise scale goes into the weights once, not into every chunk
     W *= law.scale * delta ** (1.0 / law.alpha)
+    return W
+
+
+def _draw_direct_coeffs(
+    law: StableLaw,
+    phi: PhiKernel,
+    H: HurstFunction,
+    j: int,
+    ks,
+    replicates: int,
+    seed: int,
+) -> np.ndarray:
+    """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per
+    row; the chunk of 1024 rows fixes the draw order.  Each chunk meets the
+    weights in blocks of rows small enough that BLAS computes each product on
+    the calling thread."""
+    W = _direct_weight_matrix(law, phi, H, j, ks)
+    n_k, n_cells = W.shape
+    chunk, block = 1024, max(1, _SERIAL_GEMM_MADDS // W.size)
     rng = _rng(seed)
-    out = np.empty((replicates, len(rows)))
+    out = np.empty((replicates, n_k))
     done = 0
     while done < replicates:
         m = min(chunk, replicates - done)
         dz = unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
-        out[done : done + m] = dz @ W.T
+        for b in range(0, m, block):
+            part = dz[b : b + block]
+            np.matmul(part, W.T, out=out[done + b : done + b + len(part)])
         done += m
     return out
 

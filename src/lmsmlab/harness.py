@@ -362,11 +362,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     _write_records_csv(os.path.join(out, "records.csv"), per_replicate)
     table.to_csv(os.path.join(out, "table.csv"))
     manifest = _manifest(
-        config,
-        {
-            "failed_replicates": {str(k): v for k, v in sorted(failures.items())},
-            "seed_env_override": os.environ.get("LMSMLAB_SEED") is not None,
-        },
+        config, {"failed_replicates": {str(k): v for k, v in sorted(failures.items())}}
     )
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -8,13 +8,17 @@ scale convention is the usual one for stable stochastic integrals: if
 Unit-scale draws come from the Chambers-Mallows-Stuck transform of a uniform
 angle and a standard exponential (Chambers, Mallows & Stuck 1976; Weron 1996;
 Samorodnitsky & Taqqu 1994).  The stream order is fixed: all ``n`` uniforms,
-then all ``n`` exponentials, from one Philox generator.  These draws stay
-serial, since the ziggurat exponential consumes a variable number of words
-and any split would change the realization.  The transform is elementwise,
-so it runs over fixed tiles of ``_TILE`` elements spread across the
-process's threads (numpy ufuncs release the GIL); every element goes through
-the same ufuncs in the same order as the whole-array expression, so the
-draws are bitwise identical for any thread count.
+then all ``n`` exponentials, from one Philox generator.  Philox is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11), so a copy of the generator can jump ``n`` words ahead at once and
+draw the exponentials on a second thread while the uniforms' words are drawn
+and the transform runs, without changing a single draw; the ziggurat
+exponential consumes a variable number of words, so the exponentials
+themselves stay one serial stream.  The transform is elementwise, so it runs
+over fixed tiles of ``_TILE`` elements spread across the process's threads
+(numpy ufuncs and the bit generators release the GIL); every element goes
+through the same ufuncs in the same order as the whole-array expression, so
+the draws are bitwise identical for any thread count.
 
 The transform is written for the ufuncs numpy vectorises.  With numpy 2.4 on
 an AVX-512 host (a 2-vCPU Xeon), float64 ``sin`` and ``cos`` are scalar libm
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -107,6 +112,30 @@ def _set_threads(n: int) -> None:
     _threads = int(n)
 
 
+def _skip(bit_generator: np.random.Philox, n: int) -> np.random.Generator:
+    """A generator on a copy of ``bit_generator`` that is ``n`` words ahead.
+
+    Philox makes its words in blocks of four from a counter.  The copy uses
+    up the words left in its buffer, moves the counter by whole blocks
+    (``advance`` counts blocks and empties the buffer), and draws the rest
+    of the ``n`` words.  ``advance`` also drops a buffered 32-bit half word,
+    which the copy gets back.  So the copy draws what the original draws
+    after ``n`` words, and its state is the original's then, except that a
+    used-up buffer may hold other stale words, which no draw reads."""
+    start = bit_generator.state
+    ahead = np.random.Philox(key=0)
+    ahead.state = start
+    rem = min(4 - start["buffer_pos"], n)
+    ahead.random_raw(rem, output=False)
+    if n - rem >= 4:
+        ahead.advance((n - rem) // 4)
+    ahead.random_raw((n - rem) % 4, output=False)
+    state = ahead.state
+    state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+    ahead.state = state
+    return np.random.Generator(ahead)
+
+
 def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` unit-scale SaS variables via the CMS transform in half-angle form.
 
@@ -128,21 +157,35 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     formula is exact at alpha = 2, where it reduces to ``2 sin(phi) sqrt(W)``,
     a centered Gaussian with variance 2, so one expression serves every alpha.
 
-    ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials, so the
-    generator ends in the same state whatever the thread budget.  The
-    transform then overwrites the uniforms tile by tile, ``_TILE`` elements
-    at a time, on up to ``_threads`` threads started for this call (a
-    module-level pool would have no threads in a forked child).  It works in
-    place over the uniforms, the exponentials and two scratch tiles per
-    thread, so it allocates nothing per tile.  Each element sees the same
-    ufuncs in the same order as the whole-array expression, so the result is
-    bitwise identical for every budget.
+    ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials.  Uniform
+    ``i`` is Philox word ``i`` as ``(word >> 11) 2^-53``, exactly what
+    ``Generator.random`` computes; the words come from one ``random_raw``
+    call and are converted tile by tile inside the transform, whose result
+    overwrites them in place.  On one thread the exponentials follow the
+    words, one ``_TILE`` at a time, each tile transformed as it lands.  With
+    a larger budget they come at the same time from a Philox copy skipped
+    ``n`` words ahead (``_skip``), drawn tile by tile on a second thread;
+    each tile is transformed, on up to ``_threads`` threads started for this
+    call (a module-level pool would have no threads in a forked child), as
+    soon as its exponentials and the words are there.  The generator then takes the
+    copy's state, so every budget leaves ``rng`` where ``random(n)`` and
+    then ``standard_exponential(n)`` would.  An error in any thread stops
+    the others, and reaches the caller once every thread has ended.  The
+    transform works in place over the words, the exponentials and two
+    scratch tiles per thread, so it allocates nothing per tile.  Each
+    element sees the same ufuncs in the same order as the whole-array
+    expression, so the result is bitwise identical for every budget.
     """
     if n == 0:
         return np.empty(0)
-    r = rng.random(n)
-    w = rng.standard_exponential(n)
-    threads = min(_threads, -(-n // _TILE))
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        raise TypeError(f"unit_sas draws from a Philox generator, got {type(bg).__name__}")
+    n_tiles = -(-n // _TILE)
+    threads = min(_threads, n_tiles)
+    ahead = _skip(bg, n) if threads > 1 else rng
+    words = None
+    w = np.empty(n)
     scratch = np.empty((threads, 2, min(n, _TILE)))
     q = math.pi / 2.0
     k_c2, k_c1 = (1.0 - alpha) / alpha, -1.0 / alpha
@@ -154,53 +197,104 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
         np.add(tmp, 1.0, out=tmp)
         np.divide(x, tmp, out=x)
 
-    def transform(k: int) -> None:
-        # thread k takes tiles k, k + threads, ...: the whole-array expression
-        # one ufunc at a time, over the tile's r and w and two scratch rows
-        for i in range(k * _TILE, n, threads * _TILE):
-            u, e = r[i : i + _TILE], w[i : i + _TILE]
-            m, x = scratch[k, 0, : u.size], scratch[k, 1, : u.size]
-            # m = rint(r) - r: min(r, 1 - r) with the sign of phi, r >= 2^-54
-            np.maximum(u, 2.0**-54, out=u)
-            np.rint(u, out=m)
-            np.subtract(m, u, out=m)
-            # e = k_c2 log(sin(pi x2) / (2 max(w, 1e-300))),
-            # x2 = (2 - alpha)/2 + (alpha - 1) |m|
-            np.maximum(e, 1e-300, out=e)
-            np.abs(m, out=x)
-            np.multiply(x, q * (alpha - 1.0), out=x)
-            np.add(x, q * (2.0 - alpha) / 2.0, out=x)
-            half_angle_sine(x, u)
-            np.divide(x, e, out=x)
-            np.log(x, out=x)
-            np.multiply(x, k_c2, out=e)
-            # e += k_c1 log(sin(pi |m|) / 2)
-            np.abs(m, out=x)
-            np.multiply(x, q, out=x)
-            half_angle_sine(x, u)
-            np.log(x, out=x)
-            np.multiply(x, k_c1, out=x)
-            np.add(e, x, out=e)
-            # u = sin(alpha phi) / 2 = sign(m) sin(pi min(x0, x1)) / 2,
-            # x0 = alpha (1/2 - |m|), x1 = 1 - alpha/2 + alpha |m|
-            np.abs(m, out=u)
-            np.multiply(u, q * alpha, out=x)
-            np.add(x, q * (1.0 - alpha / 2.0), out=x)
-            np.subtract(0.5, u, out=u)
-            np.multiply(u, q * alpha, out=u)
-            np.minimum(u, x, out=u)
-            np.copysign(u, m, out=u)
-            half_angle_sine(u, x)
-            # X = u exp(e)
-            np.exp(e, out=e)
-            np.multiply(u, e, out=u)
+    def transform(k: int, i: int) -> None:
+        # tile i on thread k: the whole-array expression one ufunc at a time,
+        # over the tile's words and w and two scratch rows
+        tile = slice(i * _TILE, (i + 1) * _TILE)
+        b, e = words[tile], w[tile]
+        u = b.view(np.float64)
+        m, x = scratch[k, 0, : u.size], scratch[k, 1, : u.size]
+        # x = r = (word >> 11) 2^-53, r >= 2^-54
+        np.right_shift(b, 11, out=b)
+        np.multiply(b, 2.0**-53, out=x)
+        np.maximum(x, 2.0**-54, out=x)
+        # m = rint(r) - r: min(r, 1 - r) with the sign of phi
+        np.rint(x, out=m)
+        np.subtract(m, x, out=m)
+        # e = k_c2 log(sin(pi x2) / (2 max(w, 1e-300))),
+        # x2 = (2 - alpha)/2 + (alpha - 1) |m|
+        np.maximum(e, 1e-300, out=e)
+        np.abs(m, out=x)
+        np.multiply(x, q * (alpha - 1.0), out=x)
+        np.add(x, q * (2.0 - alpha) / 2.0, out=x)
+        half_angle_sine(x, u)
+        np.divide(x, e, out=x)
+        np.log(x, out=x)
+        np.multiply(x, k_c2, out=e)
+        # e += k_c1 log(sin(pi |m|) / 2)
+        np.abs(m, out=x)
+        np.multiply(x, q, out=x)
+        half_angle_sine(x, u)
+        np.log(x, out=x)
+        np.multiply(x, k_c1, out=x)
+        np.add(e, x, out=e)
+        # u = sin(alpha phi) / 2 = sign(m) sin(pi min(x0, x1)) / 2,
+        # x0 = alpha (1/2 - |m|), x1 = 1 - alpha/2 + alpha |m|
+        np.abs(m, out=u)
+        np.multiply(u, q * alpha, out=x)
+        np.add(x, q * (1.0 - alpha / 2.0), out=x)
+        np.subtract(0.5, u, out=u)
+        np.multiply(u, q * alpha, out=u)
+        np.minimum(u, x, out=u)
+        np.copysign(u, m, out=u)
+        half_angle_sine(u, x)
+        # X = u exp(e)
+        np.exp(e, out=e)
+        np.multiply(u, e, out=u)
+
+    def draw_exponentials(i: int) -> None:
+        ahead.standard_exponential(out=w[i * _TILE : (i + 1) * _TILE])
 
     if threads == 1:
-        transform(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(transform, range(threads)))
-    return r
+        words = bg.random_raw(n)
+        for i in range(n_tiles):
+            draw_exponentials(i)
+            transform(0, i)
+        return words.view(np.float64)
+
+    # thread 0 (the caller) draws the words, thread 1 the exponentials; then
+    # each takes the next untransformed tile, waiting until it is drawn
+    ready = threading.Condition()
+    landed, claimed, failed = 0, 0, False
+
+    def work(k: int) -> None:
+        nonlocal words, landed, claimed, failed
+        try:
+            if k == 0:
+                drawn = bg.random_raw(n)
+                with ready:
+                    words = drawn
+                    ready.notify_all()
+            elif k == 1:
+                for i in range(n_tiles):
+                    draw_exponentials(i)
+                    with ready:
+                        if failed:
+                            return
+                        landed += 1
+                        ready.notify_all()
+            while True:
+                with ready:
+                    i, claimed = claimed, claimed + 1
+                    if i >= n_tiles:
+                        return
+                    ready.wait_for(lambda: failed or (words is not None and landed > i))
+                    if failed:
+                        return
+                transform(k, i)
+        except BaseException:
+            with ready:
+                failed = True
+                ready.notify_all()
+            raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        others = [pool.submit(work, k) for k in range(1, threads)]
+        work(0)
+    for f in others:
+        f.result()
+    bg.state = ahead.bit_generator.state
+    return words.view(np.float64)
 
 
 def sample_sas(law: StableLaw, n: int, seed: int) -> SampleBatch:

@@ -185,3 +185,26 @@ def test_scale_check_target_halves_per_level():
     t6 = 2.0 ** (-6 * h) * KERN.lalpha_norm(h)
     t7 = 2.0 ** (-7 * h) * KERN.lalpha_norm(h)
     assert t7 / t6 == pytest.approx(2.0**-h, rel=1e-14)
+
+
+def test_blocked_direct_coeffs_match_one_product(monkeypatch):
+    # the row-blocked product equals one product of each chunk's draws with the
+    # weights to rounding; 1,500 rows give a full chunk and a partial one, and
+    # 8 shifts give blocks that do not divide either
+    from lmsmlab import bounds, stable
+
+    H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
+    chunks = []
+
+    def spy(alpha, n, rng):
+        dz = stable.unit_sas(alpha, n, rng)
+        chunks.append(dz.copy())
+        return dz
+
+    monkeypatch.setattr(bounds, "unit_sas", spy)
+    got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 1500, seed=5)
+    W = bounds._direct_weight_matrix(LAW, KERN, H, j, ks)
+    assert 1024 * W.size > bounds._SERIAL_GEMM_MADDS  # a chunk's product is blocked
+    ref = np.concatenate([dz.reshape(-1, W.shape[1]) @ W.T for dz in chunks])
+    assert got.shape == ref.shape == (1500, len(ks))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))

@@ -227,13 +227,13 @@ def test_cli_seed_precedence(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LMSMLAB_SEED", "777")
     assert cli_main(["--config", str(cfg_path), "experiment"]) == 0
     manifest = json.loads((tmp_path / "o1" / "manifest.json").read_text())
-    assert manifest["config"]["seed"] == 777
-    assert manifest["seed_env_override"] is True
-    # explicit flag beats the environment
+    assert manifest["config"]["seed"] == manifest["seed"] == 777
+    # explicit flag beats the environment; the manifest records only the winner
     assert cli_main(["--config", str(cfg_path), "--seed", "9", "--out",
                      str(tmp_path / "o2"), "experiment"]) == 0
     manifest2 = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-    assert manifest2["config"]["seed"] == 9
+    assert manifest2["config"]["seed"] == manifest2["seed"] == 9
+    assert "seed_env_override" not in manifest and "seed_env_override" not in manifest2
     capsys.readouterr()
 
 

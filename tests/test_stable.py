@@ -2,6 +2,8 @@
 moment constants, and large-sample Monte Carlo."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -68,19 +70,144 @@ def _cms_whole_array(alpha, n, rng):
     return s * np.exp(np.log(c2) * ((1.0 - alpha) / alpha) + np.log(c1) * (-1.0 / alpha))
 
 
+def _state(rng):
+    # the bit generator's full state: counter, key, buffered block and
+    # position, and the buffered 32-bit half word
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+def _predrawn(seed, pre):
+    # a generator that has drawn ``pre`` words, or a 32-bit half word
+    rng = _rng(seed)
+    if pre == "half":
+        rng.random(dtype=np.float32)
+    else:
+        rng.bit_generator.random_raw(pre)
+    return rng
+
+
 @pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
 def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
-    # tiles and threads change neither the values nor the generator's state;
-    # 4 threads take one tile each of the largest n, more threads than a
-    # small box has CPUs
+    # thread budgets, tiles and the generator's position within its Philox
+    # block (0-3 words or a 32-bit half word drawn before) change neither the
+    # values nor the generator's full state, which must equal that after
+    # random(n) then standard_exponential(n); 4 threads take one tile each of
+    # the largest n, more threads than a small box has CPUs
     monkeypatch.setattr(stable, "_threads", threads)
     tile = stable._TILE
-    for n in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 7):
-        rng, ref_rng = _rng(9), _rng(9)
-        got = unit_sas(alpha, n, rng)
-        assert got.tobytes() == _cms_whole_array(alpha, n, ref_rng).tobytes(), n
-        assert rng.random() == ref_rng.random(), n
+    for pre in (0, 1, 2, 3, "half"):
+        for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
+            rng, ref_rng = _predrawn(9, pre), _predrawn(9, pre)
+            got = unit_sas(alpha, n, rng)
+            assert got.tobytes() == _cms_whole_array(alpha, n, ref_rng).tobytes(), (pre, n)
+            assert _state(rng) == _state(ref_rng), (pre, n)
+
+
+def test_skip_matches_drawn_words():
+    # the skipped copy is where the original is after n words, from every
+    # position in the buffered block and across many blocks: the same state
+    # (a used-up buffer's stale words aside, which no draw reads) and the
+    # same next words
+    for pre in (0, 1, 2, 3, 4, "half"):
+        for n in (0, 1, 2, 3, 4, 5, 8, 9, 1001):
+            rng = _predrawn(5, pre)
+            ahead = stable._skip(rng.bit_generator, n)
+            rng.bit_generator.random_raw(n)
+            got, want = _state(ahead), _state(rng)
+            if want[3] == 4:
+                got, want = got[:2] + got[3:], want[:2] + want[3:]
+            assert got == want, (pre, n)
+            assert (ahead.bit_generator.random_raw(9).tolist()
+                    == rng.bit_generator.random_raw(9).tolist()), (pre, n)
+
+
+def _within(seconds, fn, *args):
+    # run fn on a thread, so that a hang fails the test instead of stalling it
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:  # handed to the test below
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"no return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def test_concurrent_draws_under_fast_switching(monkeypatch):
+    # more threads than CPUs and a thread switch every microsecond: a lost
+    # hand-off hangs (the time limit fails it) or transforms a tile before its
+    # exponentials land (the bits differ)
+    monkeypatch.setattr(stable, "_threads", 8)
+    n = 20 * stable._TILE + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _within(120, unit_sas, 1.5, n, _rng(11))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == _cms_whole_array(1.5, n, _rng(11)).tobytes()
+
+
+class _FailingExponentials:
+    """Wraps a generator; its ``call``-th exponential draw raises."""
+
+    def __init__(self, gen, call):
+        self.gen, self.bit_generator, self.call = gen, gen.bit_generator, call
+
+    def standard_exponential(self, out):
+        self.call -= 1
+        if self.call == 0:
+            raise RuntimeError("injected draw failure")
+        self.gen.standard_exponential(out=out)
+
+
+@pytest.mark.parametrize("call", [1, 2, 5])
+@pytest.mark.parametrize("threads", [2, 4])
+def test_failed_exponential_draw_reaches_caller(threads, call, monkeypatch):
+    # the exponential tile draw fails on the second thread: the error reaches
+    # the caller, and no thread is left waiting for the tile or running
+    monkeypatch.setattr(stable, "_threads", threads)
+    skip = stable._skip
+    monkeypatch.setattr(stable, "_skip", lambda bg, n: _FailingExponentials(skip(bg, n), call))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected draw failure"):
+        _within(60, unit_sas, 1.5, 6 * stable._TILE, _rng(3))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_failed_word_draw_reaches_caller(threads, monkeypatch):
+    # the caller's own draw of the words fails while the exponentials and the
+    # other transform threads wait for them
+    class FailingWords(np.random.Philox):
+        @property
+        def state(self):  # a Philox state, for the skipped copy
+            return {**np.random.Philox.state.__get__(self), "bit_generator": "Philox"}
+
+        def random_raw(self, size=None, output=True):
+            raise RuntimeError("injected draw failure")
+
+    monkeypatch.setattr(stable, "_threads", threads)
+    rng = np.random.Generator(FailingWords(key=3))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected draw failure"):
+        _within(60, unit_sas, 1.5, 6 * stable._TILE, rng)
+    assert threading.active_count() == before
+
+
+def test_unit_sas_needs_philox():
+    with pytest.raises(TypeError, match="Philox"):
+        unit_sas(1.5, 4, np.random.default_rng(1))
 
 
 def test_unit_sas_stream_is_pinned():
@@ -104,17 +231,28 @@ def test_unit_sas_stream_is_pinned():
         assert abs(x - b) <= 1e-15 * abs(b)
 
 
+class _FixedWords(np.random.Philox):
+    """A Philox whose raw words are given."""
+
+    def __init__(self, words):
+        super().__init__(key=0)
+        self.words = words
+
+    def random_raw(self, size=None, output=True):
+        return self.words[:size].copy()
+
+
 class _FixedDraws:
-    """Stands in for the generator: hands unit_sas given uniforms and exponentials."""
+    """Stands in for the generator: hands unit_sas given uniforms, as the
+    Philox words ``(r 2^53) << 11``, and given exponentials."""
 
     def __init__(self, r, w):
-        self.r, self.w = r, w
+        self.bit_generator = _FixedWords((r * 2.0**53).astype(np.uint64) << 11)
+        self.w, self.drawn = w, 0
 
-    def random(self, n):
-        return self.r[:n].copy()
-
-    def standard_exponential(self, n):
-        return self.w[:n].copy()
+    def standard_exponential(self, out):
+        out[:] = self.w[self.drawn : self.drawn + out.size]
+        self.drawn += out.size
 
 
 def _cms_mpmath(alpha, r, w):
@@ -149,6 +287,8 @@ def test_unit_sas_matches_mpmath_oracle(alpha):
     ])
     w = g.standard_exponential(r.size)
     w[:3] = [0.0, 1e-310, 40.0]
+    # one tile, so one thread: the exponentials come from the stand-in
+    assert r.size <= stable._TILE
     got = unit_sas(alpha, r.size, _FixedDraws(r, w))
     exact = np.array([_cms_mpmath(alpha, ri, wi) for ri, wi in zip(r, w)])
     assert np.all(np.isfinite(got))

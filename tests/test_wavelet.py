@@ -56,6 +56,9 @@ def test_validate_rejects_indicator_and_zero():
     zero = WaveletSpec(poly_coeffs=(0.0,))
     rep0 = validate_wavelet(zero, tol=1e-10)
     assert not rep0.passed and "nontrivial" in rep0.failures
+    # zero outside [0, 1] by construction, whatever the coefficients
+    assert rep.support_ok and rep0.support_ok
+    assert not ind(np.array([-1e-9, 1.0 + 1e-9])).any()
 
 
 def test_affine_annihilation():
