@@ -51,6 +51,7 @@ from .process import (
     TruncationError,
     hurst_from_id,
     make_noise_grid,
+    noise_cell_count,
     simulate_lmsm,
 )
 from .stable import StableLaw, _set_threads
@@ -119,21 +120,24 @@ class ExperimentConfig:
         return build_local_intervals(float(self.t0), j_max)
 
     def validate(self) -> None:
-        # interval_mode and t0 first: intervals() reads float(self.t0)
+        # StableLaw checks alpha first; interval_mode and t0 before
+        # intervals(), which reads float(self.t0)
+        alpha = self.law.alpha
+        if min(self.j_range) < 1:
+            raise ValueError(f"j_range levels must be >= 1, got {self.j_range}")
         if self.interval_mode not in ("global", "local"):
             raise ValueError("interval_mode must be 'global' or 'local'")
         if self.interval_mode == "local" and self.t0 is None:
             raise ValueError("local mode needs t0")
-        if not 0.0 < self.beta < self.alpha / 4.0:
-            raise ValueError(
-                f"beta={self.beta} outside (0, alpha/4) for alpha={self.alpha}"
-            )
-        self.hurst().validate(self.alpha)
+        if not 0.0 < self.beta < alpha / 4.0:
+            raise ValueError(f"beta={self.beta} outside (0, alpha/4) for alpha={alpha}")
+        self.hurst().validate(alpha)
         self.intervals()
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.t_tail < 1.0:
             raise ValueError("t_tail must be >= 1")
+        noise_cell_count(-self.t_tail, self.noise_delta)
         if self.v_nodes < 2:
             raise ValueError("v_nodes must be >= 2")
         if self.path_refine < 1:

@@ -202,9 +202,8 @@ class NoiseGrid:
         return int(round(-self.t_min / self.delta))
 
 
-def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> NoiseGrid:
-    """Draw the increments of the cells of [t_min, 1), deterministically in
-    (law, geometry, seed)."""
+def noise_cell_count(t_min: float, delta: float) -> int:
+    """The number of delta-cells that tile [t_min, 1); ValueError unless they do."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     if t_min >= 0:
@@ -216,7 +215,13 @@ def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> No
     i0 = -t_min / delta
     if abs(i0 - round(i0)) > 1e-9:
         raise ValueError("t_min must be an integer multiple of delta")
-    xi = unit_sas(law.alpha, n, _rng(seed))
+    return n
+
+
+def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> NoiseGrid:
+    """Draw the increments of the cells of [t_min, 1), deterministically in
+    (law, geometry, seed)."""
+    xi = unit_sas(law.alpha, noise_cell_count(t_min, delta), _rng(seed))
     increments = law.scale * delta ** (1.0 / law.alpha) * xi
     increments.setflags(write=False)
     return NoiseGrid(

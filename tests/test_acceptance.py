@@ -66,9 +66,10 @@ def test_criterion_03_scale_identity():
     kern = PhiKernel(1.5)
     h2 = L.linear_hurst(0.7, 0.15)
     rep = scale_param_check(law, kern, h2, 6, [8, 32, 48], 0.25,
-                            replicates=10_000, seed=30, rel_tol=0.05)
+                            replicates=10_000, seed=30)
     elapsed = time.time() - t0
-    ok = rep.passed and elapsed < 300.0
+    ok = rep.passed and rep.tolerance == 0.05 and max(rep.details["rel_errors"]) <= 0.05
+    ok = ok and elapsed < 300.0
     _report(3, "scale identity", ok,
             f"rel errors {[f'{e:.3f}' for e in rep.details['rel_errors']]}, {elapsed:.0f}s")
 
@@ -89,10 +90,12 @@ def test_criterion_05_phi_decay_slopes():
     kern = PhiKernel(1.5)
     h = L.constant_hurst(0.8)
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
-    r1 = phi_decay_report(kern, h, 8, lags, "phi1", slack=0.2)
-    r2 = phi_decay_report(kern, h, 8, lags, "phi2", slack=0.2)
+    r1 = phi_decay_report(kern, h, 8, lags, "phi1")
+    r2 = phi_decay_report(kern, h, 8, lags, "phi2")
     elapsed = time.time() - t0
-    ok = r1.passed and r2.passed and elapsed < 120.0
+    ok = r1.passed and r2.passed and r1.tolerance == r2.tolerance == 0.2
+    ok = ok and all(r.details["fitted_slope"] <= r.bound_exponent + 0.2 for r in (r1, r2))
+    ok = ok and elapsed < 120.0
     _report(5, "phi1/phi2 decay slopes", ok,
             f"slopes {r1.details['fitted_slope']:.3f} (need <= {r1.bound_exponent + 0.2:.3f}), "
             f"{r2.details['fitted_slope']:.3f} (need <= {r2.bound_exponent + 0.2:.3f}), {elapsed:.0f}s")
@@ -102,10 +105,11 @@ def test_criterion_06_approximation_lemma():
     t0 = time.time()
     law = L.StableLaw(1.5, 1.0)
     h2 = L.linear_hurst(0.7, 0.15)  # C^1, rho_H = 1
-    rep = approx_error_check(law, default_wavelet(), h2, [6, 7, 8, 9, 10, 11],
-                             replicates=20, seed=4060, slack=0.15, pass_fraction=0.8)
+    rep = approx_error_check(law, default_wavelet(), h2, [6, 7, 8, 9, 10, 11], seed=4060)
     elapsed = time.time() - t0
-    ok = rep.passed and elapsed < 600.0
+    # 20 replicates; at least 80% of the slopes at most -rho_H + 0.15
+    ok = rep.passed and rep.tolerance == 0.15 and len(rep.details["slopes"]) == 20
+    ok = ok and rep.details["passing_fraction"] >= 0.8 and elapsed < 600.0
     _report(6, "approximation-error decay", ok,
             f"median slope {rep.witnessed_constant:.3f}, passing fraction "
             f"{rep.details['passing_fraction']:.2f}, {elapsed:.0f}s")
@@ -179,9 +183,9 @@ def test_criterion_11_covariance_decay():
     kern = PhiKernel(1.5)
     h = L.constant_hurst(0.8)
     rep = covariance_mc_check(law, kern, h, 8, [1, 2, 4, 8, 16, 32, 64], 0.25,
-                              replicates=10_000, seed=110, slack=0.3)
+                              replicates=10_000, seed=110)
     elapsed = time.time() - t0
-    ok = rep.passed and elapsed < 600.0
+    ok = rep.passed and rep.tolerance == 0.3 and elapsed < 600.0
     slope = rep.details["fitted_slope"]
     _report(11, "covariance decay", ok,
             f"slope={slope if slope is None else f'{slope:.3f}'} "

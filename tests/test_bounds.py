@@ -2,6 +2,9 @@
 and the Monte Carlo covariance/scale checks at reduced desk scale."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,18 +25,47 @@ LAW = L.StableLaw(1.5, 1.0)
 KERN = PhiKernel(1.5)
 
 
-def test_rq_closed_form_oracle():
-    # int (1+|u|)^-4 du = 2 * [ -(1+u)^-3 / 3 ]_0^inf = 2/3
-    assert rq_integral(2.0, 2.0, 0) == pytest.approx(2.0 / 3.0, abs=1e-10)
+RQ_PAIRS = [(2.0, 1.5), (1.5, 1.5), (3.0, 1.1), (2.0, 2.0), (1.05, 0.2), (1.01, 0.0)]
+
+
+@pytest.mark.parametrize("dg", RQ_PAIRS, ids=[f"{d}-{g}" for d, g in RQ_PAIRS])
+def test_rq_closed_form_oracle(dg):
+    # r_0 = int (1+|u|)^-(delta+gamma) du = 2 / (delta + gamma - 1); for q > 0
+    # the oracle is scipy's adaptive quad on the three pieces of the line
+    from scipy.integrate import quad
+
+    delta, gamma = dg
+    assert rq_integral(delta, gamma, 0) == pytest.approx(2.0 / (delta + gamma - 1.0), rel=1e-13)
+
+    def f(u, q):
+        return (1.0 + abs(u - q)) ** -delta * (1.0 + abs(u)) ** -gamma
+
+    for q in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+        oracle = sum(quad(f, lo, hi, args=(q,), limit=400, epsabs=1e-13, epsrel=1e-11)[0]
+                     for lo, hi in ((-np.inf, 0.0), (0.0, q), (q, np.inf)))
+        assert rq_integral(delta, gamma, q) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_rq_symmetry_and_domain():
     for q in (1, 5, 17):
-        assert rq_integral(2.0, 1.3, q) == pytest.approx(rq_integral(1.3, 2.0, q), rel=1e-8)
+        assert rq_integral(2.0, 1.3, q) == pytest.approx(rq_integral(1.3, 2.0, q), rel=1e-12)
+        assert rq_integral(2.0, 1.3, -q) == rq_integral(2.0, 1.3, q)
     with pytest.raises(ValueError):
         rq_integral(0.9, 1.0, 3)
     with pytest.raises(ValueError):
         rq_integral(-0.5, 2.0, 3)
+
+
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # r_q runs on the kernel layer's Gauss panel rule, so importing the
+    # package loads neither scipy.integrate nor scipy.optimize
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import sys, lmsmlab; print(sorted(m for m in ('scipy.integrate', "
+              "'scipy.optimize') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("dg", [(2.0, 1.5), (1.5, 1.5), (3.0, 1.1)])

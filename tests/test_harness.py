@@ -65,11 +65,15 @@ def test_readme_config_example_is_valid():
     assert cfg.hurst_name == "linear" and cfg.j_range == (8, 10, 12)
 
 
-@pytest.mark.parametrize("bad", [{"v_nodes": 1}, {"path_refine": 0}],
-                         ids=["v_nodes=1", "path_refine=0"])
+@pytest.mark.parametrize(
+    "bad",
+    [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4}],
+    ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4"],
+)
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
-    # for one node, a ZeroDivisionError for refine 0)
+    # for one node, a ZeroDivisionError for refine 0, a ValueError from
+    # StableLaw, estimate_hmin or make_noise_grid for the other three)
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
