@@ -56,4 +56,4 @@ for j in (4, 5, 6, 7, 8):
     prev = med_abs
 
 pyramid_to_csv(pyramid, "demo_pyramid.csv")
-print("\npyramid written to demo_pyramid.csv (bit-exact reload supported)")
+print("\npyramid written to demo_pyramid.csv (one j,k,value row per coefficient)")

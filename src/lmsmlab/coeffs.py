@@ -1,12 +1,15 @@
 """Wavelet coefficient pyramids, dyadic index sets and the max statistic.
 
 Coefficients are d_{j,k} = 2^j int Y(t) psi(2^j t - k) dt, integrated by
-trapezoid on the path's own uniform sample mesh; after the change of variables
-x = 2^j t - k this is int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor
-never appears explicitly.  Every cell of a level holds the same m + 1
-samples, so a level is one weight vector (``WaveletSpec.cell_weights``)
-applied tap by tap to strided views of the samples.  A pyramid holds one
-array per level; index sets are ``range`` objects of shifts.
+trapezoid on the mesh t = m * t_step of [0, 1] that a simulated path carries
+in its field interpolant; after the change of variables x = 2^j t - k this is
+int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor never appears
+explicitly.  Every cell of a level holds the same m + 1 samples, so a level is
+one weight vector (``WaveletSpec.cell_weights``) applied tap by tap to strided
+views of the samples.  The path and the frozen-Hurst rows of the interpolant
+share that one level routine.  A pyramid holds one array per level; index
+sets are ``range`` objects of shifts.  ``pyramid_to_csv`` writes a pyramid
+for the command line.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "frozen_level",
     "max_coeff",
     "pyramid_to_csv",
-    "pyramid_from_csv",
 ]
 
 
@@ -74,7 +76,6 @@ class CoeffPyramid:
 
     levels: dict  # j -> ndarray
     k0: dict  # j -> first shift
-    source: str  # "path_quadrature" | "direct_kernel"
     wavelet_id: str
     seed: int
 
@@ -99,23 +100,20 @@ class CoeffPyramid:
 
 
 class ResolutionError(ValueError):
-    """Path off a uniform mesh, or too sparse inside a dyadic cell, for quadrature."""
+    """Mesh too sparse inside a dyadic cell, or too short for a level's cells."""
 
 
 def _level_coeffs(
-    values: np.ndarray, t0: float, step: float, w: WaveletSpec, j: int, ks: range
+    values: np.ndarray, step: float, w: WaveletSpec, j: int, ks: range
 ) -> np.ndarray:
     """Level-j coefficients for the shifts ks, per row of ``values`` sampled at
-    t0 + i step: the shared cell weights applied tap by tap to strided views,
-    so every coefficient is summed in the same order whatever the number of
-    rows or shifts."""
+    i step, i = 0, 1, ...: the shared cell weights applied tap by tap to
+    strided views, so every coefficient is summed in the same order whatever
+    the number of rows or shifts."""
     m = round(2.0**-j / step)
     if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
         raise ResolutionError(f"mesh step {step} incompatible with level {j}")
-    offset = (ks.start * 2.0**-j - t0) / step
-    start = round(offset)
-    if abs(offset - start) > 1e-9:
-        raise ResolutionError(f"cell ({j}, {ks.start}) starts between samples of the mesh")
+    start = ks.start * m
     n = len(ks)
     if n and (start < 0 or start + n * m >= values.shape[-1]):
         raise ResolutionError(f"samples do not cover cells ({j}, {ks.start}..{ks.stop - 1})")
@@ -126,25 +124,17 @@ def _level_coeffs(
     return out
 
 
-def _path_level(path: SamplePath, w: WaveletSpec, j: int, ks: range) -> np.ndarray:
-    steps = np.diff(path.times)
-    step = float(steps[0]) if steps.size else 0.0
-    if step <= 0 or not np.allclose(steps, step, rtol=0.0, atol=1e-12):
-        raise ResolutionError("coefficient quadrature needs a path on a uniform mesh")
-    return _level_coeffs(path.values, path.times[0], step, w, j, ks)
-
-
 def build_pyramid(
     path: SamplePath, w: WaveletSpec, j_range, intervals: IntervalSequence
 ) -> CoeffPyramid:
     """All coefficients with cells inside I_j, for each level j in j_range."""
     index_sets = {j: index_set(intervals.interval(j), j) for j in j_range}
+    step = path.field.t_step
     return CoeffPyramid(
-        levels={j: _path_level(path, w, j, ks) for j, ks in index_sets.items()},
+        levels={j: _level_coeffs(path.values, step, w, j, ks) for j, ks in index_sets.items()},
         k0={j: ks.start for j, ks in index_sets.items()},
-        source="path_quadrature",
         wavelet_id=w.name,
-        seed=int(path.provenance.get("seed", -1)),
+        seed=path.field.grid.seed,
     )
 
 
@@ -158,7 +148,7 @@ def frozen_level(
     in the node values, so this is the path route's quadrature of X(., H(k 2^-j)).
     """
     h_k = np.asarray(H(np.asarray(ks) * 2.0**-j), dtype=float)
-    return interp.combine(h_k, _level_coeffs(interp.values, 0.0, interp.t_step, w, j, ks))
+    return interp.combine(h_k, _level_coeffs(interp.values, interp.t_step, w, j, ks))
 
 
 def max_coeff(pyramid: CoeffPyramid, j: int, interval: tuple[float, float]) -> float:
@@ -173,32 +163,7 @@ def pyramid_to_csv(pyramid: CoeffPyramid, fname) -> None:
     with open(fname, "w") as fh:
         fh.write(f"# wavelet: {pyramid.wavelet_id}\n")
         fh.write(f"# seed: {pyramid.seed}\n")
-        fh.write("j,k,value,source\n")
+        fh.write("j,k,value\n")
         for j in sorted(pyramid.levels):
             for k, v in enumerate(pyramid.levels[j].tolist(), start=pyramid.k0[j]):
-                fh.write(f"{j},{k},{v!r},{pyramid.source}\n")
-
-
-def pyramid_from_csv(fname) -> CoeffPyramid:
-    """Read ``pyramid_to_csv`` output; each level's shifts must run contiguously."""
-    levels: dict = {}
-    k0: dict = {}
-    source = "path_quadrature"
-    wavelet_id = "unknown"
-    seed = -1
-    with open(fname) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# wavelet:"):
-                wavelet_id = line.split(":", 1)[1].strip()
-            elif line.startswith("# seed:"):
-                seed = int(line.split(":", 1)[1].strip())
-            elif line and not line.startswith(("#", "j,")):
-                sj, sk, sv, source = line.split(",")
-                j, k = int(sj), int(sk)
-                vals = levels.setdefault(j, [])
-                if k != k0.setdefault(j, k) + len(vals):
-                    raise ValueError(f"level {j}: shift {k} breaks the contiguous run")
-                vals.append(float(sv))
-    return CoeffPyramid(levels={j: np.array(v) for j, v in levels.items()}, k0=k0,
-                        source=source, wavelet_id=wavelet_id, seed=seed)
+                fh.write(f"{j},{k},{v!r}\n")

@@ -9,7 +9,9 @@ contract ||sum f(s_i) dZ_i||_alpha**alpha = sum |f(s_i)|**alpha * delta.
 
 A path is built one way: ``make_noise_grid``, then a ``MeshFieldInterpolant``
 of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
-``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that whole mesh.
+``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that whole mesh.  The
+``SamplePath`` it returns holds that interpolant and H beside the values, so
+whatever reads the path also knows its mesh step, its noise and its H.
 
 The interpolant's node fields come from ``field_on_mesh``, which evaluates
 X(., v) on the mesh of [0, 1] and splits the noise at s = -2.  The near
@@ -167,6 +169,10 @@ def hurst_from_id(name: str, params) -> HurstFunction:
     builders = {"constant": constant_hurst, "linear": linear_hurst, "sine": sine_hurst}
     if name not in builders:
         raise ValueError(f"unknown hurst id {name!r}; known: {sorted(builders)}")
+    n_params = builders[name].__code__.co_argcount
+    if len(params) != n_params:
+        raise ValueError(f"hurst_params for {name!r} must hold {n_params} values, "
+                         f"got {len(params)}")
     return builders[name](*params)
 
 
@@ -485,39 +491,29 @@ class MeshFieldInterpolant:
 
 @dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Realized path on increasing times in [0, 1] with provenance metadata."""
+    """Y(t) = X(t, H(t)) on the mesh t = m * field.t_step of [0, 1], with the
+    field interpolant and the Hurst functional that made it."""
 
-    times: np.ndarray
+    field: MeshFieldInterpolant
+    H: HurstFunction
     values: np.ndarray
-    provenance: dict
 
-    def __post_init__(self):
-        if self.times.shape != self.values.shape:
-            raise ValueError("times and values must have equal length")
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.values.size) * self.field.t_step
 
     def to_csv(self, fname) -> None:
+        """One ``t,Y`` row per mesh time, under a header naming the noise and H."""
+        grid = self.field.grid
+        header = {"kind": "lmsm", "alpha": grid.law.alpha, "scale": grid.law.scale,
+                  "hurst": f"{self.H.name}{self.H.params}", "t_min": grid.t_min,
+                  "delta": grid.delta, "seed": grid.seed}
         with open(fname, "w") as fh:
-            for k, v in self.provenance.items():
+            for k, v in header.items():
                 fh.write(f"# {k}: {v}\n")
             fh.write("t,Y\n")
             for t, y in zip(self.times, self.values):
                 fh.write(f"{float(t)!r},{float(y)!r}\n")
-
-
-def sample_path_from_csv(fname) -> SamplePath:
-    prov = {}
-    times, values = [], []
-    with open(fname) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                prov[key.strip()] = val.strip()
-            elif line and not line.startswith("t,"):
-                a, b = line.split(",")
-                times.append(float(a))
-                values.append(float(b))
-    return SamplePath(np.array(times), np.array(values), prov)
 
 
 def simulate_lmsm(
@@ -539,19 +535,9 @@ def simulate_lmsm(
             f"noise domain too short for raw path values: "
             f"relative tail mass {worst:.3e} > {tail_tol}"
         )
-    times = np.arange(field.values.shape[1]) * field.t_step
-    values = field.at(H(times))
+    values = field.at(H(np.arange(field.values.shape[1]) * field.t_step))
     values[0] = 0.0
-    provenance = {
-        "kind": "lmsm",
-        "alpha": grid.law.alpha,
-        "scale": grid.law.scale,
-        "hurst": f"{H.name}{H.params}",
-        "t_min": grid.t_min,
-        "delta": grid.delta,
-        "seed": grid.seed,
-    }
-    return SamplePath(times=times, values=values, provenance=provenance)
+    return SamplePath(field=field, H=H, values=values)
 
 
 # ---------------------------------------------------------------------------

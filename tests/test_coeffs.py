@@ -4,6 +4,7 @@ The polynomial-path expected values are frozen from exact rational
 integration of psi against monomials (see the fractions oracle below).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,10 @@ from lmsmlab.coeffs import (
     build_pyramid,
     index_set,
     max_coeff,
-    pyramid_from_csv,
     pyramid_to_csv,
 )
 from lmsmlab.coeffs import ResolutionError, _level_coeffs
-from lmsmlab.process import SamplePath
+from lmsmlab.process import MeshFieldInterpolant, make_noise_grid
 
 QUARTIC = (Fraction(0), Fraction(1), Fraction(-6), Fraction(10), Fraction(-5))
 
@@ -34,18 +34,19 @@ def exact_poly_coeff(path_coeffs) -> Fraction:
     return total
 
 
-def coeff(path: SamplePath, j: int, k: int) -> float:
-    """d_{j,k} of the path, read off its level-j pyramid."""
-    seq = L.build_global_intervals((0.0, 1.0), j)
-    return build_pyramid(path, L.default_wavelet(), (j,), seq).value(j, k)
+def coeff(values: np.ndarray, j: int, k: int) -> float:
+    """d_{j,k} of values sampled on the uniform mesh of [0, 1], by the level routine."""
+    step = 1.0 / (values.size - 1)
+    return float(_level_coeffs(values, step, L.default_wavelet(), j, range(k, k + 1))[0])
 
 
-def dense_poly_path(coeffs, n=1 << 16) -> SamplePath:
+def dense_poly_path(coeffs, n=1 << 16) -> np.ndarray:
+    """The polynomial sum a_p t**p on the n + 1 points of the uniform mesh of [0, 1]."""
     t = np.linspace(0.0, 1.0, n + 1)
     y = np.zeros_like(t)
     for p, a in enumerate(coeffs):
         y = y + a * t**p
-    return SamplePath(times=t, values=y, provenance={"kind": "poly"})
+    return y
 
 
 def test_index_set_enumeration():
@@ -85,47 +86,29 @@ def test_quadratic_path_matches_symbolic_oracle():
 
 
 def test_compute_coeff_requires_resolution():
-    t = np.linspace(0.0, 1.0, 9)
-    path = SamplePath(times=t, values=np.zeros_like(t), provenance={})
     with pytest.raises(ResolutionError):
-        coeff(path, 0, 0)
-
-
-def test_off_mesh_path_raises_resolution_error():
-    # only a uniform mesh gives every cell of a level the same weight vector
-    # (a path read from CSV can carry any increasing times)
-    rng = np.random.default_rng(6)
-    times = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 200)]))
-    path = SamplePath(times=times, values=rng.standard_normal(times.size), provenance={})
-    with pytest.raises(ResolutionError):
-        build_pyramid(path, L.default_wavelet(), (0, 1), L.build_global_intervals((0.0, 1.0), 1))
-
-
-@pytest.mark.parametrize("offset", [0.0, 0.3, 0.49])
-def test_offset_mesh_raises_resolution_error(offset):
-    # a uniform mesh shifted off the dyadic grid k 2^-j must not be read as
-    # if its first sample were a cell start
-    t = (np.arange(2**10 + 1) + offset) * 2.0**-10
-    path = SamplePath(times=t, values=t**0.7, provenance={})
-    seq = L.build_global_intervals((0.0, 1.0), 4)
-    if offset == 0.0:
-        assert np.all(np.isfinite(build_pyramid(path, L.default_wavelet(), (4,), seq).level(4)))
-    else:
-        with pytest.raises(ResolutionError):
-            build_pyramid(path, L.default_wavelet(), (4,), seq)
+        coeff(np.zeros(9), 0, 0)
 
 
 def test_build_pyramid_structure_and_zero_path():
+    # a simulated path: the level routine on the field's mesh step, the
+    # pyramid's seed from the field's noise grid; a zero path gives zeros
     w = L.default_wavelet()
-    t = np.arange(2**12 + 1) / 2**12
-    path = SamplePath(times=t, values=np.zeros_like(t), provenance={"seed": 4})
+    grid = make_noise_grid(L.StableLaw(1.5), -2.0, 2.0**-10, seed=4)
+    H = L.constant_hurst(0.8)
+    path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=4), H, tail_tol=0.5)
     seq = L.build_global_intervals((0.0, 1.0), 6)
     pyr = build_pyramid(path, w, (4, 5, 6), seq)
     assert set(pyr.levels) == {4, 5, 6}
+    assert pyr.seed == path.field.grid.seed == 4
     for j in (4, 5, 6):
         assert pyr.k0[j] == 0 and len(pyr.level(j)) == len(index_set((0.0, 1.0), j))
-        assert np.all(pyr.level(j) == 0.0)
-    assert pyr.seed == 4
+        level = _level_coeffs(path.values, 2.0**-12, w, j, range(2**j))
+        assert np.array_equal(pyr.level(j), level)
+    zero = replace(path, values=np.zeros_like(path.values))
+    zero_pyr = build_pyramid(zero, w, (4, 5, 6), seq)
+    for j in (4, 5, 6):
+        assert np.all(zero_pyr.level(j) == 0.0)
 
 
 def test_mesh_and_generic_quadrature_agree():
@@ -136,36 +119,31 @@ def test_mesh_and_generic_quadrature_agree():
     rng = np.random.default_rng(12)
     t = np.arange(2**12 + 1) / 2**12
     y = np.cumsum(rng.normal(size=t.size)) * 2.0**-6
-    path = SamplePath(times=t, values=y, provenance={})
-    seq = L.build_global_intervals((0.0, 1.0), 8)
     for j, m in ((8, 16), (5, 128)):
-        pyr = build_pyramid(path, w, (j,), seq)
+        level = _level_coeffs(y, 2.0**-12, w, j, range(2**j))
         wv = w.cell_weights(m)
         for k in range(2**j):
             cell = y[k * m : k * m + m + 1]
             tol = 2 * (m + 1) * np.finfo(float).eps * float(np.abs(wv) @ np.abs(cell))
-            assert abs(pyr.value(j, k) - float(wv @ cell)) <= tol
+            assert abs(level[k] - float(wv @ cell)) <= tol
 
 
 def test_row_and_level_routes_agree_bitwise():
-    # one level (build_pyramid) and many rows (the frozen route) sum every
-    # coefficient in the same order
+    # one path row (build_pyramid) and many node rows (the frozen route) sum
+    # every coefficient in the same order
     w = L.default_wavelet()
     rng = np.random.default_rng(12)
     t = np.arange(2**12 + 1) / 2**12
     y = np.cumsum(rng.normal(size=t.size)) * 2.0**-6
-    path = SamplePath(times=t, values=y, provenance={})
-    seq = L.build_global_intervals((0.0, 1.0), 8)
     for j in (5, 8):
-        level = build_pyramid(path, w, (j,), seq).level(j)
-        rows = _level_coeffs(np.stack([-y, y, 2 * y]), 0.0, 2.0**-12, w, j, range(2**j))
+        level = _level_coeffs(y, 2.0**-12, w, j, range(2**j))
+        rows = _level_coeffs(np.stack([-y, y, 2 * y]), 2.0**-12, w, j, range(2**j))
         assert np.array_equal(rows[1], level)
 
 
 def test_max_coeff_basics():
     levels = {3: np.array([-0.5, 0.25, 0.1]), 4: np.zeros(2)}
-    pyr = CoeffPyramid(levels=levels, k0={3: 2, 4: 5}, source="direct_kernel",
-                       wavelet_id="quartic", seed=0)
+    pyr = CoeffPyramid(levels=levels, k0={3: 2, 4: 5}, wavelet_id="quartic", seed=0)
     assert max_coeff(pyr, 3, (0.25, 0.625)) == 0.5
     assert max_coeff(pyr, 4, (0.3125, 0.4375)) == 0.0
     with pytest.raises(ValueError):
@@ -176,23 +154,8 @@ def test_max_over_unit_interval_equals_global_max():
     rng = np.random.default_rng(3)
     for j in (2, 3, 5):
         lev = rng.normal(size=2**j)
-        pyr = CoeffPyramid(levels={j: lev}, k0={j: 0}, source="direct_kernel",
-                           wavelet_id="q", seed=0)
+        pyr = CoeffPyramid(levels={j: lev}, k0={j: 0}, wavelet_id="q", seed=0)
         assert max_coeff(pyr, j, (0.0, 1.0)) == max(abs(v) for v in lev)
-
-
-def test_pyramid_csv_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(44)
-    levels = {j: rng.standard_cauchy(size=2**j) for j in (2, 3)}
-    pyr = CoeffPyramid(levels=levels, k0={2: 0, 3: 0}, source="path_quadrature",
-                       wavelet_id="quartic", seed=17)
-    fname = tmp_path / "pyr.csv"
-    pyramid_to_csv(pyr, fname)
-    back = pyramid_from_csv(fname)
-    assert back.wavelet_id == "quartic" and back.seed == 17 and back.source == pyr.source
-    for j in (2, 3):
-        for k in range(2**j):
-            assert back.value(j, k) == pyr.value(j, k)  # bit-exact
 
 
 def test_interval_sequence_invariants():
@@ -206,38 +169,28 @@ def test_interval_sequence_invariants():
 
 def test_pyramid_rejects_cells_outside_unit_interval():
     with pytest.raises(ValueError):
-        CoeffPyramid(levels={2: np.array([1.0])}, k0={2: 4}, source="direct_kernel",
-                     wavelet_id="q", seed=0)
+        CoeffPyramid(levels={2: np.array([1.0])}, k0={2: 4}, wavelet_id="q", seed=0)
 
 
 def test_pyramid_csv_golden_bytes(tmp_path):
     # levels ascending, shifts ascending within a level, repr of each value
     pyr = CoeffPyramid(levels={2: np.array([1e-3, 0.1 + 0.2]), 1: np.array([0.5, -0.25])},
-                       k0={2: 1, 1: 0}, source="path_quadrature", wavelet_id="quartic",
-                       seed=3)
+                       k0={2: 1, 1: 0}, wavelet_id="quartic", seed=3)
     fname = tmp_path / "pyr.csv"
     pyramid_to_csv(pyr, fname)
     assert fname.read_bytes() == (
         b"# wavelet: quartic\n"
         b"# seed: 3\n"
-        b"j,k,value,source\n"
-        b"1,0,0.5,path_quadrature\n"
-        b"1,1,-0.25,path_quadrature\n"
-        b"2,1,0.001,path_quadrature\n"
-        b"2,2,0.30000000000000004,path_quadrature\n"
+        b"j,k,value\n"
+        b"1,0,0.5\n"
+        b"1,1,-0.25\n"
+        b"2,1,0.001\n"
+        b"2,2,0.30000000000000004\n"
     )
 
 
-def test_pyramid_from_csv_rejects_gaps(tmp_path):
-    fname = tmp_path / "gap.csv"
-    fname.write_text("j,k,value,source\n3,1,0.5,path_quadrature\n3,3,0.25,path_quadrature\n")
-    with pytest.raises(ValueError):
-        pyramid_from_csv(fname)
-
-
 def test_level_rejects_missing_shifts():
-    pyr = CoeffPyramid(levels={3: np.arange(3.0)}, k0={3: 2}, source="direct_kernel",
-                       wavelet_id="q", seed=0)
+    pyr = CoeffPyramid(levels={3: np.arange(3.0)}, k0={3: 2}, wavelet_id="q", seed=0)
     assert list(pyr.level(3, range(3, 5))) == [1.0, 2.0]
     for ks in (range(1, 3), range(4, 6), [7]):
         with pytest.raises(ValueError):

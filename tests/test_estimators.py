@@ -25,7 +25,6 @@ def _pyramid(j, values):
     return CoeffPyramid(
         levels={j: np.array(values)},
         k0={j: 0},
-        source="direct_kernel",
         wavelet_id="quartic",
         seed=0,
     )

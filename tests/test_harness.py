@@ -22,7 +22,7 @@ from lmsmlab.harness import (
     run_replicate,
     write_reports,
 )
-from lmsmlab.process import TruncationError, sample_path_from_csv
+from lmsmlab.process import TruncationError
 
 FAST = dict(
     alpha=1.5,
@@ -67,13 +67,16 @@ def test_readme_config_example_is_valid():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4}],
-    ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4"],
+    [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
+     {"hurst_params": (0.8,)}],
+    ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
+         "hurst_params=(0.8,)"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
     # for one node, a ZeroDivisionError for refine 0, a ValueError from
-    # StableLaw, estimate_hmin or make_noise_grid for the other three)
+    # StableLaw, estimate_hmin or make_noise_grid for the next three), or to
+    # die in validate with a TypeError (one parameter for the linear H)
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -177,10 +180,11 @@ def test_cli_writes_replicate_zero(tmp_path, monkeypatch, capsys):
     spy("build_pyramid", hmod.build_pyramid)
     run_replicate(cfg, 0)
 
-    path = sample_path_from_csv(tmp_path / "out" / "path.csv")
-    assert path.times.size == round(cfg.path_refine / cfg.delta) + 1
-    assert np.array_equal(path.times, seen["simulate_lmsm"].times)
-    assert np.array_equal(path.values, seen["simulate_lmsm"].values)
+    rows = np.loadtxt(tmp_path / "out" / "path.csv", delimiter=",", comments="#",
+                      skiprows=8)
+    assert rows.shape[0] == round(cfg.path_refine / cfg.delta) + 1
+    assert np.array_equal(rows[:, 0], seen["simulate_lmsm"].times)
+    assert np.array_equal(rows[:, 1], seen["simulate_lmsm"].values)
     pyramid_to_csv(seen["build_pyramid"], tmp_path / "replicate0.csv")
     assert filecmp.cmp(tmp_path / "out" / "pyramid.csv", tmp_path / "replicate0.csv",
                        shallow=False)

@@ -21,7 +21,6 @@ from lmsmlab.process import (
     field_on_mesh,
     make_noise_grid,
     path_truncation_audit,
-    sample_path_from_csv,
 )
 from lmsmlab.stable import moment_constant, unit_sas
 from lmsmlab.wavelet import PhiKernel, _poly_eval
@@ -511,10 +510,19 @@ def test_path_csv_roundtrip(tmp_path):
                            tail_tol=0.5)
     fname = tmp_path / "path.csv"
     path.to_csv(fname)
-    back = sample_path_from_csv(fname)
-    assert np.array_equal(back.times, path.times)
-    assert np.array_equal(back.values, path.values)
-    assert back.provenance["kind"] == "lmsm"
+    # the header is derived from the path's noise grid and H
+    assert fname.read_bytes().split(b"t,Y\n")[0] == (
+        b"# kind: lmsm\n"
+        b"# alpha: 1.5\n"
+        b"# scale: 1.0\n"
+        b"# hurst: constant(0.8,)\n"
+        b"# t_min: -2.0\n"
+        b"# delta: 0.00390625\n"
+        b"# seed: 111\n"
+    )
+    back = np.loadtxt(fname, delimiter=",", comments="#", skiprows=8)
+    assert np.array_equal(back[:, 0], path.times)
+    assert np.array_equal(back[:, 1], path.values)
 
 
 def test_truncation_audit_monotone_in_domain():
