@@ -167,8 +167,8 @@ def phi1_integral(
     phi: PhiKernel, H: HurstFunction, j: int, k: int, l: int, panels_scale: int = 16
 ) -> float:
     """Half-power product integral int |Phi(u-k, H_k) Phi(u-l, H_l)|**(alpha/2) du."""
-    h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-    h_l = float(np.asarray(H(l * 2.0**-j), dtype=float))
+    h_k = float(H.frozen(j, k))
+    h_l = float(H.frozen(j, l))
     p = phi.alpha / 2.0
     return _phi_product_integral(phi, h_k, h_l, k, l, p, p, panels_scale=panels_scale)
 
@@ -177,8 +177,8 @@ def phi2_integral(
     phi: PhiKernel, H: HurstFunction, j: int, k: int, l: int, panels_scale: int = 16
 ) -> float:
     """Asymmetric product integral int |Phi(u-k, H_k)|**(alpha-1) |Phi(u-l, H_l)| du."""
-    h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
-    h_l = float(np.asarray(H(l * 2.0**-j), dtype=float))
+    h_k = float(H.frozen(j, k))
+    h_l = float(H.frozen(j, l))
     return _phi_product_integral(
         phi, h_k, h_l, k, l, phi.alpha - 1.0, 1.0, panels_scale=panels_scale
     )
@@ -254,7 +254,7 @@ def _direct_weight_matrix(
     delta = 2.0 ** -(j + 4)
     rows = []
     for k in ks:
-        h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
+        h_k = float(H.frozen(j, k))
         rows.append(direct_coeff_weights(delta, phi, j, int(k), h_k))
     i_lo = min(i0 for i0, _ in rows)
     n_cells = max(i0 + w.size for i0, w in rows) - i_lo
@@ -306,7 +306,7 @@ def scale_param_check(
     c_beta = moment_constant(beta, law.alpha)
     rel_errors, targets, estimates = [], [], []
     for col, k in enumerate(ks):
-        h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
+        h_k = float(H.frozen(j, k))
         target = law.scale * 2.0 ** (-j * h_k) * phi.lalpha_norm(h_k)
         mom = float(np.mean(np.abs(coeffs[:, col]) ** beta))
         est = (mom / c_beta) ** (1.0 / beta)

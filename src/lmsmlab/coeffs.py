@@ -7,9 +7,10 @@ int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor never appears
 explicitly.  Every cell of a level holds the same m + 1 samples, so a level is
 one weight vector (``WaveletSpec.cell_weights``) applied tap by tap to strided
 views of the samples.  The path and the frozen-Hurst rows of the interpolant
-share that one level routine.  A pyramid holds one array per level; index
-sets are ``range`` objects of shifts.  ``pyramid_to_csv`` writes a pyramid
-for the command line.
+share that one level routine.  A pyramid holds one array per level, built on
+exactly the cells inside I_j (the shifts of ``index_set``), so the level array
+is what the estimators read.  ``pyramid_to_csv`` writes a pyramid for the
+command line.
 """
 
 from __future__ import annotations
@@ -71,26 +72,16 @@ def index_set(interval: tuple[float, float], j: int) -> range:
 
 @dataclass(frozen=True, eq=False)
 class CoeffPyramid:
-    """One array per level: ``levels[j][i]`` is d_{j,k} for k = k0[j] + i.
-    Outside this module, read it through ``level`` and ``value``."""
+    """One array per level: ``levels[j][i]`` is d_{j,k} for k = k0[j] + i."""
 
     levels: dict  # j -> ndarray
     k0: dict  # j -> first shift
     wavelet_id: str
     seed: int
 
-    def level(self, j: int, ks=None) -> np.ndarray:
-        """The coefficients of level j, or of the shifts ks only."""
-        lev = self.levels[j]
-        if ks is None:
-            return lev
-        idx = np.asarray(ks, dtype=int) - self.k0[j]
-        if idx.size and (idx.min() < 0 or idx.max() >= lev.size):
-            raise ValueError(f"level {j} lacks some of the shifts {ks}")
-        return lev[idx]
-
-    def value(self, j: int, k: int) -> float:
-        return float(self.level(j, (k,))[0])
+    def level(self, j: int) -> np.ndarray:
+        """The coefficients of the cells of level j inside I_j."""
+        return self.levels[j]
 
     def __post_init__(self):
         for j, lev in self.levels.items():
@@ -147,16 +138,13 @@ def frozen_level(
     rows are combined barycentrically at H(k 2^-j); the combination is linear
     in the node values, so this is the path route's quadrature of X(., H(k 2^-j)).
     """
-    h_k = np.asarray(H(np.asarray(ks) * 2.0**-j), dtype=float)
+    h_k = H.frozen(j, ks)
     return interp.combine(h_k, _level_coeffs(interp.values, interp.t_step, w, j, ks))
 
 
-def max_coeff(pyramid: CoeffPyramid, j: int, interval: tuple[float, float]) -> float:
-    """D_j = max |d_{j,k}| over cells of level j inside the interval."""
-    ks = index_set(interval, j)
-    if not ks:
-        raise ValueError(f"no level-{j} dyadic cell fits inside {interval}")
-    return float(np.max(np.abs(pyramid.level(j, ks))))
+def max_coeff(level: np.ndarray) -> float:
+    """D_j = max |d_{j,k}| over the cells of a pyramid level."""
+    return float(np.max(np.abs(level)))
 
 
 def pyramid_to_csv(pyramid: CoeffPyramid, fname) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import CoeffPyramid, IntervalSequence
+from .coeffs import IntervalSequence
 from .stable import moment_constant
 from .wavelet import PhiKernel
 
@@ -47,7 +47,6 @@ class EstimateRecord:
     h_hat: float
     d_j: float
     n_j: int
-    interval: tuple[float, float]
     alpha_hat: float | None = None
     h_hat_corrected: float | None = None
     flags: list = field(default_factory=list)
@@ -57,14 +56,13 @@ class EstimateRecord:
         return bool(self.flags)
 
 
-def empirical_mean(pyramid: CoeffPyramid, j: int, nu, beta: float) -> float:
-    """V_j: mean of |d_{j,k}|**beta over the index set nu."""
+def empirical_mean(level: np.ndarray, beta: float) -> float:
+    """V_j: mean of |d_{j,k}|**beta over the cells of a pyramid level."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    vals = pyramid.level(j, nu)
-    if vals.size == 0:
+    if level.size == 0:
         raise ValueError("empty index set")
-    return float(np.mean(np.abs(vals) ** beta))
+    return float(np.mean(np.abs(level) ** beta))
 
 
 def estimate_hmin(v_j: float, j: int, beta: float) -> float:

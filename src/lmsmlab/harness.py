@@ -34,7 +34,7 @@ from .bounds import (
     rq_sweep_report,
     scale_param_check,
 )
-from .coeffs import ResolutionError, build_pyramid, index_set, max_coeff
+from .coeffs import ResolutionError, build_pyramid, max_coeff
 from .estimators import (
     DegenerateReplicate,
     EstimateRecord,
@@ -154,6 +154,8 @@ class ExperimentConfig:
         d = dict(d)
         for key in ("hurst_params", "j_range", "interval"):
             if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {d[key]!r}")
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -195,7 +197,7 @@ class ConvergenceTable:
                     if col in ("j", "n_j", "flagged"):
                         cells.append(str(int(val)))
                     else:
-                        cells.append("" if val is None else fmt17(val))
+                        cells.append(fmt17(val))
                 fh.write(",".join(cells) + "\n")
 
     def row(self, j: int) -> dict:
@@ -221,21 +223,18 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     H = config.hurst()
     wavelet = config.wavelet()
     kernel = PhiKernel(config.alpha, wavelet)
-    intervals = config.intervals()
-    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.j_range, intervals)
+    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.j_range,
+                            config.intervals())
 
     records = []
     for j in config.j_range:
-        i_j = intervals.interval(j)
-        ks = index_set(i_j, j)
-        rec = EstimateRecord(
-            j=j, v_j=math.nan, h_hat=math.nan, d_j=math.nan, n_j=len(ks), interval=i_j
-        )
-        if not ks:
+        level = pyramid.level(j)
+        rec = EstimateRecord(j=j, v_j=math.nan, h_hat=math.nan, d_j=math.nan, n_j=level.size)
+        if not level.size:
             rec.flags.append("empty_index_set")
             records.append(rec)
             continue
-        rec.v_j = empirical_mean(pyramid, j, ks, config.beta)
+        rec.v_j = empirical_mean(level, config.beta)
         try:
             rec.h_hat = estimate_hmin(rec.v_j, j, config.beta)
             rec.h_hat_corrected = corrected_hmin(
@@ -243,7 +242,7 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
             )
         except DegenerateReplicate as exc:
             rec.flags.append(str(exc))
-        rec.d_j = max_coeff(pyramid, j, i_j)
+        rec.d_j = max_coeff(level)
         if config.interval_mode == "global" and not rec.flags:
             try:
                 rec.alpha_hat = estimate_alpha(rec.h_hat, rec.d_j, j)
@@ -308,9 +307,7 @@ def _write_records_csv(fname, per_replicate: dict) -> None:
                 flags = ";".join(rec.flags)
                 fh.write(
                     f"{r},{rec.j},{rec.n_j},{fmt17(rec.v_j)},{fmt17(rec.h_hat)},"
-                    f"{fmt17(rec.h_hat_corrected) if rec.h_hat_corrected is not None else ''},"
-                    f"{fmt17(rec.d_j)},"
-                    f"{fmt17(rec.alpha_hat) if rec.alpha_hat is not None else ''},"
+                    f"{fmt17(rec.h_hat_corrected)},{fmt17(rec.d_j)},{fmt17(rec.alpha_hat)},"
                     f"{flags}\n"
                 )
 

@@ -95,6 +95,11 @@ class HurstFunction:
     def __call__(self, t):
         return self.evaluator(t)
 
+    def frozen(self, j: int, k) -> np.ndarray:
+        """H_k = H(k 2^-j), the level a dyadic cell (j, k) is frozen at, for
+        one shift or an array of shifts."""
+        return np.asarray(self(np.asarray(k) * 2.0**-j), dtype=float)
+
     @property
     def is_constant(self) -> bool:
         return self.h_low == self.h_high
@@ -516,24 +521,27 @@ class SamplePath:
                 fh.write(f"{float(t)!r},{float(y)!r}\n")
 
 
-def simulate_lmsm(
-    field: MeshFieldInterpolant, H: HurstFunction, tail_tol: float = 0.25
-) -> SamplePath:
+# the relative alpha-mass the noise-domain truncation may cost raw path
+# values; wavelet coefficients are far less sensitive (their kernel decays two
+# orders faster) and recertify their own windows
+_PATH_TAIL_TOL = 0.25
+
+
+def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction) -> SamplePath:
     """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of [0, 1]:
     ``field.at(H(t))``, with Y(0) = 0 exactly.
 
-    ``tail_tol`` bounds the relative alpha-mass the noise-domain truncation
-    may cost raw path values; wavelet coefficients are far less sensitive
-    (their kernel decays two orders faster) and recertify their own windows.
-    Raises ValueError when H leaves the interpolant's [h_low, h_high].
+    Raises TruncationError when the noise domain costs the path values more
+    than ``_PATH_TAIL_TOL`` of their alpha-mass, and ValueError when H leaves
+    the interpolant's [h_low, h_high].
     """
     grid = field.grid
     H.validate(grid.law.alpha)
     worst = path_truncation_audit(grid, 1.0, H.h_high)
-    if worst > tail_tol:
+    if worst > _PATH_TAIL_TOL:
         raise TruncationError(
             f"noise domain too short for raw path values: "
-            f"relative tail mass {worst:.3e} > {tail_tol}"
+            f"relative tail mass {worst:.3e} > {_PATH_TAIL_TOL}"
         )
     values = field.at(H(np.arange(field.values.shape[1]) * field.t_step))
     values[0] = 0.0
@@ -584,7 +592,7 @@ def simulate_coeff_direct(
         raise ValueError("dyadic cell must lie inside [0, 1]")
     if phi.alpha != grid.law.alpha:
         raise ValueError("kernel and grid alpha differ")
-    h_k = float(np.asarray(H(k * 2.0**-j), dtype=float))
+    h_k = float(H.frozen(j, k))
     i_start, w = direct_coeff_weights(grid.delta, phi, j, k, h_k)
     lo = grid.origin_index + i_start
     if lo < 0 or lo + w.size > grid.n_cells:

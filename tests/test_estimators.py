@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import lmsmlab as L
-from lmsmlab.coeffs import CoeffPyramid
 from lmsmlab.estimators import (
     DegenerateReplicate,
     build_global_intervals,
@@ -21,30 +20,18 @@ from lmsmlab.stable import moment_constant
 from lmsmlab.wavelet import PhiKernel
 
 
-def _pyramid(j, values):
-    return CoeffPyramid(
-        levels={j: np.array(values)},
-        k0={j: 0},
-        wavelet_id="quartic",
-        seed=0,
-    )
-
-
 def test_empirical_mean_constant_and_mixed():
-    pyr = _pyramid(3, [0.5] * 8)
-    assert empirical_mean(pyr, 3, range(8), 0.25) == pytest.approx(0.5**0.25)
-    pyr2 = _pyramid(1, [1.0, 2.0])
+    assert empirical_mean(np.full(8, 0.5), 0.25) == pytest.approx(0.5**0.25)
     expected = (1.0 + 2.0**0.25) / 2.0  # hand arithmetic: ~1.0946
-    assert empirical_mean(pyr2, 1, [0, 1], 0.25) == pytest.approx(expected)
+    assert empirical_mean(np.array([1.0, 2.0]), 0.25) == pytest.approx(expected)
     assert expected == pytest.approx(1.0946, abs=1e-4)
 
 
 def test_empirical_mean_validation():
-    pyr = _pyramid(2, [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
-        empirical_mean(pyr, 2, [], 0.25)
+        empirical_mean(np.zeros(0), 0.25)
     with pytest.raises(ValueError):
-        empirical_mean(pyr, 2, [0, 1], 0.0)
+        empirical_mean(np.ones(4), 0.0)
 
 
 def test_estimate_hmin_exact_inversion():

@@ -83,6 +83,15 @@ def test_config_rejects_unusable_mesh_settings(bad):
         cfg.validate()
 
 
+@pytest.mark.parametrize("bad", [{"hurst_params": 0.8}, {"j_range": 12}],
+                         ids=["hurst_params=0.8", "j_range=12"])
+def test_config_from_dict_names_a_scalar_list_field(bad):
+    # a scalar where a list belongs used to die in tuple() with a TypeError
+    # that named no field
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ExperimentConfig.from_dict(bad)
+
+
 def test_fmt17_roundtrips():
     for x in (0.1, 2.0 ** -37 * 3.1415926, -1.7976931348623157e308, 1e-300):
         assert float(fmt17(x)) == x

@@ -312,11 +312,11 @@ def test_combine_streams_node_rows():
 
 
 def test_interpolant_refuses_to_extrapolate():
-    # H = 0.75 + 0.2 t leaves the interpolant's [0.75, 0.8] at t = 0.25
+    # H = 0.8 - 0.1 t leaves the interpolant's [0.75, 0.8] at t = 0.5
     g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
     interp = MeshFieldInterpolant(g, 0.75, 0.8, n_nodes=16)
     with pytest.raises(ValueError, match="outside"):
-        L.simulate_lmsm(interp, L.linear_hurst(0.75, 0.2), tail_tol=1.0)
+        L.simulate_lmsm(interp, L.linear_hurst(0.8, -0.1))
     interp.at(0.8 + 5e-13)  # inside the 1e-12 slack
     for v in (0.8 + 2e-12, np.array([0.76, 0.7499])):
         with pytest.raises(ValueError):
@@ -498,7 +498,8 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     for j in (5, 6):
         scale = 2.0 ** (-j * 0.8) * kern.lalpha_norm(0.8)
         worst = max(
-            abs(pyr.value(j, k) - L.simulate_coeff_direct(grid, kern, j, k, H)) / scale
+            abs(pyr.level(j)[k - pyr.k0[j]] - L.simulate_coeff_direct(grid, kern, j, k, H))
+            / scale
             for k in range(0, 2**j, max(1, 2**j // 8))
         )
         assert worst < 0.05
@@ -506,8 +507,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
 
 def test_path_csv_roundtrip(tmp_path):
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=111)
-    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8),
-                           tail_tol=0.5)
+    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8))
     fname = tmp_path / "path.csv"
     path.to_csv(fname)
     # the header is derived from the path's noise grid and H
@@ -565,3 +565,14 @@ def test_hurst_validation():
     with pytest.raises(ValueError):
         L.linear_hurst(0.7, 0.4).validate(1.5)  # exceeds 1
     L.sine_hurst(0.75, 0.08).validate(1.5)
+    # a cell (j, k) is frozen at H(k 2^-j): one shift gives a 0-d array, an
+    # array of shifts one value per shift, each bit-identical to H itself
+    for H in (L.constant_hurst(0.8), L.linear_hurst(0.7, 0.15), L.sine_hurst(0.75, 0.08)):
+        for j in (5, 8, 12):
+            k = 3 * 2 ** (j - 2) + 1
+            one = H.frozen(j, k)
+            assert one.shape == () and one.dtype == float
+            assert float(one) == float(H(k * 2.0**-j))
+            ks = np.arange(2**j)
+            assert np.array_equal(H.frozen(j, ks), H(ks * 2.0**-j))
+            assert np.array_equal(H.frozen(j, range(2**j)), H(ks * 2.0**-j))
