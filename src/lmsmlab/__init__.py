@@ -35,6 +35,8 @@ from .coeffs import (
     IntervalSequence,
     CoeffPyramid,
     index_set,
+    build_global_intervals,
+    build_local_intervals,
     build_pyramid,
     max_coeff,
 )
@@ -43,8 +45,6 @@ from .estimators import (
     empirical_mean,
     estimate_hmin,
     corrected_hmin,
-    build_global_intervals,
-    build_local_intervals,
     estimate_alpha,
 )
 from .bounds import (

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import build_pyramid, frozen_level, index_set
-from .estimators import build_global_intervals
+from .coeffs import build_global_intervals, build_pyramid, frozen_level, noise_step
 from .process import (
     HurstFunction,
     MeshFieldInterpolant,
@@ -250,8 +249,11 @@ def _direct_weight_matrix(
     law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks
 ) -> np.ndarray:
     """(len(ks) x n_cells) frozen-Hurst coefficient weights on cells of width
-    2^-(j+4) over the union of their certified windows, noise scale included."""
-    delta = 2.0 ** -(j + 4)
+    ``noise_step(j)`` over the union of their certified windows, noise scale
+    included.  The kernel's alpha must be the law's."""
+    if phi.alpha != law.alpha:
+        raise ValueError("kernel and law alpha differ")
+    delta = noise_step(j)
     rows = []
     for k in ks:
         h_k = float(H.frozen(j, k))
@@ -401,13 +403,13 @@ def approx_error_check(
     Both routes share one noise grid and one trapezoid discretization; the
     frozen-Hurst coefficient integrates X(t, H(k 2^-j)) over the same cell
     samples, so the difference isolates the Hurst variation.  Noise cells are
-    2^-(max j + 4) wide on [-8, 1), refined 4 times, with 24 v-nodes.
+    ``noise_step(max j)`` wide on [-8, 1), refined 4 times, with 24 v-nodes.
     """
     j_list = sorted(int(j) for j in j_list)
     if len(j_list) < 4:
         raise ValueError("need at least 4 levels for the slope regression")
     rho = H.holder_exponent
-    delta = 2.0 ** -(max(j_list) + 4)
+    delta = noise_step(max(j_list))
     t_tail, n_nodes, refine = 8.0, 24, 4
     intervals = build_global_intervals((0.0, 1.0), max(j_list))
     slopes = []
@@ -418,7 +420,7 @@ def approx_error_check(
         pyramid = build_pyramid(path, wavelet, j_list, intervals)
         maxima = []
         for j in j_list:
-            d_tilde = frozen_level(interp, wavelet, j, index_set(intervals.interval(j), j), H)
+            d_tilde = frozen_level(path, wavelet, j, pyramid.cells[j])
             maxima.append(float(np.max(np.abs(pyramid.level(j) - d_tilde))))
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))
     slopes = np.array(slopes)

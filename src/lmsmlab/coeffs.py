@@ -1,16 +1,17 @@
-"""Wavelet coefficient pyramids, dyadic index sets and the max statistic.
+"""Level geometry, wavelet coefficient pyramids and the max statistic.
 
-Coefficients are d_{j,k} = 2^j int Y(t) psi(2^j t - k) dt, integrated by
-trapezoid on the mesh t = m * t_step of [0, 1] that a simulated path carries
-in its field interpolant; after the change of variables x = 2^j t - k this is
-int_0^1 Y((x + k) 2^-j) psi(x) dx, so the 2^j prefactor never appears
-explicitly.  Every cell of a level holds the same m + 1 samples, so a level is
-one weight vector (``WaveletSpec.cell_weights``) applied tap by tap to strided
-views of the samples.  The path and the frozen-Hurst rows of the interpolant
-share that one level routine.  A pyramid holds one array per level, built on
-exactly the cells inside I_j (the shifts of ``index_set``), so the level array
-is what the estimators read.  ``pyramid_to_csv`` writes a pyramid for the
-command line.
+Only this module knows which cells make level j (the shifts of ``index_set``
+inside I_j, from ``build_global_intervals`` or ``build_local_intervals``), its
+noise step (``noise_step``) and its sampling rule (``samples_per_cell``, which
+``ExperimentConfig.validate`` also applies).  Coefficients d_{j,k} =
+2^j int Y(t) psi(2^j t - k) dt are trapezoid sums on the path's field mesh
+t = m * t_step of [0, 1]; with x = 2^j t - k they are int_0^1 Y((x + k) 2^-j)
+psi(x) dx, so the 2^j prefactor never appears.  Every cell of a level holds
+the same m + 1 samples, so a level is one weight vector
+(``WaveletSpec.cell_weights``) applied tap by tap to strided views of the
+samples, for the path and the frozen-Hurst rows alike.  A pyramid holds one
+array per level, on exactly the cells of I_j, and carries those cells, so the
+level array is what the estimators read.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .process import HurstFunction, MeshFieldInterpolant, SamplePath
+from .process import SamplePath
 from .wavelet import WaveletSpec
 
 __all__ = [
     "IntervalSequence",
     "CoeffPyramid",
     "index_set",
+    "build_global_intervals",
+    "build_local_intervals",
+    "noise_step",
+    "samples_per_cell",
     "build_pyramid",
     "frozen_level",
     "max_coeff",
@@ -54,13 +59,42 @@ class IntervalSequence:
                 raise ValueError(f"level {j}: intervals are not nested")
             prev = (lo, hi)
 
-    def __len__(self):
-        return len(self.intervals)
-
     def interval(self, j: int) -> tuple[float, float]:
-        if j < len(self.intervals):
-            return self.intervals[j]
-        return self.intervals[-1]
+        return self.intervals[j]
+
+
+def build_global_intervals(interval: tuple[float, float], j_max: int) -> IntervalSequence:
+    """I_j = I at every level, admissible or not (see ``IntervalSequence``)."""
+    lo, hi = interval
+    if hi <= lo:
+        raise ValueError("interval must have non-empty interior")
+    if lo < 0.0 or hi > 1.0:
+        raise ValueError("interval must lie inside [0, 1]")
+    return IntervalSequence(tuple((lo, hi) for _ in range(j_max + 1)))
+
+
+def build_local_intervals(t0: float, j_max: int) -> IntervalSequence:
+    """Shrinking windows centered at t0 with diam 2**(1 - j/2), clipped into [0, 1].
+
+    When the centered window leaves [0, 1] it is slid (not shrunk) back
+    inside, so the diameter condition keeps holding, the windows stay nested
+    and their intersection over j is still {t0}.
+    """
+    if not 0.0 < t0 < 1.0:
+        raise ValueError("t0 must lie in (0, 1)")
+    out = []
+    for j in range(j_max + 1):
+        r = 2.0 ** (-j / 2.0)
+        lo, hi = t0 - r, t0 + r
+        width = 2.0 * r
+        if width >= 1.0:
+            lo, hi = 0.0, 1.0
+        elif lo < 0.0:
+            lo, hi = 0.0, width
+        elif hi > 1.0:
+            lo, hi = 1.0 - width, 1.0
+        out.append((lo, hi))
+    return IntervalSequence(tuple(out))
 
 
 def index_set(interval: tuple[float, float], j: int) -> range:
@@ -70,12 +104,29 @@ def index_set(interval: tuple[float, float], j: int) -> range:
     return range(int(np.ceil(lo * scale - 1e-9)), int(np.floor(hi * scale + 1e-9)))
 
 
+def noise_step(j: int) -> float:
+    return 2.0 ** -(j + 4)  # the noise cell width: 16 noise cells per level-j cell
+
+
+class ResolutionError(ValueError):
+    """Mesh too sparse inside a dyadic cell, or too short for a level's cells."""
+
+
+def samples_per_cell(step: float, j: int) -> int:
+    """Mesh intervals per level-j cell; ResolutionError unless a whole number >= 16."""
+    m = round(2.0**-j / step)
+    if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
+        raise ResolutionError(f"{2.0**-j / step:g} samples per level-{j} cell, "
+                              "need a whole number >= 16")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class CoeffPyramid:
-    """One array per level: ``levels[j][i]`` is d_{j,k} for k = k0[j] + i."""
+    """One array per level: ``levels[j][i]`` is d_{j,k} for k = cells[j][i]."""
 
     levels: dict  # j -> ndarray
-    k0: dict  # j -> first shift
+    cells: dict  # j -> range of shifts
     wavelet_id: str
     seed: int
 
@@ -84,14 +135,9 @@ class CoeffPyramid:
         return self.levels[j]
 
     def __post_init__(self):
-        for j, lev in self.levels.items():
-            lo, hi = self.k0[j], self.k0[j] + len(lev)
-            if len(lev) and not (lo >= 0 and hi * 2.0**-j <= 1.0 + 1e-12):
-                raise ValueError(f"cells ({j}, {lo}..{hi - 1}) leave [0, 1]")
-
-
-class ResolutionError(ValueError):
-    """Mesh too sparse inside a dyadic cell, or too short for a level's cells."""
+        for j, ks in self.cells.items():
+            if ks and not (ks.start >= 0 and ks.stop * 2.0**-j <= 1.0 + 1e-12):
+                raise ValueError(f"cells ({j}, {ks.start}..{ks.stop - 1}) leave [0, 1]")
 
 
 def _level_coeffs(
@@ -101,9 +147,7 @@ def _level_coeffs(
     i step, i = 0, 1, ...: the shared cell weights applied tap by tap to
     strided views, so every coefficient is summed in the same order whatever
     the number of rows or shifts."""
-    m = round(2.0**-j / step)
-    if m < 16 or abs(m * step - 2.0**-j) > 1e-12:
-        raise ResolutionError(f"mesh step {step} incompatible with level {j}")
+    m = samples_per_cell(step, j)
     start = ks.start * m
     n = len(ks)
     if n and (start < 0 or start + n * m >= values.shape[-1]):
@@ -119,27 +163,25 @@ def build_pyramid(
     path: SamplePath, w: WaveletSpec, j_range, intervals: IntervalSequence
 ) -> CoeffPyramid:
     """All coefficients with cells inside I_j, for each level j in j_range."""
-    index_sets = {j: index_set(intervals.interval(j), j) for j in j_range}
+    cells = {j: index_set(intervals.interval(j), j) for j in j_range}
     step = path.field.t_step
     return CoeffPyramid(
-        levels={j: _level_coeffs(path.values, step, w, j, ks) for j, ks in index_sets.items()},
-        k0={j: ks.start for j, ks in index_sets.items()},
+        levels={j: _level_coeffs(path.values, step, w, j, ks) for j, ks in cells.items()},
+        cells=cells,
         wavelet_id=w.name,
         seed=path.field.grid.seed,
     )
 
 
-def frozen_level(
-    interp: MeshFieldInterpolant, w: WaveletSpec, j: int, ks: range, H: HurstFunction
-) -> np.ndarray:
+def frozen_level(path: SamplePath, w: WaveletSpec, j: int, ks: range) -> np.ndarray:
     """Frozen-Hurst coefficients 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt, k in ks.
 
     The level quadrature runs on each v-node row of the interpolant, and the
     rows are combined barycentrically at H(k 2^-j); the combination is linear
     in the node values, so this is the path route's quadrature of X(., H(k 2^-j)).
     """
-    h_k = H.frozen(j, ks)
-    return interp.combine(h_k, _level_coeffs(interp.values, interp.t_step, w, j, ks))
+    field = path.field
+    return field.combine(path.H.frozen(j, ks), _level_coeffs(field.values, field.t_step, w, j, ks))
 
 
 def max_coeff(level: np.ndarray) -> float:
@@ -153,5 +195,5 @@ def pyramid_to_csv(pyramid: CoeffPyramid, fname) -> None:
         fh.write(f"# seed: {pyramid.seed}\n")
         fh.write("j,k,value\n")
         for j in sorted(pyramid.levels):
-            for k, v in enumerate(pyramid.levels[j].tolist(), start=pyramid.k0[j]):
+            for k, v in zip(pyramid.cells[j], pyramid.levels[j].tolist()):
                 fh.write(f"{j},{k},{v!r}\n")

@@ -1,5 +1,9 @@
 """Scale-wise estimators of min H, local H(t0) and the stability index.
 
+The estimators read one pyramid level at a time, an array of the
+coefficients of the cells of I_j; which cells those are is decided in
+``coeffs``, so nothing here knows level geometry.
+
 The raw estimator log2(V_j) / (-j beta) converges to min_{I_j} H but carries
 a finite-scale offset [log2 c(beta) + beta log2 ||Phi(., H)||] / (j beta)
 from the moment and kernel constants, which dies only like 1/j.  When alpha
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import IntervalSequence
 from .stable import moment_constant
 from .wavelet import PhiKernel
 
@@ -28,8 +31,6 @@ __all__ = [
     "estimate_hmin",
     "corrected_hmin",
     "hmin_offset",
-    "build_global_intervals",
-    "build_local_intervals",
     "estimate_alpha",
 ]
 
@@ -103,51 +104,6 @@ def corrected_hmin(
         out = raw + hmin_offset(kernel.alpha, beta, kernel, v_star, j)
         v_star = min(max(out, lo), hi)
     return out
-
-
-def build_global_intervals(interval: tuple[float, float], j_max: int) -> IntervalSequence:
-    """I_j = I at every level; small-j diameter admissibility is simply waived.
-
-    The diameter condition 2**(1 - j/2) <= |I| holds from some j on; the
-    estimators run at every configured level all the same.
-    """
-    lo, hi = interval
-    if hi <= lo:
-        raise ValueError("interval must have non-empty interior")
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError("interval must lie inside [0, 1]")
-    return IntervalSequence(tuple((lo, hi) for _ in range(j_max + 1)))
-
-
-def build_local_intervals(t0: float, j_max: int) -> IntervalSequence:
-    """Shrinking windows centered at t0 with diam 2**(1 - j/2), clipped into [0, 1].
-
-    When the centered window leaves [0, 1] it is slid (not shrunk) back
-    inside, so the diameter condition keeps holding and the intersection over
-    j is still {t0}.
-    """
-    if not 0.0 < t0 < 1.0:
-        raise ValueError("t0 must lie in (0, 1)")
-    out = []
-    for j in range(j_max + 1):
-        r = 2.0 ** (-j / 2.0)
-        lo, hi = t0 - r, t0 + r
-        width = 2.0 * r
-        if width >= 1.0:
-            lo, hi = 0.0, 1.0
-        elif lo < 0.0:
-            lo, hi = 0.0, width
-        elif hi > 1.0:
-            lo, hi = 1.0 - width, 1.0
-        out.append((lo, hi))
-    # enforce nestedness against earlier slid windows
-    for j in range(1, len(out)):
-        plo, phi_ = out[j - 1]
-        lo, hi = out[j]
-        lo = max(lo, plo)
-        hi = min(hi, phi_)
-        out[j] = (lo, hi)
-    return IntervalSequence(tuple(out))
 
 
 def estimate_alpha(h_hat: float, d_j: float, j: int) -> float:

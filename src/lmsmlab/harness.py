@@ -34,12 +34,11 @@ from .bounds import (
     rq_sweep_report,
     scale_param_check,
 )
-from .coeffs import ResolutionError, build_pyramid, max_coeff
+from .coeffs import (ResolutionError, build_global_intervals, build_local_intervals,
+                     build_pyramid, max_coeff, noise_step, samples_per_cell)
 from .estimators import (
     DegenerateReplicate,
     EstimateRecord,
-    build_global_intervals,
-    build_local_intervals,
     corrected_hmin,
     empirical_mean,
     estimate_alpha,
@@ -87,7 +86,7 @@ class ExperimentConfig:
     interval_mode: str = "global"
     interval: tuple = (0.0, 1.0)
     t0: float | None = None
-    delta: float | None = None  # None: 2**-(max(j_range)+4)
+    delta: float | None = None  # None: noise_step(max(j_range))
     t_tail: float = 8.0
     v_nodes: int = 16
     path_refine: int = 8  # path mesh = delta / path_refine
@@ -105,7 +104,7 @@ class ExperimentConfig:
 
     @property
     def noise_delta(self) -> float:
-        return self.delta if self.delta is not None else 2.0 ** -(max(self.j_range) + 4)
+        return self.delta if self.delta is not None else noise_step(max(self.j_range))
 
     def hurst(self):
         return hurst_from_id(self.hurst_name, self.hurst_params)
@@ -123,8 +122,10 @@ class ExperimentConfig:
         # StableLaw checks alpha first; interval_mode and t0 before
         # intervals(), which reads float(self.t0)
         alpha = self.law.alpha
-        if min(self.j_range) < 1:
-            raise ValueError(f"j_range levels must be >= 1, got {self.j_range}")
+        if not self.j_range or min(self.j_range) < 1:
+            raise ValueError(f"j_range must hold levels >= 1, got {self.j_range}")
+        if len(self.interval) != 2:
+            raise ValueError(f"interval must be (lo, hi), got {self.interval}")
         if self.interval_mode not in ("global", "local"):
             raise ValueError("interval_mode must be 'global' or 'local'")
         if self.interval_mode == "local" and self.t0 is None:
@@ -137,11 +138,22 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.t_tail < 1.0:
             raise ValueError("t_tail must be >= 1")
-        noise_cell_count(-self.t_tail, self.noise_delta)
+        n_cells = noise_cell_count(-self.t_tail, self.noise_delta)
         if self.v_nodes < 2:
             raise ValueError("v_nodes must be >= 2")
         if self.path_refine < 1:
             raise ValueError("path_refine must be >= 1")
+        # a replicate holds the noise grid and a v_nodes x mesh field array
+        mesh = round(self.path_refine / self.noise_delta) + 1
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * max(n_cells, self.v_nodes * mesh) > memory:
+            raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: {n_cells} "
+                             f"noise cells or {self.v_nodes} x {mesh} field values exceed RAM")
+        try:
+            for j in self.j_range:
+                samples_per_cell(self.noise_delta / self.path_refine, j)
+        except ResolutionError as exc:
+            raise ValueError(f"delta / path_refine: {exc}") from None
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -258,8 +270,8 @@ def _replicate_task(args):
 
 
 # the domain errors that fail one replicate; any other exception is a bug and
-# ends the run
-_REPLICATE_ERRORS = (TruncationError, DegenerateReplicate, ResolutionError)
+# ends the run, ResolutionError too: validate checks every level's mesh
+_REPLICATE_ERRORS = (TruncationError, DegenerateReplicate)
 
 
 def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTable:
@@ -270,8 +282,7 @@ def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTabl
         recs = [rec for r in sorted(per_replicate)
                 for rec in per_replicate[r] if rec.j == j]
         good = [rec for rec in recs if not rec.flagged]
-        lo, hi = intervals.interval(j)
-        target = H.min_over(lo, hi)
+        target = H.min_over(*intervals.interval(j))
         h_vals = np.array([rec.h_hat for rec in good]) if good else np.array([])
         hc_vals = np.array(
             [rec.h_hat_corrected for rec in good if rec.h_hat_corrected is not None]

@@ -1,6 +1,7 @@
 """Kernel-integral bounds: closed-form oracles, symmetry, decay sweeps,
 and the Monte Carlo covariance/scale checks at reduced desk scale."""
 
+import ast
 import math
 import os
 import subprocess
@@ -66,6 +67,25 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == "[]"
+
+
+def _relative_imports(module: str) -> set:
+    # the sibling modules that lmsmlab.<module> imports from
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with open(os.path.join(src, "lmsmlab", module + ".py")) as fh:
+        tree = ast.parse(fh.read())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+    return out
+
+
+def test_level_geometry_lives_in_coeffs():
+    # which cells make a level is decided in coeffs alone: the estimators read
+    # level arrays, and the bound checks take cells from a pyramid
+    assert not _relative_imports("estimators") & {"coeffs", "bounds", "harness"}
+    assert "estimators" not in _relative_imports("bounds")
 
 
 @pytest.mark.parametrize("dg", [(2.0, 1.5), (1.5, 1.5), (3.0, 1.1)])
@@ -159,8 +179,7 @@ def test_approx_check_constant_hurst_routes_coincide():
     # same interpolant level, same trapezoid, identical to the last bit; the
     # refined interpolant has m = 128 samples per cell, as at j = 12 in the
     # experiments
-    from lmsmlab.coeffs import build_pyramid, frozen_level
-    from lmsmlab.estimators import build_global_intervals
+    from lmsmlab.coeffs import build_global_intervals, build_pyramid, frozen_level
     from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
@@ -170,7 +189,7 @@ def test_approx_check_constant_hurst_routes_coincide():
         interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
         path = simulate_lmsm(interp, H)
         pyr = build_pyramid(path, w, (5,), build_global_intervals((0.0, 1.0), 5))
-        frozen = frozen_level(interp, w, 5, range(32), H)
+        frozen = frozen_level(path, w, 5, range(32))
         assert np.array_equal(frozen, pyr.level(5))
 
 
@@ -178,17 +197,18 @@ def test_frozen_level_matches_per_shift_definition():
     # node-wise quadrature combined at h_k against the quadrature of the field
     # interpolated at h_k; k = 0 puts h_k on the first Chebyshev node exactly
     from lmsmlab.coeffs import frozen_level
-    from lmsmlab.process import MeshFieldInterpolant, make_noise_grid
+    from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=334)
     interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
+    path = simulate_lmsm(interp, H)
     assert float(H(0.0)) == interp.nodes[0]
     for j in (5, 8):
         m = round(2.0**-j / interp.t_step)
         ks = range(2**j)
-        frozen = frozen_level(interp, w, j, ks, H)
+        frozen = frozen_level(path, w, j, ks)
         per_shift = np.array([
             w.cell_weights(m) @ interp.combine(float(H(k * 2.0**-j)),
                                                interp.values[:, k * m : k * m + m + 1])
@@ -202,6 +222,16 @@ def test_covariance_check_enforces_replicate_floor():
     H = L.constant_hurst(0.8)
     with pytest.raises(ValueError):
         covariance_mc_check(LAW, KERN, H, 6, [1, 2], 0.25, replicates=100)
+
+
+def test_direct_checks_refuse_a_kernel_of_another_alpha():
+    # an alpha-1.2 kernel on alpha-1.9 noise used to run and report
+    # passed=False with a worst relative error of 2.13
+    law, kern, H = L.StableLaw(1.9), PhiKernel(1.2), L.constant_hurst(0.9)
+    with pytest.raises(ValueError, match="alpha differ"):
+        scale_param_check(law, kern, H, 5, [3, 11], 0.25, replicates=10_000, seed=19)
+    with pytest.raises(ValueError, match="alpha differ"):
+        covariance_mc_check(law, kern, H, 6, [1, 2], 0.25, replicates=10_000, seed=19)
 
 
 def test_scale_check_small_level():

@@ -17,7 +17,9 @@ from lmsmlab.coeffs import (
     build_pyramid,
     index_set,
     max_coeff,
+    noise_step,
     pyramid_to_csv,
+    samples_per_cell,
 )
 from lmsmlab.coeffs import ResolutionError, _level_coeffs
 from lmsmlab.process import MeshFieldInterpolant, make_noise_grid
@@ -90,6 +92,16 @@ def test_compute_coeff_requires_resolution():
         coeff(np.zeros(9), 0, 0)
 
 
+def test_sampling_rule_and_noise_step():
+    # the default noise step puts 16 noise cells in a cell of the deepest level
+    assert samples_per_cell(noise_step(12), 12) == 16
+    assert samples_per_cell(noise_step(12) / 8, 10) == 512
+    with pytest.raises(ResolutionError, match="level-6"):
+        samples_per_cell(2.0**-9, 6)  # 8 samples
+    with pytest.raises(ResolutionError):
+        samples_per_cell(2.0**-6 / 20.5, 6)  # not a whole number
+
+
 def test_build_pyramid_structure_and_zero_path():
     # a simulated path: the level routine on the field's mesh step, the
     # pyramid's seed from the field's noise grid; a zero path gives zeros
@@ -102,7 +114,7 @@ def test_build_pyramid_structure_and_zero_path():
     assert set(pyr.levels) == {4, 5, 6}
     assert pyr.seed == path.field.grid.seed == 4
     for j in (4, 5, 6):
-        assert pyr.k0[j] == 0 and len(pyr.level(j)) == len(index_set((0.0, 1.0), j))
+        assert pyr.cells[j] == index_set((0.0, 1.0), j) == range(len(pyr.level(j)))
         level = _level_coeffs(path.values, 2.0**-12, w, j, range(2**j))
         assert np.array_equal(pyr.level(j), level)
     zero = replace(path, values=np.zeros_like(path.values))
@@ -143,7 +155,8 @@ def test_row_and_level_routes_agree_bitwise():
 
 def test_max_coeff_basics():
     levels = {3: np.array([-0.5, 0.25, 0.1]), 4: np.zeros(2)}
-    pyr = CoeffPyramid(levels=levels, k0={3: 2, 4: 5}, wavelet_id="quartic", seed=0)
+    pyr = CoeffPyramid(levels=levels, cells={3: range(2, 5), 4: range(5, 7)},
+                       wavelet_id="quartic", seed=0)
     assert max_coeff(pyr.level(3)) == 0.5
     assert max_coeff(pyr.level(4)) == 0.0
     with pytest.raises(ValueError):
@@ -154,7 +167,7 @@ def test_max_over_unit_interval_equals_global_max():
     rng = np.random.default_rng(3)
     for j in (2, 3, 5):
         lev = rng.normal(size=2**j)
-        pyr = CoeffPyramid(levels={j: lev}, k0={j: 0}, wavelet_id="q", seed=0)
+        pyr = CoeffPyramid(levels={j: lev}, cells={j: range(2**j)}, wavelet_id="q", seed=0)
         assert max_coeff(pyr.level(j)) == max(abs(v) for v in lev)
 
 
@@ -164,18 +177,19 @@ def test_interval_sequence_invariants():
     with pytest.raises(ValueError):
         IntervalSequence(((0.5, 0.5),))  # degenerate
     seq = IntervalSequence(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
-    assert seq.interval(10) == (0.0, 1.0)  # constant tail
+    assert seq.interval(2) == (0.0, 1.0)
 
 
 def test_pyramid_rejects_cells_outside_unit_interval():
     with pytest.raises(ValueError):
-        CoeffPyramid(levels={2: np.array([1.0])}, k0={2: 4}, wavelet_id="q", seed=0)
+        CoeffPyramid(levels={2: np.array([1.0])}, cells={2: range(4, 5)}, wavelet_id="q",
+                     seed=0)
 
 
 def test_pyramid_csv_golden_bytes(tmp_path):
     # levels ascending, shifts ascending within a level, repr of each value
     pyr = CoeffPyramid(levels={2: np.array([1e-3, 0.1 + 0.2]), 1: np.array([0.5, -0.25])},
-                       k0={2: 1, 1: 0}, wavelet_id="quartic", seed=3)
+                       cells={2: range(1, 3), 1: range(2)}, wavelet_id="quartic", seed=3)
     fname = tmp_path / "pyr.csv"
     pyramid_to_csv(pyr, fname)
     assert fname.read_bytes() == (
@@ -190,7 +204,8 @@ def test_pyramid_csv_golden_bytes(tmp_path):
 
 
 def test_level_rejects_missing_shifts():
-    pyr = CoeffPyramid(levels={3: np.arange(3.0)}, k0={3: 2}, wavelet_id="q", seed=0)
+    pyr = CoeffPyramid(levels={3: np.arange(3.0)}, cells={3: range(2, 5)}, wavelet_id="q",
+                       seed=0)
     assert list(pyr.level(3)) == [0.0, 1.0, 2.0]
     with pytest.raises(KeyError):
         pyr.level(4)  # a level the pyramid was not built on

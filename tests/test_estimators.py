@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import lmsmlab as L
+from lmsmlab.coeffs import build_global_intervals, build_local_intervals
 from lmsmlab.estimators import (
     DegenerateReplicate,
-    build_global_intervals,
-    build_local_intervals,
     corrected_hmin,
     empirical_mean,
     estimate_alpha,

@@ -14,6 +14,7 @@ from lmsmlab import harness
 from lmsmlab.bounds import BoundReport
 from lmsmlab.cli import main as cli_main
 from lmsmlab.coeffs import pyramid_to_csv
+from lmsmlab.estimators import DegenerateReplicate
 from lmsmlab.harness import (
     ConvergenceTable,
     ExperimentConfig,
@@ -68,15 +69,20 @@ def test_readme_config_example_is_valid():
 @pytest.mark.parametrize(
     "bad",
     [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
-     {"hurst_params": (0.8,)}],
+     {"hurst_params": (0.8,)}, {"interval": (0.2,)}, {"j_range": ()},
+     {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
-         "hurst_params=(0.8,)"],
+         "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
+         "delta=2^-8"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
     # for one node, a ZeroDivisionError for refine 0, a ValueError from
-    # StableLaw, estimate_hmin or make_noise_grid for the next three), or to
-    # die in validate with a TypeError (one parameter for the linear H)
+    # StableLaw, estimate_hmin or make_noise_grid for the next three, a
+    # ResolutionError for 8 samples per level-6 cell), to die in validate with
+    # an error that named no field (one parameter for the linear H, one
+    # interval end, no level), or to pass validate and ask for about 9 * 2^44
+    # noise cells (level 40); validate only, no replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -132,6 +138,34 @@ def test_replicates_are_order_independent():
     recs0_again = run_replicate(cfg, 0)
     assert recs0[0].v_j == recs0_again[0].v_j
     assert recs0[0].v_j != recs1[0].v_j
+
+
+def test_empty_index_sets_are_flagged(tmp_path):
+    # no level-4 or level-6 cell fits inside [0.3, 0.31]
+    cfg = ExperimentConfig(**{**FAST, "interval": (0.3, 0.31), "out_dir": str(tmp_path)})
+    recs = run_replicate(cfg, 0)
+    assert [(rec.j, rec.n_j, rec.flags) for rec in recs] == [
+        (4, 0, ["empty_index_set"]), (6, 0, ["empty_index_set"])]
+    table = run_experiment(cfg)
+    assert [(row["n_j"], row["flagged"]) for row in table.rows] == [(0, 2), (0, 2)]
+
+
+def test_degenerate_statistics_are_flags_not_failures(tmp_path, monkeypatch):
+    def degenerate(*args):
+        raise DegenerateReplicate("synthetic degenerate statistic")
+
+    monkeypatch.setattr(harness, "estimate_alpha", degenerate)
+    table = run_experiment(ExperimentConfig(**{**FAST, "out_dir": str(tmp_path)}))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failed_replicates"] == {}
+    assert [row["flagged"] for row in table.rows] == [2, 2]
+    for rec in run_replicate(ExperimentConfig(**FAST), 0):
+        assert rec.flags == ["synthetic degenerate statistic"] and rec.alpha_hat is None
+        assert rec.h_hat_corrected is not None
+    # a degenerate V_j is flagged before alpha is tried
+    monkeypatch.setattr(harness, "corrected_hmin", degenerate)
+    for rec in run_replicate(ExperimentConfig(**FAST), 0):
+        assert rec.flags == ["synthetic degenerate statistic"] and rec.h_hat_corrected is None
 
 
 def test_local_mode_has_no_alpha_hat():

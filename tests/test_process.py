@@ -491,14 +491,13 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     H = L.constant_hurst(0.8)
     grid = make_noise_grid(LAW, -16.0, 2.0**-11, seed=121)
     path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=8), H)
-    from lmsmlab.coeffs import build_pyramid
-    from lmsmlab.estimators import build_global_intervals
+    from lmsmlab.coeffs import build_global_intervals, build_pyramid
 
     pyr = build_pyramid(path, L.default_wavelet(), (5, 6), build_global_intervals((0.0, 1.0), 6))
     for j in (5, 6):
         scale = 2.0 ** (-j * 0.8) * kern.lalpha_norm(0.8)
         worst = max(
-            abs(pyr.level(j)[k - pyr.k0[j]] - L.simulate_coeff_direct(grid, kern, j, k, H))
+            abs(pyr.level(j)[k - pyr.cells[j].start] - L.simulate_coeff_direct(grid, kern, j, k, H))
             / scale
             for k in range(0, 2**j, max(1, 2**j // 8))
         )
