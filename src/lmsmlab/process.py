@@ -14,16 +14,16 @@ of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
 whatever reads the path also knows its mesh step, its noise and its H.
 
 The interpolant's node fields come from ``field_on_mesh``, which evaluates
-X(., v) on the mesh of [0, 1] and splits the noise at s = -2.  The near
-cells [-2, 1) go through FFT convolution, which computes the very same
+X(., v) on the mesh of [0, 1] and splits the noise at s = -1.  The near
+cells [-1, 1) go through FFT convolution, which computes the very same
 Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a
 discrete convolution.  Only the outputs at t in [0, 1] are read, so each
 transform has length n_near + 1/delta (rounded up to a fast size) instead of
 the full linear-convolution length: every product that wraps around the
 circular convolution lands before t = 0, outside the window that is read.
-The far cells s_i < -2 add a function of t that is analytic on a disc of
-radius 2 around 0, summed as a binomial-moment power series around 1/2 whose
-ratio is below 1/5; a certified remainder bound fixes the number of terms
+The far cells s_i < -1 add a function of t that is analytic on a disc of
+radius 1 around 0, summed as a binomial-moment power series around 1/2 whose
+ratio is below 1/3; a certified remainder bound fixes the number of terms
 (see ``field_on_mesh``).  One call builds the field for a whole batch of v:
 the kernel values share one log t, each v's residue transforms run as one
 2-D transform on the process's one thread budget, shared with the noise
@@ -340,6 +340,12 @@ def _far_coeffs(
     return coef if np.ndim(kappa) else coef[0]
 
 
+# field_on_mesh's near/far split: the noise on [-_NEAR_SPAN, 1) goes through
+# the FFT, the rest through the far series (the trade-off is in its
+# docstring); a whole number, so the split is a cell boundary for every delta
+_NEAR_SPAN = 1
+
+
 def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
     """X(m*delta/refine, v) for m = 0..refine/delta: the mesh of [0, 1].
 
@@ -351,34 +357,37 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
     coefficient quadrature accurate at deep levels without touching the noise
     resolution.
 
-    The noise is split at s = -2.  Near cells [-2, 1) go through FFT
-    convolution.  Its circular transforms have length L =
+    The noise is split at s = -1 (``_NEAR_SPAN``).  Near cells [-1, 1) go
+    through FFT convolution.  Its circular transforms have length L =
     next_fast_len(n_near + K), K = 1/delta, with the near window's origin
-    at i0 = min(2K, index of s = 0): the product dz[i] * g[l] lands on index
+    at i0 = min(K, index of s = 0): the product dz[i] * g[l] lands on index
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
     that is read.  The kernel values g = t^kappa at the refine residues share
     one log t, and each v's refine residue transforms run as one 2-D
     transform on the process's one thread budget (``stable._threads``, 1
-    in a worker of ``run_experiment``'s pool).  Far cells s_i < -2,
-    x_i = -s_i > 2, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power
+    in a worker of ``run_experiment``'s pool).  Far cells s_i < -1,
+    x_i = -s_i > 1, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power
     series in h = t - c, c = 1/2, whose ratio |h|/(x_i + c) is at most
-    r = c/(min x_i + c) < 1/5.  With |binom(kappa, n)| <= kappa/n the
+    r = c/(min x_i + c) < 1/3.  With |binom(kappa, n)| <= kappa/n the
     remainder after N terms is at most kappa/(N+1) * r^(N+1)/(1 - r) *
     sum_far (x_i + c)^kappa |dZ_i|.  N is the fewest terms that put this
     factor below 2^-53 for every v of the batch (the largest over the batch),
-    so each row's own bound holds.
+    so each row's own bound holds.  The split sits at -1 because, of the
+    splits from -2 to -1/4 timed on the criterion-8 geometry (2-core
+    machine), it built one node fastest and 16 nodes within a tenth of the
+    fastest (-1/2, whose shorter transforms cost a longer far series).
     """
     vs = np.asarray(v, dtype=float)
-    if vs.ndim > 1:
-        raise ValueError("v must be a scalar or a 1-D array")
+    if vs.ndim > 1 or vs.size == 0:
+        raise ValueError("v must be a scalar or a non-empty 1-D array")
     kappa = np.array([_kappa(grid.law.alpha, x) for x in vs.reshape(-1)])
     if refine < 1:
         raise ValueError("refine must be >= 1")
     i_origin = grid.origin_index
     K = grid.n_cells - i_origin  # cells of [0, 1): 1/delta >= 1
     out = np.zeros((kappa.size, K * refine + 1))
-    i_near = max(i_origin - 2 * K, 0)  # first near cell, s >= -2
+    i_near = max(i_origin - _NEAR_SPAN * K, 0)  # first near cell, s >= -1
     i0 = i_origin - i_near
     dz = grid.increments[i_near:]
     n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
@@ -403,7 +412,7 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
     if i_near > 0:
         x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
         c = 0.5
-        ratio = c / (x[-1] + c)  # x[-1] = (2K + 1) delta, the nearest far cell
+        ratio = c / (x[-1] + c)  # x[-1] = (K + 1) delta, the nearest far cell
         n_terms = max(_far_series_terms(k, ratio) for k in kappa)
         coef = _far_coeffs(x, grid.increments[:i_near], kappa, c, n_terms)
         # out += coef @ V, V[n, m] = h_m^n, the power basis built in chunks

@@ -26,6 +26,7 @@ from lmsmlab.stable import moment_constant, unit_sas
 from lmsmlab.wavelet import PhiKernel, _poly_eval
 
 LAW = L.StableLaw(1.5, 1.0)
+_NEAR_SPAN = L.process._NEAR_SPAN  # field_on_mesh splits the noise at s = -_NEAR_SPAN
 
 
 def test_grid_determinism_and_shape():
@@ -93,9 +94,9 @@ def test_refined_mesh_consistency():
 
 
 def _near_cells(g):
-    # cells from s = -2 (or t_min) on: the noise the FFT convolution sees
+    # cells from the split (or t_min) on: the noise the FFT convolution sees
     K = round(1 / g.delta)
-    return g.n_cells - max(g.origin_index - 2 * K, 0)
+    return g.n_cells - max(g.origin_index - _NEAR_SPAN * K, 0)
 
 
 def _assert_matches_direct_sums(g, v, refine, mesh, tol):
@@ -118,11 +119,8 @@ def test_fft_length_at_aliasing_boundary(refine):
     _assert_matches_direct_sums(g, 0.8, refine, mesh, 1e-12)
 
 
-def test_fft_length_contract(monkeypatch):
-    # one 1-D noise transform per call, then per v one 2-D rfft and one 2-D
-    # irfft with a row per residue; every call takes its length as the second
-    # positional argument, n_near + K rounded up to a fast length, never the
-    # linear-convolution size, and no keyword but axis and workers
+def _record_transforms(monkeypatch) -> list:
+    # (input shape, length, keywords) of every process.rfft / irfft call
     calls = []
 
     def recording(fn):
@@ -133,10 +131,20 @@ def test_fft_length_contract(monkeypatch):
 
     monkeypatch.setattr(L.process, "rfft", recording(L.process.rfft))
     monkeypatch.setattr(L.process, "irfft", recording(L.process.irfft))
-    g = make_noise_grid(LAW, -1.25, 2.0**-8, seed=43)
+    return calls
+
+
+def test_fft_length_contract(monkeypatch):
+    # one 1-D noise transform per call, then per v one 2-D rfft and one 2-D
+    # irfft with a row per residue; every call takes its length as the second
+    # positional argument, n_near + K rounded up to a fast length, never the
+    # linear-convolution size, and no keyword but axis and workers
+    calls = _record_transforms(monkeypatch)
+    # no far part, and n_near + K = 608 is not a fast length
+    g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
     refine = 3
     n_fft = next_fast_len(_near_cells(g) + round(1 / g.delta))
-    assert n_fft == 840 > _near_cells(g) + round(1 / g.delta) == 832
+    assert n_fft == 616 > _near_cells(g) + round(1 / g.delta) == 608
     field_on_mesh(g, 0.8, refine)
     assert len(calls) == 1 + 2
     field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
@@ -164,14 +172,33 @@ def test_batched_rows_match_one_v_calls():
         field_on_mesh(g, vs.reshape(4, 4))
     with pytest.raises(ValueError):
         field_on_mesh(g, np.array([0.8, 0.6]))  # one v below 1/alpha
+    # an empty batch is refused, with a far part or without one
+    for t_min in (-4.0, -1.5, -_NEAR_SPAN / 2):
+        with pytest.raises(ValueError, match="v must"):
+            field_on_mesh(make_noise_grid(LAW, t_min, 2.0**-6, 1), np.array([]), 2)
+
+
+def test_cost_contract_of_the_split(monkeypatch):
+    # the split fixes the cost balance: on a grid with a long far part every
+    # transform has length n_near + K = (_NEAR_SPAN + 2) K, and the far series
+    # of the criterion-8 batch needs the term count below
+    calls = _record_transforms(monkeypatch)
+    field_on_mesh(make_noise_grid(LAW, -8.0, 2.0**-10, seed=71), 0.8, 8)
+    assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2)
+    # criterion 8: alpha 1.5, H in [0.7, 0.85], delta = 2^-16; the batch takes
+    # the count of its largest kappa
+    c = 0.5
+    ratio = c / (_NEAR_SPAN + 2.0**-16 + c)
+    kappas = np.linspace(0.7, 0.85, 16) - 1.0 / LAW.alpha
+    assert max(L.process._far_series_terms(k, ratio) for k in kappas) == 29
 
 
 _SPLIT_CASES = [
     # refine 8 at t_min = -4 is in test_fft_length_at_aliasing_boundary
     (-4.0, 1), (-4.0, 3),
-    (-1.5, 3),  # t_min > -2: no far part
-    (-2.0, 3),  # the first cell starts exactly at s = -2
-    (-2.0 - 2.0**-7, 3),  # one far cell
+    (-_NEAR_SPAN / 2, 3),  # t_min inside the near window: no far part
+    (-float(_NEAR_SPAN), 3),  # the first cell starts exactly at the split
+    (-_NEAR_SPAN - 2.0**-7, 3),  # one far cell
 ]
 
 
@@ -191,7 +218,7 @@ def test_far_series_remainder_is_certified():
     delta, v = 2.0**-6, 0.8
     g = make_noise_grid(LAW, -6.0, delta, seed=61)
     kappa = v - 1.0 / LAW.alpha
-    n_far = g.origin_index - round(2 / delta)
+    n_far = g.origin_index - round(_NEAR_SPAN / delta)  # field_on_mesh's far cells
     x = -g.left_endpoints()[:n_far]
     c = 0.5
     ratio = c / (x.min() + c)
