@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import build_global_intervals, build_pyramid, frozen_level, noise_step
+from .coeffs import FrozenLevels, build_global_intervals, build_pyramid, noise_step
 from .process import (
     HurstFunction,
     MeshFieldInterpolant,
@@ -416,12 +416,11 @@ def approx_error_check(
     for r in range(_APPROX_REPLICATES):
         grid = make_noise_grid(law, -t_tail, delta, seed ^ r)
         interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=n_nodes, refine=refine)
-        path = simulate_lmsm(interp, H)
+        # the frozen levels come from the path's own field pass
+        frozen = FrozenLevels(interp, H, wavelet, j_list, intervals)
+        path = simulate_lmsm(interp, H, frozen)
         pyramid = build_pyramid(path, wavelet, j_list, intervals)
-        maxima = []
-        for j in j_list:
-            d_tilde = frozen_level(path, wavelet, j, pyramid.cells[j])
-            maxima.append(float(np.max(np.abs(pyramid.level(j) - d_tilde))))
+        maxima = [float(np.max(np.abs(pyramid.level(j) - frozen.level(j)))) for j in j_list]
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))
     slopes = np.array(slopes)
     frac = float(np.mean(slopes <= -rho + _APPROX_SLACK))

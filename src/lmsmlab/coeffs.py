@@ -8,19 +8,23 @@ noise step (``noise_step``) and its sampling rule (``samples_per_cell``, which
 t = m * t_step of [0, 1]; with x = 2^j t - k they are int_0^1 Y((x + k) 2^-j)
 psi(x) dx, so the 2^j prefactor never appears.  Every cell of a level holds
 the same m + 1 samples, so a level is one weight vector
-(``WaveletSpec.cell_weights``) applied tap by tap to strided views of the
-samples, for the path and the frozen-Hurst rows alike.  A pyramid holds one
-array per level, on exactly the cells of I_j, and carries those cells, so the
-level array is what the estimators read.
+(``WaveletSpec.cell_weights``) applied to a windowed view of the samples and
+summed tap by tap, for the path and the frozen-Hurst rows alike.  A pyramid
+holds one array per level, on exactly the cells of I_j, and carries those
+cells, so the level array is what the estimators read.  The frozen-Hurst
+levels (``FrozenLevels``) ride the path's own field pass: they apply the
+level quadrature to each v-node row as the pass produces it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .process import SamplePath
+from .process import HurstFunction, MeshFieldInterpolant, SamplePath
 from .wavelet import WaveletSpec
 
 __all__ = [
@@ -32,7 +36,7 @@ __all__ = [
     "noise_step",
     "samples_per_cell",
     "build_pyramid",
-    "frozen_level",
+    "FrozenLevels",
     "max_coeff",
     "pyramid_to_csv",
 ]
@@ -144,26 +148,33 @@ def _level_coeffs(
     values: np.ndarray, step: float, w: WaveletSpec, j: int, ks: range
 ) -> np.ndarray:
     """Level-j coefficients for the shifts ks, per row of ``values`` sampled at
-    i step, i = 0, 1, ...: the shared cell weights applied tap by tap to
-    strided views, so every coefficient is summed in the same order whatever
-    the number of rows or shifts."""
+    i step, i = 0, 1, ...: the shared cell weights times a windowed view of
+    each cell's samples, summed tap by tap in tap order by one running sum,
+    so every coefficient is summed in the same order whatever the number of
+    rows or shifts."""
     m = samples_per_cell(step, j)
     start = ks.start * m
     n = len(ks)
-    if n and (start < 0 or start + n * m >= values.shape[-1]):
+    if not n:
+        return np.zeros(values.shape[:-1] + (0,))
+    if start < 0 or start + n * m >= values.shape[-1]:
         raise ResolutionError(f"samples do not cover cells ({j}, {ks.start}..{ks.stop - 1})")
-    out = np.zeros(values.shape[:-1] + (n,))
-    stop = start + n * m
-    for tap, weight in enumerate(w.cell_weights(m)):
-        out += weight * values[..., start + tap : stop + tap : m]
-    return out
+    cells = sliding_window_view(values[..., start : start + n * m + 1], m + 1, axis=-1)
+    terms = w.cell_weights(m) * cells[..., ::m, :]
+    np.add.accumulate(terms, axis=-1, out=terms)
+    return terms[..., -1].copy()
+
+
+def _level_cells(j_range, intervals: IntervalSequence) -> dict:
+    """The shifts of each level j in j_range: the cells inside I_j."""
+    return {j: index_set(intervals.interval(j), j) for j in j_range}
 
 
 def build_pyramid(
     path: SamplePath, w: WaveletSpec, j_range, intervals: IntervalSequence
 ) -> CoeffPyramid:
     """All coefficients with cells inside I_j, for each level j in j_range."""
-    cells = {j: index_set(intervals.interval(j), j) for j in j_range}
+    cells = _level_cells(j_range, intervals)
     step = path.field.t_step
     return CoeffPyramid(
         levels={j: _level_coeffs(path.values, step, w, j, ks) for j, ks in cells.items()},
@@ -173,15 +184,58 @@ def build_pyramid(
     )
 
 
-def frozen_level(path: SamplePath, w: WaveletSpec, j: int, ks: range) -> np.ndarray:
-    """Frozen-Hurst coefficients 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt, k in ks.
+class FrozenLevels:
+    """Frozen-Hurst coefficients 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt on
+    the cells of a pyramid's levels (``build_pyramid`` with the same j_range
+    and intervals), gathered during the path's own field pass.
 
-    The level quadrature runs on each v-node row of the interpolant, and the
-    rows are combined barycentrically at H(k 2^-j); the combination is linear
-    in the node values, so this is the path route's quadrature of X(., H(k 2^-j)).
+    Hand it to ``simulate_lmsm(field, H, frozen)``: the level quadrature runs
+    on each v-node row as the pass produces it, so only per-node level
+    coefficients are kept, 2^j numbers per node and level, and ``level(j)``
+    combines them barycentrically at H(k 2^-j).  The combination is linear in
+    the node values, so this is the path route's quadrature of
+    X(., H(k 2^-j)).  The far part of the rows arrives as power-series
+    coefficients in h (see ``process.field_on_mesh``): the level quadrature
+    of each power of h, taken once per level from the moments of the cell
+    weights, is applied to every node's coefficients.
     """
-    field = path.field
-    return field.combine(path.H.frozen(j, ks), _level_coeffs(field.values, field.t_step, w, j, ks))
+
+    def __init__(self, field: MeshFieldInterpolant, H: HurstFunction, w: WaveletSpec,
+                 j_range, intervals: IntervalSequence):
+        self.field, self.H, self.w = field, H, w
+        self.cells = _level_cells(j_range, intervals)
+        self.node_levels = {j: np.zeros((field.nodes.size, len(ks)))
+                            for j, ks in self.cells.items()}
+
+    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
+        for j, ks in self.cells.items():
+            self.node_levels[j] += coef @ self._level_powers(h, j, ks, coef.shape[1])
+
+    def _level_powers(self, h: np.ndarray, j: int, ks: range, n: int) -> np.ndarray:
+        # level-j coefficients of h^0 .. h^(n-1) on the shifts ks.  Cell k's
+        # samples sit at h = a_k + u, a_k its first sample, u = tap * step,
+        # so by the binomial theorem they are sum_p binom(q, p) a_k^(q-p) nu_p
+        # with the tap moments nu_p = sum_tap w_tap u^p: no sample is read
+        # twice.  The field is 0 at t = 0, so cell 0 drops its first tap.
+        m = samples_per_cell(self.field.t_step, j)
+        w = self.w.cell_weights(m)
+        powers = np.arange(n)[:, None]
+        nu = ((np.arange(m + 1) * self.field.t_step) ** powers) @ w
+        a = h[ks.start * m : ks.stop * m : m] ** powers
+        out = np.empty((n, len(ks)))
+        for q in range(n):
+            out[q] = ([math.comb(q, p) for p in range(q + 1)] * nu[: q + 1]) @ a[q::-1]
+        if ks and ks.start == 0:
+            out[:, 0] -= w[0] * a[:, 0]
+        return out
+
+    def row(self, i: int, near: np.ndarray) -> None:
+        for j, ks in self.cells.items():
+            self.node_levels[j][i] += _level_coeffs(near, self.field.t_step, self.w, j, ks)
+
+    def level(self, j: int) -> np.ndarray:
+        """The frozen-Hurst coefficients of the cells of level j."""
+        return self.field.combine(self.H.frozen(j, self.cells[j]), self.node_levels[j])
 
 
 def max_coeff(level: np.ndarray) -> float:

@@ -45,6 +45,7 @@ from .estimators import (
     estimate_hmin,
 )
 from .process import (
+    _NEAR_SPAN,
     MeshFieldInterpolant,
     SamplePath,
     TruncationError,
@@ -143,12 +144,19 @@ class ExperimentConfig:
             raise ValueError("v_nodes must be >= 2")
         if self.path_refine < 1:
             raise ValueError("path_refine must be >= 1")
-        # a replicate holds the noise grid and a v_nodes x mesh field array
-        mesh = round(self.path_refine / self.noise_delta) + 1
+        # a replicate holds the noise grid, the field pass's three transform
+        # buffers of path_refine rows (kernel values, spectrum, convolution;
+        # a row spans the near noise [-_NEAR_SPAN, 1) and [0, 1) again) and a
+        # few mesh-length arrays (path, barycentric sums, a node row), never
+        # a row per v-node
+        unit_cells = round(1.0 / self.noise_delta)  # cells of [0, 1)
+        transforms = 3 * self.path_refine * (_NEAR_SPAN + 2) * unit_cells
+        mesh = self.path_refine * unit_cells + 1
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8 * max(n_cells, self.v_nodes * mesh) > memory:
+        if 8 * (n_cells + transforms + 8 * mesh) > memory:
             raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: {n_cells} "
-                             f"noise cells or {self.v_nodes} x {mesh} field values exceed RAM")
+                             f"noise cells, {transforms} transform values and 8 x {mesh} "
+                             "mesh values exceed RAM")
         try:
             for j in self.j_range:
                 samples_per_cell(self.noise_delta / self.path_refine, j)

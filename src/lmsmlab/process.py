@@ -13,27 +13,37 @@ of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
 ``SamplePath`` it returns holds that interpolant and H beside the values, so
 whatever reads the path also knows its mesh step, its noise and its H.
 
-The interpolant's node fields come from ``field_on_mesh``, which evaluates
-X(., v) on the mesh of [0, 1] and splits the noise at s = -1.  The near
-cells [-1, 1) go through FFT convolution, which computes the very same
-Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a
-discrete convolution.  Only the outputs at t in [0, 1] are read, so each
-transform has length n_near + 1/delta (rounded up to a fast size) instead of
-the full linear-convolution length: every product that wraps around the
-circular convolution lands before t = 0, outside the window that is read.
-The far cells s_i < -1 add a function of t that is analytic on a disc of
-radius 1 around 0, summed as a binomial-moment power series around 1/2 whose
-ratio is below 1/3; a certified remainder bound fixes the number of terms
-(see ``field_on_mesh``).  One call builds the field for a whole batch of v:
-the kernel values share one log t, each v's residue transforms run as one
-2-D transform on the process's one thread budget, shared with the noise
-sampler (see ``stable``), and the far series of every v comes from one pass
-over the far noise, with the batch's largest certified term count.
-Time-varying Hurst values are then obtained by barycentric interpolation
-across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
-dozen nodes reach near machine precision.  ``eval_field`` is the
-direct Riemann sum at one point, the reference the mesh route is tested
-against.
+The path comes from one field pass (``field_on_mesh``) over the interpolant's
+v-nodes that streams the node rows: each consumer takes every row as soon as
+its inverse transform is done and keeps only what its linear functional needs.
+The path keeps its barycentric sums, and the frozen-Hurst levels of
+``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
+outlives the pass.  The far part of the rows reaches the consumers as
+power-series coefficients, which each consumer applies through its own
+functional.
+
+``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
+at s = -1.  The near cells [-1, 1) go through FFT convolution, which computes
+the very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa
+dZ_i is a discrete convolution.  Only the outputs at t in [0, 1] are read, so
+each transform has length n_near + 1/delta (rounded up to a fast size) instead
+of the full linear-convolution length: every product that wraps around the
+circular convolution lands before t = 0, outside the window that is read.  The
+far cells s_i < -1 add a function of t that is analytic on a disc of radius 1
+around 0, summed as a binomial-moment power series around 1/2 whose ratio is
+below 1/3; a certified remainder bound fixes the number of terms (see
+``field_on_mesh``).  One pass serves a whole batch of v: the noise is
+transformed once, the kernel values share one log t, each v's residue
+transforms run as one 2-D transform on the process's one thread budget, shared
+with the noise sampler (see ``stable``), and the far series of every v comes
+from one pass over the far noise, with the batch's largest certified term
+count.  Time-varying Hurst values are then obtained by barycentric
+interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
+so a few dozen nodes reach near machine precision.  The path's far part is the
+series whose coefficients are the barycentric combination of the nodes'
+coefficients at H(t), taken one block of 16,384 mesh points at a time.
+``eval_field`` is the direct Riemann sum at one point, the reference the mesh
+route is tested against.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from scipy.fft import next_fast_len, rfft, irfft
 
 from . import stable
 from .stable import StableLaw, _rng, unit_sas
-from .wavelet import PhiKernel, _binom_coeffs, _kappa
+from .wavelet import PhiKernel, _binom_coeffs, _kappa, _poly_eval
 
 __all__ = [
     "HurstFunction",
@@ -296,6 +306,17 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     return float(w @ grid.increments)
 
 
+# field_on_mesh's near/far split: the noise on [-_NEAR_SPAN, 1) goes through
+# the FFT, the rest through the far series (the trade-off is in its
+# docstring); a whole number, so the split is a cell boundary for every delta
+_NEAR_SPAN = 1
+# the far series is a power series in h = t - _FAR_CENTER
+_FAR_CENTER = 0.5
+# points per block wherever a pass over the far cells or the mesh goes block
+# by block to bound its temporaries
+_CHUNK = 16384
+
+
 def _far_series_terms(kappa: float, ratio: float) -> int:
     """Fewest terms N whose certified remainder (``_far_remainder``) is at most
     the unit roundoff 2^-53: below the rounding the moment sums carry anyway."""
@@ -308,8 +329,9 @@ def _far_series_terms(kappa: float, ratio: float) -> int:
 def _far_remainder(kappa: float, ratio: float, n_terms: int) -> float:
     # |binom(k, n)| <= k/n and |h|/(x_i + c) <= ratio < 1, so the terms past
     # n_terms sum to at most k/(N+1) * ratio^(N+1)/(1 - ratio) times
-    # S = sum_far (x_i + c)^k |dZ_i|
-    return kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
+    # S = sum_far (x_i + c)^k |dZ_i|; coefficient 0 is the same expansion at
+    # h = -c (see ``_far_coeffs``), whose truncation adds that bound once more
+    return 2.0 * kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
 
 
 def _far_coeffs(
@@ -318,44 +340,52 @@ def _far_coeffs(
     """Power-series coefficients in h of sum_i [(x_i + c + h)^kappa - x_i^kappa] dZ_i,
     one row per entry of a 1-D ``kappa`` (one 1-D row for a scalar).
 
-    With y = x + c, (y + h)^k = sum_n binom(k, n) h^n y^(k-n), so coefficient n
-    is binom(k, n) * sum y_i^(k-n) dZ_i (n >= 1) and coefficient 0 is
-    sum [y_i^k - x_i^k] dZ_i.  One chunked pass serves every kappa and shares
-    log y: the moments are E @ P with E[k, i] = y_i^k and P[i, n] = dZ_i y_i^-n."""
+    With y = x + c, (y + h)^k = sum_n binom(k, n) h^n y^(k-n), so coefficient
+    n >= 1 is binom(k, n) M_n, M_n = sum y_i^(k-n) dZ_i.  Coefficient 0,
+    sum [y_i^k - x_i^k] dZ_i, is the rest of the same expansion at h = -c,
+    where y_i + h = x_i: minus sum_{n>=1} binom(k, n) (-c)^n M_n, so no power
+    of x is taken and the series vanishes at t = 0, as the far part does.
+    One chunked pass serves every kappa and shares log y: the moments are
+    E @ P with E[k, i] = y_i^k and P[i, n] = dZ_i y_i^-n."""
     kap = np.atleast_1d(np.asarray(kappa, dtype=float))[:, None]
-    mom = np.zeros((kap.size, n_terms + 1))
-    chunk = 16384
-    for lo in range(0, x.size, chunk):
-        xs, ds = x[lo : lo + chunk], dz[lo : lo + chunk]
-        y = xs + c
+    mom = np.zeros((kap.size, n_terms))
+    for lo in range(0, x.size, _CHUNK):
+        y = x[lo : lo + _CHUNK] + c
         e = np.exp(kap * np.log(y))
-        mom[:, 0] += (e - np.exp(kap * np.log(xs))) @ ds
         y_inv = 1.0 / y
-        p = np.empty((n_terms, xs.size))
-        p[0] = ds * y_inv
+        p = np.empty((n_terms, y.size))
+        p[0] = dz[lo : lo + _CHUNK] * y_inv
         for n in range(1, n_terms):
             np.multiply(p[n - 1], y_inv, out=p[n])
-        mom[:, 1:] += e @ p.T
-    coef = np.array([_binom_coeffs(k, n_terms) for k in kap[:, 0]]) * mom
+        mom += e @ p.T
+    coef = np.array([_binom_coeffs(k, n_terms) for k in kap[:, 0]])
+    coef[:, 1:] *= mom
+    coef[:, 0] = -(coef[:, 1:] @ (-c) ** np.arange(1, n_terms + 1))
     return coef if np.ndim(kappa) else coef[0]
 
 
-# field_on_mesh's near/far split: the noise on [-_NEAR_SPAN, 1) goes through
-# the FFT, the rest through the far series (the trade-off is in its
-# docstring); a whole number, so the split is a cell boundary for every delta
-_NEAR_SPAN = 1
+def _mesh_size(grid: NoiseGrid, refine: int) -> int:
+    """Points of the delta/refine mesh of [0, 1]: refine per cell of [0, 1), plus t = 1."""
+    return (grid.n_cells - grid.origin_index) * refine + 1
 
 
-def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
+def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     """X(m*delta/refine, v) for m = 0..refine/delta: the mesh of [0, 1].
 
-    ``v`` is one Hurst value (1-D result) or a 1-D array of them: the result
-    then has one row per v, written into one preallocated array.
-    Identical (up to float rounding) to calling eval_field at each mesh time.
-    ``refine`` samples the discrete-noise field on a mesh finer than the noise
-    cells (one convolution per residue class), which is what keeps trapezoid
-    coefficient quadrature accurate at deep levels without touching the noise
-    resolution.
+    ``v`` is one Hurst value or a 1-D array of them.  This is the one field
+    pass.  With no ``consumers`` it returns the rows, a 1-D row for a scalar v
+    and otherwise one row per v in one array.  With consumers it keeps no row
+    and returns None: each consumer applies its own linear functional to every
+    row as the pass produces it.  A row is its far part plus its near part.
+    The far parts come first, as ``consumer.far(coef, h)``: row i's far part
+    at mesh point m is the power series sum_n coef[i, n] h[m]^n, h = t - 1/2.
+    Then ``consumer.row(i, near)`` hands over row i's near part, in a buffer
+    the next row overwrites.  At t = 0 every row is 0: near[0] is 0, and a
+    consumer takes the far part there as 0.  The rows are identical (up to
+    float rounding) to calling eval_field at each mesh time.  ``refine``
+    samples the discrete-noise field on a mesh finer than the noise cells (one
+    convolution per residue class), which is what keeps trapezoid coefficient
+    quadrature accurate at deep levels without touching the noise resolution.
 
     The noise is split at s = -1 (``_NEAR_SPAN``).  Near cells [-1, 1) go
     through FFT convolution.  Its circular transforms have length L =
@@ -363,20 +393,22 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
     at i0 = min(K, index of s = 0): the product dz[i] * g[l] lands on index
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
-    that is read.  The kernel values g = t^kappa at the refine residues share
-    one log t, and each v's refine residue transforms run as one 2-D
-    transform on the process's one thread budget (``stable._threads``, 1
-    in a worker of ``run_experiment``'s pool).  Far cells s_i < -1,
-    x_i = -s_i > 1, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power
-    series in h = t - c, c = 1/2, whose ratio |h|/(x_i + c) is at most
-    r = c/(min x_i + c) < 1/3.  With |binom(kappa, n)| <= kappa/n the
-    remainder after N terms is at most kappa/(N+1) * r^(N+1)/(1 - r) *
-    sum_far (x_i + c)^kappa |dZ_i|.  N is the fewest terms that put this
-    factor below 2^-53 for every v of the batch (the largest over the batch),
-    so each row's own bound holds.  The split sits at -1 because, of the
-    splits from -2 to -1/4 timed on the criterion-8 geometry (2-core
-    machine), it built one node fastest and 16 nodes within a tenth of the
-    fastest (-1/2, whose shorter transforms cost a longer far series).
+    that is read.  The noise is transformed once per pass, and the kernel
+    values g = t^kappa at the refine residues share one log t; each v's
+    refine residue transforms run as one 2-D transform on the process's one
+    thread budget (``stable._threads``, 1 in a worker of ``run_experiment``'s
+    pool).  Far cells s_i < -1, x_i = -s_i > 1, add sum_i [(x_i + t)^kappa -
+    x_i^kappa] dZ_i, a power series in h = t - c, c = 1/2, whose ratio
+    |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/3.  With
+    |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
+    2 kappa/(N+1) * r^(N+1)/(1 - r) * sum_far (x_i + c)^kappa |dZ_i| (the
+    factor 2 is coefficient 0's own truncation, see ``_far_coeffs``).  N is
+    the fewest terms that put this factor below 2^-53 for every v of the
+    pass (the largest over the batch), so each row's own bound holds.  The
+    split sits at -1 because, of the splits from -2 to -1/4 timed on the
+    criterion-8 geometry (2-core machine), it built one node fastest and
+    16 nodes within a tenth of the fastest (-1/2, whose shorter transforms
+    cost a longer far series).
     """
     vs = np.asarray(v, dtype=float)
     if vs.ndim > 1 or vs.size == 0:
@@ -384,13 +416,24 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
     kappa = np.array([_kappa(grid.law.alpha, x) for x in vs.reshape(-1)])
     if refine < 1:
         raise ValueError("refine must be >= 1")
+    if consumers:
+        _field_pass(grid, kappa, refine, consumers)
+        return None
+    rows = _Rows(kappa.size, _mesh_size(grid, refine))
+    _field_pass(grid, kappa, refine, (rows,))
+    return rows.out if vs.ndim else rows.out[0]
+
+
+def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> None:
+    # the pass behind field_on_mesh (see there): far parts, then near rows
     i_origin = grid.origin_index
     K = grid.n_cells - i_origin  # cells of [0, 1): 1/delta >= 1
-    out = np.zeros((kappa.size, K * refine + 1))
     i_near = max(i_origin - _NEAR_SPAN * K, 0)  # first near cell, s >= -1
+    if i_near > 0:
+        _far_part(grid, kappa, refine, i_near, consumers)
     i0 = i_origin - i_near
     dz = grid.increments[i_near:]
-    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see docstring)
+    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see field_on_mesh)
     zf = rfft(dz, n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
     # kernel value at t = 0 exactly 0
@@ -399,33 +442,112 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1) -> np.ndarray:
                        * grid.delta)
     g = np.zeros((refine, n_fft))  # the zero tail pads each transform
     gk = g[:, : log_t.shape[1]]
-    for k, row in zip(kappa, out):
+    near = np.empty(K * refine + 1)
+    for i, k in enumerate(kappa):
         np.exp(np.multiply(log_t, k, out=gk), out=gk)
         b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
         spec = rfft(g, n_fft, axis=-1, workers=stable._threads)
         spec *= zf
         conv = irfft(spec, n_fft, axis=-1, workers=stable._threads)
         # mesh index q*refine + rho reads row rho at column i0 + q
-        row[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
-        row[-1] = conv[0, i0 + K]
-        row -= b
-    if i_near > 0:
-        x = (i_origin - np.arange(i_near, dtype=float)) * grid.delta
-        c = 0.5
-        ratio = c / (x[-1] + c)  # x[-1] = (K + 1) delta, the nearest far cell
-        n_terms = max(_far_series_terms(k, ratio) for k in kappa)
-        coef = _far_coeffs(x, grid.increments[:i_near], kappa, c, n_terms)
-        # out += coef @ V, V[n, m] = h_m^n, the power basis built in chunks
-        chunk = 16384
-        for lo in range(0, out.shape[1], chunk):
-            h = np.arange(lo, min(lo + chunk, out.shape[1])) * (grid.delta / refine) - c
-            basis = np.empty((n_terms + 1, h.size))
-            basis[0] = 1.0
-            for n in range(n_terms):
-                np.multiply(basis[n], h, out=basis[n + 1])
-            out[:, lo : lo + h.size] += coef @ basis
-    out[:, 0] = 0.0  # the u = 0 kernel vanishes identically
-    return out if vs.ndim else out[0]
+        near[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
+        near[-1] = conv[0, i0 + K]
+        # freed before the next kernel transform, so at most three transform
+        # buffers live at once; the spectrum, freed when the next one
+        # replaces it, keeps its heap pages for it
+        del conv
+        near -= b
+        near[0] = 0.0  # the u = 0 kernel vanishes identically
+        for consumer in consumers:
+            consumer.row(i, near)
+
+
+def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:
+    # the far cells' series coefficients, handed to every consumer with the
+    # mesh's h; a function of its own, so x and h are gone before the transforms
+    x = (grid.origin_index - np.arange(i_near, dtype=float)) * grid.delta
+    ratio = _FAR_CENTER / (x[-1] + _FAR_CENTER)  # x[-1] = (K + 1) delta, the nearest far cell
+    n_terms = max(_far_series_terms(k, ratio) for k in kappa)
+    coef = _far_coeffs(x, grid.increments[:i_near], kappa, _FAR_CENTER, n_terms)
+    h = np.arange(_mesh_size(grid, refine)) * (grid.delta / refine) - _FAR_CENTER
+    for consumer in consumers:
+        consumer.far(coef, h)
+
+
+class _Rows:
+    """The field rows themselves: ``field_on_mesh``'s result without consumers."""
+
+    def __init__(self, n_rows: int, size: int):
+        self.out = np.zeros((n_rows, size))
+
+    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
+        for lo in range(0, h.size, _CHUNK):
+            self.out[:, lo : lo + _CHUNK] += _poly_eval(coef.T[:, :, None], h[lo : lo + _CHUNK])
+        self.out[:, 0] = 0.0
+
+    def row(self, i: int, near: np.ndarray) -> None:
+        self.out[i] += near
+
+
+def _node_hits(nodes: np.ndarray, v: np.ndarray) -> dict:
+    """{node: indices of the 1-D v within 1e-15 of it}, each index under the
+    first such node.  ``nodes`` ascend, so a v near a node is next to its
+    searchsorted slot: one search over v, then the exact test on the few
+    candidates."""
+    pos = np.searchsorted(nodes, v)
+    gap = np.abs(v - nodes[np.maximum(pos - 1, 0)])
+    np.minimum(gap, np.abs(v - nodes[np.minimum(pos, nodes.size - 1)]), out=gap)
+    cand = np.flatnonzero(gap <= 1e-15)
+    first = (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
+    return {int(i): cand[first == i] for i in np.unique(first)}
+
+
+class _Barycentric:
+    """Barycentric sums over node rows fed one at a time: the value at v is
+    sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
+
+    ``far`` adds the far part of a field pass from its series coefficients:
+    node i's far part is sum_n coef[i, n] h^n, so its share of the numerator
+    is the series with coefficients sum_i c_i coef[i, n], one matrix product
+    per block of v.  ``row`` adds a node's row: a subtraction, a division
+    and two accumulations per node.  Exact node hits, v within 1e-15 of a
+    node, are found once; ``result`` gives them that node's row (the first
+    such node's), whatever the sums hold there."""
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, shape):
+        self.nodes, self.weights = nodes, weights
+        self.v = np.broadcast_to(v, shape)
+        self.hits = _node_hits(nodes, self.v)
+        self.hit_rows = {i: np.zeros(idx.size) for i, idx in self.hits.items()}
+        self.num, self.den, self.c = np.zeros(shape), np.zeros(shape), np.empty(shape)
+
+    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
+        for lo in range(0, h.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            # a hit's infinite c makes nan here, which result() overwrites
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = self.weights[:, None] / (self.v[part] - self.nodes[:, None])
+                self.num[part] += _poly_eval(coef.T @ c, h[part])
+        for i, idx in self.hits.items():
+            self.hit_rows[i] += _poly_eval(coef[i][:, None], h[idx])
+
+    def row(self, i: int, near: np.ndarray) -> None:
+        c = self.c
+        with np.errstate(divide="ignore", invalid="ignore"):  # hits, as in far()
+            np.subtract(self.v, self.nodes[i], out=c)
+            np.divide(self.weights[i], c, out=c)
+            self.den += c
+            c *= near
+            self.num += c
+        if i in self.hits:
+            self.hit_rows[i] += near[self.hits[i]]
+
+    def result(self) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.divide(self.num, self.den, out=self.num)
+        for i, idx in self.hits.items():
+            out[idx] = self.hit_rows[i]
+        return out
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -444,8 +566,13 @@ def _bary_weights(n: int) -> np.ndarray:
 
 
 class MeshFieldInterpolant:
-    """X(m*t_step, v), t_step = delta/refine, on the whole mesh of [0, 1] for
-    all v in [h_low, h_high]."""
+    """Chebyshev interpolation in v of X(m*t_step, v), t_step = delta/refine,
+    on the whole mesh of [0, 1], for v in [h_low, h_high].
+
+    It holds its nodes and barycentric weights, never the node rows: ``at``
+    runs one field pass over the nodes and folds each row into barycentric
+    sums as the pass produces it, so a replicate holds a few mesh-length
+    arrays instead of one per node."""
 
     def __init__(self, grid: NoiseGrid, h_low: float, h_high: float,
                  n_nodes: int = 48, refine: int = 1):
@@ -453,49 +580,44 @@ class MeshFieldInterpolant:
         self.h_low, self.h_high = h_low, h_high
         self.refine = int(refine)
         self.t_step = grid.delta / self.refine
+        self.size = _mesh_size(grid, self.refine)
         pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
         if not pinned and n_nodes < 2:
             raise ValueError(f"interpolating over [{h_low}, {h_high}] needs n_nodes >= 2")
         self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
         self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
-        self.values = field_on_mesh(grid, self.nodes, self.refine)
 
-    def at(self, v) -> np.ndarray:
-        """X(m*t_step, v) on the whole mesh, for one v or one v per mesh index."""
-        return self.combine(v, self.values)
-
-    def combine(self, v, vals: np.ndarray) -> np.ndarray:
-        """Barycentric combination at v of per-node rows ``vals`` (node axis
-        first), e.g. of any linear functional of the node fields.  Raises
-        ValueError for v outside [h_low, h_high]: it never extrapolates."""
+    def _inside(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if np.any((v < self.h_low - 1e-12) | (v > self.h_high + 1e-12)):
             raise ValueError(f"v outside the interpolant's [{self.h_low}, {self.h_high}]")
+        return v
+
+    def at(self, v, *consumers) -> np.ndarray:
+        """X(m*t_step, v) on the whole mesh, for one v or one v per mesh index,
+        from one field pass (``field_on_mesh``) whose node rows also go to
+        ``consumers``; X(0, v) = 0.  Raises ValueError for v outside
+        [h_low, h_high]: it never extrapolates."""
+        v = self._inside(v)
+        pinned = self.nodes.size == 1  # the one node row is the field at every v
+        sums = (_Rows(1, self.size) if pinned
+                else _Barycentric(self.nodes, self.weights, v, (self.size,)))
+        field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
+        out = sums.out[0] if pinned else sums.result()
+        out[0] = 0.0  # the u = 0 kernel vanishes identically
+        return out
+
+    def combine(self, v, vals: np.ndarray) -> np.ndarray:
+        """Barycentric combination at v (one v, or one per entry) of per-node
+        1-D rows ``vals`` (node axis first), e.g. of any linear functional of
+        the node fields.  Raises ValueError for v outside [h_low, h_high]."""
+        v = self._inside(v)
         if self.nodes.size == 1:
             return vals[0].copy()
-        # barycentric sums accumulated node by node, each node's coefficient
-        # row built in turn: no n_nodes x N temporaries
-        seen = np.zeros(v.shape, dtype=bool)
-        hits = []  # (node row, indices whose first exact node it is)
-        for i, (node, w, row) in enumerate(zip(self.nodes, self.weights, vals)):
-            diff = v - node
-            exact = np.abs(diff) <= 1e-15
-            if v.ndim == 0 and exact:
-                return row.copy()
-            c = w / np.where(exact, 1.0, diff)
-            if i == 0:
-                num, den = c * row, c
-            else:
-                num += c * row
-                den += c
-            first = exact & ~seen
-            if np.any(first):
-                hits.append((row, np.flatnonzero(first)))
-                seen |= exact
-        out = num / den
-        for row, idx in hits:
-            out[idx] = row[idx]
-        return out
+        sums = _Barycentric(self.nodes, self.weights, v, vals.shape[1:])
+        for i, row in enumerate(vals):
+            sums.row(i, row)
+        return sums.result()
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +628,9 @@ class MeshFieldInterpolant:
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """Y(t) = X(t, H(t)) on the mesh t = m * field.t_step of [0, 1], with the
-    field interpolant and the Hurst functional that made it."""
+    field interpolant and the Hurst functional that made it.  The values are
+    the only mesh-length array a path keeps: the interpolant holds no node
+    rows."""
 
     field: MeshFieldInterpolant
     H: HurstFunction
@@ -536,9 +660,12 @@ class SamplePath:
 _PATH_TAIL_TOL = 0.25
 
 
-def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction) -> SamplePath:
+def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction, *consumers) -> SamplePath:
     """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of [0, 1]:
-    ``field.at(H(t))``, with Y(0) = 0 exactly.
+    ``field.at(H(t))``, with Y(0) = 0 exactly.  Its one field pass also hands
+    every node row to ``consumers`` (see ``field_on_mesh``), e.g. a
+    ``coeffs.FrozenLevels``, so nothing that reads the node rows needs a
+    second pass.
 
     Raises TruncationError when the noise domain costs the path values more
     than ``_PATH_TAIL_TOL`` of their alpha-mass, and ValueError when H leaves
@@ -552,8 +679,7 @@ def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction) -> SamplePath:
             f"noise domain too short for raw path values: "
             f"relative tail mass {worst:.3e} > {_PATH_TAIL_TOL}"
         )
-    values = field.at(H(np.arange(field.values.shape[1]) * field.t_step))
-    values[0] = 0.0
+    values = field.at(H(np.arange(field.size) * field.t_step), *consumers)
     return SamplePath(field=field, H=H, values=values)
 
 

@@ -38,9 +38,13 @@ _MOMENT_TOLERANCE = 1e-12
 
 
 def _poly_eval(coeffs: np.ndarray, x):
-    """Evaluate an ascending-coefficient polynomial (Horner, in place)."""
+    """Evaluate an ascending-coefficient polynomial (Horner, in place).
+
+    ``coeffs[n]`` may be an array that broadcasts against x, e.g. a column of
+    per-row coefficients or one coefficient per point of x."""
     x = np.asarray(x, dtype=float)
-    out = np.full_like(x, coeffs[-1])
+    out = np.empty(np.broadcast(coeffs[-1], x).shape)
+    out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= x
         out += c

@@ -12,6 +12,7 @@ import pytest
 
 import lmsmlab as L
 from lmsmlab.bounds import (
+    approx_error_check,
     covariance_mc_check,
     lambda_exponent,
     phi1_integral,
@@ -176,46 +177,76 @@ def test_covariance_of_independent_synthetic_coefficients_is_null():
 
 def test_approx_check_constant_hurst_routes_coincide():
     # with constant H the frozen-Hurst coefficient IS the path coefficient:
-    # same interpolant level, same trapezoid, identical to the last bit; the
-    # refined interpolant has m = 128 samples per cell, as at j = 12 in the
-    # experiments
-    from lmsmlab.coeffs import build_global_intervals, build_pyramid, frozen_level
+    # same field row, same trapezoid; the frozen route takes the far part
+    # through the level quadrature of each power of h, the path through its
+    # values, so the two agree to rounding; the refined interpolant has
+    # m = 128 samples per cell, as at j = 12 in the experiments
+    from lmsmlab.coeffs import FrozenLevels, build_global_intervals, build_pyramid
     from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=333)
+    intervals = build_global_intervals((0.0, 1.0), 5)
     for refine in (1, 4):
         interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
-        path = simulate_lmsm(interp, H)
-        pyr = build_pyramid(path, w, (5,), build_global_intervals((0.0, 1.0), 5))
-        frozen = frozen_level(path, w, 5, range(32))
-        assert np.array_equal(frozen, pyr.level(5))
+        frozen = FrozenLevels(interp, H, w, (5,), intervals)
+        path = simulate_lmsm(interp, H, frozen)
+        level = build_pyramid(path, w, (5,), intervals).level(5)
+        assert frozen.cells[5] == range(32)
+        assert np.max(np.abs(frozen.level(5) - level)) <= 1e-13 * np.max(np.abs(level))
 
 
 def test_frozen_level_matches_per_shift_definition():
     # node-wise quadrature combined at h_k against the quadrature of the field
     # interpolated at h_k; k = 0 puts h_k on the first Chebyshev node exactly
-    from lmsmlab.coeffs import frozen_level
-    from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
+    from lmsmlab.coeffs import FrozenLevels, build_global_intervals
+    from lmsmlab.process import MeshFieldInterpolant, field_on_mesh, make_noise_grid, simulate_lmsm
 
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=334)
     interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
-    path = simulate_lmsm(interp, H)
+    frozen = FrozenLevels(interp, H, w, (5, 8), build_global_intervals((0.0, 1.0), 8))
+    simulate_lmsm(interp, H, frozen)
+    rows = field_on_mesh(grid, interp.nodes, 4)
     assert float(H(0.0)) == interp.nodes[0]
     for j in (5, 8):
         m = round(2.0**-j / interp.t_step)
         ks = range(2**j)
-        frozen = frozen_level(path, w, j, ks)
+        assert frozen.cells[j] == ks
+        got = frozen.level(j)
         per_shift = np.array([
             w.cell_weights(m) @ interp.combine(float(H(k * 2.0**-j)),
-                                               interp.values[:, k * m : k * m + m + 1])
+                                               rows[:, k * m : k * m + m + 1])
             for k in ks
         ])
-        assert np.max(np.abs(frozen - per_shift)) <= 1e-12 * np.max(np.abs(per_shift))
-        assert frozen[0] == pytest.approx(per_shift[0], rel=1e-9)
+        assert np.max(np.abs(got - per_shift)) <= 1e-12 * np.max(np.abs(per_shift))
+        assert got[0] == pytest.approx(per_shift[0], rel=1e-9)
+
+
+def test_approx_check_builds_each_field_once(monkeypatch):
+    # the frozen levels ride the path's own field pass: one field build, of
+    # 1 + 2 n_nodes transforms, per replicate
+    import lmsmlab.process as P
+
+    builds, transforms = [], []
+    field_on_mesh, rfft, irfft = P.field_on_mesh, P.rfft, P.irfft
+
+    def counting(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args[1])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(P, "field_on_mesh", counting(builds, field_on_mesh))
+    monkeypatch.setattr(P, "rfft", counting(transforms, rfft))
+    monkeypatch.setattr(P, "irfft", counting(transforms, irfft))
+    rep = approx_error_check(LAW, L.default_wavelet(), L.linear_hurst(0.7, 0.15),
+                             [4, 5, 6, 7], seed=41)
+    assert len(rep.details["slopes"]) == len(builds) == 20
+    assert all(nodes.size == 24 for nodes in builds)
+    assert len(transforms) == 20 * (1 + 2 * 24)
 
 
 def test_covariance_check_enforces_replicate_floor():

@@ -14,6 +14,7 @@ from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 import lmsmlab as L
+from lmsmlab.coeffs import FrozenLevels
 from lmsmlab.process import (
     MeshFieldInterpolant,
     direct_coeff_weights,
@@ -183,8 +184,19 @@ def test_cost_contract_of_the_split(monkeypatch):
     # transform has length n_near + K = (_NEAR_SPAN + 2) K, and the far series
     # of the criterion-8 batch needs the term count below
     calls = _record_transforms(monkeypatch)
-    field_on_mesh(make_noise_grid(LAW, -8.0, 2.0**-10, seed=71), 0.8, 8)
+    g = make_noise_grid(LAW, -8.0, 2.0**-10, seed=71)
+    field_on_mesh(g, 0.8, 8)
     assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2)
+    # a path build is one pass, 1 + 2 n_nodes transforms, also when a consumer
+    # reads the same node rows
+    H = L.linear_hurst(0.7, 0.15)
+    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=8)
+    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
+                          L.build_global_intervals((0.0, 1.0), 5))
+    for consumers in ((), (frozen,)):
+        calls.clear()
+        L.simulate_lmsm(interp, H, *consumers)
+        assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 16)
     # criterion 8: alpha 1.5, H in [0.7, 0.85], delta = 2^-16; the batch takes
     # the count of its largest kappa
     c = 0.5
@@ -224,29 +236,37 @@ def test_far_series_remainder_is_certified():
     ratio = c / (x.min() + c)
     h = np.arange(round(1 / delta) * 4 + 1) * (delta / 4) - c
     kernel = (x[:, None] + c + h) ** kappa - x[:, None] ** kappa
+    n = L.process._far_series_terms(kappa, ratio)
+    assert L.process._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.process._far_remainder(kappa, ratio, n - 1)
+    # coefficient 0 comes from the moments; against the direct difference
+    # sum [(x + c)^k - x^k] dZ it carries one of the two truncations that
+    # _far_remainder counts
     for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
         exact = dz @ kernel
+        direct = float(dz @ ((x + c) ** kappa - x ** kappa))
         scale = float((x + c) ** kappa @ np.abs(dz))
-        for n_terms in (1, 2, 4, 8):
+        for n_terms in (1, 2, 4, 8, n):
             coef = L.process._far_coeffs(x, dz, kappa, c, n_terms)
             err = np.max(np.abs(_poly_eval(coef, h) - exact))
             bound = L.process._far_remainder(kappa, ratio, n_terms) * scale
             assert err <= bound + 1e-13
-            if dz.min() > 0:  # one-signed noise: the bound is not vacuous
+            assert abs(coef[0] - direct) <= bound / 2 + 1e-13
+            if dz.min() > 0 and n_terms < n:  # one-signed noise: the bound is not vacuous
                 assert err > bound / 100
-    n = L.process._far_series_terms(kappa, ratio)
-    assert L.process._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.process._far_remainder(kappa, ratio, n - 1)
     # a vector of kappa: one row per kappa, each within its own bound
     kappas = np.array([0.7, 0.8, 0.95]) - 1.0 / LAW.alpha
     for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
-        for n_terms in (1, 2, 4, 8):
+        for n_terms in (1, 2, 4, 8, n):
             rows = L.process._far_coeffs(x, dz, kappas, c, n_terms)
             assert rows.shape == (kappas.size, n_terms + 1)
             for k, coef in zip(kappas, rows):
                 exact = dz @ ((x[:, None] + c + h) ** k - x[:, None] ** k)
+                direct = float(dz @ ((x + c) ** k - x ** k))
                 scale = float((x + c) ** k @ np.abs(dz))
                 err = np.max(np.abs(_poly_eval(coef, h) - exact))
-                assert err <= L.process._far_remainder(k, ratio, n_terms) * scale + 1e-13
+                bound = L.process._far_remainder(k, ratio, n_terms) * scale
+                assert err <= bound + 1e-13
+                assert abs(coef[0] - direct) <= bound / 2 + 1e-13
 
 
 def test_interpolant_matches_exact_nodes_and_offnode():
@@ -271,7 +291,7 @@ def test_interpolant_needs_two_nodes_on_a_range():
 def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
-    vals = interp.values
+    vals = field_on_mesh(g, interp.nodes, 2)
     v = np.linspace(0.7, 0.85, vals.shape[1])
     v[5] = interp.nodes[3]  # a node hit
     # reference: the broadcast barycentric formula, summed over the node axis
@@ -282,7 +302,12 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     hit = exact.any(axis=0)
     ref[hit] = vals[exact.argmax(axis=0)[hit], np.flatnonzero(hit)]
     assert hit.sum() == 3  # both end nodes and the one placed at index 5
-    assert np.array_equal(interp.at(v), ref)
+    got = interp.at(v)
+    # a hit reads its node row bit for bit; elsewhere the streamed pass
+    # combines the far part as series coefficients, a different summation order
+    assert np.array_equal(got[hit], ref[hit])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(interp.at(float(v[5])), vals[3])  # one v on a node
 
 
 def _node_axis_combine(interp, v, vals):
@@ -311,7 +336,7 @@ def _node_axis_combine(interp, v, vals):
 def test_combine_equals_node_axis_formula():
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=37)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
-    vals = interp.values
+    vals = field_on_mesh(g, interp.nodes, 2)
     v = np.linspace(0.7, 0.85, vals.shape[1])
     v[[5, 9]] = interp.nodes[[3, 7]]  # node hits inside, besides both ends
     levels = vals[:, ::64]  # per-node rows of any linear functional
@@ -327,15 +352,40 @@ def test_combine_streams_node_rows():
     # an array of v costs a few rows of temporaries, not n_nodes x N arrays
     g = make_noise_grid(LAW, -2.0, 2.0**-10, seed=39)
     interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16, refine=8)
-    n = interp.values.shape[1]
+    vals = field_on_mesh(g, interp.nodes, 8)
+    n = interp.size
     v = np.linspace(0.7, 0.85, n)
     tracemalloc.start()
     try:
-        interp.at(v)
+        interp.combine(v, vals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * 8
+
+
+# 2^-10 puts the peak in the far part's blocks, 2^-13 in the transforms
+@pytest.mark.parametrize("cells", [2**10, 2**13])
+def test_path_build_streams_node_rows(cells):
+    # a 16-node path build never holds the 16 node rows: besides the
+    # transform buffers (kernel values, spectrum and convolution of refine
+    # rows each) and the far part's blocks (one row per node and per series
+    # term, at most _CHUNK points long) it keeps a few mesh rows
+    g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
+    H = L.linear_hurst(0.7, 0.15)
+    refine, n_nodes = 8, 16
+    n = cells * refine + 1
+    transforms = 3 * refine * next_fast_len(_near_cells(g) + cells)
+    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
+    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
+    tracemalloc.start()
+    try:
+        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (transforms + far_blocks + 8 * n)
 
 
 def test_interpolant_refuses_to_extrapolate():
@@ -365,7 +415,9 @@ def test_constant_hurst_path_is_lfsm_code_path():
 
 
 def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
-    # Y(m t_step) is the interpolant at H(m t_step), bit for bit, but Y(0) = 0
+    # Y(m t_step) is the v-interpolation of the node rows at H(m t_step),
+    # with Y(0) = 0; at a node hit (both ends here) it is that node's row bit
+    # for bit
     g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=41)
     H = L.linear_hurst(0.7, 0.15)
     refine = 4
@@ -373,9 +425,12 @@ def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
     path = L.simulate_lmsm(field, H)
     times = np.arange(refine / g.delta + 1) * field.t_step
     assert np.array_equal(path.times, times)
-    expect = field.at(H(times))
+    rows = field_on_mesh(g, field.nodes, refine)
+    expect = field.combine(H(times), rows)
     assert path.values[0] == 0.0
-    assert np.array_equal(path.values[1:], expect[1:])
+    assert np.array_equal(path.values[[0, -1]], [rows[0, 0], rows[-1, -1]])
+    assert np.max(np.abs(path.values - expect)) <= 1e-13 * np.max(np.abs(expect))
+    assert np.array_equal(path.values, field.at(H(times)))
 
 
 def test_lipschitz_coupling_in_hurst():
