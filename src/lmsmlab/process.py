@@ -33,11 +33,14 @@ far cells s_i < -1 add a function of t that is analytic on a disc of radius 1
 around 0, summed as a binomial-moment power series around 1/2 whose ratio is
 below 1/3; a certified remainder bound fixes the number of terms (see
 ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
-transformed once, the kernel values share one log t, each v's residue
-transforms run as one 2-D transform on the process's one thread budget, shared
-with the noise sampler (see ``stable``), and the far series of every v comes
-from one pass over the far noise, with the batch's largest certified term
-count.  Time-varying Hurst values are then obtained by barycentric
+transformed once, the kernel values share one log t, each v's residue rows are
+transformed in blocks of up to four, and the far series of every v comes from
+one pass over the far noise, with the batch's largest certified term count.  A
+block's kernel half (its kernel values and their transform) needs no noise, so
+on a thread budget of two or more, shared with the noise sampler (see
+``stable``), it runs one block ahead on a helper thread while the caller
+convolves the block before it with the noise; the rows are bitwise the same
+on every budget.  Time-varying Hurst values are then obtained by barycentric
 interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
 so a few dozen nodes reach near machine precision.  The path's far part is the
 series whose coefficients are the barycentric combination of the nodes'
@@ -48,7 +51,9 @@ route is tested against.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +320,8 @@ _FAR_CENTER = 0.5
 # points per block wherever a pass over the far cells or the mesh goes block
 # by block to bound its temporaries
 _CHUNK = 16384
+# residue rows per kernel transform in the field pass (see field_on_mesh)
+_BLOCK = 4
 
 
 def _far_series_terms(kappa: float, ratio: float) -> int:
@@ -394,13 +401,29 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
     that is read.  The noise is transformed once per pass, and the kernel
-    values g = t^kappa at the refine residues share one log t; each v's
-    refine residue transforms run as one 2-D transform on the process's one
-    thread budget (``stable._threads``, 1 in a worker of ``run_experiment``'s
-    pool).  Far cells s_i < -1, x_i = -s_i > 1, add sum_i [(x_i + t)^kappa -
-    x_i^kappa] dZ_i, a power series in h = t - c, c = 1/2, whose ratio
-    |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/3.  With
-    |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
+    values g = t^kappa at the refine residues share one log t.  Each v's
+    residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
+    transform call per block and stage, every call on one thread.  Stage 1 is
+    the kernel half: the block's kernel values, their forward transform and,
+    on the node's first block, the kernel's second term over the near cells,
+    b = sum_{s_i < 0} (-s_i)^kappa dZ_i.  Stage 2 multiplies by the noise
+    spectrum, inverts, and copies the block's residues into the node's mesh
+    row; after the node's last block it subtracts b and hands the row on.  On
+    a thread budget (``stable._threads``) of two or more, stage 1 of the next
+    block runs on one helper thread, started for the pass, while the caller
+    runs stage 2; on a budget of 1 (a worker of ``run_experiment``'s pool)
+    the blocks run in turn on the caller.  So a pass holds four transform
+    buffers of min(4, refine) rows (kernel values, the next spectrum, the
+    current spectrum and the convolution), and every row gets the same
+    arithmetic in the same order on every budget: the rows are bitwise
+    identical for any budget.  Four rows, because one thread transforms four
+    rows per call about as fast per row as eight, and two rows much slower:
+    on a 2-core machine a forward and an inverse transform of eight rows of
+    3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
+    and 77 ms as four 2-row calls.  Far cells s_i < -1, x_i = -s_i > 1, add
+    sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power series in h = t - c,
+    c = 1/2, whose ratio |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/3.
+    With |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
     2 kappa/(N+1) * r^(N+1)/(1 - r) * sum_far (x_i + c)^kappa |dZ_i| (the
     factor 2 is coefficient 0's own truncation, see ``_far_coeffs``).  N is
     the fewest terms that put this factor below 2^-53 for every v of the
@@ -440,26 +463,67 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     with np.errstate(divide="ignore"):
         log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
                        * grid.delta)
-    g = np.zeros((refine, n_fft))  # the zero tail pads each transform
-    gk = g[:, : log_t.shape[1]]
+    rows = min(_BLOCK, refine)
+    g = np.zeros((rows, n_fft))  # the zero tail pads each transform
+    # a block is one node i and its residue rows lo..hi-1
+    blocks = [(i, lo, min(lo + rows, refine))
+              for i in range(kappa.size) for lo in range(0, refine, rows)]
+
+    def kernel_spectrum(block):
+        # stage 1, the kernel half: the block's kernel values, the node's b
+        # on its first block, and their transform
+        i, lo, hi = block
+        gk = g[: hi - lo, : log_t.shape[1]]
+        np.exp(np.multiply(log_t[lo:hi], kappa[i], out=gk), out=gk)
+        b = float(gk[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
+        return rfft(g[: hi - lo], n_fft, axis=-1, workers=1), b
+
     near = np.empty(K * refine + 1)
-    for i, k in enumerate(kappa):
-        np.exp(np.multiply(log_t, k, out=gk), out=gk)
-        b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if i0 > 0 else 0.0
-        spec = rfft(g, n_fft, axis=-1, workers=stable._threads)
-        spec *= zf
-        conv = irfft(spec, n_fft, axis=-1, workers=stable._threads)
-        # mesh index q*refine + rho reads row rho at column i0 + q
-        near[:-1].reshape(K, refine)[:] = conv[:, i0 : i0 + K].T
-        near[-1] = conv[0, i0 + K]
-        # freed before the next kernel transform, so at most three transform
-        # buffers live at once; the spectrum, freed when the next one
-        # replaces it, keeps its heap pages for it
-        del conv
-        near -= b
-        near[0] = 0.0  # the u = 0 kernel vanishes identically
-        for consumer in consumers:
-            consumer.row(i, near)
+    mesh = near[:-1].reshape(K, refine)  # mesh index q*refine + rho is mesh[q, rho]
+    with _one_ahead(kernel_spectrum, blocks) as spectra:
+        for (i, lo, hi), (spec, b_block) in zip(blocks, spectra):
+            # stage 2, with the noise: residue rho's row of the mesh is column
+            # i0 + q of the convolution's row rho - lo
+            if lo == 0:
+                b = b_block
+            spec *= zf
+            conv = irfft(spec, n_fft, axis=-1, workers=1)
+            del spec  # on a budget of 1, freed before the next block's spectrum
+            mesh[:, lo:hi] = conv[:, i0 : i0 + K].T
+            if lo == 0:
+                near[-1] = conv[0, i0 + K]
+            del conv
+            if hi < refine:
+                continue
+            near -= b
+            near[0] = 0.0  # the u = 0 kernel vanishes identically
+            for consumer in consumers:
+                consumer.row(i, near)
+
+
+@contextlib.contextmanager
+def _one_ahead(fn, items: list):
+    """An iterator over fn(item) for the items in order.  With a thread budget
+    (``stable._threads``) of 2 or more, fn(items[n + 1]) runs on one helper
+    thread, started here, while the caller works on fn(items[n]); leaving the
+    block, also on an error, waits for the helper to end.  With a budget of 1
+    each fn(item) runs on the caller when the iterator reaches it."""
+    if stable._threads < 2 or len(items) < 2:
+        yield map(fn, items)
+        return
+    with ThreadPoolExecutor(1) as helper:
+
+        def results():
+            ahead = helper.submit(fn, items[0])
+            for item in items[1:]:
+                # the caller asks for a result once done with the last one,
+                # so the last one is let go before the helper starts anew
+                out = ahead.result()
+                ahead = helper.submit(fn, item)
+                yield out
+            yield ahead.result()
+
+        yield results()
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:

@@ -36,10 +36,14 @@ draws are within 5e-15 relative of 50-digit values of the transform.  They
 are bitwise identical across thread counts, but differ from the direct
 expression's in the last bits.
 
-The process has one thread budget, ``_threads``, shared by this transform
-and by ``process.field_on_mesh``'s FFTs: every CPU in the affinity mask,
-and 1 in each worker of ``run_experiment``'s process pool (``_set_threads``),
-so that the pool's processes do not oversubscribe the CPUs.
+The process has one thread budget, ``_threads``: every CPU in the affinity
+mask, and 1 in each worker of ``run_experiment``'s process pool
+(``_set_threads``), so that the pool's processes do not oversubscribe the
+CPUs.  This transform spreads its tiles over that many threads.
+``process.field_on_mesh`` runs every transform on one thread and, on a
+budget of two or more, starts one helper thread per pass that builds the
+next block's kernel spectrum while the caller convolves the current block
+with the noise.  Both give bitwise the same numbers on every budget.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,15 @@ def test_config_rejects_unusable_mesh_settings(bad):
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
+        cfg.validate()
+
+
+def test_ram_guard_counts_four_transform_buffers():
+    # the field pass holds four transform buffers of min(4, path_refine) rows;
+    # the guard's message names them
+    cfg = ExperimentConfig(**{**FAST, "j_range": (40,), "delta": None, "path_refine": 8})
+    with pytest.raises(ValueError, match="kernel values, next spectrum, current spectrum "
+                                         "and convolution, 4 rows each"):
         cfg.validate()
 
 
@@ -342,6 +352,43 @@ def test_parallel_runs_isolate_replicate_failures(tmp_path):
                               "out_dir": str(tmp_path)})
     with pytest.raises(RuntimeError, match="2/2 replicates failed.*TruncationError"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("where", ["kernel transform", "consumer row"])
+def test_a_bug_in_the_field_pass_ends_the_run(where, tmp_path, monkeypatch):
+    # a RuntimeError in a kernel transform (the pass's helper thread builds
+    # the kernel spectra) or in a consumer's row (the caller) is a bug, not a
+    # failed replicate: run_replicate raises it, run_experiment ends with it
+    # and writes no manifest, and the helper is gone either way
+    from lmsmlab import process, stable
+
+    monkeypatch.setattr(stable, "_threads", 2)
+    owner, attr = (process, "rfft") if where == "kernel transform" else (
+        process._Barycentric, "row")
+    real = getattr(owner, attr)
+    threads_seen = []
+
+    def failing(*args, **kwargs):
+        # the noise transform is the one 1-D rfft; fail on the third kernel
+        # transform or row, with the pipeline under way
+        if where == "consumer row" or np.ndim(args[0]) == 2:
+            threads_seen.append(threading.active_count())
+            if len(threads_seen) % 3 == 0:
+                raise RuntimeError(where)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, failing)
+    cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
+                              "out_dir": str(tmp_path)})
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{where}$"):
+        run_replicate(cfg, 0)
+    assert threading.active_count() == before
+    assert max(threads_seen) == before + 1  # the pass ran its one helper
+    with pytest.raises(RuntimeError, match=f"^{where}$"):
+        run_experiment(cfg)
+    assert threading.active_count() == before
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def _budget_and_draw():

@@ -6,6 +6,7 @@ so empirical fractional moments can be compared against quadrature targets.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,10 +137,11 @@ def _record_transforms(monkeypatch) -> list:
 
 
 def test_fft_length_contract(monkeypatch):
-    # one 1-D noise transform per call, then per v one 2-D rfft and one 2-D
-    # irfft with a row per residue; every call takes its length as the second
-    # positional argument, n_near + K rounded up to a fast length, never the
-    # linear-convolution size, and no keyword but axis and workers
+    # one 1-D noise transform per call, then per v and block of min(4, refine)
+    # residues (one block at refine 3) one 2-D rfft and one 2-D irfft with a
+    # row per residue; every call takes its length as the second positional
+    # argument, n_near + K rounded up to a fast length, never the
+    # linear-convolution size, no keyword but axis and workers, and one thread
     calls = _record_transforms(monkeypatch)
     # no far part, and n_near + K = 608 is not a fast length
     g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
@@ -156,6 +158,7 @@ def test_fft_length_contract(monkeypatch):
     for shape, _, kw in batched:
         assert len(shape) == 2 and shape[0] == refine
         assert set(kw) <= {"axis", "workers"} and kw.get("axis", -1) == -1
+        assert kw.get("workers", 1) == 1
 
 
 def test_batched_rows_match_one_v_calls():
@@ -182,13 +185,21 @@ def test_batched_rows_match_one_v_calls():
 def test_cost_contract_of_the_split(monkeypatch):
     # the split fixes the cost balance: on a grid with a long far part every
     # transform has length n_near + K = (_NEAR_SPAN + 2) K, and the far series
-    # of the criterion-8 batch needs the term count below
+    # of the criterion-8 batch needs the term count below.  The cost is
+    # counted in rows: the noise is one row, and each v transforms refine
+    # kernel rows and inverts refine rows, in blocks of min(4, refine) rows
+    # per call
     calls = _record_transforms(monkeypatch)
+
+    def rows():
+        return sum(math.prod(shape[:-1]) for shape, _, _ in calls)
+
     g = make_noise_grid(LAW, -8.0, 2.0**-10, seed=71)
     field_on_mesh(g, 0.8, 8)
-    assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2)
-    # a path build is one pass, 1 + 2 n_nodes transforms, also when a consumer
-    # reads the same node rows
+    assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 2)
+    assert rows() == 1 + 2 * 8
+    # a path build is one pass: 1 + 2 * 16 * 8 rows in 1 + 2 * 16 * 2 calls,
+    # also when a consumer reads the same node rows
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=8)
     frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
@@ -196,7 +207,8 @@ def test_cost_contract_of_the_split(monkeypatch):
     for consumers in ((), (frozen,)):
         calls.clear()
         L.simulate_lmsm(interp, H, *consumers)
-        assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 16)
+        assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 16 * 2)
+        assert rows() == 1 + 2 * 16 * 8
     # criterion 8: alpha 1.5, H in [0.7, 0.85], delta = 2^-16; the batch takes
     # the count of its largest kappa
     c = 0.5
@@ -364,18 +376,22 @@ def test_combine_streams_node_rows():
     assert peak < 8 * n * 8
 
 
-# 2^-10 puts the peak in the far part's blocks, 2^-13 in the transforms
-@pytest.mark.parametrize("cells", [2**10, 2**13])
+# 2^-10 and 2^-13 put the peak in the far part's blocks, 2^-15 in the
+# transforms.  Measured tracemalloc peaks (2-core machine): 3.4, 10.5 and
+# 28.1 MB; the 2^-15 peak was 34.3 MB with three transform buffers of
+# refine rows, and is 24.9 MB on a thread budget of 1
+@pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
     # a 16-node path build never holds the 16 node rows: besides the
-    # transform buffers (kernel values, spectrum and convolution of refine
-    # rows each) and the far part's blocks (one row per node and per series
-    # term, at most _CHUNK points long) it keeps a few mesh rows
+    # transform buffers (kernel values, the next spectrum, the current
+    # spectrum and the convolution, of min(4, refine) rows each) and the far
+    # part's blocks (one row per node and per series term, at most _CHUNK
+    # points long) it keeps a few mesh rows
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
     n = cells * refine + 1
-    transforms = 3 * refine * next_fast_len(_near_cells(g) + cells)
+    transforms = 4 * min(4, refine) * next_fast_len(_near_cells(g) + cells)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
@@ -386,6 +402,51 @@ def test_path_build_streams_node_rows(cells):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (transforms + far_blocks + 8 * n)
+
+
+class _ThreadCount:
+    """A consumer that records the number of live threads at every row."""
+
+    def __init__(self):
+        self.seen = []
+
+    def far(self, coef, h):
+        pass
+
+    def row(self, i, near):
+        self.seen.append(threading.active_count())
+
+
+# refine 1 and 3 are one block per node, 6 ends on a block of 2 rows
+@pytest.mark.parametrize("refine", [1, 3, 6, 8])
+def test_rows_do_not_depend_on_the_thread_budget(refine):
+    # on a budget of 1 the blocks run in turn on the caller; on 2 each
+    # block's kernel spectrum is built one block ahead on one helper thread.
+    # Rows, paths and frozen levels are bitwise the same, with and without a
+    # FrozenLevels consumer, and the helper is gone when the pass returns
+    g = make_noise_grid(LAW, -4.0, 2.0**-9, seed=83)
+    H = L.linear_hurst(0.7, 0.15)
+    saved, before = L.stable._threads, threading.active_count()
+    out = {}
+    try:
+        for threads in (1, 2):
+            L.stable._set_threads(threads)
+            interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
+            frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
+                                  L.build_global_intervals((0.0, 1.0), 5))
+            count = _ThreadCount()
+            out[threads] = (field_on_mesh(g, interp.nodes, refine),
+                            L.simulate_lmsm(interp, H).values,
+                            L.simulate_lmsm(interp, H, frozen, count).values,
+                            frozen.level(5))
+            # at most one helper per pass, and none on a budget of 1
+            assert set(count.seen) == {before + threads - 1}
+            assert threading.active_count() == before
+    finally:
+        L.stable._set_threads(saved)
+    for one, two in zip(out[1], out[2]):
+        assert np.array_equal(one, two)
+    assert np.array_equal(out[1][1], out[1][2])
 
 
 def test_interpolant_refuses_to_extrapolate():
