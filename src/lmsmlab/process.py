@@ -484,13 +484,12 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
         for (i, lo, hi), (spec, b_block) in zip(blocks, spectra):
             # stage 2, with the noise: residue rho's row of the mesh is column
             # i0 + q of the convolution's row rho - lo
-            if lo == 0:
-                b = b_block
             spec *= zf
             conv = irfft(spec, n_fft, axis=-1, workers=1)
             del spec  # on a budget of 1, freed before the next block's spectrum
             mesh[:, lo:hi] = conv[:, i0 : i0 + K].T
             if lo == 0:
+                b = b_block
                 near[-1] = conv[0, i0 + K]
             del conv
             if hi < refine:
@@ -504,10 +503,11 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
 @contextlib.contextmanager
 def _one_ahead(fn, items: list):
     """An iterator over fn(item) for the items in order.  With a thread budget
-    (``stable._threads``) of 2 or more, fn(items[n + 1]) runs on one helper
-    thread, started here, while the caller works on fn(items[n]); leaving the
-    block, also on an error, waits for the helper to end.  With a budget of 1
-    each fn(item) runs on the caller when the iterator reaches it."""
+    (``stable._threads``) of 2 or more and two or more items, fn(items[n + 1])
+    runs on one helper thread, started here, while the caller works on
+    fn(items[n]); leaving the block, also on an error, waits for the helper
+    to end.  Otherwise each fn(item) runs on the caller when the iterator
+    reaches it."""
     if stable._threads < 2 or len(items) < 2:
         yield map(fn, items)
         return
