@@ -8,11 +8,14 @@ output directory.  The path noise is unit-scale SaS, the law that
 Replicate r draws its noise from the stream seed ^ r, so results are
 independent of worker count and execution order, and identical (config,
 seed) pairs produce byte-identical CSV artifacts.
+``validate`` refuses what no replicate could run (a mesh too coarse for a
+level, a path larger than RAM, a noise domain too short for the path), all
+properties of the config, never of a noise draw.  So every replicate returns
+its records, and any exception a replicate raises is a bug that ends the run.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -45,14 +48,12 @@ from .estimators import (
     estimate_hmin,
 )
 from .process import (
-    _BLOCK,
-    _NEAR_SPAN,
     MeshFieldInterpolant,
     SamplePath,
-    TruncationError,
+    check_path_domain,
+    check_path_memory,
     hurst_from_id,
     make_noise_grid,
-    noise_cell_count,
     simulate_lmsm,
 )
 from .stable import StableLaw, _set_threads
@@ -140,26 +141,19 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.t_tail < 1.0:
             raise ValueError("t_tail must be >= 1")
-        n_cells = noise_cell_count(-self.t_tail, self.noise_delta)
         if self.v_nodes < 2:
             raise ValueError("v_nodes must be >= 2")
         if self.path_refine < 1:
             raise ValueError("path_refine must be >= 1")
-        # a replicate holds the noise grid, the field pass's four transform
-        # buffers of min(_BLOCK, path_refine) rows (kernel values, the next
-        # spectrum, the current spectrum, the convolution; a row spans the
-        # near noise [-_NEAR_SPAN, 1) and [0, 1) again) and a few mesh-length
-        # arrays (path, barycentric sums, a node row), never a row per v-node
-        unit_cells = round(1.0 / self.noise_delta)  # cells of [0, 1)
-        rows = min(_BLOCK, self.path_refine)
-        transforms = 4 * rows * (_NEAR_SPAN + 2) * unit_cells
-        mesh = self.path_refine * unit_cells + 1
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8 * (n_cells + transforms + 8 * mesh) > memory:
-            raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: {n_cells} "
-                             f"noise cells, {transforms} transform values (kernel values, "
-                             f"next spectrum, current spectrum and convolution, {rows} "
-                             f"rows each) and 8 x {mesh} mesh values exceed RAM")
+        try:
+            check_path_memory(-self.t_tail, self.noise_delta, self.path_refine)
+        except ValueError as exc:
+            raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: "
+                             f"{exc}") from None
+        try:
+            check_path_domain(alpha, -self.t_tail, self.noise_delta, self.hurst().h_high)
+        except ValueError as exc:
+            raise ValueError(f"t_tail={self.t_tail:g}: {exc}") from None
         try:
             for j in self.j_range:
                 samples_per_cell(self.noise_delta / self.path_refine, j)
@@ -275,23 +269,12 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     return records
 
 
-def _replicate_task(args):
-    config_dict, r = args
-    return run_replicate(ExperimentConfig.from_dict(config_dict), r)
-
-
-# the domain errors that fail one replicate; any other exception is a bug and
-# ends the run, ResolutionError too: validate checks every level's mesh
-_REPLICATE_ERRORS = (TruncationError, DegenerateReplicate)
-
-
-def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTable:
+def _aggregate(config: ExperimentConfig, per_replicate: list) -> ConvergenceTable:
     H = config.hurst()
     intervals = config.intervals()
     rows = []
     for j in config.j_range:
-        recs = [rec for r in sorted(per_replicate)
-                for rec in per_replicate[r] if rec.j == j]
+        recs = [rec for records in per_replicate for rec in records if rec.j == j]
         good = [rec for rec in recs if not rec.flagged]
         target = H.min_over(*intervals.interval(j))
         h_vals = np.array([rec.h_hat for rec in good]) if good else np.array([])
@@ -305,7 +288,7 @@ def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTabl
         rows.append(
             {
                 "j": j,
-                "n_j": recs[0].n_j if recs else 0,
+                "n_j": recs[0].n_j,
                 "target_hmin": target,
                 "h_mean": float(h_vals.mean()) if h_vals.size else None,
                 "h_median": float(np.median(h_vals)) if h_vals.size else None,
@@ -320,12 +303,12 @@ def _aggregate(config: ExperimentConfig, per_replicate: dict) -> ConvergenceTabl
     return ConvergenceTable(rows=rows)
 
 
-def _write_records_csv(fname, per_replicate: dict) -> None:
+def _write_records_csv(fname, per_replicate: list) -> None:
     cols = "replicate,j,n_j,V_j,h_hat,h_hat_corrected,D_j,alpha_hat,flags\n"
     with open(fname, "w") as fh:
         fh.write(cols)
-        for r in sorted(per_replicate):
-            for rec in per_replicate[r]:
+        for r, records in enumerate(per_replicate):
+            for rec in records:
                 flags = ";".join(rec.flags)
                 fh.write(
                     f"{r},{rec.j},{rec.n_j},{fmt17(rec.v_j)},{fmt17(rec.h_hat)},"
@@ -358,35 +341,22 @@ def _replicate_pool(workers: int) -> ProcessPoolExecutor:
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     """Run the full replicate batch, aggregate, and write the artifacts to
-    ``config.out_dir``."""
+    ``config.out_dir``.  An exception in a replicate ends the run before any
+    artifact is written; ``failed_replicates`` is always ``{}``, kept for the
+    manifest's format."""
     config.validate()
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    tasks = [(config.to_dict(), r) for r in range(config.replicates)]
-    per_replicate: dict = {}
-    failures: dict = {}
-    # (r, get) per replicate: get() returns the records or raises the error
+    reps = range(config.replicates)
     if config.workers > 1:
         with _replicate_pool(config.workers) as pool:
-            futures = [pool.submit(_replicate_task, args) for args in tasks]
-        outcomes = [(args[1], fut.result) for args, fut in zip(tasks, futures)]
+            per_replicate = list(pool.map(run_replicate, [config] * len(reps), reps))
     else:
-        outcomes = [(args[1], functools.partial(_replicate_task, args)) for args in tasks]
-    for r, get in outcomes:
-        try:
-            per_replicate[r] = get()
-        except _REPLICATE_ERRORS as exc:
-            failures[r] = repr(exc)
-    if failures and len(failures) > 0.2 * config.replicates:
-        raise RuntimeError(
-            f"{len(failures)}/{config.replicates} replicates failed: {failures}"
-        )
+        per_replicate = [run_replicate(config, r) for r in reps]
     table = _aggregate(config, per_replicate)
     _write_records_csv(os.path.join(out, "records.csv"), per_replicate)
     table.to_csv(os.path.join(out, "table.csv"))
-    manifest = _manifest(
-        config, {"failed_replicates": {str(k): v for k, v in sorted(failures.items())}}
-    )
+    manifest = _manifest(config, {"failed_replicates": {}})
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

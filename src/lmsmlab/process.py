@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -264,9 +265,10 @@ def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> No
 # ---------------------------------------------------------------------------
 
 
-def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
+def path_truncation_audit(alpha: float, t_min: float, delta: float, u: float, v: float) -> float:
     """Certified upper bound on the share of the alpha-mass of X(u, v)'s
-    kernel that lies below t_min: tail / (m + tail).
+    kernel that lies below t_min, for noise in delta-cells of [t_min, 1):
+    tail / (m + tail).  It reads the geometry only, never the noise.
 
     ``tail`` bounds the lost mass: |(u-s)^k - (-s)^k| <= k u (-s)^(k-1) for
     s <= t_min < 0, so it is at most (k u)^a T^-p / p, T = -t_min and
@@ -278,15 +280,13 @@ def path_truncation_audit(grid: NoiseGrid, u: float, v: float) -> float:
     in s, so its left-endpoint sum is at least its integral over
     [t_min - delta, -delta].
     """
-    alpha = grid.law.alpha
     kappa = _kappa(alpha, v)
     if u <= 0.0:
         return 0.0
     p = alpha * (1.0 - kappa) - 1.0
-    tail = (kappa * u) ** alpha * (-grid.t_min) ** -p / p
+    tail = (kappa * u) ** alpha * (-t_min) ** -p / p
     near = u ** (alpha * kappa + 1.0) / (alpha * kappa + 1.0)
-    left = (kappa * u) ** alpha * (
-        (u + grid.delta) ** -p - (u - grid.t_min + grid.delta) ** -p) / p
+    left = (kappa * u) ** alpha * ((u + delta) ** -p - (u - t_min + delta) ** -p) / p
     return tail / (near + left + tail)
 
 
@@ -298,7 +298,7 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     """
     if u < 0 or u > 1.0:
         raise ValueError("u must lie in [0, 1]")
-    lost = path_truncation_audit(grid, u, v)
+    lost = path_truncation_audit(grid.law.alpha, grid.t_min, grid.delta, u, v)
     if lost > tail_tol:
         raise TruncationError(
             f"noise domain too short: relative tail mass {lost:.3e} > {tail_tol}"
@@ -576,7 +576,8 @@ class _Barycentric:
     per block of v.  ``row`` adds a node's row: a subtraction, a division
     and two accumulations per node.  Exact node hits, v within 1e-15 of a
     node, are found once; ``result`` gives them that node's row (the first
-    such node's), whatever the sums hold there."""
+    such node's), whatever the sums hold there.  With one node (a constant
+    H) every value H takes is a hit."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, shape):
         self.nodes, self.weights = nodes, weights
@@ -663,11 +664,9 @@ class MeshFieldInterpolant:
         ``consumers``; X(0, v) = 0.  Raises ValueError for v outside
         [h_low, h_high]: it never extrapolates."""
         v = self._inside(v)
-        pinned = self.nodes.size == 1  # the one node row is the field at every v
-        sums = (_Rows(1, self.size) if pinned
-                else _Barycentric(self.nodes, self.weights, v, (self.size,)))
+        sums = _Barycentric(self.nodes, self.weights, v, (self.size,))
         field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
-        out = sums.out[0] if pinned else sums.result()
+        out = sums.result()
         out[0] = 0.0  # the u = 0 kernel vanishes identically
         return out
 
@@ -676,8 +675,6 @@ class MeshFieldInterpolant:
         1-D rows ``vals`` (node axis first), e.g. of any linear functional of
         the node fields.  Raises ValueError for v outside [h_low, h_high]."""
         v = self._inside(v)
-        if self.nodes.size == 1:
-            return vals[0].copy()
         sums = _Barycentric(self.nodes, self.weights, v, vals.shape[1:])
         for i, row in enumerate(vals):
             sums.row(i, row)
@@ -724,6 +721,40 @@ class SamplePath:
 _PATH_TAIL_TOL = 0.25
 
 
+def check_path_domain(alpha: float, t_min: float, delta: float, h_high: float) -> None:
+    """Raise TruncationError when the noise domain [t_min, 1) costs raw path
+    values more than ``_PATH_TAIL_TOL`` of their alpha-mass, by
+    ``path_truncation_audit`` at u = 1 and v = h_high.  No noise enters the
+    audit, so a geometry passes for every noise draw or for none."""
+    worst = path_truncation_audit(alpha, t_min, delta, 1.0, h_high)
+    if worst > _PATH_TAIL_TOL:
+        raise TruncationError(
+            f"noise domain too short for raw path values: "
+            f"relative tail mass {worst:.3e} > {_PATH_TAIL_TOL}"
+        )
+
+
+def check_path_memory(t_min: float, delta: float, refine: int) -> None:
+    """Raise ValueError when building one path on the noise of [t_min, 1) at
+    mesh step delta/refine would exceed the machine's RAM.
+
+    A path build holds the noise grid, the field pass's four transform
+    buffers of min(``_BLOCK``, refine) rows (kernel values, the next spectrum,
+    the current spectrum, the convolution; a row spans the near noise
+    [-``_NEAR_SPAN``, 1) and [0, 1) again) and a few mesh-length arrays (path,
+    barycentric sums, a node row), never a row per v-node."""
+    n_cells = noise_cell_count(t_min, delta)
+    unit_cells = round(1.0 / delta)  # cells of [0, 1)
+    rows = min(_BLOCK, refine)
+    transforms = 4 * rows * (_NEAR_SPAN + 2) * unit_cells
+    mesh = refine * unit_cells + 1
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * (n_cells + transforms + 8 * mesh) > memory:
+        raise ValueError(f"{n_cells} noise cells, {transforms} transform values (kernel "
+                         f"values, next spectrum, current spectrum and convolution, {rows} "
+                         f"rows each) and 8 x {mesh} mesh values exceed RAM")
+
+
 def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction, *consumers) -> SamplePath:
     """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of [0, 1]:
     ``field.at(H(t))``, with Y(0) = 0 exactly.  Its one field pass also hands
@@ -732,17 +763,12 @@ def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction, *consumers) -> 
     second pass.
 
     Raises TruncationError when the noise domain costs the path values more
-    than ``_PATH_TAIL_TOL`` of their alpha-mass, and ValueError when H leaves
-    the interpolant's [h_low, h_high].
+    than ``_PATH_TAIL_TOL`` of their alpha-mass (``check_path_domain``), and
+    ValueError when H leaves the interpolant's [h_low, h_high].
     """
     grid = field.grid
     H.validate(grid.law.alpha)
-    worst = path_truncation_audit(grid, 1.0, H.h_high)
-    if worst > _PATH_TAIL_TOL:
-        raise TruncationError(
-            f"noise domain too short for raw path values: "
-            f"relative tail mass {worst:.3e} > {_PATH_TAIL_TOL}"
-        )
+    check_path_domain(grid.law.alpha, grid.t_min, grid.delta, H.h_high)
     values = field.at(H(np.arange(field.size) * field.t_step), *consumers)
     return SamplePath(field=field, H=H, values=values)
 

@@ -71,17 +71,19 @@ def test_readme_config_example_is_valid():
     "bad",
     [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
      {"hurst_params": (0.8,)}, {"interval": (0.2,)}, {"j_range": ()},
-     {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}],
+     {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}, {"t_tail": 1.0}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
-         "delta=2^-8"],
+         "delta=2^-8", "t_tail=1"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
     # for one node, a ZeroDivisionError for refine 0, a ValueError from
     # StableLaw, estimate_hmin or make_noise_grid for the next three, a
-    # ResolutionError for 8 samples per level-6 cell), to die in validate with
-    # an error that named no field (one parameter for the linear H, one
+    # ResolutionError for 8 samples per level-6 cell, a TruncationError for
+    # noise on [-1, 1), whose audit bounds the lost alpha-mass of the
+    # h_high = 0.85 kernel by 0.29, over the 0.25 limit), to die in validate
+    # with an error that named no field (one parameter for the linear H, one
     # interval end, no level), or to pass validate and ask for about 9 * 2^44
     # noise cells (level 40); validate only, no replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
@@ -245,8 +247,9 @@ def test_cli_writes_replicate_zero(tmp_path, monkeypatch, capsys):
 
 def test_benchmark_trace_hooks_exist(tmp_path):
     # perfbench/run.py --trace 1 wraps these names: one renamed in src/ makes
-    # install() raise AttributeError, and a call that leaves harness would
-    # silently zero a per-layer metric; each workload's setup builds and
+    # install() raise AttributeError, and a call that leaves harness (or a
+    # path audit that no longer goes through process.path_truncation_audit)
+    # would silently zero a per-layer metric; each workload's setup builds and
     # validates its config, so a config field the benchmark passes cannot go;
     # one bounds-mc pass (about 3 s) runs the kernel and bound calls the
     # benchmark makes, so a changed signature there fails here too
@@ -274,7 +277,8 @@ print(json.dumps({{"names": sorted({{span[0] for span in tracer.spans}}),
     result = json.loads(done.stdout.splitlines()[-1])
     names = set(result["names"])
     assert {"harness.run_replicate", "process.make_noise_grid", "process.simulate_lmsm",
-            "coeffs.build_pyramid", "process.field_on_mesh"} <= names
+            "coeffs.build_pyramid", "process.field_on_mesh",
+            "process.path_truncation_audit"} <= names
     assert {"bounds.rq_sweep_report", "bounds.phi_decay_report",
             "bounds.covariance_mc_check", "bounds.scale_param_check",
             "wavelet.norm_detail", "wavelet.phi"} <= names
@@ -313,45 +317,40 @@ def test_cli_verify_exit_status(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_failure_policy_aborts_past_twenty_percent(tmp_path, monkeypatch):
-    import lmsmlab.harness as hmod
-
-    real_task = hmod._replicate_task
-
-    def flaky(args):
-        if args[1] == 0:
-            raise TruncationError("synthetic replicate failure")
-        return real_task(args)
-
-    monkeypatch.setattr(hmod, "_replicate_task", flaky)
-    cfg = ExperimentConfig(**{**FAST, "replicates": 3, "out_dir": str(tmp_path)})
-    with pytest.raises(RuntimeError, match="replicates failed"):
-        run_experiment(cfg)
-    # below the threshold the run completes and records the failure
-    cfg_ok = ExperimentConfig(**{**FAST, "replicates": 6, "out_dir": str(tmp_path / "ok")})
-    table = run_experiment(cfg_ok)
-    manifest = json.loads((tmp_path / "ok" / "manifest.json").read_text())
-    assert list(manifest["failed_replicates"]) == ["0"]
-    assert table.rows
-
-    # a programming error is not a failed replicate: it ends the run
-    def broken(args):
+@pytest.mark.parametrize("workers, name", [(1, "run_replicate"), (2, "build_pyramid")],
+                         ids=["workers=1", "workers=2"])
+def test_a_bug_in_a_replicate_ends_the_run(workers, name, tmp_path, monkeypatch):
+    # a replicate returns its records or raises: a RuntimeError in a serial
+    # run's replicate (called through the module global the benchmark wraps)
+    # or inside a pool worker (forked from this process, so it sees the
+    # patched name) ends run_experiment with that error, and no manifest is
+    # written
+    def broken(*args):
         raise RuntimeError("synthetic bug")
 
-    monkeypatch.setattr(hmod, "_replicate_task", broken)
+    monkeypatch.setattr(harness, name, broken)
+    cfg = ExperimentConfig(**{**FAST, "workers": workers, "out_dir": str(tmp_path)})
     with pytest.raises(RuntimeError, match="^synthetic bug$"):
-        run_experiment(ExperimentConfig(**{**cfg_ok.to_dict(), "out_dir": str(tmp_path / "bug")}))
-
-
-def test_parallel_runs_isolate_replicate_failures(tmp_path):
-    # every replicate fails its path truncation audit (with noise on [-1, 1)
-    # the audit bounds the lost alpha-mass of the H = 0.9 kernel by 0.48, over
-    # the 0.25 limit); workers > 1 must record the failures like a serial
-    # run, not raise the first one
-    cfg = ExperimentConfig(**{**FAST, "t_tail": 1.0, "hurst_params": (0.9,), "workers": 2,
-                              "out_dir": str(tmp_path)})
-    with pytest.raises(RuntimeError, match="2/2 replicates failed.*TruncationError"):
         run_experiment(cfg)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers=1", "workers=2"])
+def test_short_noise_domain_is_refused_before_any_replicate(workers, tmp_path, monkeypatch):
+    # with noise on [-1, 1) the audit bounds the lost alpha-mass of the
+    # H = 0.9 kernel by 0.48, over the 0.25 limit; no noise enters the audit,
+    # so every replicate would fail it: validate refuses the config before
+    # any noise is drawn, serial or parallel, and simulate_lmsm still checks
+    cfg = ExperimentConfig(**{**FAST, "t_tail": 1.0, "hurst_params": (0.9,),
+                              "workers": workers, "out_dir": str(tmp_path / "out")})
+    with pytest.raises(TruncationError, match="noise domain too short"):
+        run_replicate(cfg, 0)
+    drawn = []
+    monkeypatch.setattr(harness, "make_noise_grid", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="^t_tail=1: noise domain too short"):
+        run_experiment(cfg)
+    assert drawn == []
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("where", ["kernel transform", "consumer row"])

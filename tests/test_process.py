@@ -668,10 +668,8 @@ def test_path_csv_roundtrip(tmp_path):
 
 
 def test_truncation_audit_monotone_in_domain():
-    g_short = make_noise_grid(LAW, -2.0, 2.0**-8, seed=5)
-    g_long = make_noise_grid(LAW, -64.0, 2.0**-8, seed=5)
-    a_short = path_truncation_audit(g_short, 1.0, 0.85)
-    a_long = path_truncation_audit(g_long, 1.0, 0.85)
+    a_short = path_truncation_audit(LAW.alpha, -2.0, 2.0**-8, 1.0, 0.85)
+    a_long = path_truncation_audit(LAW.alpha, -64.0, 2.0**-8, 1.0, 0.85)
     assert a_long < a_short
 
 
@@ -697,7 +695,7 @@ def test_truncation_audit_bounds_the_riemann_ratio(alpha):
             g = make_noise_grid(L.StableLaw(alpha), -t_tail, delta, seed=1)
             for u in (1.0, 0.5, delta):
                 brute = _riemann_audit(g, u, v)
-                audit = path_truncation_audit(g, u, v)
+                audit = path_truncation_audit(alpha, g.t_min, g.delta, u, v)
                 assert brute <= audit <= 1.25 * brute
 
 
