@@ -24,7 +24,7 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw, _rng, moment_constant, unit_sas
+from .stable import _SERIAL_GEMM_MADDS, StableLaw, _rng, moment_constant, unit_sas
 from .wavelet import PhiKernel, gauss_panel_sums
 
 __all__ = [
@@ -237,12 +237,6 @@ def phi_decay_report(
 _SCALE_REL_TOL = 0.05
 _COV_SLACK = 0.3
 _APPROX_SLACK, _APPROX_PASS_FRACTION, _APPROX_REPLICATES = 0.15, 0.8, 20
-
-# OpenBLAS runs a dgemm on the calling thread up to this many multiply-adds
-# (SMP_THRESHOLD_MIN 65,536 times GEMM_MULTITHREAD_THRESHOLD 4); above it the
-# product wakes BLAS worker threads, which then busy-wait and take the CPUs
-# that the sampler's threads need
-_SERIAL_GEMM_MADDS = 4 * 65_536
 
 
 def _direct_weight_matrix(

@@ -58,10 +58,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft, irfft
+from numpy.fft import irfft, rfft
 
 from . import stable
-from .stable import StableLaw, _rng, unit_sas
+from .stable import _SERIAL_GEMM_MADDS, StableLaw, _rng, unit_sas
 from .wavelet import PhiKernel, _binom_coeffs, _kappa, _poly_eval
 
 __all__ = [
@@ -324,6 +324,32 @@ _CHUNK = 16384
 _BLOCK = 4
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n, the rule of
+    ``scipy.fft.next_fast_len``: lengths whose prime factors are all at most
+    11 are the ones pocketfft transforms fastest.  Every odd 11-smooth p
+    below the best length so far gives the candidate p * 2^k, the smallest
+    such multiple that reaches n."""
+    m = n - 1
+    best = 1 << m.bit_length()  # the smallest power of two >= n
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p = p5
+                while p < best:
+                    x = p << (m // p).bit_length()  # the smallest p * 2^k > m
+                    if x < best:
+                        best = x
+                    p *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 def _far_series_terms(kappa: float, ratio: float) -> int:
     """Fewest terms N whose certified remainder (``_far_remainder``) is at most
     the unit roundoff 2^-53: below the rounding the moment sums carry anyway."""
@@ -396,23 +422,24 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
 
     The noise is split at s = -1 (``_NEAR_SPAN``).  Near cells [-1, 1) go
     through FFT convolution.  Its circular transforms have length L =
-    next_fast_len(n_near + K), K = 1/delta, with the near window's origin
+    _fast_len(n_near + K), K = 1/delta, with the near window's origin
     at i0 = min(K, index of s = 0): the product dz[i] * g[l] lands on index
     i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
     (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
     that is read.  The noise is transformed once per pass, and the kernel
     values g = t^kappa at the refine residues share one log t.  Each v's
     residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
-    transform call per block and stage, every call on one thread.  Stage 1 is
-    the kernel half: the block's kernel values, their forward transform and,
-    on the node's first block, the kernel's second term over the near cells,
-    b = sum_{s_i < 0} (-s_i)^kappa dZ_i.  Stage 2 multiplies by the noise
-    spectrum, inverts, and copies the block's residues into the node's mesh
-    row; after the node's last block it subtracts b and hands the row on.  On
-    a thread budget (``stable._threads``) of two or more, stage 1 of the next
-    block runs on one helper thread, started for the pass, while the caller
-    runs stage 2; on a budget of 1 (a worker of ``run_experiment``'s pool)
-    the blocks run in turn on the caller.  So a pass holds four transform
+    ``numpy.fft`` call per block and stage, each on the thread that makes
+    it.  Stage 1 is the kernel half: the block's kernel values, their
+    forward transform and, on the node's first block, the kernel's second
+    term over the near cells, b = sum_{s_i < 0} (-s_i)^kappa dZ_i.  Stage 2
+    multiplies by the noise spectrum, inverts, and copies the block's
+    residues into the node's mesh row; after the node's last block it
+    subtracts b and hands the row on.  On a thread budget
+    (``stable._threads``) of two or more, stage 1 of the next block runs on
+    one helper thread, started for the pass, while the caller runs stage 2;
+    on a budget of 1 (a worker of ``run_experiment``'s pool) the blocks run
+    in turn on the caller.  So a pass holds four transform
     buffers of min(4, refine) rows (kernel values, the next spectrum, the
     current spectrum and the convolution), and every row gets the same
     arithmetic in the same order on every budget: the rows are bitwise
@@ -456,7 +483,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
         _far_part(grid, kappa, refine, i_near, consumers)
     i0 = i_origin - i_near
     dz = grid.increments[i_near:]
-    n_fft = next_fast_len(dz.size + K)  # wrap-free length (see field_on_mesh)
+    n_fft = _fast_len(dz.size + K)  # wrap-free length (see field_on_mesh)
     zf = rfft(dz, n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
     # kernel value at t = 0 exactly 0
@@ -476,7 +503,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
         gk = g[: hi - lo, : log_t.shape[1]]
         np.exp(np.multiply(log_t[lo:hi], kappa[i], out=gk), out=gk)
         b = float(gk[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
-        return rfft(g[: hi - lo], n_fft, axis=-1, workers=1), b
+        return rfft(g[: hi - lo], n_fft, axis=-1), b
 
     near = np.empty(K * refine + 1)
     mesh = near[:-1].reshape(K, refine)  # mesh index q*refine + rho is mesh[q, rho]
@@ -485,7 +512,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
             # stage 2, with the noise: residue rho's row of the mesh is column
             # i0 + q of the convolution's row rho - lo
             spec *= zf
-            conv = irfft(spec, n_fft, axis=-1, workers=1)
+            conv = irfft(spec, n_fft, axis=-1)
             del spec  # on a budget of 1, freed before the next block's spectrum
             mesh[:, lo:hi] = conv[:, i0 : i0 + K].T
             if lo == 0:
@@ -572,12 +599,14 @@ class _Barycentric:
 
     ``far`` adds the far part of a field pass from its series coefficients:
     node i's far part is sum_n coef[i, n] h^n, so its share of the numerator
-    is the series with coefficients sum_i c_i coef[i, n], one matrix product
-    per block of v.  ``row`` adds a node's row: a subtraction, a division
-    and two accumulations per node.  Exact node hits, v within 1e-15 of a
-    node, are found once; ``result`` gives them that node's row (the first
-    such node's), whatever the sums hold there.  With one node (a constant
-    H) every value H takes is a hit."""
+    is the series with coefficients sum_i c_i coef[i, n], a matrix product
+    per block of v, taken in column blocks small enough that BLAS runs them
+    on the calling thread (``stable._SERIAL_GEMM_MADDS``).  ``row`` adds a
+    node's row: a subtraction, a division and two accumulations per node.
+    Exact node hits, v within 1e-15 of a node, are found once; ``result``
+    gives them that node's row (the first such node's), whatever the sums
+    hold there.  With one node (a constant H) every value H takes is a
+    hit."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, shape):
         self.nodes, self.weights = nodes, weights
@@ -587,12 +616,16 @@ class _Barycentric:
         self.num, self.den, self.c = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def far(self, coef: np.ndarray, h: np.ndarray) -> None:
+        cols = max(1, _SERIAL_GEMM_MADDS // coef.size)  # BLAS on this thread
         for lo in range(0, h.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             # a hit's infinite c makes nan here, which result() overwrites
             with np.errstate(divide="ignore", invalid="ignore"):
                 c = self.weights[:, None] / (self.v[part] - self.nodes[:, None])
-                self.num[part] += _poly_eval(coef.T @ c, h[part])
+                series = np.empty((coef.shape[1], c.shape[1]))
+                for b in range(0, c.shape[1], cols):
+                    np.matmul(coef.T, c[:, b : b + cols], out=series[:, b : b + cols])
+                self.num[part] += _poly_eval(series, h[part])
         for i, idx in self.hits.items():
             self.hit_rows[i] += _poly_eval(coef[i][:, None], h[idx])
 

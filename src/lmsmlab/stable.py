@@ -40,10 +40,13 @@ The process has one thread budget, ``_threads``: every CPU in the affinity
 mask, and 1 in each worker of ``run_experiment``'s process pool
 (``_set_threads``), so that the pool's processes do not oversubscribe the
 CPUs.  This transform spreads its tiles over that many threads.
-``process.field_on_mesh`` runs every transform on one thread and, on a
-budget of two or more, starts one helper thread per pass that builds the
-next block's kernel spectrum while the caller convolves the current block
-with the noise.  Both give bitwise the same numbers on every budget.
+``process.field_on_mesh`` runs each transform on the thread that makes the
+call (``numpy.fft`` has no thread option) and, on a budget of two or more,
+starts one helper thread per pass that builds the next block's kernel
+spectrum while the caller convolves the current block with the noise.
+Both give bitwise the same numbers on every budget.  ``bounds``' Monte
+Carlo draws and the path's far series take their matrix products in blocks
+below ``_SERIAL_GEMM_MADDS``, so BLAS runs them on the calling thread.
 """
 
 from __future__ import annotations
@@ -114,6 +117,13 @@ _threads = len(os.sched_getaffinity(0))
 def _set_threads(n: int) -> None:
     global _threads
     _threads = int(n)
+
+
+# OpenBLAS runs a dgemm on the calling thread up to this many multiply-adds
+# (SMP_THRESHOLD_MIN 65,536 times GEMM_MULTITHREAD_THRESHOLD 4); above it the
+# product wakes BLAS worker threads, which then busy-wait and take the CPUs
+# of the budget's threads
+_SERIAL_GEMM_MADDS = 4 * 65_536
 
 
 def _skip(bit_generator: np.random.Philox, n: int) -> np.random.Generator:

@@ -141,7 +141,7 @@ def test_fft_length_contract(monkeypatch):
     # residues (one block at refine 3) one 2-D rfft and one 2-D irfft with a
     # row per residue; every call takes its length as the second positional
     # argument, n_near + K rounded up to a fast length, never the
-    # linear-convolution size, no keyword but axis and workers, and one thread
+    # linear-convolution size, and no keyword but axis
     calls = _record_transforms(monkeypatch)
     # no far part, and n_near + K = 608 is not a fast length
     g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
@@ -157,8 +157,14 @@ def test_fft_length_contract(monkeypatch):
     assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
     for shape, _, kw in batched:
         assert len(shape) == 2 and shape[0] == refine
-        assert set(kw) <= {"axis", "workers"} and kw.get("axis", -1) == -1
-        assert kw.get("workers", 1) == 1
+        assert set(kw) <= {"axis"} and kw.get("axis", -1) == -1
+
+
+def test_fast_length_rule_is_scipys():
+    # the field pass's transform length is scipy.fft.next_fast_len's, the
+    # smallest 11-smooth integer >= n; scipy is the oracle, not a dependency
+    rule = L.process._fast_len
+    assert [n for n in range(1, 300_001) if rule(n) != next_fast_len(n)] == []
 
 
 def test_batched_rows_match_one_v_calls():
@@ -447,6 +453,28 @@ def test_rows_do_not_depend_on_the_thread_budget(refine):
     for one, two in zip(out[1], out[2]):
         assert np.array_equal(one, two)
     assert np.array_equal(out[1][1], out[1][2])
+
+
+def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
+    # the path's far part combines the nodes' series coefficients with the
+    # barycentric weights in column blocks, each product small enough
+    # (stable._SERIAL_GEMM_MADDS) that BLAS runs it on the calling thread,
+    # and the blocks cover every mesh point once
+    g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
+    H = L.linear_hurst(0.7, 0.15)
+    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
+    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
+    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    madds, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    L.simulate_lmsm(interp, H)
+    assert 0 < max(madds) <= L.stable._SERIAL_GEMM_MADDS
+    assert sum(madds) == (n_terms + 1) * 16 * interp.size  # coefficients 0..n_terms
 
 
 def test_interpolant_refuses_to_extrapolate():
