@@ -6,7 +6,7 @@ quadrature refinement.  Monte Carlo checks (coefficient scale, covariance
 decay, path-vs-frozen coefficient error) use the weight-vector form of the
 direct coefficients: weights depend only on grid geometry, so one weight
 matrix serves every replicate and the sampling cost is one matrix product per
-chunk of replicates, taken in row blocks that BLAS runs on the calling thread.
+chunk of replicates, taken on the calling thread by ``stable.serial_matmul``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import _SERIAL_GEMM_MADDS, StableLaw, _rng, moment_constant, unit_sas
+from .stable import StableLaw, _rng, moment_constant, serial_matmul, unit_sas
 from .wavelet import PhiKernel, gauss_panel_sums
 
 __all__ = [
@@ -273,20 +273,16 @@ def _draw_direct_coeffs(
 ) -> np.ndarray:
     """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per
     row; the chunk of 1024 rows fixes the draw order.  Each chunk meets the
-    weights in blocks of rows small enough that BLAS computes each product on
-    the calling thread."""
+    weights on the calling thread (``stable.serial_matmul``)."""
     W = _direct_weight_matrix(law, phi, H, j, ks)
     n_k, n_cells = W.shape
-    chunk, block = 1024, max(1, _SERIAL_GEMM_MADDS // W.size)
     rng = _rng(seed)
     out = np.empty((replicates, n_k))
     done = 0
     while done < replicates:
-        m = min(chunk, replicates - done)
+        m = min(1024, replicates - done)
         dz = unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
-        for b in range(0, m, block):
-            part = dz[b : b + block]
-            np.matmul(part, W.T, out=out[done + b : done + b + len(part)])
+        out[done : done + m] = serial_matmul(dz, W.T)
         done += m
     return out
 

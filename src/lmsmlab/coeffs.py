@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .process import HurstFunction, MeshFieldInterpolant, SamplePath
+from .stable import serial_matmul
 from .wavelet import WaveletSpec
 
 __all__ = [
@@ -197,7 +198,8 @@ class FrozenLevels:
     X(., H(k 2^-j)).  The far part of the rows arrives as power-series
     coefficients in h (see ``process.field_on_mesh``): the level quadrature
     of each power of h, taken once per level from the moments of the cell
-    weights, is applied to every node's coefficients.
+    weights, is applied to every node's coefficients on the calling thread
+    (``stable.serial_matmul``).
     """
 
     def __init__(self, field: MeshFieldInterpolant, H: HurstFunction, w: WaveletSpec,
@@ -209,7 +211,8 @@ class FrozenLevels:
 
     def far(self, coef: np.ndarray, h: np.ndarray) -> None:
         for j, ks in self.cells.items():
-            self.node_levels[j] += coef @ self._level_powers(h, j, ks, coef.shape[1])
+            powers = self._level_powers(h, j, ks, coef.shape[1])
+            self.node_levels[j] += serial_matmul(coef, powers)
 
     def _level_powers(self, h: np.ndarray, j: int, ks: range, n: int) -> np.ndarray:
         # level-j coefficients of h^0 .. h^(n-1) on the shifts ks.  Cell k's

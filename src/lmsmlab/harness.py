@@ -317,7 +317,7 @@ def _write_records_csv(fname, per_replicate: list) -> None:
                 )
 
 
-def _manifest(config: ExperimentConfig, extra: dict) -> dict:
+def _manifest(config: ExperimentConfig) -> dict:
     return {
         "config": {k: v for k, v in config.to_dict().items() if k != "out_dir"},
         "config_hash": config.config_hash(),
@@ -327,7 +327,7 @@ def _manifest(config: ExperimentConfig, extra: dict) -> dict:
             "numpy": np.__version__,
             "lmsmlab": __version__,
         },
-        **extra,
+        "failed_replicates": {},
     }
 
 
@@ -356,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     table = _aggregate(config, per_replicate)
     _write_records_csv(os.path.join(out, "records.csv"), per_replicate)
     table.to_csv(os.path.join(out, "table.csv"))
-    manifest = _manifest(config, {"failed_replicates": {}})
+    manifest = _manifest(config)
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -61,7 +61,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import stable
-from .stable import _SERIAL_GEMM_MADDS, StableLaw, _rng, unit_sas
+from .stable import StableLaw, _rng, serial_matmul, unit_sas
 from .wavelet import PhiKernel, _binom_coeffs, _kappa, _poly_eval
 
 __all__ = [
@@ -325,29 +325,12 @@ _BLOCK = 4
 
 
 def _fast_len(n: int) -> int:
-    """The smallest 11-smooth integer >= n, the rule of
-    ``scipy.fft.next_fast_len``: lengths whose prime factors are all at most
-    11 are the ones pocketfft transforms fastest.  Every odd 11-smooth p
-    below the best length so far gives the candidate p * 2^k, the smallest
-    such multiple that reaches n."""
-    m = n - 1
-    best = 1 << m.bit_length()  # the smallest power of two >= n
-    p11 = 1
-    while p11 < best:
-        p7 = p11
-        while p7 < best:
-            p5 = p7
-            while p5 < best:
-                p = p5
-                while p < best:
-                    x = p << (m // p).bit_length()  # the smallest p * 2^k > m
-                    if x < best:
-                        best = x
-                    p *= 3
-                p5 *= 5
-            p7 *= 7
-        p11 *= 11
-    return best
+    """The smallest 2^k or 3 * 2^k that is >= n: pocketfft's fastest radices.
+    The field pass asks for n_near + 1/delta = 3/delta whenever the noise
+    reaches s = -1, which is a fast length itself when 1/delta is a power of
+    two; any other length grows by less than a factor 1.5."""
+    p = 1 << (n - 1).bit_length()  # the smallest power of two >= n
+    return 3 * p // 4 if 3 * p >= 4 * n else p
 
 
 def _far_series_terms(kappa: float, ratio: float) -> int:
@@ -422,11 +405,12 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
 
     The noise is split at s = -1 (``_NEAR_SPAN``).  Near cells [-1, 1) go
     through FFT convolution.  Its circular transforms have length L =
-    _fast_len(n_near + K), K = 1/delta, with the near window's origin
-    at i0 = min(K, index of s = 0): the product dz[i] * g[l] lands on index
-    i + l, or on i + l - L when that reaches L; since i + l <= (n_near - 1) +
-    (i0 + K), a wrapped term lands below i0, outside the window [i0, i0 + K]
-    that is read.  The noise is transformed once per pass, and the kernel
+    _fast_len(n_near + K), K = 1/delta, which is 3K, unpadded, when the noise
+    reaches s = -1 and K is a power of two.  The near window's origin is i0 =
+    min(K, index of s = 0): the product dz[i] * g[l] lands on index i + l, or
+    on i + l - L when that reaches L; since i + l <= (n_near - 1) + (i0 + K),
+    a wrapped term lands below i0, outside the window [i0, i0 + K] that is
+    read.  The noise is transformed once per pass, and the kernel
     values g = t^kappa at the refine residues share one log t.  Each v's
     residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
     ``numpy.fft`` call per block and stage, each on the thread that makes
@@ -600,9 +584,9 @@ class _Barycentric:
     ``far`` adds the far part of a field pass from its series coefficients:
     node i's far part is sum_n coef[i, n] h^n, so its share of the numerator
     is the series with coefficients sum_i c_i coef[i, n], a matrix product
-    per block of v, taken in column blocks small enough that BLAS runs them
-    on the calling thread (``stable._SERIAL_GEMM_MADDS``).  ``row`` adds a
-    node's row: a subtraction, a division and two accumulations per node.
+    per block of v that BLAS runs on the calling thread
+    (``stable.serial_matmul``).  ``row`` adds a node's row: a subtraction, a
+    division and two accumulations per node.
     Exact node hits, v within 1e-15 of a node, are found once; ``result``
     gives them that node's row (the first such node's), whatever the sums
     hold there.  With one node (a constant H) every value H takes is a
@@ -616,16 +600,12 @@ class _Barycentric:
         self.num, self.den, self.c = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def far(self, coef: np.ndarray, h: np.ndarray) -> None:
-        cols = max(1, _SERIAL_GEMM_MADDS // coef.size)  # BLAS on this thread
         for lo in range(0, h.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             # a hit's infinite c makes nan here, which result() overwrites
             with np.errstate(divide="ignore", invalid="ignore"):
                 c = self.weights[:, None] / (self.v[part] - self.nodes[:, None])
-                series = np.empty((coef.shape[1], c.shape[1]))
-                for b in range(0, c.shape[1], cols):
-                    np.matmul(coef.T, c[:, b : b + cols], out=series[:, b : b + cols])
-                self.num[part] += _poly_eval(series, h[part])
+                self.num[part] += _poly_eval(serial_matmul(coef.T, c), h[part])
         for i, idx in self.hits.items():
             self.hit_rows[i] += _poly_eval(coef[i][:, None], h[idx])
 

@@ -45,8 +45,9 @@ call (``numpy.fft`` has no thread option) and, on a budget of two or more,
 starts one helper thread per pass that builds the next block's kernel
 spectrum while the caller convolves the current block with the noise.
 Both give bitwise the same numbers on every budget.  ``bounds``' Monte
-Carlo draws and the path's far series take their matrix products in blocks
-below ``_SERIAL_GEMM_MADDS``, so BLAS runs them on the calling thread.
+Carlo draws, the path's far series and the frozen levels' far part take
+their matrix products through ``serial_matmul``, in blocks that BLAS runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -124,6 +125,23 @@ def _set_threads(n: int) -> None:
 # product wakes BLAS worker threads, which then busy-wait and take the CPUs
 # of the budget's threads
 _SERIAL_GEMM_MADDS = 4 * 65_536
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D float arrays, in ``np.matmul`` calls of at most
+    ``_SERIAL_GEMM_MADDS`` multiply-adds that BLAS runs on the calling thread.
+    The calls split the longer free dimension, b's columns unless a has more
+    rows; never the contraction, whose split would reorder each entry's sum."""
+    out = np.empty((a.shape[0], b.shape[1]))
+    if a.shape[0] > b.shape[1]:
+        rows = max(1, _SERIAL_GEMM_MADDS // b.size)
+        for lo in range(0, a.shape[0], rows):
+            np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    else:
+        cols = max(1, _SERIAL_GEMM_MADDS // a.size)
+        for lo in range(0, b.shape[1], cols):
+            np.matmul(a, b[:, lo : lo + cols], out=out[:, lo : lo + cols])
+    return out
 
 
 def _skip(bit_generator: np.random.Philox, n: int) -> np.random.Generator:

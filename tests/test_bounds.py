@@ -89,6 +89,20 @@ def test_level_geometry_lives_in_coeffs():
     assert "estimators" not in _relative_imports("bounds")
 
 
+def test_serial_gemm_rule_lives_in_stable():
+    # how large a matrix product BLAS runs on the calling thread is decided in
+    # stable alone: every other module takes its products through serial_matmul
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "lmsmlab")
+    named = set()
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                if "_SERIAL_GEMM_MADDS" in fh.read():
+                    named.add(name)
+    assert named == {"stable.py"}
+
+
 @pytest.mark.parametrize("dg", [(2.0, 1.5), (1.5, 1.5), (3.0, 1.1)])
 def test_rq_sweep_bounded(dg):
     rep = rq_sweep_report(*dg)
@@ -297,7 +311,7 @@ def test_blocked_direct_coeffs_match_one_product(monkeypatch):
     monkeypatch.setattr(bounds, "unit_sas", spy)
     got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 1500, seed=5)
     W = bounds._direct_weight_matrix(LAW, KERN, H, j, ks)
-    assert 1024 * W.size > bounds._SERIAL_GEMM_MADDS  # a chunk's product is blocked
+    assert 1024 * W.size > stable._SERIAL_GEMM_MADDS  # a chunk's product is blocked
     ref = np.concatenate([dz.reshape(-1, W.shape[1]) @ W.T for dz in chunks])
     assert got.shape == ref.shape == (1500, len(ks))
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))

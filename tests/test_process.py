@@ -11,11 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
 import lmsmlab as L
-from lmsmlab.coeffs import FrozenLevels
+from lmsmlab.coeffs import FrozenLevels, noise_step
 from lmsmlab.process import (
     MeshFieldInterpolant,
     direct_coeff_weights,
@@ -116,7 +115,7 @@ def test_fft_length_at_aliasing_boundary(refine):
     # (residue 1), which the sweep below includes.  t_min = -4 leaves a far part.
     g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
     n_min = _near_cells(g) + round(1 / g.delta)
-    assert n_min < g.n_cells and next_fast_len(n_min) == n_min
+    assert n_min < g.n_cells and L.process._fast_len(n_min) == n_min
     mesh = field_on_mesh(g, 0.8, refine)
     _assert_matches_direct_sums(g, 0.8, refine, mesh, 1e-12)
 
@@ -146,8 +145,8 @@ def test_fft_length_contract(monkeypatch):
     # no far part, and n_near + K = 608 is not a fast length
     g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
     refine = 3
-    n_fft = next_fast_len(_near_cells(g) + round(1 / g.delta))
-    assert n_fft == 616 > _near_cells(g) + round(1 / g.delta) == 608
+    n_fft = L.process._fast_len(_near_cells(g) + round(1 / g.delta))
+    assert n_fft == 768 > _near_cells(g) + round(1 / g.delta) == 608
     field_on_mesh(g, 0.8, refine)
     assert len(calls) == 1 + 2
     field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
@@ -160,11 +159,25 @@ def test_fft_length_contract(monkeypatch):
         assert set(kw) <= {"axis"} and kw.get("axis", -1) == -1
 
 
-def test_fast_length_rule_is_scipys():
-    # the field pass's transform length is scipy.fft.next_fast_len's, the
-    # smallest 11-smooth integer >= n; scipy is the oracle, not a dependency
-    rule = L.process._fast_len
-    assert [n for n in range(1, 300_001) if rule(n) != next_fast_len(n)] == []
+def test_fast_length_is_the_next_power_of_two_or_three_times_one():
+    # the field pass's transform length is the smallest 2^k or 3 * 2^k >= n,
+    # checked for every n up to 300,000 against a list of those lengths
+    fast = sorted({2**k for k in range(20)} | {3 * 2**k for k in range(20)})
+    want = np.array(fast)[np.searchsorted(fast, np.arange(1, 300_001))]
+    got = [L.process._fast_len(n) for n in range(1, 300_001)]
+    assert np.array_equal(got, want)
+
+
+# (t_tail, deepest level): the noise geometry of criteria 8 and 10 and of the
+# verify bundle's approx_error_check, whose delta is noise_step(deepest level)
+@pytest.mark.parametrize("t_tail, j", [(8.0, 12), (8.0, 11)],
+                         ids=["criteria-8-and-10", "approx-error-check"])
+def test_fast_length_pads_no_run_geometry(t_tail, j):
+    # the noise reaches s = -1, so n_near + K = 3K, a fast length itself: the
+    # transforms the runs make are exactly the wrap-free length
+    g = make_noise_grid(LAW, -t_tail, noise_step(j), seed=1)
+    n = _near_cells(g) + round(1 / g.delta)
+    assert n == 3 * round(1 / g.delta) and L.process._fast_len(n) == n
 
 
 def test_batched_rows_match_one_v_calls():
@@ -397,7 +410,7 @@ def test_path_build_streams_node_rows(cells):
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
     n = cells * refine + 1
-    transforms = 4 * min(4, refine) * next_fast_len(_near_cells(g) + cells)
+    transforms = 4 * min(4, refine) * L.process._fast_len(_near_cells(g) + cells)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
@@ -475,6 +488,40 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     L.simulate_lmsm(interp, H)
     assert 0 < max(madds) <= L.stable._SERIAL_GEMM_MADDS
     assert sum(madds) == (n_terms + 1) * 16 * interp.size  # coefficients 0..n_terms
+
+
+def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
+    # a path build with a FrozenLevels consumer applies each level's
+    # quadrature of the powers of h to the nodes' series coefficients in
+    # np.matmul blocks small enough that BLAS runs them on the calling
+    # thread, and each level's blocks cover its cells once; level 10's
+    # whole product is above the threshold
+    g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
+    H = L.linear_hurst(0.7, 0.15)
+    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
+    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5, 8, 10),
+                          L.build_global_intervals((0.0, 1.0), 10))
+    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
+    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    assert n_terms + 1 != 16  # a level product's (16, n_terms + 1) left factor
+    assert 16 * (n_terms + 1) * 2**10 > L.stable._SERIAL_GEMM_MADDS
+    calls, matmul = [], np.matmul
+
+    def spy(a, b, **kwargs):
+        # the block's columns, and the level's array they are a view of
+        if a.shape == (16, n_terms + 1):
+            calls.append((b.shape[1], b.base))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    L.simulate_lmsm(interp, H, frozen)
+    widest = max((n for n, _ in calls), default=0)
+    assert 0 < 16 * (n_terms + 1) * widest <= L.stable._SERIAL_GEMM_MADDS
+    covered = {}
+    for n, level in calls:
+        covered[id(level)] = covered.get(id(level), 0) + n
+    assert len(calls) > len(covered)
+    assert sorted(covered.values()) == sorted(len(ks) for ks in frozen.cells.values())
 
 
 def test_interpolant_refuses_to_extrapolate():
