@@ -6,7 +6,9 @@ quadrature refinement.  Monte Carlo checks (coefficient scale, covariance
 decay, path-vs-frozen coefficient error) use the weight-vector form of the
 direct coefficients: weights depend only on grid geometry, so one weight
 matrix serves every replicate and the sampling cost is one matrix product per
-chunk of replicates, taken on the calling thread by ``stable.serial_matmul``.
+chunk of replicates.  The sampler hands each chunk's draws over a tile at a
+time to row blocks that meet the weights as they fill, on the calling thread
+(``stable.serial_matmul``), so no chunk of noise is held whole.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw, _rng, moment_constant, serial_matmul, unit_sas
+from .stable import StableLaw, _rng, moment_constant, serial_matmul, serial_rows, unit_sas
 from .wavelet import PhiKernel, gauss_panel_sums
 
 __all__ = [
@@ -262,6 +264,43 @@ def _direct_weight_matrix(
     return W
 
 
+class _RowBlocks:
+    """A ``unit_sas`` sink for one chunk of draws, ``out.shape[0]`` rows of
+    ``b.shape[0]`` cells: it fills blocks of ``stable.serial_rows`` rows and
+    takes each full block's product with ``b`` into its rows of ``out``
+    (``stable.serial_matmul``), so the products are the calls one product
+    of the whole chunk would make."""
+
+    def __init__(self, out: np.ndarray, b: np.ndarray):
+        self.out, self.b = out, b
+        self.block = np.empty(serial_rows(out.shape[0], b) * b.shape[0])
+        self.filled = self.done = 0
+
+    def __call__(self, piece: np.ndarray) -> None:
+        while piece.size:
+            take = min(piece.size, self.block.size - self.filled)
+            self.block[self.filled : self.filled + take] = piece[:take]
+            self.filled += take
+            piece = piece[take:]
+            if self.filled == self.block.size:
+                self.flush()
+
+    def flush(self) -> None:
+        """Take the product of the rows filled so far: at the chunk's end,
+        its last block, which may be short."""
+        if self.filled:
+            a = self.block[: self.filled].reshape(-1, self.b.shape[0])
+            self.out[self.done : self.done + a.shape[0]] = serial_matmul(a, self.b)
+            self.done += a.shape[0]
+            self.filled = 0
+
+
+# replicates per unit_sas call: each chunk draws all its uniforms, then all
+# its exponentials, so the chunk fixes the draw stream; it does not set the
+# memory, since the draws reach the product a tile at a time
+_CHUNK = 1024
+
+
 def _draw_direct_coeffs(
     law: StableLaw,
     phi: PhiKernel,
@@ -272,18 +311,19 @@ def _draw_direct_coeffs(
     seed: int,
 ) -> np.ndarray:
     """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per
-    row; the chunk of 1024 rows fixes the draw order.  Each chunk meets the
-    weights on the calling thread (``stable.serial_matmul``)."""
+    row, in chunks of ``_CHUNK`` rows.  ``unit_sas`` streams each chunk's
+    draws into a ``_RowBlocks`` sink, which meets the weights block by block
+    on the calling thread (``stable.serial_matmul``), so no chunk of noise is
+    held whole."""
     W = _direct_weight_matrix(law, phi, H, j, ks)
     n_k, n_cells = W.shape
     rng = _rng(seed)
     out = np.empty((replicates, n_k))
-    done = 0
-    while done < replicates:
-        m = min(1024, replicates - done)
-        dz = unit_sas(law.alpha, m * n_cells, rng).reshape(m, n_cells)
-        out[done : done + m] = serial_matmul(dz, W.T)
-        done += m
+    for done in range(0, replicates, _CHUNK):
+        m = min(_CHUNK, replicates - done)
+        blocks = _RowBlocks(out[done : done + m], W.T)
+        unit_sas(law.alpha, m * n_cells, rng, sink=blocks)
+        blocks.flush()
     return out
 
 

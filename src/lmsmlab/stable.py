@@ -10,15 +10,19 @@ angle and a standard exponential (Chambers, Mallows & Stuck 1976; Weron 1996;
 Samorodnitsky & Taqqu 1994).  The stream order is fixed: all ``n`` uniforms,
 then all ``n`` exponentials, from one Philox generator.  Philox is
 counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), so a copy of the generator can jump ``n`` words ahead at once and
-draw the exponentials on a second thread while the uniforms' words are drawn
-and the transform runs, without changing a single draw; the ziggurat
+SC'11), so a copy of the generator can jump ``n`` words ahead at once: the
+uniforms come from the generator and the exponentials from the copy, both
+a tile at a time, without changing a single draw; the ziggurat
 exponential consumes a variable number of words, so the exponentials
 themselves stay one serial stream.  The transform is elementwise, so it runs
 over fixed tiles of ``_TILE`` elements spread across the process's threads
-(numpy ufuncs and the bit generators release the GIL); every element goes
+(numpy ufuncs and the bit generators release the GIL), and one thread's
+transform overlaps the next tiles' draws on the others; every element goes
 through the same ufuncs in the same order as the whole-array expression, so
-the draws are bitwise identical for any thread count.
+the draws are bitwise identical for any thread count.  The tiles are handed
+over in stream order, into one array or to a caller's sink, so a caller that
+consumes the draws as they come (``bounds``' Monte Carlo products) holds no
+more than two tiles per thread of them.
 
 The transform is written for the ufuncs numpy vectorises.  With numpy 2.4 on
 an AVX-512 host (a 2-vCPU Xeon), float64 ``sin`` and ``cos`` are scalar libm
@@ -47,7 +51,9 @@ spectrum while the caller convolves the current block with the noise.
 Both give bitwise the same numbers on every budget.  ``bounds``' Monte
 Carlo draws, the path's far series and the frozen levels' far part take
 their matrix products through ``serial_matmul``, in blocks that BLAS runs
-on the calling thread.
+on the calling thread; ``bounds`` fills its blocks of ``serial_rows`` rows
+from a sink, so its products are the calls that one product of a whole
+chunk of draws would make.
 """
 
 from __future__ import annotations
@@ -127,14 +133,25 @@ def _set_threads(n: int) -> None:
 _SERIAL_GEMM_MADDS = 4 * 65_536
 
 
+def serial_rows(m: int, b: np.ndarray) -> int:
+    """The rows of ``a`` that each ``np.matmul`` call of ``serial_matmul(a, b)``
+    takes for an ``a`` of ``m`` rows, counted from a's first row: all ``m``
+    when it splits b's columns instead.  ``serial_matmul`` of one such block
+    makes the calls that ``serial_matmul(a, b)`` makes for its rows, unless
+    one row times ``b`` alone is over ``_SERIAL_GEMM_MADDS``."""
+    if m > b.shape[1]:
+        return max(1, _SERIAL_GEMM_MADDS // b.size)
+    return m
+
+
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, in ``np.matmul`` calls of at most
     ``_SERIAL_GEMM_MADDS`` multiply-adds that BLAS runs on the calling thread.
     The calls split the longer free dimension, b's columns unless a has more
     rows; never the contraction, whose split would reorder each entry's sum."""
     out = np.empty((a.shape[0], b.shape[1]))
-    if a.shape[0] > b.shape[1]:
-        rows = max(1, _SERIAL_GEMM_MADDS // b.size)
+    rows = serial_rows(a.shape[0], b)
+    if rows < a.shape[0]:
         for lo in range(0, a.shape[0], rows):
             np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
     else:
@@ -168,7 +185,7 @@ def _skip(bit_generator: np.random.Philox, n: int) -> np.random.Generator:
     return np.random.Generator(ahead)
 
 
-def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def unit_sas(alpha: float, n: int, rng: np.random.Generator, sink=None) -> np.ndarray | None:
     """Draw ``n`` unit-scale SaS variables via the CMS transform in half-angle form.
 
     With ``phi = pi (r - 1/2)``, ``m = min(r, 1 - r)`` and a standard
@@ -190,35 +207,49 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     a centered Gaussian with variance 2, so one expression serves every alpha.
 
     ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials.  Uniform
-    ``i`` is Philox word ``i`` as ``(word >> 11) 2^-53``, exactly what
-    ``Generator.random`` computes; the words come from one ``random_raw``
-    call and are converted tile by tile inside the transform, whose result
-    overwrites them in place.  On one thread the exponentials follow the
-    words, one ``_TILE`` at a time, each tile transformed as it lands.  With
-    a larger budget they come at the same time from a Philox copy skipped
-    ``n`` words ahead (``_skip``), drawn tile by tile on a second thread;
-    each tile is transformed, on up to ``_threads`` threads started for this
-    call (a module-level pool would have no threads in a forked child), as
-    soon as its exponentials and the words are there.  The generator then takes the
-    copy's state, so every budget leaves ``rng`` where ``random(n)`` and
-    then ``standard_exponential(n)`` would.  An error in any thread stops
+    ``i`` is Philox word ``i`` as ``(word >> 11) 2^-53``, which is what
+    ``Generator.random`` computes.  The draws are made and transformed one
+    ``_TILE`` at a time, in buffers allocated for the call: a tile's
+    uniforms come from ``rng.random`` itself, its exponentials from a Philox
+    copy skipped ``n`` words ahead (``_skip``), so both streams advance a
+    tile at a time.  Up to ``_threads`` threads (started for this call: a
+    module-level pool would have no threads in a forked child) share the
+    work: each stream's next tile, drawn by one thread at a time, each drawn
+    tile's transform, and the hand-over of the transformed tiles in stream
+    order.  So the next tiles' uniforms and exponentials are drawn, side by
+    side, while the current ones are transformed, and at most ``2 _threads``
+    tiles are in memory.  The generator then takes the copy's state, so
+    every budget leaves ``rng`` where ``random(n)`` and then
+    ``standard_exponential(n)`` would.
+
+    With a ``sink``, each tile's draws go to ``sink(piece)``, a float array
+    that is the sink's to read during the call; the calls come in stream
+    order, one at a time, from any of the threads, and ``unit_sas`` returns
+    None.  Without one, the pieces are copied into an array of ``n`` draws,
+    which is returned.  An error in any thread, the sink's included, stops
     the others, and reaches the caller once every thread has ended.  The
-    transform works in place over the words, the exponentials and two
-    scratch tiles per thread, so it allocates nothing per tile.  Each
-    element sees the same ufuncs in the same order as the whole-array
-    expression, so the result is bitwise identical for every budget.
+    transform works in place over the tile's uniforms, its exponentials and
+    two scratch tiles per thread.  Each element sees the same ufuncs in the
+    same order as the whole-array expression, so the draws are bitwise
+    identical for every budget.
     """
+    out = None
+    if sink is None:
+        out, filled = np.empty(n), 0
+
+        def sink(piece: np.ndarray) -> None:
+            nonlocal filled
+            out[filled : filled + piece.size] = piece
+            filled += piece.size
+
     if n == 0:
-        return np.empty(0)
+        return out
     bg = rng.bit_generator
     if not isinstance(bg, np.random.Philox):
         raise TypeError(f"unit_sas draws from a Philox generator, got {type(bg).__name__}")
     n_tiles = -(-n // _TILE)
     threads = min(_threads, n_tiles)
-    ahead = _skip(bg, n) if threads > 1 else rng
-    words = None
-    w = np.empty(n)
-    scratch = np.empty((threads, 2, min(n, _TILE)))
+    ahead = _skip(bg, n)
     q = math.pi / 2.0
     k_c2, k_c1 = (1.0 - alpha) / alpha, -1.0 / alpha
 
@@ -229,17 +260,11 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
         np.add(tmp, 1.0, out=tmp)
         np.divide(x, tmp, out=x)
 
-    def transform(k: int, i: int) -> None:
-        # tile i on thread k: the whole-array expression one ufunc at a time,
-        # over the tile's words and w and two scratch rows
-        tile = slice(i * _TILE, (i + 1) * _TILE)
-        b, e = words[tile], w[tile]
-        u = b.view(np.float64)
-        m, x = scratch[k, 0, : u.size], scratch[k, 1, : u.size]
-        # x = r = (word >> 11) 2^-53, r >= 2^-54
-        np.right_shift(b, 11, out=b)
-        np.multiply(b, 2.0**-53, out=x)
-        np.maximum(x, 2.0**-54, out=x)
+    def transform(u: np.ndarray, e: np.ndarray, m: np.ndarray, x: np.ndarray) -> None:
+        # one tile: the whole-array expression one ufunc at a time, over the
+        # tile's uniforms u and exponentials e and two scratch rows
+        # x = r >= 2^-54
+        np.maximum(u, 2.0**-54, out=x)
         # m = rint(r) - r: min(r, 1 - r) with the sign of phi
         np.rint(x, out=m)
         np.subtract(m, x, out=m)
@@ -274,59 +299,85 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
         np.exp(e, out=e)
         np.multiply(u, e, out=u)
 
-    def draw_exponentials(i: int) -> None:
-        ahead.standard_exponential(out=w[i * _TILE : (i + 1) * _TILE])
-
-    if threads == 1:
-        words = bg.random_raw(n)
-        for i in range(n_tiles):
-            draw_exponentials(i)
-            transform(0, i)
-        return words.view(np.float64)
-
-    # thread 0 (the caller) draws the words, thread 1 the exponentials; then
-    # each takes the next untransformed tile, waiting until it is drawn
+    # the ``window`` tiles from the next one to hand over are in flight.  A
+    # thread takes the first task it finds: hand over the next tile once it
+    # is transformed; draw a stream's next tile in the window if no thread
+    # is drawing that stream; transform the next tile whose uniforms and
+    # exponentials are drawn.  It waits only when there is none: threads
+    # that took turns at every tile waited at every tile, and ran 5-11%
+    # slower on a 2-vCPU box
+    window = 2 * threads
+    uniforms, exps = np.empty((2, window, min(n, _TILE)))
     ready = threading.Condition()
-    landed, claimed, failed = 0, 0, False
+    drawn = {"uniforms": 0, "exponentials": 0}
+    drawing = {"uniforms": False, "exponentials": False}
+    transformed = [False] * window
+    claimed = handed = 0
+    handing = failed = False
 
-    def work(k: int) -> None:
-        nonlocal words, landed, claimed, failed
+    def next_task() -> tuple[str, int] | None:
+        # under ``ready``; None once every tile is handed over or a thread failed
+        nonlocal claimed, handing
+        while not failed:
+            if not handing and transformed[handed % window]:
+                handing = True
+                return "hand-over", handed
+            for stream in drawn:
+                if not drawing[stream] and drawn[stream] < min(n_tiles, handed + window):
+                    drawing[stream] = True
+                    return stream, drawn[stream]
+            if claimed < min(drawn.values()):
+                claimed += 1
+                return "transform", claimed - 1
+            if handed == n_tiles:
+                return None
+            ready.wait()
+        return None
+
+    def work() -> None:
+        nonlocal handed, handing, failed
+        m, x = np.empty((2, min(n, _TILE)))
         try:
-            if k == 0:
-                drawn = bg.random_raw(n)
-                with ready:
-                    words = drawn
-                    ready.notify_all()
-            elif k == 1:
-                for i in range(n_tiles):
-                    draw_exponentials(i)
-                    with ready:
-                        if failed:
-                            return
-                        landed += 1
-                        ready.notify_all()
             while True:
                 with ready:
-                    i, claimed = claimed, claimed + 1
-                    if i >= n_tiles:
-                        return
-                    ready.wait_for(lambda: failed or (words is not None and landed > i))
-                    if failed:
-                        return
-                transform(k, i)
+                    task = next_task()
+                if task is None:
+                    return
+                step, i = task
+                k, size = i % window, min(_TILE, n - i * _TILE)
+                u, e = uniforms[k, :size], exps[k, :size]
+                if step == "uniforms":
+                    rng.random(out=u)
+                elif step == "exponentials":
+                    ahead.standard_exponential(out=e)
+                elif step == "transform":
+                    transform(u, e, m[:size], x[:size])
+                else:
+                    sink(u)
+                with ready:
+                    if step in drawn:
+                        drawn[step] += 1
+                        drawing[step] = False
+                    elif step == "transform":
+                        transformed[k] = True
+                    else:
+                        transformed[k] = False
+                        handed, handing = handed + 1, False
+                    ready.notify_all()
         except BaseException:
             with ready:
                 failed = True
                 ready.notify_all()
             raise
 
-    with ThreadPoolExecutor(threads - 1) as pool:
-        others = [pool.submit(work, k) for k in range(1, threads)]
-        work(0)
+    # on one thread nothing is submitted, and the pool starts no thread
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        others = [pool.submit(work) for _ in range(threads - 1)]
+        work()
     for f in others:
         f.result()
     bg.state = ahead.bit_generator.state
-    return words.view(np.float64)
+    return out
 
 
 def sample_sas(law: StableLaw, n: int, seed: int) -> SampleBatch:

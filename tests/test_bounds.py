@@ -295,23 +295,53 @@ def test_scale_check_target_halves_per_level():
 
 
 def test_blocked_direct_coeffs_match_one_product(monkeypatch):
-    # the row-blocked product equals one product of each chunk's draws with the
-    # weights to rounding; 1,500 rows give a full chunk and a partial one, and
-    # 8 shifts give blocks that do not divide either
+    # the draws streamed into row blocks give bit for bit what each chunk's
+    # whole array of draws times the weights through serial_matmul gives, on
+    # budgets 1 and 2; 1,500 rows give a full chunk and a partial one, and 8
+    # shifts give blocks that divide neither.  bounds calls unit_sas once per
+    # chunk with the chunk's draw count, which the benchmark's tracer counts
     from lmsmlab import bounds, stable
 
     H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
-    chunks = []
-
-    def spy(alpha, n, rng):
-        dz = stable.unit_sas(alpha, n, rng)
-        chunks.append(dz.copy())
-        return dz
-
-    monkeypatch.setattr(bounds, "unit_sas", spy)
-    got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 1500, seed=5)
     W = bounds._direct_weight_matrix(LAW, KERN, H, j, ks)
+    n_cells = W.shape[1]
     assert 1024 * W.size > stable._SERIAL_GEMM_MADDS  # a chunk's product is blocked
-    ref = np.concatenate([dz.reshape(-1, W.shape[1]) @ W.T for dz in chunks])
-    assert got.shape == ref.shape == (1500, len(ks))
-    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=0))
+    counts = []
+
+    def spy(alpha, n, rng, **kwargs):
+        counts.append(n)
+        return stable.unit_sas(alpha, n, rng, **kwargs)
+
+    for threads in (1, 2):
+        monkeypatch.setattr(stable, "_threads", threads)
+        rng, ref = stable._rng(5), []
+        for m in (1024, 476):
+            dz = stable.unit_sas(LAW.alpha, m * n_cells, rng).reshape(m, n_cells)
+            ref.append(stable.serial_matmul(dz, W.T))
+        ref = np.concatenate(ref)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "unit_sas", spy)
+            got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 1500, seed=5)
+        assert got.shape == ref.shape == (1500, len(ks))
+        assert got.tobytes() == ref.tobytes(), threads
+    assert counts == [1024 * n_cells, 476 * n_cells] * 2
+
+
+def test_direct_coeffs_hold_no_chunk_of_noise(monkeypatch):
+    # the draws reach the product a tile at a time: on the covariance check's
+    # j = 8 shifts, 2,048 replicates peak below 16 MB traced, where one chunk
+    # of 1,024 rows would take 25 MB of draws and 25 MB of exponentials; the
+    # budget is pinned, since each thread adds tiles in flight and scratch
+    import tracemalloc
+
+    from lmsmlab import bounds, stable
+
+    monkeypatch.setattr(stable, "_threads", 4)
+    H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
+    tracemalloc.start()
+    try:
+        bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 2048, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

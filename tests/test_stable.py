@@ -1,6 +1,7 @@
 """Stable sampling against independent oracles: Gaussian endpoint, closed-form
 moment constants, and large-sample Monte Carlo."""
 
+import contextlib
 import math
 import sys
 import threading
@@ -143,19 +144,86 @@ def _within(seconds, fn, *args):
     return box["value"]
 
 
+@contextlib.contextmanager
+def _fast_switching():
+    # a thread switch every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_concurrent_draws_under_fast_switching(monkeypatch):
     # more threads than CPUs and a thread switch every microsecond: a lost
     # hand-off hangs (the time limit fails it) or transforms a tile before its
     # exponentials land (the bits differ)
     monkeypatch.setattr(stable, "_threads", 8)
     n = 20 * stable._TILE + 3
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with _fast_switching():
         got = _within(120, unit_sas, 1.5, n, _rng(11))
-    finally:
-        sys.setswitchinterval(interval)
     assert got.tobytes() == _cms_whole_array(1.5, n, _rng(11)).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_sink_pieces_join_to_array_result(threads, monkeypatch):
+    # for every n and generator position of the tiled test, the pieces handed
+    # to a sink are whole tiles but the last, join to the array result byte
+    # for byte, and leave the generator where the array result does
+    monkeypatch.setattr(stable, "_threads", threads)
+    tile = stable._TILE
+    for pre in (0, 1, 2, 3, "half"):
+        for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
+            rng, ref_rng = _predrawn(9, pre), _predrawn(9, pre)
+            pieces = []
+            assert unit_sas(1.5, n, rng, sink=lambda p: pieces.append(p.copy())) is None
+            want = unit_sas(1.5, n, ref_rng)
+            assert [p.size for p in pieces] == [min(tile, n - lo) for lo in range(0, n, tile)]
+            assert np.concatenate([np.empty(0), *pieces]).tobytes() == want.tobytes(), (pre, n)
+            assert _state(rng) == _state(ref_rng), (pre, n)
+
+
+def test_sink_sees_pieces_in_stream_order(monkeypatch):
+    # more threads than CPUs and a thread switch every microsecond: the sink
+    # gets each tile once, in stream order, and never two tiles at once
+    monkeypatch.setattr(stable, "_threads", 8)
+    tile, n = stable._TILE, 20 * stable._TILE + 3
+    want = _cms_whole_array(1.5, n, _rng(11))
+    pieces, busy = [], threading.Lock()
+
+    def sink(piece):
+        assert busy.acquire(blocking=False), "two pieces handed over at once"
+        try:
+            pieces.append(piece.copy())
+        finally:
+            busy.release()
+
+    with _fast_switching():
+        _within(120, unit_sas, 1.5, n, _rng(11), sink)
+    assert len(pieces) == -(-n // tile)
+    for i, piece in enumerate(pieces):
+        assert piece.tobytes() == want[i * tile : (i + 1) * tile].tobytes(), i
+
+
+@pytest.mark.parametrize("call", [1, 3])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_failed_sink_reaches_caller(threads, call, monkeypatch):
+    # the sink raises at its call-th piece: the error reaches the caller, no
+    # piece is handed over after it, and no thread is left running
+    monkeypatch.setattr(stable, "_threads", threads)
+    calls = []
+
+    def sink(piece):
+        calls.append(piece.size)
+        if len(calls) == call:
+            raise RuntimeError("injected sink failure")
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected sink failure"):
+        _within(60, unit_sas, 1.5, 6 * stable._TILE, _rng(3), sink)
+    assert threading.active_count() == before
+    assert len(calls) == call
 
 
 class _FailingExponentials:
@@ -174,8 +242,8 @@ class _FailingExponentials:
 @pytest.mark.parametrize("call", [1, 2, 5])
 @pytest.mark.parametrize("threads", [2, 4])
 def test_failed_exponential_draw_reaches_caller(threads, call, monkeypatch):
-    # the exponential tile draw fails on the second thread: the error reaches
-    # the caller, and no thread is left waiting for the tile or running
+    # an exponential tile draw fails on the thread that draws it: the error
+    # reaches the caller, and no thread is left waiting for a task or running
     monkeypatch.setattr(stable, "_threads", threads)
     skip = stable._skip
     monkeypatch.setattr(stable, "_skip", lambda bg, n: _FailingExponentials(skip(bg, n), call))
@@ -187,18 +255,22 @@ def test_failed_exponential_draw_reaches_caller(threads, call, monkeypatch):
 
 @pytest.mark.parametrize("threads", [2, 4])
 def test_failed_word_draw_reaches_caller(threads, monkeypatch):
-    # the caller's own draw of the words fails while the exponentials and the
-    # other transform threads wait for them
-    class FailingWords(np.random.Philox):
-        @property
-        def state(self):  # a Philox state, for the skipped copy
-            return {**np.random.Philox.state.__get__(self), "bit_generator": "Philox"}
+    # the third tile's draw of the uniforms from the words fails while other
+    # threads draw exponentials, transform the first tiles or wait for a task
+    class FailingWords:
+        """Stands in for the generator; its third draw of uniforms raises."""
 
-        def random_raw(self, size=None, output=True):
-            raise RuntimeError("injected draw failure")
+        def __init__(self, gen):
+            self.gen, self.bit_generator, self.drawn = gen, gen.bit_generator, 0
+
+        def random(self, out):
+            self.drawn += 1
+            if self.drawn == 3:
+                raise RuntimeError("injected draw failure")
+            self.gen.random(out=out)
 
     monkeypatch.setattr(stable, "_threads", threads)
-    rng = np.random.Generator(FailingWords(key=3))
+    rng = FailingWords(_rng(3))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected draw failure"):
         _within(60, unit_sas, 1.5, 6 * stable._TILE, rng)
@@ -231,28 +303,21 @@ def test_unit_sas_stream_is_pinned():
         assert abs(x - b) <= 1e-15 * abs(b)
 
 
-class _FixedWords(np.random.Philox):
-    """A Philox whose raw words are given."""
-
-    def __init__(self, words):
-        super().__init__(key=0)
-        self.words = words
-
-    def random_raw(self, size=None, output=True):
-        return self.words[:size].copy()
-
-
 class _FixedDraws:
-    """Stands in for the generator: hands unit_sas given uniforms, as the
-    Philox words ``(r 2^53) << 11``, and given exponentials."""
+    """Stands in for the generator and for its skipped copy: hands unit_sas
+    given uniforms and given exponentials, each from a cursor."""
 
     def __init__(self, r, w):
-        self.bit_generator = _FixedWords((r * 2.0**53).astype(np.uint64) << 11)
-        self.w, self.drawn = w, 0
+        self.bit_generator = np.random.Philox(key=0)
+        self.r, self.w, self.drawn_r, self.drawn_w = r, w, 0, 0
+
+    def random(self, out):
+        out[:] = self.r[self.drawn_r : self.drawn_r + out.size]
+        self.drawn_r += out.size
 
     def standard_exponential(self, out):
-        out[:] = self.w[self.drawn : self.drawn + out.size]
-        self.drawn += out.size
+        out[:] = self.w[self.drawn_w : self.drawn_w + out.size]
+        self.drawn_w += out.size
 
 
 def _cms_mpmath(alpha, r, w):
@@ -273,7 +338,7 @@ def _cms_sin_cos_power(alpha, r, w):
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 2.0])
-def test_unit_sas_matches_mpmath_oracle(alpha):
+def test_unit_sas_matches_mpmath_oracle(alpha, monkeypatch):
     # uniforms on the generator's 2^-53 lattice: 500 random ones, 100 within
     # 1e-6 of 0 and of 1 each, and the extreme lattice points
     g = np.random.default_rng(2024)
@@ -287,9 +352,11 @@ def test_unit_sas_matches_mpmath_oracle(alpha):
     ])
     w = g.standard_exponential(r.size)
     w[:3] = [0.0, 1e-310, 40.0]
-    # one tile, so one thread: the exponentials come from the stand-in
-    assert r.size <= stable._TILE
-    got = unit_sas(alpha, r.size, _FixedDraws(r, w))
+    # the exponentials come from the stand-in, in the skipped copy's place
+    draws = _FixedDraws(r, w)
+    monkeypatch.setattr(stable, "_skip", lambda bg, n: draws)
+    got = unit_sas(alpha, r.size, draws)
+    assert draws.drawn_r == draws.drawn_w == r.size
     exact = np.array([_cms_mpmath(alpha, ri, wi) for ri, wi in zip(r, w)])
     assert np.all(np.isfinite(got))
     # r = 1/2 gives exactly 0, which the bound below demands bit for bit
