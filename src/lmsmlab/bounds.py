@@ -37,6 +37,7 @@ __all__ = [
     "phi2_integral",
     "phi_decay_report",
     "lambda_exponent",
+    "lambda_grid_report",
     "covariance_mc_check",
     "scale_param_check",
     "approx_error_check",
@@ -109,23 +110,31 @@ def rq_integral(delta: float, gamma: float, q: int) -> float:
     return 2.0 * h ** (a + 1.0) / (a + 1.0) + float(np.sum(outer)) + float(np.sum(inner))
 
 
+# the r_q sweep's q = 0 term must match r_0 = 2/(delta + gamma - 1) to this
+# residual, and its products may grow by less than this factor over the last step
+_RQ_RESIDUAL, _RQ_LAST_GROWTH = 1e-8, 1.05
+
+
 def rq_sweep_report(delta: float, gamma: float) -> BoundReport:
     """Witness sup_q (1 + |q|)**min(delta, gamma) r_q over q = 0, the Fibonacci
-    numbers up to 144, and 200."""
+    numbers up to 144, and 200; passes when r_0 matches its closed form and the
+    products grow by less than 5% from q = 144 to 200."""
     expo = min(delta, gamma)
     qs = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]
     prods = np.array([(1.0 + q) ** expo * rq_integral(delta, gamma, q) for q in qs])
     witnessed = float(prods.max())
-    last_ratio = float(prods[-1] / prods.max())
-    passed = bool(np.isfinite(witnessed) and last_ratio < 1.05)
+    residual = abs(float(prods[0]) - 2.0 / (delta + gamma - 1.0))
+    passed = bool(np.isfinite(witnessed) and prods[-1] / prods[-2] < _RQ_LAST_GROWTH
+                  and residual < _RQ_RESIDUAL)
     return BoundReport(
         name=f"rq_sweep(delta={delta}, gamma={gamma})",
         grid=f"q in {qs}",
         witnessed_constant=witnessed,
         bound_exponent=-expo,
         passed=passed,
-        tolerance=1.05,
-        details={"products": prods, "qs": qs, "last_over_max": last_ratio},
+        tolerance=_RQ_LAST_GROWTH,
+        details={"products": prods, "qs": qs, "last_over_max": float(prods[-1] / prods.max()),
+                 "closed_form_residual": residual},
     )
 
 
@@ -135,12 +144,13 @@ def rq_sweep_report(delta: float, gamma: float) -> BoundReport:
 
 # the product integrals stop this far below their support's top end, and
 # phi_decay_report passes when the fitted slope is at most -exponent + slack
-_PHI_S_SPAN, _PHI_DECAY_SLACK = 4096.0, 0.2
+# and the witnessed constant moves by less than the drift at twice the panels
+_PHI_S_SPAN, _PHI_DECAY_SLACK, _PHI_DRIFT = 4096.0, 0.2, 0.01
 
 
 def _phi_product_integral(
     phi: PhiKernel, h_k: float, h_l: float, k: int, l: int, p_first: float, p_second: float,
-    panels_scale: int = 16,
+    panels_scale: int,
 ) -> float:
     """int |Phi(u - k, h_k)|**p_first |Phi(u - l, h_l)|**p_second du.
 
@@ -201,7 +211,8 @@ def phi_decay_report(
     phi: PhiKernel, H: HurstFunction, j: int, lags, which: str, panels_scale: int = 16
 ) -> BoundReport:
     """Fit the log-log decay of phi1 or phi2 over |k - l|; passes when the
-    slope is at most the bound's -exponent + 0.2."""
+    slope is at most the bound's -exponent + 0.2 and the witnessing lag,
+    integrated again at ``2 * panels_scale``, moves the constant by under 1%."""
     base = 2.0 + 1.0 / phi.alpha - H.h_high
     if which == "phi1":
         integral, expo = phi1_integral, phi.alpha / 2.0 * base
@@ -214,9 +225,14 @@ def phi_decay_report(
     vals = np.array(
         [integral(phi, H, j, k0, k0 + int(q), panels_scale=panels_scale) for q in lags]
     )
-    witnessed = float(np.max(vals * (1.0 + lags) ** expo))
+    factor = (1.0 + lags) ** expo
+    top = int(np.argmax(vals * factor))
+    witnessed = float(vals[top] * factor[top])
+    fine = factor[top] * integral(phi, H, j, k0, k0 + int(lags[top]),
+                                  panels_scale=2 * panels_scale)
+    drift = float(abs(fine - witnessed) / max(abs(fine), 1e-300))
     slope = float(np.polyfit(np.log(1.0 + lags), np.log(vals), 1)[0])
-    passed = bool(slope <= -expo + _PHI_DECAY_SLACK)
+    passed = bool(slope <= -expo + _PHI_DECAY_SLACK and drift < _PHI_DRIFT)
     return BoundReport(
         name=f"{which}_decay(alpha={phi.alpha})",
         grid=f"j={j}, lags {lags.min()}..{lags.max()}",
@@ -224,7 +240,34 @@ def phi_decay_report(
         bound_exponent=-expo,
         passed=passed,
         tolerance=_PHI_DECAY_SLACK,
-        details={"fitted_slope": slope, "lags": lags, "integrals": vals},
+        details={"fitted_slope": slope, "lags": lags, "integrals": vals,
+                 "refinement_drift": drift},
+    )
+
+
+# lambda_exponent_grid fails when lambda rises with h_high by more than the
+# first, or moves by more than the second between neighbouring h_high
+_LAMBDA_RISE, _LAMBDA_JUMP = 1e-12, 0.2
+
+
+def lambda_grid_report() -> BoundReport:
+    """lambda_exponent on 19 alphas in [1.05, 1.95] x 41 h_high in (1/alpha, 1):
+    passes when it stays positive, falls with h_high and has no jump."""
+    worst, monotone_ok, cont_ok = math.inf, True, True
+    for a in np.linspace(1.05, 1.95, 19):
+        hs = np.linspace(1.0 / a + 1e-3, 1.0 - 1e-3, 41)
+        lams = np.array([lambda_exponent(float(a), float(h)) for h in hs])
+        worst = min(worst, float(lams.min()))
+        monotone_ok = monotone_ok and not np.any(np.diff(lams) > _LAMBDA_RISE)
+        cont_ok = cont_ok and not np.max(np.abs(np.diff(lams))) > _LAMBDA_JUMP
+    return BoundReport(
+        name="lambda_exponent_grid",
+        grid="alpha in [1.05, 1.95] x h_high in (1/alpha, 1)",
+        witnessed_constant=worst,
+        bound_exponent=0.0,
+        passed=bool(worst > 0.0 and monotone_ok and cont_ok),
+        tolerance=0.0,
+        details={"monotone_in_h_high": monotone_ok, "continuous": cont_ok},
     )
 
 

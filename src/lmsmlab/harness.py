@@ -31,9 +31,8 @@ from .bounds import (
     BoundReport,
     approx_error_check,
     covariance_mc_check,
-    lambda_exponent,
+    lambda_grid_report,
     phi_decay_report,
-    rq_integral,
     rq_sweep_report,
     scale_param_check,
 )
@@ -368,89 +367,31 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_grid_report() -> BoundReport:
-    alphas = np.linspace(1.05, 1.95, 19)
-    worst = math.inf
-    monotone_ok = True
-    cont_ok = True
-    for a in alphas:
-        hs = np.linspace(1.0 / a + 1e-3, 1.0 - 1e-3, 41)
-        lams = np.array([lambda_exponent(float(a), float(h)) for h in hs])
-        worst = min(worst, float(lams.min()))
-        if np.any(np.diff(lams) > 1e-12):
-            monotone_ok = False
-        if np.max(np.abs(np.diff(lams))) > 0.2:
-            cont_ok = False
-    passed = worst > 0.0 and monotone_ok and cont_ok
-    return BoundReport(
-        name="lambda_exponent_grid",
-        grid="alpha in [1.05, 1.95] x h_high in (1/alpha, 1)",
-        witnessed_constant=worst,
-        bound_exponent=0.0,
-        passed=bool(passed),
-        tolerance=0.0,
-        details={"monotone_in_h_high": monotone_ok, "continuous": cont_ok},
-    )
-
-
 def run_verification(config: ExperimentConfig) -> list[BoundReport]:
-    """The default bound-report suite; each kernel-decay report carries its
-    refinement drift (quadrature resolution doubled)."""
+    """The default bound-report suite: the reports ``bounds`` builds, each
+    with its own verdict, on the config's law, kernel and Hurst profile."""
     config.validate()
-    law = config.law
-    H = config.hurst()
+    law, H, j_max = config.law, config.hurst(), max(config.j_range)
     kernel = PhiKernel(config.alpha, config.wavelet())
-
-    reports = []
-
-    rq = rq_sweep_report(2.0, 1.5)
-    rq.details["closed_form_residual"] = abs(rq_integral(2.0, 2.0, 0) - 2.0 / 3.0)
-    rq.passed = bool(rq.passed and rq.details["closed_form_residual"] < 1e-8)
-    reports.append(rq)
-
-    lags = [1, 2, 4, 8, 16, 32, 64, 128]
-    for which in ("phi1", "phi2"):
-        rep = phi_decay_report(kernel, H, max(config.j_range), lags, which)
-        fine = phi_decay_report(
-            kernel, H, max(config.j_range), lags, which, panels_scale=32
-        )
-        drift = abs(fine.witnessed_constant - rep.witnessed_constant) / max(
-            abs(fine.witnessed_constant), 1e-300
-        )
-        rep.details["refinement_drift"] = drift
-        rep.passed = bool(rep.passed and drift < 0.01)
-        reports.append(rep)
-
-    reports.append(_lambda_grid_report())
-
-    j_cov = min(8, max(config.j_range))
+    j_cov, j_scale = min(8, j_max), min(6, j_max)
     cov_lags = [q for q in (1, 2, 4, 8, 16, 32, 64) if q <= 2 ** (j_cov - 2)]
-    reports.append(
-        covariance_mc_check(
-            law, kernel, H, j_cov, cov_lags, config.beta,
-            replicates=config.verify_cov_replicates, seed=config.seed + 1,
-        )
-    )
-
-    j_scale = min(6, max(config.j_range))
     ks = [2 ** (j_scale - 3), 2 ** (j_scale - 1), 3 * 2 ** (j_scale - 2)]
-    reports.append(
-        scale_param_check(
-            law, kernel, H, j_scale, ks, config.beta,
-            replicates=config.verify_scale_replicates, seed=config.seed + 2,
-        )
-    )
-
     # the approximation lemma is vacuous for constant H (the two coefficient
     # routes coincide exactly); verify it on the configured profile when that
     # varies, else on the vetted linear profile
     h_approx = H if not H.is_constant else hurst_from_id("linear", (0.7, 0.15))
-    reports.append(
-        approx_error_check(
-            law, config.wavelet(), h_approx, [6, 7, 8, 9, 10, 11], seed=config.seed + 3
-        )
-    )
-    return reports
+    return [
+        rq_sweep_report(2.0, 1.5),
+        *(phi_decay_report(kernel, H, j_max, [1, 2, 4, 8, 16, 32, 64, 128], which)
+          for which in ("phi1", "phi2")),
+        lambda_grid_report(),
+        covariance_mc_check(law, kernel, H, j_cov, cov_lags, config.beta,
+                            replicates=config.verify_cov_replicates, seed=config.seed + 1),
+        scale_param_check(law, kernel, H, j_scale, ks, config.beta,
+                          replicates=config.verify_scale_replicates, seed=config.seed + 2),
+        approx_error_check(law, config.wavelet(), h_approx, [6, 7, 8, 9, 10, 11],
+                           seed=config.seed + 3),
+    ]
 
 
 def write_reports(reports: list[BoundReport], out_dir: str) -> str:

@@ -148,7 +148,10 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, in ``np.matmul`` calls of at most
     ``_SERIAL_GEMM_MADDS`` multiply-adds that BLAS runs on the calling thread.
     The calls split the longer free dimension, b's columns unless a has more
-    rows; never the contraction, whose split would reorder each entry's sum."""
+    rows; never the contraction, whose split would reorder each entry's sum.
+    So ``process._far_coeffs`` keeps its ``e @ p.T`` off it: that product's
+    long dimension is the contraction, and one-column calls were slower and
+    changed the estimates' last bits."""
     out = np.empty((a.shape[0], b.shape[1]))
     rows = serial_rows(a.shape[0], b)
     if rows < a.shape[0]:

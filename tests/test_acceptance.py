@@ -16,6 +16,7 @@ import lmsmlab as L
 from lmsmlab.bounds import (
     approx_error_check,
     covariance_mc_check,
+    lambda_grid_report,
     phi_decay_report,
     rq_integral,
     rq_sweep_report,
@@ -223,3 +224,20 @@ def test_verification_suite_bundle(tmp_path):
     print("\nverification bundle:", ", ".join(rep.name for rep in reports))
     assert not failed, f"failing reports: {failed}"
     assert (tmp_path / "bound_reports.json").exists()
+
+    # each report is the bounds call's own, verdict included: the bundle's
+    # arguments called directly give the same dicts
+    law, h, kern = L.StableLaw(1.5, 1.0), L.constant_hurst(0.8), PhiKernel(1.5)
+    lags = [1, 2, 4, 8, 16, 32, 64, 128]
+    direct = [
+        rq_sweep_report(2.0, 1.5),
+        phi_decay_report(kern, h, 8, lags, "phi1"),
+        phi_decay_report(kern, h, 8, lags, "phi2"),
+        lambda_grid_report(),
+        covariance_mc_check(law, kern, h, 8, [1, 2, 4, 8, 16, 32, 64], 0.25,
+                            replicates=10_000, seed=4058),
+        scale_param_check(law, kern, h, 6, [8, 32, 48], 0.25, replicates=10_000, seed=4059),
+        approx_error_check(law, default_wavelet(), L.linear_hurst(0.7, 0.15),
+                           [6, 7, 8, 9, 10, 11], seed=4060),
+    ]
+    assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in direct]

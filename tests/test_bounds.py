@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 import lmsmlab as L
+from lmsmlab import bounds
 from lmsmlab.bounds import (
     approx_error_check,
     covariance_mc_check,
     lambda_exponent,
+    lambda_grid_report,
     phi1_integral,
     phi2_integral,
+    phi_decay_report,
     rq_integral,
     rq_sweep_report,
     scale_param_check,
@@ -108,6 +111,54 @@ def test_rq_sweep_bounded(dg):
     rep = rq_sweep_report(*dg)
     assert rep.passed
     assert np.isfinite(rep.witnessed_constant)
+
+
+def test_rq_sweep_fails_while_products_still_grow():
+    # at (1.05, 1.05) the last product is the largest, so a verdict on
+    # last/max passes it, but the products still grow 5.8% from q = 144 to 200
+    rep = rq_sweep_report(1.05, 1.05)
+    prods = rep.details["products"]
+    assert rep.details["last_over_max"] == 1.0
+    assert prods[-1] / prods[-2] == pytest.approx(1.0578, abs=1e-4)
+    assert rep.details["closed_form_residual"] < 1e-15
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("offset, passed", [(2e-8, False), (-2e-8, False), (5e-9, True)])
+def test_rq_sweep_checks_its_closed_form(monkeypatch, offset, passed):
+    # r_0 = 2 / (delta + gamma - 1) = 0.8 at (2, 1.5); the report fails when
+    # its q = 0 term is off by more than 1e-8
+    exact = bounds.rq_integral
+    monkeypatch.setattr(bounds, "rq_integral",
+                        lambda d, g, q: exact(d, g, q) + (offset if q == 0 else 0.0))
+    rep = rq_sweep_report(2.0, 1.5)
+    assert rep.details["closed_form_residual"] == pytest.approx(abs(offset), rel=1e-6)
+    assert rep.passed == passed
+
+
+@pytest.mark.parametrize("fine_factor, passed", [(0.99, False), (1.02, False), (1.005, True)])
+def test_phi_decay_checks_its_refinement_drift(monkeypatch, fine_factor, passed):
+    # the witnessing lag integrated again at twice the panels must move the
+    # witnessed constant by less than 1%; the true drift here is 1.4e-5
+    exact = bounds._phi_product_integral
+
+    def skewed(*args, panels_scale):
+        skew = fine_factor if panels_scale == 32 else 1.0
+        return exact(*args, panels_scale=panels_scale) * skew
+
+    monkeypatch.setattr(bounds, "_phi_product_integral", skewed)
+    rep = phi_decay_report(KERN, L.constant_hurst(0.8), 8, [1, 2, 4, 8, 16, 32, 64, 128], "phi1")
+    drift = abs(fine_factor - 1.0) / fine_factor
+    assert rep.details["refinement_drift"] == pytest.approx(drift, abs=1e-4)
+    assert rep.details["fitted_slope"] <= rep.bound_exponent + 0.2
+    assert rep.passed == passed
+
+
+def test_lambda_grid_report():
+    rep = lambda_grid_report()
+    assert rep.name == "lambda_exponent_grid" and rep.passed
+    assert rep.details == {"monotone_in_h_high": True, "continuous": True}
+    assert rep.witnessed_constant == pytest.approx(lambda_exponent(1.05, 1.0 - 1e-3))
 
 
 def test_phi1_diagonal_is_kernel_mass():
