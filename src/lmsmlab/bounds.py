@@ -13,8 +13,9 @@ time to row blocks that meet the weights as they fill, on the calling thread
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,28 +58,10 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, np.ndarray):
-                return [clean(v) for v in x]
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            if isinstance(x, dict):
-                return {k: clean(v) for k, v in x.items()}
-            if isinstance(x, (bool, int, float, str)) or x is None:
-                return x
-            return str(x)
-
-        return {
-            "name": self.name,
-            "grid": self.grid,
-            "witnessed_constant": clean(self.witnessed_constant),
-            "bound_exponent": clean(self.bound_exponent),
-            "passed": bool(self.passed),
-            "tolerance": clean(self.tolerance),
-            "details": clean(self.details),
-        }
+        """The report in JSON types: numpy scalars and arrays become Python
+        numbers, bools and lists, tuples become lists, anything else its str."""
+        return json.loads(json.dumps(asdict(self), default=lambda x: (
+            x.tolist() if isinstance(x, (np.generic, np.ndarray)) else str(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +355,7 @@ def _draw_direct_coeffs(
 
 def scale_param_check(
     law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks, beta: float,
-    replicates: int = 10_000, seed: int = 20_000,
+    replicates: int, seed: int,
 ) -> BoundReport:
     """Compare the MC scale of d~_{j,k} with 2**(-j H_k) ||Phi(., H_k)|| by quadrature."""
     if replicates < 10_000:
@@ -407,7 +390,7 @@ def scale_param_check(
 
 def covariance_mc_check(
     law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, lags, beta: float,
-    replicates: int = 10_000, seed: int = 30_000,
+    replicates: int, seed: int,
 ) -> BoundReport:
     """Empirical covariance of |d~|**beta pairs against the (1 + lag)**-lambda envelope.
 
@@ -468,7 +451,7 @@ def covariance_mc_check(
 
 
 def approx_error_check(
-    law: StableLaw, wavelet, H: HurstFunction, j_list, seed: int = 40_000
+    law: StableLaw, wavelet, H: HurstFunction, j_list, seed: int
 ) -> BoundReport:
     """Regress log2 max_k |d_{j,k} - d~_{j,k}| on j over 20 replicates; passes
     when at least 80% of the slopes are at most -rho_H + 0.15.

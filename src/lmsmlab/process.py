@@ -564,17 +564,16 @@ class _Rows:
         self.out[i] += near
 
 
-def _node_hits(nodes: np.ndarray, v: np.ndarray) -> dict:
-    """{node: indices of the 1-D v within 1e-15 of it}, each index under the
-    first such node.  ``nodes`` ascend, so a v near a node is next to its
-    searchsorted slot: one search over v, then the exact test on the few
-    candidates."""
+def _node_hits(nodes: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, node): the ascending positions of the 1-D v within 1e-15
+    of a node, and for each the first such node.  ``nodes`` ascend, so a v
+    near a node is next to its searchsorted slot: one search over v, then
+    the exact test on the few candidates."""
     pos = np.searchsorted(nodes, v)
     gap = np.abs(v - nodes[np.maximum(pos - 1, 0)])
     np.minimum(gap, np.abs(v - nodes[np.minimum(pos, nodes.size - 1)]), out=gap)
     cand = np.flatnonzero(gap <= 1e-15)
-    first = (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
-    return {int(i): cand[first == i] for i in np.unique(first)}
+    return cand, (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
 
 
 class _Barycentric:
@@ -587,45 +586,41 @@ class _Barycentric:
     per block of v that BLAS runs on the calling thread
     (``stable.serial_matmul``).  ``row`` adds a node's row: a subtraction, a
     division and two accumulations per node.
-    Exact node hits, v within 1e-15 of a node, are found once; ``result``
-    gives them that node's row (the first such node's), whatever the sums
-    hold there.  With one node (a constant H) every value H takes is a
-    hit."""
+    An exact node hit, v within 1e-15 of a node (the first such node), is
+    found once and rides the weights: there c is 1 for the hit node and 0
+    for every other, so the sums hold that node's row over exactly 1 and
+    ``result`` reads it bit for bit.  With one node (a constant H) every
+    value H takes is a hit."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, shape):
         self.nodes, self.weights = nodes, weights
         self.v = np.broadcast_to(v, shape)
-        self.hits = _node_hits(nodes, self.v)
-        self.hit_rows = {i: np.zeros(idx.size) for i, idx in self.hits.items()}
+        self.hit_pos, self.hit_node = _node_hits(nodes, self.v)
         self.num, self.den, self.c = np.zeros(shape), np.zeros(shape), np.empty(shape)
 
     def far(self, coef: np.ndarray, h: np.ndarray) -> None:
         for lo in range(0, h.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
-            # a hit's infinite c makes nan here, which result() overwrites
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
                 c = self.weights[:, None] / (self.v[part] - self.nodes[:, None])
-                self.num[part] += _poly_eval(serial_matmul(coef.T, c), h[part])
-        for i, idx in self.hits.items():
-            self.hit_rows[i] += _poly_eval(coef[i][:, None], h[idx])
+            a, b = np.searchsorted(self.hit_pos, (lo, lo + _CHUNK))
+            at = self.hit_pos[a:b] - lo
+            c[:, at] = 0.0
+            c[self.hit_node[a:b], at] = 1.0
+            self.num[part] += _poly_eval(serial_matmul(coef.T, c), h[part])
 
     def row(self, i: int, near: np.ndarray) -> None:
         c = self.c
-        with np.errstate(divide="ignore", invalid="ignore"):  # hits, as in far()
-            np.subtract(self.v, self.nodes[i], out=c)
+        np.subtract(self.v, self.nodes[i], out=c)
+        with np.errstate(divide="ignore"):  # hits, as in far()
             np.divide(self.weights[i], c, out=c)
-            self.den += c
-            c *= near
-            self.num += c
-        if i in self.hits:
-            self.hit_rows[i] += near[self.hits[i]]
+        c[self.hit_pos] = self.hit_node == i
+        self.den += c
+        c *= near
+        self.num += c
 
     def result(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.divide(self.num, self.den, out=self.num)
-        for i, idx in self.hits.items():
-            out[idx] = self.hit_rows[i]
-        return out
+        return np.divide(self.num, self.den, out=self.num)
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:

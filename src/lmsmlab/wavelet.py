@@ -161,7 +161,7 @@ class WaveletValidation:
         return [k for k, ok in names.items() if not ok]
 
 
-def validate_wavelet(w: WaveletSpec, tol: float = 1e-10) -> WaveletValidation:
+def validate_wavelet(w: WaveletSpec, tol: float) -> WaveletValidation:
     """Check continuity, the two vanishing moments and non-triviality.
 
     ``support_ok`` is always True: psi is zero outside [0, 1] by

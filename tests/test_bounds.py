@@ -106,6 +106,46 @@ def test_serial_gemm_rule_lives_in_stable():
     assert named == {"stable.py"}
 
 
+def test_no_invalid_value_is_silenced_in_the_package():
+    # pytest turns every RuntimeWarning into an error, so a NaN the package
+    # makes fails a test, unless an errstate(invalid="ignore") hides it
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "lmsmlab")
+    silenced = []
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                if 'invalid="ignore"' in fh.read():
+                    silenced.append(name)
+    assert silenced == []
+
+
+def test_report_dict_holds_json_types_only():
+    # an np.bool_ comes out a JSON bool: its str, 'False', would be truthy
+    arr = np.array([1.5, 2.0])
+    rep = bounds.BoundReport(
+        name="r", grid="g", witnessed_constant=np.float64(0.25), bound_exponent=np.int64(-2),
+        passed=np.bool_(True), tolerance=0.1,
+        details={"f": np.float64(1.25), "i": np.int64(7), "b": np.bool_(False), "a": arr,
+                 "t": (1, np.float64(2.5)), "none": None, "nan": float("nan")})
+    d = rep.to_dict()
+
+    def plain(x):
+        if isinstance(x, dict):
+            return all(isinstance(k, str) and plain(v) for k, v in x.items())
+        if isinstance(x, list):
+            return all(plain(v) for v in x)
+        return x is None or type(x) in (bool, int, float, str)
+
+    assert plain(d)
+    assert d["passed"] is True and d["bound_exponent"] == -2
+    det = d["details"]
+    assert det["b"] is False
+    assert det["i"] == 7 and type(det["i"]) is int
+    assert det["f"] == 1.25 and det["a"] == [1.5, 2.0] and det["t"] == [1, 2.5]
+    assert det["none"] is None and math.isnan(det["nan"])
+
+
 @pytest.mark.parametrize("dg", [(2.0, 1.5), (1.5, 1.5), (3.0, 1.1)])
 def test_rq_sweep_bounded(dg):
     rep = rq_sweep_report(*dg)
@@ -317,7 +357,7 @@ def test_approx_check_builds_each_field_once(monkeypatch):
 def test_covariance_check_enforces_replicate_floor():
     H = L.constant_hurst(0.8)
     with pytest.raises(ValueError):
-        covariance_mc_check(LAW, KERN, H, 6, [1, 2], 0.25, replicates=100)
+        covariance_mc_check(LAW, KERN, H, 6, [1, 2], 0.25, replicates=100, seed=0)
 
 
 def test_direct_checks_refuse_a_kernel_of_another_alpha():

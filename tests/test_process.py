@@ -341,6 +341,20 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     assert np.array_equal(interp.at(float(v[5])), vals[3])  # one v on a node
 
 
+def test_node_hits_ride_the_weights():
+    # constant H: one node, so every mesh point is a hit; the sums hold the
+    # node's row over exactly 1 and never a NaN, and the result is the row
+    # bit for bit (X(0, v) = 0 is set by at(), not by the sums)
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)  # noise beyond s = -1: a far part
+    interp = MeshFieldInterpolant(g, 0.8, 0.8, refine=2)
+    sums = L.process._Barycentric(interp.nodes, interp.weights, 0.8, (interp.size,))
+    rows = L.process._Rows(1, interp.size)
+    field_on_mesh(g, interp.nodes, 2, sums, rows)
+    assert interp.nodes.size == 1
+    assert np.all(np.isfinite(sums.num)) and np.all(sums.den == 1.0)
+    assert np.array_equal(sums.result()[1:], rows.out[0, 1:])
+
+
 def _node_axis_combine(interp, v, vals):
     # the barycentric combination with node-axis coefficient arrays, as it
     # stood before combine built one node row at a time

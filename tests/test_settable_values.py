@@ -42,4 +42,4 @@ def settable_values() -> int:
 
 
 def test_settable_value_count():
-    assert settable_values() == 89
+    assert settable_values() == 83
