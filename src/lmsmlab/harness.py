@@ -145,7 +145,8 @@ class ExperimentConfig:
         if self.path_refine < 1:
             raise ValueError("path_refine must be >= 1")
         try:
-            check_path_memory(-self.t_tail, self.noise_delta, self.path_refine)
+            check_path_memory(-self.t_tail, self.noise_delta, self.path_refine,
+                              self.v_nodes)
         except ValueError as exc:
             raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: "
                              f"{exc}") from None

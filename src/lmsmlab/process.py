@@ -34,17 +34,18 @@ around 0, summed as a binomial-moment power series around 1/2 whose ratio is
 below 1/3; a certified remainder bound fixes the number of terms (see
 ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
 transformed once, the kernel values share one log t, each v's residue rows are
-transformed in blocks of up to four, and the far series of every v comes from
-one pass over the far noise, with the batch's largest certified term count.  A
-block's kernel half (its kernel values and their transform) needs no noise, so
-on a thread budget of two or more, shared with the noise sampler (see
-``stable``), it runs one block ahead on a helper thread while the caller
-convolves the block before it with the noise; the rows are bitwise the same
-on every budget.  Time-varying Hurst values are then obtained by barycentric
+transformed in blocks of up to four, into buffers allocated once per pass, and
+the far series of every v comes from one pass over the far noise, with the
+batch's largest certified term count.  A block's kernel half (its kernel values
+and their transform) needs no noise, so on a thread budget of two or more,
+shared with the noise sampler (see ``stable``), it runs one block ahead on a
+helper thread while the caller convolves the block before it with the noise;
+the rows are bitwise the same on every budget.  Time-varying Hurst values are then obtained by barycentric
 interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
 so a few dozen nodes reach near machine precision.  The path's far part is the
 series whose coefficients are the barycentric combination of the nodes'
-coefficients at H(t), taken one block of 16,384 mesh points at a time.
+coefficients at H(t); the barycentric sums go one block of 16,384 mesh points
+at a time and keep one mesh-length array, their numerator.
 ``eval_field`` is the direct Riemann sum at one point, the reference the mesh
 route is tested against.
 """
@@ -423,11 +424,17 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     (``stable._threads``) of two or more, stage 1 of the next block runs on
     one helper thread, started for the pass, while the caller runs stage 2;
     on a budget of 1 (a worker of ``run_experiment``'s pool) the blocks run
-    in turn on the caller.  So a pass holds four transform
-    buffers of min(4, refine) rows (kernel values, the next spectrum, the
-    current spectrum and the convolution), and every row gets the same
-    arithmetic in the same order on every budget: the rows are bitwise
-    identical for any budget.  Four rows, because one thread transforms four
+    in turn on the caller.  A pass allocates its workspace once, and every
+    2-D transform writes into it (``out=``): the kernel values over their
+    support, i0 + K + 1 points, which rfft pads with zeros to L; a ring of
+    spectra, two on the helper's budget (block n's in slot n % 2, free
+    because the caller is done with block n - 2) and one on a budget of 1;
+    and the convolution.  Each holds min(4, refine) rows, and every row gets
+    the same arithmetic in the same order on every budget: the rows are
+    bitwise identical for any budget.  The ``log t`` table, refine rows of
+    i0 + K + 1 points, is kept: taking each block's logs afresh held 8 MB
+    less at criterion 8 but made a replicate about 6% slower (2-core
+    machine).  Four rows, because one thread transforms four
     rows per call about as fast per row as eight, and two rows much slower:
     on a 2-core machine a forward and an inverse transform of eight rows of
     3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
@@ -458,16 +465,22 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     return rows.out if vs.ndim else rows.out[0]
 
 
+def _pass_geometry(n_cells: int, K: int) -> tuple[int, int, int]:
+    """(i_near, i0, n_fft) of a field pass over n_cells noise cells, K of
+    them on [0, 1): the first near cell (s >= -1), the near window's origin
+    and the wrap-free transform length (see ``field_on_mesh``)."""
+    i_origin = n_cells - K
+    i_near = max(i_origin - _NEAR_SPAN * K, 0)
+    return i_near, i_origin - i_near, _fast_len(n_cells - i_near + K)
+
+
 def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> None:
     # the pass behind field_on_mesh (see there): far parts, then near rows
-    i_origin = grid.origin_index
-    K = grid.n_cells - i_origin  # cells of [0, 1): 1/delta >= 1
-    i_near = max(i_origin - _NEAR_SPAN * K, 0)  # first near cell, s >= -1
+    K = grid.n_cells - grid.origin_index  # cells of [0, 1): 1/delta >= 1
+    i_near, i0, n_fft = _pass_geometry(grid.n_cells, K)
     if i_near > 0:
         _far_part(grid, kappa, refine, i_near, consumers)
-    i0 = i_origin - i_near
     dz = grid.increments[i_near:]
-    n_fft = _fast_len(dz.size + K)  # wrap-free length (see field_on_mesh)
     zf = rfft(dz, n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
     # kernel value at t = 0 exactly 0
@@ -475,34 +488,39 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
         log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
                        * grid.delta)
     rows = min(_BLOCK, refine)
-    g = np.zeros((rows, n_fft))  # the zero tail pads each transform
     # a block is one node i and its residue rows lo..hi-1
     blocks = [(i, lo, min(lo + rows, refine))
               for i in range(kappa.size) for lo in range(0, refine, rows)]
+    # the workspace, made once per pass: the kernel values over their support
+    # (rfft pads them with zeros to n_fft), a ring of spectra, one per block
+    # in flight, and the convolution
+    gk = np.empty((rows, log_t.shape[1]))
+    ring = [np.empty((rows, n_fft // 2 + 1), complex)
+            for _ in range(1 + _helper_runs(len(blocks)))]
+    conv = np.empty((rows, n_fft))
 
-    def kernel_spectrum(block):
-        # stage 1, the kernel half: the block's kernel values, the node's b
-        # on its first block, and their transform
-        i, lo, hi = block
-        gk = g[: hi - lo, : log_t.shape[1]]
-        np.exp(np.multiply(log_t[lo:hi], kappa[i], out=gk), out=gk)
-        b = float(gk[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
-        return rfft(g[: hi - lo], n_fft, axis=-1), b
+    def kernel_spectrum(n):
+        # stage 1, the kernel half of block n: its kernel values, the node's
+        # b on its first block, and their transform into ring slot n % 2 (or
+        # the one slot), which the caller is done with (see _one_ahead)
+        i, lo, hi = blocks[n]
+        g = gk[: hi - lo]
+        np.exp(np.multiply(log_t[lo:hi], kappa[i], out=g), out=g)
+        b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
+        return rfft(g, n_fft, axis=-1, out=ring[n % len(ring)][: hi - lo]), b
 
     near = np.empty(K * refine + 1)
     mesh = near[:-1].reshape(K, refine)  # mesh index q*refine + rho is mesh[q, rho]
-    with _one_ahead(kernel_spectrum, blocks) as spectra:
+    with _one_ahead(kernel_spectrum, range(len(blocks))) as spectra:
         for (i, lo, hi), (spec, b_block) in zip(blocks, spectra):
             # stage 2, with the noise: residue rho's row of the mesh is column
             # i0 + q of the convolution's row rho - lo
             spec *= zf
-            conv = irfft(spec, n_fft, axis=-1)
-            del spec  # on a budget of 1, freed before the next block's spectrum
-            mesh[:, lo:hi] = conv[:, i0 : i0 + K].T
+            out = irfft(spec, n_fft, axis=-1, out=conv[: hi - lo])
+            mesh[:, lo:hi] = out[:, i0 : i0 + K].T
             if lo == 0:
                 b = b_block
-                near[-1] = conv[0, i0 + K]
-            del conv
+                near[-1] = out[0, i0 + K]
             if hi < refine:
                 continue
             near -= b
@@ -511,15 +529,20 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
                 consumer.row(i, near)
 
 
+def _helper_runs(n_items: int) -> bool:
+    """Whether ``_one_ahead`` runs a helper thread for n_items items."""
+    return stable._threads >= 2 and n_items >= 2
+
+
 @contextlib.contextmanager
-def _one_ahead(fn, items: list):
+def _one_ahead(fn, items):
     """An iterator over fn(item) for the items in order.  With a thread budget
     (``stable._threads``) of 2 or more and two or more items, fn(items[n + 1])
     runs on one helper thread, started here, while the caller works on
     fn(items[n]); leaving the block, also on an error, waits for the helper
     to end.  Otherwise each fn(item) runs on the caller when the iterator
     reaches it."""
-    if stable._threads < 2 or len(items) < 2:
+    if not _helper_runs(len(items)):
         yield map(fn, items)
         return
     with ThreadPoolExecutor(1) as helper:
@@ -528,7 +551,8 @@ def _one_ahead(fn, items: list):
             ahead = helper.submit(fn, items[0])
             for item in items[1:]:
                 # the caller asks for a result once done with the last one,
-                # so the last one is let go before the helper starts anew
+                # so the helper starts block n + 1 after the caller is done
+                # with block n - 1 and may reuse its buffers
                 out = ahead.result()
                 ahead = helper.submit(fn, item)
                 yield out
@@ -580,12 +604,15 @@ class _Barycentric:
     """Barycentric sums over node rows fed one at a time: the value at v is
     sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
 
-    ``far`` adds the far part of a field pass from its series coefficients:
-    node i's far part is sum_n coef[i, n] h^n, so its share of the numerator
-    is the series with coefficients sum_i c_i coef[i, n], a matrix product
-    per block of v that BLAS runs on the calling thread
-    (``stable.serial_matmul``).  ``row`` adds a node's row: a subtraction, a
-    division and two accumulations per node.
+    The sums keep one mesh-length array, the numerator ``num``, and go one
+    block of ``_CHUNK`` points of v at a time; ``_weights`` is the one route
+    to the c_i of a block.  ``far`` adds the far part of a field pass from
+    its series coefficients: node i's far part is sum_n coef[i, n] h^n, so
+    its share of the numerator is the series with coefficients
+    sum_i c_i coef[i, n], a matrix product per block of v that BLAS runs on
+    the calling thread (``stable.serial_matmul``).  ``row`` adds c_i X_i, in
+    one block-sized scratch.  ``result`` forms the denominator block by
+    block, adding the c_i in node order, and divides ``num`` by it in place.
     An exact node hit, v within 1e-15 of a node (the first such node), is
     found once and rides the weights: there c is 1 for the hit node and 0
     for every other, so the sums hold that node's row over exactly 1 and
@@ -596,31 +623,47 @@ class _Barycentric:
         self.nodes, self.weights = nodes, weights
         self.v = np.broadcast_to(v, shape)
         self.hit_pos, self.hit_node = _node_hits(nodes, self.v)
-        self.num, self.den, self.c = np.zeros(shape), np.zeros(shape), np.empty(shape)
+        self.index = np.arange(nodes.size)
+        self.num = np.zeros(shape)
+        self.c = np.empty((1, min(_CHUNK, self.num.size)))
+
+    def _weights(self, lo: int, index: np.ndarray, out) -> np.ndarray:
+        """The c_i of the nodes ``index``, one row each, on the block of v
+        from lo, into ``out`` (or a new array for None); at a hit, the hit
+        node's indicator."""
+        c = np.subtract(self.v[lo : lo + _CHUNK], self.nodes[index, None], out=out)
+        with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
+            np.divide(self.weights[index, None], c, out=c)
+        a, b = np.searchsorted(self.hit_pos, (lo, lo + _CHUNK))
+        c[:, self.hit_pos[a:b] - lo] = self.hit_node[a:b] == index[:, None]
+        return c
+
+    def _blocks(self):
+        # (lo, the block's part of num, the scratch sized to it)
+        for lo in range(0, self.num.size, _CHUNK):
+            part = self.num[lo : lo + _CHUNK]
+            yield lo, part, self.c[:, : part.size]
 
     def far(self, coef: np.ndarray, h: np.ndarray) -> None:
-        for lo in range(0, h.size, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
-                c = self.weights[:, None] / (self.v[part] - self.nodes[:, None])
-            a, b = np.searchsorted(self.hit_pos, (lo, lo + _CHUNK))
-            at = self.hit_pos[a:b] - lo
-            c[:, at] = 0.0
-            c[self.hit_node[a:b], at] = 1.0
-            self.num[part] += _poly_eval(serial_matmul(coef.T, c), h[part])
+        for lo, part, _ in self._blocks():
+            c = self._weights(lo, self.index, None)
+            part += _poly_eval(serial_matmul(coef.T, c), h[lo : lo + _CHUNK])
 
     def row(self, i: int, near: np.ndarray) -> None:
-        c = self.c
-        np.subtract(self.v, self.nodes[i], out=c)
-        with np.errstate(divide="ignore"):  # hits, as in far()
-            np.divide(self.weights[i], c, out=c)
-        c[self.hit_pos] = self.hit_node == i
-        self.den += c
-        c *= near
-        self.num += c
+        for lo, part, scratch in self._blocks():
+            c = self._weights(lo, self.index[i : i + 1], scratch)[0]
+            c *= near[lo : lo + _CHUNK]
+            part += c
 
     def result(self) -> np.ndarray:
-        return np.divide(self.num, self.den, out=self.num)
+        den = np.empty(self.c.shape[1])
+        for lo, part, scratch in self._blocks():
+            d = den[: part.size]
+            d[:] = 0.0
+            for i in self.index:
+                d += self._weights(lo, self.index[i : i + 1], scratch)[0]
+            part /= d
+        return self.num
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -742,25 +785,38 @@ def check_path_domain(alpha: float, t_min: float, delta: float, h_high: float) -
         )
 
 
-def check_path_memory(t_min: float, delta: float, refine: int) -> None:
-    """Raise ValueError when building one path on the noise of [t_min, 1) at
-    mesh step delta/refine would exceed the machine's RAM.
+def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> None:
+    """Raise ValueError when building one path over n_nodes v-nodes on the
+    noise of [t_min, 1) at mesh step delta/refine would exceed the machine's
+    RAM.
 
-    A path build holds the noise grid, the field pass's four transform
-    buffers of min(``_BLOCK``, refine) rows (kernel values, the next spectrum,
-    the current spectrum, the convolution; a row spans the near noise
-    [-``_NEAR_SPAN``, 1) and [0, 1) again) and a few mesh-length arrays (path,
-    barycentric sums, a node row), never a row per v-node."""
+    The count is every array a build holds, as if all at once: the noise
+    grid and its spectrum; the field pass's ``log t`` table (refine rows)
+    and its workspace of min(``_BLOCK``, refine) rows each: the kernel
+    values, a ring of two spectra and the convolution; four mesh arrays
+    (H(t), the barycentric numerator, the near row and the far part's h);
+    and, when the noise reaches below s = -``_NEAR_SPAN``, the far cells'
+    offsets and the far series' blocks of ``_CHUNK`` points (two rows per
+    node, one per series term and three more).  Never a row per v-node."""
     n_cells = noise_cell_count(t_min, delta)
-    unit_cells = round(1.0 / delta)  # cells of [0, 1)
+    K = round(1.0 / delta)  # cells of [0, 1)
+    i_near, i0, n_fft = _pass_geometry(n_cells, K)
     rows = min(_BLOCK, refine)
-    transforms = 4 * rows * (_NEAR_SPAN + 2) * unit_cells
-    mesh = refine * unit_cells + 1
+    spectrum = 2 * (n_fft // 2 + 1)  # the doubles of one complex spectrum row
+    noise = n_cells + spectrum
+    log_t = refine * (i0 + K + 1)
+    transforms = rows * (i0 + K + 1 + 2 * spectrum + n_fft)
+    mesh = 4 * (refine * K + 1)
+    # kappa < 1, and x_i >= 1 + delta puts every series ratio below 1/3
+    far = i_near + (2 * n_nodes + _far_series_terms(1.0, 1 / 3) + 3) * _CHUNK if i_near else 0
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * (n_cells + transforms + 8 * mesh) > memory:
-        raise ValueError(f"{n_cells} noise cells, {transforms} transform values (kernel "
-                         f"values, next spectrum, current spectrum and convolution, {rows} "
-                         f"rows each) and 8 x {mesh} mesh values exceed RAM")
+    if 8 * (noise + log_t + transforms + mesh + far) > memory:
+        raise ValueError(
+            f"{noise} values of noise and its spectrum, {log_t} of the log t table, "
+            f"{transforms} of transform buffers (kernel values, next spectrum, current "
+            f"spectrum and convolution, {rows} rows each), {mesh} mesh values (H(t), "
+            f"barycentric numerator, near row and far h) and {far} far cell offsets and "
+            f"far series values exceed RAM")
 
 
 def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction, *consumers) -> SamplePath:

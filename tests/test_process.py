@@ -6,6 +6,7 @@ so empirical fractional moments can be compared against quadrature targets.
 """
 
 import math
+import os
 import threading
 import tracemalloc
 
@@ -135,28 +136,49 @@ def _record_transforms(monkeypatch) -> list:
     return calls
 
 
+def _distinct_buffers(arrays) -> int:
+    # how many separate blocks of memory the arrays lie in
+    seen = []
+    for a in arrays:
+        if not any(np.shares_memory(a, b) for b in seen):
+            seen.append(a)
+    return len(seen)
+
+
 def test_fft_length_contract(monkeypatch):
     # one 1-D noise transform per call, then per v and block of min(4, refine)
     # residues (one block at refine 3) one 2-D rfft and one 2-D irfft with a
     # row per residue; every call takes its length as the second positional
     # argument, n_near + K rounded up to a fast length, never the
-    # linear-convolution size, and no keyword but axis
+    # linear-convolution size, and no keyword but axis and out.  Every 2-D
+    # transform writes into the pass's workspace: the rffts of a pass into a
+    # ring of two buffers (one on a thread budget of 1), the irffts into one
     calls = _record_transforms(monkeypatch)
     # no far part, and n_near + K = 608 is not a fast length
     g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
     refine = 3
     n_fft = L.process._fast_len(_near_cells(g) + round(1 / g.delta))
     assert n_fft == 768 > _near_cells(g) + round(1 / g.delta) == 608
-    field_on_mesh(g, 0.8, refine)
-    assert len(calls) == 1 + 2
-    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
-    assert len(calls) == 1 + 2 + 1 + 2 * 3
-    assert all(n == n_fft for _, n, _ in calls)
-    noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
-    assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
-    for shape, _, kw in batched:
-        assert len(shape) == 2 and shape[0] == refine
-        assert set(kw) <= {"axis"} and kw.get("axis", -1) == -1
+    for threads in (1, 2):
+        monkeypatch.setattr(L.stable, "_threads", threads)
+        calls.clear()
+        field_on_mesh(g, 0.8, refine)
+        assert len(calls) == 1 + 2
+        field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
+        assert len(calls) == 1 + 2 + 1 + 2 * 3
+        assert all(n == n_fft for _, n, _ in calls)
+        noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
+        assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
+        for shape, _, kw in batched:
+            assert len(shape) == 2 and shape[0] == refine
+            assert set(kw) == {"axis", "out"} and kw["axis"] == -1
+        for one_pass, ring in ((calls[1:3], 1), (calls[4:], threads)):
+            outs = [kw["out"] for _, _, kw in one_pass]
+            spectra = [out for out in outs if out.dtype.kind == "c"]
+            convolutions = [out for out in outs if out.dtype.kind == "f"]
+            assert len(spectra) == len(convolutions) == len(one_pass) // 2
+            assert _distinct_buffers(spectra) == ring
+            assert _distinct_buffers(convolutions) == 1
 
 
 def test_fast_length_is_the_next_power_of_two_or_three_times_one():
@@ -342,16 +364,23 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
 
 
 def test_node_hits_ride_the_weights():
-    # constant H: one node, so every mesh point is a hit; the sums hold the
-    # node's row over exactly 1 and never a NaN, and the result is the row
-    # bit for bit (X(0, v) = 0 is set by at(), not by the sums)
-    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)  # noise beyond s = -1: a far part
+    # constant H: one node, so every mesh point is a hit; the shared weight
+    # helper gives that node c = 1 on every block of the mesh, so the
+    # denominator is exactly 1, the numerator holds the node's row and never
+    # a NaN, and the result is the row bit for bit (X(0, v) = 0 is set by
+    # at(), not by the sums)
+    g = make_noise_grid(LAW, -2.0, 2.0**-14, seed=31)  # noise beyond s = -1: a far part
     interp = MeshFieldInterpolant(g, 0.8, 0.8, refine=2)
     sums = L.process._Barycentric(interp.nodes, interp.weights, 0.8, (interp.size,))
     rows = L.process._Rows(1, interp.size)
     field_on_mesh(g, interp.nodes, 2, sums, rows)
     assert interp.nodes.size == 1
-    assert np.all(np.isfinite(sums.num)) and np.all(sums.den == 1.0)
+    blocks = range(0, interp.size, L.process._CHUNK)
+    assert len(blocks) == 3
+    dens = [sums._weights(lo, sums.index, None) for lo in blocks]
+    assert sum(d.size for d in dens) == interp.size
+    assert all(np.all(d == 1.0) for d in dens)
+    assert np.all(np.isfinite(sums.num))
     assert np.array_equal(sums.result()[1:], rows.out[0, 1:])
 
 
@@ -410,31 +439,76 @@ def test_combine_streams_node_rows():
 
 
 # 2^-10 and 2^-13 put the peak in the far part's blocks, 2^-15 in the
-# transforms.  Measured tracemalloc peaks (2-core machine): 3.4, 10.5 and
-# 28.1 MB; the 2^-15 peak was 34.3 MB with three transform buffers of
-# refine rows, and is 24.9 MB on a thread budget of 1
+# transforms.  Measured tracemalloc peaks (2-core machine): 3.4, 9.6 and
+# 23.0 MB on a thread budget of 2, the same but 19.8 MB at 2^-15 on a
+# budget of 1
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
-    # a 16-node path build never holds the 16 node rows: besides the
-    # transform buffers (kernel values, the next spectrum, the current
-    # spectrum and the convolution, of min(4, refine) rows each) and the far
-    # part's blocks (one row per node and per series term, at most _CHUNK
-    # points long) it keeps a few mesh rows
+    # a 16-node path build never holds the 16 node rows: besides the field
+    # pass's log t table, its transform buffers of min(4, refine) rows (the
+    # kernel values, one spectrum and the convolution on a budget of 1, and
+    # a second spectrum on 2) and the far part's blocks (one row per node
+    # and per series term, at most _CHUNK points long) it keeps at most four
+    # mesh rows (H(t), the barycentric numerator, the near row and the far
+    # part's h)
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
     n = cells * refine + 1
-    transforms = 4 * min(4, refine) * L.process._fast_len(_near_cells(g) + cells)
+    i0 = min(cells, g.origin_index)
+    n_fft = L.process._fast_len(_near_cells(g) + cells)
+    log_table = refine * (i0 + cells + 1)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
-    tracemalloc.start()
+    saved = L.stable._threads
     try:
-        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
-        peak = tracemalloc.get_traced_memory()[1]
+        for threads in (1, 2):
+            L.stable._set_threads(threads)
+            workspace = (2 + threads) * min(4, refine) * n_fft
+            tracemalloc.start()
+            try:
+                L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * (workspace + log_table + far_blocks + 4 * n)
     finally:
-        tracemalloc.stop()
-    assert peak < 8 * (transforms + far_blocks + 8 * n)
+        L.stable._set_threads(saved)
+
+
+@pytest.mark.parametrize("cells", [2**13, 2**16])
+def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
+    # check_path_memory refuses a 16-node refine-8 build on a machine whose
+    # memory is that build's tracemalloc peak (the noise grid included) and
+    # passes it on twice that: the rule never counts less than a build
+    # holds, and not wildly more.  2^13 cells peak in the far part, 2^16 in
+    # the transforms
+    H = L.linear_hurst(0.7, 0.15)
+    t_min, refine, n_nodes = -4.0, 8, 16
+    saved, peaks = L.stable._threads, []
+    try:
+        for threads in (1, 2):
+            L.stable._set_threads(threads)
+            tracemalloc.start()
+            try:
+                g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
+                L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del g
+    finally:
+        L.stable._set_threads(saved)
+    page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+    for memory in (max(peaks), 2 * max(peaks)):
+        monkeypatch.setattr(os, "sysconf", lambda name, pages=memory // page:
+                            pages if name == "SC_PHYS_PAGES" else sysconf(name))
+        if memory == max(peaks):
+            with pytest.raises(ValueError, match="values of noise and its spectrum.*exceed RAM"):
+                L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
+        else:
+            L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
 
 
 class _ThreadCount:
