@@ -12,10 +12,9 @@ import numpy as np
 from lmsmlab import StableLaw, moment_constant, sample_sas, tail_coefficient
 
 law = StableLaw(alpha=1.5, scale=1.0)
-batch = sample_sas(law, 2_000_000, seed=42)
-vals = batch.values
+vals = sample_sas(law, 2_000_000, seed=42)
 
-print(f"alpha={law.alpha}, scale={law.scale}, n={len(batch):,}")
+print(f"alpha={law.alpha}, scale={law.scale}, n={vals.size:,}")
 print(f"median (symmetry): {np.median(vals):+.5f}")
 print(f"99.9% quantile:    {np.quantile(np.abs(vals), 0.999):.1f}  (heavy tails!)")
 
@@ -30,5 +29,5 @@ for n in (10_000, 100_000, 1_000_000):
     print(f"  n={n:>9,}: {np.mean(vals[:n] ** 2):10.1f}")
 
 print("\ntail products P(|S|>xi) xi^alpha (asymptotically constant):")
-for xi, prod in tail_coefficient(law, batch, [2, 4, 8, 16, 32, 64]):
+for xi, prod in tail_coefficient(law, vals, [2, 4, 8, 16, 32, 64]):
     print(f"  xi={xi:5.0f}: {prod:.4f}")

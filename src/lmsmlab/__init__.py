@@ -11,7 +11,7 @@ scale-wise estimators of min H, local H and the stability index
 
 __version__ = "0.1.0"
 
-from .stable import StableLaw, SampleBatch, sample_sas, moment_constant, tail_coefficient
+from .stable import StableLaw, sample_sas, moment_constant, tail_coefficient
 from .wavelet import (
     WaveletSpec,
     PhiKernel,

@@ -36,7 +36,10 @@ def _resolve(args) -> ExperimentConfig:
     updates = {}
     env_seed = os.environ.get("LMSMLAB_SEED")
     if env_seed is not None:
-        updates["seed"] = int(env_seed)
+        try:
+            updates["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"LMSMLAB_SEED must be an integer, got {env_seed!r}") from None
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.workers is not None:

@@ -47,11 +47,12 @@ from .estimators import (
     estimate_hmin,
 )
 from .process import (
+    HurstFunction,
     MeshFieldInterpolant,
     SamplePath,
     check_path_domain,
     check_path_memory,
-    hurst_from_id,
+    linear_hurst,
     make_noise_grid,
     simulate_lmsm,
 )
@@ -109,7 +110,7 @@ class ExperimentConfig:
         return self.delta if self.delta is not None else noise_step(max(self.j_range))
 
     def hurst(self):
-        return hurst_from_id(self.hurst_name, self.hurst_params)
+        return HurstFunction(self.hurst_name, self.hurst_params)
 
     def wavelet(self):
         return default_wavelet()
@@ -380,7 +381,7 @@ def run_verification(config: ExperimentConfig) -> list[BoundReport]:
     # the approximation lemma is vacuous for constant H (the two coefficient
     # routes coincide exactly); verify it on the configured profile when that
     # varies, else on the vetted linear profile
-    h_approx = H if not H.is_constant else hurst_from_id("linear", (0.7, 0.15))
+    h_approx = H if not H.is_constant else linear_hurst(0.7, 0.15)
     return [
         rq_sweep_report(2.0, 1.5),
         *(phi_decay_report(kernel, H, j_max, [1, 2, 4, 8, 16, 32, 64, 128], which)

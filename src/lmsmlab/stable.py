@@ -68,7 +68,6 @@ import numpy as np
 
 __all__ = [
     "StableLaw",
-    "SampleBatch",
     "sample_sas",
     "moment_constant",
     "tail_coefficient",
@@ -93,18 +92,6 @@ class StableLaw:
             raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
         if self.scale < 0:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """A reproducible batch of draws: identical (seed, law, n) gives identical values."""
-
-    values: np.ndarray
-    seed: int
-    law: StableLaw
-
-    def __len__(self):
-        return self.values.size
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -383,8 +370,9 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator, sink=None) -> np.nd
     return out
 
 
-def sample_sas(law: StableLaw, n: int, seed: int) -> SampleBatch:
-    """Sample ``n`` independent draws from ``law``, deterministically in ``seed``."""
+def sample_sas(law: StableLaw, n: int, seed: int) -> np.ndarray:
+    """``n`` independent draws from ``law`` as a read-only array; the same
+    (law, n, seed) gives the same draws."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if law.scale == 0.0:
@@ -392,7 +380,7 @@ def sample_sas(law: StableLaw, n: int, seed: int) -> SampleBatch:
     else:
         values = law.scale * unit_sas(law.alpha, n, _rng(seed))
     values.setflags(write=False)
-    return SampleBatch(values=values, seed=seed, law=law)
+    return values
 
 
 def moment_constant(gamma: float, alpha: float) -> float:
@@ -417,21 +405,18 @@ def moment_constant(gamma: float, alpha: float) -> float:
     )
 
 
-def tail_coefficient(
-    law: StableLaw, samples: SampleBatch, xi_grid
-) -> list[tuple[float, float]]:
-    """Empirical tail products P(|S| > xi) * xi**alpha along ``xi_grid``.
+def tail_coefficient(law: StableLaw, values: np.ndarray, xi_grid) -> list[tuple[float, float]]:
+    """Empirical tail products P(|S| > xi) * xi**alpha of the draws ``values``
+    of ``law`` along ``xi_grid``.
 
     The two-sided tail bound for SaS laws says these products stay within a
     band [c1 * scale**alpha, c2 * scale**alpha] for xi >= scale; the band
     constants are witnessed empirically, never asserted a priori.
     """
-    if samples.law != law:
-        raise ValueError("samples were not drawn from the given law")
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     if np.any(xi_grid < law.scale):
         raise ValueError("every xi must be >= law.scale")
-    absv = np.abs(samples.values)
+    absv = np.abs(values)
     out = []
     for xi in xi_grid:
         p = float(np.mean(absv > xi))

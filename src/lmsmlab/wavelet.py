@@ -130,7 +130,6 @@ def default_wavelet() -> WaveletSpec:
 class WaveletValidation:
     """Per-assumption pass/fail report; a failure is data, not an exception."""
 
-    support_ok: bool
     continuity_ok: bool
     moment0_ok: bool
     moment1_ok: bool
@@ -141,18 +140,11 @@ class WaveletValidation:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.support_ok
-            and self.continuity_ok
-            and self.moment0_ok
-            and self.moment1_ok
-            and self.nontrivial_ok
-        )
+        return not self.failures
 
     @property
     def failures(self) -> list[str]:
         names = {
-            "support": self.support_ok,
             "continuity": self.continuity_ok,
             "moment0": self.moment0_ok,
             "moment1": self.moment1_ok,
@@ -164,9 +156,8 @@ class WaveletValidation:
 def validate_wavelet(w: WaveletSpec, tol: float) -> WaveletValidation:
     """Check continuity, the two vanishing moments and non-triviality.
 
-    ``support_ok`` is always True: psi is zero outside [0, 1] by
-    construction.  The field stays so that the report lists every
-    admissibility assumption."""
+    The compact support needs no check: psi is zero outside [0, 1] by
+    construction."""
     if tol <= 0:
         raise ValueError("tol must be positive")
 
@@ -177,7 +168,6 @@ def validate_wavelet(w: WaveletSpec, tol: float) -> WaveletValidation:
     sup = float(np.max(np.abs(w(np.linspace(0.0, 1.0, 20001)))))
 
     return WaveletValidation(
-        support_ok=True,
         continuity_ok=continuity_ok,
         moment0_ok=bool(abs(m0) <= tol),
         moment1_ok=bool(abs(m1) <= tol),

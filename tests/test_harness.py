@@ -71,10 +71,11 @@ def test_readme_config_example_is_valid():
     "bad",
     [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
      {"hurst_params": (0.8,)}, {"interval": (0.2,)}, {"j_range": ()},
-     {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}, {"t_tail": 1.0}],
+     {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}, {"t_tail": 1.0},
+     {"hurst_name": "cubic"}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
-         "delta=2^-8", "t_tail=1"],
+         "delta=2^-8", "t_tail=1", "hurst_name=cubic"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -84,8 +85,9 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # noise on [-1, 1), whose audit bounds the lost alpha-mass of the
     # h_high = 0.85 kernel by 0.29, over the 0.25 limit), to die in validate
     # with an error that named no field (one parameter for the linear H, one
-    # interval end, no level), or to pass validate and ask for about 9 * 2^44
-    # noise cells (level 40); validate only, no replicate runs
+    # interval end, no level, an unknown H kind), or to pass validate and ask
+    # for about 9 * 2^44 noise cells (level 40); validate only, no replicate
+    # runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -300,6 +302,18 @@ def test_cli_seed_precedence(tmp_path, monkeypatch, capsys):
     assert manifest2["config"]["seed"] == manifest2["seed"] == 9
     assert "seed_env_override" not in manifest and "seed_env_override" not in manifest2
     capsys.readouterr()
+
+
+def test_cli_names_a_seed_variable_that_is_not_an_integer(tmp_path, monkeypatch):
+    # int("abc") used to fail with "invalid literal for int()", naming no
+    # variable; nothing is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**FAST, "hurst_params": [0.8], "j_range": [4],
+                                    "out_dir": str(tmp_path / "o")}))
+    monkeypatch.setenv("LMSMLAB_SEED", "abc")
+    with pytest.raises(ValueError, match="LMSMLAB_SEED must be an integer, got 'abc'"):
+        cli_main(["--config", str(cfg_path), "experiment"])
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_verify_exit_status(tmp_path, monkeypatch, capsys):

@@ -5,8 +5,10 @@ integrals: the scale of sum w_i dZ_i is (sum |w_i|**alpha * delta)**(1/alpha),
 so empirical fractional moments can be compared against quadrature targets.
 """
 
+import dataclasses
 import math
 import os
+import pickle
 import threading
 import tracemalloc
 
@@ -879,3 +881,39 @@ def test_hurst_validation():
             ks = np.arange(2**j)
             assert np.array_equal(H.frozen(j, ks), H(ks * 2.0**-j))
             assert np.array_equal(H.frozen(j, range(2**j)), H(ks * 2.0**-j))
+
+
+# each kind's closed form, which H's values must equal bit for bit
+_HURST_FORMULAS = {
+    "constant": lambda t, value: np.full_like(t, value),
+    "linear": lambda t, intercept, slope: intercept + slope * t,
+    "sine": lambda t, center, amplitude: center + amplitude * np.sin(2.0 * math.pi * t),
+}
+
+
+@pytest.mark.parametrize(
+    "build, params, ends",
+    [(L.constant_hurst, (0.8,), (0.8, 0.8)),
+     (L.linear_hurst, (0.7, 0.15), (0.7, 0.7 + 0.15)),
+     (L.linear_hurst, (0.85, -0.15), (0.85 + -0.15, 0.85)),
+     (L.sine_hurst, (0.75, 0.08), (0.75 - 0.08, 0.75 + 0.08)),
+     (L.sine_hurst, (0.75, -0.08), (0.75 - 0.08, 0.75 + 0.08))],
+    ids=["constant", "linear", "linear-falling", "sine", "sine-negative"],
+)
+def test_hurst_function_is_its_id(build, params, ends):
+    # H holds only (name, params): built from a list or by its builder it
+    # compares and hashes the same, survives pickling, and its values and
+    # range are the closed forms, bit for bit
+    H = build(*params)
+    assert [f.name for f in dataclasses.fields(H)] == ["name", "params"]
+    same = L.HurstFunction(H.name, list(params))
+    assert same == H and hash(same) == hash(H) and same.params == params
+    assert pickle.loads(pickle.dumps(H)) == H
+    t = np.linspace(0.0, 1.0, 4097)
+    assert np.array_equal(H(t), _HURST_FORMULAS[H.name](t, *params))
+    assert (H.h_low, H.h_high) == ends
+    assert H.holder_exponent == 1.0
+    with pytest.raises(ValueError, match=f"hurst_params for '{H.name}' must hold"):
+        L.HurstFunction(H.name, (*params, 0.1))
+    with pytest.raises(ValueError, match="hurst_name 'cubic' is not one of"):
+        L.HurstFunction("cubic", params)

@@ -1,4 +1,5 @@
-"""A ratchet on the package's settable values.
+"""A ratchet on the package's settable values, and a check of the same
+modules' exported names.
 
 A settable value is a parameter with a default, or a dataclass field, of a
 function, method or dataclass defined in one of the modules below; the
@@ -9,6 +10,8 @@ or removes a knob changes the number pinned here, so it shows in its diff.
 import dataclasses
 import importlib
 import inspect
+
+import pytest
 
 MODULES = ("stable", "wavelet", "process", "coeffs", "estimators", "bounds", "harness", "cli")
 
@@ -42,4 +45,13 @@ def settable_values() -> int:
 
 
 def test_settable_value_count():
-    assert settable_values() == 83
+    assert settable_values() == 74
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a removed name left in __all__ would break only `from module import *`
+    mod = importlib.import_module("lmsmlab." + name)
+    exported = getattr(mod, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    assert [key for key in exported if not hasattr(mod, key)] == []
