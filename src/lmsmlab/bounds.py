@@ -6,15 +6,18 @@ quadrature refinement.  Monte Carlo checks (coefficient scale, covariance
 decay, path-vs-frozen coefficient error) use the weight-vector form of the
 direct coefficients: weights depend only on grid geometry, so one weight
 matrix serves every replicate and the sampling cost is one matrix product per
-chunk of replicates.  The sampler hands each chunk's draws over a tile at a
-time to row blocks that meet the weights as they fill, on the calling thread
-(``stable.serial_matmul``), so no chunk of noise is held whole.
+chunk of replicates.  Each chunk of about two ``stable._TILE`` draws takes its
+noise from its own Philox stream, so the chunks are independent: the process's
+thread budget (``stable._threads``) draws them side by side, each thread
+taking its chunks' products on itself (``stable.serial_matmul``), and the
+coefficients are the same on every budget.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -27,7 +30,8 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw, _rng, moment_constant, serial_matmul, serial_rows, unit_sas
+from . import stable
+from .stable import StableLaw, _TILE, _stream, moment_constant, serial_matmul, unit_sas
 from .wavelet import PhiKernel, gauss_panel_sums
 
 __all__ = [
@@ -290,43 +294,6 @@ def _direct_weight_matrix(
     return W
 
 
-class _RowBlocks:
-    """A ``unit_sas`` sink for one chunk of draws, ``out.shape[0]`` rows of
-    ``b.shape[0]`` cells: it fills blocks of ``stable.serial_rows`` rows and
-    takes each full block's product with ``b`` into its rows of ``out``
-    (``stable.serial_matmul``), so the products are the calls one product
-    of the whole chunk would make."""
-
-    def __init__(self, out: np.ndarray, b: np.ndarray):
-        self.out, self.b = out, b
-        self.block = np.empty(serial_rows(out.shape[0], b) * b.shape[0])
-        self.filled = self.done = 0
-
-    def __call__(self, piece: np.ndarray) -> None:
-        while piece.size:
-            take = min(piece.size, self.block.size - self.filled)
-            self.block[self.filled : self.filled + take] = piece[:take]
-            self.filled += take
-            piece = piece[take:]
-            if self.filled == self.block.size:
-                self.flush()
-
-    def flush(self) -> None:
-        """Take the product of the rows filled so far: at the chunk's end,
-        its last block, which may be short."""
-        if self.filled:
-            a = self.block[: self.filled].reshape(-1, self.b.shape[0])
-            self.out[self.done : self.done + a.shape[0]] = serial_matmul(a, self.b)
-            self.done += a.shape[0]
-            self.filled = 0
-
-
-# replicates per unit_sas call: each chunk draws all its uniforms, then all
-# its exponentials, so the chunk fixes the draw stream; it does not set the
-# memory, since the draws reach the product a tile at a time
-_CHUNK = 1024
-
-
 def _draw_direct_coeffs(
     law: StableLaw,
     phi: PhiKernel,
@@ -337,19 +304,33 @@ def _draw_direct_coeffs(
     seed: int,
 ) -> np.ndarray:
     """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per
-    row, in chunks of ``_CHUNK`` rows.  ``unit_sas`` streams each chunk's
-    draws into a ``_RowBlocks`` sink, which meets the weights block by block
-    on the calling thread (``stable.serial_matmul``), so no chunk of noise is
-    held whole."""
+    row.  The rows go in chunks of about two ``_TILE`` draws, at least one
+    row each; chunk ``c`` draws its noise from ``_stream(seed, c)``, whose
+    setup is about 1% of a chunk's draws.  ``stable._threads`` workers, the
+    caller among them, take the chunks in turn and write each chunk's
+    ``serial_matmul`` with the weights into its rows, so each worker holds
+    about one chunk of noise, and the matrix does not depend on the budget.  An error in a chunk reaches the caller once every worker has
+    ended."""
     W = _direct_weight_matrix(law, phi, H, j, ks)
     n_k, n_cells = W.shape
-    rng = _rng(seed)
+    rows = max(1, 2 * _TILE // n_cells)
+    n_chunks = -(-replicates // rows)
+    threads = min(stable._threads, n_chunks)
     out = np.empty((replicates, n_k))
-    for done in range(0, replicates, _CHUNK):
-        m = min(_CHUNK, replicates - done)
-        blocks = _RowBlocks(out[done : done + m], W.T)
-        unit_sas(law.alpha, m * n_cells, rng, sink=blocks)
-        blocks.flush()
+
+    def work(first: int) -> None:
+        for c in range(first, n_chunks, threads):
+            lo = c * rows
+            m = min(rows, replicates - lo)
+            dz = unit_sas(law.alpha, m * n_cells, _stream(seed, c))
+            out[lo : lo + m] = serial_matmul(dz.reshape(m, n_cells), W.T)
+
+    # on one thread nothing is submitted, and the pool starts no thread
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        others = [pool.submit(work, w) for w in range(1, threads)]
+        work(0)
+    for f in others:
+        f.result()
     return out
 
 

@@ -10,6 +10,7 @@ then the config file; whichever wins is echoed in the output manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,7 +48,7 @@ def _resolve(args) -> ExperimentConfig:
     if args.out is not None:
         updates["out_dir"] = args.out
     if updates:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **updates})
+        cfg = dataclasses.replace(cfg, **updates)
     cfg.validate()
     return cfg
 

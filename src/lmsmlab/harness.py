@@ -125,6 +125,9 @@ class ExperimentConfig:
         # StableLaw checks alpha first; interval_mode and t0 before
         # intervals(), which reads float(self.t0)
         alpha = self.law.alpha
+        for key in ("hurst_params", "j_range", "interval"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         if not self.j_range or min(self.j_range) < 1:
             raise ValueError(f"j_range must hold levels >= 1, got {self.j_range}")
         if len(self.interval) != 2:
@@ -171,9 +174,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         for key in ("hurst_params", "j_range", "interval"):
-            if key in d:
-                if not isinstance(d[key], (list, tuple)):
-                    raise ValueError(f"{key} must be a list, got {d[key]!r}")
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -333,8 +334,9 @@ def _manifest(config: ExperimentConfig) -> dict:
 
 
 def _replicate_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool for replicates; each worker's thread budget is 1 (noise
-    transform and FFTs on one thread), so the pool's processes do not
+    """Process pool for replicates; each worker's thread budget is 1 (the
+    field pass starts no helper thread, and ``bounds``' Monte Carlo runs its
+    chunks on the calling thread), so the pool's processes do not
     oversubscribe the CPUs."""
     return ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
                                initargs=(1,))

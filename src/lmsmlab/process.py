@@ -37,10 +37,10 @@ transformed once, the kernel values share one log t, each v's residue rows are
 transformed in blocks of up to four, into buffers allocated once per pass, and
 the far series of every v comes from one pass over the far noise, with the
 batch's largest certified term count.  A block's kernel half (its kernel values
-and their transform) needs no noise, so on a thread budget of two or more,
-shared with the noise sampler (see ``stable``), it runs one block ahead on a
-helper thread while the caller convolves the block before it with the noise;
-the rows are bitwise the same on every budget.  Time-varying Hurst values are then obtained by barycentric
+and their transform) needs no noise, so on a thread budget of two or more
+(see ``stable``), it runs one block ahead on a helper thread while the caller
+convolves the block before it with the noise; the rows are bitwise the same
+on every budget.  Time-varying Hurst values are then obtained by barycentric
 interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
 so a few dozen nodes reach near machine precision.  The path's far part is the
 series whose coefficients are the barycentric combination of the nodes'

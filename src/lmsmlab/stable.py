@@ -8,21 +8,14 @@ scale convention is the usual one for stable stochastic integrals: if
 Unit-scale draws come from the Chambers-Mallows-Stuck transform of a uniform
 angle and a standard exponential (Chambers, Mallows & Stuck 1976; Weron 1996;
 Samorodnitsky & Taqqu 1994).  The stream order is fixed: all ``n`` uniforms,
-then all ``n`` exponentials, from one Philox generator.  Philox is
-counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), so a copy of the generator can jump ``n`` words ahead at once: the
-uniforms come from the generator and the exponentials from the copy, both
-a tile at a time, without changing a single draw; the ziggurat
-exponential consumes a variable number of words, so the exponentials
-themselves stay one serial stream.  The transform is elementwise, so it runs
-over fixed tiles of ``_TILE`` elements spread across the process's threads
-(numpy ufuncs and the bit generators release the GIL), and one thread's
-transform overlaps the next tiles' draws on the others; every element goes
-through the same ufuncs in the same order as the whole-array expression, so
-the draws are bitwise identical for any thread count.  The tiles are handed
-over in stream order, into one array or to a caller's sink, so a caller that
-consumes the draws as they come (``bounds``' Monte Carlo products) holds no
-more than two tiles per thread of them.
+then all ``n`` exponentials, from one Philox generator.  The transform is
+elementwise, so it runs over fixed tiles of ``_TILE`` elements, on the
+calling thread: every element goes through the same ufuncs in the same order
+as the whole-array expression, so the tiles change no draw, and a tile's
+working set stays in cache.  Philox is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11): ``_stream`` gives
+independent streams of one key, which ``bounds``' Monte Carlo chunks draw
+from side by side.
 
 The transform is written for the ufuncs numpy vectorises.  With numpy 2.4 on
 an AVX-512 host (a 2-vCPU Xeon), float64 ``sin`` and ``cos`` are scalar libm
@@ -36,32 +29,27 @@ expression.  Without AVX-512 numpy's ``tan`` is a scalar call as well, and
 the gain shrinks.  The half angles are built from ``min(r, 1 - r)`` rather
 than from ``pi (r - 1/2)``, so no sine loses digits near ``r = 0`` or ``1``,
 where the direct expression's relative error grows to about 1e-8; the
-draws are within 5e-15 relative of 50-digit values of the transform.  They
-are bitwise identical across thread counts, but differ from the direct
-expression's in the last bits.
+draws are within 5e-15 relative of 50-digit values of the transform, and
+differ from the direct expression's in the last bits.
 
 The process has one thread budget, ``_threads``: every CPU in the affinity
 mask, and 1 in each worker of ``run_experiment``'s process pool
 (``_set_threads``), so that the pool's processes do not oversubscribe the
-CPUs.  This transform spreads its tiles over that many threads.
-``process.field_on_mesh`` runs each transform on the thread that makes the
-call (``numpy.fft`` has no thread option) and, on a budget of two or more,
+CPUs.  ``process.field_on_mesh`` runs each transform on the thread that makes
+the call (``numpy.fft`` has no thread option) and, on a budget of two or more,
 starts one helper thread per pass that builds the next block's kernel
 spectrum while the caller convolves the current block with the noise.
-Both give bitwise the same numbers on every budget.  ``bounds``' Monte
-Carlo draws, the path's far series and the frozen levels' far part take
-their matrix products through ``serial_matmul``, in blocks that BLAS runs
-on the calling thread; ``bounds`` fills its blocks of ``serial_rows`` rows
-from a sink, so its products are the calls that one product of a whole
-chunk of draws would make.
+``bounds``' Monte Carlo deals its chunks of replicates, each on its own
+stream, to that many threads, the caller among them.  Both give bitwise the
+same numbers on every budget.  Those chunks, the path's far series and the
+frozen levels' far part take their matrix products through
+``serial_matmul``, in blocks that BLAS runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,11 +85,18 @@ class StableLaw:
 def _rng(seed: int) -> np.random.Generator:
     # Philox is counter-based, so distinct integer keys give independent
     # streams without coordination; replicate r of an experiment uses seed ^ r.
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    return _stream(seed, 0)
 
 
-# elements per tile of the transform: a fixed slice, so the split never
-# depends on the thread count, and a tile's working set stays in cache
+def _stream(seed: int, c: int) -> np.random.Generator:
+    """Stream ``c`` of key ``seed``: Philox at counter ``(0, 0, c, 0)``, bit
+    for bit ``_rng(seed).bit_generator.jumped(c)``, 2^128 blocks past stream
+    ``c - 1``, but built in about 20 us against ``jumped``'s 48 us."""
+    return np.random.Generator(np.random.Philox(
+        counter=[0, 0, c, 0], key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+
+
+# elements per tile of the transform: a tile's working set stays in cache
 _TILE = 2**15
 
 # the process's thread budget (see the module docstring); read at each call
@@ -120,17 +115,6 @@ def _set_threads(n: int) -> None:
 _SERIAL_GEMM_MADDS = 4 * 65_536
 
 
-def serial_rows(m: int, b: np.ndarray) -> int:
-    """The rows of ``a`` that each ``np.matmul`` call of ``serial_matmul(a, b)``
-    takes for an ``a`` of ``m`` rows, counted from a's first row: all ``m``
-    when it splits b's columns instead.  ``serial_matmul`` of one such block
-    makes the calls that ``serial_matmul(a, b)`` makes for its rows, unless
-    one row times ``b`` alone is over ``_SERIAL_GEMM_MADDS``."""
-    if m > b.shape[1]:
-        return max(1, _SERIAL_GEMM_MADDS // b.size)
-    return m
-
-
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, in ``np.matmul`` calls of at most
     ``_SERIAL_GEMM_MADDS`` multiply-adds that BLAS runs on the calling thread.
@@ -140,8 +124,8 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     long dimension is the contraction, and one-column calls were slower and
     changed the estimates' last bits."""
     out = np.empty((a.shape[0], b.shape[1]))
-    rows = serial_rows(a.shape[0], b)
-    if rows < a.shape[0]:
+    if a.shape[0] > b.shape[1]:
+        rows = max(1, _SERIAL_GEMM_MADDS // b.size)
         for lo in range(0, a.shape[0], rows):
             np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
     else:
@@ -151,31 +135,7 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _skip(bit_generator: np.random.Philox, n: int) -> np.random.Generator:
-    """A generator on a copy of ``bit_generator`` that is ``n`` words ahead.
-
-    Philox makes its words in blocks of four from a counter.  The copy uses
-    up the words left in its buffer, moves the counter by whole blocks
-    (``advance`` counts blocks and empties the buffer), and draws the rest
-    of the ``n`` words.  ``advance`` also drops a buffered 32-bit half word,
-    which the copy gets back.  So the copy draws what the original draws
-    after ``n`` words, and its state is the original's then, except that a
-    used-up buffer may hold other stale words, which no draw reads."""
-    start = bit_generator.state
-    ahead = np.random.Philox(key=0)
-    ahead.state = start
-    rem = min(4 - start["buffer_pos"], n)
-    ahead.random_raw(rem, output=False)
-    if n - rem >= 4:
-        ahead.advance((n - rem) // 4)
-    ahead.random_raw((n - rem) % 4, output=False)
-    state = ahead.state
-    state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
-    ahead.state = state
-    return np.random.Generator(ahead)
-
-
-def unit_sas(alpha: float, n: int, rng: np.random.Generator, sink=None) -> np.ndarray | None:
+def unit_sas(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` unit-scale SaS variables via the CMS transform in half-angle form.
 
     With ``phi = pi (r - 1/2)``, ``m = min(r, 1 - r)`` and a standard
@@ -196,50 +156,18 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator, sink=None) -> np.nd
     formula is exact at alpha = 2, where it reduces to ``2 sin(phi) sqrt(W)``,
     a centered Gaussian with variance 2, so one expression serves every alpha.
 
-    ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials.  Uniform
-    ``i`` is Philox word ``i`` as ``(word >> 11) 2^-53``, which is what
-    ``Generator.random`` computes.  The draws are made and transformed one
-    ``_TILE`` at a time, in buffers allocated for the call: a tile's
-    uniforms come from ``rng.random`` itself, its exponentials from a Philox
-    copy skipped ``n`` words ahead (``_skip``), so both streams advance a
-    tile at a time.  Up to ``_threads`` threads (started for this call: a
-    module-level pool would have no threads in a forked child) share the
-    work: each stream's next tile, drawn by one thread at a time, each drawn
-    tile's transform, and the hand-over of the transformed tiles in stream
-    order.  So the next tiles' uniforms and exponentials are drawn, side by
-    side, while the current ones are transformed, and at most ``2 _threads``
-    tiles are in memory.  The generator then takes the copy's state, so
-    every budget leaves ``rng`` where ``random(n)`` and then
-    ``standard_exponential(n)`` would.
-
-    With a ``sink``, each tile's draws go to ``sink(piece)``, a float array
-    that is the sink's to read during the call; the calls come in stream
-    order, one at a time, from any of the threads, and ``unit_sas`` returns
-    None.  Without one, the pieces are copied into an array of ``n`` draws,
-    which is returned.  An error in any thread, the sink's included, stops
-    the others, and reaches the caller once every thread has ended.  The
-    transform works in place over the tile's uniforms, its exponentials and
-    two scratch tiles per thread.  Each element sees the same ufuncs in the
-    same order as the whole-array expression, so the draws are bitwise
-    identical for every budget.
+    ``rng`` yields all ``n`` uniforms, then all ``n`` exponentials, and is
+    left where ``random(n)`` and then ``standard_exponential(n)`` leave it.
+    ``rng.random`` puts the uniforms in the returned array; then, one
+    ``_TILE`` at a time, the tile's exponentials are drawn into a scratch
+    tile and the transform rewrites the tile's uniforms in place, with two
+    more scratch tiles.  Each element sees the same ufuncs in the same order
+    as the whole-array expression.  The call runs on the calling thread and
+    starts none: ``bounds``' Monte Carlo calls it from its chunk workers,
+    each on its own generator.
     """
-    out = None
-    if sink is None:
-        out, filled = np.empty(n), 0
-
-        def sink(piece: np.ndarray) -> None:
-            nonlocal filled
-            out[filled : filled + piece.size] = piece
-            filled += piece.size
-
-    if n == 0:
-        return out
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        raise TypeError(f"unit_sas draws from a Philox generator, got {type(bg).__name__}")
-    n_tiles = -(-n // _TILE)
-    threads = min(_threads, n_tiles)
-    ahead = _skip(bg, n)
+    out = np.empty(n)
+    rng.random(out=out)
     q = math.pi / 2.0
     k_c2, k_c1 = (1.0 - alpha) / alpha, -1.0 / alpha
 
@@ -289,84 +217,12 @@ def unit_sas(alpha: float, n: int, rng: np.random.Generator, sink=None) -> np.nd
         np.exp(e, out=e)
         np.multiply(u, e, out=u)
 
-    # the ``window`` tiles from the next one to hand over are in flight.  A
-    # thread takes the first task it finds: hand over the next tile once it
-    # is transformed; draw a stream's next tile in the window if no thread
-    # is drawing that stream; transform the next tile whose uniforms and
-    # exponentials are drawn.  It waits only when there is none: threads
-    # that took turns at every tile waited at every tile, and ran 5-11%
-    # slower on a 2-vCPU box
-    window = 2 * threads
-    uniforms, exps = np.empty((2, window, min(n, _TILE)))
-    ready = threading.Condition()
-    drawn = {"uniforms": 0, "exponentials": 0}
-    drawing = {"uniforms": False, "exponentials": False}
-    transformed = [False] * window
-    claimed = handed = 0
-    handing = failed = False
-
-    def next_task() -> tuple[str, int] | None:
-        # under ``ready``; None once every tile is handed over or a thread failed
-        nonlocal claimed, handing
-        while not failed:
-            if not handing and transformed[handed % window]:
-                handing = True
-                return "hand-over", handed
-            for stream in drawn:
-                if not drawing[stream] and drawn[stream] < min(n_tiles, handed + window):
-                    drawing[stream] = True
-                    return stream, drawn[stream]
-            if claimed < min(drawn.values()):
-                claimed += 1
-                return "transform", claimed - 1
-            if handed == n_tiles:
-                return None
-            ready.wait()
-        return None
-
-    def work() -> None:
-        nonlocal handed, handing, failed
-        m, x = np.empty((2, min(n, _TILE)))
-        try:
-            while True:
-                with ready:
-                    task = next_task()
-                if task is None:
-                    return
-                step, i = task
-                k, size = i % window, min(_TILE, n - i * _TILE)
-                u, e = uniforms[k, :size], exps[k, :size]
-                if step == "uniforms":
-                    rng.random(out=u)
-                elif step == "exponentials":
-                    ahead.standard_exponential(out=e)
-                elif step == "transform":
-                    transform(u, e, m[:size], x[:size])
-                else:
-                    sink(u)
-                with ready:
-                    if step in drawn:
-                        drawn[step] += 1
-                        drawing[step] = False
-                    elif step == "transform":
-                        transformed[k] = True
-                    else:
-                        transformed[k] = False
-                        handed, handing = handed + 1, False
-                    ready.notify_all()
-        except BaseException:
-            with ready:
-                failed = True
-                ready.notify_all()
-            raise
-
-    # on one thread nothing is submitted, and the pool starts no thread
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        others = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-    for f in others:
-        f.result()
-    bg.state = ahead.bit_generator.state
+    e, m, x = np.empty((3, min(n, _TILE)))
+    for lo in range(0, n, _TILE):
+        u = out[lo : lo + _TILE]
+        k = u.size
+        rng.standard_exponential(out=e[:k])
+        transform(u, e[:k], m[:k], x[:k])
     return out
 
 

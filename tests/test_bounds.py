@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -385,37 +386,75 @@ def test_scale_check_target_halves_per_level():
     assert t7 / t6 == pytest.approx(2.0**-h, rel=1e-14)
 
 
-def test_blocked_direct_coeffs_match_one_product(monkeypatch):
-    # the draws streamed into row blocks give bit for bit what each chunk's
-    # whole array of draws times the weights through serial_matmul gives, on
-    # budgets 1 and 2; 1,500 rows give a full chunk and a partial one, and 8
-    # shifts give blocks that divide neither.  bounds calls unit_sas once per
-    # chunk with the chunk's draw count, which the benchmark's tracer counts
-    from lmsmlab import bounds, stable
+def _direct_coeffs_by_chunk(alpha, W, replicates, seed):
+    # reference: chunk c's rows from unit_sas on stream c times the weights
+    # through serial_matmul, one chunk after another on this thread
+    from lmsmlab import stable
+
+    n_cells = W.shape[1]
+    rows = max(1, 2 * stable._TILE // n_cells)
+    out = []
+    for c, lo in enumerate(range(0, replicates, rows)):
+        m = min(rows, replicates - lo)
+        dz = stable.unit_sas(alpha, m * n_cells, stable._stream(seed, c))
+        out.append(stable.serial_matmul(dz.reshape(m, n_cells), W.T))
+    return np.concatenate(out)
+
+
+def test_direct_coeffs_are_the_same_on_every_budget(monkeypatch):
+    # on the covariance check's j = 8 shifts a chunk is 21 rows, so 100
+    # replicates make four whole chunks and a short one, dealt to 1, 2 or 4
+    # workers; every budget gives the per-chunk reference bit for bit
+    from lmsmlab import stable
 
     H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
     W = bounds._direct_weight_matrix(LAW, KERN, H, j, ks)
-    n_cells = W.shape[1]
-    assert 1024 * W.size > stable._SERIAL_GEMM_MADDS  # a chunk's product is blocked
-    counts = []
-
-    def spy(alpha, n, rng, **kwargs):
-        counts.append(n)
-        return stable.unit_sas(alpha, n, rng, **kwargs)
-
-    for threads in (1, 2):
+    ref = _direct_coeffs_by_chunk(LAW.alpha, W, 100, seed=5)
+    assert ref.shape == (100, len(ks))
+    for threads in (1, 2, 4):
         monkeypatch.setattr(stable, "_threads", threads)
-        rng, ref = stable._rng(5), []
-        for m in (1024, 476):
-            dz = stable.unit_sas(LAW.alpha, m * n_cells, rng).reshape(m, n_cells)
-            ref.append(stable.serial_matmul(dz, W.T))
-        ref = np.concatenate(ref)
-        with monkeypatch.context() as patch:
-            patch.setattr(bounds, "unit_sas", spy)
-            got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 1500, seed=5)
-        assert got.shape == ref.shape == (1500, len(ks))
+        got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 100, seed=5)
         assert got.tobytes() == ref.tobytes(), threads
-    assert counts == [1024 * n_cells, 476 * n_cells] * 2
+
+
+def _within(seconds, fn, *args):
+    # run fn on a thread, so that a hang fails the test instead of stalling it
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args)
+        except BaseException as exc:  # handed to the test below
+            box["error"] = exc
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"no return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 4])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_failed_chunk_reaches_caller(threads, chunk, monkeypatch):
+    # the draw of one chunk raises, on the caller (chunk 0) or on a worker:
+    # the error reaches the caller, and no worker thread is left running
+    from lmsmlab import stable
+
+    def draw(alpha, n, rng):
+        if rng.bit_generator.state["state"]["counter"][2] == chunk:
+            raise RuntimeError("injected draw failure")
+        return stable.unit_sas(alpha, n, rng)
+
+    monkeypatch.setattr(stable, "_threads", threads)
+    monkeypatch.setattr(bounds, "unit_sas", draw)
+    H, ks = L.constant_hurst(0.8), [64, 65, 66, 68, 72, 80, 96, 128]
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected draw failure"):
+        _within(60, bounds._draw_direct_coeffs, LAW, KERN, H, 8, ks, 100, 5)
+    assert threading.active_count() == before
 
 
 def test_direct_coeffs_hold_no_chunk_of_noise(monkeypatch):

@@ -72,10 +72,11 @@ def test_readme_config_example_is_valid():
     [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
      {"hurst_params": (0.8,)}, {"interval": (0.2,)}, {"j_range": ()},
      {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}, {"t_tail": 1.0},
-     {"hurst_name": "cubic"}],
+     {"hurst_name": "cubic"}, {"hurst_params": 0.8}, {"interval": 0.3}, {"j_range": 12}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
-         "delta=2^-8", "t_tail=1", "hurst_name=cubic"],
+         "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
+         "j_range=12"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -86,8 +87,9 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # h_high = 0.85 kernel by 0.29, over the 0.25 limit), to die in validate
     # with an error that named no field (one parameter for the linear H, one
     # interval end, no level, an unknown H kind), or to pass validate and ask
-    # for about 9 * 2^44 noise cells (level 40); validate only, no replicate
-    # runs
+    # for about 9 * 2^44 noise cells (level 40), or to die in validate with a
+    # TypeError that named no field (a scalar where a tuple belongs); validate
+    # only, no replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -107,9 +109,9 @@ def test_ram_guard_counts_four_transform_buffers():
                          ids=["hurst_params=0.8", "j_range=12"])
 def test_config_from_dict_names_a_scalar_list_field(bad):
     # a scalar where a list belongs used to die in tuple() with a TypeError
-    # that named no field
+    # that named no field; validate names it
     with pytest.raises(ValueError, match=next(iter(bad))):
-        ExperimentConfig.from_dict(bad)
+        ExperimentConfig.from_dict(bad).validate()
 
 
 def test_fmt17_roundtrips():

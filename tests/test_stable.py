@@ -1,6 +1,7 @@
 """Stable sampling against independent oracles: Gaussian endpoint, closed-form
 moment constants, and large-sample Monte Carlo."""
 
+import ast
 import contextlib
 import math
 import sys
@@ -88,15 +89,12 @@ def _predrawn(seed, pre):
     return rng
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
-def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
-    # thread budgets, tiles and the generator's position within its Philox
-    # block (0-3 words or a 32-bit half word drawn before) change neither the
-    # values nor the generator's full state, which must equal that after
-    # random(n) then standard_exponential(n); 4 threads take one tile each of
-    # the largest n, more threads than a small box has CPUs
-    monkeypatch.setattr(stable, "_threads", threads)
+def test_tiled_transform_is_bitwise_whole_array(alpha):
+    # tiles and the generator's position within its Philox block (0-3 words
+    # or a 32-bit half word drawn before) change neither the values nor the
+    # generator's full state, which must equal that after random(n) then
+    # standard_exponential(n)
     tile = stable._TILE
     for pre in (0, 1, 2, 3, "half"):
         for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
@@ -106,41 +104,12 @@ def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
             assert _state(rng) == _state(ref_rng), (pre, n)
 
 
-def test_skip_matches_drawn_words():
-    # the skipped copy is where the original is after n words, from every
-    # position in the buffered block and across many blocks: the same state
-    # (a used-up buffer's stale words aside, which no draw reads) and the
-    # same next words
-    for pre in (0, 1, 2, 3, 4, "half"):
-        for n in (0, 1, 2, 3, 4, 5, 8, 9, 1001):
-            rng = _predrawn(5, pre)
-            ahead = stable._skip(rng.bit_generator, n)
-            rng.bit_generator.random_raw(n)
-            got, want = _state(ahead), _state(rng)
-            if want[3] == 4:
-                got, want = got[:2] + got[3:], want[:2] + want[3:]
-            assert got == want, (pre, n)
-            assert (ahead.bit_generator.random_raw(9).tolist()
-                    == rng.bit_generator.random_raw(9).tolist()), (pre, n)
-
-
-def _within(seconds, fn, *args):
-    # run fn on a thread, so that a hang fails the test instead of stalling it
-    box = {}
-
-    def run():
-        try:
-            box["value"] = fn(*args)
-        except BaseException as exc:  # handed to the test below
-            box["error"] = exc
-
-    t = threading.Thread(target=run, daemon=True)
-    t.start()
-    t.join(seconds)
-    assert not t.is_alive(), f"no return within {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
+def test_stream_is_a_jump_of_the_key():
+    # stream c of a key is the key's generator jumped c times, state and draws
+    for c in (0, 1, 2, 7):
+        got, want = stable._stream(5, c), np.random.Generator(_rng(5).bit_generator.jumped(c))
+        assert _state(got) == _state(want), c
+        assert got.random(9).tobytes() == want.random(9).tobytes(), c
 
 
 @contextlib.contextmanager
@@ -154,131 +123,43 @@ def _fast_switching():
         sys.setswitchinterval(interval)
 
 
-def test_concurrent_draws_under_fast_switching(monkeypatch):
-    # more threads than CPUs and a thread switch every microsecond: a lost
-    # hand-off hangs (the time limit fails it) or transforms a tile before its
-    # exponentials land (the bits differ)
-    monkeypatch.setattr(stable, "_threads", 8)
-    n = 20 * stable._TILE + 3
+def test_concurrent_draws_under_fast_switching():
+    # unit_sas keeps no state between calls: 8 threads, more than a small box
+    # has CPUs, each drawing three streams of one key under a thread switch
+    # every microsecond, get the bits of the same calls made one at a time
+    n = 3 * stable._TILE + 3
+    want = [unit_sas(1.5, n, stable._stream(11, c)).tobytes() for c in range(24)]
+    got = [None] * 24
+
+    def draw(first):
+        for c in range(first, 24, 8):
+            got[c] = unit_sas(1.5, n, stable._stream(11, c)).tobytes()
+
+    threads = [threading.Thread(target=draw, args=(w,), daemon=True) for w in range(8)]
     with _fast_switching():
-        got = _within(120, unit_sas, 1.5, n, _rng(11))
-    assert got.tobytes() == _cms_whole_array(1.5, n, _rng(11)).tobytes()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    assert not any(t.is_alive() for t in threads), "no return within 120 s"
+    assert got == want
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_sink_pieces_join_to_array_result(threads, monkeypatch):
-    # for every n and generator position of the tiled test, the pieces handed
-    # to a sink are whole tiles but the last, join to the array result byte
-    # for byte, and leave the generator where the array result does
-    monkeypatch.setattr(stable, "_threads", threads)
-    tile = stable._TILE
-    for pre in (0, 1, 2, 3, "half"):
-        for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
-            rng, ref_rng = _predrawn(9, pre), _predrawn(9, pre)
-            pieces = []
-            assert unit_sas(1.5, n, rng, sink=lambda p: pieces.append(p.copy())) is None
-            want = unit_sas(1.5, n, ref_rng)
-            assert [p.size for p in pieces] == [min(tile, n - lo) for lo in range(0, n, tile)]
-            assert np.concatenate([np.empty(0), *pieces]).tobytes() == want.tobytes(), (pre, n)
-            assert _state(rng) == _state(ref_rng), (pre, n)
-
-
-def test_sink_sees_pieces_in_stream_order(monkeypatch):
-    # more threads than CPUs and a thread switch every microsecond: the sink
-    # gets each tile once, in stream order, and never two tiles at once
-    monkeypatch.setattr(stable, "_threads", 8)
-    tile, n = stable._TILE, 20 * stable._TILE + 3
-    want = _cms_whole_array(1.5, n, _rng(11))
-    pieces, busy = [], threading.Lock()
-
-    def sink(piece):
-        assert busy.acquire(blocking=False), "two pieces handed over at once"
-        try:
-            pieces.append(piece.copy())
-        finally:
-            busy.release()
-
-    with _fast_switching():
-        _within(120, unit_sas, 1.5, n, _rng(11), sink)
-    assert len(pieces) == -(-n // tile)
-    for i, piece in enumerate(pieces):
-        assert piece.tobytes() == want[i * tile : (i + 1) * tile].tobytes(), i
-
-
-@pytest.mark.parametrize("call", [1, 3])
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_failed_sink_reaches_caller(threads, call, monkeypatch):
-    # the sink raises at its call-th piece: the error reaches the caller, no
-    # piece is handed over after it, and no thread is left running
-    monkeypatch.setattr(stable, "_threads", threads)
-    calls = []
-
-    def sink(piece):
-        calls.append(piece.size)
-        if len(calls) == call:
-            raise RuntimeError("injected sink failure")
-
+def test_sampler_starts_no_thread():
+    # the sampler is serial by construction: its module imports no thread
+    # machinery, and a call of three tiles leaves the thread count as it was
+    with open(stable.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert not imported & {"threading", "concurrent.futures"}
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="injected sink failure"):
-        _within(60, unit_sas, 1.5, 6 * stable._TILE, _rng(3), sink)
+    assert unit_sas(1.5, 3 * stable._TILE, _rng(3)).size == 3 * stable._TILE
     assert threading.active_count() == before
-    assert len(calls) == call
-
-
-class _FailingExponentials:
-    """Wraps a generator; its ``call``-th exponential draw raises."""
-
-    def __init__(self, gen, call):
-        self.gen, self.bit_generator, self.call = gen, gen.bit_generator, call
-
-    def standard_exponential(self, out):
-        self.call -= 1
-        if self.call == 0:
-            raise RuntimeError("injected draw failure")
-        self.gen.standard_exponential(out=out)
-
-
-@pytest.mark.parametrize("call", [1, 2, 5])
-@pytest.mark.parametrize("threads", [2, 4])
-def test_failed_exponential_draw_reaches_caller(threads, call, monkeypatch):
-    # an exponential tile draw fails on the thread that draws it: the error
-    # reaches the caller, and no thread is left waiting for a task or running
-    monkeypatch.setattr(stable, "_threads", threads)
-    skip = stable._skip
-    monkeypatch.setattr(stable, "_skip", lambda bg, n: _FailingExponentials(skip(bg, n), call))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="injected draw failure"):
-        _within(60, unit_sas, 1.5, 6 * stable._TILE, _rng(3))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("threads", [2, 4])
-def test_failed_word_draw_reaches_caller(threads, monkeypatch):
-    # the third tile's draw of the uniforms from the words fails while other
-    # threads draw exponentials, transform the first tiles or wait for a task
-    class FailingWords:
-        """Stands in for the generator; its third draw of uniforms raises."""
-
-        def __init__(self, gen):
-            self.gen, self.bit_generator, self.drawn = gen, gen.bit_generator, 0
-
-        def random(self, out):
-            self.drawn += 1
-            if self.drawn == 3:
-                raise RuntimeError("injected draw failure")
-            self.gen.random(out=out)
-
-    monkeypatch.setattr(stable, "_threads", threads)
-    rng = FailingWords(_rng(3))
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="injected draw failure"):
-        _within(60, unit_sas, 1.5, 6 * stable._TILE, rng)
-    assert threading.active_count() == before
-
-
-def test_unit_sas_needs_philox():
-    with pytest.raises(TypeError, match="Philox"):
-        unit_sas(1.5, 4, np.random.default_rng(1))
 
 
 def test_unit_sas_stream_is_pinned():
@@ -303,11 +184,10 @@ def test_unit_sas_stream_is_pinned():
 
 
 class _FixedDraws:
-    """Stands in for the generator and for its skipped copy: hands unit_sas
-    given uniforms and given exponentials, each from a cursor."""
+    """Stands in for the generator: hands unit_sas given uniforms and given
+    exponentials, each from a cursor."""
 
     def __init__(self, r, w):
-        self.bit_generator = np.random.Philox(key=0)
         self.r, self.w, self.drawn_r, self.drawn_w = r, w, 0, 0
 
     def random(self, out):
@@ -337,7 +217,7 @@ def _cms_sin_cos_power(alpha, r, w):
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 2.0])
-def test_unit_sas_matches_mpmath_oracle(alpha, monkeypatch):
+def test_unit_sas_matches_mpmath_oracle(alpha):
     # uniforms on the generator's 2^-53 lattice: 500 random ones, 100 within
     # 1e-6 of 0 and of 1 each, and the extreme lattice points
     g = np.random.default_rng(2024)
@@ -351,9 +231,7 @@ def test_unit_sas_matches_mpmath_oracle(alpha, monkeypatch):
     ])
     w = g.standard_exponential(r.size)
     w[:3] = [0.0, 1e-310, 40.0]
-    # the exponentials come from the stand-in, in the skipped copy's place
     draws = _FixedDraws(r, w)
-    monkeypatch.setattr(stable, "_skip", lambda bg, n: draws)
     got = unit_sas(alpha, r.size, draws)
     assert draws.drawn_r == draws.drawn_w == r.size
     exact = np.array([_cms_mpmath(alpha, ri, wi) for ri, wi in zip(r, w)])
