@@ -89,12 +89,16 @@ def _predrawn(seed, pre):
     return rng
 
 
+@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
-def test_tiled_transform_is_bitwise_whole_array(alpha):
-    # tiles and the generator's position within its Philox block (0-3 words
-    # or a 32-bit half word drawn before) change neither the values nor the
-    # generator's full state, which must equal that after random(n) then
-    # standard_exponential(n)
+def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
+    # thread budgets, tiles and the generator's position within its Philox
+    # block (0-3 words or a 32-bit half word drawn before) change neither the
+    # values nor the generator's full state, which must equal that after
+    # random(n) then standard_exponential(n); the sampler is serial, so the
+    # budget (which the field pass and the Monte Carlo chunks use) must not
+    # reach its bits
+    monkeypatch.setattr(stable, "_threads", threads)
     tile = stable._TILE
     for pre in (0, 1, 2, 3, "half"):
         for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
