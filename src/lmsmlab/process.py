@@ -63,7 +63,7 @@ from numpy.fft import irfft, rfft
 
 from . import stable
 from .stable import StableLaw, _rng, serial_matmul, unit_sas
-from .wavelet import PhiKernel, _binom_coeffs, _kappa, _poly_eval
+from .wavelet import PhiKernel, _binom_coeffs, _far_series_terms, _kappa, _poly_eval
 
 __all__ = [
     "HurstFunction",
@@ -114,6 +114,8 @@ class HurstFunction:
     def __post_init__(self):
         if self.name not in _HURST_KINDS:
             raise ValueError(f"hurst_name {self.name!r} is not one of {sorted(_HURST_KINDS)}")
+        if not isinstance(self.params, (list, tuple)):
+            raise ValueError(f"hurst_params must be a list, got {self.params!r}")
         n_params = _HURST_KINDS[self.name]
         if len(self.params) != n_params:
             raise ValueError(f"hurst_params for {self.name!r} must hold {n_params} values, "
@@ -314,23 +316,6 @@ def _fast_len(n: int) -> int:
     two; any other length grows by less than a factor 1.5."""
     p = 1 << (n - 1).bit_length()  # the smallest power of two >= n
     return 3 * p // 4 if 3 * p >= 4 * n else p
-
-
-def _far_series_terms(kappa: float, ratio: float) -> int:
-    """Fewest terms N whose certified remainder (``_far_remainder``) is at most
-    the unit roundoff 2^-53: below the rounding the moment sums carry anyway."""
-    n = 1
-    while _far_remainder(kappa, ratio, n) > 2.0**-53:
-        n += 1
-    return n
-
-
-def _far_remainder(kappa: float, ratio: float, n_terms: int) -> float:
-    # |binom(k, n)| <= k/n and |h|/(x_i + c) <= ratio < 1, so the terms past
-    # n_terms sum to at most k/(N+1) * ratio^(N+1)/(1 - ratio) times
-    # S = sum_far (x_i + c)^k |dZ_i|; coefficient 0 is the same expansion at
-    # h = -c (see ``_far_coeffs``), whose truncation adds that bound once more
-    return 2.0 * kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
 
 
 def _far_coeffs(

@@ -11,8 +11,11 @@ makes wavelet coefficients of the motion well localized.
 
 A wavelet is a polynomial on [0, 1] (the default is the minimal-degree
 quartic), so Phi has one closed-form route: a finite Taylor expansion of psi
-around s for moderate s, and a binomial-moment series for s <= -2 where the
-Taylor form would cancel catastrophically.  There is no quadrature fallback.
+around s on (-1/2, 1), and for s <= -1/2, where the Taylor form would cancel,
+the binomial series of (y - s)**kappa about the support's centre y = 1/2,
+whose moments are exact sums of psi's Taylor coefficients there.  That series
+and the field pass's take their term counts from one truncation rule,
+``_far_series_terms``.  There is no quadrature fallback.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ __all__ = [
 
 # Gauss-Legendre nodes/weights on [-1, 1], order 16; read only by gauss_panel_sums
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-# PhiKernel zeroes a polynomial wavelet's moments at or below this size
-_MOMENT_TOLERANCE = 1e-12
 
 
 def _poly_eval(coeffs: np.ndarray, x):
@@ -70,19 +70,30 @@ def _binom_coeffs(kappa: float, n_max: int) -> np.ndarray:
     return np.array(b)
 
 
+def _far_series_terms(kappa: float, ratio: float) -> int:
+    """Fewest terms N whose certified remainder (``_far_remainder``) is at most
+    the unit roundoff 2^-53: below the rounding the moment sums carry anyway."""
+    n = 1
+    while _far_remainder(kappa, ratio, n) > 2.0**-53:
+        n += 1
+    return n
+
+
+def _far_remainder(kappa: float, ratio, n_terms: int):
+    # the package's binomial series are sum_n binom(k, n) a_n r^n with
+    # |a_n| <= 1 and 0 <= r <= ratio < 1; |binom(k, n)| <= k/n, so the terms
+    # past n_terms sum to at most k/(N+1) * ratio^(N+1)/(1 - ratio).  The
+    # bound counts that twice: the field pass truncates its expansion at two
+    # points (see ``process._far_coeffs``), and Phi's series takes the same rule
+    return 2.0 * kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
+
+
 def _kappa(alpha: float, v: float) -> float:
     """kappa = v - 1/alpha for v in (1/alpha, 1); ValueError otherwise."""
     kappa = v - 1.0 / alpha
     if not 0.0 < kappa < 1.0 or v >= 1.0:
         raise ValueError(f"v must lie in (1/alpha, 1) = ({1.0 / alpha:.6f}, 1), got {v}")
     return kappa
-
-
-def _poly_der(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs)
-    if n <= 1:
-        return np.zeros(1)
-    return coeffs[1:] * np.arange(1, n)
 
 
 @dataclass(frozen=True)
@@ -190,12 +201,18 @@ class NormDetail:
 class PhiKernel:
     """Evaluator for Phi(s, v) = int (y - s)_+**(v - 1/alpha) psi(y) dy.
 
+    For s <= ``_SERIES_CUT`` Phi is the series about the support's centre,
+    Phi = x**kappa sum_n binom(kappa, n) m_n x**-n with x = 1/2 - s and
+    m_n = int_{|u| <= 1/2} psi(1/2 + u) u**n du, whose ratio is at most 1/2
+    there; ``phi``, ``phi_error_estimate`` and ``decay_envelope_constant`` read
+    its one coefficient vector.  On (-1/2, 1) Phi is the finite Taylor form.
+
     Immutable after construction; evaluation is pure, so instances can be
     shared freely.
     """
 
-    # switch point between the finite Taylor form and the far-field series
-    _SERIES_CUT = -2.0
+    # switch point between the finite Taylor form and the centred series
+    _SERIES_CUT = -0.5
 
     def __init__(self, alpha: float, wavelet: WaveletSpec | None = None):
         if not 1.0 < alpha <= 2.0:
@@ -203,38 +220,50 @@ class PhiKernel:
         self.alpha = float(alpha)
         self.wavelet = wavelet if wavelet is not None else default_wavelet()
         self._norm_cache: dict = {}
-        self._n_series = 80
         # psi^(m) / m! for m = 0..degree
         dc = np.asarray(self.wavelet.poly_coeffs, dtype=float)
         fact = 1.0
         self._taylor_polys = [dc]
         for m in range(1, dc.size):
-            dc = _poly_der(dc)
+            dc = dc[1:] * np.arange(1, dc.size)
             fact *= m
             self._taylor_polys.append(dc / fact)
-        m = self.wavelet.moments(self._n_series)
-        # moments below the admissibility tolerance are exact zeros of the
-        # ideal wavelet; keeping their rounding noise would wreck the
-        # far-field decay order
-        m[np.abs(m) <= _MOMENT_TOLERANCE] = 0.0
-        self._moments = m
+        # psi(1/2 + u) = sum_m t_m u^m, so m_n = sum_m t_m 2^-(n+m) / (n+m+1)
+        # over even n + m (odd powers of u integrate to zero); kappa < 1 needs
+        # no more terms than kappa = 1.  For the quartic the summands of m_0
+        # and m_1 are exact, so both vanish in floating point
+        t = np.array([_poly_eval(tp, 0.5) for tp in self._taylor_polys])
+        p = np.arange(_far_series_terms(1.0, 0.5) + 1)[:, None] + np.arange(t.size)
+        self._moments = np.where(p % 2 == 0, t * 0.5**p / (p + 1), 0.0).sum(axis=1)
+        # a bound on int |psi| >= |2^n m_n|: term n of the series is
+        # x^kappa binom(kappa, n) (2^n m_n) (1/(2x))^n, as _far_remainder needs
+        self._moment_bound = float(np.abs(t) @ (0.5 ** p[0] / (p[0] + 1)))
+
+    def _series_coeffs(self, kappa: float) -> np.ndarray:
+        """binom(kappa, n) m_n for n = 0..N, N = _far_series_terms(kappa, 1/2)."""
+        n = _far_series_terms(kappa, 0.5)
+        return _binom_coeffs(kappa, n) * self._moments[: n + 1]
+
+    def _branches(self, s):
+        """s as a 1-D array, with the masks of its Taylor and series points.
+        NaN takes the series and stays NaN; s >= 1 takes neither."""
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        far = ~(s_arr > self._SERIES_CUT)
+        return s_arr, (s_arr < 1.0) & ~far, far
 
     # -- pointwise evaluation -------------------------------------------------
 
     def phi(self, s, v: float):
         """Phi(s, v); exactly zero for s >= 1, vectorized over ``s``."""
         kappa = _kappa(self.alpha, float(v))
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        s_arr, near, far = self._branches(s)
         out = np.zeros_like(s_arr)
-        near = (s_arr < 1.0) & (s_arr > self._SERIES_CUT)
-        far = s_arr <= self._SERIES_CUT
         if near.any():
             out[near] = sum(self._taylor_terms(s_arr[near], kappa))
         if far.any():
-            out[far] = self._phi_series(s_arr[far], kappa)
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return float(out[0])
-        return out
+            x = 0.5 - s_arr[far]
+            out[far] = x**kappa * _poly_eval(self._series_coeffs(kappa), 1.0 / x)
+        return float(out[0]) if np.ndim(s) == 0 else out
 
     def _taylor_terms(self, s: np.ndarray, kappa: float):
         # Phi = sum_m psi^(m)(s)/m! * [(1-s)^(k+m+1) - (-s)_+^(k+m+1)]/(k+m+1)
@@ -244,62 +273,47 @@ class PhiKernel:
             p = kappa + m + 1.0
             yield _poly_eval(tp, s) * ((one_minus**p - neg**p) / p)
 
-    def _phi_series(self, s: np.ndarray, kappa: float) -> np.ndarray:
-        # (y - s)^kappa = x^kappa (1 + y/x)^kappa with x = -s, so
-        # Phi = sum_n binom(kappa, n) M_n x^(kappa-n); terms shrink at least
-        # geometrically for x >= 2
-        x = -s
-        acc = np.zeros_like(x)
-        xpow = x**kappa
-        b = _binom_coeffs(kappa, self._n_series)
-        for n in range(self._n_series + 1):
-            if n > 0:
-                xpow = xpow / x
-            mn = self._moments[n]
-            if mn != 0.0:
-                acc += b[n] * mn * xpow
-        return acc
-
     def phi_error_estimate(self, s, v: float):
         """Conservative evaluation-error bound alongside phi(s, v).
 
         Taylor branch: float cancellation, eps times the largest term.
-        Series branch: first neglected term over the geometric tail ratio.
+        Series branch: the certified remainder past the last term
+        (``_far_remainder``) plus Horner's rounding bound on the kept terms.
         """
         kappa = _kappa(self.alpha, float(v))
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        s_arr, near, far = self._branches(s)
         err = np.zeros_like(s_arr)
-        near = (s_arr < 1.0) & (s_arr > self._SERIES_CUT)
-        far = s_arr <= self._SERIES_CUT
+        eps = np.finfo(float).eps
         if near.any():
             peak = np.max([np.abs(t) for t in self._taylor_terms(s_arr[near], kappa)], axis=0)
-            err[near] = 16.0 * np.finfo(float).eps * peak
+            err[near] = 16.0 * eps * peak
         if far.any():
-            x = -s_arr[far]
-            n = self._n_series
-            b = _binom_coeffs(kappa, n + 1)[n + 1]
-            tail = abs(b) * np.max(np.abs(self._moments)) * x ** (kappa - n - 1.0)
-            err[far] = tail / (1.0 - 1.0 / np.maximum(x, 2.0)) + 4.0 * np.finfo(float).eps * x**kappa * np.max(
-                np.abs(self._moments)
-            )
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return float(err[0])
-        return err
+            x = 0.5 - s_arr[far]
+            c = self._series_coeffs(kappa)
+            tail = self._moment_bound * _far_remainder(kappa, 0.5 / x, c.size - 1)
+            # Horner over N + 1 terms rounds by at most about N eps times the
+            # sum of |terms|; the power and the product add two roundings
+            rounding = (c.size + 1) * eps * _poly_eval(np.abs(c), 1.0 / x)
+            err[far] = x**kappa * (tail + rounding)
+        return float(err[0]) if np.ndim(s) == 0 else err
 
     # -- far-field bounds ------------------------------------------------------
 
     def decay_envelope_constant(self, s_cut: float, kappa: float) -> float:
-        """A(S) with |Phi(s, v)| <= A(S) * (-s)**(kappa - 2) for s <= -S <= -2."""
+        """A(S) with |Phi(s, v)| <= A(S) * (-s)**(kappa - 2) for s <= -S <= -1/2.
+
+        For x = 1/2 - s >= X = S + 1/2 and an admissible wavelet (m_0 = m_1 = 0),
+        |Phi| <= x**(kappa - 2) [sum_{n >= 2} |c_n| x**(2 - n) + remainder
+        / x**(kappa - 2)], and x**(kappa - 2) <= (-s)**(kappa - 2).  The bracket
+        falls as x grows, so A(S) is its value at X.
+        """
         S = float(s_cut)
-        if S < 2.0:
-            raise ValueError("envelope valid only for s_cut >= 2")
-        b = _binom_coeffs(kappa, self._n_series)
-        total = 0.0
-        spow = 1.0  # S**(2-n) relative to n=2
-        for n in range(2, self._n_series + 1):
-            total += abs(b[n] * self._moments[n]) * spow
-            spow /= S
-        return total
+        if S < -self._SERIES_CUT or not 0.0 < kappa < 1.0:
+            raise ValueError(f"envelope needs s_cut >= 1/2 and kappa in (0, 1), got {S}, {kappa}")
+        c = self._series_coeffs(kappa)
+        X = S + 0.5
+        tail = self._moment_bound * X**2 * _far_remainder(kappa, 0.5 / X, c.size - 1)
+        return float(_poly_eval(np.abs(c[2:]), 1.0 / X)) + tail
 
     def tail_alpha_mass(self, s_cut: float, v: float) -> float:
         """Upper bound on int_{-inf}^{-s_cut} |Phi(u, v)|**alpha du."""

@@ -257,7 +257,7 @@ def test_cost_contract_of_the_split(monkeypatch):
     c = 0.5
     ratio = c / (_NEAR_SPAN + 2.0**-16 + c)
     kappas = np.linspace(0.7, 0.85, 16) - 1.0 / LAW.alpha
-    assert max(L.process._far_series_terms(k, ratio) for k in kappas) == 29
+    assert max(L.wavelet._far_series_terms(k, ratio) for k in kappas) == 29
 
 
 _SPLIT_CASES = [
@@ -291,8 +291,8 @@ def test_far_series_remainder_is_certified():
     ratio = c / (x.min() + c)
     h = np.arange(round(1 / delta) * 4 + 1) * (delta / 4) - c
     kernel = (x[:, None] + c + h) ** kappa - x[:, None] ** kappa
-    n = L.process._far_series_terms(kappa, ratio)
-    assert L.process._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.process._far_remainder(kappa, ratio, n - 1)
+    n = L.wavelet._far_series_terms(kappa, ratio)
+    assert L.wavelet._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.wavelet._far_remainder(kappa, ratio, n - 1)
     # coefficient 0 comes from the moments; against the direct difference
     # sum [(x + c)^k - x^k] dZ it carries one of the two truncations that
     # _far_remainder counts
@@ -303,7 +303,7 @@ def test_far_series_remainder_is_certified():
         for n_terms in (1, 2, 4, 8, n):
             coef = L.process._far_coeffs(x, dz, kappa, c, n_terms)
             err = np.max(np.abs(_poly_eval(coef, h) - exact))
-            bound = L.process._far_remainder(kappa, ratio, n_terms) * scale
+            bound = L.wavelet._far_remainder(kappa, ratio, n_terms) * scale
             assert err <= bound + 1e-13
             assert abs(coef[0] - direct) <= bound / 2 + 1e-13
             if dz.min() > 0 and n_terms < n:  # one-signed noise: the bound is not vacuous
@@ -319,7 +319,7 @@ def test_far_series_remainder_is_certified():
                 direct = float(dz @ ((x + c) ** k - x ** k))
                 scale = float((x + c) ** k @ np.abs(dz))
                 err = np.max(np.abs(_poly_eval(coef, h) - exact))
-                bound = L.process._far_remainder(k, ratio, n_terms) * scale
+                bound = L.wavelet._far_remainder(k, ratio, n_terms) * scale
                 assert err <= bound + 1e-13
                 assert abs(coef[0] - direct) <= bound / 2 + 1e-13
 
@@ -461,7 +461,7 @@ def test_path_build_streams_node_rows(cells):
     n_fft = L.process._fast_len(_near_cells(g) + cells)
     log_table = refine * (i0 + cells + 1)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
     saved = L.stable._threads
     try:
@@ -567,7 +567,7 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     madds, matmul = [], np.matmul
 
     def spy(a, b, **kwargs):
@@ -592,7 +592,7 @@ def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
     frozen = FrozenLevels(interp, H, L.default_wavelet(), (5, 8, 10),
                           L.build_global_intervals((0.0, 1.0), 10))
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.process._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     assert n_terms + 1 != 16  # a level product's (16, n_terms + 1) left factor
     assert 16 * (n_terms + 1) * 2**10 > L.stable._SERIAL_GEMM_MADDS
     calls, matmul = [], np.matmul
@@ -917,3 +917,5 @@ def test_hurst_function_is_its_id(build, params, ends):
         L.HurstFunction(H.name, (*params, 0.1))
     with pytest.raises(ValueError, match="hurst_name 'cubic' is not one of"):
         L.HurstFunction("cubic", params)
+    with pytest.raises(ValueError, match=f"hurst_params must be a list, got {params[0]!r}"):
+        L.HurstFunction(H.name, params[0])

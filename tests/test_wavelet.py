@@ -99,10 +99,44 @@ def test_phi_matches_brute_oracle_grid(alpha):
 
 def test_phi_branch_continuity_at_switch():
     k = PhiKernel(1.5)
+    cut = k._SERIES_CUT
     for v in (0.7, 0.8, 0.9):
-        left = k.phi(-2.0 - 1e-9, v)
-        right = k.phi(-2.0 + 1e-9, v)
+        left = k.phi(cut - 1e-9, v)
+        right = k.phi(cut + 1e-9, v)
         assert left == pytest.approx(right, rel=1e-7)
+
+
+def mpmath_phi(s: float, v: float, alpha: float) -> float:
+    """Phi(s, v) by 40-digit mpmath quadrature of the kernel integral."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        kappa = mpmath.mpf(v) - 1 / mpmath.mpf(alpha)
+        s = mpmath.mpf(s)
+        psi = lambda y: sum(int(c) * y**i for i, c in enumerate(QUARTIC))  # noqa: E731
+        return float(mpmath.quad(lambda y: (y - s) ** kappa * psi(y), [0, 0.5, 1]))
+
+
+@pytest.mark.parametrize("alpha, v", [(1.5, 0.75), (1.2, 0.9), (1.8, 0.6), (1.5, 0.95)])
+def test_phi_series_matches_mpmath_reference(alpha, v):
+    # the centred series on [-40, -1/2], cut included, against 40 digits
+    k = PhiKernel(alpha)
+    s = np.concatenate([[k._SERIES_CUT], -np.geomspace(0.5 + 2.0**-20, 40.0, 40)])
+    ours = k.phi(s, v)
+    reference = np.array([mpmath_phi(x, v, alpha) for x in s])
+    assert np.max(np.abs(ours / reference - 1.0)) <= 1e-13
+
+
+def test_phi_and_its_error_estimate_keep_nan():
+    # NaN comes out as NaN, not as the zero of s >= 1; the finite points after
+    # it keep their values
+    k = PhiKernel(1.5)
+    s = np.array([np.nan, -1.0, 0.5])
+    for f in (k.phi, k.phi_error_estimate):
+        out = f(s, 0.8)
+        assert np.isnan(out[0]) and np.isfinite(out[1:]).all()
+        assert np.array_equal(out[1:], f(s[1:], 0.8))
+        assert np.isnan(f(np.nan, 0.8))
+    assert k.phi(np.array([1.0, 2.0]), 0.8).tolist() == [0.0, 0.0]
 
 
 def test_phi_rejects_bad_v():
@@ -126,15 +160,16 @@ def test_norm_positive_and_continuous_in_v():
 
 def test_norm_rounding_jitter_in_v_is_bounded():
     # across 64 steps of 1e-13 in v the norm moves by about 2e-13 relative per
-    # step, and jitters around that line by about 3e-12 relative: rounding in
-    # the Taylor branch's cancelling terms on (-2, 1).  corrected_hmin adds
-    # log2 of the norm over j, so this jitter is a rounding floor of its
-    # estimates; the bound keeps it from growing unnoticed
+    # step, and jitters around that line by 1.4e-14 to 2.3e-14 relative; the
+    # Taylor form's cancellation, were it used below s = -1/2, would lift that
+    # above 1e-12.  corrected_hmin adds log2 of the norm over j, so this jitter
+    # is a rounding floor of its estimates; the bound keeps it from growing
     k = PhiKernel(1.5)
     steps = np.arange(64)
-    norms = np.array([k.lalpha_norm(0.75 + i * 1e-13) for i in steps])
-    line = np.polyval(np.polyfit(steps, norms, 1), steps)
-    assert np.max(np.abs(norms - line)) < 1e-11 * norms[0]
+    for v in (0.7, 0.75, 0.85):
+        norms = np.array([k.lalpha_norm(v + i * 1e-13) for i in steps])
+        line = np.polyval(np.polyfit(steps, norms, 1), steps)
+        assert np.max(np.abs(norms - line)) < 2e-13 * norms[0]
 
 
 def test_norm_truncation_self_consistency():
@@ -146,6 +181,24 @@ def test_norm_truncation_self_consistency():
     m2 = k._alpha_integral(v, -2.0 * detail.s_max)
     assert abs(m2 - m1) <= detail.tail_bound * 1.5 + 1e-18
     assert detail.tail_bound < 1e-6 * m1
+
+
+def test_decay_envelope_bounds_phi_beyond_its_cut():
+    # |Phi(s, v)| <= A(S) (-s)^(kappa - 2) for every s <= -S, from the series'
+    # cut outwards, and the bound is within a factor 2 of Phi far out
+    for alpha in (1.2, 1.5, 2.0):
+        k = PhiKernel(alpha)
+        for v in (1.0 / alpha + 0.01, 0.5 / alpha + 0.5, 0.99):
+            kappa = v - 1.0 / alpha
+            for S in (0.5, 2.0, 64.0):
+                s = -S * np.geomspace(1.0, 1e4, 200)
+                envelope = k.decay_envelope_constant(S, kappa) * (-s) ** (kappa - 2.0)
+                assert np.all(np.abs(k.phi(s, v)) <= envelope)
+            assert envelope[-1] < 2.0 * abs(k.phi(s[-1], v))
+    # inside the cut, and a kappa of a v below 1/alpha (v = 0.8 at alpha 1.2)
+    for S, kappa in ((0.25, 0.1), (2.0, 0.8 - 1.0 / 1.2)):
+        with pytest.raises(ValueError, match="envelope needs s_cut >= 1/2 and kappa in"):
+            PhiKernel(1.2).decay_envelope_constant(S, kappa)
 
 
 def test_decay_certificate_stable_under_refinement():
