@@ -7,16 +7,17 @@ decay, path-vs-frozen coefficient error) use the weight-vector form of the
 direct coefficients: weights depend only on grid geometry, so one weight
 matrix serves every replicate and the sampling cost is one matrix product per
 chunk of replicates.  Each chunk of about two ``stable._TILE`` draws takes its
-noise from its own Philox stream, so the chunks are independent: the process's
-thread budget (``stable._threads``) draws them side by side, each thread
+noise from its own Philox stream, so the chunks are independent: ``_threads``
+workers, one per CPU of the affinity mask, draw them side by side, each
 taking its chunks' products on itself (``stable.serial_matmul``), and the
-coefficients are the same on every budget.
+coefficients are the same for every worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -30,7 +31,6 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from . import stable
 from .stable import StableLaw, _TILE, _stream, moment_constant, serial_matmul, unit_sas
 from .wavelet import PhiKernel, gauss_panel_sums
 
@@ -270,6 +270,9 @@ _SCALE_REL_TOL = 0.05
 _COV_SLACK = 0.3
 _APPROX_SLACK, _APPROX_PASS_FRACTION, _APPROX_REPLICATES = 0.15, 0.8, 20
 
+# the Monte Carlo's chunk workers: one per CPU of the affinity mask
+_threads = len(os.sched_getaffinity(0))
+
 
 def _direct_weight_matrix(
     law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks
@@ -306,16 +309,17 @@ def _draw_direct_coeffs(
     """(replicates x len(ks)) matrix of frozen-Hurst coefficients, fresh noise per
     row.  The rows go in chunks of about two ``_TILE`` draws, at least one
     row each; chunk ``c`` draws its noise from ``_stream(seed, c)``, whose
-    setup is about 1% of a chunk's draws.  ``stable._threads`` workers, the
-    caller among them, take the chunks in turn and write each chunk's
+    setup is about 1% of a chunk's draws.  ``_threads`` workers, the caller
+    among them, take the chunks in turn and write each chunk's
     ``serial_matmul`` with the weights into its rows, so each worker holds
-    about one chunk of noise, and the matrix does not depend on the budget.  An error in a chunk reaches the caller once every worker has
+    about one chunk of noise, and the matrix does not depend on the worker
+    count.  An error in a chunk reaches the caller once every worker has
     ended."""
     W = _direct_weight_matrix(law, phi, H, j, ks)
     n_k, n_cells = W.shape
     rows = max(1, 2 * _TILE // n_cells)
     n_chunks = -(-replicates // rows)
-    threads = min(stable._threads, n_chunks)
+    threads = min(_threads, n_chunks)
     out = np.empty((replicates, n_k))
 
     def work(first: int) -> None:

@@ -7,11 +7,14 @@ output directory.  The path noise is unit-scale SaS, the law that
 ``corrected_hmin`` assumes, and the analysing wavelet is ``default_wavelet``.
 Replicate r draws its noise from the stream seed ^ r, so results are
 independent of worker count and execution order, and identical (config,
-seed) pairs produce byte-identical CSV artifacts.
-``validate`` refuses what no replicate could run (a mesh too coarse for a
-level, a path larger than RAM, a noise domain too short for the path), all
-properties of the config, never of a noise draw.  So every replicate returns
-its records, and any exception a replicate raises is a bug that ends the run.
+seed) pairs produce byte-identical CSV artifacts.  ``workers > 1`` spreads
+the replicates over a plain process pool, whose workers run the field pass
+as the parent does, helper thread included.
+``validate`` refuses what no replicate could run (a field of the wrong type,
+a repeated level, a mesh too coarse for a level, a path larger than RAM, a
+noise domain too short for the path), all properties of the config, never of
+a noise draw.  So every replicate returns its records, and any exception a
+replicate raises is a bug that ends the run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +60,7 @@ from .process import (
     make_noise_grid,
     simulate_lmsm,
 )
-from .stable import StableLaw, _set_threads
+from .stable import StableLaw
 from .wavelet import PhiKernel, default_wavelet
 
 __all__ = [
@@ -75,6 +79,18 @@ def fmt17(x) -> str:
     if x is None:
         return ""
     return format(float(x), ".17g")
+
+
+# the config's numeric fields, each checked by validate entry by entry:
+# integers, and finite reals (delta and t0 may also be None); never a bool
+_INTEGER_FIELDS = ("replicates", "v_nodes", "path_refine", "workers", "seed", "j_range")
+_REAL_FIELDS = ("alpha", "beta", "t_tail", "delta", "t0", "hurst_params", "interval")
+
+
+def _is_number(x, integer: bool) -> bool:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real):
+        return False
+    return integer or math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -122,14 +138,24 @@ class ExperimentConfig:
         return build_local_intervals(float(self.t0), j_max)
 
     def validate(self) -> None:
-        # StableLaw checks alpha first; interval_mode and t0 before
-        # intervals(), which reads float(self.t0)
-        alpha = self.law.alpha
+        # every field's type first; then StableLaw checks alpha, and
+        # interval_mode and t0 go before intervals(), which reads float(self.t0)
         for key in ("hurst_params", "j_range", "interval"):
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
+        for key in _INTEGER_FIELDS + _REAL_FIELDS:
+            value, integer = getattr(self, key), key in _INTEGER_FIELDS
+            if value is None and key in ("delta", "t0"):
+                continue
+            entries = value if isinstance(value, (list, tuple)) else (value,)
+            if not all(_is_number(x, integer) for x in entries):
+                kind = "integers" if integer else "finite reals"
+                raise ValueError(f"{key} takes {kind} only, got {value!r}")
+        alpha = self.law.alpha
         if not self.j_range or min(self.j_range) < 1:
             raise ValueError(f"j_range must hold levels >= 1, got {self.j_range}")
+        if len(set(self.j_range)) < len(self.j_range):
+            raise ValueError(f"j_range must hold distinct levels, got {self.j_range}")
         if len(self.interval) != 2:
             raise ValueError(f"interval must be (lo, hi), got {self.interval}")
         if self.interval_mode not in ("global", "local"):
@@ -140,14 +166,9 @@ class ExperimentConfig:
             raise ValueError(f"beta={self.beta} outside (0, alpha/4) for alpha={alpha}")
         self.hurst().validate(alpha)
         self.intervals()
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.t_tail < 1.0:
-            raise ValueError("t_tail must be >= 1")
-        if self.v_nodes < 2:
-            raise ValueError("v_nodes must be >= 2")
-        if self.path_refine < 1:
-            raise ValueError("path_refine must be >= 1")
+        for key, low in (("replicates", 1), ("t_tail", 1), ("v_nodes", 2), ("path_refine", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         try:
             check_path_memory(-self.t_tail, self.noise_delta, self.path_refine,
                               self.v_nodes)
@@ -333,15 +354,6 @@ def _manifest(config: ExperimentConfig) -> dict:
     }
 
 
-def _replicate_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool for replicates; each worker's thread budget is 1 (the
-    field pass starts no helper thread, and ``bounds``' Monte Carlo runs its
-    chunks on the calling thread), so the pool's processes do not
-    oversubscribe the CPUs."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_set_threads,
-                               initargs=(1,))
-
-
 def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     """Run the full replicate batch, aggregate, and write the artifacts to
     ``config.out_dir``.  An exception in a replicate ends the run before any
@@ -352,7 +364,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     os.makedirs(out, exist_ok=True)
     reps = range(config.replicates)
     if config.workers > 1:
-        with _replicate_pool(config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             per_replicate = list(pool.map(run_replicate, [config] * len(reps), reps))
     else:
         per_replicate = [run_replicate(config, r) for r in reps]

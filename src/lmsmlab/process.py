@@ -37,12 +37,11 @@ transformed once, the kernel values share one log t, each v's residue rows are
 transformed in blocks of up to four, into buffers allocated once per pass, and
 the far series of every v comes from one pass over the far noise, with the
 batch's largest certified term count.  A block's kernel half (its kernel values
-and their transform) needs no noise, so on a thread budget of two or more
-(see ``stable``), it runs one block ahead on a helper thread while the caller
-convolves the block before it with the noise; the rows are bitwise the same
-on every budget.  Time-varying Hurst values are then obtained by barycentric
-interpolation across a Chebyshev grid of v-nodes; the field is analytic in v,
-so a few dozen nodes reach near machine precision.  The path's far part is the
+and their transform) needs no noise, so it runs one block ahead on a helper
+thread while the caller convolves the block before it with the noise.
+Time-varying Hurst values are then obtained by barycentric interpolation
+across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
+dozen nodes reach near machine precision.  The path's far part is the
 series whose coefficients are the barycentric combination of the nodes'
 coefficients at H(t); the barycentric sums go one block of 16,384 mesh points
 at a time and keep one mesh-length array, their numerator.
@@ -52,7 +51,6 @@ route is tested against.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from . import stable
 from .stable import StableLaw, _rng, serial_matmul, unit_sas
 from .wavelet import PhiKernel, _binom_coeffs, _far_series_terms, _kappa, _poly_eval
 
@@ -387,21 +384,17 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     term over the near cells, b = sum_{s_i < 0} (-s_i)^kappa dZ_i.  Stage 2
     multiplies by the noise spectrum, inverts, and copies the block's
     residues into the node's mesh row; after the node's last block it
-    subtracts b and hands the row on.  On a thread budget
-    (``stable._threads``) of two or more, stage 1 of the next block runs on
-    one helper thread, started for the pass, while the caller runs stage 2;
-    on a budget of 1 (a worker of ``run_experiment``'s pool) the blocks run
-    in turn on the caller.  A pass allocates its workspace once, and every
-    2-D transform writes into it (``out=``): the kernel values over their
-    support, i0 + K + 1 points, which rfft pads with zeros to L; a ring of
-    spectra, two on the helper's budget (block n's in slot n % 2, free
-    because the caller is done with block n - 2) and one on a budget of 1;
-    and the convolution.  Each holds min(4, refine) rows, and every row gets
-    the same arithmetic in the same order on every budget: the rows are
-    bitwise identical for any budget.  The ``log t`` table, refine rows of
-    i0 + K + 1 points, is kept: taking each block's logs afresh held 8 MB
-    less at criterion 8 but made a replicate about 6% slower (2-core
-    machine).  Four rows, because one thread transforms four
+    subtracts b and hands the row on.  Stage 1 runs on one helper thread,
+    started for the pass and ended with it, one block ahead of the caller,
+    which runs stage 2; a pass of one block runs it there too.  A pass
+    allocates its workspace once, and every 2-D transform writes into it
+    (``out=``): the kernel values over their support, i0 + K + 1 points,
+    which rfft pads with zeros to L; a ring of two spectra (block n's in
+    slot n % 2, free because the caller is done with block n - 2); and the
+    convolution.  Each holds min(4, refine) rows.  The ``log t`` table,
+    refine rows of i0 + K + 1 points, is kept: taking each block's logs
+    afresh held 8 MB less at criterion 8 but made a replicate about 6%
+    slower (2-core machine).  Four rows, because one thread transforms four
     rows per call about as fast per row as eight, and two rows much slower:
     on a 2-core machine a forward and an inverse transform of eight rows of
     3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
@@ -459,27 +452,34 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     blocks = [(i, lo, min(lo + rows, refine))
               for i in range(kappa.size) for lo in range(0, refine, rows)]
     # the workspace, made once per pass: the kernel values over their support
-    # (rfft pads them with zeros to n_fft), a ring of spectra, one per block
-    # in flight, and the convolution
+    # (rfft pads them with zeros to n_fft), a ring of two spectra, one per
+    # block in flight, and the convolution
     gk = np.empty((rows, log_t.shape[1]))
-    ring = [np.empty((rows, n_fft // 2 + 1), complex)
-            for _ in range(1 + _helper_runs(len(blocks)))]
+    ring = np.empty((2, rows, n_fft // 2 + 1), complex)
     conv = np.empty((rows, n_fft))
 
     def kernel_spectrum(n):
         # stage 1, the kernel half of block n: its kernel values, the node's
-        # b on its first block, and their transform into ring slot n % 2 (or
-        # the one slot), which the caller is done with (see _one_ahead)
+        # b on its first block, and their transform into ring slot n % 2,
+        # which the caller is done with (see below)
         i, lo, hi = blocks[n]
         g = gk[: hi - lo]
         np.exp(np.multiply(log_t[lo:hi], kappa[i], out=g), out=g)
         b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
-        return rfft(g, n_fft, axis=-1, out=ring[n % len(ring)][: hi - lo]), b
+        return rfft(g, n_fft, axis=-1, out=ring[n % 2, : hi - lo]), b
 
     near = np.empty(K * refine + 1)
     mesh = near[:-1].reshape(K, refine)  # mesh index q*refine + rho is mesh[q, rho]
-    with _one_ahead(kernel_spectrum, range(len(blocks))) as spectra:
-        for (i, lo, hi), (spec, b_block) in zip(blocks, spectra):
+    # one helper thread runs stage 1 one block ahead: it starts block n + 1
+    # once the caller holds block n, so the caller is done with block n - 1
+    # and its ring slot; leaving the pool, also on an error, waits for the
+    # helper to end
+    with ThreadPoolExecutor(1) as helper:
+        ahead = helper.submit(kernel_spectrum, 0)
+        for n, (i, lo, hi) in enumerate(blocks):
+            spec, b_block = ahead.result()
+            if n + 1 < len(blocks):
+                ahead = helper.submit(kernel_spectrum, n + 1)
             # stage 2, with the noise: residue rho's row of the mesh is column
             # i0 + q of the convolution's row rho - lo
             spec *= zf
@@ -494,38 +494,6 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
             near[0] = 0.0  # the u = 0 kernel vanishes identically
             for consumer in consumers:
                 consumer.row(i, near)
-
-
-def _helper_runs(n_items: int) -> bool:
-    """Whether ``_one_ahead`` runs a helper thread for n_items items."""
-    return stable._threads >= 2 and n_items >= 2
-
-
-@contextlib.contextmanager
-def _one_ahead(fn, items):
-    """An iterator over fn(item) for the items in order.  With a thread budget
-    (``stable._threads``) of 2 or more and two or more items, fn(items[n + 1])
-    runs on one helper thread, started here, while the caller works on
-    fn(items[n]); leaving the block, also on an error, waits for the helper
-    to end.  Otherwise each fn(item) runs on the caller when the iterator
-    reaches it."""
-    if not _helper_runs(len(items)):
-        yield map(fn, items)
-        return
-    with ThreadPoolExecutor(1) as helper:
-
-        def results():
-            ahead = helper.submit(fn, items[0])
-            for item in items[1:]:
-                # the caller asks for a result once done with the last one,
-                # so the helper starts block n + 1 after the caller is done
-                # with block n - 1 and may reuse its buffers
-                out = ahead.result()
-                ahead = helper.submit(fn, item)
-                yield out
-            yield ahead.result()
-
-        yield results()
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:

@@ -32,24 +32,14 @@ where the direct expression's relative error grows to about 1e-8; the
 draws are within 5e-15 relative of 50-digit values of the transform, and
 differ from the direct expression's in the last bits.
 
-The process has one thread budget, ``_threads``: every CPU in the affinity
-mask, and 1 in each worker of ``run_experiment``'s process pool
-(``_set_threads``), so that the pool's processes do not oversubscribe the
-CPUs.  ``process.field_on_mesh`` runs each transform on the thread that makes
-the call (``numpy.fft`` has no thread option) and, on a budget of two or more,
-starts one helper thread per pass that builds the next block's kernel
-spectrum while the caller convolves the current block with the noise.
-``bounds``' Monte Carlo deals its chunks of replicates, each on its own
-stream, to that many threads, the caller among them.  Both give bitwise the
-same numbers on every budget.  Those chunks, the path's far series and the
-frozen levels' far part take their matrix products through
-``serial_matmul``, in blocks that BLAS runs on the calling thread.
+``serial_matmul`` takes the matrix products of ``bounds``' Monte Carlo
+chunks, the path's far series and the frozen levels' far part in blocks
+that BLAS runs on the calling thread.  The module holds no thread state.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +89,10 @@ def _stream(seed: int, c: int) -> np.random.Generator:
 # elements per tile of the transform: a tile's working set stays in cache
 _TILE = 2**15
 
-# the process's thread budget (see the module docstring); read at each call
-_threads = len(os.sched_getaffinity(0))
-
-
-def _set_threads(n: int) -> None:
-    global _threads
-    _threads = int(n)
-
-
 # OpenBLAS runs a dgemm on the calling thread up to this many multiply-adds
 # (SMP_THRESHOLD_MIN 65,536 times GEMM_MULTITHREAD_THRESHOLD 4); above it the
 # product wakes BLAS worker threads, which then busy-wait and take the CPUs
-# of the budget's threads
+# of the field pass's helper and the Monte Carlo's chunk workers
 _SERIAL_GEMM_MADDS = 4 * 65_536
 
 

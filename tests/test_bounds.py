@@ -404,15 +404,13 @@ def _direct_coeffs_by_chunk(alpha, W, replicates, seed):
 def test_direct_coeffs_are_the_same_on_every_budget(monkeypatch):
     # on the covariance check's j = 8 shifts a chunk is 21 rows, so 100
     # replicates make four whole chunks and a short one, dealt to 1, 2 or 4
-    # workers; every budget gives the per-chunk reference bit for bit
-    from lmsmlab import stable
-
+    # workers; every worker count gives the per-chunk reference bit for bit
     H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
     W = bounds._direct_weight_matrix(LAW, KERN, H, j, ks)
     ref = _direct_coeffs_by_chunk(LAW.alpha, W, 100, seed=5)
     assert ref.shape == (100, len(ks))
     for threads in (1, 2, 4):
-        monkeypatch.setattr(stable, "_threads", threads)
+        monkeypatch.setattr(bounds, "_threads", threads)
         got = bounds._draw_direct_coeffs(LAW, KERN, H, j, ks, 100, seed=5)
         assert got.tobytes() == ref.tobytes(), threads
 
@@ -448,7 +446,7 @@ def test_failed_chunk_reaches_caller(threads, chunk, monkeypatch):
             raise RuntimeError("injected draw failure")
         return stable.unit_sas(alpha, n, rng)
 
-    monkeypatch.setattr(stable, "_threads", threads)
+    monkeypatch.setattr(bounds, "_threads", threads)
     monkeypatch.setattr(bounds, "unit_sas", draw)
     H, ks = L.constant_hurst(0.8), [64, 65, 66, 68, 72, 80, 96, 128]
     before = threading.active_count()
@@ -461,12 +459,10 @@ def test_direct_coeffs_hold_no_chunk_of_noise(monkeypatch):
     # the draws reach the product a tile at a time: on the covariance check's
     # j = 8 shifts, 2,048 replicates peak below 16 MB traced, where one chunk
     # of 1,024 rows would take 25 MB of draws and 25 MB of exponentials; the
-    # budget is pinned, since each thread adds tiles in flight and scratch
+    # worker count is pinned, since each thread adds tiles in flight and scratch
     import tracemalloc
 
-    from lmsmlab import bounds, stable
-
-    monkeypatch.setattr(stable, "_threads", 4)
+    monkeypatch.setattr(bounds, "_threads", 4)
     H, j, ks = L.constant_hurst(0.8), 8, [64, 65, 66, 68, 72, 80, 96, 128]
     tracemalloc.start()
     try:

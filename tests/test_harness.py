@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,11 +73,18 @@ def test_readme_config_example_is_valid():
     [{"v_nodes": 1}, {"path_refine": 0}, {"alpha": 2.5}, {"j_range": (0, 4)}, {"delta": 3e-4},
      {"hurst_params": (0.8,)}, {"interval": (0.2,)}, {"j_range": ()},
      {"j_range": (40,), "delta": None}, {"delta": 2.0**-8}, {"t_tail": 1.0},
-     {"hurst_name": "cubic"}, {"hurst_params": 0.8}, {"interval": 0.3}, {"j_range": 12}],
+     {"hurst_name": "cubic"}, {"hurst_params": 0.8}, {"interval": 0.3}, {"j_range": 12},
+     {"replicates": 2.5}, {"v_nodes": 3.5}, {"path_refine": 2.5}, {"workers": 2.5},
+     {"workers": True}, {"seed": 1.5}, {"j_range": (4, 6.5)}, {"j_range": (6, 4, 6)},
+     {"alpha": "1.5"}, {"beta": "0.25"}, {"t_tail": math.inf}, {"delta": "0.0005"},
+     {"t0": math.nan}, {"hurst_params": (0.7, "x")}, {"interval": (0.0, math.nan)}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
-         "j_range=12"],
+         "j_range=12", "replicates=2.5", "v_nodes=3.5", "path_refine=2.5", "workers=2.5",
+         "workers=True", "seed=1.5", "j_range=(4,6.5)", "j_range=(6,4,6)", "alpha='1.5'",
+         "beta='0.25'", "t_tail=inf", "delta='0.0005'", "t0=nan", "hurst_params=(0.7,'x')",
+         "interval=(0,nan)"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -88,8 +96,12 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # with an error that named no field (one parameter for the linear H, one
     # interval end, no level, an unknown H kind), or to pass validate and ask
     # for about 9 * 2^44 noise cells (level 40), or to die in validate with a
-    # TypeError that named no field (a scalar where a tuple belongs); validate
-    # only, no replicate runs
+    # TypeError that named no field (a scalar where a tuple belongs).  The
+    # later cases each passed validate, to run silently on int(path_refine)
+    # or raise a bare TypeError in the run, or wrote duplicate rows for a
+    # repeated level, or died in validate with a TypeError or OverflowError
+    # that named no field (a string, a non-finite real); validate only, no
+    # replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -375,9 +387,8 @@ def test_a_bug_in_the_field_pass_ends_the_run(where, tmp_path, monkeypatch):
     # the kernel spectra) or in a consumer's row (the caller) is a bug, not a
     # failed replicate: run_replicate raises it, run_experiment ends with it
     # and writes no manifest, and the helper is gone either way
-    from lmsmlab import process, stable
+    from lmsmlab import process
 
-    monkeypatch.setattr(stable, "_threads", 2)
     owner, attr = (process, "rfft") if where == "kernel transform" else (
         process._Barycentric, "row")
     real = getattr(owner, attr)
@@ -404,23 +415,6 @@ def test_a_bug_in_the_field_pass_ends_the_run(where, tmp_path, monkeypatch):
         run_experiment(cfg)
     assert threading.active_count() == before
     assert not (tmp_path / "manifest.json").exists()
-
-
-def _budget_and_draw():
-    from lmsmlab import stable
-    return stable._threads, stable.unit_sas(1.5, 3 * stable._TILE + 7, stable._rng(4))
-
-
-def test_pool_workers_share_one_thread_budget():
-    # run_experiment's pool: a worker's one thread budget (noise transform and
-    # FFTs) is 1, so two processes do not each claim every CPU; the parent
-    # keeps every CPU, and a noise draw is the same bits on either side
-    with harness._replicate_pool(2) as pool:
-        threads, draw = pool.submit(_budget_and_draw).result(timeout=60)
-    assert threads == 1
-    here_threads, here = _budget_and_draw()
-    assert here_threads == len(os.sched_getaffinity(0))
-    assert draw.tobytes() == here.tobytes()
 
 
 def test_worker_count_does_not_change_results(tmp_path):

@@ -11,6 +11,7 @@ import os
 import pickle
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -154,33 +155,31 @@ def test_fft_length_contract(monkeypatch):
     # argument, n_near + K rounded up to a fast length, never the
     # linear-convolution size, and no keyword but axis and out.  Every 2-D
     # transform writes into the pass's workspace: the rffts of a pass into a
-    # ring of two buffers (one on a thread budget of 1), the irffts into one
+    # ring of two buffers, the irffts into one
     calls = _record_transforms(monkeypatch)
     # no far part, and n_near + K = 608 is not a fast length
     g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
     refine = 3
     n_fft = L.process._fast_len(_near_cells(g) + round(1 / g.delta))
     assert n_fft == 768 > _near_cells(g) + round(1 / g.delta) == 608
-    for threads in (1, 2):
-        monkeypatch.setattr(L.stable, "_threads", threads)
-        calls.clear()
-        field_on_mesh(g, 0.8, refine)
-        assert len(calls) == 1 + 2
-        field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
-        assert len(calls) == 1 + 2 + 1 + 2 * 3
-        assert all(n == n_fft for _, n, _ in calls)
-        noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
-        assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
-        for shape, _, kw in batched:
-            assert len(shape) == 2 and shape[0] == refine
-            assert set(kw) == {"axis", "out"} and kw["axis"] == -1
-        for one_pass, ring in ((calls[1:3], 1), (calls[4:], threads)):
-            outs = [kw["out"] for _, _, kw in one_pass]
-            spectra = [out for out in outs if out.dtype.kind == "c"]
-            convolutions = [out for out in outs if out.dtype.kind == "f"]
-            assert len(spectra) == len(convolutions) == len(one_pass) // 2
-            assert _distinct_buffers(spectra) == ring
-            assert _distinct_buffers(convolutions) == 1
+    field_on_mesh(g, 0.8, refine)
+    assert len(calls) == 1 + 2
+    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
+    assert len(calls) == 1 + 2 + 1 + 2 * 3
+    assert all(n == n_fft for _, n, _ in calls)
+    noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
+    assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
+    for shape, _, kw in batched:
+        assert len(shape) == 2 and shape[0] == refine
+        assert set(kw) == {"axis", "out"} and kw["axis"] == -1
+    # a one-block pass makes one spectrum, so it fills one slot of the ring
+    for one_pass, ring in ((calls[1:3], 1), (calls[4:], 2)):
+        outs = [kw["out"] for _, _, kw in one_pass]
+        spectra = [out for out in outs if out.dtype.kind == "c"]
+        convolutions = [out for out in outs if out.dtype.kind == "f"]
+        assert len(spectra) == len(convolutions) == len(one_pass) // 2
+        assert _distinct_buffers(spectra) == ring
+        assert _distinct_buffers(convolutions) == 1
 
 
 def test_fast_length_is_the_next_power_of_two_or_three_times_one():
@@ -442,17 +441,15 @@ def test_combine_streams_node_rows():
 
 # 2^-10 and 2^-13 put the peak in the far part's blocks, 2^-15 in the
 # transforms.  Measured tracemalloc peaks (2-core machine): 3.4, 9.6 and
-# 23.0 MB on a thread budget of 2, the same but 19.8 MB at 2^-15 on a
-# budget of 1
+# 23.0 MB
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
     # a 16-node path build never holds the 16 node rows: besides the field
     # pass's log t table, its transform buffers of min(4, refine) rows (the
-    # kernel values, one spectrum and the convolution on a budget of 1, and
-    # a second spectrum on 2) and the far part's blocks (one row per node
-    # and per series term, at most _CHUNK points long) it keeps at most four
-    # mesh rows (H(t), the barycentric numerator, the near row and the far
-    # part's h)
+    # kernel values, a ring of two spectra and the convolution) and the far
+    # part's blocks (one row per node and per series term, at most _CHUNK
+    # points long) it keeps at most four mesh rows (H(t), the barycentric
+    # numerator, the near row and the far part's h)
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
@@ -463,20 +460,14 @@ def test_path_build_streams_node_rows(cells):
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
-    saved = L.stable._threads
+    workspace = (2 + 2) * min(4, refine) * n_fft
+    tracemalloc.start()
     try:
-        for threads in (1, 2):
-            L.stable._set_threads(threads)
-            workspace = (2 + threads) * min(4, refine) * n_fft
-            tracemalloc.start()
-            try:
-                L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * (workspace + log_table + far_blocks + 4 * n)
+        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        L.stable._set_threads(saved)
+        tracemalloc.stop()
+    assert peak < 8 * (workspace + log_table + far_blocks + 4 * n)
 
 
 @pytest.mark.parametrize("cells", [2**13, 2**16])
@@ -488,25 +479,19 @@ def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
     # the transforms
     H = L.linear_hurst(0.7, 0.15)
     t_min, refine, n_nodes = -4.0, 8, 16
-    saved, peaks = L.stable._threads, []
+    tracemalloc.start()
     try:
-        for threads in (1, 2):
-            L.stable._set_threads(threads)
-            tracemalloc.start()
-            try:
-                g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
-                L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            del g
+        g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
+        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        L.stable._set_threads(saved)
+        tracemalloc.stop()
+    del g
     page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
-    for memory in (max(peaks), 2 * max(peaks)):
+    for memory in (peak, 2 * peak):
         monkeypatch.setattr(os, "sysconf", lambda name, pages=memory // page:
                             pages if name == "SC_PHYS_PAGES" else sysconf(name))
-        if memory == max(peaks):
+        if memory == peak:
             with pytest.raises(ValueError, match="values of noise and its spectrum.*exceed RAM"):
                 L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
         else:
@@ -526,36 +511,54 @@ class _ThreadCount:
         self.seen.append(threading.active_count())
 
 
+class _OnCaller:
+    """A stand-in for the field pass's one-thread pool that runs each task on
+    the caller as it is submitted: the pass with no helper thread."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def _pass_outputs(g, H, refine, *consumers):
+    # rows, path and frozen level 5 of one interpolant, the path's pass also
+    # feeding ``consumers``
+    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
+    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
+                          L.build_global_intervals((0.0, 1.0), 5))
+    return (field_on_mesh(g, interp.nodes, refine),
+            L.simulate_lmsm(interp, H, frozen, *consumers).values, frozen.level(5))
+
+
 # refine 1 and 3 are one block per node, 6 ends on a block of 2 rows
 @pytest.mark.parametrize("refine", [1, 3, 6, 8])
-def test_rows_do_not_depend_on_the_thread_budget(refine):
-    # on a budget of 1 the blocks run in turn on the caller; on 2 each
-    # block's kernel spectrum is built one block ahead on one helper thread.
-    # Rows, paths and frozen levels are bitwise the same, with and without a
-    # FrozenLevels consumer, and the helper is gone when the pass returns
+def test_rows_do_not_depend_on_the_thread_budget(refine, monkeypatch):
+    # one schedule: every pass builds each block's kernel spectrum one block
+    # ahead on one helper thread, which is alive at every row and gone when
+    # the pass returns.  Rows, paths and frozen levels are bitwise those of
+    # the same passes with every block on the caller, and the path is
+    # bitwise that of a pass that feeds no other consumer
     g = make_noise_grid(LAW, -4.0, 2.0**-9, seed=83)
     H = L.linear_hurst(0.7, 0.15)
-    saved, before = L.stable._threads, threading.active_count()
-    out = {}
-    try:
-        for threads in (1, 2):
-            L.stable._set_threads(threads)
-            interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
-            frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
-                                  L.build_global_intervals((0.0, 1.0), 5))
-            count = _ThreadCount()
-            out[threads] = (field_on_mesh(g, interp.nodes, refine),
-                            L.simulate_lmsm(interp, H).values,
-                            L.simulate_lmsm(interp, H, frozen, count).values,
-                            frozen.level(5))
-            # at most one helper per pass, and none on a budget of 1
-            assert set(count.seen) == {before + threads - 1}
-            assert threading.active_count() == before
-    finally:
-        L.stable._set_threads(saved)
-    for one, two in zip(out[1], out[2]):
+    before, count = threading.active_count(), _ThreadCount()
+    got = _pass_outputs(g, H, refine, count)
+    assert count.seen and set(count.seen) == {before + 1}
+    assert threading.active_count() == before
+    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
+    assert np.array_equal(got[1], L.simulate_lmsm(interp, H).values)
+    monkeypatch.setattr(L.process, "ThreadPoolExecutor", _OnCaller)
+    for one, two in zip(got, _pass_outputs(g, H, refine)):
         assert np.array_equal(one, two)
-    assert np.array_equal(out[1][1], out[1][2])
 
 
 def test_far_series_products_stay_on_the_calling_thread(monkeypatch):

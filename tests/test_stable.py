@@ -6,6 +6,8 @@ import contextlib
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,21 +93,25 @@ def _predrawn(seed, pre):
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
-def test_tiled_transform_is_bitwise_whole_array(alpha, threads, monkeypatch):
-    # thread budgets, tiles and the generator's position within its Philox
-    # block (0-3 words or a 32-bit half word drawn before) change neither the
-    # values nor the generator's full state, which must equal that after
-    # random(n) then standard_exponential(n); the sampler is serial, so the
-    # budget (which the field pass and the Monte Carlo chunks use) must not
-    # reach its bits
-    monkeypatch.setattr(stable, "_threads", threads)
+def test_tiled_transform_is_bitwise_whole_array(alpha, threads):
+    # tiles, the generator's position within its Philox block (0-3 words or
+    # a 32-bit half word drawn before) and ``threads`` callers at once, as
+    # bounds' Monte Carlo chunk workers call it, change neither the values
+    # nor the generator's full state, which must equal that after random(n)
+    # then standard_exponential(n)
     tile = stable._TILE
-    for pre in (0, 1, 2, 3, "half"):
-        for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7):
-            rng, ref_rng = _predrawn(9, pre), _predrawn(9, pre)
-            got = unit_sas(alpha, n, rng)
-            assert got.tobytes() == _cms_whole_array(alpha, n, ref_rng).tobytes(), (pre, n)
-            assert _state(rng) == _state(ref_rng), (pre, n)
+
+    def check(pre, n):
+        rng, ref_rng = _predrawn(9, pre), _predrawn(9, pre)
+        got = unit_sas(alpha, n, rng)
+        assert got.tobytes() == _cms_whole_array(alpha, n, ref_rng).tobytes(), (pre, n)
+        assert _state(rng) == _state(ref_rng), (pre, n)
+
+    cases = [(pre, n) for pre in (0, 1, 2, 3, "half")
+             for n in (0, 1, 5, tile - 1, tile, tile + 1, 3 * tile + 7)]
+    with ThreadPoolExecutor(threads) as pool:
+        for done in [pool.submit(check, *case) for case in cases]:
+            done.result()
 
 
 def test_stream_is_a_jump_of_the_key():
@@ -164,6 +170,25 @@ def test_sampler_starts_no_thread():
     before = threading.active_count()
     assert unit_sas(1.5, 3 * stable._TILE, _rng(3)).size == 3 * stable._TILE
     assert threading.active_count() == before
+
+
+def test_only_bounds_holds_a_thread_count():
+    # the field pass has one schedule and the sampler none, so stable holds
+    # no thread state, and bounds' Monte Carlo chunk workers are the one
+    # reader of a thread count: no other module of the package names
+    # _threads or asks for the affinity mask
+    assert not hasattr(stable, "_threads") and not hasattr(stable, "_set_threads")
+    for path in sorted(Path(stable.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        wanted = {"_threads", "sched_getaffinity"} if path.stem == "bounds" else set()
+        assert names & {"_threads", "sched_getaffinity"} == wanted, path.name
 
 
 def test_unit_sas_stream_is_pinned():
