@@ -5,7 +5,7 @@ fractional stable motion), a time-varying-H path on the same noise, and the
 wavelet coefficient pyramid whose per-level magnitudes already hint at the
 scaling law 2^(-jH).
 
-Run:  python demos/demo_paths_and_pyramid.py   (writes demo_pyramid.csv here)
+Run:  python demos/demo_paths_and_pyramid.py   (writes demo_pyramid/pyramid.csv here)
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from lmsmlab import (
     make_noise_grid,
     simulate_lmsm,
 )
-from lmsmlab.coeffs import pyramid_to_csv
+from lmsmlab.harness import write_pyramid_csv
 from lmsmlab.process import MeshFieldInterpolant
 
 law = StableLaw(alpha=1.5, scale=1.0)
@@ -55,5 +55,5 @@ for j in (4, 5, 6, 7, 8):
     print(f"  j={j}: {med_abs:.3e}{note}")
     prev = med_abs
 
-pyramid_to_csv(pyramid, "demo_pyramid.csv")
-print("\npyramid written to demo_pyramid.csv (one j,k,value row per coefficient)")
+fname = write_pyramid_csv(pyramid, "demo_pyramid")
+print(f"\npyramid written to {fname} (one j,k,value row per coefficient)")

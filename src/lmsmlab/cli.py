@@ -15,12 +15,14 @@ import json
 import os
 import sys
 
-from .coeffs import build_pyramid, pyramid_to_csv
+from .coeffs import build_pyramid
 from .harness import (
     ExperimentConfig,
     replicate_path,
     run_experiment,
     run_verification,
+    write_path_csv,
+    write_pyramid_csv,
     write_reports,
 )
 
@@ -55,22 +57,15 @@ def _resolve(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = replicate_path(cfg, 0)
-    fname = os.path.join(cfg.out_dir, "path.csv")
-    path.to_csv(fname)
-    print(fname)
+    print(write_path_csv(replicate_path(cfg, 0), cfg.out_dir))
     return 0
 
 
 def cmd_coeffs(args) -> int:
     cfg = _resolve(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     pyramid = build_pyramid(replicate_path(cfg, 0), cfg.wavelet(), cfg.j_range,
                             cfg.intervals())
-    fname = os.path.join(cfg.out_dir, "pyramid.csv")
-    pyramid_to_csv(pyramid, fname)
-    print(fname)
+    print(write_pyramid_csv(pyramid, cfg.out_dir))
     return 0
 
 

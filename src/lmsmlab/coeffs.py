@@ -39,7 +39,6 @@ __all__ = [
     "build_pyramid",
     "FrozenLevels",
     "max_coeff",
-    "pyramid_to_csv",
 ]
 
 
@@ -244,13 +243,3 @@ class FrozenLevels:
 def max_coeff(level: np.ndarray) -> float:
     """D_j = max |d_{j,k}| over the cells of a pyramid level."""
     return float(np.max(np.abs(level)))
-
-
-def pyramid_to_csv(pyramid: CoeffPyramid, fname) -> None:
-    with open(fname, "w") as fh:
-        fh.write(f"# wavelet: {pyramid.wavelet_id}\n")
-        fh.write(f"# seed: {pyramid.seed}\n")
-        fh.write("j,k,value\n")
-        for j in sorted(pyramid.levels):
-            for k, v in zip(pyramid.cells[j], pyramid.levels[j].tolist()):
-                fh.write(f"{j},{k},{v!r}\n")

@@ -7,9 +7,11 @@ output directory.  The path noise is unit-scale SaS, the law that
 ``corrected_hmin`` assumes, and the analysing wavelet is ``default_wavelet``.
 Replicate r draws its noise from the stream seed ^ r, so results are
 independent of worker count and execution order, and identical (config,
-seed) pairs produce byte-identical CSV artifacts.  ``workers > 1`` spreads
-the replicates over a plain process pool, whose workers run the field pass
-as the parent does, helper thread included.
+seed) pairs produce byte-identical CSV artifacts: this module writes every
+file of the package, through ``_write_csv`` (every real spelled by ``fmt17``)
+or ``_write_json``.  ``workers > 1`` spreads the replicates over a plain
+process pool, whose workers run the field pass as the parent does, helper
+thread included.
 ``validate`` refuses what no replicate could run (a field of the wrong type,
 a repeated level, a mesh too coarse for a level, a path larger than RAM, a
 noise domain too short for the path), all properties of the config, never of
@@ -40,7 +42,7 @@ from .bounds import (
     rq_sweep_report,
     scale_param_check,
 )
-from .coeffs import (ResolutionError, build_global_intervals, build_local_intervals,
+from .coeffs import (CoeffPyramid, ResolutionError, build_global_intervals, build_local_intervals,
                      build_pyramid, max_coeff, noise_step, samples_per_cell)
 from .estimators import (
     DegenerateReplicate,
@@ -70,6 +72,8 @@ __all__ = [
     "run_replicate",
     "replicate_path",
     "run_verification",
+    "write_path_csv",
+    "write_pyramid_csv",
     "fmt17",
 ]
 
@@ -79,6 +83,24 @@ def fmt17(x) -> str:
     if x is None:
         return ""
     return format(float(x), ".17g")
+
+
+def _write_csv(fname, comments, columns, rows) -> None:
+    """``# key: value`` per (key, value) of comments, the header, then one line
+    per row: text as is, integers as integers, reals (and None) by ``fmt17``."""
+    with open(fname, "w") as fh:
+        for key, value in comments:
+            fh.write(f"# {key}: {value}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(x) if isinstance(x, (str, numbers.Integral)) else fmt17(x)
+                              for x in row) + "\n")
+
+
+def _write_json(fname, obj) -> None:
+    with open(fname, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # the config's numeric fields, each checked by validate entry by entry:
@@ -166,7 +188,8 @@ class ExperimentConfig:
             raise ValueError(f"beta={self.beta} outside (0, alpha/4) for alpha={alpha}")
         self.hurst().validate(alpha)
         self.intervals()
-        for key, low in (("replicates", 1), ("t_tail", 1), ("v_nodes", 2), ("path_refine", 1)):
+        for key, low in (("replicates", 1), ("t_tail", 1), ("v_nodes", 2), ("path_refine", 1),
+                         ("workers", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
         try:
@@ -228,17 +251,8 @@ class ConvergenceTable:
     )
 
     def to_csv(self, fname) -> None:
-        with open(fname, "w") as fh:
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for row in self.rows:
-                cells = []
-                for col in self.COLUMNS:
-                    val = row[col]
-                    if col in ("j", "n_j", "flagged"):
-                        cells.append(str(int(val)))
-                    else:
-                        cells.append(fmt17(val))
-                fh.write(",".join(cells) + "\n")
+        _write_csv(fname, (), self.COLUMNS,
+                   ([row[col] for col in self.COLUMNS] for row in self.rows))
 
     def row(self, j: int) -> dict:
         for row in self.rows:
@@ -292,6 +306,10 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     return records
 
 
+def _stat(f, values: np.ndarray):
+    return float(f(values)) if values.size else None
+
+
 def _aggregate(config: ExperimentConfig, per_replicate: list) -> ConvergenceTable:
     H = config.hurst()
     intervals = config.intervals()
@@ -299,27 +317,25 @@ def _aggregate(config: ExperimentConfig, per_replicate: list) -> ConvergenceTabl
     for j in config.j_range:
         recs = [rec for records in per_replicate for rec in records if rec.j == j]
         good = [rec for rec in recs if not rec.flagged]
-        target = H.min_over(*intervals.interval(j))
-        h_vals = np.array([rec.h_hat for rec in good]) if good else np.array([])
+        h_vals = np.array([rec.h_hat for rec in good])
         hc_vals = np.array(
             [rec.h_hat_corrected for rec in good if rec.h_hat_corrected is not None]
         )
         a_vals = np.array(
             [rec.alpha_hat for rec in good if rec.alpha_hat is not None]
         )
-        q75, q25 = (np.percentile(h_vals, [75, 25]) if h_vals.size else (math.nan,) * 2)
         rows.append(
             {
                 "j": j,
                 "n_j": recs[0].n_j,
-                "target_hmin": target,
-                "h_mean": float(h_vals.mean()) if h_vals.size else None,
-                "h_median": float(np.median(h_vals)) if h_vals.size else None,
-                "h_iqr": float(q75 - q25) if h_vals.size else None,
-                "h_corr_mean": float(hc_vals.mean()) if hc_vals.size else None,
-                "h_corr_median": float(np.median(hc_vals)) if hc_vals.size else None,
-                "alpha_mean": float(a_vals.mean()) if a_vals.size else None,
-                "alpha_median": float(np.median(a_vals)) if a_vals.size else None,
+                "target_hmin": H.min_over(*intervals.interval(j)),
+                "h_mean": _stat(np.mean, h_vals),
+                "h_median": _stat(np.median, h_vals),
+                "h_iqr": _stat(lambda v: np.subtract(*np.percentile(v, [75, 25])), h_vals),
+                "h_corr_mean": _stat(np.mean, hc_vals),
+                "h_corr_median": _stat(np.median, hc_vals),
+                "alpha_mean": _stat(np.mean, a_vals),
+                "alpha_median": _stat(np.median, a_vals),
                 "flagged": len(recs) - len(good),
             }
         )
@@ -327,17 +343,11 @@ def _aggregate(config: ExperimentConfig, per_replicate: list) -> ConvergenceTabl
 
 
 def _write_records_csv(fname, per_replicate: list) -> None:
-    cols = "replicate,j,n_j,V_j,h_hat,h_hat_corrected,D_j,alpha_hat,flags\n"
-    with open(fname, "w") as fh:
-        fh.write(cols)
-        for r, records in enumerate(per_replicate):
-            for rec in records:
-                flags = ";".join(rec.flags)
-                fh.write(
-                    f"{r},{rec.j},{rec.n_j},{fmt17(rec.v_j)},{fmt17(rec.h_hat)},"
-                    f"{fmt17(rec.h_hat_corrected)},{fmt17(rec.d_j)},{fmt17(rec.alpha_hat)},"
-                    f"{flags}\n"
-                )
+    _write_csv(fname, (), ("replicate", "j", "n_j", "V_j", "h_hat", "h_hat_corrected", "D_j",
+                           "alpha_hat", "flags"),
+               ((r, rec.j, rec.n_j, rec.v_j, rec.h_hat, rec.h_hat_corrected, rec.d_j,
+                 rec.alpha_hat, ";".join(rec.flags))
+                for r, records in enumerate(per_replicate) for rec in records))
 
 
 def _manifest(config: ExperimentConfig) -> dict:
@@ -371,10 +381,7 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceTable:
     table = _aggregate(config, per_replicate)
     _write_records_csv(os.path.join(out, "records.csv"), per_replicate)
     table.to_csv(os.path.join(out, "table.csv"))
-    manifest = _manifest(config)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), _manifest(config))
     return table
 
 
@@ -413,7 +420,29 @@ def run_verification(config: ExperimentConfig) -> list[BoundReport]:
 def write_reports(reports: list[BoundReport], out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     fname = os.path.join(out_dir, "bound_reports.json")
-    with open(fname, "w") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(fname, [rep.to_dict() for rep in reports])
+    return fname
+
+
+def write_path_csv(path: SamplePath, out_dir: str) -> str:
+    """``path.csv``: a ``t,Y`` row per mesh time, under the noise's and H's ids."""
+    grid = path.field.grid
+    comments = {"kind": "lmsm", "alpha": grid.law.alpha, "scale": grid.law.scale,
+                "hurst": f"{path.H.name}{path.H.params}", "t_min": grid.t_min,
+                "delta": grid.delta, "seed": grid.seed}
+    os.makedirs(out_dir, exist_ok=True)
+    fname = os.path.join(out_dir, "path.csv")
+    _write_csv(fname, comments.items(), ("t", "Y"),
+               zip(path.times.tolist(), path.values.tolist()))
+    return fname
+
+
+def write_pyramid_csv(pyramid: CoeffPyramid, out_dir: str) -> str:
+    """``pyramid.csv``: a ``j,k,value`` row per coefficient, levels and shifts ascending."""
+    os.makedirs(out_dir, exist_ok=True)
+    fname = os.path.join(out_dir, "pyramid.csv")
+    _write_csv(fname, (("wavelet", pyramid.wavelet_id), ("seed", pyramid.seed)),
+               ("j", "k", "value"),
+               ((j, k, v) for j in sorted(pyramid.levels)
+                for k, v in zip(pyramid.cells[j], pyramid.levels[j].tolist())))
     return fname

@@ -128,22 +128,20 @@ class HurstFunction:
             return a + b * t
         return a + b * np.sin(2.0 * math.pi * t)
 
-    def _ends(self) -> tuple:
-        """H's smallest and largest value on [0, 1], in either order."""
-        if self.name == "constant":
-            return self.params * 2
-        a, b = self.params
-        if self.name == "sine":
-            return a - abs(b), a + abs(b)
-        return a, a + b
+    def _extremes(self, lo: float, hi: float) -> np.ndarray:
+        """H at lo, at hi and, for a sine, at its critical points 1/4 and 3/4
+        between them (0 <= lo <= hi <= 1): H's least and greatest value on
+        [lo, hi] are among these."""
+        critical = (0.25, 0.75) if self.name == "sine" else ()
+        return self([lo, hi, *(t for t in critical if lo < t < hi)])
 
     @property
     def h_low(self) -> float:
-        return min(self._ends())
+        return self.min_over(0.0, 1.0)
 
     @property
     def h_high(self) -> float:
-        return max(self._ends())
+        return float(np.max(self._extremes(0.0, 1.0)))
 
     def frozen(self, j: int, k) -> np.ndarray:
         """H_k = H(k 2^-j), the level a dyadic cell (j, k) is frozen at, for
@@ -162,9 +160,8 @@ class HurstFunction:
             )
 
     def min_over(self, lo: float, hi: float) -> float:
-        """min H on [lo, hi] by minimization over 4097 grid points."""
-        t = np.linspace(max(lo, 0.0), min(hi, 1.0), 4097)
-        return float(np.min(self(t)))
+        """min H on [lo, hi] inside [0, 1], exactly: at an end or a critical point."""
+        return float(np.min(self._extremes(max(lo, 0.0), min(hi, 1.0))))
 
 
 def constant_hurst(value: float) -> HurstFunction:
@@ -686,19 +683,6 @@ class SamplePath:
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.values.size) * self.field.t_step
-
-    def to_csv(self, fname) -> None:
-        """One ``t,Y`` row per mesh time, under a header naming the noise and H."""
-        grid = self.field.grid
-        header = {"kind": "lmsm", "alpha": grid.law.alpha, "scale": grid.law.scale,
-                  "hurst": f"{self.H.name}{self.H.params}", "t_min": grid.t_min,
-                  "delta": grid.delta, "seed": grid.seed}
-        with open(fname, "w") as fh:
-            for k, v in header.items():
-                fh.write(f"# {k}: {v}\n")
-            fh.write("t,Y\n")
-            for t, y in zip(self.times, self.values):
-                fh.write(f"{float(t)!r},{float(y)!r}\n")
 
 
 # the relative alpha-mass the noise-domain truncation may cost raw path

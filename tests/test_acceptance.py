@@ -102,12 +102,19 @@ def test_criterion_05_phi_decay_slopes():
             f"{r2.details['fitted_slope']:.3f} (need <= {r2.bound_exponent + 0.2:.3f}), {elapsed:.0f}s")
 
 
-def test_criterion_06_approximation_lemma():
+@pytest.fixture(scope="module")
+def approx_lemma():
+    # the approximation check with the verify bundle's arguments, once for
+    # criterion 6 and the bundle's direct call, with its own elapsed time
     t0 = time.time()
-    law = L.StableLaw(1.5, 1.0)
     h2 = L.linear_hurst(0.7, 0.15)  # C^1, rho_H = 1
-    rep = approx_error_check(law, default_wavelet(), h2, [6, 7, 8, 9, 10, 11], seed=4060)
-    elapsed = time.time() - t0
+    rep = approx_error_check(L.StableLaw(1.5, 1.0), default_wavelet(), h2,
+                             [6, 7, 8, 9, 10, 11], seed=4060)
+    return rep, time.time() - t0
+
+
+def test_criterion_06_approximation_lemma(approx_lemma):
+    rep, elapsed = approx_lemma
     # 20 replicates; at least 80% of the slopes at most -rho_H + 0.15
     ok = rep.passed and rep.tolerance == 0.15 and len(rep.details["slopes"]) == 20
     ok = ok and rep.details["passing_fraction"] >= 0.8 and elapsed < 600.0
@@ -209,7 +216,7 @@ def test_criterion_12_experiment_determinism(tmp_path):
     _report(12, "experiment determinism", same, f"byte-identical artifacts, {elapsed:.0f}s")
 
 
-def test_verification_suite_bundle(tmp_path):
+def test_verification_suite_bundle(tmp_path, approx_lemma):
     # the default `verify` bundle: at least 6 reports, all green, JSON emitted
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(6, 8), beta=0.25, t_tail=8.0, seed=4057,
@@ -237,7 +244,6 @@ def test_verification_suite_bundle(tmp_path):
         covariance_mc_check(law, kern, h, 8, [1, 2, 4, 8, 16, 32, 64], 0.25,
                             replicates=10_000, seed=4058),
         scale_param_check(law, kern, h, 6, [8, 32, 48], 0.25, replicates=10_000, seed=4059),
-        approx_error_check(law, default_wavelet(), L.linear_hurst(0.7, 0.15),
-                           [6, 7, 8, 9, 10, 11], seed=4060),
+        approx_lemma[0],
     ]
     assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in direct]

@@ -121,6 +121,26 @@ def test_no_invalid_value_is_silenced_in_the_package():
     assert silenced == []
 
 
+def test_only_harness_writes_files():
+    # harness is the one artifact layer: no other module of the package calls
+    # open with a mode that writes, appends or creates
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "lmsmlab")
+    writers = set()
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    modes = node.args[1:2] + [kw.value for kw in node.keywords
+                                              if kw.arg == "mode"]
+                    if any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value)
+                           for m in modes):
+                        writers.add(name)
+    assert writers == {"harness.py"}
+
+
 def test_report_dict_holds_json_types_only():
     # an np.bool_ comes out a JSON bool: its str, 'False', would be truthy
     arr = np.array([1.5, 2.0])

@@ -18,10 +18,10 @@ from lmsmlab.coeffs import (
     index_set,
     max_coeff,
     noise_step,
-    pyramid_to_csv,
     samples_per_cell,
 )
 from lmsmlab.coeffs import ResolutionError, _level_coeffs
+from lmsmlab.harness import write_pyramid_csv
 from lmsmlab.process import MeshFieldInterpolant, make_noise_grid
 
 QUARTIC = (Fraction(0), Fraction(1), Fraction(-6), Fraction(10), Fraction(-5))
@@ -187,12 +187,11 @@ def test_pyramid_rejects_cells_outside_unit_interval():
 
 
 def test_pyramid_csv_golden_bytes(tmp_path):
-    # levels ascending, shifts ascending within a level, repr of each value
-    pyr = CoeffPyramid(levels={2: np.array([1e-3, 0.1 + 0.2]), 1: np.array([0.5, -0.25])},
-                       cells={2: range(1, 3), 1: range(2)}, wavelet_id="quartic", seed=3)
-    fname = tmp_path / "pyr.csv"
-    pyramid_to_csv(pyr, fname)
-    assert fname.read_bytes() == (
+    # levels ascending, shifts ascending within a level, fmt17 of each value
+    pyr = CoeffPyramid(levels={2: np.array([1e-3, 0.1 + 0.2, 0.1]), 1: np.array([0.5, -0.25])},
+                       cells={2: range(1, 4), 1: range(2)}, wavelet_id="quartic", seed=3)
+    assert write_pyramid_csv(pyr, str(tmp_path)) == str(tmp_path / "pyramid.csv")
+    assert (tmp_path / "pyramid.csv").read_bytes() == (
         b"# wavelet: quartic\n"
         b"# seed: 3\n"
         b"j,k,value\n"
@@ -200,6 +199,7 @@ def test_pyramid_csv_golden_bytes(tmp_path):
         b"1,1,-0.25\n"
         b"2,1,0.001\n"
         b"2,2,0.30000000000000004\n"
+        b"2,3,0.10000000000000001\n"
     )
 
 

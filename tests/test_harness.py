@@ -15,7 +15,6 @@ import pytest
 from lmsmlab import harness
 from lmsmlab.bounds import BoundReport
 from lmsmlab.cli import main as cli_main
-from lmsmlab.coeffs import pyramid_to_csv
 from lmsmlab.estimators import DegenerateReplicate
 from lmsmlab.harness import (
     ConvergenceTable,
@@ -23,6 +22,7 @@ from lmsmlab.harness import (
     fmt17,
     run_experiment,
     run_replicate,
+    write_pyramid_csv,
     write_reports,
 )
 from lmsmlab.process import TruncationError
@@ -77,14 +77,15 @@ def test_readme_config_example_is_valid():
      {"replicates": 2.5}, {"v_nodes": 3.5}, {"path_refine": 2.5}, {"workers": 2.5},
      {"workers": True}, {"seed": 1.5}, {"j_range": (4, 6.5)}, {"j_range": (6, 4, 6)},
      {"alpha": "1.5"}, {"beta": "0.25"}, {"t_tail": math.inf}, {"delta": "0.0005"},
-     {"t0": math.nan}, {"hurst_params": (0.7, "x")}, {"interval": (0.0, math.nan)}],
+     {"t0": math.nan}, {"hurst_params": (0.7, "x")}, {"interval": (0.0, math.nan)},
+     {"workers": 0}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
          "j_range=12", "replicates=2.5", "v_nodes=3.5", "path_refine=2.5", "workers=2.5",
          "workers=True", "seed=1.5", "j_range=(4,6.5)", "j_range=(6,4,6)", "alpha='1.5'",
          "beta='0.25'", "t_tail=inf", "delta='0.0005'", "t0=nan", "hurst_params=(0.7,'x')",
-         "interval=(0,nan)"],
+         "interval=(0,nan)", "workers=0"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -100,7 +101,8 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # later cases each passed validate, to run silently on int(path_refine)
     # or raise a bare TypeError in the run, or wrote duplicate rows for a
     # repeated level, or died in validate with a TypeError or OverflowError
-    # that named no field (a string, a non-finite real); validate only, no
+    # that named no field (a string, a non-finite real), or passed validate
+    # to run serially and record a worker count of 0; validate only, no
     # replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
@@ -256,9 +258,8 @@ def test_cli_writes_replicate_zero(tmp_path, monkeypatch, capsys):
     assert rows.shape[0] == round(cfg.path_refine / cfg.delta) + 1
     assert np.array_equal(rows[:, 0], seen["simulate_lmsm"].times)
     assert np.array_equal(rows[:, 1], seen["simulate_lmsm"].values)
-    pyramid_to_csv(seen["build_pyramid"], tmp_path / "replicate0.csv")
-    assert filecmp.cmp(tmp_path / "out" / "pyramid.csv", tmp_path / "replicate0.csv",
-                       shallow=False)
+    replicate0 = write_pyramid_csv(seen["build_pyramid"], str(tmp_path / "replicate0"))
+    assert filecmp.cmp(tmp_path / "out" / "pyramid.csv", replicate0, shallow=False)
 
 
 def test_benchmark_trace_hooks_exist(tmp_path):

@@ -19,6 +19,7 @@ from scipy.integrate import quad
 
 import lmsmlab as L
 from lmsmlab.coeffs import FrozenLevels, noise_step
+from lmsmlab.harness import write_path_csv
 from lmsmlab.process import (
     MeshFieldInterpolant,
     direct_coeff_weights,
@@ -819,7 +820,7 @@ def test_path_csv_roundtrip(tmp_path):
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=111)
     path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8))
     fname = tmp_path / "path.csv"
-    path.to_csv(fname)
+    assert write_path_csv(path, str(tmp_path)) == str(fname)
     # the header is derived from the path's noise grid and H
     assert fname.read_bytes().split(b"t,Y\n")[0] == (
         b"# kind: lmsm\n"
@@ -922,3 +923,18 @@ def test_hurst_function_is_its_id(build, params, ends):
         L.HurstFunction("cubic", params)
     with pytest.raises(ValueError, match=f"hurst_params must be a list, got {params[0]!r}"):
         L.HurstFunction(H.name, params[0])
+
+
+@pytest.mark.parametrize(
+    "H, lo, hi, low",
+    [(L.sine_hurst(0.75, 0.08), 0.7, 0.8003, 0.75 - 0.08),
+     (L.sine_hurst(0.75, -0.08), 0.2, 0.3, 0.75 - 0.08),
+     (L.sine_hurst(0.75, 0.08), 0.1, 0.2, float(L.sine_hurst(0.75, 0.08)(0.1))),
+     (L.linear_hurst(0.85, -0.15), -0.5, 2.0, 0.85 + -0.15)],
+    ids=["sine-trough-inside", "sine-negative", "sine-rising", "linear-clipped"],
+)
+def test_min_over_reads_ends_and_critical_points(H, lo, hi, low):
+    # min H on [lo, hi], clipped to [0, 1], is H at an end or at a sine
+    # critical point (1/4 or 3/4) inside, the rule h_low reads too; a 4097
+    # point grid on [0.7, 0.8003] missed the trough at t = 3/4 by 1.5e-11
+    assert H.min_over(lo, hi) == low
