@@ -12,7 +12,6 @@ import numpy as np
 
 from lmsmlab import (
     StableLaw,
-    build_global_intervals,
     build_pyramid,
     constant_hurst,
     default_wavelet,
@@ -43,8 +42,8 @@ print("same noise, two regularity profiles: range of |Y|")
 print(f"  H = 0.8 constant : {np.max(np.abs(path_const.values)):.4f}")
 print(f"  H = 0.7 + 0.15 t : {np.max(np.abs(path_vary.values)):.4f}")
 
-seq = build_global_intervals((0.0, 1.0), 8)
-pyramid = build_pyramid(path_const, default_wavelet(), (4, 5, 6, 7, 8), seq)
+# I_j = [0, 1] at every level j = 4..8
+pyramid = build_pyramid(path_const, default_wavelet(), {j: (0.0, 1.0) for j in range(4, 9)})
 print("\nper-level median |d_{j,k}| (ideal decay 2^-jH per level, H = 0.8;")
 print("one replicate of a heavy-tailed process jitters around it -- the")
 print("averaged scale checks live in the test suite):")

@@ -32,11 +32,9 @@ from .process import (
     simulate_coeff_direct,
 )
 from .coeffs import (
-    IntervalSequence,
     CoeffPyramid,
+    local_window,
     index_set,
-    build_global_intervals,
-    build_local_intervals,
     build_pyramid,
     max_coeff,
 )

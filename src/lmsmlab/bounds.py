@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coeffs import FrozenLevels, build_global_intervals, build_pyramid, noise_step
+from .coeffs import FrozenLevels, build_pyramid, noise_step
 from .process import (
     HurstFunction,
     MeshFieldInterpolant,
@@ -270,6 +270,9 @@ _SCALE_REL_TOL = 0.05
 _COV_SLACK = 0.3
 _APPROX_SLACK, _APPROX_PASS_FRACTION, _APPROX_REPLICATES = 0.15, 0.8, 20
 
+# the fewest replicates the scale and covariance checks run on
+MIN_MC_REPLICATES = 10_000
+
 # the Monte Carlo's chunk workers: one per CPU of the affinity mask
 _threads = len(os.sched_getaffinity(0))
 
@@ -343,8 +346,8 @@ def scale_param_check(
     replicates: int, seed: int,
 ) -> BoundReport:
     """Compare the MC scale of d~_{j,k} with 2**(-j H_k) ||Phi(., H_k)|| by quadrature."""
-    if replicates < 10_000:
-        raise ValueError("at least 1e4 replicates required")
+    if replicates < MIN_MC_REPLICATES:
+        raise ValueError(f"at least {MIN_MC_REPLICATES} replicates required")
     coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
     c_beta = moment_constant(beta, law.alpha)
     rel_errors, targets, estimates = [], [], []
@@ -383,8 +386,8 @@ def covariance_mc_check(
     is at most -lambda + 0.3, or when covariances at all lags >= 8 are
     indistinguishable from zero at 3 standard errors.
     """
-    if replicates < 10_000:
-        raise ValueError("at least 1e4 replicates required")
+    if replicates < MIN_MC_REPLICATES:
+        raise ValueError(f"at least {MIN_MC_REPLICATES} replicates required")
     lags = sorted(int(q) for q in lags)
     k0 = max(lags)
     ks = [k0] + [k0 + q for q in lags]
@@ -452,15 +455,15 @@ def approx_error_check(
     rho = H.holder_exponent
     delta = noise_step(max(j_list))
     t_tail, n_nodes, refine = 8.0, 24, 4
-    intervals = build_global_intervals((0.0, 1.0), max(j_list))
+    intervals = {j: (0.0, 1.0) for j in j_list}  # one map: frozen and path cells agree
     slopes = []
     for r in range(_APPROX_REPLICATES):
         grid = make_noise_grid(law, -t_tail, delta, seed ^ r)
         interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=n_nodes, refine=refine)
         # the frozen levels come from the path's own field pass
-        frozen = FrozenLevels(interp, H, wavelet, j_list, intervals)
+        frozen = FrozenLevels(interp, H, wavelet, intervals)
         path = simulate_lmsm(interp, H, frozen)
-        pyramid = build_pyramid(path, wavelet, j_list, intervals)
+        pyramid = build_pyramid(path, wavelet, intervals)
         maxima = [float(np.max(np.abs(pyramid.level(j) - frozen.level(j)))) for j in j_list]
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))
     slopes = np.array(slopes)

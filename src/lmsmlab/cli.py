@@ -63,8 +63,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_coeffs(args) -> int:
     cfg = _resolve(args)
-    pyramid = build_pyramid(replicate_path(cfg, 0), cfg.wavelet(), cfg.j_range,
-                            cfg.intervals())
+    pyramid = build_pyramid(replicate_path(cfg, 0), cfg.wavelet(), cfg.intervals())
     print(write_pyramid_csv(pyramid, cfg.out_dir))
     return 0
 

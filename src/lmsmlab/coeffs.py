@@ -1,9 +1,9 @@
 """Level geometry, wavelet coefficient pyramids and the max statistic.
 
 Only this module knows which cells make level j (the shifts of ``index_set``
-inside I_j, from ``build_global_intervals`` or ``build_local_intervals``), its
-noise step (``noise_step``) and its sampling rule (``samples_per_cell``, which
-``ExperimentConfig.validate`` also applies).  Coefficients d_{j,k} =
+inside I_j, a fixed I or the ``local_window`` at t0, given as a map {j: I_j}),
+its noise step (``noise_step``) and its sampling rule (``samples_per_cell``,
+which ``ExperimentConfig.validate`` also applies).  Coefficients d_{j,k} =
 2^j int Y(t) psi(2^j t - k) dt are trapezoid sums on the path's field mesh
 t = m * t_step of [0, 1]; with x = 2^j t - k they are int_0^1 Y((x + k) 2^-j)
 psi(x) dx, so the 2^j prefactor never appears.  Every cell of a level holds
@@ -29,11 +29,9 @@ from .stable import serial_matmul
 from .wavelet import WaveletSpec
 
 __all__ = [
-    "IntervalSequence",
     "CoeffPyramid",
+    "local_window",
     "index_set",
-    "build_global_intervals",
-    "build_local_intervals",
     "noise_step",
     "samples_per_cell",
     "build_pyramid",
@@ -42,63 +40,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalSequence:
-    """Non-increasing compact intervals I_j in [0, 1], indexed by level j >= 0.
+def local_window(t0: float, j: int) -> tuple[float, float]:
+    """I_j for the local estimator: the window centred at t0 with diam
+    2**(1 - j/2), or [0, 1] once that diameter reaches 1.
 
-    The admissibility condition diam(I_j) >= 2**(1 - j/2) may legitimately
-    fail at small j for intervals inside [0, 1]; nothing checks or skips a
-    level for it: ``run_replicate`` estimates at every j of the configured
-    ``j_range``.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        prev = None
-        for j, (lo, hi) in enumerate(self.intervals):
-            if hi <= lo:
-                raise ValueError(f"level {j}: degenerate interval [{lo}, {hi}]")
-            if prev is not None and (lo < prev[0] - 1e-12 or hi > prev[1] + 1e-12):
-                raise ValueError(f"level {j}: intervals are not nested")
-            prev = (lo, hi)
-
-    def interval(self, j: int) -> tuple[float, float]:
-        return self.intervals[j]
-
-
-def build_global_intervals(interval: tuple[float, float], j_max: int) -> IntervalSequence:
-    """I_j = I at every level, admissible or not (see ``IntervalSequence``)."""
-    lo, hi = interval
-    if hi <= lo:
-        raise ValueError("interval must have non-empty interior")
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError("interval must lie inside [0, 1]")
-    return IntervalSequence(tuple((lo, hi) for _ in range(j_max + 1)))
-
-
-def build_local_intervals(t0: float, j_max: int) -> IntervalSequence:
-    """Shrinking windows centered at t0 with diam 2**(1 - j/2), clipped into [0, 1].
-
-    When the centered window leaves [0, 1] it is slid (not shrunk) back
+    When the centred window leaves [0, 1] it is slid (not shrunk) back
     inside, so the diameter condition keeps holding, the windows stay nested
-    and their intersection over j is still {t0}.
+    in j and their intersection over j is still {t0}.
     """
     if not 0.0 < t0 < 1.0:
         raise ValueError("t0 must lie in (0, 1)")
-    out = []
-    for j in range(j_max + 1):
-        r = 2.0 ** (-j / 2.0)
-        lo, hi = t0 - r, t0 + r
-        width = 2.0 * r
-        if width >= 1.0:
-            lo, hi = 0.0, 1.0
-        elif lo < 0.0:
-            lo, hi = 0.0, width
-        elif hi > 1.0:
-            lo, hi = 1.0 - width, 1.0
-        out.append((lo, hi))
-    return IntervalSequence(tuple(out))
+    r = 2.0 ** (-j / 2.0)
+    lo, hi = t0 - r, t0 + r
+    width = 2.0 * r
+    if width >= 1.0:
+        return 0.0, 1.0
+    if lo < 0.0:
+        return 0.0, width
+    if hi > 1.0:
+        return 1.0 - width, 1.0
+    return lo, hi
 
 
 def index_set(interval: tuple[float, float], j: int) -> range:
@@ -165,16 +126,14 @@ def _level_coeffs(
     return terms[..., -1].copy()
 
 
-def _level_cells(j_range, intervals: IntervalSequence) -> dict:
-    """The shifts of each level j in j_range: the cells inside I_j."""
-    return {j: index_set(intervals.interval(j), j) for j in j_range}
+def _level_cells(intervals: dict) -> dict:
+    """The shifts of each level j of the map {j: I_j}: the cells inside I_j."""
+    return {j: index_set(I, j) for j, I in intervals.items()}
 
 
-def build_pyramid(
-    path: SamplePath, w: WaveletSpec, j_range, intervals: IntervalSequence
-) -> CoeffPyramid:
-    """All coefficients with cells inside I_j, for each level j in j_range."""
-    cells = _level_cells(j_range, intervals)
+def build_pyramid(path: SamplePath, w: WaveletSpec, intervals: dict) -> CoeffPyramid:
+    """All coefficients with cells inside I_j, for each level j of {j: I_j}."""
+    cells = _level_cells(intervals)
     step = path.field.t_step
     return CoeffPyramid(
         levels={j: _level_coeffs(path.values, step, w, j, ks) for j, ks in cells.items()},
@@ -186,8 +145,8 @@ def build_pyramid(
 
 class FrozenLevels:
     """Frozen-Hurst coefficients 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt on
-    the cells of a pyramid's levels (``build_pyramid`` with the same j_range
-    and intervals), gathered during the path's own field pass.
+    the cells of a pyramid's levels (``build_pyramid`` with the same
+    intervals), gathered during the path's own field pass.
 
     Hand it to ``simulate_lmsm(field, H, frozen)``: the level quadrature runs
     on each v-node row as the pass produces it, so only per-node level
@@ -202,9 +161,9 @@ class FrozenLevels:
     """
 
     def __init__(self, field: MeshFieldInterpolant, H: HurstFunction, w: WaveletSpec,
-                 j_range, intervals: IntervalSequence):
+                 intervals: dict):
         self.field, self.H, self.w = field, H, w
-        self.cells = _level_cells(j_range, intervals)
+        self.cells = _level_cells(intervals)
         self.node_levels = {j: np.zeros((field.nodes.size, len(ks)))
                             for j, ks in self.cells.items()}
 

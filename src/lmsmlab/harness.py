@@ -34,6 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    MIN_MC_REPLICATES,
     BoundReport,
     approx_error_check,
     covariance_mc_check,
@@ -42,8 +43,8 @@ from .bounds import (
     rq_sweep_report,
     scale_param_check,
 )
-from .coeffs import (CoeffPyramid, ResolutionError, build_global_intervals, build_local_intervals,
-                     build_pyramid, max_coeff, noise_step, samples_per_cell)
+from .coeffs import (CoeffPyramid, ResolutionError, build_pyramid, local_window, max_coeff,
+                     noise_step, samples_per_cell)
 from .estimators import (
     DegenerateReplicate,
     EstimateRecord,
@@ -105,7 +106,8 @@ def _write_json(fname, obj) -> None:
 
 # the config's numeric fields, each checked by validate entry by entry:
 # integers, and finite reals (delta and t0 may also be None); never a bool
-_INTEGER_FIELDS = ("replicates", "v_nodes", "path_refine", "workers", "seed", "j_range")
+_INTEGER_FIELDS = ("replicates", "v_nodes", "path_refine", "workers", "seed", "j_range",
+                   "verify_cov_replicates", "verify_scale_replicates")
 _REAL_FIELDS = ("alpha", "beta", "t_tail", "delta", "t0", "hurst_params", "interval")
 
 
@@ -153,11 +155,15 @@ class ExperimentConfig:
     def wavelet(self):
         return default_wavelet()
 
-    def intervals(self):
-        j_max = max(self.j_range)
+    def intervals(self) -> dict:
+        """{j: I_j} over j_range: the fixed interval, or the local window at t0.
+
+        The admissibility condition diam(I_j) >= 2**(1 - j/2) may fail at
+        small j for an interval inside [0, 1]; no level is skipped for it.
+        """
         if self.interval_mode == "global":
-            return build_global_intervals(tuple(self.interval), j_max)
-        return build_local_intervals(float(self.t0), j_max)
+            return {j: tuple(self.interval) for j in self.j_range}
+        return {j: local_window(float(self.t0), j) for j in self.j_range}
 
     def validate(self) -> None:
         # every field's type first; then StableLaw checks alpha, and
@@ -180,6 +186,10 @@ class ExperimentConfig:
             raise ValueError(f"j_range must hold distinct levels, got {self.j_range}")
         if len(self.interval) != 2:
             raise ValueError(f"interval must be (lo, hi), got {self.interval}")
+        lo, hi = self.interval
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError(f"interval must be a non-empty (lo, hi) inside [0, 1], "
+                             f"got {self.interval}")
         if self.interval_mode not in ("global", "local"):
             raise ValueError("interval_mode must be 'global' or 'local'")
         if self.interval_mode == "local" and self.t0 is None:
@@ -187,9 +197,12 @@ class ExperimentConfig:
         if not 0.0 < self.beta < alpha / 4.0:
             raise ValueError(f"beta={self.beta} outside (0, alpha/4) for alpha={alpha}")
         self.hurst().validate(alpha)
-        self.intervals()
+        self.intervals()  # local_window refuses a t0 outside (0, 1)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir must be a non-empty string, got {self.out_dir!r}")
         for key, low in (("replicates", 1), ("t_tail", 1), ("v_nodes", 2), ("path_refine", 1),
-                         ("workers", 1)):
+                         ("workers", 1), ("verify_cov_replicates", MIN_MC_REPLICATES),
+                         ("verify_scale_replicates", MIN_MC_REPLICATES)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
         try:
@@ -277,8 +290,7 @@ def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     H = config.hurst()
     wavelet = config.wavelet()
     kernel = PhiKernel(config.alpha, wavelet)
-    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.j_range,
-                            config.intervals())
+    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.intervals())
 
     records = []
     for j in config.j_range:
@@ -328,7 +340,7 @@ def _aggregate(config: ExperimentConfig, per_replicate: list) -> ConvergenceTabl
             {
                 "j": j,
                 "n_j": recs[0].n_j,
-                "target_hmin": H.min_over(*intervals.interval(j)),
+                "target_hmin": H.min_over(*intervals[j]),
                 "h_mean": _stat(np.mean, h_vals),
                 "h_median": _stat(np.median, h_vals),
                 "h_iqr": _stat(lambda v: np.subtract(*np.percentile(v, [75, 25])), h_vals),

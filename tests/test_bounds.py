@@ -88,9 +88,23 @@ def _relative_imports(module: str) -> set:
 
 def test_level_geometry_lives_in_coeffs():
     # which cells make a level is decided in coeffs alone: the estimators read
-    # level arrays, and the bound checks take cells from a pyramid
+    # level arrays, the bound checks take cells from a pyramid, and harness,
+    # bounds and cli hand coeffs {j: I_j} maps, never shifts: no other module
+    # calls index_set
     assert not _relative_imports("estimators") & {"coeffs", "bounds", "harness"}
     assert "estimators" not in _relative_imports("bounds")
+    pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "lmsmlab")
+    named = set()
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and "index_set" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    named.add(name)
+    assert named == {"coeffs.py"}
 
 
 def test_serial_gemm_rule_lives_in_stable():
@@ -307,18 +321,18 @@ def test_approx_check_constant_hurst_routes_coincide():
     # through the level quadrature of each power of h, the path through its
     # values, so the two agree to rounding; the refined interpolant has
     # m = 128 samples per cell, as at j = 12 in the experiments
-    from lmsmlab.coeffs import FrozenLevels, build_global_intervals, build_pyramid
+    from lmsmlab.coeffs import FrozenLevels, build_pyramid
     from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=333)
-    intervals = build_global_intervals((0.0, 1.0), 5)
+    intervals = {5: (0.0, 1.0)}
     for refine in (1, 4):
         interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
-        frozen = FrozenLevels(interp, H, w, (5,), intervals)
+        frozen = FrozenLevels(interp, H, w, intervals)
         path = simulate_lmsm(interp, H, frozen)
-        level = build_pyramid(path, w, (5,), intervals).level(5)
+        level = build_pyramid(path, w, intervals).level(5)
         assert frozen.cells[5] == range(32)
         assert np.max(np.abs(frozen.level(5) - level)) <= 1e-13 * np.max(np.abs(level))
 
@@ -326,14 +340,14 @@ def test_approx_check_constant_hurst_routes_coincide():
 def test_frozen_level_matches_per_shift_definition():
     # node-wise quadrature combined at h_k against the quadrature of the field
     # interpolated at h_k; k = 0 puts h_k on the first Chebyshev node exactly
-    from lmsmlab.coeffs import FrozenLevels, build_global_intervals
+    from lmsmlab.coeffs import FrozenLevels
     from lmsmlab.process import MeshFieldInterpolant, field_on_mesh, make_noise_grid, simulate_lmsm
 
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=334)
     interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
-    frozen = FrozenLevels(interp, H, w, (5, 8), build_global_intervals((0.0, 1.0), 8))
+    frozen = FrozenLevels(interp, H, w, {5: (0.0, 1.0), 8: (0.0, 1.0)})
     simulate_lmsm(interp, H, frozen)
     rows = field_on_mesh(grid, interp.nodes, 4)
     assert float(H(0.0)) == interp.nodes[0]

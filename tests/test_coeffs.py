@@ -13,7 +13,6 @@ import pytest
 import lmsmlab as L
 from lmsmlab.coeffs import (
     CoeffPyramid,
-    IntervalSequence,
     build_pyramid,
     index_set,
     max_coeff,
@@ -109,8 +108,8 @@ def test_build_pyramid_structure_and_zero_path():
     grid = make_noise_grid(L.StableLaw(1.5), -2.0, 2.0**-10, seed=4)
     H = L.constant_hurst(0.8)
     path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=4), H)
-    seq = L.build_global_intervals((0.0, 1.0), 6)
-    pyr = build_pyramid(path, w, (4, 5, 6), seq)
+    intervals = {j: (0.0, 1.0) for j in (4, 5, 6)}
+    pyr = build_pyramid(path, w, intervals)
     assert set(pyr.levels) == {4, 5, 6}
     assert pyr.seed == path.field.grid.seed == 4
     for j in (4, 5, 6):
@@ -118,7 +117,7 @@ def test_build_pyramid_structure_and_zero_path():
         level = _level_coeffs(path.values, 2.0**-12, w, j, range(2**j))
         assert np.array_equal(pyr.level(j), level)
     zero = replace(path, values=np.zeros_like(path.values))
-    zero_pyr = build_pyramid(zero, w, (4, 5, 6), seq)
+    zero_pyr = build_pyramid(zero, w, intervals)
     for j in (4, 5, 6):
         assert np.all(zero_pyr.level(j) == 0.0)
 
@@ -169,15 +168,6 @@ def test_max_over_unit_interval_equals_global_max():
         lev = rng.normal(size=2**j)
         pyr = CoeffPyramid(levels={j: lev}, cells={j: range(2**j)}, wavelet_id="q", seed=0)
         assert max_coeff(pyr.level(j)) == max(abs(v) for v in lev)
-
-
-def test_interval_sequence_invariants():
-    with pytest.raises(ValueError):
-        IntervalSequence(((0.0, 1.0), (0.2, 1.1)))  # not nested
-    with pytest.raises(ValueError):
-        IntervalSequence(((0.5, 0.5),))  # degenerate
-    seq = IntervalSequence(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
-    assert seq.interval(2) == (0.0, 1.0)
 
 
 def test_pyramid_rejects_cells_outside_unit_interval():

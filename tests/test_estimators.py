@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lmsmlab as L
-from lmsmlab.coeffs import build_global_intervals, build_local_intervals
+from lmsmlab.coeffs import index_set, local_window
 from lmsmlab.estimators import (
     DegenerateReplicate,
     corrected_hmin,
@@ -15,6 +15,7 @@ from lmsmlab.estimators import (
     estimate_hmin,
     hmin_offset,
 )
+from lmsmlab.harness import ExperimentConfig
 from lmsmlab.stable import moment_constant
 from lmsmlab.wavelet import PhiKernel
 
@@ -51,60 +52,62 @@ def test_estimate_hmin_degenerate_and_domain():
         estimate_hmin(0.5, 5, 0.0)
 
 
-def _admissible(seq, j):
+def _admissible(interval, j):
     # the diameter condition diam(I_j) >= 2^(1 - j/2)
-    lo, hi = seq.interval(j)
+    lo, hi = interval
     return hi - lo >= 2.0 ** (1.0 - j / 2.0) - 1e-12
 
 
 def test_global_intervals_constant_and_admissible_from_two():
-    seq = build_global_intervals((0.0, 1.0), 8)
+    intervals = ExperimentConfig(j_range=tuple(range(9))).intervals()
     for j in range(9):
-        assert seq.interval(j) == (0.0, 1.0)
-    assert [j for j in range(9) if _admissible(seq, j)] == list(range(2, 9))
+        assert intervals[j] == (0.0, 1.0)
+    assert [j for j in range(9) if _admissible(intervals[j], j)] == list(range(2, 9))
     for j in range(1, 9):
-        lo1, hi1 = seq.interval(j - 1)
-        lo2, hi2 = seq.interval(j)
+        lo1, hi1 = intervals[j - 1]
+        lo2, hi2 = intervals[j]
         assert lo1 <= lo2 and hi2 <= hi1
-    with pytest.raises(ValueError):
-        build_global_intervals((0.4, 0.4), 5)
 
 
 def test_local_intervals_interior_diameters_and_nesting():
     t0 = 0.5
-    seq = build_local_intervals(t0, 12)
     for j in range(2, 13):
-        lo, hi = seq.interval(j)
+        lo, hi = local_window(t0, j)
         assert hi - lo == pytest.approx(2.0 ** (1 - j / 2.0), rel=1e-12)
         assert lo <= t0 <= hi
         assert 0.0 <= lo and hi <= 1.0
     # intersection shrinks to t0
-    lo, hi = seq.interval(12)
+    lo, hi = local_window(t0, 12)
     assert hi - lo < 0.05 and lo < t0 < hi
+    # non-degenerate and nested: each window inside the one a level coarser,
+    # slid back into [0, 1] or not
+    for t0 in (0.25, 0.5, 0.8):
+        for j in range(1, 15):
+            lo, hi = local_window(t0, j)
+            lo1, hi1 = local_window(t0, j - 1)
+            assert lo < hi
+            assert lo >= lo1 - 1e-12 and hi <= hi1 + 1e-12
 
 
 def test_local_intervals_clipping_keeps_diameter():
-    seq = build_local_intervals(0.25, 12)
     for j in range(2, 13):
-        lo, hi = seq.interval(j)
+        lo, hi = local_window(0.25, j)
         width = 2.0 ** (1 - j / 2.0)
         assert 0.0 <= lo and hi <= 1.0
         if width <= 1.0:
             assert hi - lo == pytest.approx(width, rel=1e-12)
         assert lo <= 0.25 <= hi
     with pytest.raises(ValueError):
-        build_local_intervals(0.0, 5)
+        local_window(0.0, 5)
 
 
 def test_local_intervals_index_count_lower_bound():
-    # admissible levels of an interval sequence hold at least floor(2^(j/2)) cells
-    from lmsmlab.coeffs import index_set
-
+    # admissible local windows hold at least floor(2^(j/2)) cells
     for t0 in (0.25, 0.5, 0.8):
-        seq = build_local_intervals(t0, 14)
         for j in range(2, 15):
-            if _admissible(seq, j):
-                assert len(index_set(seq.interval(j), j)) >= math.floor(2.0 ** (j / 2.0))
+            window = local_window(t0, j)
+            if _admissible(window, j):
+                assert len(index_set(window, j)) >= math.floor(2.0 ** (j / 2.0))
 
 
 def test_estimate_alpha_inversions_and_shift_identity():
@@ -126,8 +129,6 @@ def test_estimate_alpha_flags_degenerates():
 
 
 def test_experiment_config_estimator_checks():
-    from lmsmlab.harness import ExperimentConfig
-
     ExperimentConfig(alpha=1.5, beta=0.3).validate()  # (0, alpha/4) = (0, 0.375)
     with pytest.raises(ValueError, match="alpha/4"):
         ExperimentConfig(alpha=1.5, beta=0.4).validate()

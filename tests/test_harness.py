@@ -78,14 +78,18 @@ def test_readme_config_example_is_valid():
      {"workers": True}, {"seed": 1.5}, {"j_range": (4, 6.5)}, {"j_range": (6, 4, 6)},
      {"alpha": "1.5"}, {"beta": "0.25"}, {"t_tail": math.inf}, {"delta": "0.0005"},
      {"t0": math.nan}, {"hurst_params": (0.7, "x")}, {"interval": (0.0, math.nan)},
-     {"workers": 0}],
+     {"workers": 0}, {"interval": (0.4, 0.4)}, {"interval": (0.5, 1.2)},
+     {"verify_scale_replicates": -4}, {"verify_cov_replicates": 2.5},
+     {"verify_cov_replicates": 9_999}, {"out_dir": None}, {"out_dir": ""}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
          "j_range=12", "replicates=2.5", "v_nodes=3.5", "path_refine=2.5", "workers=2.5",
          "workers=True", "seed=1.5", "j_range=(4,6.5)", "j_range=(6,4,6)", "alpha='1.5'",
          "beta='0.25'", "t_tail=inf", "delta='0.0005'", "t0=nan", "hurst_params=(0.7,'x')",
-         "interval=(0,nan)", "workers=0"],
+         "interval=(0,nan)", "workers=0", "interval=(0.4,0.4)", "interval=(0.5,1.2)",
+         "verify_scale_replicates=-4", "verify_cov_replicates=2.5",
+         "verify_cov_replicates=9999", "out_dir=None", "out_dir=''"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -102,8 +106,12 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # or raise a bare TypeError in the run, or wrote duplicate rows for a
     # repeated level, or died in validate with a TypeError or OverflowError
     # that named no field (a string, a non-finite real), or passed validate
-    # to run serially and record a worker count of 0; validate only, no
-    # replicate runs
+    # to run serially and record a worker count of 0, or passed validate to
+    # fail late: a Monte Carlo size that bounds refuses only after the
+    # earlier reports of the verify bundle have run, an out_dir that
+    # os.makedirs refuses with a TypeError or FileNotFoundError naming no
+    # field.  An empty interval and one leaving [0, 1] must name the field
+    # too; validate only, no replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):

@@ -245,8 +245,7 @@ def test_cost_contract_of_the_split(monkeypatch):
     # also when a consumer reads the same node rows
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=8)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
-                          L.build_global_intervals((0.0, 1.0), 5))
+    frozen = FrozenLevels(interp, H, L.default_wavelet(), {5: (0.0, 1.0)})
     for consumers in ((), (frozen,)):
         calls.clear()
         L.simulate_lmsm(interp, H, *consumers)
@@ -535,8 +534,7 @@ def _pass_outputs(g, H, refine, *consumers):
     # rows, path and frozen level 5 of one interpolant, the path's pass also
     # feeding ``consumers``
     interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5,),
-                          L.build_global_intervals((0.0, 1.0), 5))
+    frozen = FrozenLevels(interp, H, L.default_wavelet(), {5: (0.0, 1.0)})
     return (field_on_mesh(g, interp.nodes, refine),
             L.simulate_lmsm(interp, H, frozen, *consumers).values, frozen.level(5))
 
@@ -593,8 +591,8 @@ def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(), (5, 8, 10),
-                          L.build_global_intervals((0.0, 1.0), 10))
+    frozen = FrozenLevels(interp, H, L.default_wavelet(),
+                          {j: (0.0, 1.0) for j in (5, 8, 10)})
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     assert n_terms + 1 != 16  # a level product's (16, n_terms + 1) left factor
@@ -803,9 +801,9 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     H = L.constant_hurst(0.8)
     grid = make_noise_grid(LAW, -16.0, 2.0**-11, seed=121)
     path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=8), H)
-    from lmsmlab.coeffs import build_global_intervals, build_pyramid
+    from lmsmlab.coeffs import build_pyramid
 
-    pyr = build_pyramid(path, L.default_wavelet(), (5, 6), build_global_intervals((0.0, 1.0), 6))
+    pyr = build_pyramid(path, L.default_wavelet(), {5: (0.0, 1.0), 6: (0.0, 1.0)})
     for j in (5, 6):
         scale = 2.0 ** (-j * 0.8) * kern.lalpha_norm(0.8)
         worst = max(
