@@ -1,9 +1,9 @@
 """The analyzing wavelet and its fractional-integration kernel.
 
 Shows the admissibility report of the default quartic wavelet, evaluates
-Phi(s, v) across its support and far field, and prints the localization
-certificate sup (1+|s|)^(2+1/alpha-H) |Phi(s, v)| together with L^alpha
-norms used by the scale identity.
+Phi(s, v) across its support and far field, and prints the certified
+far-field envelope A with |Phi(s, v)| <= A (-s)^(v-1/alpha-2) for s <= -1/2,
+together with L^alpha norms used by the scale identity.
 
 Run:  python demos/demo_kernel.py
 """
@@ -27,10 +27,10 @@ for v in (0.7, 0.8, 0.9):
     print(f"  v={v}: ", "  ".join(f"{x:9.2e}" for x in row))
 
 print("\nsupport: Phi(s, v) = 0 exactly for s >= 1")
-print("far-field decay ~ |s|^(v - 1/alpha - 2); localization certificate:")
+print("far-field decay ~ |s|^(v - 1/alpha - 2); certified envelope constant:")
 for v in (0.7, 0.9):
-    c = kern.decay_constant(0.9, [v])
-    print(f"  v={v}: sup (1+|s|)^(2+1/a-0.9) |Phi| = {c:.4e}")
+    c = kern.decay_envelope_constant(0.5, v - 1.0 / alpha)
+    print(f"  v={v}: |Phi(s, v)| <= {c:.4e} (-s)^(v-1/a-2) for s <= -1/2")
 
 print("\nL^alpha norms (enter the coefficient scale identity):")
 for v in (0.7, 0.75, 0.8, 0.85, 0.9):

@@ -11,6 +11,7 @@ Run:  python demos/demo_paths_and_pyramid.py   (writes demo_pyramid/pyramid.csv 
 import numpy as np
 
 from lmsmlab import (
+    MeshFieldInterpolant,
     StableLaw,
     build_pyramid,
     constant_hurst,
@@ -20,7 +21,6 @@ from lmsmlab import (
     simulate_lmsm,
 )
 from lmsmlab.harness import write_pyramid_csv
-from lmsmlab.process import MeshFieldInterpolant
 
 law = StableLaw(alpha=1.5, scale=1.0)
 delta = 2.0**-12
@@ -29,13 +29,10 @@ grid = make_noise_grid(law, t_min=-8.0, delta=delta, seed=7)
 print(f"noise grid: {grid.n_cells:,} cells of width 2^-12 on [-8, 1)")
 
 # one route per path: the field X(t, v) on the delta/refine mesh of [0, 1]
-# for v across H's range, then Y(t) = X(t, H(t)) read off that mesh
-h_const = constant_hurst(0.8)
-h_vary = linear_hurst(0.7, 0.15)
-field_const = MeshFieldInterpolant(grid, h_const.h_low, h_const.h_high, refine=refine)
-field_vary = MeshFieldInterpolant(grid, h_vary.h_low, h_vary.h_high, n_nodes=16, refine=refine)
-path_const = simulate_lmsm(field_const, h_const)
-path_vary = simulate_lmsm(field_vary, h_vary)
+# for v across H's range (one v-node when H is constant), then
+# Y(t) = X(t, H(t)) read off that mesh
+path_const = simulate_lmsm(MeshFieldInterpolant(grid, constant_hurst(0.8), 16, refine))
+path_vary = simulate_lmsm(MeshFieldInterpolant(grid, linear_hurst(0.7, 0.15), 16, refine))
 
 print(f"Y(0) = {path_const.values[0]} (exactly zero by construction)")
 print("same noise, two regularity profiles: range of |Y|")

@@ -20,6 +20,7 @@ from .wavelet import (
 )
 from .process import (
     HurstFunction,
+    MeshFieldInterpolant,
     NoiseGrid,
     SamplePath,
     TruncationError,

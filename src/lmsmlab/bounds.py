@@ -391,8 +391,6 @@ def covariance_mc_check(
     lags = sorted(int(q) for q in lags)
     k0 = max(lags)
     ks = [k0] + [k0 + q for q in lags]
-    if (max(ks) + 1) * 2.0**-j > 1.0:
-        raise ValueError("lag set does not fit inside [0, 1] at this level")
     coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
     a = np.abs(coeffs) ** beta
     base = a[:, 0]
@@ -459,10 +457,10 @@ def approx_error_check(
     slopes = []
     for r in range(_APPROX_REPLICATES):
         grid = make_noise_grid(law, -t_tail, delta, seed ^ r)
-        interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=n_nodes, refine=refine)
+        interp = MeshFieldInterpolant(grid, H, n_nodes, refine)
         # the frozen levels come from the path's own field pass
-        frozen = FrozenLevels(interp, H, wavelet, intervals)
-        path = simulate_lmsm(interp, H, frozen)
+        frozen = FrozenLevels(interp, wavelet, intervals)
+        path = simulate_lmsm(interp, frozen)
         pyramid = build_pyramid(path, wavelet, intervals)
         maxima = [float(np.max(np.abs(pyramid.level(j) - frozen.level(j)))) for j in j_list]
         slopes.append(float(np.polyfit(j_list, np.log2(np.maximum(maxima, 1e-300)), 1)[0]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .process import HurstFunction, MeshFieldInterpolant, SamplePath
+from .process import MeshFieldInterpolant, SamplePath
 from .stable import serial_matmul
 from .wavelet import WaveletSpec
 
@@ -148,21 +148,20 @@ class FrozenLevels:
     the cells of a pyramid's levels (``build_pyramid`` with the same
     intervals), gathered during the path's own field pass.
 
-    Hand it to ``simulate_lmsm(field, H, frozen)``: the level quadrature runs
-    on each v-node row as the pass produces it, so only per-node level
-    coefficients are kept, 2^j numbers per node and level, and ``level(j)``
-    combines them barycentrically at H(k 2^-j).  The combination is linear in
-    the node values, so this is the path route's quadrature of
-    X(., H(k 2^-j)).  The far part of the rows arrives as power-series
+    H is the field's own (``field.H``).  Hand it to ``simulate_lmsm(field,
+    frozen)``: the level quadrature runs on each v-node row as the pass
+    produces it, so only per-node level coefficients are kept, 2^j numbers
+    per node and level, and ``level(j)`` combines them barycentrically at
+    H(k 2^-j).  The combination is linear in the node values, so this is the
+    path route's quadrature of X(., H(k 2^-j)).  The far part of the rows arrives as power-series
     coefficients in h (see ``process.field_on_mesh``): the level quadrature
     of each power of h, taken once per level from the moments of the cell
     weights, is applied to every node's coefficients on the calling thread
     (``stable.serial_matmul``).
     """
 
-    def __init__(self, field: MeshFieldInterpolant, H: HurstFunction, w: WaveletSpec,
-                 intervals: dict):
-        self.field, self.H, self.w = field, H, w
+    def __init__(self, field: MeshFieldInterpolant, w: WaveletSpec, intervals: dict):
+        self.field, self.w = field, w
         self.cells = _level_cells(intervals)
         self.node_levels = {j: np.zeros((field.nodes.size, len(ks)))
                             for j, ks in self.cells.items()}
@@ -196,7 +195,7 @@ class FrozenLevels:
 
     def level(self, j: int) -> np.ndarray:
         """The frozen-Hurst coefficients of the cells of level j."""
-        return self.field.combine(self.H.frozen(j, self.cells[j]), self.node_levels[j])
+        return self.field.combine(self.field.H.frozen(j, self.cells[j]), self.node_levels[j])
 
 
 def max_coeff(level: np.ndarray) -> float:

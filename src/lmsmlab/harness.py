@@ -277,12 +277,9 @@ class ConvergenceTable:
 def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
     """Replicate r's path Y(t) = X(t, H(t)) on the delta/path_refine mesh of
     [0, 1], from the noise stream seed ^ r."""
-    H = config.hurst()
     grid = make_noise_grid(config.law, -config.t_tail, config.noise_delta, config.seed ^ r)
-    field = MeshFieldInterpolant(
-        grid, H.h_low, H.h_high, n_nodes=config.v_nodes, refine=config.path_refine
-    )
-    return simulate_lmsm(field, H)
+    return simulate_lmsm(MeshFieldInterpolant(grid, config.hurst(), config.v_nodes,
+                                              config.path_refine))
 
 
 def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:

@@ -8,10 +8,12 @@ scale delta**(1/alpha), so discrete integrals inherit the continuous scale
 contract ||sum f(s_i) dZ_i||_alpha**alpha = sum |f(s_i)|**alpha * delta.
 
 A path is built one way: ``make_noise_grid``, then a ``MeshFieldInterpolant``
-of X(t, v) on the delta/refine mesh of [0, 1] for v across H's range, then
-``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that whole mesh.  The
-``SamplePath`` it returns holds that interpolant and H beside the values, so
-whatever reads the path also knows its mesh step, its noise and its H.
+of X(t, v) on the delta/refine mesh of [0, 1], which takes the path's Hurst
+function H and puts its v-nodes across H's range (one node exactly when H is
+constant), then ``simulate_lmsm``, which reads Y(t) = X(t, H(t)) off that
+whole mesh.  H is given once, to the interpolant.  The ``SamplePath`` it
+returns holds that interpolant beside the values, so whatever reads the path
+also knows its mesh step, its noise and its H.
 
 The path comes from one field pass (``field_on_mesh``) over the interpolant's
 v-nodes that streams the node rows: each consumer takes every row as soon as
@@ -68,6 +70,7 @@ __all__ = [
     "linear_hurst",
     "sine_hurst",
     "NoiseGrid",
+    "MeshFieldInterpolant",
     "SamplePath",
     "TruncationError",
     "make_noise_grid",
@@ -615,38 +618,33 @@ def _bary_weights(n: int) -> np.ndarray:
 
 class MeshFieldInterpolant:
     """Chebyshev interpolation in v of X(m*t_step, v), t_step = delta/refine,
-    on the whole mesh of [0, 1], for v in [h_low, h_high].
+    on the whole mesh of [0, 1], for v across the range of the path's Hurst
+    function ``H``: ``n_nodes`` Chebyshev nodes on [H.h_low, H.h_high], or
+    one node at H's value exactly when ``H.is_constant``.
 
     It holds its nodes and barycentric weights, never the node rows: ``at``
     runs one field pass over the nodes and folds each row into barycentric
     sums as the pass produces it, so a replicate holds a few mesh-length
     arrays instead of one per node."""
 
-    def __init__(self, grid: NoiseGrid, h_low: float, h_high: float,
-                 n_nodes: int = 48, refine: int = 1):
-        self.grid = grid
-        self.h_low, self.h_high = h_low, h_high
+    def __init__(self, grid: NoiseGrid, H: HurstFunction, n_nodes: int, refine: int):
+        self.grid, self.H = grid, H
         self.refine = int(refine)
         self.t_step = grid.delta / self.refine
         self.size = _mesh_size(grid, self.refine)
-        pinned = h_high - h_low < 1e-13  # constant H: one node, no interpolation
-        if not pinned and n_nodes < 2:
-            raise ValueError(f"interpolating over [{h_low}, {h_high}] needs n_nodes >= 2")
-        self.nodes = np.array([h_low]) if pinned else _cheb_nodes(h_low, h_high, n_nodes)
-        self.weights = np.array([1.0]) if pinned else _bary_weights(n_nodes)
+        if H.is_constant:  # one node, no interpolation
+            self.nodes, self.weights = np.array([H.h_low]), np.array([1.0])
+            return
+        if n_nodes < 2:
+            raise ValueError(f"interpolating over [{H.h_low}, {H.h_high}] needs n_nodes >= 2")
+        self.nodes = _cheb_nodes(H.h_low, H.h_high, n_nodes)
+        self.weights = _bary_weights(n_nodes)
 
-    def _inside(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if np.any((v < self.h_low - 1e-12) | (v > self.h_high + 1e-12)):
-            raise ValueError(f"v outside the interpolant's [{self.h_low}, {self.h_high}]")
-        return v
-
-    def at(self, v, *consumers) -> np.ndarray:
-        """X(m*t_step, v) on the whole mesh, for one v or one v per mesh index,
-        from one field pass (``field_on_mesh``) whose node rows also go to
-        ``consumers``; X(0, v) = 0.  Raises ValueError for v outside
-        [h_low, h_high]: it never extrapolates."""
-        v = self._inside(v)
+    def at(self, *consumers) -> np.ndarray:
+        """X(m*t_step, H(m*t_step)) on the whole mesh, from one field pass
+        (``field_on_mesh``) whose node rows also go to ``consumers``; it is
+        0 at t = 0."""
+        v = self.H(np.arange(self.size) * self.t_step)
         sums = _Barycentric(self.nodes, self.weights, v, (self.size,))
         field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
         out = sums.result()
@@ -656,8 +654,12 @@ class MeshFieldInterpolant:
     def combine(self, v, vals: np.ndarray) -> np.ndarray:
         """Barycentric combination at v (one v, or one per entry) of per-node
         1-D rows ``vals`` (node axis first), e.g. of any linear functional of
-        the node fields.  Raises ValueError for v outside [h_low, h_high]."""
-        v = self._inside(v)
+        the node fields.  Raises ValueError for v outside H's range [h_low,
+        h_high]: it never extrapolates."""
+        v = np.asarray(v, dtype=float)
+        lo, hi = self.H.h_low, self.H.h_high
+        if np.any((v < lo - 1e-12) | (v > hi + 1e-12)):
+            raise ValueError(f"v outside the interpolant's [{lo}, {hi}]")
         sums = _Barycentric(self.nodes, self.weights, v, vals.shape[1:])
         for i, row in enumerate(vals):
             sums.row(i, row)
@@ -672,13 +674,16 @@ class MeshFieldInterpolant:
 @dataclass(frozen=True, eq=False)
 class SamplePath:
     """Y(t) = X(t, H(t)) on the mesh t = m * field.t_step of [0, 1], with the
-    field interpolant and the Hurst functional that made it.  The values are
-    the only mesh-length array a path keeps: the interpolant holds no node
-    rows."""
+    field interpolant that made it, which holds the Hurst function.  The
+    values are the only mesh-length array a path keeps: the interpolant holds
+    no node rows."""
 
     field: MeshFieldInterpolant
-    H: HurstFunction
     values: np.ndarray
+
+    @property
+    def H(self) -> HurstFunction:
+        return self.field.H
 
     @property
     def times(self) -> np.ndarray:
@@ -738,22 +743,21 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
             f"far series values exceed RAM")
 
 
-def simulate_lmsm(field: MeshFieldInterpolant, H: HurstFunction, *consumers) -> SamplePath:
-    """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of [0, 1]:
-    ``field.at(H(t))``, with Y(0) = 0 exactly.  Its one field pass also hands
-    every node row to ``consumers`` (see ``field_on_mesh``), e.g. a
-    ``coeffs.FrozenLevels``, so nothing that reads the node rows needs a
-    second pass.
+def simulate_lmsm(field: MeshFieldInterpolant, *consumers) -> SamplePath:
+    """Y(t) = X(t, H(t)) on the interpolant's whole mesh t = m*t_step of
+    [0, 1], for the interpolant's H: ``field.at()``, with Y(0) = 0 exactly.
+    Its one field pass also hands every node row to ``consumers`` (see
+    ``field_on_mesh``), e.g. a ``coeffs.FrozenLevels``, so nothing that reads
+    the node rows needs a second pass.
 
-    Raises TruncationError when the noise domain costs the path values more
-    than ``_PATH_TAIL_TOL`` of their alpha-mass (``check_path_domain``), and
-    ValueError when H leaves the interpolant's [h_low, h_high].
+    Raises ValueError unless H's range lies inside (1/alpha, 1), and
+    TruncationError when the noise domain costs the path values more than
+    ``_PATH_TAIL_TOL`` of their alpha-mass (``check_path_domain``).
     """
-    grid = field.grid
+    grid, H = field.grid, field.H
     H.validate(grid.law.alpha)
     check_path_domain(grid.law.alpha, grid.t_min, grid.delta, H.h_high)
-    values = field.at(H(np.arange(field.size) * field.t_step), *consumers)
-    return SamplePath(field=field, H=H, values=values)
+    return SamplePath(field=field, values=field.at(*consumers))
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +777,12 @@ def direct_coeff_weights(
     Returns (i_start, w) so that d~ = sum_i w[i] dZ over the cells
     [(i_start + i) delta, (i_start + i + 1) delta): ``i_start`` counts cells
     from s = 0, so the window needs no grid.  The window is the smallest one
-    whose certified tail alpha-mass is below 1e-6 of the kernel mass.
+    whose certified tail alpha-mass is below 1e-6 of the kernel mass.  Raises
+    ValueError unless the dyadic cell [k 2^-j, (k + 1) 2^-j] lies inside
+    [0, 1], where H_k is read.
     """
+    if not (0 <= k and (k + 1) * 2.0**-j <= 1.0):
+        raise ValueError(f"dyadic cell ({j}, {k}) must lie inside [0, 1]")
     alpha = phi.alpha
     norm_a = phi.lalpha_norm(h_value) ** alpha
     s_cut = 4.0
@@ -796,8 +804,6 @@ def simulate_coeff_direct(
     grid: NoiseGrid, phi: PhiKernel, j: int, k: int, H: HurstFunction
 ) -> float:
     """d~_{j,k} = 2^{-j(H_k - 1/alpha)} int Phi(2^j s - k, H_k) dZ(s), H_k = H(k 2^-j)."""
-    if not (0.0 <= k * 2.0**-j and (k + 1) * 2.0**-j <= 1.0):
-        raise ValueError("dyadic cell must lie inside [0, 1]")
     if phi.alpha != grid.law.alpha:
         raise ValueError("kernel and grid alpha differ")
     h_k = float(H.frozen(j, k))

@@ -375,17 +375,3 @@ class PhiKernel:
 
     def lalpha_norm(self, v: float) -> float:
         return self.norm_detail(v).value
-
-    def decay_constant(self, h_high: float, v_grid, n_s: int = 4000) -> float:
-        """Witnessed sup of (1 + |s|)**(2 + 1/alpha - h_high) |Phi(s, v)| on a
-        grid of s in [-1000, 1]."""
-        expo = 2.0 + 1.0 / self.alpha - h_high
-        # geometric s-grid resolves both the support region and the far field
-        s_neg = -np.geomspace(1e-3, 1e3, n_s)
-        s_pos = np.linspace(0.0, 1.0, n_s // 4)
-        s = np.concatenate([s_neg[::-1], s_pos])
-        best = 0.0
-        for v in np.atleast_1d(v_grid):
-            vals = (1.0 + np.abs(s)) ** expo * np.abs(self.phi(s, float(v)))
-            best = max(best, float(np.max(vals)))
-        return best

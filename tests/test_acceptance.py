@@ -51,11 +51,18 @@ def test_criterion_02_kernel_localization():
         h_lo, h_hi = 1.0 / alpha + 0.03, 0.97
         for s in (1.0, 1.5, 7.0, 3000.0):
             ok = ok and kern.phi(s, 0.5 * (h_lo + h_hi)) == 0.0
-        c1 = kern.decay_constant(h_hi, [h_lo, h_hi], n_s=4000)
-        c2 = kern.decay_constant(h_hi, [h_lo, h_hi], n_s=8000)
-        drift = abs(c2 - c1) / c1
-        ok = ok and np.isfinite(c1) and drift < 0.01
-        details.append(f"a={alpha}: c={c1:.4e} drift={drift:.1e}")
+        # the certified far-field envelope A(1/2) bounds |Phi(s, v)| by
+        # A (-s)^(kappa - 2) at every s <= -1/2 of geometric grids of 4,000
+        # and 8,000 points on [-1000, -1e-3]
+        for v in (h_lo, h_hi):
+            kappa = v - 1.0 / alpha
+            c = kern.decay_envelope_constant(0.5, kappa)
+            ok = ok and np.isfinite(c) and c > 0
+            for n_s in (4000, 8000):
+                s = -np.geomspace(1e-3, 1e3, n_s)
+                s = s[s <= -0.5]
+                ok = ok and bool(np.all(np.abs(kern.phi(s, v)) <= c * (-s) ** (kappa - 2.0)))
+            details.append(f"a={alpha} v={v:.3f}: A={c:.4e}")
     elapsed = time.time() - t0
     ok = ok and elapsed < 30.0
     _report(2, "kernel localization", ok, "; ".join(details) + f", {elapsed:.1f}s")

@@ -329,9 +329,9 @@ def test_approx_check_constant_hurst_routes_coincide():
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=333)
     intervals = {5: (0.0, 1.0)}
     for refine in (1, 4):
-        interp = MeshFieldInterpolant(grid, 0.8, 0.8, refine=refine)
-        frozen = FrozenLevels(interp, H, w, intervals)
-        path = simulate_lmsm(interp, H, frozen)
+        interp = MeshFieldInterpolant(grid, H, 16, refine)
+        frozen = FrozenLevels(interp, w, intervals)
+        path = simulate_lmsm(interp, frozen)
         level = build_pyramid(path, w, intervals).level(5)
         assert frozen.cells[5] == range(32)
         assert np.max(np.abs(frozen.level(5) - level)) <= 1e-13 * np.max(np.abs(level))
@@ -346,9 +346,9 @@ def test_frozen_level_matches_per_shift_definition():
     H = L.linear_hurst(0.7, 0.15)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=334)
-    interp = MeshFieldInterpolant(grid, H.h_low, H.h_high, n_nodes=16, refine=4)
-    frozen = FrozenLevels(interp, H, w, {5: (0.0, 1.0), 8: (0.0, 1.0)})
-    simulate_lmsm(interp, H, frozen)
+    interp = MeshFieldInterpolant(grid, H, 16, 4)
+    frozen = FrozenLevels(interp, w, {5: (0.0, 1.0), 8: (0.0, 1.0)})
+    simulate_lmsm(interp, frozen)
     rows = field_on_mesh(grid, interp.nodes, 4)
     assert float(H(0.0)) == interp.nodes[0]
     for j in (5, 8):
@@ -403,6 +403,29 @@ def test_direct_checks_refuse_a_kernel_of_another_alpha():
         scale_param_check(law, kern, H, 5, [3, 11], 0.25, replicates=10_000, seed=19)
     with pytest.raises(ValueError, match="alpha differ"):
         covariance_mc_check(law, kern, H, 6, [1, 2], 0.25, replicates=10_000, seed=19)
+
+
+def test_direct_coefficients_refuse_a_cell_outside_the_unit_interval(monkeypatch):
+    # H_k is read at k 2^-j, so a cell (j, k) must lie inside [0, 1]: every
+    # direct-coefficient route refuses k = -1 and k = 2^j, the MC checks
+    # before any noise is drawn.  scale_param_check used to report targets
+    # for the cells at 70/64 and -3/64
+    H, j = L.linear_hurst(0.7, 0.15), 6
+    drawn = []
+    monkeypatch.setattr(bounds, "unit_sas", lambda *args: drawn.append(args))
+    grid = L.make_noise_grid(LAW, -2.0, 2.0**-10, seed=5)
+    for k in (-1, 2**j):
+        with pytest.raises(ValueError, match="must lie inside"):
+            L.process.direct_coeff_weights(2.0**-10, KERN, j, k, 0.8)
+        with pytest.raises(ValueError, match="must lie inside"):
+            L.simulate_coeff_direct(grid, KERN, j, k, H)
+        with pytest.raises(ValueError, match="must lie inside"):
+            scale_param_check(LAW, KERN, H, j, [8, k], 0.25, replicates=10_000, seed=1)
+    # the lag set puts k = -1 (lags up to -1) or k = 2^j (32 + 32) in play
+    for lags in ([-3, -1], [32]):
+        with pytest.raises(ValueError, match="must lie inside"):
+            covariance_mc_check(LAW, KERN, H, j, lags, 0.25, replicates=10_000, seed=1)
+    assert drawn == []
 
 
 def test_scale_check_small_level():

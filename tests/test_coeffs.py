@@ -107,7 +107,7 @@ def test_build_pyramid_structure_and_zero_path():
     w = L.default_wavelet()
     grid = make_noise_grid(L.StableLaw(1.5), -2.0, 2.0**-10, seed=4)
     H = L.constant_hurst(0.8)
-    path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=4), H)
+    path = L.simulate_lmsm(MeshFieldInterpolant(grid, H, 16, 4))
     intervals = {j: (0.0, 1.0) for j in (4, 5, 6)}
     pyr = build_pyramid(path, w, intervals)
     assert set(pyr.levels) == {4, 5, 6}

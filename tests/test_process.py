@@ -244,11 +244,11 @@ def test_cost_contract_of_the_split(monkeypatch):
     # a path build is one pass: 1 + 2 * 16 * 8 rows in 1 + 2 * 16 * 2 calls,
     # also when a consumer reads the same node rows
     H = L.linear_hurst(0.7, 0.15)
-    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=8)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(), {5: (0.0, 1.0)})
+    interp = MeshFieldInterpolant(g, H, 16, 8)
+    frozen = FrozenLevels(interp, L.default_wavelet(), {5: (0.0, 1.0)})
     for consumers in ((), (frozen,)):
         calls.clear()
-        L.simulate_lmsm(interp, H, *consumers)
+        L.simulate_lmsm(interp, *consumers)
         assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 16 * 2)
         assert rows() == 1 + 2 * 16 * 8
     # criterion 8: alpha 1.5, H in [0.7, 0.85], delta = 2^-16; the batch takes
@@ -325,11 +325,12 @@ def test_far_series_remainder_is_certified():
 
 def test_interpolant_matches_exact_nodes_and_offnode():
     g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16)
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 16, 1)
+    rows = field_on_mesh(g, interp.nodes)
     rng = np.random.default_rng(2)
     for v in rng.uniform(0.7, 0.85, 4):
         exact = field_on_mesh(g, float(v))
-        approx = interp.at(float(v))
+        approx = interp.combine(float(v), rows)
         scale = np.max(np.abs(exact))
         assert np.max(np.abs(exact - approx)) < 1e-9 * scale
 
@@ -337,17 +338,38 @@ def test_interpolant_matches_exact_nodes_and_offnode():
 def test_interpolant_needs_two_nodes_on_a_range():
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
     with pytest.raises(ValueError, match="n_nodes"):
-        MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=1)
-    pinned = MeshFieldInterpolant(g, 0.8, 0.8, n_nodes=1)  # constant H needs one
-    assert pinned.nodes.tolist() == [0.8]
+        MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 1, 1)
+    single = MeshFieldInterpolant(g, L.constant_hurst(0.8), 1, 1)  # constant H needs one
+    assert single.nodes.tolist() == [0.8]
+
+
+def test_interpolant_has_one_node_exactly_when_h_is_constant():
+    # the interpolant's one constant-H rule is H.is_constant, exact equality
+    # of H's extremes: a range of 5e-14 is interpolated like any other
+    g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
+    for H in (L.constant_hurst(0.8), L.linear_hurst(0.8, 0.0), L.sine_hurst(0.8, 0.0)):
+        interp = MeshFieldInterpolant(g, H, 16, 1)
+        assert H.is_constant
+        assert interp.nodes.tolist() == [0.8] and interp.weights.tolist() == [1.0]
+    H = L.sine_hurst(0.8, 2.5e-14)
+    assert not H.is_constant
+    interp = MeshFieldInterpolant(g, H, 16, 1)
+    assert interp.nodes.size == 16
+    assert (interp.nodes[0], interp.nodes[-1]) == pytest.approx((H.h_low, H.h_high), abs=1e-16)
 
 
 def test_interpolant_one_v_and_per_index_v_agree_bitwise():
+    # an odd node count puts the middle Chebyshev node at H(1/2) of a linear
+    # H, so the streamed route meets interior node hits besides both ends:
+    # with 13 nodes, nodes 0, 4, 6, 8 and 12 sit at H(0), H(1/4), H(1/2),
+    # H(3/4) and H(1)
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=31)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
+    H = L.linear_hurst(0.7, 0.15)
+    interp = MeshFieldInterpolant(g, H, 13, 2)
     vals = field_on_mesh(g, interp.nodes, 2)
-    v = np.linspace(0.7, 0.85, vals.shape[1])
-    v[5] = interp.nodes[3]  # a node hit
+    v = H(np.arange(interp.size) * interp.t_step)
+    quarter = (interp.size - 1) // 4
+    mid = 2 * quarter  # t = 1/2
     # reference: the broadcast barycentric formula, summed over the node axis
     diff = v[None, :] - interp.nodes[:, None]
     exact = np.isclose(diff, 0.0, atol=1e-15)
@@ -355,13 +377,14 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
     ref = (coef * vals).sum(axis=0) / coef.sum(axis=0)
     hit = exact.any(axis=0)
     ref[hit] = vals[exact.argmax(axis=0)[hit], np.flatnonzero(hit)]
-    assert hit.sum() == 3  # both end nodes and the one placed at index 5
-    got = interp.at(v)
+    assert np.flatnonzero(hit).tolist() == [0, quarter, mid, 3 * quarter, 4 * quarter]
+    assert exact[[0, 4, 6, 8, 12], np.flatnonzero(hit)].all()
+    got = interp.at()
     # a hit reads its node row bit for bit; elsewhere the streamed pass
     # combines the far part as series coefficients, a different summation order
     assert np.array_equal(got[hit], ref[hit])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.array_equal(interp.at(float(v[5])), vals[3])  # one v on a node
+    assert np.array_equal(interp.combine(float(v[mid]), vals), vals[6])  # one v on a node
 
 
 def test_node_hits_ride_the_weights():
@@ -371,7 +394,7 @@ def test_node_hits_ride_the_weights():
     # a NaN, and the result is the row bit for bit (X(0, v) = 0 is set by
     # at(), not by the sums)
     g = make_noise_grid(LAW, -2.0, 2.0**-14, seed=31)  # noise beyond s = -1: a far part
-    interp = MeshFieldInterpolant(g, 0.8, 0.8, refine=2)
+    interp = MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 2)
     sums = L.process._Barycentric(interp.nodes, interp.weights, 0.8, (interp.size,))
     rows = L.process._Rows(1, interp.size)
     field_on_mesh(g, interp.nodes, 2, sums, rows)
@@ -410,7 +433,7 @@ def _node_axis_combine(interp, v, vals):
 
 def test_combine_equals_node_axis_formula():
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=37)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=12, refine=2)
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 12, 2)
     vals = field_on_mesh(g, interp.nodes, 2)
     v = np.linspace(0.7, 0.85, vals.shape[1])
     v[[5, 9]] = interp.nodes[[3, 7]]  # node hits inside, besides both ends
@@ -426,7 +449,7 @@ def test_combine_equals_node_axis_formula():
 def test_combine_streams_node_rows():
     # an array of v costs a few rows of temporaries, not n_nodes x N arrays
     g = make_noise_grid(LAW, -2.0, 2.0**-10, seed=39)
-    interp = MeshFieldInterpolant(g, 0.7, 0.85, n_nodes=16, refine=8)
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 16, 8)
     vals = field_on_mesh(g, interp.nodes, 8)
     n = interp.size
     v = np.linspace(0.7, 0.85, n)
@@ -463,7 +486,7 @@ def test_path_build_streams_node_rows(cells):
     workspace = (2 + 2) * min(4, refine) * n_fft
     tracemalloc.start()
     try:
-        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+        L.simulate_lmsm(MeshFieldInterpolant(g, H, n_nodes, refine))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,7 +505,7 @@ def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
     tracemalloc.start()
     try:
         g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
-        L.simulate_lmsm(MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes, refine), H)
+        L.simulate_lmsm(MeshFieldInterpolant(g, H, n_nodes, refine))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,10 +556,10 @@ class _OnCaller:
 def _pass_outputs(g, H, refine, *consumers):
     # rows, path and frozen level 5 of one interpolant, the path's pass also
     # feeding ``consumers``
-    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(), {5: (0.0, 1.0)})
+    interp = MeshFieldInterpolant(g, H, 16, refine)
+    frozen = FrozenLevels(interp, L.default_wavelet(), {5: (0.0, 1.0)})
     return (field_on_mesh(g, interp.nodes, refine),
-            L.simulate_lmsm(interp, H, frozen, *consumers).values, frozen.level(5))
+            L.simulate_lmsm(interp, frozen, *consumers).values, frozen.level(5))
 
 
 # refine 1 and 3 are one block per node, 6 ends on a block of 2 rows
@@ -553,8 +576,8 @@ def test_rows_do_not_depend_on_the_thread_budget(refine, monkeypatch):
     got = _pass_outputs(g, H, refine, count)
     assert count.seen and set(count.seen) == {before + 1}
     assert threading.active_count() == before
-    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, refine)
-    assert np.array_equal(got[1], L.simulate_lmsm(interp, H).values)
+    interp = MeshFieldInterpolant(g, H, 16, refine)
+    assert np.array_equal(got[1], L.simulate_lmsm(interp).values)
     monkeypatch.setattr(L.process, "ThreadPoolExecutor", _OnCaller)
     for one, two in zip(got, _pass_outputs(g, H, refine)):
         assert np.array_equal(one, two)
@@ -567,7 +590,7 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     # and the blocks cover every mesh point once
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
     H = L.linear_hurst(0.7, 0.15)
-    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
+    interp = MeshFieldInterpolant(g, H, 16, 8)
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
     madds, matmul = [], np.matmul
@@ -577,7 +600,7 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    L.simulate_lmsm(interp, H)
+    L.simulate_lmsm(interp)
     assert 0 < max(madds) <= L.stable._SERIAL_GEMM_MADDS
     assert sum(madds) == (n_terms + 1) * 16 * interp.size  # coefficients 0..n_terms
 
@@ -590,8 +613,8 @@ def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
     # whole product is above the threshold
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
     H = L.linear_hurst(0.7, 0.15)
-    interp = MeshFieldInterpolant(g, H.h_low, H.h_high, 16, 8)
-    frozen = FrozenLevels(interp, H, L.default_wavelet(),
+    interp = MeshFieldInterpolant(g, H, 16, 8)
+    frozen = FrozenLevels(interp, L.default_wavelet(),
                           {j: (0.0, 1.0) for j in (5, 8, 10)})
     ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
     n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
@@ -606,7 +629,7 @@ def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    L.simulate_lmsm(interp, H, frozen)
+    L.simulate_lmsm(interp, frozen)
     widest = max((n for n, _ in calls), default=0)
     assert 0 < 16 * (n_terms + 1) * widest <= L.stable._SERIAL_GEMM_MADDS
     covered = {}
@@ -617,24 +640,24 @@ def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
 
 
 def test_interpolant_refuses_to_extrapolate():
-    # H = 0.8 - 0.1 t leaves the interpolant's [0.75, 0.8] at t = 0.5
+    # combine takes any v a caller passes, and refuses one more than 1e-12
+    # outside H's range, here [0.75, 0.8]
     g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
-    interp = MeshFieldInterpolant(g, 0.75, 0.8, n_nodes=16)
-    with pytest.raises(ValueError, match="outside"):
-        L.simulate_lmsm(interp, L.linear_hurst(0.8, -0.1))
-    interp.at(0.8 + 5e-13)  # inside the 1e-12 slack
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.75, 0.05), 16, 1)
+    rows = np.ones((16, 2))
+    interp.combine(0.8 + 5e-13, rows)  # inside the 1e-12 slack
     for v in (0.8 + 2e-12, np.array([0.76, 0.7499])):
-        with pytest.raises(ValueError):
-            interp.at(v)
-    pinned = MeshFieldInterpolant(g, 0.8, 0.8)
-    with pytest.raises(ValueError):
-        pinned.at(0.8 + 2e-12)
+        with pytest.raises(ValueError, match="outside"):
+            interp.combine(v, rows)
+    single = MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 1)
+    with pytest.raises(ValueError, match="outside"):
+        single.combine(0.8 + 2e-12, np.ones((1, 2)))
 
 
 def test_constant_hurst_path_is_lfsm_code_path():
     g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=37)
     H = L.constant_hurst(0.8)
-    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), H)
+    path = L.simulate_lmsm(MeshFieldInterpolant(g, H, 16, 1))
     assert np.array_equal(path.times, np.arange(2**10 + 1) * 2.0**-10)
     mesh = field_on_mesh(g, 0.8)
     mesh[0] = 0.0
@@ -649,8 +672,8 @@ def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
     g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=41)
     H = L.linear_hurst(0.7, 0.15)
     refine = 4
-    field = MeshFieldInterpolant(g, H.h_low, H.h_high, n_nodes=16, refine=refine)
-    path = L.simulate_lmsm(field, H)
+    field = MeshFieldInterpolant(g, H, 16, refine)
+    path = L.simulate_lmsm(field)
     times = np.arange(refine / g.delta + 1) * field.t_step
     assert np.array_equal(path.times, times)
     rows = field_on_mesh(g, field.nodes, refine)
@@ -658,14 +681,14 @@ def test_lmsm_reads_the_interpolant_on_its_whole_mesh():
     assert path.values[0] == 0.0
     assert np.array_equal(path.values[[0, -1]], [rows[0, 0], rows[-1, -1]])
     assert np.max(np.abs(path.values - expect)) <= 1e-13 * np.max(np.abs(expect))
-    assert np.array_equal(path.values, field.at(H(times)))
+    assert np.array_equal(path.values, field.at())
 
 
 def test_lipschitz_coupling_in_hurst():
     # nearby Hurst functions on shared noise stay uniformly close
     g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=43)
-    def path(h):  # one pinned interpolant per constant H
-        return L.simulate_lmsm(MeshFieldInterpolant(g, h, h), L.constant_hurst(h)).values
+    def path(h):  # one single-node interpolant per constant H
+        return L.simulate_lmsm(MeshFieldInterpolant(g, L.constant_hurst(h), 16, 1)).values
 
     base = 0.75
     y1 = path(base)
@@ -800,7 +823,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
     kern = PhiKernel(1.5)
     H = L.constant_hurst(0.8)
     grid = make_noise_grid(LAW, -16.0, 2.0**-11, seed=121)
-    path = L.simulate_lmsm(MeshFieldInterpolant(grid, 0.8, 0.8, refine=8), H)
+    path = L.simulate_lmsm(MeshFieldInterpolant(grid, H, 16, 8))
     from lmsmlab.coeffs import build_pyramid
 
     pyr = build_pyramid(path, L.default_wavelet(), {5: (0.0, 1.0), 6: (0.0, 1.0)})
@@ -816,7 +839,7 @@ def test_cross_route_coefficients_agree_on_shared_noise():
 
 def test_path_csv_roundtrip(tmp_path):
     g = make_noise_grid(LAW, -2.0, 2.0**-8, seed=111)
-    path = L.simulate_lmsm(MeshFieldInterpolant(g, 0.8, 0.8), L.constant_hurst(0.8))
+    path = L.simulate_lmsm(MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 1))
     fname = tmp_path / "path.csv"
     assert write_path_csv(path, str(tmp_path)) == str(fname)
     # the header is derived from the path's noise grid and H

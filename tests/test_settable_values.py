@@ -45,7 +45,7 @@ def settable_values() -> int:
 
 
 def test_settable_value_count():
-    assert settable_values() == 72
+    assert settable_values() == 68
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -201,17 +201,6 @@ def test_decay_envelope_bounds_phi_beyond_its_cut():
             PhiKernel(1.2).decay_envelope_constant(S, kappa)
 
 
-def test_decay_certificate_stable_under_refinement():
-    for alpha in (1.2, 1.5, 1.8):
-        k = PhiKernel(alpha)
-        h_hi = 0.97
-        v_grid = [1.0 / alpha + 0.03, h_hi]
-        c1 = k.decay_constant(h_hi, v_grid, n_s=2000)
-        c2 = k.decay_constant(h_hi, v_grid, n_s=4000)
-        assert np.isfinite(c1) and c1 > 0
-        assert abs(c2 - c1) <= 0.01 * c1
-
-
 def quad_phi(s: float, v: float, alpha: float) -> float:
     """Adaptive-quadrature oracle: the substitution w = (y - s)^(kappa+1)
     removes the endpoint singularity; accurate to about 1e-12."""
