@@ -289,7 +289,7 @@ def _direct_weight_matrix(
     rows = []
     for k in ks:
         h_k = float(H.frozen(j, k))
-        rows.append(direct_coeff_weights(delta, phi, j, int(k), h_k))
+        rows.append(direct_coeff_weights(delta, phi, j, k, h_k))
     i_lo = min(i0 for i0, _ in rows)
     n_cells = max(i0 + w.size for i0, w in rows) - i_lo
     W = np.zeros((len(rows), n_cells))
@@ -394,7 +394,7 @@ def covariance_mc_check(
     coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
     a = np.abs(coeffs) ** beta
     base = a[:, 0]
-    lam = lambda_exponent(law.alpha, max(H.h_high, 1.0 / law.alpha + 1e-9))
+    lam = lambda_exponent(law.alpha, H.h_high)
     covs, ses = [], []
     for col in range(1, len(ks)):
         b = a[:, col]

@@ -403,23 +403,24 @@ def run_verification(config: ExperimentConfig) -> list[BoundReport]:
     """The default bound-report suite: the reports ``bounds`` builds, each
     with its own verdict, on the config's law, kernel and Hurst profile."""
     config.validate()
-    law, H, j_max = config.law, config.hurst(), max(config.j_range)
+    law, H = config.law, config.hurst()
     kernel = PhiKernel(config.alpha, config.wavelet())
-    j_cov, j_scale = min(8, j_max), min(6, j_max)
-    cov_lags = [q for q in (1, 2, 4, 8, 16, 32, 64) if q <= 2 ** (j_cov - 2)]
-    ks = [2 ** (j_scale - 3), 2 ** (j_scale - 1), 3 * 2 ** (j_scale - 2)]
+    # the checks read fixed levels, so every cell lies inside [0, 1] whatever
+    # the config's levels: the decay reports' lag 128 needs j >= 8, the
+    # covariance check's cells reach 128 at j = 8, the scale check's 48 at j = 6
+    j_decay = max(max(config.j_range), 8)
     # the approximation lemma is vacuous for constant H (the two coefficient
     # routes coincide exactly); verify it on the configured profile when that
     # varies, else on the vetted linear profile
     h_approx = H if not H.is_constant else linear_hurst(0.7, 0.15)
     return [
         rq_sweep_report(2.0, 1.5),
-        *(phi_decay_report(kernel, H, j_max, [1, 2, 4, 8, 16, 32, 64, 128], which)
+        *(phi_decay_report(kernel, H, j_decay, [1, 2, 4, 8, 16, 32, 64, 128], which)
           for which in ("phi1", "phi2")),
         lambda_grid_report(),
-        covariance_mc_check(law, kernel, H, j_cov, cov_lags, config.beta,
+        covariance_mc_check(law, kernel, H, 8, [1, 2, 4, 8, 16, 32, 64], config.beta,
                             replicates=config.verify_cov_replicates, seed=config.seed + 1),
-        scale_param_check(law, kernel, H, j_scale, ks, config.beta,
+        scale_param_check(law, kernel, H, 6, [8, 32, 48], config.beta,
                           replicates=config.verify_scale_replicates, seed=config.seed + 2),
         approx_error_check(law, config.wavelet(), h_approx, [6, 7, 8, 9, 10, 11],
                            seed=config.seed + 3),

@@ -39,8 +39,10 @@ transformed once, the kernel values share one log t, each v's residue rows are
 transformed in blocks of up to four, into buffers allocated once per pass, and
 the far series of every v comes from one pass over the far noise, with the
 batch's largest certified term count.  A block's kernel half (its kernel values
-and their transform) needs no noise, so it runs one block ahead on a helper
-thread while the caller convolves the block before it with the noise.
+and their transform) reads no noise, so it runs one block ahead on a helper
+thread while the caller convolves the block before it with the noise.  A row's
+second term, b = sum_{s_i < 0} (-s_i)**kappa dZ_i, needs no pass of its own:
+it is the convolution's own output at t = 0, subtracted once the row is whole.
 Time-varying Hurst values are then obtained by barycentric interpolation
 across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
 dozen nodes reach near machine precision.  The path's far part is the
@@ -93,6 +95,17 @@ class TruncationError(ValueError):
 
 # the kinds of H and the number of parameters of each
 _HURST_KINDS = {"constant": 1, "linear": 2, "sine": 2}
+
+
+def _dyadic_shifts(j: int, k) -> np.ndarray:
+    """The shifts k (one or an array, maybe empty) as an array; ValueError
+    unless each is an integer whose dyadic cell [k 2^-j, (k + 1) 2^-j] lies
+    inside [0, 1].  The one cell rule of every route that reads H_k."""
+    k = np.asarray(k)
+    bad = k[(k != np.floor(k)) | (k < 0) | ((k + 1) * 2.0**-j > 1.0)]
+    if bad.size:
+        raise ValueError(f"dyadic cell ({j}, {bad[0]}) must lie inside [0, 1] at integer k")
+    return k
 
 
 @dataclass(frozen=True)
@@ -148,8 +161,9 @@ class HurstFunction:
 
     def frozen(self, j: int, k) -> np.ndarray:
         """H_k = H(k 2^-j), the level a dyadic cell (j, k) is frozen at, for
-        one shift or an array of shifts."""
-        return np.asarray(self(np.asarray(k) * 2.0**-j), dtype=float)
+        one shift or an array of shifts.  Raises ValueError for a shift that
+        is not an integer or whose cell leaves [0, 1] (``_dyadic_shifts``)."""
+        return np.asarray(self(_dyadic_shifts(j, k) * 2.0**-j), dtype=float)
 
     @property
     def is_constant(self) -> bool:
@@ -379,14 +393,18 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     values g = t^kappa at the refine residues share one log t.  Each v's
     residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
     ``numpy.fft`` call per block and stage, each on the thread that makes
-    it.  Stage 1 is the kernel half: the block's kernel values, their
-    forward transform and, on the node's first block, the kernel's second
-    term over the near cells, b = sum_{s_i < 0} (-s_i)^kappa dZ_i.  Stage 2
-    multiplies by the noise spectrum, inverts, and copies the block's
-    residues into the node's mesh row; after the node's last block it
-    subtracts b and hands the row on.  Stage 1 runs on one helper thread,
-    started for the pass and ended with it, one block ahead of the caller,
-    which runs stage 2; a pass of one block runs it there too.  A pass
+    it.  Stage 1 is the kernel half, a function of the geometry, the node
+    and the block's residues alone, which reads no noise: the block's kernel
+    values and their forward transform.  Stage 2 multiplies by the noise
+    spectrum, inverts, and copies the block's window [i0, i0 + K] into the
+    node's mesh buffer, which runs to q = K for every residue and so holds
+    t = 1; the refine - 1 points past t = 1 are never handed on.  The row's
+    value at t = 0 is the kernel's second term over the near cells,
+    b = sum_{s_i < 0} (-s_i)^kappa dZ_i, so after the node's last block
+    stage 2 subtracts the row's first value from the row, which makes it
+    exactly 0 at t = 0, and hands the row on.  Stage 1 runs on one helper
+    thread, started for the pass and ended with it, one block ahead of the
+    caller, which runs stage 2; a pass of one block runs it there too.  A pass
     allocates its workspace once, and every 2-D transform writes into it
     (``out=``): the kernel values over their support, i0 + K + 1 points,
     which rfft pads with zeros to L; a ring of two spectra (block n's in
@@ -459,17 +477,18 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     conv = np.empty((rows, n_fft))
 
     def kernel_spectrum(n):
-        # stage 1, the kernel half of block n: its kernel values, the node's
-        # b on its first block, and their transform into ring slot n % 2,
-        # which the caller is done with (see below)
+        # stage 1, the kernel half of block n, a function of the geometry, the
+        # node and the residues alone: their kernel values and their transform
+        # into ring slot n % 2, which the caller is done with (see below)
         i, lo, hi = blocks[n]
         g = gk[: hi - lo]
         np.exp(np.multiply(log_t[lo:hi], kappa[i], out=g), out=g)
-        b = float(g[0, 1 : i0 + 1] @ dz[i0 - 1 :: -1]) if lo == 0 and i0 > 0 else 0.0
-        return rfft(g, n_fft, axis=-1, out=ring[n % 2, : hi - lo]), b
+        return rfft(g, n_fft, axis=-1, out=ring[n % 2, : hi - lo])
 
-    near = np.empty(K * refine + 1)
-    mesh = near[:-1].reshape(K, refine)  # mesh index q*refine + rho is mesh[q, rho]
+    # mesh index q*refine + rho is mesh[q, rho]; the row is its first
+    # K*refine + 1 points, up to t = 1, and the rest of q = K is never read
+    mesh = np.empty((K + 1, refine))
+    near = mesh.reshape(-1)[: K * refine + 1]
     # one helper thread runs stage 1 one block ahead: it starts block n + 1
     # once the caller holds block n, so the caller is done with block n - 1
     # and its ring slot; leaving the pool, also on an error, waits for the
@@ -477,23 +496,20 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     with ThreadPoolExecutor(1) as helper:
         ahead = helper.submit(kernel_spectrum, 0)
         for n, (i, lo, hi) in enumerate(blocks):
-            spec, b_block = ahead.result()
+            spec = ahead.result()
             if n + 1 < len(blocks):
                 ahead = helper.submit(kernel_spectrum, n + 1)
             # stage 2, with the noise: residue rho's row of the mesh is column
             # i0 + q of the convolution's row rho - lo
             spec *= zf
             out = irfft(spec, n_fft, axis=-1, out=conv[: hi - lo])
-            mesh[:, lo:hi] = out[:, i0 : i0 + K].T
-            if lo == 0:
-                b = b_block
-                near[-1] = out[0, i0 + K]
-            if hi < refine:
-                continue
-            near -= b
-            near[0] = 0.0  # the u = 0 kernel vanishes identically
-            for consumer in consumers:
-                consumer.row(i, near)
+            mesh[:, lo:hi] = out[:, i0 : i0 + K + 1].T
+            if hi == refine:
+                # near[0], the convolution at t = 0, is the kernel's second
+                # term b = sum_{s_i < 0} (-s_i)^kappa dZ_i: the row is 0 there
+                near -= near[0]
+                for consumer in consumers:
+                    consumer.row(i, near)
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:
@@ -717,11 +733,14 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     The count is every array a build holds, as if all at once: the noise
     grid and its spectrum; the field pass's ``log t`` table (refine rows)
     and its workspace of min(``_BLOCK``, refine) rows each: the kernel
-    values, a ring of two spectra and the convolution; four mesh arrays
-    (H(t), the barycentric numerator, the near row and the far part's h);
-    and, when the noise reaches below s = -``_NEAR_SPAN``, the far cells'
-    offsets and the far series' blocks of ``_CHUNK`` points (two rows per
-    node, one per series term and three more).  Never a row per v-node."""
+    values, a ring of two spectra and the convolution; three mesh arrays
+    (H(t), the barycentric numerator and the far part's h) and the near
+    row's buffer of refine (K + 1) points, K = 1/delta; and, when the noise
+    reaches below s = -``_NEAR_SPAN``, the far cells' offsets and the far
+    series' blocks of ``_CHUNK`` points (two rows per node, one per series
+    term and three more).  Never a row per v-node, and nothing for the
+    kernel's second term b: stage 1 reads no noise, and b is each row's own
+    convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
     i_near, i0, n_fft = _pass_geometry(n_cells, K)
@@ -730,7 +749,7 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     noise = n_cells + spectrum
     log_t = refine * (i0 + K + 1)
     transforms = rows * (i0 + K + 1 + 2 * spectrum + n_fft)
-    mesh = 4 * (refine * K + 1)
+    mesh = 3 * (refine * K + 1) + refine * (K + 1)
     # kappa < 1, and x_i >= 1 + delta puts every series ratio below 1/3
     far = i_near + (2 * n_nodes + _far_series_terms(1.0, 1 / 3) + 3) * _CHUNK if i_near else 0
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -778,11 +797,10 @@ def direct_coeff_weights(
     [(i_start + i) delta, (i_start + i + 1) delta): ``i_start`` counts cells
     from s = 0, so the window needs no grid.  The window is the smallest one
     whose certified tail alpha-mass is below 1e-6 of the kernel mass.  Raises
-    ValueError unless the dyadic cell [k 2^-j, (k + 1) 2^-j] lies inside
-    [0, 1], where H_k is read.
+    ValueError unless k is an integer whose dyadic cell [k 2^-j, (k + 1)
+    2^-j] lies inside [0, 1], where H_k is read.
     """
-    if not (0 <= k and (k + 1) * 2.0**-j <= 1.0):
-        raise ValueError(f"dyadic cell ({j}, {k}) must lie inside [0, 1]")
+    _dyadic_shifts(j, k)
     alpha = phi.alpha
     norm_a = phi.lalpha_norm(h_value) ** alpha
     s_cut = 4.0

@@ -405,6 +405,16 @@ def test_direct_checks_refuse_a_kernel_of_another_alpha():
         covariance_mc_check(law, kern, H, 6, [1, 2], 0.25, replicates=10_000, seed=19)
 
 
+def test_phi_integrals_refuse_a_cell_outside_the_unit_interval():
+    # the decay reports' lag 128 is cell (6, 128) at j = 6, frozen at H(2):
+    # 0.9 for this H, inside (1/alpha, 1), so the integral used to run there
+    H = L.linear_hurst(0.7, 0.1)
+    for integral in (phi1_integral, phi2_integral):
+        with pytest.raises(ValueError, match=r"dyadic cell \(6, 128\) must lie inside"):
+            integral(KERN, H, 6, 0, 128)
+    assert phi1_integral(KERN, H, 8, 0, 128) > 0.0
+
+
 def test_direct_coefficients_refuse_a_cell_outside_the_unit_interval(monkeypatch):
     # H_k is read at k 2^-j, so a cell (j, k) must lie inside [0, 1]: every
     # direct-coefficient route refuses k = -1 and k = 2^j, the MC checks

@@ -354,6 +354,38 @@ def test_cli_verify_exit_status(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("j_range", [(1,), (2,), (4,), (6,)])
+def test_verify_reads_integer_cells_inside_the_unit_interval(j_range, monkeypatch):
+    # the bounds checks of run_verification read fixed levels, so every
+    # cell they read is an integer shift inside [0, 1] whatever the config's
+    # levels: at j_max = 6 the decay reports used to read H(2), at j_max = 2
+    # the scale check a shift 0.5, and at j_max = 1 the covariance check got
+    # no lag.  Recorders stand in for the checks, so no Monte Carlo runs
+    cells = []
+
+    def decay(phi, H, j, lags, which):
+        cells.append((j, [0, *lags]))
+
+    def covariance(law, phi, H, j, lags, beta, replicates, seed):
+        assert lags
+        cells.append((j, [max(lags), *(max(lags) + q for q in lags)]))
+
+    def scale(law, phi, H, j, ks, beta, replicates, seed):
+        cells.append((j, list(ks)))
+
+    for name, recorder in (("phi_decay_report", decay), ("covariance_mc_check", covariance),
+                           ("scale_param_check", scale)):
+        monkeypatch.setattr(harness, name, recorder)
+    for name in ("rq_sweep_report", "lambda_grid_report", "approx_error_check"):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: None)
+    harness.run_verification(ExperimentConfig(**{**FAST, "hurst_name": "linear",
+                                                 "hurst_params": (0.7, 0.15),
+                                                 "j_range": j_range}))
+    assert len(cells) == 4
+    for j, ks in cells:
+        assert all(float(k).is_integer() and 0 <= k and (k + 1) * 2.0**-j <= 1 for k in ks)
+
+
 @pytest.mark.parametrize("workers, name", [(1, "run_replicate"), (2, "build_pyramid")],
                          ids=["workers=1", "workers=2"])
 def test_a_bug_in_a_replicate_ends_the_run(workers, name, tmp_path, monkeypatch):

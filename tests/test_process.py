@@ -5,6 +5,7 @@ integrals: the scale of sum w_i dZ_i is (sum |w_i|**alpha * delta)**(1/alpha),
 so empirical fractional moments can be compared against quadrature targets.
 """
 
+import copy
 import dataclasses
 import math
 import os
@@ -583,6 +584,38 @@ def test_rows_do_not_depend_on_the_thread_budget(refine, monkeypatch):
         assert np.array_equal(one, two)
 
 
+class _Recording(_OnCaller):
+    """``_OnCaller`` that also keeps a copy of every task's result, taken
+    before the caller works on it."""
+
+    results = []
+
+    def submit(self, fn, *args):
+        done = super().submit(fn, *args)
+        self.results.append(copy.deepcopy(done.result()))
+        return done
+
+
+def test_kernel_half_reads_no_noise(monkeypatch):
+    # stage 1 of the field pass is a function of the geometry, the node and
+    # the residue block alone: on two grids of one geometry and different
+    # noise, every block's kernel spectrum is bitwise the same, in the same
+    # order.  Each row's second term b is the convolution at t = 0, which
+    # makes the row exactly 0 there
+    monkeypatch.setattr(L.process, "ThreadPoolExecutor", _Recording)
+    nodes, refine = np.array([0.7, 0.78, 0.85]), 6  # blocks of 4 and 2 rows
+    spectra = []
+    for seed in (3, 4):
+        _Recording.results = []
+        rows = field_on_mesh(make_noise_grid(LAW, -2.0, 2.0**-8, seed=seed), nodes, refine)
+        assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 1:] != 0.0)
+        spectra.append(_Recording.results)
+    assert len(spectra[0]) == len(spectra[1]) == 2 * nodes.size
+    for one, two in zip(*spectra):
+        assert isinstance(one, np.ndarray) and isinstance(two, np.ndarray)
+        assert one.tobytes() == two.tobytes()
+
+
 def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     # the path's far part combines the nodes' series coefficients with the
     # barycentric weights in column blocks, each product small enough
@@ -906,6 +939,22 @@ def test_hurst_validation():
             ks = np.arange(2**j)
             assert np.array_equal(H.frozen(j, ks), H(ks * 2.0**-j))
             assert np.array_equal(H.frozen(j, range(2**j)), H(ks * 2.0**-j))
+
+
+def test_frozen_refuses_a_cell_outside_the_unit_interval():
+    # H_k is read at an integer shift k whose cell [k 2^-j, (k + 1) 2^-j]
+    # lies inside [0, 1], alone or among other shifts, for every kind of H;
+    # direct_coeff_weights shares the rule, and no shift at all passes
+    for H in (L.constant_hurst(0.8), L.linear_hurst(0.7, 0.15), L.sine_hurst(0.75, 0.08)):
+        for j in (2, 6):
+            for k in (-1, 2**j, 0.5):
+                with pytest.raises(ValueError, match=rf"dyadic cell \({j}, .*must lie inside"):
+                    H.frozen(j, k)
+                with pytest.raises(ValueError, match="must lie inside"):
+                    H.frozen(j, [0, k, 1])
+            assert H.frozen(j, np.array([], dtype=int)).shape == (0,)
+    with pytest.raises(ValueError, match="must lie inside"):
+        direct_coeff_weights(2.0**-10, PhiKernel(1.5), 2, 0.5, 0.8)
 
 
 # each kind's closed form, which H's values must equal bit for bit
