@@ -153,11 +153,12 @@ class FrozenLevels:
     produces it, so only per-node level coefficients are kept, 2^j numbers
     per node and level, and ``level(j)`` combines them barycentrically at
     H(k 2^-j).  The combination is linear in the node values, so this is the
-    path route's quadrature of X(., H(k 2^-j)).  The far part of the rows arrives as power-series
-    coefficients in h (see ``process.field_on_mesh``): the level quadrature
-    of each power of h, taken once per level from the moments of the cell
-    weights, is applied to every node's coefficients on the calling thread
-    (``stable.serial_matmul``).
+    path route's quadrature of X(., H(k 2^-j)).  The far part of the rows
+    arrives one piece of [0, 1] at a time, as power-series coefficients in h
+    (see ``process.field_on_mesh``): the level quadrature of each power of h
+    over the piece's taps, taken once per level and piece from the moments
+    of the cell weights, is applied to every node's coefficients on the
+    calling thread (``stable.serial_matmul``).
     """
 
     def __init__(self, field: MeshFieldInterpolant, w: WaveletSpec, intervals: dict):
@@ -166,28 +167,41 @@ class FrozenLevels:
         self.node_levels = {j: np.zeros((field.nodes.size, len(ks)))
                             for j, ks in self.cells.items()}
 
-    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
+    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
         for j, ks in self.cells.items():
-            powers = self._level_powers(h, j, ks, coef.shape[1])
-            self.node_levels[j] += serial_matmul(coef, powers)
+            first, powers = self._level_powers(h, lo, j, ks, coef.shape[1])
+            if powers.size:
+                at = first - ks.start
+                self.node_levels[j][:, at : at + powers.shape[1]] += serial_matmul(coef, powers)
 
-    def _level_powers(self, h: np.ndarray, j: int, ks: range, n: int) -> np.ndarray:
-        # level-j coefficients of h^0 .. h^(n-1) on the shifts ks.  Cell k's
-        # samples sit at h = a_k + u, a_k its first sample, u = tap * step,
-        # so by the binomial theorem they are sum_p binom(q, p) a_k^(q-p) nu_p
-        # with the tap moments nu_p = sum_tap w_tap u^p: no sample is read
-        # twice.  The field is 0 at t = 0, so cell 0 drops its first tap.
+    def _level_powers(self, h: np.ndarray, lo: int, j: int, ks: range, n: int):
+        # (first, out): out[q] holds, for the cells of ks from ``first`` on
+        # that meet the piece's mesh points lo .. lo + h.size - 1, the level
+        # quadrature of h^q over the cell's taps e0..e1 on those points.  The
+        # taps sit at h = a + u, a the h of tap e0, u = (e - e0) * step, so by
+        # the binomial theorem they are sum_p binom(q, p) a^(q-p) nu_p with
+        # the tap moments nu_p = sum_e w_e u^p: no sample is read twice, and
+        # the cells whole on the piece share one (e0, e1) = (0, m).  A cell
+        # that straddles a piece edge (its last tap, or more when j < 3)
+        # takes the taps on each side from that side's piece.  The field is
+        # 0 at t = 0, so cell 0 drops its first tap.
         m = samples_per_cell(self.field.t_step, j)
         w = self.w.cell_weights(m)
+        first = max(ks.start, (lo - 1) // m)
+        k = np.arange(first, min(ks.stop, (lo + h.size - 1) // m + 1))
+        e0 = np.maximum(lo - k * m, 0)
+        e1 = np.minimum(lo + h.size - 1 - k * m, m)
         powers = np.arange(n)[:, None]
-        nu = ((np.arange(m + 1) * self.field.t_step) ** powers) @ w
-        a = h[ks.start * m : ks.stop * m : m] ** powers
-        out = np.empty((n, len(ks)))
-        for q in range(n):
-            out[q] = ([math.comb(q, p) for p in range(q + 1)] * nu[: q + 1]) @ a[q::-1]
-        if ks and ks.start == 0:
-            out[:, 0] -= w[0] * a[:, 0]
-        return out
+        out = np.empty((n, k.size))
+        for t0, t1 in set(zip(e0.tolist(), e1.tolist())):
+            cells = (e0 == t0) & (e1 == t1)
+            nu = ((np.arange(t1 - t0 + 1) * self.field.t_step) ** powers) @ w[t0 : t1 + 1]
+            a = h[k[cells] * m + t0 - lo] ** powers
+            for q in range(n):
+                out[q, cells] = ([math.comb(q, p) for p in range(q + 1)] * nu[: q + 1]) @ a[q::-1]
+        if k.size and lo == 0 and k[0] == 0:
+            out[:, 0] -= w[0] * h[0] ** powers[:, 0]
+        return first, out
 
     def row(self, i: int, near: np.ndarray) -> None:
         for j, ks in self.cells.items():

@@ -21,33 +21,36 @@ its inverse transform is done and keeps only what its linear functional needs.
 The path keeps its barycentric sums, and the frozen-Hurst levels of
 ``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
 outlives the pass.  The far part of the rows reaches the consumers as
-power-series coefficients, which each consumer applies through its own
-functional.
+power-series coefficients, one series per eighth of [0, 1], which each
+consumer applies through its own functional.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
-at s = -1.  The near cells [-1, 1) go through FFT convolution, which computes
-the very same Riemann sums: for fixed v the map t -> sum (t - s_i)_+**kappa
-dZ_i is a discrete convolution.  Only the outputs at t in [0, 1] are read, so
-each transform has length n_near + 1/delta (rounded up to a fast size) instead
-of the full linear-convolution length: every product that wraps around the
+at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
+[-1/4, 1) go through FFT convolution, which computes the very same Riemann
+sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a discrete
+convolution.  Only the outputs at t in [0, 1] are read, so each transform has
+length n_near + 1/delta = 9/(4 delta) (rounded up to a fast size) instead of
+the full linear-convolution length: every product that wraps around the
 circular convolution lands before t = 0, outside the window that is read.  The
-far cells s_i < -1 add a function of t that is analytic on a disc of radius 1
-around 0, summed as a binomial-moment power series around 1/2 whose ratio is
-below 1/3; a certified remainder bound fixes the number of terms (see
-``field_on_mesh``).  One pass serves a whole batch of v: the noise is
+far cells s_i < -1/4 add a function of t that is analytic on a disc of radius
+1/4 around 0.  It is summed in three steps: kappa-free moments of the noise
+over source blocks at most 1/32 wide, their translation into one Taylor
+series per piece [p/8, (p+1)/8] of [0, 1], whose ratio is at most 1/5, and a
+certified remainder bound on both truncations, which fixes the term counts
+(see ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
 transformed once, the kernel values share one log t, each v's residue rows are
 transformed in blocks of up to four, into buffers allocated once per pass, and
-the far series of every v comes from one pass over the far noise, with the
-batch's largest certified term count.  A block's kernel half (its kernel values
+the far series of every v come from one pass over the far noise, with the
+batch's largest certified term counts.  A block's kernel half (its kernel values
 and their transform) reads no noise, so it runs one block ahead on a helper
 thread while the caller convolves the block before it with the noise.  A row's
 second term, b = sum_{s_i < 0} (-s_i)**kappa dZ_i, needs no pass of its own:
 it is the convolution's own output at t = 0, subtracted once the row is whole.
 Time-varying Hurst values are then obtained by barycentric interpolation
 across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
-dozen nodes reach near machine precision.  The path's far part is the
-series whose coefficients are the barycentric combination of the nodes'
-coefficients at H(t); the barycentric sums go one block of 16,384 mesh points
+dozen nodes reach near machine precision.  The path's far part is, piece by
+piece, the series whose coefficients are the barycentric combination of the
+nodes' coefficients at H(t); the barycentric sums go one block of 16,384 mesh points
 at a time and keep one mesh-length array, their numerator.
 ``eval_field`` is the direct Riemann sum at one point, the reference the mesh
 route is tested against.
@@ -244,8 +247,8 @@ def noise_cell_count(t_min: float, delta: float) -> int:
 def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> NoiseGrid:
     """Draw the increments of the cells of [t_min, 1), deterministically in
     (law, geometry, seed)."""
-    xi = unit_sas(law.alpha, noise_cell_count(t_min, delta), _rng(seed))
-    increments = law.scale * delta ** (1.0 / law.alpha) * xi
+    increments = unit_sas(law.alpha, noise_cell_count(t_min, delta), _rng(seed))
+    increments *= law.scale * delta ** (1.0 / law.alpha)  # in place: no second array
     increments.setflags(write=False)
     return NoiseGrid(
         t_min=float(t_min),
@@ -307,61 +310,114 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     return float(w @ grid.increments)
 
 
-# field_on_mesh's near/far split: the noise on [-_NEAR_SPAN, 1) goes through
-# the FFT, the rest through the far series (the trade-off is in its
-# docstring); a whole number, so the split is a cell boundary for every delta
-_NEAR_SPAN = 1
-# the far series is a power series in h = t - _FAR_CENTER
-_FAR_CENTER = 0.5
-# points per block wherever a pass over the far cells or the mesh goes block
-# by block to bound its temporaries
+# field_on_mesh's near/far split: the noise on [-ceil(K / _NEAR_SHARE) delta, 1)
+# goes through the FFT, K = 1/delta, the rest through the far series (the
+# trade-off is in its docstring); a whole number of cells, so the split is a
+# cell boundary for every delta
+_NEAR_SHARE = 4
+# the far series: one power series per piece [p/8, (p+1)/8] of [0, 1], in
+# h = t - c_p about the piece's centre c_p, from the moments of source blocks
+# of K // _SOURCE_SHARE cells, at most 1/32 wide
+_PIECES = 8
+_SOURCE_SHARE = 32
+# points per block wherever a pass over the mesh goes block by block to bound
+# its temporaries
 _CHUNK = 16384
 # residue rows per kernel transform in the field pass (see field_on_mesh)
 _BLOCK = 4
 
 
 def _fast_len(n: int) -> int:
-    """The smallest 2^k or 3 * 2^k that is >= n: pocketfft's fastest radices.
-    The field pass asks for n_near + 1/delta = 3/delta whenever the noise
-    reaches s = -1, which is a fast length itself when 1/delta is a power of
-    two; any other length grows by less than a factor 1.5."""
-    p = 1 << (n - 1).bit_length()  # the smallest power of two >= n
-    return 3 * p // 4 if 3 * p >= 4 * n else p
+    """The smallest 2^a 3^b that is >= n: pocketfft's fastest radices.  The
+    field pass asks for n_near + 1/delta = 9/(4 delta) whenever the noise
+    reaches s = -1/4, which is a fast length itself when 1/delta is a power
+    of two >= 4."""
+    best, p3 = 1 << (n - 1).bit_length(), 3  # b = 0: the smallest power of two >= n
+    while p3 < best:
+        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
+        p3 *= 3
+    return best
 
 
-def _far_coeffs(
-    x: np.ndarray, dz: np.ndarray, kappa, c: float, n_terms: int
-) -> np.ndarray:
-    """Power-series coefficients in h of sum_i [(x_i + c + h)^kappa - x_i^kappa] dZ_i,
-    one row per entry of a 1-D ``kappa`` (one 1-D row for a scalar).
+def _far_blocks(K: int, delta: float) -> tuple[int, float, float]:
+    """(B, rho, x_near) of a pass's far part, K cells on [0, 1): B cells per
+    source block, rho = B delta / 2, which bounds |x_i - x_b| inside a block,
+    and x_near = -s of the nearest far cell."""
+    B = max(1, K // _SOURCE_SHARE)
+    return B, B * delta / 2, (-(-K // _NEAR_SHARE) + 1) * delta
 
-    With y = x + c, (y + h)^k = sum_n binom(k, n) h^n y^(k-n), so coefficient
-    n >= 1 is binom(k, n) M_n, M_n = sum y_i^(k-n) dZ_i.  Coefficient 0,
-    sum [y_i^k - x_i^k] dZ_i, is the rest of the same expansion at h = -c,
-    where y_i + h = x_i: minus sum_{n>=1} binom(k, n) (-c)^n M_n, so no power
-    of x is taken and the series vanishes at t = 0, as the far part does.
-    One chunked pass serves every kappa and shares log y: the moments are
-    E @ P with E[k, i] = y_i^k and P[i, n] = dZ_i y_i^-n."""
-    kap = np.atleast_1d(np.asarray(kappa, dtype=float))[:, None]
-    mom = np.zeros((kap.size, n_terms))
-    for lo in range(0, x.size, _CHUNK):
-        y = x[lo : lo + _CHUNK] + c
-        e = np.exp(kap * np.log(y))
-        y_inv = 1.0 / y
-        p = np.empty((n_terms, y.size))
-        p[0] = dz[lo : lo + _CHUNK] * y_inv
-        for n in range(1, n_terms):
-            np.multiply(p[n - 1], y_inv, out=p[n])
-        mom += e @ p.T
-    coef = np.array([_binom_coeffs(k, n_terms) for k in kap[:, 0]])
-    coef[:, 1:] *= mom
-    coef[:, 0] = -(coef[:, 1:] @ (-c) ** np.arange(1, n_terms + 1))
-    return coef if np.ndim(kappa) else coef[0]
+
+def _far_terms(K: int, delta: float, kappa: float) -> list[tuple[int, int]]:
+    """Per piece p, (N, M): the highest power of h its series keeps, and the
+    degree at which the block expansion stops, the fewest whose certified
+    remainders (``wavelet._far_remainder``, see ``field_on_mesh``) are at most
+    2^-53 at this kappa.  Their ratios are h's half-range over the nearest
+    far cell's distance, hw/(x_near + c_p) <= 1/5, and (hw + rho)/(x_0 + c_p)
+    for the nearest block, centred at x_0."""
+    B, rho, x_near = _far_blocks(K, delta)
+    x_0 = x_near + (B - 1) / 2 * delta
+    hw = 0.5 / _PIECES
+    terms = []
+    for p in range(_PIECES):
+        c = (p + 0.5) / _PIECES
+        n = _far_series_terms(kappa, hw / (x_near + c))
+        terms.append((n, max(n, _far_series_terms(kappa, (hw + rho) / (x_0 + c)))))
+    return terms
+
+
+def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
+    """Per piece p, the power-series coefficients in h = t - c_p of the far
+    part sum_{i < i_near} [(x_i + t)^kappa - x_i^kappa] dZ_i, x_i = -s_i: one
+    array of len(kappa) rows and N + 1 columns, for the (N, M) of ``terms``.
+
+    Block moments: the far cells, nearest first, go in blocks b of B cells
+    centred at x_b, and mu[b, m] = sum_{i in b} (x_i - x_b)^m dZ_i, one
+    product over the far noise that no kappa enters.  Translation: with
+    X = x_b + c_p and d_i = x_i - x_b, (X + h + d_i)^k = sum_s binom(k, s)
+    X^(k-s) (h + d_i)^s, so the block adds to coefficient q
+    sum_{s=q}^{M} binom(k, s) binom(s, q) X^(k-s) mu[b, s-q], for q <= N.
+    Summed over the blocks this is E @ A, E[k, b] = X_b^k and A the
+    kappa-free rest, one product per piece for every kappa.  Coefficient 0
+    then drops the far part at t = 0, piece 0's series at h = -c_0, so the
+    series vanish there, as the far part does, and no power of x is taken."""
+    B, rho, x_near = _far_blocks(grid.n_cells - grid.origin_index, grid.delta)
+    n_blocks = -(-i_near // B)
+    dz = np.zeros(n_blocks * B)  # the farthest block padded with empty cells
+    dz[:i_near] = grid.increments[i_near - 1 :: -1]
+    degree = np.arange(max(m for _, m in terms) + 1)
+    u = (2.0 * np.arange(B) - (B - 1)) / B  # (x_i - x_b) / rho, inside (-1, 1)
+    mu = serial_matmul(dz.reshape(n_blocks, B), u[:, None] ** degree)
+    mu *= rho**degree
+    x_b = x_near + (np.arange(n_blocks) * B + (B - 1) / 2) * grid.delta
+    coefs = []
+    for p, (n, m) in enumerate(terms):
+        X = x_b + (p + 0.5) / _PIECES
+        s, q = np.arange(m + 1)[:, None], np.arange(n + 1)
+        comb = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], float)
+        a = mu[:, np.maximum(s - q, 0)]
+        a *= comb  # 0 where q > s
+        a *= X[:, None, None] ** -s
+        e = np.exp(np.multiply.outer(kappa, np.log(X)))
+        t = serial_matmul(e, a.reshape(n_blocks, -1)).reshape(kappa.size, m + 1, n + 1)
+        coefs.append(np.sum(np.array([_binom_coeffs(k, m) for k in kappa])[:, :, None] * t,
+                            axis=1))
+    at_zero = _poly_eval(coefs[0].T, -0.5 / _PIECES)
+    for coef in coefs:
+        coef[:, 0] -= at_zero
+    return coefs
 
 
 def _mesh_size(grid: NoiseGrid, refine: int) -> int:
     """Points of the delta/refine mesh of [0, 1]: refine per cell of [0, 1), plus t = 1."""
     return (grid.n_cells - grid.origin_index) * refine + 1
+
+
+def _piece_span(p: int, size: int) -> tuple[int, int]:
+    """Mesh indices lo..hi-1 of far piece p on a mesh of ``size`` points of
+    [0, 1]: those with t in [p/8, (p+1)/8), and t = 1 in the last piece."""
+    M = size - 1
+    hi = -(-(p + 1) * M // _PIECES) if p + 1 < _PIECES else size
+    return -(-p * M // _PIECES), hi
 
 
 def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
@@ -372,25 +428,30 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     and otherwise one row per v in one array.  With consumers it keeps no row
     and returns None: each consumer applies its own linear functional to every
     row as the pass produces it.  A row is its far part plus its near part.
-    The far parts come first, as ``consumer.far(coef, h)``: row i's far part
-    at mesh point m is the power series sum_n coef[i, n] h[m]^n, h = t - 1/2.
-    Then ``consumer.row(i, near)`` hands over row i's near part, in a buffer
-    the next row overwrites.  At t = 0 every row is 0: near[0] is 0, and a
-    consumer takes the far part there as 0.  The rows are identical (up to
-    float rounding) to calling eval_field at each mesh time.  ``refine``
-    samples the discrete-noise field on a mesh finer than the noise cells (one
-    convolution per residue class), which is what keeps trapezoid coefficient
-    quadrature accurate at deep levels without touching the noise resolution.
+    The far parts come first, one piece p of [0, 1] at a time, as
+    ``consumer.far(coef, h, lo)``: on the piece's mesh points lo, lo + 1,
+    ..., lo + h.size - 1 (``_piece_span``), row i's far part is the power
+    series sum_n coef[i, n] h^n, h = t - c_p, and the series is valid on the
+    whole closed piece [p/8, (p+1)/8], so a consumer may read a piece's edge
+    from either side.  Then ``consumer.row(i, near)`` hands over row i's near
+    part, in a buffer the next row overwrites.  At t = 0 every row is 0:
+    near[0] is 0, and a consumer takes the far part there as 0.  The rows are
+    identical (up to float rounding) to calling eval_field at each mesh time.
+    ``refine`` samples the discrete-noise field on a mesh finer than the noise
+    cells (one convolution per residue class), which is what keeps trapezoid
+    coefficient quadrature accurate at deep levels without touching the noise
+    resolution.
 
-    The noise is split at s = -1 (``_NEAR_SPAN``).  Near cells [-1, 1) go
-    through FFT convolution.  Its circular transforms have length L =
-    _fast_len(n_near + K), K = 1/delta, which is 3K, unpadded, when the noise
-    reaches s = -1 and K is a power of two.  The near window's origin is i0 =
-    min(K, index of s = 0): the product dz[i] * g[l] lands on index i + l, or
-    on i + l - L when that reaches L; since i + l <= (n_near - 1) + (i0 + K),
-    a wrapped term lands below i0, outside the window [i0, i0 + K] that is
-    read.  The noise is transformed once per pass, and the kernel
-    values g = t^kappa at the refine residues share one log t.  Each v's
+    The noise is split at s = -ceil(K/4) delta, K = 1/delta (``_NEAR_SHARE``).
+    Near cells [-1/4, 1) go through FFT convolution.  Its circular transforms
+    have length L = _fast_len(n_near + K), which is 9K/4, unpadded, when the
+    noise reaches the split and K is a power of two >= 4.  The near window's
+    origin is i0 = min(ceil(K/4), index of s = 0): the product dz[i] * g[l]
+    lands on index i + l, or on i + l - L when that reaches L; since i + l
+    <= (n_near - 1) + (i0 + K), a wrapped term lands below i0, outside the
+    window [i0, i0 + K] that is read.  The noise is transformed once per
+    pass, and the kernel values g = t^kappa at the refine residues share one
+    log t.  Each v's
     residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
     ``numpy.fft`` call per block and stage, each on the thread that makes
     it.  Stage 1 is the kernel half, a function of the geometry, the node
@@ -416,18 +477,27 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     rows per call about as fast per row as eight, and two rows much slower:
     on a 2-core machine a forward and an inverse transform of eight rows of
     3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
-    and 77 ms as four 2-row calls.  Far cells s_i < -1, x_i = -s_i > 1, add
-    sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i, a power series in h = t - c,
-    c = 1/2, whose ratio |h|/(x_i + c) is at most r = c/(min x_i + c) < 1/3.
-    With |binom(kappa, n)| <= kappa/n the remainder after N terms is at most
-    2 kappa/(N+1) * r^(N+1)/(1 - r) * sum_far (x_i + c)^kappa |dZ_i| (the
-    factor 2 is coefficient 0's own truncation, see ``_far_coeffs``).  N is
-    the fewest terms that put this factor below 2^-53 for every v of the
-    pass (the largest over the batch), so each row's own bound holds.  The
-    split sits at -1 because, of the splits from -2 to -1/4 timed on the
-    criterion-8 geometry (2-core machine), it built one node fastest and
-    16 nodes within a tenth of the fastest (-1/2, whose shorter transforms
-    cost a longer far series).
+    and 77 ms as four 2-row calls.
+
+    Far cells s_i < -ceil(K/4) delta, x_i = -s_i >= x_near = (ceil(K/4) + 1)
+    delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On piece p, t =
+    c_p + h with c_p = (2p + 1)/16 and |h| <= hw = 1/16, and ``_far_coeffs``
+    sums it from block moments (blocks of B = K // 32 cells, centred at x_b,
+    |x_i - x_b| <= rho = B delta/2).  With |binom(kappa, n)| <= kappa/n its
+    two truncations are certified in ``wavelet._far_remainder``'s form:
+    keeping powers of h up to N leaves at most kappa/(N+1) r1^(N+1)/(1 - r1)
+    (x_i + c_p)^kappa |dZ_i| per cell, r1 = hw/(x_near + c_p) <= 1/5, and
+    stopping the block expansion at degree M at most kappa/(M+1)
+    r2^(M+1)/(1 - r2) (x_b + c_p)^kappa |dZ_i|, r2 = (hw + rho)/(x_b + c_p)
+    (the dropped terms are binom(kappa, s) X^(kappa-s) (h + d_i)^s, s > M).
+    Coefficient 0 adds piece 0's error at t = 0 once more, which is the
+    factor 2 of ``_far_remainder``.  N and M are the fewest that put both
+    factors below 2^-53 for every v of the pass (the largest over the
+    batch, ``_far_terms``): 20 and 22 on piece 0 down to 11 and 12 on piece
+    7 at criterion 8, against the 29 terms of one series about t = 1/2 with
+    the split at s = -1.  The split sits at -1/4 because the far part then
+    costs little against the near part's transforms, which shrink by a
+    quarter: 9K/4 points instead of 3K.
     """
     vs = np.asarray(v, dtype=float)
     if vs.ndim > 1 or vs.size == 0:
@@ -445,10 +515,10 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
 
 def _pass_geometry(n_cells: int, K: int) -> tuple[int, int, int]:
     """(i_near, i0, n_fft) of a field pass over n_cells noise cells, K of
-    them on [0, 1): the first near cell (s >= -1), the near window's origin
-    and the wrap-free transform length (see ``field_on_mesh``)."""
+    them on [0, 1): the first near cell (s >= -ceil(K/4) delta), the near
+    window's origin and the wrap-free transform length (see ``field_on_mesh``)."""
     i_origin = n_cells - K
-    i_near = max(i_origin - _NEAR_SPAN * K, 0)
+    i_near = max(i_origin - -(-K // _NEAR_SHARE), 0)
     return i_near, i_origin - i_near, _fast_len(n_cells - i_near + K)
 
 
@@ -513,15 +583,17 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:
-    # the far cells' series coefficients, handed to every consumer with the
-    # mesh's h; a function of its own, so x and h are gone before the transforms
-    x = (grid.origin_index - np.arange(i_near, dtype=float)) * grid.delta
-    ratio = _FAR_CENTER / (x[-1] + _FAR_CENTER)  # x[-1] = (K + 1) delta, the nearest far cell
-    n_terms = max(_far_series_terms(k, ratio) for k in kappa)
-    coef = _far_coeffs(x, grid.increments[:i_near], kappa, _FAR_CENTER, n_terms)
-    h = np.arange(_mesh_size(grid, refine)) * (grid.delta / refine) - _FAR_CENTER
-    for consumer in consumers:
-        consumer.far(coef, h)
+    # the far cells' series coefficients, handed to every consumer piece by
+    # piece with the piece's h; a function of its own, so its temporaries are
+    # gone before the transforms
+    K = grid.n_cells - grid.origin_index
+    coefs = _far_coeffs(grid, i_near, kappa, _far_terms(K, grid.delta, kappa.max()))
+    size = _mesh_size(grid, refine)
+    for p, coef in enumerate(coefs):
+        lo, hi = _piece_span(p, size)
+        h = np.arange(lo, hi) * (grid.delta / refine) - (p + 0.5) / _PIECES
+        for consumer in consumers:
+            consumer.far(coef, h, lo)
 
 
 class _Rows:
@@ -530,10 +602,12 @@ class _Rows:
     def __init__(self, n_rows: int, size: int):
         self.out = np.zeros((n_rows, size))
 
-    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
-        for lo in range(0, h.size, _CHUNK):
-            self.out[:, lo : lo + _CHUNK] += _poly_eval(coef.T[:, :, None], h[lo : lo + _CHUNK])
-        self.out[:, 0] = 0.0
+    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
+        for a in range(0, h.size, _CHUNK):
+            part = h[a : a + _CHUNK]
+            self.out[:, lo + a : lo + a + part.size] += _poly_eval(coef.T[:, :, None], part)
+        if lo == 0:
+            self.out[:, 0] = 0.0
 
     def row(self, i: int, near: np.ndarray) -> None:
         self.out[i] += near
@@ -558,10 +632,11 @@ class _Barycentric:
     The sums keep one mesh-length array, the numerator ``num``, and go one
     block of ``_CHUNK`` points of v at a time; ``_weights`` is the one route
     to the c_i of a block.  ``far`` adds the far part of a field pass from
-    its series coefficients: node i's far part is sum_n coef[i, n] h^n, so
-    its share of the numerator is the series with coefficients
-    sum_i c_i coef[i, n], a matrix product per block of v that BLAS runs on
-    the calling thread (``stable.serial_matmul``).  ``row`` adds c_i X_i, in
+    its series coefficients, one piece at a time: node i's far part is
+    sum_n coef[i, n] h^n, so its share of the numerator is the series with
+    coefficients sum_i c_i coef[i, n], a matrix product per block of the
+    piece's v that BLAS runs on the calling thread (``stable.serial_matmul``).
+    ``row`` adds c_i X_i, in
     one block-sized scratch.  ``result`` forms the denominator block by
     block, adding the c_i in node order, and divides ``num`` by it in place.
     An exact node hit, v within 1e-15 of a node (the first such node), is
@@ -580,12 +655,13 @@ class _Barycentric:
 
     def _weights(self, lo: int, index: np.ndarray, out) -> np.ndarray:
         """The c_i of the nodes ``index``, one row each, on the block of v
-        from lo, into ``out`` (or a new array for None); at a hit, the hit
-        node's indicator."""
-        c = np.subtract(self.v[lo : lo + _CHUNK], self.nodes[index, None], out=out)
+        from lo that ``out`` holds (for None, a new array of ``_CHUNK``
+        points or up to the end of v); at a hit, the hit node's indicator."""
+        size = _CHUNK if out is None else out.shape[1]
+        c = np.subtract(self.v[lo : lo + size], self.nodes[index, None], out=out)
         with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
             np.divide(self.weights[index, None], c, out=c)
-        a, b = np.searchsorted(self.hit_pos, (lo, lo + _CHUNK))
+        a, b = np.searchsorted(self.hit_pos, (lo, lo + size))
         c[:, self.hit_pos[a:b] - lo] = self.hit_node[a:b] == index[:, None]
         return c
 
@@ -595,10 +671,11 @@ class _Barycentric:
             part = self.num[lo : lo + _CHUNK]
             yield lo, part, self.c[:, : part.size]
 
-    def far(self, coef: np.ndarray, h: np.ndarray) -> None:
-        for lo, part, _ in self._blocks():
-            c = self._weights(lo, self.index, None)
-            part += _poly_eval(serial_matmul(coef.T, c), h[lo : lo + _CHUNK])
+    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
+        for a in range(lo, lo + h.size, _CHUNK):
+            part = h[a - lo : a - lo + _CHUNK]
+            c = self._weights(a, self.index, np.empty((self.index.size, part.size)))
+            self.num[a : a + part.size] += _poly_eval(serial_matmul(coef.T, c), part)
 
     def row(self, i: int, near: np.ndarray) -> None:
         for lo, part, scratch in self._blocks():
@@ -731,14 +808,18 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     RAM.
 
     The count is every array a build holds, as if all at once: the noise
-    grid and its spectrum; the field pass's ``log t`` table (refine rows)
-    and its workspace of min(``_BLOCK``, refine) rows each: the kernel
-    values, a ring of two spectra and the convolution; three mesh arrays
-    (H(t), the barycentric numerator and the far part's h) and the near
-    row's buffer of refine (K + 1) points, K = 1/delta; and, when the noise
-    reaches below s = -``_NEAR_SPAN``, the far cells' offsets and the far
-    series' blocks of ``_CHUNK`` points (two rows per node, one per series
-    term and three more).  Never a row per v-node, and nothing for the
+    grid and its spectrum; the field pass's ``log t`` table (refine rows of
+    ceil(K/4) + K + 1 points, K = 1/delta) and its workspace of
+    min(``_BLOCK``, refine) rows each: the kernel values over the same
+    points, a ring of two spectra and the convolution, of _fast_len(n_near +
+    K) points; two mesh arrays (H(t) and the barycentric numerator) and the
+    near row's buffer of refine (K + 1) points; and, when the noise reaches
+    below the split, the far part: the far noise in source blocks, its block
+    moments, piece 0's translation table (two copies, one row per block, one
+    column per pair of series term and block-expansion degree), one piece's
+    h and the far series' blocks of at most ``_CHUNK`` of its points (one row
+    per node, one per series term and three more), each at piece 0's term
+    counts, the largest.  Never a row per v-node, and nothing for the
     kernel's second term b: stage 1 reads no noise, and b is each row's own
     convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
@@ -749,17 +830,23 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     noise = n_cells + spectrum
     log_t = refine * (i0 + K + 1)
     transforms = rows * (i0 + K + 1 + 2 * spectrum + n_fft)
-    mesh = 3 * (refine * K + 1) + refine * (K + 1)
-    # kappa < 1, and x_i >= 1 + delta puts every series ratio below 1/3
-    far = i_near + (2 * n_nodes + _far_series_terms(1.0, 1 / 3) + 3) * _CHUNK if i_near else 0
+    mesh = 2 * (refine * K + 1) + refine * (K + 1)
+    far = 0
+    if i_near:
+        B = _far_blocks(K, delta)[0]
+        n_blocks = -(-i_near // B)
+        n, m = _far_terms(K, delta, 1.0)[0]  # kappa < 1
+        piece = -(-refine * K // _PIECES) + 1  # the most mesh points a piece holds
+        far = (n_blocks * B + (n_blocks + B) * (m + 1) + 2 * n_blocks * (m + 1) * (n + 1)
+               + piece + (n_nodes + n + 3) * min(_CHUNK, piece))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * (noise + log_t + transforms + mesh + far) > memory:
         raise ValueError(
             f"{noise} values of noise and its spectrum, {log_t} of the log t table, "
             f"{transforms} of transform buffers (kernel values, next spectrum, current "
             f"spectrum and convolution, {rows} rows each), {mesh} mesh values (H(t), "
-            f"barycentric numerator, near row and far h) and {far} far cell offsets and "
-            f"far series values exceed RAM")
+            f"barycentric numerator and near row) and {far} far noise, block moment, "
+            f"translation and far series values exceed RAM")
 
 
 def simulate_lmsm(field: MeshFieldInterpolant, *consumers) -> SamplePath:

@@ -33,8 +33,10 @@ draws are within 5e-15 relative of 50-digit values of the transform, and
 differ from the direct expression's in the last bits.
 
 ``serial_matmul`` takes the matrix products of ``bounds``' Monte Carlo
-chunks, the path's far series and the frozen levels' far part in blocks
-that BLAS runs on the calling thread.  The module holds no thread state.
+chunks, the field pass's far part (its block moments and their translation
+into piece series), the path's far series and the frozen levels' far part
+in blocks that BLAS runs on the calling thread.  The module holds no thread
+state.
 """
 
 from __future__ import annotations
@@ -100,10 +102,7 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for 2-D float arrays, in ``np.matmul`` calls of at most
     ``_SERIAL_GEMM_MADDS`` multiply-adds that BLAS runs on the calling thread.
     The calls split the longer free dimension, b's columns unless a has more
-    rows; never the contraction, whose split would reorder each entry's sum.
-    So ``process._far_coeffs`` keeps its ``e @ p.T`` off it: that product's
-    long dimension is the contraction, and one-column calls were slower and
-    changed the estimates' last bits."""
+    rows; never the contraction, whose split would reorder each entry's sum."""
     out = np.empty((a.shape[0], b.shape[1]))
     if a.shape[0] > b.shape[1]:
         rows = max(1, _SERIAL_GEMM_MADDS // b.size)

@@ -83,8 +83,9 @@ def _far_remainder(kappa: float, ratio, n_terms: int):
     # the package's binomial series are sum_n binom(k, n) a_n r^n with
     # |a_n| <= 1 and 0 <= r <= ratio < 1; |binom(k, n)| <= k/n, so the terms
     # past n_terms sum to at most k/(N+1) * ratio^(N+1)/(1 - ratio).  The
-    # bound counts that twice: the field pass truncates its expansion at two
-    # points (see ``process._far_coeffs``), and Phi's series takes the same rule
+    # bound counts that twice: the field pass's far series subtract their
+    # own value at t = 0, which carries a truncation of its own (see
+    # ``process.field_on_mesh``), and Phi's series takes the same rule
     return 2.0 * kappa / (n_terms + 1) * ratio ** (n_terms + 1) / (1.0 - ratio)
 
 

@@ -33,7 +33,11 @@ from lmsmlab.stable import moment_constant, unit_sas
 from lmsmlab.wavelet import PhiKernel, _poly_eval
 
 LAW = L.StableLaw(1.5, 1.0)
-_NEAR_SPAN = L.process._NEAR_SPAN  # field_on_mesh splits the noise at s = -_NEAR_SPAN
+
+
+def _split_cells(K):
+    # field_on_mesh splits the noise ceil(K / 4) cells below s = 0, K = 1/delta
+    return -(-K // L.process._NEAR_SHARE)
 
 
 def test_grid_determinism_and_shape():
@@ -58,6 +62,20 @@ def test_grid_increment_moments_match_constant():
     assert g.n_cells >= 1_000_000
     mom = np.mean(np.abs(g.increments) ** 0.25) / g.delta ** (0.25 / LAW.alpha)
     assert mom == pytest.approx(moment_constant(0.25, LAW.alpha), rel=0.02)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.8])
+def test_noise_grid_scales_the_draws_in_place(alpha):
+    # the increments are the unit draws times law.scale * delta^(1/alpha),
+    # bitwise the old out-of-place expression's (IEEE multiplication
+    # commutes), on two seeds
+    law, t_min, delta = L.StableLaw(alpha, 1.7), -2.0, 2.0**-9
+    for seed in (5, 6):
+        g = make_noise_grid(law, t_min, delta, seed)
+        xi = unit_sas(alpha, g.n_cells, L.stable._rng(seed))
+        old = law.scale * delta ** (1.0 / alpha) * xi
+        assert g.increments.tobytes() == old.tobytes()
+        assert not g.increments.flags.writeable
 
 
 def test_unit_delta_increments_are_unit_scale():
@@ -103,7 +121,7 @@ def test_refined_mesh_consistency():
 def _near_cells(g):
     # cells from the split (or t_min) on: the noise the FFT convolution sees
     K = round(1 / g.delta)
-    return g.n_cells - max(g.origin_index - _NEAR_SPAN * K, 0)
+    return g.n_cells - max(g.origin_index - _split_cells(K), 0)
 
 
 def _assert_matches_direct_sums(g, v, refine, mesh, tol):
@@ -159,11 +177,11 @@ def test_fft_length_contract(monkeypatch):
     # transform writes into the pass's workspace: the rffts of a pass into a
     # ring of two buffers, the irffts into one
     calls = _record_transforms(monkeypatch)
-    # no far part, and n_near + K = 608 is not a fast length
-    g = make_noise_grid(LAW, -0.375, 2.0**-8, seed=43)
+    # no far part, and n_near + K = 560 is not a fast length
+    g = make_noise_grid(LAW, -0.1875, 2.0**-8, seed=43)
     refine = 3
     n_fft = L.process._fast_len(_near_cells(g) + round(1 / g.delta))
-    assert n_fft == 768 > _near_cells(g) + round(1 / g.delta) == 608
+    assert n_fft == 576 > _near_cells(g) + round(1 / g.delta) == 560
     field_on_mesh(g, 0.8, refine)
     assert len(calls) == 1 + 2
     field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
@@ -184,10 +202,10 @@ def test_fft_length_contract(monkeypatch):
         assert _distinct_buffers(convolutions) == 1
 
 
-def test_fast_length_is_the_next_power_of_two_or_three_times_one():
-    # the field pass's transform length is the smallest 2^k or 3 * 2^k >= n,
+def test_fast_length_is_the_next_product_of_powers_of_two_and_three():
+    # the field pass's transform length is the smallest 2^a 3^b >= n,
     # checked for every n up to 300,000 against a list of those lengths
-    fast = sorted({2**k for k in range(20)} | {3 * 2**k for k in range(20)})
+    fast = sorted({2**a * 3**b for a in range(20) for b in range(13)})
     want = np.array(fast)[np.searchsorted(fast, np.arange(1, 300_001))]
     got = [L.process._fast_len(n) for n in range(1, 300_001)]
     assert np.array_equal(got, want)
@@ -198,11 +216,11 @@ def test_fast_length_is_the_next_power_of_two_or_three_times_one():
 @pytest.mark.parametrize("t_tail, j", [(8.0, 12), (8.0, 11)],
                          ids=["criteria-8-and-10", "approx-error-check"])
 def test_fast_length_pads_no_run_geometry(t_tail, j):
-    # the noise reaches s = -1, so n_near + K = 3K, a fast length itself: the
-    # transforms the runs make are exactly the wrap-free length
+    # the noise reaches s = -1/4, so n_near + K = 9K/4, a fast length itself:
+    # the transforms the runs make are exactly the wrap-free length
     g = make_noise_grid(LAW, -t_tail, noise_step(j), seed=1)
     n = _near_cells(g) + round(1 / g.delta)
-    assert n == 3 * round(1 / g.delta) and L.process._fast_len(n) == n
+    assert 4 * n == 9 * round(1 / g.delta) and L.process._fast_len(n) == n
 
 
 def test_batched_rows_match_one_v_calls():
@@ -221,18 +239,17 @@ def test_batched_rows_match_one_v_calls():
     with pytest.raises(ValueError):
         field_on_mesh(g, np.array([0.8, 0.6]))  # one v below 1/alpha
     # an empty batch is refused, with a far part or without one
-    for t_min in (-4.0, -1.5, -_NEAR_SPAN / 2):
+    for t_min in (-4.0, -1.5, -0.125):
         with pytest.raises(ValueError, match="v must"):
             field_on_mesh(make_noise_grid(LAW, t_min, 2.0**-6, 1), np.array([]), 2)
 
 
 def test_cost_contract_of_the_split(monkeypatch):
     # the split fixes the cost balance: on a grid with a long far part every
-    # transform has length n_near + K = (_NEAR_SPAN + 2) K, and the far series
-    # of the criterion-8 batch needs the term count below.  The cost is
-    # counted in rows: the noise is one row, and each v transforms refine
-    # kernel rows and inverts refine rows, in blocks of min(4, refine) rows
-    # per call
+    # transform has length n_near + K = 9K/4, and the far series of the
+    # criterion-8 batch need the term counts below.  The cost is counted in
+    # rows: the noise is one row, and each v transforms refine kernel rows
+    # and inverts refine rows, in blocks of min(4, refine) rows per call
     calls = _record_transforms(monkeypatch)
 
     def rows():
@@ -240,7 +257,7 @@ def test_cost_contract_of_the_split(monkeypatch):
 
     g = make_noise_grid(LAW, -8.0, 2.0**-10, seed=71)
     field_on_mesh(g, 0.8, 8)
-    assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 2)
+    assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 2)
     assert rows() == 1 + 2 * 8
     # a path build is one pass: 1 + 2 * 16 * 8 rows in 1 + 2 * 16 * 2 calls,
     # also when a consumer reads the same node rows
@@ -250,22 +267,33 @@ def test_cost_contract_of_the_split(monkeypatch):
     for consumers in ((), (frozen,)):
         calls.clear()
         L.simulate_lmsm(interp, *consumers)
-        assert [n for _, n, _ in calls] == [3 * 2**10] * (1 + 2 * 16 * 2)
+        assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 16 * 2)
         assert rows() == 1 + 2 * 16 * 8
-    # criterion 8: alpha 1.5, H in [0.7, 0.85], delta = 2^-16; the batch takes
-    # the count of its largest kappa
-    c = 0.5
-    ratio = c / (_NEAR_SPAN + 2.0**-16 + c)
+    # criterion 8: alpha 1.5, H in [0.7, 0.85], t_tail 8, delta = 2^-16,
+    # refine 8, 16 nodes: one noise transform and 2 * 16 * 2 block
+    # transforms, each of 147,456 = 9 * 2^14 points
+    g = make_noise_grid(LAW, -8.0, 2.0**-16, seed=72)
+    calls.clear()
+    L.simulate_lmsm(MeshFieldInterpolant(g, H, 16, 8))
+    assert [n for _, n, _ in calls] == [147_456] * (1 + 2 * 16 * 2)
+    assert rows() == 1 + 2 * 16 * 8
+    # the batch takes the counts of its largest kappa: per piece of [0, 1],
+    # the highest power of h its series keeps and the block expansion's
+    # degree; one series about t = 1/2 with the split at s = -1 kept 29
     kappas = np.linspace(0.7, 0.85, 16) - 1.0 / LAW.alpha
-    assert max(L.wavelet._far_series_terms(k, ratio) for k in kappas) == 29
+    terms = [L.process._far_terms(2**16, 2.0**-16, k) for k in kappas]
+    assert terms[-1] == [(20, 22), (16, 18), (15, 16), (13, 15), (12, 14), (12, 13),
+                         (11, 12), (11, 12)]
+    assert all(t <= terms[-1][p] for k_terms in terms for p, t in enumerate(k_terms))
 
 
 _SPLIT_CASES = [
     # refine 8 at t_min = -4 is in test_fft_length_at_aliasing_boundary
     (-4.0, 1), (-4.0, 3),
-    (-_NEAR_SPAN / 2, 3),  # t_min inside the near window: no far part
-    (-float(_NEAR_SPAN), 3),  # the first cell starts exactly at the split
-    (-_NEAR_SPAN - 2.0**-7, 3),  # one far cell
+    (-0.5, 3), (-1.0, 3), (-1.0078125, 3),  # far parts of 32, 96 and 97 cells
+    (-0.125, 3),  # t_min inside the near window: no far part
+    (-0.25, 3),  # the first cell starts exactly at the split
+    (-0.25 - 2.0**-7, 3),  # one far cell
 ]
 
 
@@ -280,48 +308,126 @@ def test_near_far_split_matches_direct_sums(t_min, refine):
             _assert_matches_direct_sums(g, v, refine, mesh, 1e-12)
 
 
+@pytest.mark.parametrize("refine", [1, 3, 8])
+def test_rows_match_direct_sums_at_piece_edges(refine):
+    # the far part changes series at every edge p/8 of [0, 1]: the mesh
+    # points on both sides of each edge, and t = 0, delta and 1, match the
+    # direct sums on grids that end on both sides of the split (no far cell,
+    # one far cell) and on a long far part, whose nearest source blocks
+    # reach the split
+    K = 2**9
+    for t_min in (-_split_cells(K) / K, -(_split_cells(K) + 1) / K, -4.0):
+        g = make_noise_grid(LAW, t_min, 1.0 / K, seed=57)
+        size = K * refine + 1
+        edges = [L.process._piece_span(p, size)[0] for p in range(1, 8)]
+        assert edges == [p * K * refine // 8 for p in range(1, 8)]
+        points = sorted({0, refine, size - 1} | {e + d for e in edges for d in (-1, 0)})
+        vs = np.array([0.7, 0.95])
+        for v, row in zip(vs, field_on_mesh(g, vs, refine)):
+            for m in points:
+                direct = eval_field(g, m / (K * refine), v, tail_tol=1.0)
+                assert row[m] == pytest.approx(direct, abs=1e-12, rel=1e-12)
+
+
+def _piece_bounds(g, i_near, kappa, terms):
+    # per piece p, the certified bound of the far series on its points: the
+    # two truncations of _far_coeffs in _far_remainder's form, each half of
+    # it times its own scale, for piece p and once more for piece 0, whose
+    # value at t = 0 coefficient 0 subtracts
+    K = round(1 / g.delta)
+    B, rho, x_near = L.process._far_blocks(K, g.delta)
+    dz = np.abs(g.increments[:i_near][::-1])
+    x = x_near + np.arange(i_near) * g.delta
+    x_b = x_near + ((np.arange(i_near) // B) * B + (B - 1) / 2) * g.delta
+    hw = 1.0 / 16
+    own = []
+    for p, (n, m) in enumerate(terms):
+        c = (p + 0.5) / 8
+        r1, r2 = hw / (x_near + c), (hw + rho) / (x_b[0] + c)
+        own.append(0.5 * L.wavelet._far_remainder(kappa, r1, n) * float((x + c) ** kappa @ dz)
+                   + 0.5 * L.wavelet._far_remainder(kappa, r2, m) * float((x_b + c) ** kappa @ dz))
+    return [b + own[0] for b in own]
+
+
+def _truncated_far_series(g, i_near, kappa, terms):
+    # the piece series of _far_coeffs summed cell by cell, with no block
+    # moments: coefficient q of piece p is sum_i dZ_i sum_{s=q}^{M} binom(k, s)
+    # binom(s, q) X^(k-s) d_i^(s-q), X = x_b + c_p and d_i = x_i - x_b the
+    # cell's offset from its block's centre, q <= N; then piece 0's value at
+    # t = 0 comes off every coefficient 0
+    K = round(1 / g.delta)
+    B, _, x_near = L.process._far_blocks(K, g.delta)
+    dz = g.increments[:i_near][::-1]
+    x = x_near + np.arange(i_near) * g.delta
+    x_b = x_near + ((np.arange(i_near) // B) * B + (B - 1) / 2) * g.delta
+    coefs = []
+    for p, (n, m) in enumerate(terms):
+        X = x_b + (p + 0.5) / 8
+        b = L.wavelet._binom_coeffs(kappa, m)
+        coefs.append(np.array([
+            sum(b[t] * math.comb(t, q) * float(dz @ (X ** (kappa - t) * (x - x_b) ** (t - q)))
+                for t in range(q, m + 1))
+            for q in range(n + 1)]))
+    at_zero = _poly_eval(coefs[0], -1.0 / 16)
+    for coef in coefs:
+        coef[0] -= at_zero
+    return coefs
+
+
 def test_far_series_remainder_is_certified():
-    # the truncated series against the exact far sum, a direct Riemann sum
-    delta, v = 2.0**-6, 0.8
-    g = make_noise_grid(LAW, -6.0, delta, seed=61)
-    kappa = v - 1.0 / LAW.alpha
-    n_far = g.origin_index - round(_NEAR_SPAN / delta)  # field_on_mesh's far cells
-    x = -g.left_endpoints()[:n_far]
-    c = 0.5
-    ratio = c / (x.min() + c)
-    h = np.arange(round(1 / delta) * 4 + 1) * (delta / 4) - c
-    kernel = (x[:, None] + c + h) ** kappa - x[:, None] ** kappa
-    n = L.wavelet._far_series_terms(kappa, ratio)
-    assert L.wavelet._far_remainder(kappa, ratio, n) <= 2.0**-53 < L.wavelet._far_remainder(kappa, ratio, n - 1)
-    # coefficient 0 comes from the moments; against the direct difference
-    # sum [(x + c)^k - x^k] dZ it carries one of the two truncations that
-    # _far_remainder counts
-    for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
-        exact = dz @ kernel
-        direct = float(dz @ ((x + c) ** kappa - x ** kappa))
-        scale = float((x + c) ** kappa @ np.abs(dz))
-        for n_terms in (1, 2, 4, 8, n):
-            coef = L.process._far_coeffs(x, dz, kappa, c, n_terms)
-            err = np.max(np.abs(_poly_eval(coef, h) - exact))
-            bound = L.wavelet._far_remainder(kappa, ratio, n_terms) * scale
-            assert err <= bound + 1e-13
-            assert abs(coef[0] - direct) <= bound / 2 + 1e-13
-            if dz.min() > 0 and n_terms < n:  # one-signed noise: the bound is not vacuous
-                assert err > bound / 100
-    # a vector of kappa: one row per kappa, each within its own bound
+    # the truncated piece series against the exact far sum, a direct Riemann
+    # sum, on every mesh point of each piece: within the certified bound at
+    # the certified term counts and below them (piece terms, block degree or
+    # both cut), with signed and one-signed noise; for one-signed noise the
+    # bound is not vacuous where a count is cut.  Blocks of 8 cells, whose
+    # expansion matters; the far part ends 3/4 below the split, so its
+    # nearest cells carry a fair share of it
+    delta = 2.0**-8
+    K = round(1 / delta)
+    g0 = make_noise_grid(LAW, -1.0, delta, seed=61)
+    i_near = g0.origin_index - _split_cells(K)  # field_on_mesh's far cells
+    assert L.process._far_blocks(K, delta)[0] == 8 and i_near == 192
+    refine = 2
+    size = K * refine + 1
+    s = -g0.left_endpoints()[:i_near]
+    for kappa in (0.8 - 1.0 / LAW.alpha, 0.95 - 1.0 / LAW.alpha):
+        certified = L.process._far_terms(K, delta, kappa)
+        n0, m0 = certified[0]
+        assert L.wavelet._far_remainder(kappa, 0.2, n0) <= 2.0**-53
+        cuts = [certified,
+                [(min(n, 4), m) for n, m in certified],  # piece terms cut
+                [(n, min(m, 4)) for n, m in certified],  # block degree cut
+                [(2, 3)] * 8, [(1, 1)] * 8]  # both
+        for signed in (True, False):
+            incr = g0.increments if signed else np.abs(g0.increments)
+            g = dataclasses.replace(g0, increments=incr)
+            dz = incr[:i_near]
+            for terms in cuts:
+                coefs = L.process._far_coeffs(g, i_near, np.array([kappa]), terms)
+                bounds = _piece_bounds(g, i_near, kappa, terms)
+                truncated = _truncated_far_series(g, i_near, kappa, terms)
+                worst = 0.0
+                for p, (coef, (n, _)) in enumerate(zip(coefs, terms)):
+                    assert coef.shape == (1, n + 1)
+                    lo, hi = L.process._piece_span(p, size)
+                    t = np.arange(lo, hi) / (K * refine)
+                    h = t - (p + 0.5) / 8
+                    exact = dz @ ((s[:, None] + t) ** kappa - s[:, None] ** kappa)
+                    series = _poly_eval(coef[0], h)
+                    # the block moments sum the very truncation the bound is for
+                    assert np.max(np.abs(series - _poly_eval(truncated[p], h))) <= 1e-13
+                    err = np.abs(series - exact)
+                    assert np.max(err) <= bounds[p] + 1e-13
+                    worst = max(worst, np.max(err) / bounds[p])
+                if not signed and terms is not certified:
+                    assert worst > 1 / 100
+    # one product for a vector of kappa: each row is that kappa's own series
     kappas = np.array([0.7, 0.8, 0.95]) - 1.0 / LAW.alpha
-    for dz in (g.increments[:n_far], np.abs(g.increments[:n_far])):
-        for n_terms in (1, 2, 4, 8, n):
-            rows = L.process._far_coeffs(x, dz, kappas, c, n_terms)
-            assert rows.shape == (kappas.size, n_terms + 1)
-            for k, coef in zip(kappas, rows):
-                exact = dz @ ((x[:, None] + c + h) ** k - x[:, None] ** k)
-                direct = float(dz @ ((x + c) ** k - x ** k))
-                scale = float((x + c) ** k @ np.abs(dz))
-                err = np.max(np.abs(_poly_eval(coef, h) - exact))
-                bound = L.wavelet._far_remainder(k, ratio, n_terms) * scale
-                assert err <= bound + 1e-13
-                assert abs(coef[0] - direct) <= bound / 2 + 1e-13
+    terms = L.process._far_terms(K, delta, kappas.max())
+    rows = L.process._far_coeffs(g0, i_near, kappas, terms)
+    for i, k in enumerate(kappas):
+        for one, batch in zip(L.process._far_coeffs(g0, i_near, np.array([k]), terms), rows):
+            assert np.allclose(one[0], batch[i], rtol=1e-13, atol=1e-16)
 
 
 def test_interpolant_matches_exact_nodes_and_offnode():
@@ -463,26 +569,24 @@ def test_combine_streams_node_rows():
     assert peak < 8 * n * 8
 
 
-# 2^-10 and 2^-13 put the peak in the far part's blocks, 2^-15 in the
-# transforms.  Measured tracemalloc peaks (2-core machine): 3.4, 9.6 and
-# 23.0 MB
+# the measured tracemalloc peaks are in the body (2-core machine)
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
     # a 16-node path build never holds the 16 node rows: besides the field
     # pass's log t table, its transform buffers of min(4, refine) rows (the
     # kernel values, a ring of two spectra and the convolution) and the far
     # part's blocks (one row per node and per series term, at most _CHUNK
-    # points long) it keeps at most four mesh rows (H(t), the barycentric
-    # numerator, the near row and the far part's h)
+    # points long, at piece 0's term count, the largest) it keeps at most
+    # four mesh rows (H(t), the barycentric numerator, the near row and a
+    # piece's h)
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
     n = cells * refine + 1
-    i0 = min(cells, g.origin_index)
+    i0 = min(_split_cells(cells), g.origin_index)
     n_fft = L.process._fast_len(_near_cells(g) + cells)
     log_table = refine * (i0 + cells + 1)
-    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    n_terms = L.process._far_terms(cells, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
     workspace = (2 + 2) * min(4, refine) * n_fft
     tracemalloc.start()
@@ -494,13 +598,15 @@ def test_path_build_streams_node_rows(cells):
     assert peak < 8 * (workspace + log_table + far_blocks + 4 * n)
 
 
-@pytest.mark.parametrize("cells", [2**13, 2**16])
+@pytest.mark.parametrize("cells", [2**10, 2**13, 2**16])
 def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
     # check_path_memory refuses a 16-node refine-8 build on a machine whose
     # memory is that build's tracemalloc peak (the noise grid included) and
     # passes it on twice that: the rule never counts less than a build
-    # holds, and not wildly more.  2^13 cells peak in the far part, 2^16 in
-    # the transforms
+    # holds, and not wildly more.  The far part is freed before the
+    # transforms, but the rule adds it: at 2^10 cells, whose peak is closest
+    # to the far part's own, the rule reads 1.10 times the measured peak, at
+    # 2^13 1.79 and at 2^16 1.24 (2-core machine)
     H = L.linear_hurst(0.7, 0.15)
     t_min, refine, n_nodes = -4.0, 8, 16
     tracemalloc.start()
@@ -528,7 +634,7 @@ class _ThreadCount:
     def __init__(self):
         self.seen = []
 
-    def far(self, coef, h):
+    def far(self, coef, h, lo):
         pass
 
     def row(self, i, near):
@@ -617,15 +723,20 @@ def test_kernel_half_reads_no_noise(monkeypatch):
 
 
 def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
-    # the path's far part combines the nodes' series coefficients with the
-    # barycentric weights in column blocks, each product small enough
-    # (stable._SERIAL_GEMM_MADDS) that BLAS runs it on the calling thread,
-    # and the blocks cover every mesh point once
+    # every matrix product of the far part goes through serial_matmul, in
+    # blocks small enough (stable._SERIAL_GEMM_MADDS) that BLAS runs them on
+    # the calling thread: the block moments, one product over the far noise;
+    # the translation, one product per piece over the source blocks; and the
+    # path's barycentric combination of the nodes' series coefficients,
+    # whose blocks cover every mesh point of each piece once
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H, 16, 8)
-    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
+    K = 2**12
+    terms = L.process._far_terms(K, g.delta, H.h_high - 1.0 / LAW.alpha)
+    B = L.process._far_blocks(K, g.delta)[0]
+    n_blocks = -(-(g.origin_index - _split_cells(K)) // B)
+    spans = [L.process._piece_span(p, interp.size) for p in range(8)]
     madds, matmul = [], np.matmul
 
     def spy(a, b, **kwargs):
@@ -635,41 +746,79 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     L.simulate_lmsm(interp)
     assert 0 < max(madds) <= L.stable._SERIAL_GEMM_MADDS
-    assert sum(madds) == (n_terms + 1) * 16 * interp.size  # coefficients 0..n_terms
+    moments = n_blocks * B * (max(m for _, m in terms) + 1)
+    translation = sum(16 * n_blocks * (m + 1) * (n + 1) for n, m in terms)
+    barycentric = sum((n + 1) * 16 * (hi - lo) for (n, _), (lo, hi) in zip(terms, spans))
+    assert sum(madds) == moments + translation + barycentric
+    assert sum(hi - lo for lo, hi in spans) == interp.size
 
 
 def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
     # a path build with a FrozenLevels consumer applies each level's
-    # quadrature of the powers of h to the nodes' series coefficients in
-    # np.matmul blocks small enough that BLAS runs them on the calling
-    # thread, and each level's blocks cover its cells once; level 10's
-    # whole product is above the threshold
-    g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
+    # quadrature of the powers of h to the nodes' series coefficients, piece
+    # by piece, in np.matmul blocks small enough that BLAS runs them on the
+    # calling thread; over the pieces each level's blocks cover each cell
+    # once per piece it takes taps from: a whole cell from one, a cell that
+    # ends on an inner piece edge from one more (its last tap is the next
+    # piece's), so a level-2 cell from two or three and the level-0 cell
+    # from all eight.
+    # Level 13's product on piece 0 is above the threshold
+    g = make_noise_grid(LAW, -4.0, 2.0**-14, seed=61)
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H, 16, 8)
-    frozen = FrozenLevels(interp, L.default_wavelet(),
-                          {j: (0.0, 1.0) for j in (5, 8, 10)})
-    ratio = 0.5 / (_NEAR_SPAN + g.delta + 0.5)
-    n_terms = L.wavelet._far_series_terms(H.h_high - 1.0 / LAW.alpha, ratio)
-    assert n_terms + 1 != 16  # a level product's (16, n_terms + 1) left factor
-    assert 16 * (n_terms + 1) * 2**10 > L.stable._SERIAL_GEMM_MADDS
-    calls, matmul = [], np.matmul
+    levels = (0, 2, 5, 13)
+    frozen = FrozenLevels(interp, L.default_wavelet(), {j: (0.0, 1.0) for j in levels})
+    n0 = L.process._far_terms(2**14, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
+    assert 16 * (n0 + 1) * (2**13 // 8 + 1) > L.stable._SERIAL_GEMM_MADDS
+    calls, seen, serial, matmul = [], [], L.coeffs.serial_matmul, np.matmul
+
+    def spy_serial(a, b):
+        seen.append(b)
+        return serial(a, b)
 
     def spy(a, b, **kwargs):
-        # the block's columns, and the level's array they are a view of
-        if a.shape == (16, n_terms + 1):
-            calls.append((b.shape[1], b.base))
+        # the block's columns, and the piece's powers of h they come from
+        if seen and (b is seen[-1] or b.base is seen[-1]):
+            calls.append((a.shape[0] * a.shape[1] * b.shape[1], b.shape[1], id(seen[-1])))
         return matmul(a, b, **kwargs)
 
+    monkeypatch.setattr(L.coeffs, "serial_matmul", spy_serial)
     monkeypatch.setattr(np, "matmul", spy)
     L.simulate_lmsm(interp, frozen)
-    widest = max((n for n, _ in calls), default=0)
-    assert 0 < 16 * (n_terms + 1) * widest <= L.stable._SERIAL_GEMM_MADDS
-    covered = {}
-    for n, level in calls:
-        covered[id(level)] = covered.get(id(level), 0) + n
-    assert len(calls) > len(covered)
-    assert sorted(covered.values()) == sorted(len(ks) for ks in frozen.cells.values())
+    assert 0 < max(m for m, _, _ in calls) <= L.stable._SERIAL_GEMM_MADDS
+    assert len(seen) == 8 * len(levels) and len(calls) > len(seen)
+    covered = {id(b): 0 for b in seen}
+    for _, n, base in calls:
+        covered[base] += n
+    assert [covered[id(b)] for b in seen] == [b.shape[1] for b in seen]
+    per_level = [sum(b.shape[1] for b in seen[i::len(levels)]) for i in range(len(levels))]
+    assert per_level == [8, 4 * 2 + 3, 2**5 + 7, 2**13 + 7]
+
+
+@pytest.mark.parametrize("refine", [1, 4])
+def test_frozen_levels_across_piece_edges_match_the_rows(refine):
+    # FrozenLevels takes the far part piece by piece, so cells at j < 3
+    # straddle pieces and each cell's last tap on an inner edge comes from
+    # the next piece: every level's per-node coefficients match the level
+    # quadrature (_level_coeffs) of field_on_mesh's rows up to rounding in
+    # the rows' own scale (the parent single-series route's differences
+    # reached 1.8e-17 of it here)
+    from lmsmlab.coeffs import _level_coeffs
+
+    g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=87)
+    H = L.linear_hurst(0.7, 0.15)
+    interp = MeshFieldInterpolant(g, H, 16, refine)
+    w = L.default_wavelet()
+    intervals = {0: (0.0, 1.0), 1: (0.0, 1.0), 2: (0.0, 1.0), 4: (0.0, 1.0),
+                 3: (0.25, 0.75)}
+    frozen = FrozenLevels(interp, w, intervals)
+    L.simulate_lmsm(interp, frozen)
+    rows = field_on_mesh(g, interp.nodes, refine)
+    for j, ks in frozen.cells.items():
+        want = _level_coeffs(rows, interp.t_step, w, j, ks)
+        got = frozen.node_levels[j]
+        assert got.shape == want.shape == (16, len(ks))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(rows))
 
 
 def test_interpolant_refuses_to_extrapolate():
