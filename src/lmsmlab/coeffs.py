@@ -13,19 +13,18 @@ summed tap by tap, for the path and the frozen-Hurst rows alike.  A pyramid
 holds one array per level, on exactly the cells of I_j, and carries those
 cells, so the level array is what the estimators read.  The frozen-Hurst
 levels (``FrozenLevels``) ride the path's own field pass: they apply the
-level quadrature to each v-node row as the pass produces it.
+level quadrature to each whole v-node row, near part plus far series, as
+the pass produces it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .process import MeshFieldInterpolant, SamplePath
-from .stable import serial_matmul
+from .process import MeshFieldInterpolant, SamplePath, _NodeRows
 from .wavelet import WaveletSpec
 
 __all__ = [
@@ -143,69 +142,34 @@ def build_pyramid(path: SamplePath, w: WaveletSpec, intervals: dict) -> CoeffPyr
     )
 
 
-class FrozenLevels:
+class FrozenLevels(_NodeRows):
     """Frozen-Hurst coefficients 2^j int X(t, H(k 2^-j)) psi(2^j t - k) dt on
     the cells of a pyramid's levels (``build_pyramid`` with the same
     intervals), gathered during the path's own field pass.
 
     H is the field's own (``field.H``).  Hand it to ``simulate_lmsm(field,
-    frozen)``: the level quadrature runs on each v-node row as the pass
-    produces it, so only per-node level coefficients are kept, 2^j numbers
-    per node and level, and ``level(j)`` combines them barycentrically at
-    H(k 2^-j).  The combination is linear in the node values, so this is the
-    path route's quadrature of X(., H(k 2^-j)).  The far part of the rows
-    arrives one piece of [0, 1] at a time, as power-series coefficients in h
-    (see ``process.field_on_mesh``): the level quadrature of each power of h
-    over the piece's taps, taken once per level and piece from the moments
-    of the cell weights, is applied to every node's coefficients on the
-    calling thread (``stable.serial_matmul``).
+    frozen)``: each whole v-node row, its near part plus its far series
+    (``process._NodeRows``), goes through the pyramid's own level quadrature
+    (``_level_coeffs``) as the pass produces it, so only per-node level
+    coefficients are kept, 2^j numbers per node and level, and ``level(j)``
+    combines them barycentrically at H(k 2^-j).  The combination is linear
+    in the node values, so this is the path route's quadrature of
+    X(., H(k 2^-j)).  Raises ResolutionError for a level the field's mesh
+    cannot sample (``samples_per_cell``), before any pass runs.
     """
 
     def __init__(self, field: MeshFieldInterpolant, w: WaveletSpec, intervals: dict):
+        super().__init__(field.size)
         self.field, self.w = field, w
         self.cells = _level_cells(intervals)
+        for j in self.cells:
+            samples_per_cell(field.t_step, j)
         self.node_levels = {j: np.zeros((field.nodes.size, len(ks)))
                             for j, ks in self.cells.items()}
 
-    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
+    def take(self, i: int, row: np.ndarray) -> None:
         for j, ks in self.cells.items():
-            first, powers = self._level_powers(h, lo, j, ks, coef.shape[1])
-            if powers.size:
-                at = first - ks.start
-                self.node_levels[j][:, at : at + powers.shape[1]] += serial_matmul(coef, powers)
-
-    def _level_powers(self, h: np.ndarray, lo: int, j: int, ks: range, n: int):
-        # (first, out): out[q] holds, for the cells of ks from ``first`` on
-        # that meet the piece's mesh points lo .. lo + h.size - 1, the level
-        # quadrature of h^q over the cell's taps e0..e1 on those points.  The
-        # taps sit at h = a + u, a the h of tap e0, u = (e - e0) * step, so by
-        # the binomial theorem they are sum_p binom(q, p) a^(q-p) nu_p with
-        # the tap moments nu_p = sum_e w_e u^p: no sample is read twice, and
-        # the cells whole on the piece share one (e0, e1) = (0, m).  A cell
-        # that straddles a piece edge (its last tap, or more when j < 3)
-        # takes the taps on each side from that side's piece.  The field is
-        # 0 at t = 0, so cell 0 drops its first tap.
-        m = samples_per_cell(self.field.t_step, j)
-        w = self.w.cell_weights(m)
-        first = max(ks.start, (lo - 1) // m)
-        k = np.arange(first, min(ks.stop, (lo + h.size - 1) // m + 1))
-        e0 = np.maximum(lo - k * m, 0)
-        e1 = np.minimum(lo + h.size - 1 - k * m, m)
-        powers = np.arange(n)[:, None]
-        out = np.empty((n, k.size))
-        for t0, t1 in set(zip(e0.tolist(), e1.tolist())):
-            cells = (e0 == t0) & (e1 == t1)
-            nu = ((np.arange(t1 - t0 + 1) * self.field.t_step) ** powers) @ w[t0 : t1 + 1]
-            a = h[k[cells] * m + t0 - lo] ** powers
-            for q in range(n):
-                out[q, cells] = ([math.comb(q, p) for p in range(q + 1)] * nu[: q + 1]) @ a[q::-1]
-        if k.size and lo == 0 and k[0] == 0:
-            out[:, 0] -= w[0] * h[0] ** powers[:, 0]
-        return first, out
-
-    def row(self, i: int, near: np.ndarray) -> None:
-        for j, ks in self.cells.items():
-            self.node_levels[j][i] += _level_coeffs(near, self.field.t_step, self.w, j, ks)
+            self.node_levels[j][i] = _level_coeffs(row, self.field.t_step, self.w, j, ks)
 
     def level(self, j: int) -> np.ndarray:
         """The frozen-Hurst coefficients of the cells of level j."""

@@ -21,8 +21,11 @@ its inverse transform is done and keeps only what its linear functional needs.
 The path keeps its barycentric sums, and the frozen-Hurst levels of
 ``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
 outlives the pass.  The far part of the rows reaches the consumers as
-power-series coefficients, one series per eighth of [0, 1], which each
-consumer applies through its own functional.
+power-series coefficients, one series per eighth of [0, 1].  The path
+combines the nodes' coefficients and evaluates one series; a consumer that
+needs whole node rows (``_NodeRows``: the rows themselves and the
+frozen-Hurst levels) adds each node's series to its near part, so the
+series' format is known in this module alone.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
 at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
@@ -431,12 +434,13 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     The far parts come first, one piece p of [0, 1] at a time, as
     ``consumer.far(coef, h, lo)``: on the piece's mesh points lo, lo + 1,
     ..., lo + h.size - 1 (``_piece_span``), row i's far part is the power
-    series sum_n coef[i, n] h^n, h = t - c_p, and the series is valid on the
-    whole closed piece [p/8, (p+1)/8], so a consumer may read a piece's edge
-    from either side.  Then ``consumer.row(i, near)`` hands over row i's near
-    part, in a buffer the next row overwrites.  At t = 0 every row is 0:
-    near[0] is 0, and a consumer takes the far part there as 0.  The rows are
-    identical (up to float rounding) to calling eval_field at each mesh time.
+    series sum_n coef[i, n] h^n, h = t - c_p.  Then ``consumer.row(i,
+    near)`` hands over row i's near part, in a buffer the next row
+    overwrites.  At t = 0 every row is 0: near[0] is 0, and a consumer takes
+    the far part there as 0.  A consumer that reads whole rows subclasses
+    ``_NodeRows``, which sums the two parts and keeps that rule; the rows
+    returned without consumers are its.  The rows are identical (up to float
+    rounding) to calling eval_field at each mesh time.
     ``refine`` samples the discrete-noise field on a mesh finer than the noise
     cells (one convolution per residue class), which is what keeps trapezoid
     coefficient quadrature accurate at deep levels without touching the noise
@@ -596,21 +600,39 @@ def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, cons
             consumer.far(coef, h, lo)
 
 
-class _Rows:
+class _NodeRows:
+    """The base of the field pass's consumers that read whole node rows.
+    ``far`` keeps each piece's series coefficients with its h and first mesh
+    index; ``row`` copies node i's near part into one mesh-length buffer,
+    adds the node's series on each piece, sets t = 0 to 0 and hands the row
+    to the subclass's ``take(i, row)``.  The buffer is overwritten by the
+    next row."""
+
+    def __init__(self, size: int):
+        self.pieces = []
+        self.buf = np.empty(size)
+
+    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
+        self.pieces.append((coef, h, lo))
+
+    def row(self, i: int, near: np.ndarray) -> None:
+        row = self.buf
+        row[:] = near
+        for coef, h, lo in self.pieces:
+            row[lo : lo + h.size] += _poly_eval(coef[i], h)
+        row[0] = 0.0
+        self.take(i, row)
+
+
+class _Rows(_NodeRows):
     """The field rows themselves: ``field_on_mesh``'s result without consumers."""
 
     def __init__(self, n_rows: int, size: int):
-        self.out = np.zeros((n_rows, size))
+        super().__init__(size)
+        self.out = np.empty((n_rows, size))
 
-    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
-        for a in range(0, h.size, _CHUNK):
-            part = h[a : a + _CHUNK]
-            self.out[:, lo + a : lo + a + part.size] += _poly_eval(coef.T[:, :, None], part)
-        if lo == 0:
-            self.out[:, 0] = 0.0
-
-    def row(self, i: int, near: np.ndarray) -> None:
-        self.out[i] += near
+    def take(self, i: int, row: np.ndarray) -> None:
+        self.out[i] = row
 
 
 def _node_hits(nodes: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,9 +34,8 @@ differ from the direct expression's in the last bits.
 
 ``serial_matmul`` takes the matrix products of ``bounds``' Monte Carlo
 chunks, the field pass's far part (its block moments and their translation
-into piece series), the path's far series and the frozen levels' far part
-in blocks that BLAS runs on the calling thread.  The module holds no thread
-state.
+into piece series) and the path's far series in blocks that BLAS runs on
+the calling thread.  The module holds no thread state.
 """
 
 from __future__ import annotations

@@ -317,24 +317,27 @@ def test_covariance_of_independent_synthetic_coefficients_is_null():
 
 def test_approx_check_constant_hurst_routes_coincide():
     # with constant H the frozen-Hurst coefficient IS the path coefficient:
-    # same field row, same trapezoid; the frozen route takes the far part
-    # through the level quadrature of each power of h, the path through its
-    # values, so the two agree to rounding; the refined interpolant has
-    # m = 128 samples per cell, as at j = 12 in the experiments
+    # one node, whose weight is exactly 1, so the path is the node's whole
+    # row, near part plus far series, and the frozen route applies the same
+    # level quadrature to that same row: the two are equal bit for bit, also
+    # at levels 0 and 2, whose cells straddle the far series' pieces; the
+    # refined interpolant has m = 128 samples per level-5 cell, as at j = 12
+    # in the experiments
     from lmsmlab.coeffs import FrozenLevels, build_pyramid
     from lmsmlab.process import MeshFieldInterpolant, make_noise_grid, simulate_lmsm
 
     H = L.constant_hurst(0.8)
     w = L.default_wavelet()
     grid = make_noise_grid(LAW, -4.0, 2.0**-10, seed=333)
-    intervals = {5: (0.0, 1.0)}
+    intervals = {0: (0.0, 1.0), 2: (0.0, 1.0), 5: (0.0, 1.0)}
     for refine in (1, 4):
         interp = MeshFieldInterpolant(grid, H, 16, refine)
         frozen = FrozenLevels(interp, w, intervals)
         path = simulate_lmsm(interp, frozen)
-        level = build_pyramid(path, w, intervals).level(5)
+        pyramid = build_pyramid(path, w, intervals)
         assert frozen.cells[5] == range(32)
-        assert np.max(np.abs(frozen.level(5) - level)) <= 1e-13 * np.max(np.abs(level))
+        for j in intervals:
+            assert np.array_equal(frozen.level(j), pyramid.level(j))
 
 
 def test_frozen_level_matches_per_shift_definition():

@@ -728,7 +728,9 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     # the calling thread: the block moments, one product over the far noise;
     # the translation, one product per piece over the source blocks; and the
     # path's barycentric combination of the nodes' series coefficients,
-    # whose blocks cover every mesh point of each piece once
+    # whose blocks cover every mesh point of each piece once.  A FrozenLevels
+    # consumer evaluates each node's series on its own row and adds no
+    # matrix product
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H, 16, 8)
@@ -751,58 +753,20 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     barycentric = sum((n + 1) * 16 * (hi - lo) for (n, _), (lo, hi) in zip(terms, spans))
     assert sum(madds) == moments + translation + barycentric
     assert sum(hi - lo for lo, hi in spans) == interp.size
-
-
-def test_frozen_level_products_stay_on_the_calling_thread(monkeypatch):
-    # a path build with a FrozenLevels consumer applies each level's
-    # quadrature of the powers of h to the nodes' series coefficients, piece
-    # by piece, in np.matmul blocks small enough that BLAS runs them on the
-    # calling thread; over the pieces each level's blocks cover each cell
-    # once per piece it takes taps from: a whole cell from one, a cell that
-    # ends on an inner piece edge from one more (its last tap is the next
-    # piece's), so a level-2 cell from two or three and the level-0 cell
-    # from all eight.
-    # Level 13's product on piece 0 is above the threshold
-    g = make_noise_grid(LAW, -4.0, 2.0**-14, seed=61)
-    H = L.linear_hurst(0.7, 0.15)
-    interp = MeshFieldInterpolant(g, H, 16, 8)
-    levels = (0, 2, 5, 13)
-    frozen = FrozenLevels(interp, L.default_wavelet(), {j: (0.0, 1.0) for j in levels})
-    n0 = L.process._far_terms(2**14, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
-    assert 16 * (n0 + 1) * (2**13 // 8 + 1) > L.stable._SERIAL_GEMM_MADDS
-    calls, seen, serial, matmul = [], [], L.coeffs.serial_matmul, np.matmul
-
-    def spy_serial(a, b):
-        seen.append(b)
-        return serial(a, b)
-
-    def spy(a, b, **kwargs):
-        # the block's columns, and the piece's powers of h they come from
-        if seen and (b is seen[-1] or b.base is seen[-1]):
-            calls.append((a.shape[0] * a.shape[1] * b.shape[1], b.shape[1], id(seen[-1])))
-        return matmul(a, b, **kwargs)
-
-    monkeypatch.setattr(L.coeffs, "serial_matmul", spy_serial)
-    monkeypatch.setattr(np, "matmul", spy)
-    L.simulate_lmsm(interp, frozen)
-    assert 0 < max(m for m, _, _ in calls) <= L.stable._SERIAL_GEMM_MADDS
-    assert len(seen) == 8 * len(levels) and len(calls) > len(seen)
-    covered = {id(b): 0 for b in seen}
-    for _, n, base in calls:
-        covered[base] += n
-    assert [covered[id(b)] for b in seen] == [b.shape[1] for b in seen]
-    per_level = [sum(b.shape[1] for b in seen[i::len(levels)]) for i in range(len(levels))]
-    assert per_level == [8, 4 * 2 + 3, 2**5 + 7, 2**13 + 7]
+    total = sum(madds)
+    madds.clear()
+    levels = {j: (0.0, 1.0) for j in (0, 2, 5, 9)}
+    L.simulate_lmsm(interp, FrozenLevels(interp, L.default_wavelet(), levels))
+    assert sum(madds) == total
 
 
 @pytest.mark.parametrize("refine", [1, 4])
 def test_frozen_levels_across_piece_edges_match_the_rows(refine):
-    # FrozenLevels takes the far part piece by piece, so cells at j < 3
-    # straddle pieces and each cell's last tap on an inner edge comes from
-    # the next piece: every level's per-node coefficients match the level
-    # quadrature (_level_coeffs) of field_on_mesh's rows up to rounding in
-    # the rows' own scale (the parent single-series route's differences
-    # reached 1.8e-17 of it here)
+    # FrozenLevels builds each whole node row, its near part plus its far
+    # series on every piece, as field_on_mesh's rows are built, and applies
+    # the level quadrature (_level_coeffs) to it: every level's per-node
+    # coefficients are those of the rows bit for bit, also at j < 3, whose
+    # cells straddle the series' pieces
     from lmsmlab.coeffs import _level_coeffs
 
     g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=87)
@@ -818,8 +782,26 @@ def test_frozen_levels_across_piece_edges_match_the_rows(refine):
         want = _level_coeffs(rows, interp.t_step, w, j, ks)
         got = frozen.node_levels[j]
         assert got.shape == want.shape == (16, len(ks))
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(rows))
+        assert np.array_equal(got, want)
 
+
+
+def test_frozen_levels_refuse_an_unsampled_level_before_the_pass(monkeypatch):
+    # a level whose cells hold fewer than 16 mesh intervals (8 at j = 7 on
+    # the refine-1 mesh of delta = 2^-10) is refused when the consumer is
+    # made, so no field pass starts: no far series is summed and no
+    # transform runs
+    from lmsmlab.coeffs import ResolutionError
+
+    calls, far_coeffs = _record_transforms(monkeypatch), L.process._far_coeffs
+    monkeypatch.setattr(L.process, "_far_coeffs",
+                        lambda *args: calls.append("far") or far_coeffs(*args))
+    g = make_noise_grid(LAW, -4.0, 2.0**-10, seed=29)
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 16, 1)
+    with pytest.raises(ResolutionError, match="level-7 cell"):
+        L.simulate_lmsm(interp, FrozenLevels(interp, L.default_wavelet(),
+                                             {5: (0.0, 1.0), 7: (0.0, 1.0)}))
+    assert calls == []
 
 def test_interpolant_refuses_to_extrapolate():
     # combine takes any v a caller passes, and refuses one more than 1e-12
