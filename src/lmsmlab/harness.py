@@ -28,7 +28,7 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -230,6 +230,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
         for key in ("hurst_params", "j_range", "interval"):
             if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])

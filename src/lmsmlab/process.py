@@ -25,15 +25,16 @@ power-series coefficients, one series per eighth of [0, 1].  The path
 combines the nodes' coefficients and evaluates one series; a consumer that
 needs whole node rows (``_NodeRows``: the rows themselves and the
 frozen-Hurst levels) adds each node's series to its near part, so the
-series' format is known in this module alone.
+series' format is known in this module alone, and drops its row buffer and
+the series once it has taken its last node's row.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
 at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
 [-1/4, 1) go through FFT convolution, which computes the very same Riemann
 sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a discrete
 convolution.  Only the outputs at t in [0, 1] are read, so each transform has
-length n_near + 1/delta = 9/(4 delta) (rounded up to a fast size) instead of
-the full linear-convolution length: every product that wraps around the
+length n_near + 1/delta, 9/(4 delta) once the noise reaches s = -1/4, instead
+of the full linear-convolution length: every product that wraps around the
 circular convolution lands before t = 0, outside the window that is read.  The
 far cells s_i < -1/4 add a function of t that is analytic on a disc of radius
 1/4 around 0.  It is summed in three steps: kappa-free moments of the noise
@@ -42,7 +43,8 @@ series per piece [p/8, (p+1)/8] of [0, 1], whose ratio is at most 1/5, and a
 certified remainder bound on both truncations, which fixes the term counts
 (see ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
 transformed once, the kernel values share one log t, each v's residue rows are
-transformed in blocks of up to four, into buffers allocated once per pass, and
+transformed in blocks of up to four, into buffers allocated once per pass from
+one table of their shapes and dtypes (which ``check_path_memory`` sums), and
 the far series of every v come from one pass over the far noise, with the
 batch's largest certified term counts.  A block's kernel half (its kernel values
 and their transform) reads no noise, so it runs one block ahead on a helper
@@ -330,18 +332,6 @@ _CHUNK = 16384
 _BLOCK = 4
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 2^a 3^b that is >= n: pocketfft's fastest radices.  The
-    field pass asks for n_near + 1/delta = 9/(4 delta) whenever the noise
-    reaches s = -1/4, which is a fast length itself when 1/delta is a power
-    of two >= 4."""
-    best, p3 = 1 << (n - 1).bit_length(), 3  # b = 0: the smallest power of two >= n
-    while p3 < best:
-        best = min(best, p3 << (-(-n // p3) - 1).bit_length())
-        p3 *= 3
-    return best
-
-
 def _far_blocks(K: int, delta: float) -> tuple[int, float, float]:
     """(B, rho, x_near) of a pass's far part, K cells on [0, 1): B cells per
     source block, rho = B delta / 2, which bounds |x_i - x_b| inside a block,
@@ -448,8 +438,9 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
 
     The noise is split at s = -ceil(K/4) delta, K = 1/delta (``_NEAR_SHARE``).
     Near cells [-1/4, 1) go through FFT convolution.  Its circular transforms
-    have length L = _fast_len(n_near + K), which is 9K/4, unpadded, when the
-    noise reaches the split and K is a power of two >= 4.  The near window's
+    have length L = n_near + K, the shortest with no wrap-around, which is
+    9K/4 when the noise reaches the split and 4 divides K (9 * 2^(k-2) for
+    K = 2^k, as on every shipped geometry).  The near window's
     origin is i0 = min(ceil(K/4), index of s = 0): the product dz[i] * g[l]
     lands on index i + l, or on i + l - L when that reaches L; since i + l
     <= (n_near - 1) + (i0 + K), a wrapped term lands below i0, outside the
@@ -470,14 +461,17 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     exactly 0 at t = 0, and hands the row on.  Stage 1 runs on one helper
     thread, started for the pass and ended with it, one block ahead of the
     caller, which runs stage 2; a pass of one block runs it there too.  A pass
-    allocates its workspace once, and every 2-D transform writes into it
-    (``out=``): the kernel values over their support, i0 + K + 1 points,
-    which rfft pads with zeros to L; a ring of two spectra (block n's in
-    slot n % 2, free because the caller is done with block n - 2); and the
-    convolution.  Each holds min(4, refine) rows.  The ``log t`` table,
-    refine rows of i0 + K + 1 points, is kept: taking each block's logs
-    afresh held 8 MB less at criterion 8 but made a replicate about 6%
-    slower (2-core machine).  Four rows, because one thread transforms four
+    allocates its buffers once, each from its entry in one table of shapes
+    and dtypes (``_pass_geometry``, the list ``check_path_memory`` sums), in
+    this order: the ``log t`` table, refine rows of i0 + K + 1 points, filled
+    before the rest exist; the kernel values over the same support, which
+    rfft pads with zeros to L; a ring of two spectra (block n's in slot
+    n % 2, free because the caller is done with block n - 2); the
+    convolution; and the near row's mesh, refine (K + 1) points.  Each
+    transform buffer holds min(4, refine) rows, and every 2-D transform
+    writes into one (``out=``).  The ``log t`` table is kept: taking each
+    block's logs afresh held 8 MB less at criterion 8 but made a replicate
+    about 6% slower (2-core machine).  Four rows, because one thread transforms four
     rows per call about as fast per row as eight, and two rows much slower:
     on a 2-core machine a forward and an inverse transform of eight rows of
     3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
@@ -517,38 +511,48 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     return rows.out if vs.ndim else rows.out[0]
 
 
-def _pass_geometry(n_cells: int, K: int) -> tuple[int, int, int]:
-    """(i_near, i0, n_fft) of a field pass over n_cells noise cells, K of
-    them on [0, 1): the first near cell (s >= -ceil(K/4) delta), the near
-    window's origin and the wrap-free transform length (see ``field_on_mesh``)."""
+def _pass_geometry(n_cells: int, K: int, refine: int) -> tuple[int, int, int, dict]:
+    """(i_near, i0, n_fft, buffers) of a field pass over n_cells noise cells,
+    K of them on [0, 1), at mesh step delta/refine: the first near cell
+    (s >= -ceil(K/4) delta), the near window's origin, the transform length
+    n_near + K, the shortest with no wrap-around, and the near half's
+    buffers, name -> (shape, dtype), in the order ``_field_pass`` allocates
+    them (see ``field_on_mesh``)."""
     i_origin = n_cells - K
     i_near = max(i_origin - -(-K // _NEAR_SHARE), 0)
-    return i_near, i_origin - i_near, _fast_len(n_cells - i_near + K)
+    i0, n_fft, rows = i_origin - i_near, n_cells - i_near + K, min(_BLOCK, refine)
+    return i_near, i0, n_fft, {
+        "log t": ((refine, i0 + K + 1), float), "kernel values": ((rows, i0 + K + 1), float),
+        "ring": ((2, rows, n_fft // 2 + 1), complex), "convolution": ((rows, n_fft), float),
+        "mesh": ((K + 1, refine), float)}
 
 
 def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> None:
     # the pass behind field_on_mesh (see there): far parts, then near rows
     K = grid.n_cells - grid.origin_index  # cells of [0, 1): 1/delta >= 1
-    i_near, i0, n_fft = _pass_geometry(grid.n_cells, K)
+    i_near, i0, n_fft, buffers = _pass_geometry(grid.n_cells, K, refine)
+    size = K * refine + 1  # the mesh of [0, 1]
     if i_near > 0:
-        _far_part(grid, kappa, refine, i_near, consumers)
-    dz = grid.increments[i_near:]
-    zf = rfft(dz, n_fft)
+        _far_part(grid, kappa, K, i_near, refine, size, consumers)
+    zf = rfft(grid.increments[i_near:], n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
-    # kernel value at t = 0 exactly 0
+    # kernel value at t = 0 exactly 0.  Filled in place before the transform
+    # buffers exist, so it costs the pass no temporary beside them
+    log_t = np.empty(*buffers["log t"])
+    np.add(np.arange(i0 + K + 1), np.arange(refine)[:, None] / refine, out=log_t)
     with np.errstate(divide="ignore"):
-        log_t = np.log((np.arange(i0 + K + 1) + np.arange(refine)[:, None] / refine)
-                       * grid.delta)
-    rows = min(_BLOCK, refine)
-    # a block is one node i and its residue rows lo..hi-1
-    blocks = [(i, lo, min(lo + rows, refine))
-              for i in range(kappa.size) for lo in range(0, refine, rows)]
+        np.log(np.multiply(log_t, grid.delta, out=log_t), out=log_t)
     # the workspace, made once per pass: the kernel values over their support
     # (rfft pads them with zeros to n_fft), a ring of two spectra, one per
     # block in flight, and the convolution
-    gk = np.empty((rows, log_t.shape[1]))
-    ring = np.empty((2, rows, n_fft // 2 + 1), complex)
-    conv = np.empty((rows, n_fft))
+    gk = np.empty(*buffers["kernel values"])
+    ring = np.empty(*buffers["ring"])
+    conv = np.empty(*buffers["convolution"])
+    # a block is one node i and its residue rows lo..hi-1, as many as a
+    # workspace buffer holds
+    rows = len(conv)
+    blocks = [(i, lo, min(lo + rows, refine))
+              for i in range(kappa.size) for lo in range(0, refine, rows)]
 
     def kernel_spectrum(n):
         # stage 1, the kernel half of block n, a function of the geometry, the
@@ -561,8 +565,8 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
 
     # mesh index q*refine + rho is mesh[q, rho]; the row is its first
     # K*refine + 1 points, up to t = 1, and the rest of q = K is never read
-    mesh = np.empty((K + 1, refine))
-    near = mesh.reshape(-1)[: K * refine + 1]
+    mesh = np.empty(*buffers["mesh"])
+    near = mesh.reshape(-1)[:size]
     # one helper thread runs stage 1 one block ahead: it starts block n + 1
     # once the caller holds block n, so the caller is done with block n - 1
     # and its ring slot; leaving the pool, also on an error, waits for the
@@ -586,13 +590,12 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
                     consumer.row(i, near)
 
 
-def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, consumers) -> None:
+def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: int,
+              size: int, consumers) -> None:
     # the far cells' series coefficients, handed to every consumer piece by
-    # piece with the piece's h; a function of its own, so its temporaries are
-    # gone before the transforms
-    K = grid.n_cells - grid.origin_index
+    # piece with the piece's h on the pass's mesh of ``size`` points; a
+    # function of its own, so its temporaries are gone before the transforms
     coefs = _far_coeffs(grid, i_near, kappa, _far_terms(K, grid.delta, kappa.max()))
-    size = _mesh_size(grid, refine)
     for p, coef in enumerate(coefs):
         lo, hi = _piece_span(p, size)
         h = np.arange(lo, hi) * (grid.delta / refine) - (p + 0.5) / _PIECES
@@ -601,15 +604,17 @@ def _far_part(grid: NoiseGrid, kappa: np.ndarray, refine: int, i_near: int, cons
 
 
 class _NodeRows:
-    """The base of the field pass's consumers that read whole node rows.
-    ``far`` keeps each piece's series coefficients with its h and first mesh
-    index; ``row`` copies node i's near part into one mesh-length buffer,
-    adds the node's series on each piece, sets t = 0 to 0 and hands the row
-    to the subclass's ``take(i, row)``.  The buffer is overwritten by the
-    next row."""
+    """The base of the field pass's consumers that read whole node rows, of
+    ``n_rows`` nodes.  ``far`` keeps each piece's series coefficients with
+    its h and first mesh index; ``row`` copies node i's near part into one
+    mesh-length buffer, adds the node's series on each piece, sets t = 0 to
+    0 and hands the row to the subclass's ``take(i, row)``.  The buffer is
+    overwritten by the next row; the pass hands the rows in node order, so
+    after the last one the buffer and the pieces are dropped: the consumer
+    outlives the pass without them, and serves no second pass."""
 
-    def __init__(self, size: int):
-        self.pieces = []
+    def __init__(self, n_rows: int, size: int):
+        self.pieces, self.n_rows = [], n_rows
         self.buf = np.empty(size)
 
     def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
@@ -622,13 +627,15 @@ class _NodeRows:
             row[lo : lo + h.size] += _poly_eval(coef[i], h)
         row[0] = 0.0
         self.take(i, row)
+        if i == self.n_rows - 1:
+            del self.buf, self.pieces
 
 
 class _Rows(_NodeRows):
     """The field rows themselves: ``field_on_mesh``'s result without consumers."""
 
     def __init__(self, n_rows: int, size: int):
-        super().__init__(size)
+        super().__init__(n_rows, size)
         self.out = np.empty((n_rows, size))
 
     def take(self, i: int, row: np.ndarray) -> None:
@@ -830,29 +837,28 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     RAM.
 
     The count is every array a build holds, as if all at once: the noise
-    grid and its spectrum; the field pass's ``log t`` table (refine rows of
-    ceil(K/4) + K + 1 points, K = 1/delta) and its workspace of
-    min(``_BLOCK``, refine) rows each: the kernel values over the same
-    points, a ring of two spectra and the convolution, of _fast_len(n_near +
-    K) points; two mesh arrays (H(t) and the barycentric numerator) and the
-    near row's buffer of refine (K + 1) points; and, when the noise reaches
-    below the split, the far part: the far noise in source blocks, its block
-    moments, piece 0's translation table (two copies, one row per block, one
-    column per pair of series term and block-expansion degree), one piece's
-    h and the far series' blocks of at most ``_CHUNK`` of its points (one row
-    per node, one per series term and three more), each at piece 0's term
-    counts, the largest.  Never a row per v-node, and nothing for the
+    grid and its spectrum; the buffers of the field pass's near half, the
+    sum of the table the pass allocates them from (``_pass_geometry``): the
+    ``log t`` table, the kernel values, a ring of two spectra and the
+    convolution, each transform buffer of min(``_BLOCK``, refine) rows, and
+    the near row's mesh; two mesh arrays (H(t) and the barycentric
+    numerator); and, when the noise reaches below the split, the far part:
+    the far noise in source blocks, its block moments, piece 0's translation
+    table (two copies, one row per block, one column per pair of series
+    term and block-expansion degree), one piece's h and the far series'
+    blocks of at most ``_CHUNK`` of its points (one row per node, one per
+    series term and three more), each at piece 0's term counts, the
+    largest.  Never a row per v-node, and nothing for the
     kernel's second term b: stage 1 reads no noise, and b is each row's own
     convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
-    i_near, i0, n_fft = _pass_geometry(n_cells, K)
-    rows = min(_BLOCK, refine)
-    spectrum = 2 * (n_fft // 2 + 1)  # the doubles of one complex spectrum row
-    noise = n_cells + spectrum
-    log_t = refine * (i0 + K + 1)
-    transforms = rows * (i0 + K + 1 + 2 * spectrum + n_fft)
-    mesh = 2 * (refine * K + 1) + refine * (K + 1)
+    i_near, _, n_fft, buffers = _pass_geometry(n_cells, K, refine)
+    # the doubles of each buffer of the near half
+    near = {k: math.prod(s) * np.dtype(t).itemsize // 8 for k, (s, t) in buffers.items()}
+    noise = n_cells + 2 * (n_fft // 2 + 1)  # the noise and its complex spectrum
+    log_t, mesh = near.pop("log t"), 2 * (refine * K + 1) + near.pop("mesh")
+    transforms, rows = sum(near.values()), buffers["convolution"][0][0]
     far = 0
     if i_near:
         B = _far_blocks(K, delta)[0]

@@ -136,6 +136,17 @@ def test_config_from_dict_names_a_scalar_list_field(bad):
         ExperimentConfig.from_dict(bad).validate()
 
 
+def test_config_file_refuses_unknown_fields(tmp_path):
+    # a misspelt field in a config file used to die in ExperimentConfig's
+    # __init__ with a TypeError; from_dict refuses it with a ValueError that
+    # names every unknown field, before any config is made
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**ExperimentConfig(**FAST).to_dict(), "alpah": 1.5,
+                                    "seeds": 3}))
+    with pytest.raises(ValueError, match="unknown config fields: alpah, seeds$"):
+        cli_main(["--config", str(cfg_path), "simulate"])
+
+
 def test_fmt17_roundtrips():
     for x in (0.1, 2.0 ** -37 * 3.1415926, -1.7976931348623157e308, 1e-300):
         assert float(fmt17(x)) == x

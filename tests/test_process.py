@@ -10,6 +10,8 @@ import dataclasses
 import math
 import os
 import pickle
+import re
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -133,14 +135,16 @@ def _assert_matches_direct_sums(g, v, refine, mesh, tol):
 
 # ids: refine, then the mesh's right end
 @pytest.mark.parametrize("refine", [2, 8], ids=["2-1.0", "8-1.0"])
-def test_fft_length_at_aliasing_boundary(refine):
-    # n_near + K is already a fast length, so the transforms run at exactly the
-    # shortest wrap-free length; one point shorter would corrupt mesh index 1
-    # (residue 1), which the sweep below includes.  t_min = -4 leaves a far part.
+def test_fft_length_at_aliasing_boundary(refine, monkeypatch):
+    # every transform runs at exactly the shortest wrap-free length n_near + K;
+    # one point shorter would corrupt mesh index 1 (residue 1), which the
+    # sweep below includes.  t_min = -4 leaves a far part.
+    calls = _record_transforms(monkeypatch)
     g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
     n_min = _near_cells(g) + round(1 / g.delta)
-    assert n_min < g.n_cells and L.process._fast_len(n_min) == n_min
+    assert n_min < g.n_cells
     mesh = field_on_mesh(g, 0.8, refine)
+    assert calls and all(n == n_min for _, n, _ in calls)
     _assert_matches_direct_sums(g, 0.8, refine, mesh, 1e-12)
 
 
@@ -172,16 +176,16 @@ def test_fft_length_contract(monkeypatch):
     # one 1-D noise transform per call, then per v and block of min(4, refine)
     # residues (one block at refine 3) one 2-D rfft and one 2-D irfft with a
     # row per residue; every call takes its length as the second positional
-    # argument, n_near + K rounded up to a fast length, never the
-    # linear-convolution size, and no keyword but axis and out.  Every 2-D
-    # transform writes into the pass's workspace: the rffts of a pass into a
-    # ring of two buffers, the irffts into one
+    # argument, n_near + K (560 here, where the noise stops short of the
+    # split), never the linear-convolution size, and no keyword but axis and
+    # out.  Every 2-D transform writes into the pass's workspace: the rffts
+    # of a pass into a ring of two buffers, the irffts into one
     calls = _record_transforms(monkeypatch)
-    # no far part, and n_near + K = 560 is not a fast length
+    # no far part: the noise starts at s = -3/16, above the split
     g = make_noise_grid(LAW, -0.1875, 2.0**-8, seed=43)
     refine = 3
-    n_fft = L.process._fast_len(_near_cells(g) + round(1 / g.delta))
-    assert n_fft == 576 > _near_cells(g) + round(1 / g.delta) == 560
+    n_fft = _near_cells(g) + round(1 / g.delta)
+    assert n_fft == 560 == g.n_cells + round(1 / g.delta)
     field_on_mesh(g, 0.8, refine)
     assert len(calls) == 1 + 2
     field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
@@ -202,25 +206,19 @@ def test_fft_length_contract(monkeypatch):
         assert _distinct_buffers(convolutions) == 1
 
 
-def test_fast_length_is_the_next_product_of_powers_of_two_and_three():
-    # the field pass's transform length is the smallest 2^a 3^b >= n,
-    # checked for every n up to 300,000 against a list of those lengths
-    fast = sorted({2**a * 3**b for a in range(20) for b in range(13)})
-    want = np.array(fast)[np.searchsorted(fast, np.arange(1, 300_001))]
-    got = [L.process._fast_len(n) for n in range(1, 300_001)]
-    assert np.array_equal(got, want)
-
-
 # (t_tail, deepest level): the noise geometry of criteria 8 and 10 and of the
 # verify bundle's approx_error_check, whose delta is noise_step(deepest level)
 @pytest.mark.parametrize("t_tail, j", [(8.0, 12), (8.0, 11)],
                          ids=["criteria-8-and-10", "approx-error-check"])
-def test_fast_length_pads_no_run_geometry(t_tail, j):
-    # the noise reaches s = -1/4, so n_near + K = 9K/4, a fast length itself:
-    # the transforms the runs make are exactly the wrap-free length
+def test_run_geometries_transform_at_nine_quarters_of_k(t_tail, j, monkeypatch):
+    # the noise reaches s = -1/4 on a dyadic grid, so n_near + K = 9K/4:
+    # every transform of the runs' passes has that length (3 * 2^16 points
+    # at criterion 8's delta = 2^-16), with no search and no padding
+    calls = _record_transforms(monkeypatch)
     g = make_noise_grid(LAW, -t_tail, noise_step(j), seed=1)
-    n = _near_cells(g) + round(1 / g.delta)
-    assert 4 * n == 9 * round(1 / g.delta) and L.process._fast_len(n) == n
+    K = round(1 / g.delta)
+    field_on_mesh(g, 0.8)
+    assert len(calls) == 3 and all(4 * n == 9 * K for _, n, _ in calls)
 
 
 def test_batched_rows_match_one_v_calls():
@@ -584,7 +582,7 @@ def test_path_build_streams_node_rows(cells):
     refine, n_nodes = 8, 16
     n = cells * refine + 1
     i0 = min(_split_cells(cells), g.origin_index)
-    n_fft = L.process._fast_len(_near_cells(g) + cells)
+    n_fft = _near_cells(g) + cells
     log_table = refine * (i0 + cells + 1)
     n_terms = L.process._far_terms(cells, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
@@ -626,6 +624,47 @@ def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
                 L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
         else:
             L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
+
+
+def test_field_pass_allocates_its_buffer_table(monkeypatch):
+    # the near half's buffers come from one table of (shape, dtype): the log t
+    # table, the kernel values over their support, a ring of two spectra and
+    # the convolution, each transform buffer of min(4, refine) rows, and the
+    # near row's mesh.  _field_pass makes exactly these with np.empty, in
+    # the table's order, and no other (the far part's own temporaries are
+    # _far_part's); check_path_memory counts the same table, so its log t,
+    # transform and near-row terms sum to the table's
+    g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
+    K, refine = round(1 / g.delta), 6
+    i_near, i0, n_fft, table = L.process._pass_geometry(g.n_cells, K, refine)
+    assert (i0, n_fft) == (K // 4, 9 * K // 4) and i_near > 0
+    assert table == {"log t": ((refine, K // 4 + K + 1), float),
+                     "kernel values": ((4, K // 4 + K + 1), float),
+                     "ring": ((2, 4, n_fft // 2 + 1), complex),
+                     "convolution": ((4, n_fft), float),
+                     "mesh": ((K + 1, refine), float)}
+    made, empty = [], np.empty
+
+    def recording(shape, dtype=float):
+        if sys._getframe(1).f_code is L.process._field_pass.__code__:
+            made.append((shape, dtype))
+        return empty(shape, dtype)
+
+    monkeypatch.setattr(np, "empty", recording)
+    L.process._field_pass(g, np.array([0.1, 0.2]), refine, (_ThreadCount(),))
+    monkeypatch.undo()
+    assert made == list(table.values())
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name:
+                        0 if name == "SC_PHYS_PAGES" else sysconf(name))
+    with pytest.raises(ValueError) as refused:
+        L.process.check_path_memory(g.t_min, g.delta, refine, 16)
+    log_t, transforms, mesh = map(int, re.search(
+        r"(\d+) of the log t table, (\d+) of transform buffers .*\), (\d+) mesh values",
+        str(refused.value)).groups())
+    doubles = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
+                  for shape, dtype in table.values())
+    assert log_t + transforms + mesh - 2 * (refine * K + 1) == doubles
 
 
 class _ThreadCount:
@@ -785,6 +824,35 @@ def test_frozen_levels_across_piece_edges_match_the_rows(refine):
         assert np.array_equal(got, want)
 
 
+def _arrays(x):
+    # every numpy array reachable from x through dicts, lists and tuples
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, dict):
+        for y in x.values():
+            yield from _arrays(y)
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _arrays(y)
+
+
+def test_frozen_levels_drop_their_row_buffers_after_the_pass():
+    # a FrozenLevels needs its mesh-length row buffer and the far pieces'
+    # series and h only while the pass hands it rows; once it has taken its
+    # last node's row it holds its per-node level coefficients alone (the
+    # interpolant and the wavelet are the caller's), and its levels still
+    # combine
+    g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=87)
+    interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 16, 4)
+    frozen = FrozenLevels(interp, L.default_wavelet(), {2: (0.0, 1.0), 5: (0.0, 1.0)})
+    assert frozen.buf.size == interp.size
+    L.simulate_lmsm(interp, frozen)
+    own = {k: v for k, v in vars(frozen).items() if k not in ("field", "w")}
+    held = list(_arrays(own))
+    assert all(max(a.shape) < interp.size // 8 for a in held)
+    assert sum(a.nbytes for a in held) == sum(a.nbytes for a in frozen.node_levels.values())
+    assert frozen.level(5).shape == (32,)
+
 
 def test_frozen_levels_refuse_an_unsampled_level_before_the_pass(monkeypatch):
     # a level whose cells hold fewer than 16 mesh intervals (8 at j = 7 on
@@ -901,16 +969,23 @@ def test_field_scale_matches_quadrature_norm():
 
 
 def test_lfsm_self_similarity_probe():
-    # beta-moment of X(a t) is a**(beta H) times that of X(t), within MC error
+    # beta-moment of X(a t) is a**(beta H) times that of X(t), exactly in
+    # law: at constant H, X(t) = sum_i w_i(t) dZ_i is SaS with scale
+    # sigma(t) = (delta sum_i |w_i(t)|^alpha)^(1/alpha), so E|X(t)|^beta =
+    # c(beta) sigma(t)^beta and the ratio is (sigma(a t) / sigma(t))^beta.
+    # The grid's Riemann sums and its truncation at t_min = -64 put the four
+    # ratios 0.11-0.27% below a**(beta H)
     H, beta = 0.8, 0.25
-    g_geom = make_noise_grid(LAW, -64.0, 2.0**-9, seed=61)
-    mom = {}
-    for t in (0.125, 0.25, 0.5, 1.0):
-        samples = _field_weight_samples(g_geom, t, H, 2000, seed=int(1000 * t))
-        mom[t] = np.mean(np.abs(samples) ** beta)
+    g = make_noise_grid(LAW, -64.0, 2.0**-9, seed=61)
+    s, kappa = g.left_endpoints(), H - 1.0 / LAW.alpha
+
+    def sigma(t):
+        w = (t - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
+        return (g.delta * np.sum(np.abs(w) ** LAW.alpha)) ** (1.0 / LAW.alpha)
+
     for t, a in ((0.125, 2.0), (0.125, 4.0), (0.25, 2.0), (0.25, 4.0)):
-        ratio = mom[a * t] / mom[t]
-        assert ratio == pytest.approx(a ** (beta * H), rel=0.05)
+        ratio = (sigma(a * t) / sigma(t)) ** beta
+        assert ratio == pytest.approx(a ** (beta * H), rel=0.01)
 
 
 def test_direct_coeff_linearity_in_noise():
