@@ -16,17 +16,21 @@ returns holds that interpolant beside the values, so whatever reads the path
 also knows its mesh step, its noise and its H.
 
 The path comes from one field pass (``field_on_mesh``) over the interpolant's
-v-nodes that streams the node rows: each consumer takes every row as soon as
-its inverse transform is done and keeps only what its linear functional needs.
-The path keeps its barycentric sums, and the frozen-Hurst levels of
+v-nodes that streams the node rows residue by residue (mesh point
+q * refine + rho is residue rho at q, and each residue row is one
+convolution): each consumer takes every residue row as soon as its inverse
+transform is done and keeps only what its linear functional needs.  The path keeps its barycentric
+sums, residue-major, so each residue row is one contiguous update, and puts
+them in mesh order once the pass is done; the frozen-Hurst levels of
 ``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
 outlives the pass.  The far part of the rows reaches the consumers as
 power-series coefficients, one series per eighth of [0, 1].  The path
 combines the nodes' coefficients and evaluates one series; a consumer that
 needs whole node rows (``_NodeRows``: the rows themselves and the
-frozen-Hurst levels) adds each node's series to its near part, so the
-series' format is known in this module alone, and drops its row buffer and
-the series once it has taken its last node's row.
+frozen-Hurst levels) writes each residue into its row buffer and adds the
+node's series after the last one, so the series' format is known in this
+module alone, and drops its row buffer and the series once it has taken its
+last node's row.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
 at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
@@ -43,19 +47,20 @@ series per piece [p/8, (p+1)/8] of [0, 1], whose ratio is at most 1/5, and a
 certified remainder bound on both truncations, which fixes the term counts
 (see ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
 transformed once, the kernel values share one log t, each v's residue rows are
-transformed in blocks of up to four, into buffers allocated once per pass from
+transformed in blocks of up to two, into buffers allocated once per pass from
 one table of their shapes and dtypes (which ``check_path_memory`` sums), and
 the far series of every v come from one pass over the far noise, with the
 batch's largest certified term counts.  A block's kernel half (its kernel values
 and their transform) reads no noise, so it runs one block ahead on a helper
 thread while the caller convolves the block before it with the noise.  A row's
 second term, b = sum_{s_i < 0} (-s_i)**kappa dZ_i, needs no pass of its own:
-it is the convolution's own output at t = 0, subtracted once the row is whole.
+it is residue 0's own convolution at t = 0, which the node's first block
+makes, and every residue row drops it before the consumers see it.
 Time-varying Hurst values are then obtained by barycentric interpolation
 across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
 dozen nodes reach near machine precision.  The path's far part is, piece by
 piece, the series whose coefficients are the barycentric combination of the
-nodes' coefficients at H(t); the barycentric sums go one block of 16,384 mesh points
+nodes' coefficients at H(t); the barycentric sums go one block of 16,384 points
 at a time and keep one mesh-length array, their numerator.
 ``eval_field`` is the direct Riemann sum at one point, the reference the mesh
 route is tested against.
@@ -329,7 +334,7 @@ _SOURCE_SHARE = 32
 # its temporaries
 _CHUNK = 16384
 # residue rows per kernel transform in the field pass (see field_on_mesh)
-_BLOCK = 4
+_BLOCK = 2
 
 
 def _far_blocks(K: int, delta: float) -> tuple[int, float, float]:
@@ -424,13 +429,17 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     The far parts come first, one piece p of [0, 1] at a time, as
     ``consumer.far(coef, h, lo)``: on the piece's mesh points lo, lo + 1,
     ..., lo + h.size - 1 (``_piece_span``), row i's far part is the power
-    series sum_n coef[i, n] h^n, h = t - c_p.  Then ``consumer.row(i,
-    near)`` hands over row i's near part, in a buffer the next row
-    overwrites.  At t = 0 every row is 0: near[0] is 0, and a consumer takes
-    the far part there as 0.  A consumer that reads whole rows subclasses
-    ``_NodeRows``, which sums the two parts and keeps that rule; the rows
-    returned without consumers are its.  The rows are identical (up to float
-    rounding) to calling eval_field at each mesh time.
+    series sum_n coef[i, n] h^n, h = t - c_p.  Then the near parts come
+    node by node, residue by residue: ``consumer.residue(i, rho, values)``
+    hands over residue rho = 0, ..., refine - 1 of row i, its near part at
+    mesh points q * refine + rho, q = 0, 1, ...: K + 1 values for residue 0
+    (t = 0 through t = 1) and K for every other, in a buffer the next
+    residue overwrites.  At t = 0 every row is 0: residue 0's values[0] is
+    0, and a consumer takes the far part there as 0.  A consumer that reads
+    whole rows subclasses ``_NodeRows``, which sums the two parts and keeps
+    that rule; the rows returned without consumers are its.  The rows are
+    identical (up to float rounding) to calling eval_field at each mesh
+    time.
     ``refine`` samples the discrete-noise field on a mesh finer than the noise
     cells (one convolution per residue class), which is what keeps trapezoid
     coefficient quadrature accurate at deep levels without touching the noise
@@ -447,35 +456,40 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     window [i0, i0 + K] that is read.  The noise is transformed once per
     pass, and the kernel values g = t^kappa at the refine residues share one
     log t.  Each v's
-    residue rows go in blocks of min(4, refine) rows (``_BLOCK``), one
+    residue rows go in blocks of min(2, refine) rows (``_BLOCK``), one
     ``numpy.fft`` call per block and stage, each on the thread that makes
-    it.  Stage 1 is the kernel half, a function of the geometry, the node
-    and the block's residues alone, which reads no noise: the block's kernel
-    values and their forward transform.  Stage 2 multiplies by the noise
-    spectrum, inverts, and copies the block's window [i0, i0 + K] into the
-    node's mesh buffer, which runs to q = K for every residue and so holds
-    t = 1; the refine - 1 points past t = 1 are never handed on.  The row's
-    value at t = 0 is the kernel's second term over the near cells,
-    b = sum_{s_i < 0} (-s_i)^kappa dZ_i, so after the node's last block
-    stage 2 subtracts the row's first value from the row, which makes it
-    exactly 0 at t = 0, and hands the row on.  Stage 1 runs on one helper
-    thread, started for the pass and ended with it, one block ahead of the
-    caller, which runs stage 2; a pass of one block runs it there too.  A pass
-    allocates its buffers once, each from its entry in one table of shapes
-    and dtypes (``_pass_geometry``, the list ``check_path_memory`` sums), in
-    this order: the ``log t`` table, refine rows of i0 + K + 1 points, filled
-    before the rest exist; the kernel values over the same support, which
-    rfft pads with zeros to L; a ring of two spectra (block n's in slot
-    n % 2, free because the caller is done with block n - 2); the
-    convolution; and the near row's mesh, refine (K + 1) points.  Each
-    transform buffer holds min(4, refine) rows, and every 2-D transform
-    writes into one (``out=``).  The ``log t`` table is kept: taking each
-    block's logs afresh held 8 MB less at criterion 8 but made a replicate
-    about 6% slower (2-core machine).  Four rows, because one thread transforms four
-    rows per call about as fast per row as eight, and two rows much slower:
-    on a 2-core machine a forward and an inverse transform of eight rows of
-    3 * 2^16 points took 52 ms as one call each, 57 ms as two 4-row calls
-    and 77 ms as four 2-row calls.
+    it; a node's first block holds residue 0.  Stage 1 is the kernel half, a
+    function of the geometry, the node and the block's residues alone,
+    which reads no noise: the block's kernel values and their forward
+    transform.  Stage 2 multiplies by the noise spectrum and inverts, and
+    the consumers take each residue straight from the convolution, its
+    window [i0, i0 + K] for residue 0 and [i0, i0 + K) for every other:
+    mesh point q * refine + rho is residue rho at q, and the mesh ends at
+    t = 1, residue 0 at q = K.  Residue 0's value at t = 0 is the kernel's
+    second term over the near cells, b = sum_{s_i < 0} (-s_i)^kappa dZ_i,
+    the same for every residue, so stage 2 subtracts it from each window in
+    place before handing it on, which makes residue 0 exactly 0 at t = 0.
+    Stage 1 runs on one helper thread, started for the pass and ended with
+    it, one block ahead of the caller, which runs stage 2; a pass of one
+    block runs it there too.  A pass allocates its buffers once, each from
+    its entry in one table of shapes and dtypes (``_pass_geometry``, the
+    list ``check_path_memory`` sums), in this order: the ``log t`` table,
+    refine rows of i0 + K + 1 points, filled before the rest exist; the
+    kernel values over the same support, which rfft pads with zeros to L; a
+    ring of two spectra (block n's in slot n % 2, free because the caller is
+    done with block n - 2); and the convolution.  Each transform buffer
+    holds min(2, refine) rows, and every 2-D transform writes into one
+    (``out=``); no buffer holds a mesh.  The ``log t`` table is kept: taking
+    each block's logs afresh held 8 MB less at criterion 8 but made a
+    replicate about 6% slower (2-core machine).  Two rows, because the
+    transform buffers then hold 8.4 MB less than with four at criterion 8,
+    and a replicate is no slower than it was with four rows and a near-row
+    mesh; four rows without the mesh were 5 to 11% faster per replicate at
+    8 MB more, one row 12 to 17% slower at 7.4 MB less (4 pairs each,
+    2-core machine).  On one thread of that machine a forward and an
+    inverse transform of 147,456 points cost per row, median of 15 calls
+    over 5 runs, 4.6 to 6.9 ms in 1-row calls, 3.6 to 5.3 ms in 2-row
+    calls, 3.1 to 4.6 ms in 4-row calls and 2.7 to 4.0 ms in 8-row calls.
 
     Far cells s_i < -ceil(K/4) delta, x_i = -s_i >= x_near = (ceil(K/4) + 1)
     delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On piece p, t =
@@ -506,7 +520,7 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     if consumers:
         _field_pass(grid, kappa, refine, consumers)
         return None
-    rows = _Rows(kappa.size, _mesh_size(grid, refine))
+    rows = _Rows(kappa.size, _mesh_size(grid, refine), refine)
     _field_pass(grid, kappa, refine, (rows,))
     return rows.out if vs.ndim else rows.out[0]
 
@@ -517,23 +531,23 @@ def _pass_geometry(n_cells: int, K: int, refine: int) -> tuple[int, int, int, di
     (s >= -ceil(K/4) delta), the near window's origin, the transform length
     n_near + K, the shortest with no wrap-around, and the near half's
     buffers, name -> (shape, dtype), in the order ``_field_pass`` allocates
-    them (see ``field_on_mesh``)."""
+    them (see ``field_on_mesh``): the ``log t`` table and the transform
+    buffers of min(2, refine) rows.  A residue row goes to the consumers
+    straight from the convolution, so the pass holds no mesh."""
     i_origin = n_cells - K
     i_near = max(i_origin - -(-K // _NEAR_SHARE), 0)
     i0, n_fft, rows = i_origin - i_near, n_cells - i_near + K, min(_BLOCK, refine)
     return i_near, i0, n_fft, {
         "log t": ((refine, i0 + K + 1), float), "kernel values": ((rows, i0 + K + 1), float),
-        "ring": ((2, rows, n_fft // 2 + 1), complex), "convolution": ((rows, n_fft), float),
-        "mesh": ((K + 1, refine), float)}
+        "ring": ((2, rows, n_fft // 2 + 1), complex), "convolution": ((rows, n_fft), float)}
 
 
 def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> None:
-    # the pass behind field_on_mesh (see there): far parts, then near rows
+    # the pass behind field_on_mesh (see there): far parts, then residue rows
     K = grid.n_cells - grid.origin_index  # cells of [0, 1): 1/delta >= 1
     i_near, i0, n_fft, buffers = _pass_geometry(grid.n_cells, K, refine)
-    size = K * refine + 1  # the mesh of [0, 1]
     if i_near > 0:
-        _far_part(grid, kappa, K, i_near, refine, size, consumers)
+        _far_part(grid, kappa, K, i_near, refine, K * refine + 1, consumers)
     zf = rfft(grid.increments[i_near:], n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
     # kernel value at t = 0 exactly 0.  Filled in place before the transform
@@ -549,7 +563,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     ring = np.empty(*buffers["ring"])
     conv = np.empty(*buffers["convolution"])
     # a block is one node i and its residue rows lo..hi-1, as many as a
-    # workspace buffer holds
+    # workspace buffer holds; a node's first block holds residue 0
     rows = len(conv)
     blocks = [(i, lo, min(lo + rows, refine))
               for i in range(kappa.size) for lo in range(0, refine, rows)]
@@ -563,10 +577,6 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
         np.exp(np.multiply(log_t[lo:hi], kappa[i], out=g), out=g)
         return rfft(g, n_fft, axis=-1, out=ring[n % 2, : hi - lo])
 
-    # mesh index q*refine + rho is mesh[q, rho]; the row is its first
-    # K*refine + 1 points, up to t = 1, and the rest of q = K is never read
-    mesh = np.empty(*buffers["mesh"])
-    near = mesh.reshape(-1)[:size]
     # one helper thread runs stage 1 one block ahead: it starts block n + 1
     # once the caller holds block n, so the caller is done with block n - 1
     # and its ring slot; leaving the pool, also on an error, waits for the
@@ -577,17 +587,20 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
             spec = ahead.result()
             if n + 1 < len(blocks):
                 ahead = helper.submit(kernel_spectrum, n + 1)
-            # stage 2, with the noise: residue rho's row of the mesh is column
-            # i0 + q of the convolution's row rho - lo
+            # stage 2, with the noise: residue rho at q is column i0 + q of
+            # the convolution's row rho - lo
             spec *= zf
             out = irfft(spec, n_fft, axis=-1, out=conv[: hi - lo])
-            mesh[:, lo:hi] = out[:, i0 : i0 + K + 1].T
-            if hi == refine:
-                # near[0], the convolution at t = 0, is the kernel's second
-                # term b = sum_{s_i < 0} (-s_i)^kappa dZ_i: the row is 0 there
-                near -= near[0]
+            if lo == 0:
+                # residue 0 at t = 0 is the kernel's second term
+                # b = sum_{s_i < 0} (-s_i)^kappa dZ_i, which every residue drops
+                b = out[0, i0]
+            for rho in range(lo, hi):
+                # residue 0 runs to t = 1 (q = K), every other one to q = K - 1
+                values = out[rho - lo, i0 : i0 + K + (rho == 0)]
+                values -= b
                 for consumer in consumers:
-                    consumer.row(i, near)
+                    consumer.residue(i, rho, values)
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: int,
@@ -605,24 +618,28 @@ def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: i
 
 class _NodeRows:
     """The base of the field pass's consumers that read whole node rows, of
-    ``n_rows`` nodes.  ``far`` keeps each piece's series coefficients with
-    its h and first mesh index; ``row`` copies node i's near part into one
-    mesh-length buffer, adds the node's series on each piece, sets t = 0 to
+    ``n_rows`` nodes on a mesh of ``size`` points at ``refine`` points per
+    noise cell.  ``far`` keeps each piece's series coefficients with its h
+    and first mesh index; ``residue`` writes residue rho of node i into one
+    mesh-length buffer, at mesh points rho, rho + refine, ..., and after the
+    node's last residue adds the node's series on each piece, sets t = 0 to
     0 and hands the row to the subclass's ``take(i, row)``.  The buffer is
     overwritten by the next row; the pass hands the rows in node order, so
     after the last one the buffer and the pieces are dropped: the consumer
     outlives the pass without them, and serves no second pass."""
 
-    def __init__(self, n_rows: int, size: int):
-        self.pieces, self.n_rows = [], n_rows
+    def __init__(self, n_rows: int, size: int, refine: int):
+        self.pieces, self.n_rows, self.refine = [], n_rows, refine
         self.buf = np.empty(size)
 
     def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
         self.pieces.append((coef, h, lo))
 
-    def row(self, i: int, near: np.ndarray) -> None:
+    def residue(self, i: int, rho: int, values: np.ndarray) -> None:
         row = self.buf
-        row[:] = near
+        row[rho :: self.refine] = values
+        if rho < self.refine - 1:
+            return
         for coef, h, lo in self.pieces:
             row[lo : lo + h.size] += _poly_eval(coef[i], h)
         row[0] = 0.0
@@ -634,8 +651,8 @@ class _NodeRows:
 class _Rows(_NodeRows):
     """The field rows themselves: ``field_on_mesh``'s result without consumers."""
 
-    def __init__(self, n_rows: int, size: int):
-        super().__init__(n_rows, size)
+    def __init__(self, n_rows: int, size: int, refine: int):
+        super().__init__(n_rows, size, refine)
         self.out = np.empty((n_rows, size))
 
     def take(self, i: int, row: np.ndarray) -> None:
@@ -654,71 +671,112 @@ def _node_hits(nodes: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
 
 
-class _Barycentric:
-    """Barycentric sums over node rows fed one at a time: the value at v is
-    sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
+def _residue_times(size: int, refine: int, step: float) -> np.ndarray:
+    """The mesh times m * step of m = 0..size-1, residue-major: residue 0's
+    (m = 0, refine, 2 refine, ...), then residue 1's, up to residue
+    refine - 1's, in one array."""
+    t, lo = np.empty(size), 0
+    for rho in range(refine):
+        m = np.arange(rho, size, refine)
+        np.multiply(m, step, out=t[lo : lo + m.size])
+        lo += m.size
+    return t
 
-    The sums keep one mesh-length array, the numerator ``num``, and go one
-    block of ``_CHUNK`` points of v at a time; ``_weights`` is the one route
-    to the c_i of a block.  ``far`` adds the far part of a field pass from
-    its series coefficients, one piece at a time: node i's far part is
-    sum_n coef[i, n] h^n, so its share of the numerator is the series with
-    coefficients sum_i c_i coef[i, n], a matrix product per block of the
-    piece's v that BLAS runs on the calling thread (``stable.serial_matmul``).
-    ``row`` adds c_i X_i, in
-    one block-sized scratch.  ``result`` forms the denominator block by
-    block, adding the c_i in node order, and divides ``num`` by it in place.
-    An exact node hit, v within 1e-15 of a node (the first such node), is
-    found once and rides the weights: there c is 1 for the hit node and 0
-    for every other, so the sums hold that node's row over exactly 1 and
+
+class _Barycentric:
+    """Barycentric sums over node rows fed one residue row at a time: the
+    value at v is sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
+
+    v, the sums and their exact node hits are residue-major: mesh point
+    q * refine + rho sits at ``start[rho] + q``, so each residue row of a
+    node is one contiguous update (``refine`` 1 is any 1-D row in its own
+    order).  The sums keep one array of v's size, the numerator ``num``, and
+    go one block of ``_CHUNK`` points at a time; ``_weights`` is the one
+    route to the c_i of a block.  ``far`` adds the far part of a field pass
+    from its series coefficients, one piece at a time, in blocks of the
+    piece's mesh points: node i's far part is sum_n coef[i, n] h^n, so its
+    share of the numerator is the series with coefficients sum_i c_i
+    coef[i, n], a matrix product per block that BLAS runs on the calling
+    thread (``stable.serial_matmul``); each block gathers its v from the
+    residues and adds its values back to them.  ``residue`` adds c_i X_i
+    on one residue, in one block-sized scratch.  ``result`` forms the
+    denominator block by block, adding the c_i in node order, and divides
+    ``num`` by it in place.  An exact node hit, v within 1e-15 of a node
+    (the first such node), is found once and rides the weights, also on the
+    far part's gathered blocks: there c is 1 for the hit node and 0 for
+    every other, so the sums hold that node's row over exactly 1 and
     ``result`` reads it bit for bit.  With one node (a constant H) every
     value H takes is a hit."""
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, shape):
-        self.nodes, self.weights = nodes, weights
-        self.v = np.broadcast_to(v, shape)
-        self.hit_pos, self.hit_node = _node_hits(nodes, self.v)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, refine: int):
+        self.nodes, self.weights, self.v, self.refine = nodes, weights, v, refine
+        self.start = np.cumsum([0] + [len(range(rho, v.size, refine)) for rho in range(refine)])
+        self.hit_pos, self.hit_node = _node_hits(nodes, v)
         self.index = np.arange(nodes.size)
-        self.num = np.zeros(shape)
-        self.c = np.empty((1, min(_CHUNK, self.num.size)))
+        self.num = np.zeros(v.size)
+        self.c = np.empty((1, min(_CHUNK, v.size)))
 
-    def _weights(self, lo: int, index: np.ndarray, out) -> np.ndarray:
-        """The c_i of the nodes ``index``, one row each, on the block of v
-        from lo that ``out`` holds (for None, a new array of ``_CHUNK``
-        points or up to the end of v); at a hit, the hit node's indicator."""
-        size = _CHUNK if out is None else out.shape[1]
-        c = np.subtract(self.v[lo : lo + size], self.nodes[index, None], out=out)
+    def _weights(self, v: np.ndarray, hits, index: np.ndarray, out) -> np.ndarray:
+        """The c_i of the nodes ``index``, one row each, at the block ``v``,
+        into ``out``; at the block's hits (positions in v, node), the hit
+        node's indicator."""
+        c = np.subtract(v, self.nodes[index, None], out=out)
         with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
             np.divide(self.weights[index, None], c, out=c)
-        a, b = np.searchsorted(self.hit_pos, (lo, lo + size))
-        c[:, self.hit_pos[a:b] - lo] = self.hit_node[a:b] == index[:, None]
+        pos, node = hits
+        c[:, pos] = node == index[:, None]
         return c
 
-    def _blocks(self):
-        # (lo, the block's part of num, the scratch sized to it)
-        for lo in range(0, self.num.size, _CHUNK):
-            part = self.num[lo : lo + _CHUNK]
-            yield lo, part, self.c[:, : part.size]
+    def _hits(self, lo: int, hi: int):
+        # the hits at the positions lo..hi-1, as (position - lo, node)
+        a, b = np.searchsorted(self.hit_pos, (lo, hi))
+        return self.hit_pos[a:b] - lo, self.hit_node[a:b]
+
+    def _blocks(self, a: int, b: int):
+        # per block of the positions a..b-1: its first position, its part of
+        # num and of v, its hits and the scratch sized to it
+        for lo in range(a, b, _CHUNK):
+            hi = min(lo + _CHUNK, b)
+            yield lo, self.num[lo:hi], self.v[lo:hi], self._hits(lo, hi), self.c[:, : hi - lo]
+
+    def _spans(self, a: int, n: int):
+        # per residue of the mesh points a..a+n-1: (d, lo, hi), its points
+        # a + d, a + d + refine, ... are positions lo..hi-1
+        for rho in range(self.refine):
+            d = (rho - a) % self.refine
+            if d < n:
+                lo = self.start[rho] + (a + d) // self.refine
+                yield d, lo, lo + len(range(d, n, self.refine))
 
     def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
         for a in range(lo, lo + h.size, _CHUNK):
             part = h[a - lo : a - lo + _CHUNK]
-            c = self._weights(a, self.index, np.empty((self.index.size, part.size)))
-            self.num[a : a + part.size] += _poly_eval(serial_matmul(coef.T, c), part)
+            spans, v, pos, node = list(self._spans(a, part.size)), np.empty(part.size), [], []
+            for d, b, e in spans:
+                v[d :: self.refine] = self.v[b:e]
+                offset, hit = self._hits(b, e)
+                pos.append(d + self.refine * offset)
+                node.append(hit)
+            c = self._weights(v, (np.concatenate(pos), np.concatenate(node)), self.index,
+                              np.empty((self.index.size, part.size)))
+            x = _poly_eval(serial_matmul(coef.T, c), part)
+            for d, b, e in spans:
+                self.num[b:e] += x[d :: self.refine]
 
-    def row(self, i: int, near: np.ndarray) -> None:
-        for lo, part, scratch in self._blocks():
-            c = self._weights(lo, self.index[i : i + 1], scratch)[0]
-            c *= near[lo : lo + _CHUNK]
+    def residue(self, i: int, rho: int, values: np.ndarray) -> None:
+        a = self.start[rho]
+        for lo, part, v, hits, scratch in self._blocks(a, a + values.size):
+            c = self._weights(v, hits, self.index[i : i + 1], scratch)[0]
+            c *= values[lo - a : lo - a + part.size]
             part += c
 
     def result(self) -> np.ndarray:
         den = np.empty(self.c.shape[1])
-        for lo, part, scratch in self._blocks():
+        for _, part, v, hits, scratch in self._blocks(0, self.num.size):
             d = den[: part.size]
             d[:] = 0.0
             for i in self.index:
-                d += self._weights(lo, self.index[i : i + 1], scratch)[0]
+                d += self._weights(v, hits, self.index[i : i + 1], scratch)[0]
             part /= d
         return self.num
 
@@ -766,10 +824,12 @@ class MeshFieldInterpolant:
         """X(m*t_step, H(m*t_step)) on the whole mesh, from one field pass
         (``field_on_mesh``) whose node rows also go to ``consumers``; it is
         0 at t = 0."""
-        v = self.H(np.arange(self.size) * self.t_step)
-        sums = _Barycentric(self.nodes, self.weights, v, (self.size,))
+        v = self.H(_residue_times(self.size, self.refine, self.t_step))
+        sums = _Barycentric(self.nodes, self.weights, v, self.refine)
         field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
-        out = sums.result()
+        num, out = sums.result(), np.empty(self.size)
+        for rho in range(self.refine):  # to mesh order
+            out[rho :: self.refine] = num[sums.start[rho] : sums.start[rho + 1]]
         out[0] = 0.0  # the u = 0 kernel vanishes identically
         return out
 
@@ -782,9 +842,9 @@ class MeshFieldInterpolant:
         lo, hi = self.H.h_low, self.H.h_high
         if np.any((v < lo - 1e-12) | (v > hi + 1e-12)):
             raise ValueError(f"v outside the interpolant's [{lo}, {hi}]")
-        sums = _Barycentric(self.nodes, self.weights, v, vals.shape[1:])
+        sums = _Barycentric(self.nodes, self.weights, np.broadcast_to(v, vals.shape[1:]), 1)
         for i, row in enumerate(vals):
-            sums.row(i, row)
+            sums.residue(i, 0, row)
         return sums.result()
 
 
@@ -836,45 +896,52 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     noise of [t_min, 1) at mesh step delta/refine would exceed the machine's
     RAM.
 
-    The count is every array a build holds, as if all at once: the noise
-    grid and its spectrum; the buffers of the field pass's near half, the
-    sum of the table the pass allocates them from (``_pass_geometry``): the
-    ``log t`` table, the kernel values, a ring of two spectra and the
-    convolution, each transform buffer of min(``_BLOCK``, refine) rows, and
-    the near row's mesh; two mesh arrays (H(t) and the barycentric
-    numerator); and, when the noise reaches below the split, the far part:
-    the far noise in source blocks, its block moments, piece 0's translation
-    table (two copies, one row per block, one column per pair of series
-    term and block-expansion degree), one piece's h and the far series'
-    blocks of at most ``_CHUNK`` of its points (one row per node, one per
-    series term and three more), each at piece 0's term counts, the
-    largest.  Never a row per v-node, and nothing for the
-    kernel's second term b: stage 1 reads no noise, and b is each row's own
-    convolution at t = 0."""
+    A build holds the noise grid and the barycentric sums throughout: the
+    residue-major H(t) and numerator, their node hits, two arrays as long
+    when every point is one (a constant H), and four block-sized rows: the
+    scratch, the hit indicators and the hit offsets of a block and of the
+    one before it.  Its field pass then goes in two phases, and the count
+    is the larger.  The far part, when the noise reaches below the split:
+    the far noise in source blocks, its block moments, piece 0's
+    translation table (two copies, one row per block, one column per pair
+    of series term and block-expansion degree), one piece's h and the far
+    series' blocks of at most ``_CHUNK`` of its mesh points (one row per
+    node, one per series term and four more: the block's v and hits,
+    gathered from the residues, and the series' evaluation), each at piece
+    0's term counts, the largest.  Its temporaries are freed before the
+    near half makes the noise spectrum and its buffers, the sum of the
+    table the pass allocates them from (``_pass_geometry``): the ``log t``
+    table, the kernel values, a ring of two spectra and the convolution,
+    each transform buffer of min(``_BLOCK``, refine) rows.  Never a row per
+    v-node, no mesh for a residue row, which goes to the sums straight
+    from the convolution, and nothing for the kernel's second term b:
+    stage 1 reads no noise, and b is residue 0's own convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
     i_near, _, n_fft, buffers = _pass_geometry(n_cells, K, refine)
     # the doubles of each buffer of the near half
     near = {k: math.prod(s) * np.dtype(t).itemsize // 8 for k, (s, t) in buffers.items()}
     noise = n_cells + 2 * (n_fft // 2 + 1)  # the noise and its complex spectrum
-    log_t, mesh = near.pop("log t"), 2 * (refine * K + 1) + near.pop("mesh")
+    size = refine * K + 1  # the mesh of [0, 1]
+    log_t, sums = near.pop("log t"), 4 * size + 4 * min(_CHUNK, size)
     transforms, rows = sum(near.values()), buffers["convolution"][0][0]
     far = 0
     if i_near:
         B = _far_blocks(K, delta)[0]
         n_blocks = -(-i_near // B)
         n, m = _far_terms(K, delta, 1.0)[0]  # kappa < 1
-        piece = -(-refine * K // _PIECES) + 1  # the most mesh points a piece holds
+        piece = -(-(size - 1) // _PIECES) + 1  # the most mesh points a piece holds
         far = (n_blocks * B + (n_blocks + B) * (m + 1) + 2 * n_blocks * (m + 1) * (n + 1)
-               + piece + (n_nodes + n + 3) * min(_CHUNK, piece))
+               + piece + (n_nodes + n + 4) * min(_CHUNK, piece))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * (noise + log_t + transforms + mesh + far) > memory:
+    if 8 * (max(noise + log_t + transforms, n_cells + far) + sums) > memory:
         raise ValueError(
             f"{noise} values of noise and its spectrum, {log_t} of the log t table, "
             f"{transforms} of transform buffers (kernel values, next spectrum, current "
-            f"spectrum and convolution, {rows} rows each), {mesh} mesh values (H(t), "
-            f"barycentric numerator and near row) and {far} far noise, block moment, "
-            f"translation and far series values exceed RAM")
+            f"spectrum and convolution, {rows} rows each) and {sums} of barycentric sums "
+            f"(H(t), numerator, node hits and a block's scratch), or before those buffers "
+            f"the noise, the sums and {far} far noise, block moment, translation and far "
+            f"series values, exceed RAM")
 
 
 def simulate_lmsm(field: MeshFieldInterpolant, *consumers) -> SamplePath:

@@ -369,8 +369,9 @@ def test_frozen_level_matches_per_shift_definition():
 
 
 def test_approx_check_builds_each_field_once(monkeypatch):
-    # the frozen levels ride the path's own field pass: one field build, of
-    # 1 + 2 n_nodes transforms, per replicate
+    # the frozen levels ride the path's own field pass: one field build per
+    # replicate, of one noise transform and two per node and block (the
+    # refine 4 residues go in two blocks of two)
     import lmsmlab.process as P
 
     builds, transforms = [], []
@@ -389,7 +390,7 @@ def test_approx_check_builds_each_field_once(monkeypatch):
                              [4, 5, 6, 7], seed=41)
     assert len(rep.details["slopes"]) == len(builds) == 20
     assert all(nodes.size == 24 for nodes in builds)
-    assert len(transforms) == 20 * (1 + 2 * 24)
+    assert len(transforms) == 20 * (1 + 2 * 24 * 2)
 
 
 def test_covariance_check_enforces_replicate_floor():

@@ -119,11 +119,11 @@ def test_config_rejects_unusable_mesh_settings(bad):
 
 
 def test_ram_guard_counts_four_transform_buffers():
-    # the field pass holds four transform buffers of min(4, path_refine) rows;
+    # the field pass holds four transform buffers of min(2, path_refine) rows;
     # the guard's message names them
     cfg = ExperimentConfig(**{**FAST, "j_range": (40,), "delta": None, "path_refine": 8})
     with pytest.raises(ValueError, match="kernel values, next spectrum, current spectrum "
-                                         "and convolution, 4 rows each"):
+                                         "and convolution, 2 rows each"):
         cfg.validate()
 
 
@@ -436,19 +436,19 @@ def test_short_noise_domain_is_refused_before_any_replicate(workers, tmp_path, m
 @pytest.mark.parametrize("where", ["kernel transform", "consumer row"])
 def test_a_bug_in_the_field_pass_ends_the_run(where, tmp_path, monkeypatch):
     # a RuntimeError in a kernel transform (the pass's helper thread builds
-    # the kernel spectra) or in a consumer's row (the caller) is a bug, not a
-    # failed replicate: run_replicate raises it, run_experiment ends with it
-    # and writes no manifest, and the helper is gone either way
+    # the kernel spectra) or in a consumer's residue row (the caller) is a
+    # bug, not a failed replicate: run_replicate raises it, run_experiment
+    # ends with it and writes no manifest, and the helper is gone either way
     from lmsmlab import process
 
     owner, attr = (process, "rfft") if where == "kernel transform" else (
-        process._Barycentric, "row")
+        process._Barycentric, "residue")
     real = getattr(owner, attr)
     threads_seen = []
 
     def failing(*args, **kwargs):
         # the noise transform is the one 1-D rfft; fail on the third kernel
-        # transform or row, with the pipeline under way
+        # transform or residue row, with the pipeline under way
         if where == "consumer row" or np.ndim(args[0]) == 2:
             threads_seen.append(threading.active_count())
             if len(threads_seen) % 3 == 0:

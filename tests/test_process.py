@@ -173,28 +173,32 @@ def _distinct_buffers(arrays) -> int:
 
 
 def test_fft_length_contract(monkeypatch):
-    # one 1-D noise transform per call, then per v and block of min(4, refine)
-    # residues (one block at refine 3) one 2-D rfft and one 2-D irfft with a
-    # row per residue; every call takes its length as the second positional
-    # argument, n_near + K (560 here, where the noise stops short of the
-    # split), never the linear-convolution size, and no keyword but axis and
-    # out.  Every 2-D transform writes into the pass's workspace: the rffts
-    # of a pass into a ring of two buffers, the irffts into one
+    # one 1-D noise transform per call, then per v and block of min(2, refine)
+    # residues (one block at refine 2, blocks of 2 and 1 at refine 3) one 2-D
+    # rfft and one 2-D irfft with a row per residue; every call takes its
+    # length as the second positional argument, n_near + K (560 here, where
+    # the noise stops short of the split), never the linear-convolution
+    # size, and no keyword but axis and out.  Every 2-D transform writes into
+    # the pass's workspace: the rffts of a pass into a ring of two buffers,
+    # the irffts into one
     calls = _record_transforms(monkeypatch)
     # no far part: the noise starts at s = -3/16, above the split
     g = make_noise_grid(LAW, -0.1875, 2.0**-8, seed=43)
-    refine = 3
     n_fft = _near_cells(g) + round(1 / g.delta)
     assert n_fft == 560 == g.n_cells + round(1 / g.delta)
-    field_on_mesh(g, 0.8, refine)
+    field_on_mesh(g, 0.8, 2)
     assert len(calls) == 1 + 2
-    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), refine)
-    assert len(calls) == 1 + 2 + 1 + 2 * 3
+    field_on_mesh(g, np.array([0.75, 0.8, 0.85]), 3)
+    assert len(calls) == 1 + 2 + 1 + 2 * 2 * 3
     assert all(n == n_fft for _, n, _ in calls)
     noise, batched = [calls[0], calls[3]], calls[1:3] + calls[4:]
     assert all(len(shape) == 1 and not kw for shape, _, kw in noise)
+    # the helper's rfft of block n + 1 and the caller's irfft of block n may
+    # run in either order
+    assert [shape[0] for shape, _, _ in calls[1:3]] == [2, 2]
+    assert sorted(shape[0] for shape, _, _ in calls[4:]) == [1] * 6 + [2] * 6
     for shape, _, kw in batched:
-        assert len(shape) == 2 and shape[0] == refine
+        assert len(shape) == 2
         assert set(kw) == {"axis", "out"} and kw["axis"] == -1
     # a one-block pass makes one spectrum, so it fills one slot of the ring
     for one_pass, ring in ((calls[1:3], 1), (calls[4:], 2)):
@@ -247,7 +251,7 @@ def test_cost_contract_of_the_split(monkeypatch):
     # transform has length n_near + K = 9K/4, and the far series of the
     # criterion-8 batch need the term counts below.  The cost is counted in
     # rows: the noise is one row, and each v transforms refine kernel rows
-    # and inverts refine rows, in blocks of min(4, refine) rows per call
+    # and inverts refine rows, in blocks of min(2, refine) rows per call
     calls = _record_transforms(monkeypatch)
 
     def rows():
@@ -255,9 +259,9 @@ def test_cost_contract_of_the_split(monkeypatch):
 
     g = make_noise_grid(LAW, -8.0, 2.0**-10, seed=71)
     field_on_mesh(g, 0.8, 8)
-    assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 2)
+    assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 4)
     assert rows() == 1 + 2 * 8
-    # a path build is one pass: 1 + 2 * 16 * 8 rows in 1 + 2 * 16 * 2 calls,
+    # a path build is one pass: 1 + 2 * 16 * 8 rows in 1 + 2 * 16 * 4 calls,
     # also when a consumer reads the same node rows
     H = L.linear_hurst(0.7, 0.15)
     interp = MeshFieldInterpolant(g, H, 16, 8)
@@ -265,15 +269,15 @@ def test_cost_contract_of_the_split(monkeypatch):
     for consumers in ((), (frozen,)):
         calls.clear()
         L.simulate_lmsm(interp, *consumers)
-        assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 16 * 2)
+        assert [n for _, n, _ in calls] == [9 * 2**8] * (1 + 2 * 16 * 4)
         assert rows() == 1 + 2 * 16 * 8
     # criterion 8: alpha 1.5, H in [0.7, 0.85], t_tail 8, delta = 2^-16,
-    # refine 8, 16 nodes: one noise transform and 2 * 16 * 2 block
+    # refine 8, 16 nodes: one noise transform and 2 * 16 * 4 block
     # transforms, each of 147,456 = 9 * 2^14 points
     g = make_noise_grid(LAW, -8.0, 2.0**-16, seed=72)
     calls.clear()
     L.simulate_lmsm(MeshFieldInterpolant(g, H, 16, 8))
-    assert [n for _, n, _ in calls] == [147_456] * (1 + 2 * 16 * 2)
+    assert [n for _, n, _ in calls] == [147_456] * (1 + 2 * 16 * 4)
     assert rows() == 1 + 2 * 16 * 8
     # the batch takes the counts of its largest kappa: per piece of [0, 1],
     # the highest power of h its series keeps and the block expansion's
@@ -494,23 +498,26 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
 
 def test_node_hits_ride_the_weights():
     # constant H: one node, so every mesh point is a hit; the shared weight
-    # helper gives that node c = 1 on every block of the mesh, so the
-    # denominator is exactly 1, the numerator holds the node's row and never
-    # a NaN, and the result is the row bit for bit (X(0, v) = 0 is set by
-    # at(), not by the sums)
+    # helper gives that node c = 1 on every block of the sums, so the
+    # denominator is exactly 1, the residue-major numerator holds the node's
+    # row, residue 0's points then residue 1's, and never a NaN, and the
+    # result is that row bit for bit (X(0, v) = 0 is set by at(), not by
+    # the sums)
     g = make_noise_grid(LAW, -2.0, 2.0**-14, seed=31)  # noise beyond s = -1: a far part
     interp = MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 2)
-    sums = L.process._Barycentric(interp.nodes, interp.weights, 0.8, (interp.size,))
-    rows = L.process._Rows(1, interp.size)
+    sums = L.process._Barycentric(interp.nodes, interp.weights, np.full(interp.size, 0.8), 2)
+    rows = L.process._Rows(1, interp.size, 2)
     field_on_mesh(g, interp.nodes, 2, sums, rows)
     assert interp.nodes.size == 1
-    blocks = range(0, interp.size, L.process._CHUNK)
+    assert list(sums.start) == [0, 2**14 + 1, interp.size]
+    blocks = list(sums._blocks(0, interp.size))
     assert len(blocks) == 3
-    dens = [sums._weights(lo, sums.index, None) for lo in blocks]
+    dens = [sums._weights(v, hits, sums.index, None) for _, _, v, hits, _ in blocks]
     assert sum(d.size for d in dens) == interp.size
     assert all(np.all(d == 1.0) for d in dens)
     assert np.all(np.isfinite(sums.num))
-    assert np.array_equal(sums.result()[1:], rows.out[0, 1:])
+    residue_major = np.concatenate([rows.out[0, 0::2], rows.out[0, 1::2]])
+    assert np.array_equal(sums.result()[1:], residue_major[1:])
 
 
 def _node_axis_combine(interp, v, vals):
@@ -571,12 +578,12 @@ def test_combine_streams_node_rows():
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
     # a 16-node path build never holds the 16 node rows: besides the field
-    # pass's log t table, its transform buffers of min(4, refine) rows (the
+    # pass's log t table, its transform buffers of min(2, refine) rows (the
     # kernel values, a ring of two spectra and the convolution) and the far
     # part's blocks (one row per node and per series term, at most _CHUNK
     # points long, at piece 0's term count, the largest) it keeps at most
-    # four mesh rows (H(t), the barycentric numerator, the near row and a
-    # piece's h)
+    # three mesh rows (H(t) and the barycentric numerator, and a piece's h
+    # or, once the pass is done, the path in mesh order): no near row
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
@@ -586,14 +593,14 @@ def test_path_build_streams_node_rows(cells):
     log_table = refine * (i0 + cells + 1)
     n_terms = L.process._far_terms(cells, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
-    workspace = (2 + 2) * min(4, refine) * n_fft
+    workspace = (2 + 2) * min(2, refine) * n_fft
     tracemalloc.start()
     try:
         L.simulate_lmsm(MeshFieldInterpolant(g, H, n_nodes, refine))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (workspace + log_table + far_blocks + 4 * n)
+    assert peak < 8 * (workspace + log_table + far_blocks + 3 * n)
 
 
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**16])
@@ -602,9 +609,11 @@ def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
     # memory is that build's tracemalloc peak (the noise grid included) and
     # passes it on twice that: the rule never counts less than a build
     # holds, and not wildly more.  The far part is freed before the
-    # transforms, but the rule adds it: at 2^10 cells, whose peak is closest
-    # to the far part's own, the rule reads 1.10 times the measured peak, at
-    # 2^13 1.79 and at 2^16 1.24 (2-core machine)
+    # transforms, so the rule counts the larger of the pass's two phases,
+    # each beside the noise and the barycentric sums, whose node hits it
+    # counts as if every point were one (a constant H): at 2^10 cells, whose
+    # peak is the far part's, the rule reads 1.75 times the measured peak, at
+    # 2^13 1.71 and at 2^16 1.34 (2-core machine)
     H = L.linear_hurst(0.7, 0.15)
     t_min, refine, n_nodes = -4.0, 8, 16
     tracemalloc.start()
@@ -629,20 +638,20 @@ def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
 def test_field_pass_allocates_its_buffer_table(monkeypatch):
     # the near half's buffers come from one table of (shape, dtype): the log t
     # table, the kernel values over their support, a ring of two spectra and
-    # the convolution, each transform buffer of min(4, refine) rows, and the
-    # near row's mesh.  _field_pass makes exactly these with np.empty, in
-    # the table's order, and no other (the far part's own temporaries are
-    # _far_part's); check_path_memory counts the same table, so its log t,
-    # transform and near-row terms sum to the table's
+    # the convolution, each transform buffer of min(2, refine) rows, and no
+    # mesh: the residue rows go to the consumers straight from the
+    # convolution.  _field_pass makes exactly these with np.empty, in the
+    # table's order, and no other (the far part's own temporaries are
+    # _far_part's); check_path_memory counts the same table, so its log t
+    # and transform terms sum to the table's
     g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
     K, refine = round(1 / g.delta), 6
     i_near, i0, n_fft, table = L.process._pass_geometry(g.n_cells, K, refine)
     assert (i0, n_fft) == (K // 4, 9 * K // 4) and i_near > 0
     assert table == {"log t": ((refine, K // 4 + K + 1), float),
-                     "kernel values": ((4, K // 4 + K + 1), float),
-                     "ring": ((2, 4, n_fft // 2 + 1), complex),
-                     "convolution": ((4, n_fft), float),
-                     "mesh": ((K + 1, refine), float)}
+                     "kernel values": ((2, K // 4 + K + 1), float),
+                     "ring": ((2, 2, n_fft // 2 + 1), complex),
+                     "convolution": ((2, n_fft), float)}
     made, empty = [], np.empty
 
     def recording(shape, dtype=float):
@@ -659,16 +668,54 @@ def test_field_pass_allocates_its_buffer_table(monkeypatch):
                         0 if name == "SC_PHYS_PAGES" else sysconf(name))
     with pytest.raises(ValueError) as refused:
         L.process.check_path_memory(g.t_min, g.delta, refine, 16)
-    log_t, transforms, mesh = map(int, re.search(
-        r"(\d+) of the log t table, (\d+) of transform buffers .*\), (\d+) mesh values",
-        str(refused.value)).groups())
+    log_t, transforms = map(int, re.search(
+        r"(\d+) of the log t table, (\d+) of transform buffers", str(refused.value)).groups())
     doubles = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
                   for shape, dtype in table.values())
-    assert log_t + transforms + mesh - 2 * (refine * K + 1) == doubles
+    assert log_t + transforms == doubles
+
+
+class _ResidueLog:
+    """A consumer that keeps a copy of every residue row it is handed, with
+    its node and residue, and every far piece's first mesh index."""
+
+    def __init__(self):
+        self.residues, self.pieces = [], []
+
+    def far(self, coef, h, lo):
+        self.pieces.append(lo)
+
+    def residue(self, i, rho, values):
+        self.residues.append((i, rho, values.copy()))
+
+
+@pytest.mark.parametrize("refine", [1, 3, 8])
+def test_consumers_take_residue_rows_in_node_order(refine):
+    # the pass hands each consumer, node by node, residues 0..refine-1 in
+    # order: residue 0 holds K + 1 points (t = 0 through t = 1), every other
+    # one K, and residue 0 starts at exactly 0, the row's second term b
+    # dropped.  With no far part (the noise starts at the split, s = -1/4)
+    # the residue rows are the field rows' mesh points rho, rho + refine,
+    # ... bit for bit; with one, they come after every far piece
+    nodes = np.array([0.7, 0.78, 0.85])
+    for t_min, far in ((-0.25, False), (-2.0, True)):
+        g = make_noise_grid(LAW, t_min, 2.0**-8, seed=47)
+        K = round(1 / g.delta)
+        log = _ResidueLog()
+        field_on_mesh(g, nodes, refine, log)
+        assert [(i, rho) for i, rho, _ in log.residues] == [
+            (i, rho) for i in range(nodes.size) for rho in range(refine)]
+        assert [x.size for _, _, x in log.residues] == [K + 1, *[K] * (refine - 1)] * nodes.size
+        assert all(x[0] == 0.0 for _, rho, x in log.residues if rho == 0)
+        assert len(log.pieces) == (8 if far else 0)
+        if not far:
+            rows = field_on_mesh(g, nodes, refine)
+            for i, rho, x in log.residues:
+                assert np.array_equal(x, rows[i, rho::refine])
 
 
 class _ThreadCount:
-    """A consumer that records the number of live threads at every row."""
+    """A consumer that records the number of live threads at every residue row."""
 
     def __init__(self):
         self.seen = []
@@ -676,7 +723,7 @@ class _ThreadCount:
     def far(self, coef, h, lo):
         pass
 
-    def row(self, i, near):
+    def residue(self, i, rho, values):
         self.seen.append(threading.active_count())
 
 
@@ -708,7 +755,8 @@ def _pass_outputs(g, H, refine, *consumers):
             L.simulate_lmsm(interp, frozen, *consumers).values, frozen.level(5))
 
 
-# refine 1 and 3 are one block per node, 6 ends on a block of 2 rows
+# refine 1 is one block per node, 3 ends on a block of 1 row, 6 and 8 are
+# whole blocks of 2 rows
 @pytest.mark.parametrize("refine", [1, 3, 6, 8])
 def test_rows_do_not_depend_on_the_thread_budget(refine, monkeypatch):
     # one schedule: every pass builds each block's kernel spectrum one block
@@ -748,14 +796,14 @@ def test_kernel_half_reads_no_noise(monkeypatch):
     # order.  Each row's second term b is the convolution at t = 0, which
     # makes the row exactly 0 there
     monkeypatch.setattr(L.process, "ThreadPoolExecutor", _Recording)
-    nodes, refine = np.array([0.7, 0.78, 0.85]), 6  # blocks of 4 and 2 rows
+    nodes, refine = np.array([0.7, 0.78, 0.85]), 6  # three blocks of 2 rows
     spectra = []
     for seed in (3, 4):
         _Recording.results = []
         rows = field_on_mesh(make_noise_grid(LAW, -2.0, 2.0**-8, seed=seed), nodes, refine)
         assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 1:] != 0.0)
         spectra.append(_Recording.results)
-    assert len(spectra[0]) == len(spectra[1]) == 2 * nodes.size
+    assert len(spectra[0]) == len(spectra[1]) == 3 * nodes.size
     for one, two in zip(*spectra):
         assert isinstance(one, np.ndarray) and isinstance(two, np.ndarray)
         assert one.tobytes() == two.tobytes()
