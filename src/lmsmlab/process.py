@@ -23,14 +23,16 @@ transform is done and keeps only what its linear functional needs.  The path kee
 sums, residue-major, so each residue row is one contiguous update, and puts
 them in mesh order once the pass is done; the frozen-Hurst levels of
 ``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
-outlives the pass.  The far part of the rows reaches the consumers as
-power-series coefficients, one series per eighth of [0, 1].  The path
-combines the nodes' coefficients and evaluates one series; a consumer that
-needs whole node rows (``_NodeRows``: the rows themselves and the
-frozen-Hurst levels) writes each residue into its row buffer and adds the
-node's series after the last one, so the series' format is known in this
-module alone, and drops its row buffer and the series once it has taken its
-last node's row.
+outlives the pass.  The far part of the rows reaches the consumers first,
+in the same coordinates, as power-series coefficients, one series per
+eighth of [0, 1] handed residue by residue with that residue's points in
+the piece.  The path combines the nodes' coefficients and evaluates one
+series on that residue's stretch of its sums; a consumer that needs whole
+node rows (``_NodeRows``: the rows themselves and the frozen-Hurst levels)
+writes each residue into its row buffer and adds the node's series on that
+residue's points, so the series' format is known in this module alone, and
+drops its row buffer and the series once it has taken its last node's
+row.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
 at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
@@ -59,9 +61,10 @@ makes, and every residue row drops it before the consumers see it.
 Time-varying Hurst values are then obtained by barycentric interpolation
 across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
 dozen nodes reach near machine precision.  The path's far part is, piece by
-piece, the series whose coefficients are the barycentric combination of the
-nodes' coefficients at H(t); the barycentric sums go one block of 16,384 points
-at a time and keep one mesh-length array, their numerator.
+piece and residue by residue, the series whose coefficients are the
+barycentric combination of the nodes' coefficients at H(t); the barycentric
+sums go one block of 16,384 points at a time and keep one mesh-length array,
+their numerator.
 ``eval_field`` is the direct Riemann sum at one point, the reference the mesh
 route is tested against.
 """
@@ -138,7 +141,7 @@ class HurstFunction:
     holder_exponent = 1.0
 
     def __post_init__(self):
-        if self.name not in _HURST_KINDS:
+        if not isinstance(self.name, str) or self.name not in _HURST_KINDS:
             raise ValueError(f"hurst_name {self.name!r} is not one of {sorted(_HURST_KINDS)}")
         if not isinstance(self.params, (list, tuple)):
             raise ValueError(f"hurst_params must be a list, got {self.params!r}")
@@ -425,11 +428,14 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     pass.  With no ``consumers`` it returns the rows, a 1-D row for a scalar v
     and otherwise one row per v in one array.  With consumers it keeps no row
     and returns None: each consumer applies its own linear functional to every
-    row as the pass produces it.  A row is its far part plus its near part.
-    The far parts come first, one piece p of [0, 1] at a time, as
-    ``consumer.far(coef, h, lo)``: on the piece's mesh points lo, lo + 1,
-    ..., lo + h.size - 1 (``_piece_span``), row i's far part is the power
-    series sum_n coef[i, n] h^n, h = t - c_p.  Then the near parts come
+    row as the pass produces it.  A row is its far part plus its near part,
+    and both come in residue coordinates: mesh point q * refine + rho is
+    residue rho at q.  The far parts come first, piece p of [0, 1] by piece
+    and, within it, residue by residue, as ``consumer.far(coef, rho, q0,
+    h)``: on residue rho's points q0, q0 + 1, ..., q0 + h.size - 1 that lie
+    in the piece (``_piece_span``), row i's far part is the power series
+    sum_n coef[i, n] h^n, h = t - c_p.  A residue with no point in a piece
+    (possible when 1/delta < 8) gets no call.  Then the near parts come
     node by node, residue by residue: ``consumer.residue(i, rho, values)``
     hands over residue rho = 0, ..., refine - 1 of row i, its near part at
     mesh points q * refine + rho, q = 0, 1, ...: K + 1 values for residue 0
@@ -455,13 +461,12 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     <= (n_near - 1) + (i0 + K), a wrapped term lands below i0, outside the
     window [i0, i0 + K] that is read.  The noise is transformed once per
     pass, and the kernel values g = t^kappa at the refine residues share one
-    log t.  Each v's
-    residue rows go in blocks of min(2, refine) rows (``_BLOCK``), one
-    ``numpy.fft`` call per block and stage, each on the thread that makes
-    it; a node's first block holds residue 0.  Stage 1 is the kernel half, a
-    function of the geometry, the node and the block's residues alone,
-    which reads no noise: the block's kernel values and their forward
-    transform.  Stage 2 multiplies by the noise spectrum and inverts, and
+    log t.  Each v's residue rows go in blocks of min(2, refine) rows
+    (``_BLOCK``), one ``numpy.fft`` call per block and stage, each on the
+    thread that makes it; a node's first block holds residue 0.  Stage 1 is
+    the kernel half, a function of the geometry, the node and the block's
+    residues alone, which reads no noise: the block's kernel values and
+    their forward transform.  Stage 2 multiplies by the noise spectrum and inverts, and
     the consumers take each residue straight from the convolution, its
     window [i0, i0 + K] for residue 0 and [i0, i0 + K) for every other:
     mesh point q * refine + rho is residue rho at q, and the mesh ends at
@@ -479,17 +484,7 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     ring of two spectra (block n's in slot n % 2, free because the caller is
     done with block n - 2); and the convolution.  Each transform buffer
     holds min(2, refine) rows, and every 2-D transform writes into one
-    (``out=``); no buffer holds a mesh.  The ``log t`` table is kept: taking
-    each block's logs afresh held 8 MB less at criterion 8 but made a
-    replicate about 6% slower (2-core machine).  Two rows, because the
-    transform buffers then hold 8.4 MB less than with four at criterion 8,
-    and a replicate is no slower than it was with four rows and a near-row
-    mesh; four rows without the mesh were 5 to 11% faster per replicate at
-    8 MB more, one row 12 to 17% slower at 7.4 MB less (4 pairs each,
-    2-core machine).  On one thread of that machine a forward and an
-    inverse transform of 147,456 points cost per row, median of 15 calls
-    over 5 runs, 4.6 to 6.9 ms in 1-row calls, 3.6 to 5.3 ms in 2-row
-    calls, 3.1 to 4.6 ms in 4-row calls and 2.7 to 4.0 ms in 8-row calls.
+    (``out=``); no buffer holds a mesh.
 
     Far cells s_i < -ceil(K/4) delta, x_i = -s_i >= x_near = (ceil(K/4) + 1)
     delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On piece p, t =
@@ -547,7 +542,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     K = grid.n_cells - grid.origin_index  # cells of [0, 1): 1/delta >= 1
     i_near, i0, n_fft, buffers = _pass_geometry(grid.n_cells, K, refine)
     if i_near > 0:
-        _far_part(grid, kappa, K, i_near, refine, K * refine + 1, consumers)
+        _far_part(grid, kappa, K, i_near, refine, consumers)
     zf = rfft(grid.increments[i_near:], n_fft)
     # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
     # kernel value at t = 0 exactly 0.  Filled in place before the transform
@@ -604,46 +599,51 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
 
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: int,
-              size: int, consumers) -> None:
+              consumers) -> None:
     # the far cells' series coefficients, handed to every consumer piece by
-    # piece with the piece's h on the pass's mesh of ``size`` points; a
+    # piece and, within a piece, residue by residue with that residue's h; a
     # function of its own, so its temporaries are gone before the transforms
     coefs = _far_coeffs(grid, i_near, kappa, _far_terms(K, grid.delta, kappa.max()))
     for p, coef in enumerate(coefs):
-        lo, hi = _piece_span(p, size)
-        h = np.arange(lo, hi) * (grid.delta / refine) - (p + 0.5) / _PIECES
-        for consumer in consumers:
-            consumer.far(coef, h, lo)
+        lo, hi = _piece_span(p, K * refine + 1)
+        for rho in range(refine):
+            q0 = -(-(lo - rho) // refine)  # residue rho's first point in the piece
+            h = np.arange(q0 * refine + rho, hi, refine) * (grid.delta / refine)
+            h -= (p + 0.5) / _PIECES
+            if h.size:  # a piece may hold no point of a residue when K < 8
+                for consumer in consumers:
+                    consumer.far(coef, rho, q0, h)
 
 
 class _NodeRows:
     """The base of the field pass's consumers that read whole node rows, of
     ``n_rows`` nodes on a mesh of ``size`` points at ``refine`` points per
-    noise cell.  ``far`` keeps each piece's series coefficients with its h
-    and first mesh index; ``residue`` writes residue rho of node i into one
-    mesh-length buffer, at mesh points rho, rho + refine, ..., and after the
-    node's last residue adds the node's series on each piece, sets t = 0 to
-    0 and hands the row to the subclass's ``take(i, row)``.  The buffer is
-    overwritten by the next row; the pass hands the rows in node order, so
-    after the last one the buffer and the pieces are dropped: the consumer
-    outlives the pass without them, and serves no second pass."""
+    noise cell.  ``far`` keeps each residue's series pieces, their
+    coefficients with the residue's h and first q on the piece; ``residue``
+    writes residue rho of node i into one mesh-length buffer, at mesh points
+    rho, rho + refine, ..., adds the node's series on each of that residue's
+    pieces, and after the node's last residue sets t = 0 to 0 and hands the
+    row to the subclass's ``take(i, row)``.  The buffer is overwritten by the
+    next row; the pass hands the rows in node order, so after the last one
+    the buffer and the pieces are dropped: the consumer outlives the pass
+    without them, and serves no second pass."""
 
     def __init__(self, n_rows: int, size: int, refine: int):
-        self.pieces, self.n_rows, self.refine = [], n_rows, refine
+        self.pieces, self.n_rows, self.refine = [[] for _ in range(refine)], n_rows, refine
         self.buf = np.empty(size)
 
-    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
-        self.pieces.append((coef, h, lo))
+    def far(self, coef: np.ndarray, rho: int, q0: int, h: np.ndarray) -> None:
+        self.pieces[rho].append((coef, q0, h))
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
-        row = self.buf
-        row[rho :: self.refine] = values
+        part = self.buf[rho :: self.refine]
+        part[:] = values
+        for coef, q0, h in self.pieces[rho]:
+            part[q0 : q0 + h.size] += _poly_eval(coef[i], h)
         if rho < self.refine - 1:
             return
-        for coef, h, lo in self.pieces:
-            row[lo : lo + h.size] += _poly_eval(coef[i], h)
-        row[0] = 0.0
-        self.take(i, row)
+        self.buf[0] = 0.0
+        self.take(i, self.buf)
         if i == self.n_rows - 1:
             del self.buf, self.pieces
 
@@ -693,23 +693,22 @@ class _Barycentric:
     order).  The sums keep one array of v's size, the numerator ``num``, and
     go one block of ``_CHUNK`` points at a time; ``_weights`` is the one
     route to the c_i of a block.  ``far`` adds the far part of a field pass
-    from its series coefficients, one piece at a time, in blocks of the
-    piece's mesh points: node i's far part is sum_n coef[i, n] h^n, so its
-    share of the numerator is the series with coefficients sum_i c_i
-    coef[i, n], a matrix product per block that BLAS runs on the calling
-    thread (``stable.serial_matmul``); each block gathers its v from the
-    residues and adds its values back to them.  ``residue`` adds c_i X_i
-    on one residue, in one block-sized scratch.  ``result`` forms the
-    denominator block by block, adding the c_i in node order, and divides
-    ``num`` by it in place.  An exact node hit, v within 1e-15 of a node
-    (the first such node), is found once and rides the weights, also on the
-    far part's gathered blocks: there c is 1 for the hit node and 0 for
-    every other, so the sums hold that node's row over exactly 1 and
-    ``result`` reads it bit for bit.  With one node (a constant H) every
-    value H takes is a hit."""
+    from its series coefficients on one residue's points of one piece, a
+    contiguous stretch of the sums, block by block: node i's far part is
+    sum_n coef[i, n] h^n, so its share of the numerator is the series with
+    coefficients sum_i c_i coef[i, n], a matrix product per block that BLAS
+    runs on the calling thread (``stable.serial_matmul``).  ``residue`` adds
+    c_i X_i on one residue, in one block-sized scratch.  ``result`` forms
+    the denominator block by block, adding the c_i in node order, and
+    divides ``num`` by it in place.  An exact node hit, v within 1e-15 of a
+    node (the first such node), is found once and rides the weights, also
+    on the far part's blocks: there c is 1 for the hit node and 0 for every
+    other, so the sums hold that node's row over exactly 1 and ``result``
+    reads it bit for bit.  With one node (a constant H) every value H takes
+    is a hit."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, refine: int):
-        self.nodes, self.weights, self.v, self.refine = nodes, weights, v, refine
+        self.nodes, self.weights, self.v = nodes, weights, v
         self.start = np.cumsum([0] + [len(range(rho, v.size, refine)) for rho in range(refine)])
         self.hit_pos, self.hit_node = _node_hits(nodes, v)
         self.index = np.arange(nodes.size)
@@ -739,29 +738,11 @@ class _Barycentric:
             hi = min(lo + _CHUNK, b)
             yield lo, self.num[lo:hi], self.v[lo:hi], self._hits(lo, hi), self.c[:, : hi - lo]
 
-    def _spans(self, a: int, n: int):
-        # per residue of the mesh points a..a+n-1: (d, lo, hi), its points
-        # a + d, a + d + refine, ... are positions lo..hi-1
-        for rho in range(self.refine):
-            d = (rho - a) % self.refine
-            if d < n:
-                lo = self.start[rho] + (a + d) // self.refine
-                yield d, lo, lo + len(range(d, n, self.refine))
-
-    def far(self, coef: np.ndarray, h: np.ndarray, lo: int) -> None:
-        for a in range(lo, lo + h.size, _CHUNK):
-            part = h[a - lo : a - lo + _CHUNK]
-            spans, v, pos, node = list(self._spans(a, part.size)), np.empty(part.size), [], []
-            for d, b, e in spans:
-                v[d :: self.refine] = self.v[b:e]
-                offset, hit = self._hits(b, e)
-                pos.append(d + self.refine * offset)
-                node.append(hit)
-            c = self._weights(v, (np.concatenate(pos), np.concatenate(node)), self.index,
-                              np.empty((self.index.size, part.size)))
-            x = _poly_eval(serial_matmul(coef.T, c), part)
-            for d, b, e in spans:
-                self.num[b:e] += x[d :: self.refine]
+    def far(self, coef: np.ndarray, rho: int, q0: int, h: np.ndarray) -> None:
+        a = self.start[rho] + q0
+        for lo, part, v, hits, _ in self._blocks(a, a + h.size):
+            c = self._weights(v, hits, self.index, np.empty((self.index.size, part.size)))
+            part += _poly_eval(serial_matmul(coef.T, c), h[lo - a : lo - a + part.size])
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
         a = self.start[rho]
@@ -904,11 +885,13 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     is the larger.  The far part, when the noise reaches below the split:
     the far noise in source blocks, its block moments, piece 0's
     translation table (two copies, one row per block, one column per pair
-    of series term and block-expansion degree), one piece's h and the far
-    series' blocks of at most ``_CHUNK`` of its mesh points (one row per
-    node, one per series term and four more: the block's v and hits,
-    gathered from the residues, and the series' evaluation), each at piece
-    0's term counts, the largest.  Its temporaries are freed before the
+    of series term and block-expansion degree), one residue's points of one
+    piece (their mesh indices and h) and the far series' blocks of at most
+    ``_CHUNK`` of those points (one row per node for the weights, one per
+    series term for their product with the coefficients and one for the
+    series' value), each at piece 0's term counts, the largest.  The
+    blocks read v and the hits in place, as the residue's points are a
+    contiguous stretch of the sums.  Its temporaries are freed before the
     near half makes the noise spectrum and its buffers, the sum of the
     table the pass allocates them from (``_pass_geometry``): the ``log t``
     table, the kernel values, a ring of two spectra and the convolution,
@@ -930,9 +913,9 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
         B = _far_blocks(K, delta)[0]
         n_blocks = -(-i_near // B)
         n, m = _far_terms(K, delta, 1.0)[0]  # kappa < 1
-        piece = -(-(size - 1) // _PIECES) + 1  # the most mesh points a piece holds
+        points = -(-K // _PIECES) + 1  # the most points one residue holds in a piece
         far = (n_blocks * B + (n_blocks + B) * (m + 1) + 2 * n_blocks * (m + 1) * (n + 1)
-               + piece + (n_nodes + n + 4) * min(_CHUNK, piece))
+               + 2 * points + (n_nodes + n + 2) * min(_CHUNK, points))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * (max(noise + log_t + transforms, n_cells + far) + sums) > memory:
         raise ValueError(

@@ -80,7 +80,8 @@ def test_readme_config_example_is_valid():
      {"t0": math.nan}, {"hurst_params": (0.7, "x")}, {"interval": (0.0, math.nan)},
      {"workers": 0}, {"interval": (0.4, 0.4)}, {"interval": (0.5, 1.2)},
      {"verify_scale_replicates": -4}, {"verify_cov_replicates": 2.5},
-     {"verify_cov_replicates": 9_999}, {"out_dir": None}, {"out_dir": ""}],
+     {"verify_cov_replicates": 9_999}, {"out_dir": None}, {"out_dir": ""},
+     {"hurst_name": ["linear"]}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
@@ -89,7 +90,8 @@ def test_readme_config_example_is_valid():
          "beta='0.25'", "t_tail=inf", "delta='0.0005'", "t0=nan", "hurst_params=(0.7,'x')",
          "interval=(0,nan)", "workers=0", "interval=(0.4,0.4)", "interval=(0.5,1.2)",
          "verify_scale_replicates=-4", "verify_cov_replicates=2.5",
-         "verify_cov_replicates=9999", "out_dir=None", "out_dir=''"],
+         "verify_cov_replicates=9999", "out_dir=None", "out_dir=''",
+         "hurst_name=['linear']"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -110,8 +112,10 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # fail late: a Monte Carlo size that bounds refuses only after the
     # earlier reports of the verify bundle have run, an out_dir that
     # os.makedirs refuses with a TypeError or FileNotFoundError naming no
-    # field.  An empty interval and one leaving [0, 1] must name the field
-    # too; validate only, no replicate runs
+    # field, or died in validate with a bare TypeError that named no field
+    # (an unhashable H kind, as a JSON list).  An empty interval and one
+    # leaving [0, 1] must name the field too; validate only, no replicate
+    # runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):

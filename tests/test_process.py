@@ -582,8 +582,9 @@ def test_path_build_streams_node_rows(cells):
     # kernel values, a ring of two spectra and the convolution) and the far
     # part's blocks (one row per node and per series term, at most _CHUNK
     # points long, at piece 0's term count, the largest) it keeps at most
-    # three mesh rows (H(t) and the barycentric numerator, and a piece's h
-    # or, once the pass is done, the path in mesh order): no near row
+    # three mesh rows (H(t) and the barycentric numerator, and one
+    # residue's points of a piece with their h or, once the pass is done,
+    # the path in mesh order): no near row
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
@@ -603,19 +604,31 @@ def test_path_build_streams_node_rows(cells):
     assert peak < 8 * (workspace + log_table + far_blocks + 3 * n)
 
 
-@pytest.mark.parametrize("cells", [2**10, 2**13, 2**16])
-def test_path_memory_rule_counts_what_a_build_holds(cells, monkeypatch):
+# ids: cells for the linear H, constant-cells for the constant one
+_MEMORY_CASES = [(H, cells) for H in (L.linear_hurst(0.7, 0.15), L.constant_hurst(0.8))
+                 for cells in (2**10, 2**13, 2**16)]
+
+
+@pytest.mark.parametrize("H,cells", _MEMORY_CASES, ids=[
+    f"{'constant-' * H.is_constant}{cells}" for H, cells in _MEMORY_CASES])
+def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
     # check_path_memory refuses a 16-node refine-8 build on a machine whose
     # memory is that build's tracemalloc peak (the noise grid included) and
     # passes it on twice that: the rule never counts less than a build
     # holds, and not wildly more.  The far part is freed before the
     # transforms, so the rule counts the larger of the pass's two phases,
     # each beside the noise and the barycentric sums, whose node hits it
-    # counts as if every point were one (a constant H): at 2^10 cells, whose
-    # peak is the far part's, the rule reads 1.75 times the measured peak, at
-    # 2^13 1.71 and at 2^16 1.34 (2-core machine)
-    H = L.linear_hurst(0.7, 0.15)
+    # counts as if every point were one, as it is for a constant H.  The
+    # far phase holds one residue's points of a piece and the blocks of its
+    # series.  The rule reads 1.49, 1.42 and 1.34 times the measured peak at
+    # 2^10, 2^13 and 2^16 cells for the linear H, and 1.42, 1.05 and 1.0033
+    # for the constant one, whose hits fill the mesh (2-core machine).  A
+    # small build first, so that the peak leaves out what only a process's
+    # first build allocates, about 0.67 MiB of lazy imports: 1.83 against
+    # 1.16 MiB for a constant-H 2^10-cell build repeated
     t_min, refine, n_nodes = -4.0, 8, 16
+    L.simulate_lmsm(MeshFieldInterpolant(make_noise_grid(LAW, t_min, 2.0**-6, seed=39), H,
+                                         n_nodes, refine))
     tracemalloc.start()
     try:
         g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
@@ -677,13 +690,14 @@ def test_field_pass_allocates_its_buffer_table(monkeypatch):
 
 class _ResidueLog:
     """A consumer that keeps a copy of every residue row it is handed, with
-    its node and residue, and every far piece's first mesh index."""
+    its node and residue, and of every far call's (rho, q0, h), with the
+    number of residue rows it had been handed before that call."""
 
     def __init__(self):
         self.residues, self.pieces = [], []
 
-    def far(self, coef, h, lo):
-        self.pieces.append(lo)
+    def far(self, coef, rho, q0, h):
+        self.pieces.append((rho, q0, h.copy(), len(self.residues)))
 
     def residue(self, i, rho, values):
         self.residues.append((i, rho, values.copy()))
@@ -696,7 +710,8 @@ def test_consumers_take_residue_rows_in_node_order(refine):
     # one K, and residue 0 starts at exactly 0, the row's second term b
     # dropped.  With no far part (the noise starts at the split, s = -1/4)
     # the residue rows are the field rows' mesh points rho, rho + refine,
-    # ... bit for bit; with one, they come after every far piece
+    # ... bit for bit; with one, they come after every far call, one per
+    # piece and residue, as every piece holds points of every residue
     nodes = np.array([0.7, 0.78, 0.85])
     for t_min, far in ((-0.25, False), (-2.0, True)):
         g = make_noise_grid(LAW, t_min, 2.0**-8, seed=47)
@@ -707,11 +722,48 @@ def test_consumers_take_residue_rows_in_node_order(refine):
             (i, rho) for i in range(nodes.size) for rho in range(refine)]
         assert [x.size for _, _, x in log.residues] == [K + 1, *[K] * (refine - 1)] * nodes.size
         assert all(x[0] == 0.0 for _, rho, x in log.residues if rho == 0)
-        assert len(log.pieces) == (8 if far else 0)
+        assert len(log.pieces) == (8 * refine if far else 0)
         if not far:
             rows = field_on_mesh(g, nodes, refine)
             for i, rho, x in log.residues:
                 assert np.array_equal(x, rows[i, rho::refine])
+
+
+@pytest.mark.parametrize("cells", [4, 2**8])
+@pytest.mark.parametrize("refine", [1, 3, 8])
+def test_far_part_reaches_consumers_in_residue_coordinates(refine, cells):
+    # the far series come before every residue row, piece by piece and,
+    # within a piece, residue by residue as far(coef, rho, q0, h): residue
+    # rho's points q0, q0 + 1, ... in piece p, with h their mesh times minus
+    # the piece's centre c_p = (2p + 1)/16, every one inside the piece.  Over
+    # the 8 pieces each residue's spans tile its points 0..len(residue) - 1
+    # exactly once.  At 1/delta = 4 a piece holds at most 4 mesh points, so
+    # some pieces hold no point of some residues (or none at all): those get
+    # no call, and the rows still match the direct sums
+    g = make_noise_grid(LAW, -2.0, 1.0 / cells, seed=47)
+    log = _ResidueLog()
+    nodes = np.array([0.7, 0.85])
+    field_on_mesh(g, nodes, refine, log)
+    assert log.pieces and all(seen == 0 for *_, seen in log.pieces)
+    order, length = [], {rho: x.size for i, rho, x in log.residues if i == 0}
+    for rho, q0, h, _ in log.pieces:
+        assert h.size
+        t = ((q0 + np.arange(h.size)) * refine + rho) / (cells * refine)
+        centre = t - h
+        p = round(8 * centre[0] - 0.5)
+        assert np.allclose(centre, (2 * p + 1) / 16, rtol=0, atol=1e-15)
+        assert np.all((p / 8 <= t) & ((t < (p + 1) / 8) | (t == 1.0) & (p == 7)))
+        order.append((p, rho))
+    assert order == sorted(order) and len(set(order)) == len(order)
+    for rho in range(refine):
+        spans = [np.arange(q0, q0 + h.size) for r, q0, h, _ in log.pieces if r == rho]
+        assert np.array_equal(np.concatenate(spans), np.arange(length[rho]))
+    if cells == 4:
+        assert len(log.pieces) < 8 * refine
+        for v, row in zip(nodes, field_on_mesh(g, nodes, refine)):
+            for m in range(row.size):
+                direct = eval_field(g, m / (cells * refine), v, tail_tol=1.0)
+                assert row[m] == pytest.approx(direct, abs=1e-12, rel=1e-12)
 
 
 class _ThreadCount:
@@ -720,7 +772,7 @@ class _ThreadCount:
     def __init__(self):
         self.seen = []
 
-    def far(self, coef, h, lo):
+    def far(self, coef, rho, q0, h):
         pass
 
     def residue(self, i, rho, values):
@@ -815,7 +867,8 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     # the calling thread: the block moments, one product over the far noise;
     # the translation, one product per piece over the source blocks; and the
     # path's barycentric combination of the nodes' series coefficients,
-    # whose blocks cover every mesh point of each piece once.  A FrozenLevels
+    # whose blocks, one residue of one piece at a time, cover every mesh
+    # point of each piece once.  A FrozenLevels
     # consumer evaluates each node's series on its own row and adds no
     # matrix product
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
