@@ -159,7 +159,7 @@ class FrozenLevels(_NodeRows):
     """
 
     def __init__(self, field: MeshFieldInterpolant, w: WaveletSpec, intervals: dict):
-        super().__init__(field.nodes.size, field.size, field.refine)
+        super().__init__(field.nodes.size, field.grid, field.refine)
         self.field, self.w = field, w
         self.cells = _level_cells(intervals)
         for j in self.cells:

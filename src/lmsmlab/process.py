@@ -16,23 +16,25 @@ returns holds that interpolant beside the values, so whatever reads the path
 also knows its mesh step, its noise and its H.
 
 The path comes from one field pass (``field_on_mesh``) over the interpolant's
-v-nodes that streams the node rows residue by residue (mesh point
-q * refine + rho is residue rho at q, and each residue row is one
-convolution): each consumer takes every residue row as soon as its inverse
-transform is done and keeps only what its linear functional needs.  The path keeps its barycentric
-sums, residue-major, so each residue row is one contiguous update, and puts
-them in mesh order once the pass is done; the frozen-Hurst levels of
-``coeffs.FrozenLevels`` keep 2^j numbers per node and level.  No node row
-outlives the pass.  The far part of the rows reaches the consumers first,
-in the same coordinates, as power-series coefficients, one series per
-eighth of [0, 1] handed residue by residue with that residue's points in
-the piece.  The path combines the nodes' coefficients and evaluates one
-series on that residue's stretch of its sums; a consumer that needs whole
-node rows (``_NodeRows``: the rows themselves and the frozen-Hurst levels)
-writes each residue into its row buffer and adds the node's series on that
-residue's points, so the series' format is known in this module alone, and
-drops its row buffer and the series once it has taken its last node's
-row.
+v-nodes that streams the node rows on one residue grid of shape (refine,
+K + 1), K = 1/delta: entry (rho, q) is mesh point q * refine + rho, every
+residue row rho is one convolution of K + 1 values, and the refine - 1
+entries past t = 1 (column K of residues rho > 0) are dropped by every
+consumer.  Each consumer takes every residue row as soon as its inverse
+transform is done and keeps only what its linear functional needs.  The
+path keeps its barycentric sums on that grid, so each residue row is one
+contiguous update, and one transpose puts them in mesh order once the pass
+is done; the frozen-Hurst levels of ``coeffs.FrozenLevels`` keep 2^j
+numbers per node and level.  No node row outlives the pass.  The far part
+of the rows reaches the consumers first, on the same grid, as power-series
+coefficients, one series per eighth of [0, 1] handed once with the piece's
+columns of the grid.  The path combines the nodes' coefficients and
+evaluates one series on each residue's stretch of its sums; a consumer
+that needs whole node rows (``_NodeRows``: the rows themselves and the
+frozen-Hurst levels) writes each residue into a column of its row buffer,
+whose ravel is the mesh, and adds the node's series on each piece's
+columns, so the series' format is known in this module alone, and drops
+its row buffer and the series once it has taken its last node's row.
 
 ``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
 at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
@@ -45,7 +47,8 @@ circular convolution lands before t = 0, outside the window that is read.  The
 far cells s_i < -1/4 add a function of t that is analytic on a disc of radius
 1/4 around 0.  It is summed in three steps: kappa-free moments of the noise
 over source blocks at most 1/32 wide, their translation into one Taylor
-series per piece [p/8, (p+1)/8] of [0, 1], whose ratio is at most 1/5, and a
+series per eighth of [0, 1]'s cells, whose ratio is at most 1/5 when 1/delta
+is a power of two, and a
 certified remainder bound on both truncations, which fixes the term counts
 (see ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
 transformed once, the kernel values share one log t, each v's residue rows are
@@ -61,10 +64,9 @@ makes, and every residue row drops it before the consumers see it.
 Time-varying Hurst values are then obtained by barycentric interpolation
 across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
 dozen nodes reach near machine precision.  The path's far part is, piece by
-piece and residue by residue, the series whose coefficients are the
-barycentric combination of the nodes' coefficients at H(t); the barycentric
-sums go one block of 16,384 points at a time and keep one mesh-length array,
-their numerator.
+piece, the series whose coefficients are the barycentric combination of the
+nodes' coefficients at H(t); the barycentric sums go one block of 16,384
+points at a time and keep one grid-sized array, their numerator.
 ``eval_field`` is the direct Riemann sum at one point, the reference the mesh
 route is tested against.
 """
@@ -72,6 +74,7 @@ route is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -233,7 +236,8 @@ class NoiseGrid:
         return self.increments.size
 
     def left_endpoints(self) -> np.ndarray:
-        return self.t_min + self.delta * np.arange(self.n_cells)
+        """s_i = (i - i0) delta, s_{i0} = 0: exact at i0 for every delta."""
+        return (np.arange(self.n_cells) - self.origin_index) * self.delta
 
     @property
     def origin_index(self) -> int:
@@ -307,6 +311,13 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
 
     Signals (TruncationError) when ``path_truncation_audit`` bounds the
     alpha-mass lost below t_min above ``tail_tol`` of the kernel's total.
+
+    The cells' left ends are s_i = (i - i0) delta, s_{i0} = 0, and a u whose
+    cell coordinate u / delta lies within four ulps of an integer n is read
+    as n delta, so the offset u - s_i of the cell starting at u is exactly
+    0, as in the FFT route, at every delta: t_min + i delta rounds at a
+    delta that is not a power of two, and so does u, and an offset of 3e-16
+    raised to kappa is about 1e-3.
     """
     if u < 0 or u > 1.0:
         raise ValueError("u must lie in [0, 1]")
@@ -318,6 +329,8 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
     if u == 0.0:
         return 0.0
     kappa = _kappa(grid.law.alpha, v)
+    x = u / grid.delta
+    u = round(x) * grid.delta if abs(x - round(x)) <= 4 * np.spacing(x) else u
     s = grid.left_endpoints()
     w = (u - s).clip(min=0.0) ** kappa - (-s).clip(min=0.0) ** kappa
     return float(w @ grid.increments)
@@ -328,9 +341,10 @@ def eval_field(grid: NoiseGrid, u: float, v: float, tail_tol: float = 0.05) -> f
 # trade-off is in its docstring); a whole number of cells, so the split is a
 # cell boundary for every delta
 _NEAR_SHARE = 4
-# the far series: one power series per piece [p/8, (p+1)/8] of [0, 1], in
-# h = t - c_p about the piece's centre c_p, from the moments of source blocks
-# of K // _SOURCE_SHARE cells, at most 1/32 wide
+# the far series: one power series per piece of [0, 1], its cells
+# floor(pK/8)..floor((p+1)K/8) - 1 (_far_pieces), in h = t - c about their
+# centre c, from the moments of source blocks of K // _SOURCE_SHARE cells, at
+# most 1/32 wide
 _PIECES = 8
 _SOURCE_SHARE = 32
 # points per block wherever a pass over the mesh goes block by block to bound
@@ -348,40 +362,54 @@ def _far_blocks(K: int, delta: float) -> tuple[int, float, float]:
     return B, B * delta / 2, (-(-K // _NEAR_SHARE) + 1) * delta
 
 
+def _far_pieces(K: int, delta: float) -> list[tuple[int, int, float, float]]:
+    """The far series' pieces of [0, 1] on its K cells of width delta, as
+    (qa, qb, c, hw): piece p is the cells qa = floor(pK/8) through qb - 1,
+    qb = floor((p+1)K/8), and its series is about the centre of those
+    cells, c = (qa + qb) delta/2, with half-width hw = (qb - qa) delta/2:
+    (2p+1)/16 and 1/16 whenever K is a power of two of at least 8.  The
+    pieces with no cell (possible when K < 8) are left out."""
+    edges = [p * K // _PIECES for p in range(_PIECES + 1)]
+    return [(qa, qb, (qa + qb) * delta / 2, (qb - qa) * delta / 2)
+            for qa, qb in zip(edges, edges[1:]) if qb > qa]
+
+
 def _far_terms(K: int, delta: float, kappa: float) -> list[tuple[int, int]]:
-    """Per piece p, (N, M): the highest power of h its series keeps, and the
-    degree at which the block expansion stops, the fewest whose certified
-    remainders (``wavelet._far_remainder``, see ``field_on_mesh``) are at most
-    2^-53 at this kappa.  Their ratios are h's half-range over the nearest
-    far cell's distance, hw/(x_near + c_p) <= 1/5, and (hw + rho)/(x_0 + c_p)
-    for the nearest block, centred at x_0."""
+    """Per piece (``_far_pieces``), (N, M): the highest power of h its series
+    keeps, and the degree at which the block expansion stops, the fewest
+    whose certified remainders (``wavelet._far_remainder``, see
+    ``field_on_mesh``) are at most 2^-53 at this kappa.  Their ratios are
+    h's half-range over the nearest far cell's distance, hw/(x_near + c),
+    and (hw + rho)/(x_0 + c) for the nearest block, centred at x_0."""
     B, rho, x_near = _far_blocks(K, delta)
     x_0 = x_near + (B - 1) / 2 * delta
-    hw = 0.5 / _PIECES
     terms = []
-    for p in range(_PIECES):
-        c = (p + 0.5) / _PIECES
+    for _, _, c, hw in _far_pieces(K, delta):
         n = _far_series_terms(kappa, hw / (x_near + c))
         terms.append((n, max(n, _far_series_terms(kappa, (hw + rho) / (x_0 + c)))))
     return terms
 
 
 def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
-    """Per piece p, the power-series coefficients in h = t - c_p of the far
-    part sum_{i < i_near} [(x_i + t)^kappa - x_i^kappa] dZ_i, x_i = -s_i: one
-    array of len(kappa) rows and N + 1 columns, for the (N, M) of ``terms``.
+    """Per piece (``_far_pieces``), the power-series coefficients in h = t - c
+    about its centre c of the far part sum_{i < i_near} [(x_i + t)^kappa -
+    x_i^kappa] dZ_i, x_i = -s_i: one array of len(kappa) rows and N + 1
+    columns, for the (N, M) of ``terms``.
 
     Block moments: the far cells, nearest first, go in blocks b of B cells
     centred at x_b, and mu[b, m] = sum_{i in b} (x_i - x_b)^m dZ_i, one
     product over the far noise that no kappa enters.  Translation: with
-    X = x_b + c_p and d_i = x_i - x_b, (X + h + d_i)^k = sum_s binom(k, s)
+    X = x_b + c and d_i = x_i - x_b, (X + h + d_i)^k = sum_s binom(k, s)
     X^(k-s) (h + d_i)^s, so the block adds to coefficient q
     sum_{s=q}^{M} binom(k, s) binom(s, q) X^(k-s) mu[b, s-q], for q <= N.
     Summed over the blocks this is E @ A, E[k, b] = X_b^k and A the
     kappa-free rest, one product per piece for every kappa.  Coefficient 0
-    then drops the far part at t = 0, piece 0's series at h = -c_0, so the
-    series vanish there, as the far part does, and no power of x is taken."""
-    B, rho, x_near = _far_blocks(grid.n_cells - grid.origin_index, grid.delta)
+    then drops the far part at t = 0, the first piece's series at h = -c, so
+    the series vanish there, as the far part does, and no power of x is
+    taken."""
+    K = grid.n_cells - grid.origin_index
+    B, rho, x_near = _far_blocks(K, grid.delta)
+    centres = [c for _, _, c, _ in _far_pieces(K, grid.delta)]
     n_blocks = -(-i_near // B)
     dz = np.zeros(n_blocks * B)  # the farthest block padded with empty cells
     dz[:i_near] = grid.increments[i_near - 1 :: -1]
@@ -391,8 +419,8 @@ def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
     mu *= rho**degree
     x_b = x_near + (np.arange(n_blocks) * B + (B - 1) / 2) * grid.delta
     coefs = []
-    for p, (n, m) in enumerate(terms):
-        X = x_b + (p + 0.5) / _PIECES
+    for c, (n, m) in zip(centres, terms):
+        X = x_b + c
         s, q = np.arange(m + 1)[:, None], np.arange(n + 1)
         comb = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(m + 1)], float)
         a = mu[:, np.maximum(s - q, 0)]
@@ -402,7 +430,7 @@ def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
         t = serial_matmul(e, a.reshape(n_blocks, -1)).reshape(kappa.size, m + 1, n + 1)
         coefs.append(np.sum(np.array([_binom_coeffs(k, m) for k in kappa])[:, :, None] * t,
                             axis=1))
-    at_zero = _poly_eval(coefs[0].T, -0.5 / _PIECES)
+    at_zero = _poly_eval(coefs[0].T, -centres[0])
     for coef in coefs:
         coef[:, 0] -= at_zero
     return coefs
@@ -413,12 +441,13 @@ def _mesh_size(grid: NoiseGrid, refine: int) -> int:
     return (grid.n_cells - grid.origin_index) * refine + 1
 
 
-def _piece_span(p: int, size: int) -> tuple[int, int]:
-    """Mesh indices lo..hi-1 of far piece p on a mesh of ``size`` points of
-    [0, 1]: those with t in [p/8, (p+1)/8), and t = 1 in the last piece."""
-    M = size - 1
-    hi = -(-(p + 1) * M // _PIECES) if p + 1 < _PIECES else size
-    return -(-p * M // _PIECES), hi
+def _check_refine(refine) -> int:
+    """``refine`` as an int; ValueError unless it is an integer >= 1 (a bool
+    is not an integer here).  The one rule of the field pass and the
+    interpolant."""
+    if isinstance(refine, bool) or not isinstance(refine, numbers.Integral) or refine < 1:
+        raise ValueError("refine must be an integer >= 1")
+    return int(refine)
 
 
 def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
@@ -429,21 +458,21 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     and otherwise one row per v in one array.  With consumers it keeps no row
     and returns None: each consumer applies its own linear functional to every
     row as the pass produces it.  A row is its far part plus its near part,
-    and both come in residue coordinates: mesh point q * refine + rho is
-    residue rho at q.  The far parts come first, piece p of [0, 1] by piece
-    and, within it, residue by residue, as ``consumer.far(coef, rho, q0,
-    h)``: on residue rho's points q0, q0 + 1, ..., q0 + h.size - 1 that lie
-    in the piece (``_piece_span``), row i's far part is the power series
-    sum_n coef[i, n] h^n, h = t - c_p.  A residue with no point in a piece
-    (possible when 1/delta < 8) gets no call.  Then the near parts come
-    node by node, residue by residue: ``consumer.residue(i, rho, values)``
-    hands over residue rho = 0, ..., refine - 1 of row i, its near part at
-    mesh points q * refine + rho, q = 0, 1, ...: K + 1 values for residue 0
-    (t = 0 through t = 1) and K for every other, in a buffer the next
-    residue overwrites.  At t = 0 every row is 0: residue 0's values[0] is
-    0, and a consumer takes the far part there as 0.  A consumer that reads
-    whole rows subclasses ``_NodeRows``, which sums the two parts and keeps
-    that rule; the rows returned without consumers are its.  The rows are
+    and both come on one residue grid of shape (refine, K + 1), K = 1/delta:
+    its entry (rho, q) is mesh point q * refine + rho, at t = (q +
+    rho/refine) delta, so column K of a residue rho > 0 lies just past t = 1
+    and every consumer drops it.  The far parts come first, once per piece
+    of [0, 1] (``_far_pieces``: its cells qa..qb-1, and the last piece also
+    column K), as ``consumer.far(coef, qa, h)``: h is the piece's (refine,
+    n) block of the grid's t - c, c the centre of its cells, and row i's far
+    part on the grid's columns qa..qa+n-1 is the power series sum_n coef[i,
+    n] h^n.  Then the near parts come node by node, residue by residue:
+    ``consumer.residue(i, rho, values)`` hands over row rho = 0, ...,
+    refine - 1 of node i's grid, K + 1 values, in a buffer the next residue
+    overwrites.  At t = 0 every row is 0: residue 0's values[0] is 0, and a
+    consumer takes the far part there as 0.  A consumer that reads whole
+    rows subclasses ``_NodeRows``, which sums the two parts and keeps that
+    rule; the rows returned without consumers are its.  The rows are
     identical (up to float rounding) to calling eval_field at each mesh
     time.
     ``refine`` samples the discrete-noise field on a mesh finer than the noise
@@ -466,11 +495,10 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     thread that makes it; a node's first block holds residue 0.  Stage 1 is
     the kernel half, a function of the geometry, the node and the block's
     residues alone, which reads no noise: the block's kernel values and
-    their forward transform.  Stage 2 multiplies by the noise spectrum and inverts, and
-    the consumers take each residue straight from the convolution, its
-    window [i0, i0 + K] for residue 0 and [i0, i0 + K) for every other:
-    mesh point q * refine + rho is residue rho at q, and the mesh ends at
-    t = 1, residue 0 at q = K.  Residue 0's value at t = 0 is the kernel's
+    their forward transform.  Stage 2 multiplies by the noise spectrum and
+    inverts, and the consumers take each residue straight from the
+    convolution, its window [i0, i0 + K], which the kernel values' support
+    covers for every residue.  Residue 0's value at t = 0 is the kernel's
     second term over the near cells, b = sum_{s_i < 0} (-s_i)^kappa dZ_i,
     the same for every residue, so stage 2 subtracts it from each window in
     place before handing it on, which makes residue 0 exactly 0 at t = 0.
@@ -487,17 +515,20 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     (``out=``); no buffer holds a mesh.
 
     Far cells s_i < -ceil(K/4) delta, x_i = -s_i >= x_near = (ceil(K/4) + 1)
-    delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On piece p, t =
-    c_p + h with c_p = (2p + 1)/16 and |h| <= hw = 1/16, and ``_far_coeffs``
-    sums it from block moments (blocks of B = K // 32 cells, centred at x_b,
-    |x_i - x_b| <= rho = B delta/2).  With |binom(kappa, n)| <= kappa/n its
-    two truncations are certified in ``wavelet._far_remainder``'s form:
-    keeping powers of h up to N leaves at most kappa/(N+1) r1^(N+1)/(1 - r1)
-    (x_i + c_p)^kappa |dZ_i| per cell, r1 = hw/(x_near + c_p) <= 1/5, and
-    stopping the block expansion at degree M at most kappa/(M+1)
-    r2^(M+1)/(1 - r2) (x_b + c_p)^kappa |dZ_i|, r2 = (hw + rho)/(x_b + c_p)
-    (the dropped terms are binom(kappa, s) X^(kappa-s) (h + d_i)^s, s > M).
-    Coefficient 0 adds piece 0's error at t = 0 once more, which is the
+    delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On a piece, t = c
+    + h about the centre c of its cells and |h| <= hw, their half-width (c =
+    (2p + 1)/16 and hw = 1/16 when K is a power of two of at least 8; only
+    the dropped points past t = 1 lie farther), and ``_far_coeffs`` sums it
+    from block moments (blocks of B = K // 32 cells, centred at x_b, |x_i -
+    x_b| <= rho = B delta/2).  With |binom(kappa, n)| <= kappa/n its two
+    truncations are certified in ``wavelet._far_remainder``'s form: keeping
+    powers of h up to N leaves at most kappa/(N+1) r1^(N+1)/(1 - r1) (x_i +
+    c)^kappa |dZ_i| per cell, r1 = hw/(x_near + c), below 1/5 when K is a
+    power of two, and stopping the block expansion at degree M at most
+    kappa/(M+1) r2^(M+1)/(1 - r2) (x_b + c)^kappa |dZ_i|, r2 = (hw +
+    rho)/(x_b + c) (the dropped terms are binom(kappa, s) X^(kappa-s) (h +
+    d_i)^s, s > M).  Coefficient 0 adds the first piece's error at t = 0
+    once more, which is the
     factor 2 of ``_far_remainder``.  N and M are the fewest that put both
     factors below 2^-53 for every v of the pass (the largest over the
     batch, ``_far_terms``): 20 and 22 on piece 0 down to 11 and 12 on piece
@@ -510,12 +541,11 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     if vs.ndim > 1 or vs.size == 0:
         raise ValueError("v must be a scalar or a non-empty 1-D array")
     kappa = np.array([_kappa(grid.law.alpha, x) for x in vs.reshape(-1)])
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
+    refine = _check_refine(refine)
     if consumers:
         _field_pass(grid, kappa, refine, consumers)
         return None
-    rows = _Rows(kappa.size, _mesh_size(grid, refine), refine)
+    rows = _Rows(kappa.size, grid, refine)
     _field_pass(grid, kappa, refine, (rows,))
     return rows.out if vs.ndim else rows.out[0]
 
@@ -582,8 +612,8 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
             spec = ahead.result()
             if n + 1 < len(blocks):
                 ahead = helper.submit(kernel_spectrum, n + 1)
-            # stage 2, with the noise: residue rho at q is column i0 + q of
-            # the convolution's row rho - lo
+            # stage 2, with the noise: grid entry (rho, q) is column i0 + q
+            # of the convolution's row rho - lo
             spec *= zf
             out = irfft(spec, n_fft, axis=-1, out=conv[: hi - lo])
             if lo == 0:
@@ -591,8 +621,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
                 # b = sum_{s_i < 0} (-s_i)^kappa dZ_i, which every residue drops
                 b = out[0, i0]
             for rho in range(lo, hi):
-                # residue 0 runs to t = 1 (q = K), every other one to q = K - 1
-                values = out[rho - lo, i0 : i0 + K + (rho == 0)]
+                values = out[rho - lo, i0 : i0 + K + 1]
                 values -= b
                 for consumer in consumers:
                     consumer.residue(i, rho, values)
@@ -600,50 +629,49 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
 
 def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: int,
               consumers) -> None:
-    # the far cells' series coefficients, handed to every consumer piece by
-    # piece and, within a piece, residue by residue with that residue's h; a
-    # function of its own, so its temporaries are gone before the transforms
+    # the far cells' series coefficients, handed to every consumer once per
+    # piece with its (refine, n) block of h on the residue grid; a function
+    # of its own, so its temporaries are gone before the transforms
     coefs = _far_coeffs(grid, i_near, kappa, _far_terms(K, grid.delta, kappa.max()))
-    for p, coef in enumerate(coefs):
-        lo, hi = _piece_span(p, K * refine + 1)
-        for rho in range(refine):
-            q0 = -(-(lo - rho) // refine)  # residue rho's first point in the piece
-            h = np.arange(q0 * refine + rho, hi, refine) * (grid.delta / refine)
-            h -= (p + 0.5) / _PIECES
-            if h.size:  # a piece may hold no point of a residue when K < 8
-                for consumer in consumers:
-                    consumer.far(coef, rho, q0, h)
+    for (qa, qb, c, _), coef in zip(_far_pieces(K, grid.delta), coefs):
+        q = np.arange(qa, qb + (qb == K))  # the last piece also takes column K
+        h = (q * refine + np.arange(refine)[:, None]) * (grid.delta / refine)
+        h -= c
+        for consumer in consumers:
+            consumer.far(coef, qa, h)
 
 
 class _NodeRows:
     """The base of the field pass's consumers that read whole node rows, of
-    ``n_rows`` nodes on a mesh of ``size`` points at ``refine`` points per
-    noise cell.  ``far`` keeps each residue's series pieces, their
-    coefficients with the residue's h and first q on the piece; ``residue``
-    writes residue rho of node i into one mesh-length buffer, at mesh points
-    rho, rho + refine, ..., adds the node's series on each of that residue's
-    pieces, and after the node's last residue sets t = 0 to 0 and hands the
-    row to the subclass's ``take(i, row)``.  The buffer is overwritten by the
-    next row; the pass hands the rows in node order, so after the last one
-    the buffer and the pieces are dropped: the consumer outlives the pass
-    without them, and serves no second pass."""
+    ``n_rows`` nodes on the mesh of ``grid``'s [0, 1] at ``refine`` points
+    per noise cell.  Its row buffer has shape (K + 1, refine): entry (q,
+    rho) is mesh point q * refine + rho, so its ravel is the mesh, with
+    refine - 1 points past t = 1 at its end.  ``far`` keeps each piece's
+    series coefficients, first column and h; ``residue`` writes residue rho
+    of node i into column rho, adds the node's series on each piece's
+    columns, and after the node's last residue sets t = 0 to 0 and hands the
+    mesh to the subclass's ``take(i, row)``.  The buffer is overwritten by
+    the next row; the pass hands the rows in node order, so after the last
+    one the buffer and the pieces are dropped: the consumer outlives the
+    pass without them, and serves no second pass."""
 
-    def __init__(self, n_rows: int, size: int, refine: int):
-        self.pieces, self.n_rows, self.refine = [[] for _ in range(refine)], n_rows, refine
-        self.buf = np.empty(size)
+    def __init__(self, n_rows: int, grid: NoiseGrid, refine: int):
+        self.n_rows, self.size, self.pieces = n_rows, _mesh_size(grid, refine), []
+        self.buf = np.empty((grid.n_cells - grid.origin_index + 1, refine))
 
-    def far(self, coef: np.ndarray, rho: int, q0: int, h: np.ndarray) -> None:
-        self.pieces[rho].append((coef, q0, h))
+    def far(self, coef: np.ndarray, qa: int, h: np.ndarray) -> None:
+        self.pieces.append((coef, qa, h))
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
-        part = self.buf[rho :: self.refine]
-        part[:] = values
-        for coef, q0, h in self.pieces[rho]:
-            part[q0 : q0 + h.size] += _poly_eval(coef[i], h)
-        if rho < self.refine - 1:
+        col = self.buf[:, rho]
+        col[:] = values
+        for coef, qa, h in self.pieces:
+            col[qa : qa + h.shape[1]] += _poly_eval(coef[i], h[rho])
+        if rho < self.buf.shape[1] - 1:
             return
-        self.buf[0] = 0.0
-        self.take(i, self.buf)
+        row = self.buf.reshape(-1)[: self.size]
+        row[0] = 0.0
+        self.take(i, row)
         if i == self.n_rows - 1:
             del self.buf, self.pieces
 
@@ -651,9 +679,9 @@ class _NodeRows:
 class _Rows(_NodeRows):
     """The field rows themselves: ``field_on_mesh``'s result without consumers."""
 
-    def __init__(self, n_rows: int, size: int, refine: int):
-        super().__init__(n_rows, size, refine)
-        self.out = np.empty((n_rows, size))
+    def __init__(self, n_rows: int, grid: NoiseGrid, refine: int):
+        super().__init__(n_rows, grid, refine)
+        self.out = np.empty((n_rows, self.size))
 
     def take(self, i: int, row: np.ndarray) -> None:
         self.out[i] = row
@@ -671,49 +699,38 @@ def _node_hits(nodes: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cand, (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
 
 
-def _residue_times(size: int, refine: int, step: float) -> np.ndarray:
-    """The mesh times m * step of m = 0..size-1, residue-major: residue 0's
-    (m = 0, refine, 2 refine, ...), then residue 1's, up to residue
-    refine - 1's, in one array."""
-    t, lo = np.empty(size), 0
-    for rho in range(refine):
-        m = np.arange(rho, size, refine)
-        np.multiply(m, step, out=t[lo : lo + m.size])
-        lo += m.size
-    return t
-
-
 class _Barycentric:
     """Barycentric sums over node rows fed one residue row at a time: the
     value at v is sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
 
-    v, the sums and their exact node hits are residue-major: mesh point
-    q * refine + rho sits at ``start[rho] + q``, so each residue row of a
-    node is one contiguous update (``refine`` 1 is any 1-D row in its own
-    order).  The sums keep one array of v's size, the numerator ``num``, and
-    go one block of ``_CHUNK`` points at a time; ``_weights`` is the one
-    route to the c_i of a block.  ``far`` adds the far part of a field pass
-    from its series coefficients on one residue's points of one piece, a
-    contiguous stretch of the sums, block by block: node i's far part is
-    sum_n coef[i, n] h^n, so its share of the numerator is the series with
-    coefficients sum_i c_i coef[i, n], a matrix product per block that BLAS
-    runs on the calling thread (``stable.serial_matmul``).  ``residue`` adds
-    c_i X_i on one residue, in one block-sized scratch.  ``result`` forms
-    the denominator block by block, adding the c_i in node order, and
-    divides ``num`` by it in place.  An exact node hit, v within 1e-15 of a
-    node (the first such node), is found once and rides the weights, also
+    v is H on a field pass's (refine, K + 1) residue grid, or any 1-D row
+    as a grid of one row, and the sums and their exact node hits lie on it,
+    flat: grid entry (rho, q) sits at rho * width + q, so each residue row
+    of a node is one contiguous update, and so is each residue's stretch of
+    a far piece.  The sums keep one array of v's size, the numerator
+    ``num``, and go one block of ``_CHUNK`` points at a time; ``_weights``
+    is the one route to the c_i of a block.  ``far`` adds the far part of a
+    field pass from one piece's series coefficients, residue by residue and
+    block by block: node i's far part is sum_n coef[i, n] h^n, so its share
+    of the numerator is the series with coefficients sum_i c_i coef[i, n],
+    a matrix product per block that BLAS runs on the calling thread
+    (``stable.serial_matmul``).  ``residue`` adds c_i X_i on one residue
+    row, in one block-sized scratch.  ``result`` forms the denominator
+    block by block, adding the c_i in node order, divides ``num`` by it in
+    place and returns it on v's grid.  An exact node hit, v within 1e-15 of
+    a node (the first such node), is found once and rides the weights, also
     on the far part's blocks: there c is 1 for the hit node and 0 for every
     other, so the sums hold that node's row over exactly 1 and ``result``
     reads it bit for bit.  With one node (a constant H) every value H takes
     is a hit."""
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray, refine: int):
-        self.nodes, self.weights, self.v = nodes, weights, v
-        self.start = np.cumsum([0] + [len(range(rho, v.size, refine)) for rho in range(refine)])
-        self.hit_pos, self.hit_node = _node_hits(nodes, v)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray):
+        self.nodes, self.weights, self.shape, self.width = nodes, weights, v.shape, v.shape[-1]
+        self.v = v.reshape(-1)
+        self.hit_pos, self.hit_node = _node_hits(nodes, self.v)
         self.index = np.arange(nodes.size)
-        self.num = np.zeros(v.size)
-        self.c = np.empty((1, min(_CHUNK, v.size)))
+        self.num = np.zeros(self.v.size)
+        self.c = np.empty((1, min(_CHUNK, self.v.size)))
 
     def _weights(self, v: np.ndarray, hits, index: np.ndarray, out) -> np.ndarray:
         """The c_i of the nodes ``index``, one row each, at the block ``v``,
@@ -738,14 +755,15 @@ class _Barycentric:
             hi = min(lo + _CHUNK, b)
             yield lo, self.num[lo:hi], self.v[lo:hi], self._hits(lo, hi), self.c[:, : hi - lo]
 
-    def far(self, coef: np.ndarray, rho: int, q0: int, h: np.ndarray) -> None:
-        a = self.start[rho] + q0
-        for lo, part, v, hits, _ in self._blocks(a, a + h.size):
-            c = self._weights(v, hits, self.index, np.empty((self.index.size, part.size)))
-            part += _poly_eval(serial_matmul(coef.T, c), h[lo - a : lo - a + part.size])
+    def far(self, coef: np.ndarray, qa: int, h: np.ndarray) -> None:
+        for rho, h_rho in enumerate(h):
+            a = rho * self.width + qa
+            for lo, part, v, hits, _ in self._blocks(a, a + h_rho.size):
+                c = self._weights(v, hits, self.index, np.empty((self.index.size, part.size)))
+                part += _poly_eval(serial_matmul(coef.T, c), h_rho[lo - a : lo - a + part.size])
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
-        a = self.start[rho]
+        a = rho * self.width
         for lo, part, v, hits, scratch in self._blocks(a, a + values.size):
             c = self._weights(v, hits, self.index[i : i + 1], scratch)[0]
             c *= values[lo - a : lo - a + part.size]
@@ -759,7 +777,7 @@ class _Barycentric:
             for i in self.index:
                 d += self._weights(v, hits, self.index[i : i + 1], scratch)[0]
             part /= d
-        return self.num
+        return self.num.reshape(self.shape)
 
 
 def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
@@ -790,7 +808,7 @@ class MeshFieldInterpolant:
 
     def __init__(self, grid: NoiseGrid, H: HurstFunction, n_nodes: int, refine: int):
         self.grid, self.H = grid, H
-        self.refine = int(refine)
+        self.refine = _check_refine(refine)
         self.t_step = grid.delta / self.refine
         self.size = _mesh_size(grid, self.refine)
         if H.is_constant:  # one node, no interpolation
@@ -804,13 +822,14 @@ class MeshFieldInterpolant:
     def at(self, *consumers) -> np.ndarray:
         """X(m*t_step, H(m*t_step)) on the whole mesh, from one field pass
         (``field_on_mesh``) whose node rows also go to ``consumers``; it is
-        0 at t = 0."""
-        v = self.H(_residue_times(self.size, self.refine, self.t_step))
-        sums = _Barycentric(self.nodes, self.weights, v, self.refine)
+        0 at t = 0.  The sums lie on the pass's residue grid, H evaluated on
+        it straight into them (a local would keep the times through the
+        pass), and one transpose puts them in mesh order."""
+        K = (self.size - 1) // self.refine
+        sums = _Barycentric(self.nodes, self.weights, self.H(
+            (np.arange(K + 1) * self.refine + np.arange(self.refine)[:, None]) * self.t_step))
         field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
-        num, out = sums.result(), np.empty(self.size)
-        for rho in range(self.refine):  # to mesh order
-            out[rho :: self.refine] = num[sums.start[rho] : sums.start[rho + 1]]
+        out = sums.result().T.reshape(-1)[: self.size]
         out[0] = 0.0  # the u = 0 kernel vanishes identically
         return out
 
@@ -823,7 +842,7 @@ class MeshFieldInterpolant:
         lo, hi = self.H.h_low, self.H.h_high
         if np.any((v < lo - 1e-12) | (v > hi + 1e-12)):
             raise ValueError(f"v outside the interpolant's [{lo}, {hi}]")
-        sums = _Barycentric(self.nodes, self.weights, np.broadcast_to(v, vals.shape[1:]), 1)
+        sums = _Barycentric(self.nodes, self.weights, np.broadcast_to(v, vals.shape[1:]))
         for i, row in enumerate(vals):
             sums.residue(i, 0, row)
         return sums.result()
@@ -877,45 +896,54 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     noise of [t_min, 1) at mesh step delta/refine would exceed the machine's
     RAM.
 
-    A build holds the noise grid and the barycentric sums throughout: the
-    residue-major H(t) and numerator, their node hits, two arrays as long
-    when every point is one (a constant H), and four block-sized rows: the
-    scratch, the hit indicators and the hit offsets of a block and of the
-    one before it.  Its field pass then goes in two phases, and the count
-    is the larger.  The far part, when the noise reaches below the split:
-    the far noise in source blocks, its block moments, piece 0's
+    A build holds the noise grid and the barycentric sums throughout: H(t)
+    and the numerator on the (refine, K + 1) residue grid, their node hits,
+    two arrays as long when every point is one (a constant H), and four
+    block-sized rows: the scratch, the hit indicators and the hit offsets of
+    a block and of the one before it.  Its field pass then goes in two
+    phases, and the count is the larger.  The far part, when the noise
+    reaches below the split, holds the larger of its two steps.  Its
+    coefficients: the far noise in source blocks, its block moments, the
     translation table (two copies, one row per block, one column per pair
-    of series term and block-expansion degree), one residue's points of one
-    piece (their mesh indices and h) and the far series' blocks of at most
-    ``_CHUNK`` of those points (one row per node for the weights, one per
-    series term for their product with the coefficients and one for the
-    series' value), each at piece 0's term counts, the largest.  The
-    blocks read v and the hits in place, as the residue's points are a
-    contiguous stretch of the sums.  Its temporaries are freed before the
-    near half makes the noise spectrum and its buffers, the sum of the
-    table the pass allocates them from (``_pass_geometry``): the ``log t``
-    table, the kernel values, a ring of two spectra and the convolution,
-    each transform buffer of min(``_BLOCK``, refine) rows.  Never a row per
-    v-node, no mesh for a residue row, which goes to the sums straight
-    from the convolution, and nothing for the kernel's second term b:
-    stage 1 reads no noise, and b is residue 0's own convolution at t = 0."""
+    of series term and block-expansion degree) and three tables of that
+    width with one row per node (the translated terms, their binomial
+    weighting, and the series of every piece).  Its series: one piece's h,
+    (refine, n) for the widest piece's n columns, with its integer grid,
+    the series' blocks of at most ``_CHUNK`` of those columns (one row per
+    node for the weights, one per series term for their product with the
+    coefficients and one for the series' value), numpy's two iteration
+    buffers (``np.getbufsize()`` values each) for the weights' broadcast
+    node column, and the series of every piece.  Both at the largest term
+    counts of any piece.  The
+    blocks read v and the hits in place, as each residue's columns of a
+    piece are a contiguous stretch of the sums.  Its temporaries are freed
+    before the near half makes the noise spectrum and its buffers, the sum
+    of the table the pass allocates them from (``_pass_geometry``): the
+    ``log t`` table, the kernel values, a ring of two spectra and the
+    convolution, each transform buffer of min(``_BLOCK``, refine) rows.
+    Never a row per v-node, no mesh for a residue row, which goes to the
+    sums straight from the convolution, and nothing for the kernel's second
+    term b: stage 1 reads no noise, and b is residue 0's own convolution at
+    t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
     i_near, _, n_fft, buffers = _pass_geometry(n_cells, K, refine)
     # the doubles of each buffer of the near half
     near = {k: math.prod(s) * np.dtype(t).itemsize // 8 for k, (s, t) in buffers.items()}
     noise = n_cells + 2 * (n_fft // 2 + 1)  # the noise and its complex spectrum
-    size = refine * K + 1  # the mesh of [0, 1]
+    size = refine * (K + 1)  # the residue grid
     log_t, sums = near.pop("log t"), 4 * size + 4 * min(_CHUNK, size)
     transforms, rows = sum(near.values()), buffers["convolution"][0][0]
     far = 0
     if i_near:
         B = _far_blocks(K, delta)[0]
         n_blocks = -(-i_near // B)
-        n, m = _far_terms(K, delta, 1.0)[0]  # kappa < 1
-        points = -(-K // _PIECES) + 1  # the most points one residue holds in a piece
-        far = (n_blocks * B + (n_blocks + B) * (m + 1) + 2 * n_blocks * (m + 1) * (n + 1)
-               + 2 * points + (n_nodes + n + 2) * min(_CHUNK, points))
+        n, m = map(max, zip(*_far_terms(K, delta, 1.0)))  # kappa < 1
+        points = max(qb - qa for qa, qb, _, _ in _far_pieces(K, delta)) + 1  # most columns
+        far = max(n_blocks * B + (n_blocks + B) * (m + 1)
+                  + (2 * n_blocks + 3 * n_nodes) * (m + 1) * (n + 1),
+                  2 * refine * points + (n_nodes + n + 2) * min(_CHUNK, points)
+                  + 2 * np.getbufsize() + _PIECES * n_nodes * (n + 1))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * (max(noise + log_t + transforms, n_cells + far) + sums) > memory:
         raise ValueError(

@@ -12,10 +12,11 @@ DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo, tmp_path):
-    # the demos write their files into the working directory
+    # the demos write their files into the working directory; an invalid
+    # value (a RuntimeWarning) fails the demo, as it fails pytest
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", os.path.join(ROOT, "demos", demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -312,8 +312,9 @@ def test_near_far_split_matches_direct_sums(t_min, refine):
 
 @pytest.mark.parametrize("refine", [1, 3, 8])
 def test_rows_match_direct_sums_at_piece_edges(refine):
-    # the far part changes series at every edge p/8 of [0, 1]: the mesh
-    # points on both sides of each edge, and t = 0, delta and 1, match the
+    # the far part changes series at every edge p/8 of [0, 1], the first
+    # column of each piece (_far_pieces): the mesh points on both sides of
+    # each edge, and t = 0, delta and 1, match the
     # direct sums on grids that end on both sides of the split (no far cell,
     # one far cell) and on a long far part, whose nearest source blocks
     # reach the split
@@ -321,7 +322,7 @@ def test_rows_match_direct_sums_at_piece_edges(refine):
     for t_min in (-_split_cells(K) / K, -(_split_cells(K) + 1) / K, -4.0):
         g = make_noise_grid(LAW, t_min, 1.0 / K, seed=57)
         size = K * refine + 1
-        edges = [L.process._piece_span(p, size)[0] for p in range(1, 8)]
+        edges = [qa * refine for qa, *_ in L.process._far_pieces(K, 1.0 / K)[1:]]
         assert edges == [p * K * refine // 8 for p in range(1, 8)]
         points = sorted({0, refine, size - 1} | {e + d for e in edges for d in (-1, 0)})
         vs = np.array([0.7, 0.95])
@@ -329,6 +330,25 @@ def test_rows_match_direct_sums_at_piece_edges(refine):
             for m in points:
                 direct = eval_field(g, m / (K * refine), v, tail_tol=1.0)
                 assert row[m] == pytest.approx(direct, abs=1e-12, rel=1e-12)
+
+
+@pytest.mark.parametrize("K", [12, 24])
+def test_direct_sums_match_the_rows_where_delta_is_not_dyadic(K):
+    # at a delta that is not a power of two t_min + i delta rounds, so a
+    # mesh point on a cell's left end once met that cell at an offset of
+    # about 3e-16, whose kappa-th power is about 1e-3 where it should be 0.
+    # eval_field takes its offsets from integer cell indices and puts a u
+    # within a few ulps of a cell's left end on it, so it matches the rows at
+    # every mesh point, with u formed as m delta / refine or m / (K refine)
+    for t_min in (-2.0, -1.0, -0.25):
+        g = make_noise_grid(LAW, t_min, 1.0 / K, seed=K)
+        for refine in (1, 3):
+            vs = np.array([0.7, 0.95])
+            for v, row in zip(vs, field_on_mesh(g, vs, refine)):
+                _assert_matches_direct_sums(g, v, refine, row, 1e-12)
+                for m, x in enumerate(row):
+                    direct = eval_field(g, m / (K * refine), v, tail_tol=1.0)
+                    assert x == pytest.approx(direct, abs=1e-12, rel=1e-12)
 
 
 def _piece_bounds(g, i_near, kappa, terms):
@@ -390,7 +410,6 @@ def test_far_series_remainder_is_certified():
     i_near = g0.origin_index - _split_cells(K)  # field_on_mesh's far cells
     assert L.process._far_blocks(K, delta)[0] == 8 and i_near == 192
     refine = 2
-    size = K * refine + 1
     s = -g0.left_endpoints()[:i_near]
     for kappa in (0.8 - 1.0 / LAW.alpha, 0.95 - 1.0 / LAW.alpha):
         certified = L.process._far_terms(K, delta, kappa)
@@ -409,10 +428,11 @@ def test_far_series_remainder_is_certified():
                 bounds = _piece_bounds(g, i_near, kappa, terms)
                 truncated = _truncated_far_series(g, i_near, kappa, terms)
                 worst = 0.0
-                for p, (coef, (n, _)) in enumerate(zip(coefs, terms)):
+                pieces = L.process._far_pieces(K, delta)
+                for p, (coef, (n, _), (qa, qb, *_)) in enumerate(zip(coefs, terms, pieces)):
                     assert coef.shape == (1, n + 1)
-                    lo, hi = L.process._piece_span(p, size)
-                    t = np.arange(lo, hi) / (K * refine)
+                    # the mesh points of the piece's cells, and t = 1 in the last
+                    t = np.arange(qa * refine, qb * refine + (qb == K)) / (K * refine)
                     h = t - (p + 0.5) / 8
                     exact = dz @ ((s[:, None] + t) ** kappa - s[:, None] ** kappa)
                     series = _poly_eval(coef[0], h)
@@ -450,6 +470,21 @@ def test_interpolant_needs_two_nodes_on_a_range():
         MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 1, 1)
     single = MeshFieldInterpolant(g, L.constant_hurst(0.8), 1, 1)  # constant H needs one
     assert single.nodes.tolist() == [0.8]
+
+
+def test_refine_must_be_an_integer():
+    # one rule for the field pass and the interpolant: an integer >= 1, of
+    # any integer type but bool; 2.5 once built at refine 2 and True at 1
+    g = make_noise_grid(LAW, -1.0, 2.0**-6, seed=3)
+    H = L.linear_hurst(0.7, 0.15)
+    for refine in (2.5, 2.0, True, False, np.True_, 0, -1, "2", None):
+        with pytest.raises(ValueError, match=r"^refine must be an integer >= 1$"):
+            MeshFieldInterpolant(g, H, 8, refine)
+        with pytest.raises(ValueError, match=r"^refine must be an integer >= 1$"):
+            field_on_mesh(g, 0.8, refine)
+    interp = MeshFieldInterpolant(g, H, 8, np.int64(2))
+    assert interp.refine == 2 and type(interp.refine) is int
+    assert np.array_equal(field_on_mesh(g, 0.8, np.int64(3)), field_on_mesh(g, 0.8, 3))
 
 
 def test_interpolant_has_one_node_exactly_when_h_is_constant():
@@ -497,27 +532,30 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
 
 
 def test_node_hits_ride_the_weights():
-    # constant H: one node, so every mesh point is a hit; the shared weight
-    # helper gives that node c = 1 on every block of the sums, so the
-    # denominator is exactly 1, the residue-major numerator holds the node's
-    # row, residue 0's points then residue 1's, and never a NaN, and the
-    # result is that row bit for bit (X(0, v) = 0 is set by at(), not by
-    # the sums)
-    g = make_noise_grid(LAW, -2.0, 2.0**-14, seed=31)  # noise beyond s = -1: a far part
+    # constant H: one node, so every point of the residue grid is a hit; the
+    # shared weight helper gives that node c = 1 on every block of the sums,
+    # so the denominator is exactly 1, the numerator holds the node's row on
+    # the (refine, K + 1) grid, flat, residue 0's row then residue 1's, and
+    # never a NaN, and the result is that row bit for bit (X(0, v) = 0 is
+    # set by at(), not by the sums).  Residue 1's column K lies past t = 1
+    K = 2**14
+    g = make_noise_grid(LAW, -2.0, 1.0 / K, seed=31)  # noise beyond s = -1: a far part
     interp = MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 2)
-    sums = L.process._Barycentric(interp.nodes, interp.weights, np.full(interp.size, 0.8), 2)
-    rows = L.process._Rows(1, interp.size, 2)
+    sums = L.process._Barycentric(interp.nodes, interp.weights, np.full((2, K + 1), 0.8))
+    rows = L.process._Rows(1, g, 2)
     field_on_mesh(g, interp.nodes, 2, sums, rows)
     assert interp.nodes.size == 1
-    assert list(sums.start) == [0, 2**14 + 1, interp.size]
-    blocks = list(sums._blocks(0, interp.size))
+    assert sums.width == K + 1 and sums.num.size == 2 * (K + 1) == interp.size + 1
+    blocks = list(sums._blocks(0, sums.num.size))
     assert len(blocks) == 3
     dens = [sums._weights(v, hits, sums.index, None) for _, _, v, hits, _ in blocks]
-    assert sum(d.size for d in dens) == interp.size
+    assert sum(d.size for d in dens) == sums.num.size
     assert all(np.all(d == 1.0) for d in dens)
     assert np.all(np.isfinite(sums.num))
-    residue_major = np.concatenate([rows.out[0, 0::2], rows.out[0, 1::2]])
-    assert np.array_equal(sums.result()[1:], residue_major[1:])
+    grid = sums.result()
+    assert grid.shape == (2, K + 1)
+    assert np.array_equal(grid[0, 1:], rows.out[0, 2::2])
+    assert np.array_equal(grid[1, :K], rows.out[0, 1::2])
 
 
 def _node_axis_combine(interp, v, vals):
@@ -582,9 +620,9 @@ def test_path_build_streams_node_rows(cells):
     # kernel values, a ring of two spectra and the convolution) and the far
     # part's blocks (one row per node and per series term, at most _CHUNK
     # points long, at piece 0's term count, the largest) it keeps at most
-    # three mesh rows (H(t) and the barycentric numerator, and one
-    # residue's points of a piece with their h or, once the pass is done,
-    # the path in mesh order): no near row
+    # three mesh rows (H(t) and the barycentric numerator on the residue
+    # grid, and one piece's h or, once the pass is done, the path in mesh
+    # order): no near row
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
@@ -619,10 +657,12 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
     # transforms, so the rule counts the larger of the pass's two phases,
     # each beside the noise and the barycentric sums, whose node hits it
     # counts as if every point were one, as it is for a constant H.  The
-    # far phase holds one residue's points of a piece and the blocks of its
-    # series.  The rule reads 1.49, 1.42 and 1.34 times the measured peak at
-    # 2^10, 2^13 and 2^16 cells for the linear H, and 1.42, 1.05 and 1.0033
-    # for the constant one, whose hits fill the mesh (2-core machine).  A
+    # far phase holds one piece's h on the residue grid and the blocks of
+    # its series (test_path_memory_rule_counts_what_the_far_phase_holds pins
+    # it alone).  The rule reads 1.63, 1.42 and 1.34 times the measured peak
+    # at 2^10, 2^13 and 2^16 cells for the linear H, and 1.56, 1.05 and
+    # 1.0034 for the constant one, whose hits fill the mesh (2-core
+    # machine).  A
     # small build first, so that the peak leaves out what only a process's
     # first build allocates, about 0.67 MiB of lazy imports: 1.83 against
     # 1.16 MiB for a constant-H 2^10-cell build repeated
@@ -646,6 +686,41 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
                 L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
         else:
             L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
+
+
+# (t_min, cells): a far part of 64 units, whose coefficients decide the far
+# phase, and one of 1/4 unit at 2^14 cells, whose series' blocks decide it
+@pytest.mark.parametrize("t_min,cells", [(-64.0, 2**10), (-0.5, 2**14)],
+                         ids=["t_min-64", "t_min-0.5"])
+def test_path_memory_rule_counts_what_the_far_phase_holds(t_min, cells, monkeypatch):
+    # check_path_memory's far term against the far phase's own tracemalloc
+    # peak, traced around _far_part in a 16-node refine-8 path build: at
+    # least that peak and at most twice it.  It reads 1.32 and 1.28 times
+    # the peak (2-core machine).  The build runs twice, and the second peak
+    # is read, so it leaves out what only a process's first pass allocates
+    H, refine, n_nodes = L.linear_hurst(0.7, 0.15), 8, 16
+    peaks, far_part = [], L.process._far_part
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            far_part(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(L.process, "_far_part", traced)
+    g = make_noise_grid(LAW, t_min, 1.0 / cells, seed=39)
+    for _ in range(2):
+        MeshFieldInterpolant(g, H, n_nodes, refine).at()
+    assert len(peaks) == 2
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name:
+                        0 if name == "SC_PHYS_PAGES" else sysconf(name))
+    with pytest.raises(ValueError) as refused:
+        L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
+    far = 8 * int(re.search(r"the sums and (\d+) far noise", str(refused.value)).group(1))
+    assert peaks[-1] <= far <= 2 * peaks[-1]
 
 
 def test_field_pass_allocates_its_buffer_table(monkeypatch):
@@ -690,14 +765,14 @@ def test_field_pass_allocates_its_buffer_table(monkeypatch):
 
 class _ResidueLog:
     """A consumer that keeps a copy of every residue row it is handed, with
-    its node and residue, and of every far call's (rho, q0, h), with the
-    number of residue rows it had been handed before that call."""
+    its node and residue, and of every far call's (qa, h), with the number
+    of residue rows it had been handed before that call."""
 
     def __init__(self):
         self.residues, self.pieces = [], []
 
-    def far(self, coef, rho, q0, h):
-        self.pieces.append((rho, q0, h.copy(), len(self.residues)))
+    def far(self, coef, qa, h):
+        self.pieces.append((qa, h.copy(), len(self.residues)))
 
     def residue(self, i, rho, values):
         self.residues.append((i, rho, values.copy()))
@@ -706,12 +781,12 @@ class _ResidueLog:
 @pytest.mark.parametrize("refine", [1, 3, 8])
 def test_consumers_take_residue_rows_in_node_order(refine):
     # the pass hands each consumer, node by node, residues 0..refine-1 in
-    # order: residue 0 holds K + 1 points (t = 0 through t = 1), every other
-    # one K, and residue 0 starts at exactly 0, the row's second term b
-    # dropped.  With no far part (the noise starts at the split, s = -1/4)
-    # the residue rows are the field rows' mesh points rho, rho + refine,
-    # ... bit for bit; with one, they come after every far call, one per
-    # piece and residue, as every piece holds points of every residue
+    # order, the rows of the (refine, K + 1) residue grid: every residue
+    # holds K + 1 points (column K of a residue rho > 0 lies past t = 1),
+    # and residue 0 starts at exactly 0, the row's second term b dropped.
+    # With no far part (the noise starts at the split, s = -1/4) the residue
+    # rows are the field rows' mesh points rho, rho + refine, ... bit for
+    # bit; with one, they come after every far call, one per piece
     nodes = np.array([0.7, 0.78, 0.85])
     for t_min, far in ((-0.25, False), (-2.0, True)):
         g = make_noise_grid(LAW, t_min, 2.0**-8, seed=47)
@@ -720,46 +795,50 @@ def test_consumers_take_residue_rows_in_node_order(refine):
         field_on_mesh(g, nodes, refine, log)
         assert [(i, rho) for i, rho, _ in log.residues] == [
             (i, rho) for i in range(nodes.size) for rho in range(refine)]
-        assert [x.size for _, _, x in log.residues] == [K + 1, *[K] * (refine - 1)] * nodes.size
+        assert all(x.size == K + 1 for _, _, x in log.residues)
         assert all(x[0] == 0.0 for _, rho, x in log.residues if rho == 0)
-        assert len(log.pieces) == (8 * refine if far else 0)
+        assert len(log.pieces) == (8 if far else 0)
         if not far:
             rows = field_on_mesh(g, nodes, refine)
             for i, rho, x in log.residues:
-                assert np.array_equal(x, rows[i, rho::refine])
+                assert np.array_equal(x[: K + (rho == 0)], rows[i, rho::refine])
 
 
 @pytest.mark.parametrize("cells", [4, 2**8])
 @pytest.mark.parametrize("refine", [1, 3, 8])
 def test_far_part_reaches_consumers_in_residue_coordinates(refine, cells):
-    # the far series come before every residue row, piece by piece and,
-    # within a piece, residue by residue as far(coef, rho, q0, h): residue
-    # rho's points q0, q0 + 1, ... in piece p, with h their mesh times minus
-    # the piece's centre c_p = (2p + 1)/16, every one inside the piece.  Over
-    # the 8 pieces each residue's spans tile its points 0..len(residue) - 1
-    # exactly once.  At 1/delta = 4 a piece holds at most 4 mesh points, so
-    # some pieces hold no point of some residues (or none at all): those get
+    # the far series come before every residue row, one call per piece with
+    # cells, far(coef, qa, h): h is the piece's (refine, n) block of the
+    # residue grid's t - c, columns qa..qa+n-1, c the centre of its cells,
+    # (2p + 1)/16 at 1/delta = 2^8.  Every grid point of a piece at t <= 1
+    # lies in its cells (t = 1 in the last piece), and the points past t = 1
+    # are the last piece's column K of the residues rho > 0.  The pieces'
+    # columns tile the grid's 0..K exactly once, in order.  At 1/delta = 4
+    # a piece is one cell, and four of the eight pieces hold none: those get
     # no call, and the rows still match the direct sums
     g = make_noise_grid(LAW, -2.0, 1.0 / cells, seed=47)
     log = _ResidueLog()
     nodes = np.array([0.7, 0.85])
     field_on_mesh(g, nodes, refine, log)
-    assert log.pieces and all(seen == 0 for *_, seen in log.pieces)
-    order, length = [], {rho: x.size for i, rho, x in log.residues if i == 0}
-    for rho, q0, h, _ in log.pieces:
-        assert h.size
-        t = ((q0 + np.arange(h.size)) * refine + rho) / (cells * refine)
+    assert len(log.pieces) == min(cells, 8) and all(seen == 0 for *_, seen in log.pieces)
+    assert all(x.size == cells + 1 for _, _, x in log.residues)
+    columns = []
+    for qa, h, _ in log.pieces:
+        q = qa + np.arange(h.shape[1])
+        qb = q[-1] + (q[-1] < cells)  # the cells qa..qb-1
+        assert h.shape[0] == refine
+        t = (q * refine + np.arange(refine)[:, None]) / (cells * refine)
         centre = t - h
-        p = round(8 * centre[0] - 0.5)
-        assert np.allclose(centre, (2 * p + 1) / 16, rtol=0, atol=1e-15)
-        assert np.all((p / 8 <= t) & ((t < (p + 1) / 8) | (t == 1.0) & (p == 7)))
-        order.append((p, rho))
-    assert order == sorted(order) and len(set(order)) == len(order)
-    for rho in range(refine):
-        spans = [np.arange(q0, q0 + h.size) for r, q0, h, _ in log.pieces if r == rho]
-        assert np.array_equal(np.concatenate(spans), np.arange(length[rho]))
+        assert np.allclose(centre, (qa + qb) / (2 * cells), rtol=0, atol=1e-15)
+        inside = (qa / cells <= t) & ((t < qb / cells) | (t == 1.0) & (qb == cells))
+        past = (t > 1.0) & (qb == cells) & (q == cells)
+        assert np.all(inside | past) and np.count_nonzero(past) == (refine - 1) * (qb == cells)
+        columns.append(q)
+    if cells == 2**8:
+        assert [(c, hw) for *_, c, hw in L.process._far_pieces(cells, 1.0 / cells)] == [
+            ((2 * p + 1) / 16, 1 / 16) for p in range(8)]
+    assert np.array_equal(np.concatenate(columns), np.arange(cells + 1))
     if cells == 4:
-        assert len(log.pieces) < 8 * refine
         for v, row in zip(nodes, field_on_mesh(g, nodes, refine)):
             for m in range(row.size):
                 direct = eval_field(g, m / (cells * refine), v, tail_tol=1.0)
@@ -772,7 +851,7 @@ class _ThreadCount:
     def __init__(self):
         self.seen = []
 
-    def far(self, coef, rho, q0, h):
+    def far(self, coef, qa, h):
         pass
 
     def residue(self, i, rho, values):
@@ -867,8 +946,8 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     # the calling thread: the block moments, one product over the far noise;
     # the translation, one product per piece over the source blocks; and the
     # path's barycentric combination of the nodes' series coefficients,
-    # whose blocks, one residue of one piece at a time, cover every mesh
-    # point of each piece once.  A FrozenLevels
+    # whose blocks, one residue of one piece at a time, cover every point of
+    # the (refine, K + 1) residue grid once.  A FrozenLevels
     # consumer evaluates each node's series on its own row and adds no
     # matrix product
     g = make_noise_grid(LAW, -4.0, 2.0**-12, seed=61)
@@ -878,7 +957,7 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     terms = L.process._far_terms(K, g.delta, H.h_high - 1.0 / LAW.alpha)
     B = L.process._far_blocks(K, g.delta)[0]
     n_blocks = -(-(g.origin_index - _split_cells(K)) // B)
-    spans = [L.process._piece_span(p, interp.size) for p in range(8)]
+    columns = [qb - qa + (qb == K) for qa, qb, *_ in L.process._far_pieces(K, g.delta)]
     madds, matmul = [], np.matmul
 
     def spy(a, b, **kwargs):
@@ -890,9 +969,9 @@ def test_far_series_products_stay_on_the_calling_thread(monkeypatch):
     assert 0 < max(madds) <= L.stable._SERIAL_GEMM_MADDS
     moments = n_blocks * B * (max(m for _, m in terms) + 1)
     translation = sum(16 * n_blocks * (m + 1) * (n + 1) for n, m in terms)
-    barycentric = sum((n + 1) * 16 * (hi - lo) for (n, _), (lo, hi) in zip(terms, spans))
+    barycentric = sum((n + 1) * 16 * 8 * cols for (n, _), cols in zip(terms, columns))
     assert sum(madds) == moments + translation + barycentric
-    assert sum(hi - lo for lo, hi in spans) == interp.size
+    assert 8 * sum(columns) == 8 * (K + 1) == interp.size + 7
     total = sum(madds)
     madds.clear()
     levels = {j: (0.0, 1.0) for j in (0, 2, 5, 9)}
@@ -938,15 +1017,16 @@ def _arrays(x):
 
 
 def test_frozen_levels_drop_their_row_buffers_after_the_pass():
-    # a FrozenLevels needs its mesh-length row buffer and the far pieces'
-    # series and h only while the pass hands it rows; once it has taken its
+    # a FrozenLevels needs its row buffer, (K + 1, refine), whose ravel is
+    # the mesh, and the far pieces' series and h only while the pass hands
+    # it rows; once it has taken its
     # last node's row it holds its per-node level coefficients alone (the
     # interpolant and the wavelet are the caller's), and its levels still
     # combine
     g = make_noise_grid(LAW, -4.0, 2.0**-8, seed=87)
     interp = MeshFieldInterpolant(g, L.linear_hurst(0.7, 0.15), 16, 4)
     frozen = FrozenLevels(interp, L.default_wavelet(), {2: (0.0, 1.0), 5: (0.0, 1.0)})
-    assert frozen.buf.size == interp.size
+    assert frozen.buf.shape == (2**8 + 1, 4)
     L.simulate_lmsm(interp, frozen)
     own = {k: v for k, v in vars(frozen).items() if k not in ("field", "w")}
     held = list(_arrays(own))
