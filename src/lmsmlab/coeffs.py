@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .process import MeshFieldInterpolant, SamplePath, _NodeRows
+from .process import MeshFieldInterpolant, SamplePath, _dyadic_shifts, _NodeRows
 from .wavelet import WaveletSpec
 
 __all__ = [
@@ -100,8 +100,7 @@ class CoeffPyramid:
 
     def __post_init__(self):
         for j, ks in self.cells.items():
-            if ks and not (ks.start >= 0 and ks.stop * 2.0**-j <= 1.0 + 1e-12):
-                raise ValueError(f"cells ({j}, {ks.start}..{ks.stop - 1}) leave [0, 1]")
+            _dyadic_shifts(j, ks)
 
 
 def _level_coeffs(

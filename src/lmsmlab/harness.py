@@ -57,6 +57,7 @@ from .process import (
     HurstFunction,
     MeshFieldInterpolant,
     SamplePath,
+    _interp_nodes,
     check_path_domain,
     check_path_memory,
     linear_hurst,
@@ -109,6 +110,8 @@ def _write_json(fname, obj) -> None:
 _INTEGER_FIELDS = ("replicates", "v_nodes", "path_refine", "workers", "seed", "j_range",
                    "verify_cov_replicates", "verify_scale_replicates")
 _REAL_FIELDS = ("alpha", "beta", "t_tail", "delta", "t0", "hurst_params", "interval")
+# the fields that hold a list: a tuple in the config, a list in JSON
+_LIST_FIELDS = ("hurst_params", "j_range", "interval")
 
 
 def _is_number(x, integer: bool) -> bool:
@@ -168,7 +171,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         # every field's type first; then StableLaw checks alpha, and
         # interval_mode and t0 go before intervals(), which reads float(self.t0)
-        for key in ("hurst_params", "j_range", "interval"):
+        for key in _LIST_FIELDS:
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
         for key in _INTEGER_FIELDS + _REAL_FIELDS:
@@ -207,7 +210,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= {low}")
         try:
             check_path_memory(-self.t_tail, self.noise_delta, self.path_refine,
-                              self.v_nodes)
+                              _interp_nodes(self.hurst(), self.v_nodes)[0].size)
         except ValueError as exc:
             raise ValueError(f"j_range={self.j_range}, delta={self.noise_delta:g}: "
                              f"{exc}") from None
@@ -222,17 +225,14 @@ class ExperimentConfig:
             raise ValueError(f"delta / path_refine: {exc}") from None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("hurst_params", "j_range", "interval"):
-            d[key] = list(d[key])
-        return d
+        return {**asdict(self), **{key: list(getattr(self, key)) for key in _LIST_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
-        for key in ("hurst_params", "j_range", "interval"):
+        for key in _LIST_FIELDS:
             if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)

@@ -15,60 +15,16 @@ whole mesh.  H is given once, to the interpolant.  The ``SamplePath`` it
 returns holds that interpolant beside the values, so whatever reads the path
 also knows its mesh step, its noise and its H.
 
-The path comes from one field pass (``field_on_mesh``) over the interpolant's
-v-nodes that streams the node rows on one residue grid of shape (refine,
-K + 1), K = 1/delta: entry (rho, q) is mesh point q * refine + rho, every
-residue row rho is one convolution of K + 1 values, and the refine - 1
-entries past t = 1 (column K of residues rho > 0) are dropped by every
-consumer.  Each consumer takes every residue row as soon as its inverse
-transform is done and keeps only what its linear functional needs.  The
-path keeps its barycentric sums on that grid, so each residue row is one
-contiguous update, and one transpose puts them in mesh order once the pass
-is done; the frozen-Hurst levels of ``coeffs.FrozenLevels`` keep 2^j
-numbers per node and level.  No node row outlives the pass.  The far part
-of the rows reaches the consumers first, on the same grid, as power-series
-coefficients, one series per eighth of [0, 1] handed once with the piece's
-columns of the grid.  The path combines the nodes' coefficients and
-evaluates one series on each residue's stretch of its sums; a consumer
-that needs whole node rows (``_NodeRows``: the rows themselves and the
-frozen-Hurst levels) writes each residue into a column of its row buffer,
-whose ravel is the mesh, and adds the node's series on each piece's
-columns, so the series' format is known in this module alone, and drops
-its row buffer and the series once it has taken its last node's row.
-
-``field_on_mesh`` evaluates X(., v) on the mesh of [0, 1] and splits the noise
-at s = -1/4 (ceil(K/4) cells below s = 0, K = 1/delta).  The near cells
-[-1/4, 1) go through FFT convolution, which computes the very same Riemann
-sums: for fixed v the map t -> sum (t - s_i)_+**kappa dZ_i is a discrete
-convolution.  Only the outputs at t in [0, 1] are read, so each transform has
-length n_near + 1/delta, 9/(4 delta) once the noise reaches s = -1/4, instead
-of the full linear-convolution length: every product that wraps around the
-circular convolution lands before t = 0, outside the window that is read.  The
-far cells s_i < -1/4 add a function of t that is analytic on a disc of radius
-1/4 around 0.  It is summed in three steps: kappa-free moments of the noise
-over source blocks at most 1/32 wide, their translation into one Taylor
-series per eighth of [0, 1]'s cells, whose ratio is at most 1/5 when 1/delta
-is a power of two, and a
-certified remainder bound on both truncations, which fixes the term counts
-(see ``field_on_mesh``).  One pass serves a whole batch of v: the noise is
-transformed once, the kernel values share one log t, each v's residue rows are
-transformed in blocks of up to two, into buffers allocated once per pass from
-one table of their shapes and dtypes (which ``check_path_memory`` sums), and
-the far series of every v come from one pass over the far noise, with the
-batch's largest certified term counts.  A block's kernel half (its kernel values
-and their transform) reads no noise, so it runs one block ahead on a helper
-thread while the caller convolves the block before it with the noise.  A row's
-second term, b = sum_{s_i < 0} (-s_i)**kappa dZ_i, needs no pass of its own:
-it is residue 0's own convolution at t = 0, which the node's first block
-makes, and every residue row drops it before the consumers see it.
-Time-varying Hurst values are then obtained by barycentric interpolation
-across a Chebyshev grid of v-nodes; the field is analytic in v, so a few
-dozen nodes reach near machine precision.  The path's far part is, piece by
-piece, the series whose coefficients are the barycentric combination of the
-nodes' coefficients at H(t); the barycentric sums go one block of 16,384
-points at a time and keep one grid-sized array, their numerator.
-``eval_field`` is the direct Riemann sum at one point, the reference the mesh
-route is tested against.
+The path comes from one field pass, ``field_on_mesh``, whose docstring is
+the one full description of it: the (refine, K + 1) residue grid it speaks,
+K = 1/delta, the split of the noise at s = -1/4, the near part's FFT
+convolutions and the one table of their buffers, the far part's certified
+power series, and the consumers, which take each row's far series and then
+each residue row as the pass makes it.  The path's consumer is
+``_Barycentric``: the field is analytic in v, so barycentric sums over a few
+dozen Chebyshev nodes reach near machine precision, and they keep three
+arrays on the residue grid, no node row.  ``eval_field`` is the direct
+Riemann sum at one point, the reference the mesh route is tested against.
 """
 
 from __future__ import annotations
@@ -234,6 +190,11 @@ class NoiseGrid:
     @property
     def n_cells(self) -> int:
         return self.increments.size
+
+    @property
+    def unit_cells(self) -> int:
+        """K = 1/delta, the number of cells of [0, 1)."""
+        return self.n_cells - self.origin_index
 
     def left_endpoints(self) -> np.ndarray:
         """s_i = (i - i0) delta, s_{i0} = 0: exact at i0 for every delta."""
@@ -407,7 +368,7 @@ def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
     then drops the far part at t = 0, the first piece's series at h = -c, so
     the series vanish there, as the far part does, and no power of x is
     taken."""
-    K = grid.n_cells - grid.origin_index
+    K = grid.unit_cells
     B, rho, x_near = _far_blocks(K, grid.delta)
     centres = [c for _, _, c, _ in _far_pieces(K, grid.delta)]
     n_blocks = -(-i_near // B)
@@ -434,11 +395,6 @@ def _far_coeffs(grid: NoiseGrid, i_near: int, kappa: np.ndarray, terms) -> list:
     for coef in coefs:
         coef[:, 0] -= at_zero
     return coefs
-
-
-def _mesh_size(grid: NoiseGrid, refine: int) -> int:
-    """Points of the delta/refine mesh of [0, 1]: refine per cell of [0, 1), plus t = 1."""
-    return (grid.n_cells - grid.origin_index) * refine + 1
 
 
 def _check_refine(refine) -> int:
@@ -569,7 +525,7 @@ def _pass_geometry(n_cells: int, K: int, refine: int) -> tuple[int, int, int, di
 
 def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> None:
     # the pass behind field_on_mesh (see there): far parts, then residue rows
-    K = grid.n_cells - grid.origin_index  # cells of [0, 1): 1/delta >= 1
+    K = grid.unit_cells
     i_near, i0, n_fft, buffers = _pass_geometry(grid.n_cells, K, refine)
     if i_near > 0:
         _far_part(grid, kappa, K, i_near, refine, consumers)
@@ -656,8 +612,8 @@ class _NodeRows:
     pass without them, and serves no second pass."""
 
     def __init__(self, n_rows: int, grid: NoiseGrid, refine: int):
-        self.n_rows, self.size, self.pieces = n_rows, _mesh_size(grid, refine), []
-        self.buf = np.empty((grid.n_cells - grid.origin_index + 1, refine))
+        self.n_rows, self.size, self.pieces = n_rows, grid.unit_cells * refine + 1, []
+        self.buf = np.empty((grid.unit_cells + 1, refine))
 
     def far(self, coef: np.ndarray, qa: int, h: np.ndarray) -> None:
         self.pieces.append((coef, qa, h))
@@ -687,16 +643,15 @@ class _Rows(_NodeRows):
         self.out[i] = row
 
 
-def _node_hits(nodes: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(positions, node): the ascending positions of the 1-D v within 1e-15
-    of a node, and for each the first such node.  ``nodes`` ascend, so a v
-    near a node is next to its searchsorted slot: one search over v, then
-    the exact test on the few candidates."""
+def _node_hits(nodes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ascending positions of the 1-D v within 1e-15 of a node.
+    ``nodes`` ascend, so a v near a node is next to its searchsorted slot:
+    one search over v, then the exact test on its two neighbours.  Which
+    node a hit reads is ``_Barycentric._weights``' rule."""
     pos = np.searchsorted(nodes, v)
     gap = np.abs(v - nodes[np.maximum(pos - 1, 0)])
     np.minimum(gap, np.abs(v - nodes[np.minimum(pos, nodes.size - 1)]), out=gap)
-    cand = np.flatnonzero(gap <= 1e-15)
-    return cand, (np.abs(v[cand] - nodes[:, None]) <= 1e-15).argmax(axis=0)
+    return np.flatnonzero(gap <= 1e-15)
 
 
 class _Barycentric:
@@ -707,99 +662,103 @@ class _Barycentric:
     as a grid of one row, and the sums and their exact node hits lie on it,
     flat: grid entry (rho, q) sits at rho * width + q, so each residue row
     of a node is one contiguous update, and so is each residue's stretch of
-    a far piece.  The sums keep one array of v's size, the numerator
-    ``num``, and go one block of ``_CHUNK`` points at a time; ``_weights``
-    is the one route to the c_i of a block.  ``far`` adds the far part of a
-    field pass from one piece's series coefficients, residue by residue and
-    block by block: node i's far part is sum_n coef[i, n] h^n, so its share
-    of the numerator is the series with coefficients sum_i c_i coef[i, n],
-    a matrix product per block that BLAS runs on the calling thread
-    (``stable.serial_matmul``).  ``residue`` adds c_i X_i on one residue
-    row, in one block-sized scratch.  ``result`` forms the denominator
-    block by block, adding the c_i in node order, divides ``num`` by it in
-    place and returns it on v's grid.  An exact node hit, v within 1e-15 of
-    a node (the first such node), is found once and rides the weights, also
-    on the far part's blocks: there c is 1 for the hit node and 0 for every
-    other, so the sums hold that node's row over exactly 1 and ``result``
-    reads it bit for bit.  With one node (a constant H) every value H takes
-    is a hit."""
+    a far piece.  The sums keep three arrays of v's size: v, the numerator
+    ``num`` and the hit positions (``_node_hits``), as long as v when every
+    point is a hit, as for a constant H's one node.  They go one block of
+    ``_CHUNK`` points at a time, and ``_weights`` is the one route to one
+    node's c_i on a block.  ``far`` adds the far part of a field pass from
+    one piece's series coefficients, residue by residue and block by block:
+    node i's far part is sum_n coef[i, n] h^n, so its share of the
+    numerator is the series with coefficients sum_i c_i coef[i, n], a
+    matrix product per block, of the nodes' weights one row each, that BLAS
+    runs on the calling thread (``stable.serial_matmul``).  ``residue`` adds
+    c_i X_i on one residue row, in one block-sized scratch.  ``result``
+    forms the denominator block by block, adding the c_i in node order,
+    divides ``num`` by it in place and returns it on v's grid.  An exact
+    node hit rides the weights, also on the far part's blocks: there c is
+    1 for the first node within 1e-15 of v and 0 for every other, so the
+    sums hold that node's row over exactly 1 and ``result`` reads it bit
+    for bit."""
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray):
         self.nodes, self.weights, self.shape, self.width = nodes, weights, v.shape, v.shape[-1]
         self.v = v.reshape(-1)
-        self.hit_pos, self.hit_node = _node_hits(nodes, self.v)
-        self.index = np.arange(nodes.size)
+        self.hits = _node_hits(nodes, self.v)
         self.num = np.zeros(self.v.size)
-        self.c = np.empty((1, min(_CHUNK, self.v.size)))
+        self.c = np.empty(min(_CHUNK, self.v.size))
 
-    def _weights(self, v: np.ndarray, hits, index: np.ndarray, out) -> np.ndarray:
-        """The c_i of the nodes ``index``, one row each, at the block ``v``,
-        into ``out``; at the block's hits (positions in v, node), the hit
-        node's indicator."""
-        c = np.subtract(v, self.nodes[index, None], out=out)
+    def _weights(self, v: np.ndarray, hits: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """Node i's c_i = w_i / (v - x_i) at the block ``v``, into ``out``;
+        at the block's hits (positions in v) 1 where node i is the first
+        node within 1e-15 of v and 0 elsewhere.  The nodes ascend, so node i
+        is first when |v - x_i| <= 1e-15 and v - x_(i-1) > 1e-15."""
+        c = np.subtract(v, self.nodes[i], out=out)
         with np.errstate(divide="ignore"):  # a hit's 1/0, set just below
-            np.divide(self.weights[index, None], c, out=c)
-        pos, node = hits
-        c[:, pos] = node == index[:, None]
+            np.divide(self.weights[i], c, out=c)
+        if hits.size:
+            d = np.take(v, hits)  # v at the hits, one scratch for both tests
+            first = np.abs(np.subtract(d, self.nodes[i], out=d), out=d) <= 1e-15
+            if i:
+                first &= np.subtract(np.take(v, hits, out=d), self.nodes[i - 1], out=d) > 1e-15
+            c[hits] = first
         return c
-
-    def _hits(self, lo: int, hi: int):
-        # the hits at the positions lo..hi-1, as (position - lo, node)
-        a, b = np.searchsorted(self.hit_pos, (lo, hi))
-        return self.hit_pos[a:b] - lo, self.hit_node[a:b]
 
     def _blocks(self, a: int, b: int):
         # per block of the positions a..b-1: its first position, its part of
-        # num and of v, its hits and the scratch sized to it
+        # num and of v, its hits (as position - lo) and the scratch sized to it
         for lo in range(a, b, _CHUNK):
             hi = min(lo + _CHUNK, b)
-            yield lo, self.num[lo:hi], self.v[lo:hi], self._hits(lo, hi), self.c[:, : hi - lo]
+            s, e = np.searchsorted(self.hits, (lo, hi))
+            yield lo, self.num[lo:hi], self.v[lo:hi], self.hits[s:e] - lo, self.c[: hi - lo]
 
     def far(self, coef: np.ndarray, qa: int, h: np.ndarray) -> None:
         for rho, h_rho in enumerate(h):
             a = rho * self.width + qa
             for lo, part, v, hits, _ in self._blocks(a, a + h_rho.size):
-                c = self._weights(v, hits, self.index, np.empty((self.index.size, part.size)))
+                c = np.empty((self.nodes.size, part.size))
+                for i, row in enumerate(c):
+                    self._weights(v, hits, i, row)
                 part += _poly_eval(serial_matmul(coef.T, c), h_rho[lo - a : lo - a + part.size])
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
         a = rho * self.width
         for lo, part, v, hits, scratch in self._blocks(a, a + values.size):
-            c = self._weights(v, hits, self.index[i : i + 1], scratch)[0]
+            c = self._weights(v, hits, i, scratch)
             c *= values[lo - a : lo - a + part.size]
             part += c
 
     def result(self) -> np.ndarray:
-        den = np.empty(self.c.shape[1])
+        den = np.empty(self.c.size)
         for _, part, v, hits, scratch in self._blocks(0, self.num.size):
             d = den[: part.size]
             d[:] = 0.0
-            for i in self.index:
-                d += self._weights(v, hits, self.index[i : i + 1], scratch)[0]
+            for i in range(self.nodes.size):
+                d += self._weights(v, hits, i, scratch)
             part /= d
         return self.num.reshape(self.shape)
 
 
-def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
-    # Chebyshev-Lobatto points, ascending
-    k = np.arange(n)
-    x = np.cos(math.pi * k / (n - 1))
-    return lo + (hi - lo) * 0.5 * (1.0 - x)
-
-
-def _bary_weights(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _interp_nodes(H: HurstFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the v-interpolation of a path with Hurst function
+    H: one node at H's value, of weight 1, exactly when ``H.is_constant``,
+    else n_nodes >= 2 Chebyshev-Lobatto nodes on [H.h_low, H.h_high],
+    ascending, with their barycentric weights.  The one node rule of the
+    interpolant and of ``check_path_memory``'s callers."""
+    if H.is_constant:  # one node, no interpolation
+        return np.array([H.h_low]), np.array([1.0])
+    if n_nodes < 2:
+        raise ValueError(f"interpolating over [{H.h_low}, {H.h_high}] needs n_nodes >= 2")
+    x = np.cos(math.pi * np.arange(n_nodes) / (n_nodes - 1))
+    w = (-1.0) ** np.arange(n_nodes)
+    w[[0, -1]] *= 0.5
+    return H.h_low + (H.h_high - H.h_low) * 0.5 * (1.0 - x), w
 
 
 class MeshFieldInterpolant:
     """Chebyshev interpolation in v of X(m*t_step, v), t_step = delta/refine,
     on the whole mesh of [0, 1], for v across the range of the path's Hurst
     function ``H``: ``n_nodes`` Chebyshev nodes on [H.h_low, H.h_high], or
-    one node at H's value exactly when ``H.is_constant``.
+    one node at H's value exactly when ``H.is_constant`` (``_interp_nodes``).
 
     It holds its nodes and barycentric weights, never the node rows: ``at``
     runs one field pass over the nodes and folds each row into barycentric
@@ -810,14 +769,8 @@ class MeshFieldInterpolant:
         self.grid, self.H = grid, H
         self.refine = _check_refine(refine)
         self.t_step = grid.delta / self.refine
-        self.size = _mesh_size(grid, self.refine)
-        if H.is_constant:  # one node, no interpolation
-            self.nodes, self.weights = np.array([H.h_low]), np.array([1.0])
-            return
-        if n_nodes < 2:
-            raise ValueError(f"interpolating over [{H.h_low}, {H.h_high}] needs n_nodes >= 2")
-        self.nodes = _cheb_nodes(H.h_low, H.h_high, n_nodes)
-        self.weights = _bary_weights(n_nodes)
+        self.size = grid.unit_cells * self.refine + 1
+        self.nodes, self.weights = _interp_nodes(H, n_nodes)
 
     def at(self, *consumers) -> np.ndarray:
         """X(m*t_step, H(m*t_step)) on the whole mesh, from one field pass
@@ -825,7 +778,7 @@ class MeshFieldInterpolant:
         0 at t = 0.  The sums lie on the pass's residue grid, H evaluated on
         it straight into them (a local would keep the times through the
         pass), and one transpose puts them in mesh order."""
-        K = (self.size - 1) // self.refine
+        K = self.grid.unit_cells
         sums = _Barycentric(self.nodes, self.weights, self.H(
             (np.arange(K + 1) * self.refine + np.arange(self.refine)[:, None]) * self.t_step))
         field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
@@ -894,14 +847,17 @@ def check_path_domain(alpha: float, t_min: float, delta: float, h_high: float) -
 def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> None:
     """Raise ValueError when building one path over n_nodes v-nodes on the
     noise of [t_min, 1) at mesh step delta/refine would exceed the machine's
-    RAM.
+    RAM.  ``n_nodes`` is the interpolant's own count (``_interp_nodes``): 1
+    for a constant H.
 
-    A build holds the noise grid and the barycentric sums throughout: H(t)
-    and the numerator on the (refine, K + 1) residue grid, their node hits,
-    two arrays as long when every point is one (a constant H), and four
-    block-sized rows: the scratch, the hit indicators and the hit offsets of
-    a block and of the one before it.  Its field pass then goes in two
-    phases, and the count is the larger.  The far part, when the noise
+    A build holds the noise grid and the barycentric sums throughout: three
+    arrays as long as the (refine, K + 1) residue grid, H(t), the numerator
+    and the hit positions (as long as the grid when every point is a hit, as
+    for a constant H), and eight block-sized temporaries, where a block
+    holds under five at once: its scratch, its denominator, its hit offsets
+    and v at its hits, and under one block for the two tests of the weights
+    there and numpy's cast buffer for their indicator.  Its field pass then
+    goes in two phases, and the count is the larger.  The far part, when the noise
     reaches below the split, holds the larger of its two steps.  Its
     coefficients: the far noise in source blocks, its block moments, the
     translation table (two copies, one row per block, one column per pair
@@ -911,20 +867,17 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     (refine, n) for the widest piece's n columns, with its integer grid,
     the series' blocks of at most ``_CHUNK`` of those columns (one row per
     node for the weights, one per series term for their product with the
-    coefficients and one for the series' value), numpy's two iteration
-    buffers (``np.getbufsize()`` values each) for the weights' broadcast
-    node column, and the series of every piece.  Both at the largest term
-    counts of any piece.  The
-    blocks read v and the hits in place, as each residue's columns of a
-    piece are a contiguous stretch of the sums.  Its temporaries are freed
-    before the near half makes the noise spectrum and its buffers, the sum
-    of the table the pass allocates them from (``_pass_geometry``): the
-    ``log t`` table, the kernel values, a ring of two spectra and the
-    convolution, each transform buffer of min(``_BLOCK``, refine) rows.
-    Never a row per v-node, no mesh for a residue row, which goes to the
-    sums straight from the convolution, and nothing for the kernel's second
-    term b: stage 1 reads no noise, and b is residue 0's own convolution at
-    t = 0."""
+    coefficients and one for the series' value), and the series of every
+    piece.  Both at the largest term counts of any piece.  The blocks read
+    v and the hits in place, as each residue's columns of a piece are a
+    contiguous stretch of the sums.  Its temporaries are freed before the
+    near half makes the noise spectrum and its buffers, the sum of the
+    table the pass allocates them from (``_pass_geometry``): the ``log t``
+    table, the kernel values, a ring of two spectra and the convolution,
+    each transform buffer of min(``_BLOCK``, refine) rows.  Never a row per
+    v-node, no mesh for a residue row, which goes to the sums straight from
+    the convolution, and nothing for the kernel's second term b: stage 1
+    reads no noise, and b is residue 0's own convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
     i_near, _, n_fft, buffers = _pass_geometry(n_cells, K, refine)
@@ -932,7 +885,7 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     near = {k: math.prod(s) * np.dtype(t).itemsize // 8 for k, (s, t) in buffers.items()}
     noise = n_cells + 2 * (n_fft // 2 + 1)  # the noise and its complex spectrum
     size = refine * (K + 1)  # the residue grid
-    log_t, sums = near.pop("log t"), 4 * size + 4 * min(_CHUNK, size)
+    log_t, sums = near.pop("log t"), 3 * size + 8 * min(_CHUNK, size)
     transforms, rows = sum(near.values()), buffers["convolution"][0][0]
     far = 0
     if i_near:
@@ -943,16 +896,16 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
         far = max(n_blocks * B + (n_blocks + B) * (m + 1)
                   + (2 * n_blocks + 3 * n_nodes) * (m + 1) * (n + 1),
                   2 * refine * points + (n_nodes + n + 2) * min(_CHUNK, points)
-                  + 2 * np.getbufsize() + _PIECES * n_nodes * (n + 1))
+                  + _PIECES * n_nodes * (n + 1))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if 8 * (max(noise + log_t + transforms, n_cells + far) + sums) > memory:
         raise ValueError(
             f"{noise} values of noise and its spectrum, {log_t} of the log t table, "
             f"{transforms} of transform buffers (kernel values, next spectrum, current "
             f"spectrum and convolution, {rows} rows each) and {sums} of barycentric sums "
-            f"(H(t), numerator, node hits and a block's scratch), or before those buffers "
-            f"the noise, the sums and {far} far noise, block moment, translation and far "
-            f"series values, exceed RAM")
+            f"(H(t), numerator, hit positions and a block's temporaries), or before those "
+            f"buffers the noise, the sums and {far} far noise, block moment, translation "
+            f"and far series values, exceed RAM")
 
 
 def simulate_lmsm(field: MeshFieldInterpolant, *consumers) -> SamplePath:

@@ -131,6 +131,18 @@ def test_ram_guard_counts_four_transform_buffers():
         cfg.validate()
 
 
+def test_ram_guard_counts_the_interpolants_own_nodes(monkeypatch):
+    # a constant H is interpolated over one node whatever v_nodes asks for,
+    # so the guard counts that one node; a linear H gets v_nodes
+    counted = []
+    monkeypatch.setattr(harness, "check_path_memory",
+                        lambda t_min, delta, refine, n_nodes: counted.append(n_nodes))
+    ExperimentConfig(**{**FAST, "v_nodes": 16}).validate()
+    ExperimentConfig(**{**FAST, "v_nodes": 16, "hurst_name": "linear",
+                        "hurst_params": (0.7, 0.15)}).validate()
+    assert counted == [1, 16]
+
+
 @pytest.mark.parametrize("bad", [{"hurst_params": 0.8}, {"j_range": 12}],
                          ids=["hurst_params=0.8", "j_range=12"])
 def test_config_from_dict_names_a_scalar_list_field(bad):

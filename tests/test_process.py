@@ -533,8 +533,8 @@ def test_interpolant_one_v_and_per_index_v_agree_bitwise():
 
 def test_node_hits_ride_the_weights():
     # constant H: one node, so every point of the residue grid is a hit; the
-    # shared weight helper gives that node c = 1 on every block of the sums,
-    # so the denominator is exactly 1, the numerator holds the node's row on
+    # weight routine gives that node c = 1 on every block of the sums, so
+    # the denominator is exactly 1, the numerator holds the node's row on
     # the (refine, K + 1) grid, flat, residue 0's row then residue 1's, and
     # never a NaN, and the result is that row bit for bit (X(0, v) = 0 is
     # set by at(), not by the sums).  Residue 1's column K lies past t = 1
@@ -546,9 +546,10 @@ def test_node_hits_ride_the_weights():
     field_on_mesh(g, interp.nodes, 2, sums, rows)
     assert interp.nodes.size == 1
     assert sums.width == K + 1 and sums.num.size == 2 * (K + 1) == interp.size + 1
+    assert np.array_equal(sums.hits, np.arange(sums.num.size))
     blocks = list(sums._blocks(0, sums.num.size))
     assert len(blocks) == 3
-    dens = [sums._weights(v, hits, sums.index, None) for _, _, v, hits, _ in blocks]
+    dens = [sums._weights(v, hits, 0, np.empty(v.size)) for _, _, v, hits, _ in blocks]
     assert sum(d.size for d in dens) == sums.num.size
     assert all(np.all(d == 1.0) for d in dens)
     assert np.all(np.isfinite(sums.num))
@@ -556,6 +557,22 @@ def test_node_hits_ride_the_weights():
     assert grid.shape == (2, K + 1)
     assert np.array_equal(grid[0, 1:], rows.out[0, 2::2])
     assert np.array_equal(grid[1, :K], rows.out[0, 1::2])
+
+
+def test_a_hit_reads_the_first_node_of_a_degenerate_pair():
+    # nodes 0 and 1 lie 4e-16 apart, both within 1e-15 of v = 0.8: every
+    # point is a hit on both, and the sums read node 0's row alone, bit for
+    # bit, on the far part's blocks and the residue rows alike, never a
+    # blend of the two rows.  Two blocks and a bit of points
+    n = 2 * L.process._CHUNK + 3
+    rng = np.random.default_rng(5)
+    rows, coef, h = rng.standard_normal((3, n)), rng.standard_normal((3, 4)), rng.random((1, n))
+    sums = L.process._Barycentric(np.array([0.8, 0.8 + 4e-16, 0.9]),
+                                  np.array([0.5, -1.0, 0.5]), np.full(n, 0.8))
+    sums.far(coef, 0, h)
+    for i, row in enumerate(rows):
+        sums.residue(i, 0, row)
+    assert np.array_equal(sums.result(), _poly_eval(coef[0], h[0]) + rows[0])
 
 
 def _node_axis_combine(interp, v, vals):
@@ -653,15 +670,16 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
     # check_path_memory refuses a 16-node refine-8 build on a machine whose
     # memory is that build's tracemalloc peak (the noise grid included) and
     # passes it on twice that: the rule never counts less than a build
-    # holds, and not wildly more.  The far part is freed before the
+    # holds, and not wildly more.  It counts the interpolant's own nodes, as
+    # ExperimentConfig.validate does: one for the constant H.  The far part is freed before the
     # transforms, so the rule counts the larger of the pass's two phases,
-    # each beside the noise and the barycentric sums, whose node hits it
+    # each beside the noise and the barycentric sums, whose hit positions it
     # counts as if every point were one, as it is for a constant H.  The
     # far phase holds one piece's h on the residue grid and the blocks of
     # its series (test_path_memory_rule_counts_what_the_far_phase_holds pins
-    # it alone).  The rule reads 1.63, 1.42 and 1.34 times the measured peak
-    # at 2^10, 2^13 and 2^16 cells for the linear H, and 1.56, 1.05 and
-    # 1.0034 for the constant one, whose hits fill the mesh (2-core
+    # it alone).  The rule reads 1.80, 1.42 and 1.20 times the measured peak
+    # at 2^10, 2^13 and 2^16 cells for the linear H, and 1.64, 1.17 and
+    # 1.018 for the constant one, whose hits fill the mesh (2-core
     # machine).  A
     # small build first, so that the peak leaves out what only a process's
     # first build allocates, about 0.67 MiB of lazy imports: 1.83 against
@@ -677,6 +695,7 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
     finally:
         tracemalloc.stop()
     del g
+    n_nodes = L.process._interp_nodes(H, n_nodes)[0].size
     page, sysconf = os.sysconf("SC_PAGE_SIZE"), os.sysconf
     for memory in (peak, 2 * peak):
         monkeypatch.setattr(os, "sysconf", lambda name, pages=memory // page:
@@ -695,7 +714,7 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
 def test_path_memory_rule_counts_what_the_far_phase_holds(t_min, cells, monkeypatch):
     # check_path_memory's far term against the far phase's own tracemalloc
     # peak, traced around _far_part in a 16-node refine-8 path build: at
-    # least that peak and at most twice it.  It reads 1.32 and 1.28 times
+    # least that peak and at most twice it.  It reads 1.32 and 1.17 times
     # the peak (2-core machine).  The build runs twice, and the second peak
     # is read, so it leaves out what only a process's first pass allocates
     H, refine, n_nodes = L.linear_hurst(0.7, 0.15), 8, 16
