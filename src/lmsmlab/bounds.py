@@ -136,15 +136,18 @@ _PHI_S_SPAN, _PHI_DECAY_SLACK, _PHI_DRIFT = 4096.0, 0.2, 0.01
 
 
 def _phi_product_integral(
-    phi: PhiKernel, h_k: float, h_l: float, k: int, l: int, p_first: float, p_second: float,
-    panels_scale: int,
+    phi: PhiKernel, H: HurstFunction, j: int, k: int, l: int, p_first: float,
+    p_second: float, panels_scale: int,
 ) -> float:
-    """int |Phi(u - k, h_k)|**p_first |Phi(u - l, h_l)|**p_second du.
+    """int |Phi(u - k, h_k)|**p_first |Phi(u - l, h_l)|**p_second du, with
+    h_k and h_l the frozen Hurst values of cells k and l at level j.
 
     The integrand is supported on u <= min(k, l) + 1 and decays like a double
     power; graded panels with Gauss nodes handle the |.|**p cusps at kernel
     zeros well enough for the decay sweeps.
     """
+    h_k = float(H.frozen(j, k))
+    h_l = float(H.frozen(j, l))
     hi = min(k, l) + 1.0
     lo_core = min(k, l) - 4.0 - abs(k - l)
     n_core = int((hi - lo_core) * 8 * max(1, panels_scale // 16))
@@ -165,21 +168,23 @@ def phi1_integral(
     phi: PhiKernel, H: HurstFunction, j: int, k: int, l: int, panels_scale: int = 16
 ) -> float:
     """Half-power product integral int |Phi(u-k, H_k) Phi(u-l, H_l)|**(alpha/2) du."""
-    h_k = float(H.frozen(j, k))
-    h_l = float(H.frozen(j, l))
     p = phi.alpha / 2.0
-    return _phi_product_integral(phi, h_k, h_l, k, l, p, p, panels_scale=panels_scale)
+    return _phi_product_integral(phi, H, j, k, l, p, p, panels_scale=panels_scale)
 
 
 def phi2_integral(
     phi: PhiKernel, H: HurstFunction, j: int, k: int, l: int, panels_scale: int = 16
 ) -> float:
     """Asymmetric product integral int |Phi(u-k, H_k)|**(alpha-1) |Phi(u-l, H_l)| du."""
-    h_k = float(H.frozen(j, k))
-    h_l = float(H.frozen(j, l))
-    return _phi_product_integral(
-        phi, h_k, h_l, k, l, phi.alpha - 1.0, 1.0, panels_scale=panels_scale
-    )
+    return _phi_product_integral(phi, H, j, k, l, phi.alpha - 1.0, 1.0,
+                                 panels_scale=panels_scale)
+
+
+def _phi_exponents(alpha: float, h_high: float) -> tuple[float, float]:
+    """The decay exponents of phi1 and phi2: alpha/2 and alpha - 1 times
+    2 + 1/alpha - h_high."""
+    base = 2.0 + 1.0 / alpha - h_high
+    return alpha / 2.0 * base, (alpha - 1.0) * base
 
 
 def lambda_exponent(alpha: float, h_high: float) -> float:
@@ -188,8 +193,7 @@ def lambda_exponent(alpha: float, h_high: float) -> float:
         raise ValueError("alpha must be in (1, 2)")
     if not 1.0 / alpha < h_high < 1.0:
         raise ValueError("h_high must be in (1/alpha, 1)")
-    base = 2.0 + 1.0 / alpha - h_high
-    lam = min(alpha / 2.0 * base, (alpha - 1.0) * base)
+    lam = min(_phi_exponents(alpha, h_high))
     assert lam > 0.0
     return lam
 
@@ -200,11 +204,11 @@ def phi_decay_report(
     """Fit the log-log decay of phi1 or phi2 over |k - l|; passes when the
     slope is at most the bound's -exponent + 0.2 and the witnessing lag,
     integrated again at ``2 * panels_scale``, moves the constant by under 1%."""
-    base = 2.0 + 1.0 / phi.alpha - H.h_high
+    expo1, expo2 = _phi_exponents(phi.alpha, H.h_high)
     if which == "phi1":
-        integral, expo = phi1_integral, phi.alpha / 2.0 * base
+        integral, expo = phi1_integral, expo1
     elif which == "phi2":
-        integral, expo = phi2_integral, (phi.alpha - 1.0) * base
+        integral, expo = phi2_integral, expo2
     else:
         raise ValueError("which must be 'phi1' or 'phi2'")
     k0 = 0
@@ -341,20 +345,28 @@ def _draw_direct_coeffs(
     return out
 
 
+def _direct_coeff_powers(law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks,
+                         beta: float, replicates: int, seed: int) -> np.ndarray:
+    """``|d~|**beta`` of ``_draw_direct_coeffs``' (replicates x len(ks))
+    matrix; refuses fewer than ``MIN_MC_REPLICATES`` replicates before any
+    draw."""
+    if replicates < MIN_MC_REPLICATES:
+        raise ValueError(f"at least {MIN_MC_REPLICATES} replicates required")
+    return np.abs(_draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)) ** beta
+
+
 def scale_param_check(
     law: StableLaw, phi: PhiKernel, H: HurstFunction, j: int, ks, beta: float,
     replicates: int, seed: int,
 ) -> BoundReport:
     """Compare the MC scale of d~_{j,k} with 2**(-j H_k) ||Phi(., H_k)|| by quadrature."""
-    if replicates < MIN_MC_REPLICATES:
-        raise ValueError(f"at least {MIN_MC_REPLICATES} replicates required")
-    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
+    a = _direct_coeff_powers(law, phi, H, j, ks, beta, replicates, seed)
     c_beta = moment_constant(beta, law.alpha)
     rel_errors, targets, estimates = [], [], []
     for col, k in enumerate(ks):
         h_k = float(H.frozen(j, k))
         target = law.scale * 2.0 ** (-j * h_k) * phi.lalpha_norm(h_k)
-        mom = float(np.mean(np.abs(coeffs[:, col]) ** beta))
+        mom = float(np.mean(a[:, col]))
         est = (mom / c_beta) ** (1.0 / beta)
         rel_errors.append(abs(est - target) / target)
         targets.append(target)
@@ -386,13 +398,10 @@ def covariance_mc_check(
     is at most -lambda + 0.3, or when covariances at all lags >= 8 are
     indistinguishable from zero at 3 standard errors.
     """
-    if replicates < MIN_MC_REPLICATES:
-        raise ValueError(f"at least {MIN_MC_REPLICATES} replicates required")
     lags = sorted(int(q) for q in lags)
     k0 = max(lags)
     ks = [k0] + [k0 + q for q in lags]
-    coeffs = _draw_direct_coeffs(law, phi, H, j, ks, replicates, seed)
-    a = np.abs(coeffs) ** beta
+    a = _direct_coeff_powers(law, phi, H, j, ks, beta, replicates, seed)
     base = a[:, 0]
     lam = lambda_exponent(law.alpha, H.h_high)
     covs, ses = [], []

@@ -1,7 +1,8 @@
-"""Command line front end: simulate, coeffs, estimate, verify, experiment.
+"""Command line front end: simulate, coeffs, experiment, verify.
 
 ``simulate`` and ``coeffs`` write replicate 0 of the configured experiment:
 the same path and pyramid that ``run_replicate(config, 0)`` computes.
+``experiment`` prints one line per level, then the manifest's path.
 
 Seed precedence: --seed flag, then the LMSMLAB_SEED environment variable,
 then the config file; whichever wins is echoed in the output manifest.
@@ -15,10 +16,10 @@ import json
 import os
 import sys
 
-from .coeffs import build_pyramid
 from .harness import (
     ExperimentConfig,
     replicate_path,
+    replicate_pyramid,
     run_experiment,
     run_verification,
     write_path_csv,
@@ -63,26 +64,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_coeffs(args) -> int:
     cfg = _resolve(args)
-    pyramid = build_pyramid(replicate_path(cfg, 0), cfg.wavelet(), cfg.intervals())
-    print(write_pyramid_csv(pyramid, cfg.out_dir))
-    return 0
-
-
-def cmd_estimate(args) -> int:
-    cfg = _resolve(args)
-    table = run_experiment(cfg)
-    for row in table.rows:
-        print(
-            f"j={row['j']:3d} n_j={row['n_j']:6d} "
-            f"h_hat={row['h_mean']!s:>22} corrected={row['h_corr_mean']!s:>22} "
-            f"target={row['target_hmin']:.6f} flagged={row['flagged']}"
-        )
+    print(write_pyramid_csv(replicate_pyramid(cfg, 0), cfg.out_dir))
     return 0
 
 
 def cmd_experiment(args) -> int:
     cfg = _resolve(args)
-    run_experiment(cfg)
+    for row in run_experiment(cfg).rows:
+        print(
+            f"j={row['j']:3d} n_j={row['n_j']:6d} "
+            f"h_hat={row['h_mean']!s:>22} corrected={row['h_corr_mean']!s:>22} "
+            f"target={row['target_hmin']:.6f} flagged={row['flagged']}"
+        )
     print(os.path.join(cfg.out_dir, "manifest.json"))
     return 0
 
@@ -115,7 +108,6 @@ def main(argv=None) -> int:
     for name, fn in (
         ("simulate", cmd_simulate),
         ("coeffs", cmd_coeffs),
-        ("estimate", cmd_estimate),
         ("verify", cmd_verify),
         ("experiment", cmd_experiment),
     ):

@@ -13,10 +13,10 @@ or ``_write_json``.  ``workers > 1`` spreads the replicates over a plain
 process pool, whose workers run the field pass as the parent does, helper
 thread included.
 ``validate`` refuses what no replicate could run (a field of the wrong type,
-a repeated level, a mesh too coarse for a level, a path larger than RAM, a
-noise domain too short for the path), all properties of the config, never of
-a noise draw.  So every replicate returns its records, and any exception a
-replicate raises is a bug that ends the run.
+a seed outside [0, 2^63), a repeated level, a mesh too coarse for a level, a
+path larger than RAM, a noise domain too short for the path), all properties
+of the config, never of a noise draw.  So every replicate returns its
+records, and any exception a replicate raises is a bug that ends the run.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ __all__ = [
     "run_experiment",
     "run_replicate",
     "replicate_path",
+    "replicate_pyramid",
     "run_verification",
     "write_path_csv",
     "write_pyramid_csv",
@@ -185,6 +186,10 @@ class ExperimentConfig:
         alpha = self.law.alpha
         if not self.j_range or min(self.j_range) < 1:
             raise ValueError(f"j_range must hold levels >= 1, got {self.j_range}")
+        if not 0 <= self.seed < 2**63:
+            # replicate r draws from key seed ^ r and the verify bundle from
+            # seed + 1 to seed + 3: all inside Philox's 64-bit key
+            raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
         if len(set(self.j_range)) < len(self.j_range):
             raise ValueError(f"j_range must hold distinct levels, got {self.j_range}")
         if len(self.interval) != 2:
@@ -284,12 +289,16 @@ def replicate_path(config: ExperimentConfig, r: int) -> SamplePath:
                                               config.path_refine))
 
 
+def replicate_pyramid(config: ExperimentConfig, r: int) -> CoeffPyramid:
+    """Replicate r's wavelet pyramid over the config's levels and intervals."""
+    return build_pyramid(replicate_path(config, r), config.wavelet(), config.intervals())
+
+
 def run_replicate(config: ExperimentConfig, r: int) -> list[EstimateRecord]:
     """All per-scale estimates for replicate r (noise stream seed ^ r)."""
     H = config.hurst()
-    wavelet = config.wavelet()
-    kernel = PhiKernel(config.alpha, wavelet)
-    pyramid = build_pyramid(replicate_path(config, r), wavelet, config.intervals())
+    kernel = PhiKernel(config.alpha, config.wavelet())
+    pyramid = replicate_pyramid(config, r)
 
     records = []
     for j in config.j_range:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .stable import StableLaw, _rng, serial_matmul, unit_sas
+from .stable import StableLaw, _stream, serial_matmul, unit_sas
 from .wavelet import PhiKernel, _binom_coeffs, _far_series_terms, _kappa, _poly_eval
 
 __all__ = [
@@ -225,7 +225,7 @@ def noise_cell_count(t_min: float, delta: float) -> int:
 def make_noise_grid(law: StableLaw, t_min: float, delta: float, seed: int) -> NoiseGrid:
     """Draw the increments of the cells of [t_min, 1), deterministically in
     (law, geometry, seed)."""
-    increments = unit_sas(law.alpha, noise_cell_count(t_min, delta), _rng(seed))
+    increments = unit_sas(law.alpha, noise_cell_count(t_min, delta), _stream(seed, 0))
     increments *= law.scale * delta ** (1.0 / law.alpha)  # in place: no second array
     increments.setflags(write=False)
     return NoiseGrid(

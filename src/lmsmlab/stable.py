@@ -17,20 +17,18 @@ working set stays in cache.  Philox is counter-based (Salmon et al.,
 independent streams of one key, which ``bounds``' Monte Carlo chunks draw
 from side by side.
 
-The transform is written for the ufuncs numpy vectorises.  With numpy 2.4 on
-an AVX-512 host (a 2-vCPU Xeon), float64 ``sin`` and ``cos`` are scalar libm
-calls at 12-19 ns per element over the transform's angles, while ``tan``,
-``log`` and ``exp`` are vectorised at about 3.0, 1.3-1.8 and 0.9-1.3 ns, and
-``power`` costs 3.6-4.6 ns.  So each of the transform's three sines comes
-from one ``tan`` of a half angle, ``sin x = 2 tan(x/2) / (1 + tan(x/2)^2)``,
-and its two powers from ``log`` and one ``exp``: about 30 ns per element on
-one thread, against about 70 ns for the direct ``sin``/``cos``/``power``
-expression.  Without AVX-512 numpy's ``tan`` is a scalar call as well, and
-the gain shrinks.  The half angles are built from ``min(r, 1 - r)`` rather
-than from ``pi (r - 1/2)``, so no sine loses digits near ``r = 0`` or ``1``,
-where the direct expression's relative error grows to about 1e-8; the
-draws are within 5e-15 relative of 50-digit values of the transform, and
-differ from the direct expression's in the last bits.
+The transform is written for the ufuncs numpy vectorises.  On an AVX-512
+host numpy vectorises float64 ``tan``, ``log`` and ``exp``, while ``sin`` and
+``cos`` stay scalar libm calls and ``power`` costs more than ``log`` and
+``exp`` together.  So each of the transform's three sines comes from one
+``tan`` of a half angle, ``sin x = 2 tan(x/2) / (1 + tan(x/2)^2)``, and its
+two powers from ``log`` and one ``exp``, in less than half the time of the
+direct ``sin``/``cos``/``power`` expression.  Without AVX-512 numpy's ``tan``
+is a scalar call as well, and the gain shrinks.  The half angles are built
+from ``min(r, 1 - r)`` rather than from ``pi (r - 1/2)``, so no sine loses
+digits near ``r = 0`` or ``1``, where the direct expression's relative error
+grows to about 1e-8; the draws are within 5e-15 relative of 50-digit values
+of the transform, and differ from the direct expression's in the last bits.
 
 ``serial_matmul`` takes the matrix products of ``bounds``' Monte Carlo
 chunks, the field pass's far part (its block moments and their translation
@@ -73,18 +71,16 @@ class StableLaw:
             raise ValueError(f"scale must be >= 0, got {self.scale}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based, so distinct integer keys give independent
-    # streams without coordination; replicate r of an experiment uses seed ^ r.
-    return _stream(seed, 0)
-
-
 def _stream(seed: int, c: int) -> np.random.Generator:
     """Stream ``c`` of key ``seed``: Philox at counter ``(0, 0, c, 0)``, bit
-    for bit ``_rng(seed).bit_generator.jumped(c)``, 2^128 blocks past stream
-    ``c - 1``, but built in about 20 us against ``jumped``'s 48 us."""
-    return np.random.Generator(np.random.Philox(
-        counter=[0, 0, c, 0], key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    for bit ``Philox(key=seed).jumped(c)``, 2^128 blocks past stream
+    ``c - 1``, but set directly instead of jumped.  Philox is counter-based,
+    so distinct keys give independent streams without coordination;
+    replicate r of an experiment uses key seed ^ r.  A key outside
+    [0, 2^64) is refused, not wrapped onto another seed's key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(counter=[0, 0, c, 0], key=np.uint64(seed)))
 
 
 # elements per tile of the transform: a tile's working set stays in cache
@@ -213,7 +209,7 @@ def sample_sas(law: StableLaw, n: int, seed: int) -> np.ndarray:
     if law.scale == 0.0:
         values = np.zeros(n)
     else:
-        values = law.scale * unit_sas(law.alpha, n, _rng(seed))
+        values = law.scale * unit_sas(law.alpha, n, _stream(seed, 0))
     values.setflags(write=False)
     return values
 

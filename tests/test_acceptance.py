@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lmsmlab as L
+from lmsmlab import harness
 from lmsmlab.bounds import (
     approx_error_check,
     covariance_mc_check,
@@ -223,8 +224,22 @@ def test_criterion_12_experiment_determinism(tmp_path):
     _report(12, "experiment determinism", same, f"byte-identical artifacts, {elapsed:.0f}s")
 
 
-def test_verification_suite_bundle(tmp_path, approx_lemma):
-    # the default `verify` bundle: at least 6 reports, all green, JSON emitted
+def test_verification_suite_bundle(tmp_path, approx_lemma, monkeypatch):
+    # the default `verify` bundle: at least 6 reports, all green, JSON emitted.
+    # Its approximation check has the fixture's arguments, so the fixture's
+    # report stands in for it; its two Monte Carlo checks run once, through
+    # spies that record their arguments and reports
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = (args, kwargs, fn(*args, **kwargs))
+            return seen[name][2]
+        monkeypatch.setattr(harness, name, wrapped)
+
+    spy("approx_error_check", lambda *args, **kwargs: approx_lemma[0])
+    spy("covariance_mc_check", covariance_mc_check)
+    spy("scale_param_check", scale_param_check)
     cfg = ExperimentConfig(alpha=1.5, hurst_name="constant", hurst_params=(0.8,),
                            j_range=(6, 8), beta=0.25, t_tail=8.0, seed=4057,
                            verify_cov_replicates=10_000,
@@ -240,17 +255,25 @@ def test_verification_suite_bundle(tmp_path, approx_lemma):
     assert (tmp_path / "bound_reports.json").exists()
 
     # each report is the bounds call's own, verdict included: the bundle's
-    # arguments called directly give the same dicts
+    # arguments are the direct calls' (the approximation check's the
+    # fixture's), and the reports are the ones those calls returned
     law, h, kern = L.StableLaw(1.5, 1.0), L.constant_hurst(0.8), PhiKernel(1.5)
+    args, kwargs, _ = seen["approx_error_check"]
+    assert args == (law, default_wavelet(), L.linear_hurst(0.7, 0.15), [6, 7, 8, 9, 10, 11])
+    assert kwargs == {"seed": 4060}
+    for name, j, cells, seed in (("covariance_mc_check", 8, [1, 2, 4, 8, 16, 32, 64], 4058),
+                                 ("scale_param_check", 6, [8, 32, 48], 4059)):
+        (law_, kern_, h_, *rest), kwargs, _ = seen[name]
+        assert (law_, kern_.alpha, kern_.wavelet, h_) == (law, kern.alpha, kern.wavelet, h)
+        assert rest == [j, cells, 0.25] and kwargs == {"replicates": 10_000, "seed": seed}
     lags = [1, 2, 4, 8, 16, 32, 64, 128]
     direct = [
         rq_sweep_report(2.0, 1.5),
         phi_decay_report(kern, h, 8, lags, "phi1"),
         phi_decay_report(kern, h, 8, lags, "phi2"),
         lambda_grid_report(),
-        covariance_mc_check(law, kern, h, 8, [1, 2, 4, 8, 16, 32, 64], 0.25,
-                            replicates=10_000, seed=4058),
-        scale_param_check(law, kern, h, 6, [8, 32, 48], 0.25, replicates=10_000, seed=4059),
+        seen["covariance_mc_check"][2],
+        seen["scale_param_check"][2],
         approx_lemma[0],
     ]
     assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in direct]

@@ -81,7 +81,7 @@ def test_readme_config_example_is_valid():
      {"workers": 0}, {"interval": (0.4, 0.4)}, {"interval": (0.5, 1.2)},
      {"verify_scale_replicates": -4}, {"verify_cov_replicates": 2.5},
      {"verify_cov_replicates": 9_999}, {"out_dir": None}, {"out_dir": ""},
-     {"hurst_name": ["linear"]}],
+     {"hurst_name": ["linear"]}, {"seed": 2**64 + 80}, {"seed": -1}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
@@ -91,7 +91,7 @@ def test_readme_config_example_is_valid():
          "interval=(0,nan)", "workers=0", "interval=(0.4,0.4)", "interval=(0.5,1.2)",
          "verify_scale_replicates=-4", "verify_cov_replicates=2.5",
          "verify_cov_replicates=9999", "out_dir=None", "out_dir=''",
-         "hurst_name=['linear']"],
+         "hurst_name=['linear']", "seed=2^64+80", "seed=-1"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -113,9 +113,12 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # earlier reports of the verify bundle have run, an out_dir that
     # os.makedirs refuses with a TypeError or FileNotFoundError naming no
     # field, or died in validate with a bare TypeError that named no field
-    # (an unhashable H kind, as a JSON list).  An empty interval and one
-    # leaving [0, 1] must name the field too; validate only, no replicate
-    # runs
+    # (an unhashable H kind, as a JSON list), or passed validate to key
+    # Philox with the seed mod 2^64 and draw seed 80's or 2^64 - 1's noise
+    # under another seed and config_hash (seeds in [0, 2^63) keep seed ^ r
+    # and the verify bundle's seed + 3 inside 64 bits).  An empty interval
+    # and one leaving [0, 1] must name the field too; validate only, no
+    # replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -254,14 +257,28 @@ def test_table_row_lookup_and_csv_columns(tmp_path):
 
 
 def test_cli_simulate_coeffs_estimate(tmp_path, capsys):
+    # experiment prints what the retired estimate command printed, one line
+    # per level of j_range in order, and then the manifest's path
+    out = tmp_path / "out"
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**FAST, "hurst_params": [0.8], "j_range": [4, 6],
-                                    "out_dir": str(tmp_path / "out")}))
+                                    "out_dir": str(out)}))
     assert cli_main(["--config", str(cfg_path), "simulate"]) == 0
     assert cli_main(["--config", str(cfg_path), "coeffs"]) == 0
-    assert cli_main(["--config", str(cfg_path), "estimate"]) == 0
+    capsys.readouterr()
+    assert cli_main(["--config", str(cfg_path), "experiment"]) == 0
     assert (tmp_path / "out" / "path.csv").exists()
     assert (tmp_path / "out" / "pyramid.csv").exists()
+    lines = capsys.readouterr().out.splitlines()
+    table = (out / "table.csv").read_text().splitlines()[1:]
+    assert len(lines) == 3 and len(table) == 2
+    for line, row, j in zip(lines, table, (4, 6)):
+        n_j = int(row.split(",")[1])
+        assert line.startswith(f"j={j:3d} n_j={n_j:6d} h_hat="), line
+        assert line.endswith(" flagged=0"), line
+    assert lines[-1] == os.path.join(str(out), "manifest.json")
+    with pytest.raises(SystemExit):
+        cli_main(["--config", str(cfg_path), "estimate"])
     capsys.readouterr()
 
 

@@ -57,6 +57,9 @@ def test_grid_validation():
         make_noise_grid(LAW, 0.5, 0.01, seed=1)
     with pytest.raises(ValueError, match="integer cell count"):
         make_noise_grid(LAW, -1.0, 0.3, seed=1)
+    # a key outside [0, 2^64) used to wrap: seed 2^64 drew seed 0's increments
+    with pytest.raises(ValueError, match="seed must be in"):
+        make_noise_grid(LAW, -1.0, 2.0**-6, seed=2**64)
 
 
 def test_grid_increment_moments_match_constant():
@@ -74,7 +77,7 @@ def test_noise_grid_scales_the_draws_in_place(alpha):
     law, t_min, delta = L.StableLaw(alpha, 1.7), -2.0, 2.0**-9
     for seed in (5, 6):
         g = make_noise_grid(law, t_min, delta, seed)
-        xi = unit_sas(alpha, g.n_cells, L.stable._rng(seed))
+        xi = unit_sas(alpha, g.n_cells, L.stable._stream(seed, 0))
         old = law.scale * delta ** (1.0 / alpha) * xi
         assert g.increments.tobytes() == old.tobytes()
         assert not g.increments.flags.writeable

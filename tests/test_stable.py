@@ -15,7 +15,6 @@ import pytest
 from lmsmlab import stable
 from lmsmlab.stable import (
     StableLaw,
-    _rng,
     moment_constant,
     sample_sas,
     tail_coefficient,
@@ -83,7 +82,7 @@ def _state(rng):
 
 def _predrawn(seed, pre):
     # a generator that has drawn ``pre`` words, or a 32-bit half word
-    rng = _rng(seed)
+    rng = stable._stream(seed, 0)
     if pre == "half":
         rng.random(dtype=np.float32)
     else:
@@ -117,7 +116,8 @@ def test_tiled_transform_is_bitwise_whole_array(alpha, threads):
 def test_stream_is_a_jump_of_the_key():
     # stream c of a key is the key's generator jumped c times, state and draws
     for c in (0, 1, 2, 7):
-        got, want = stable._stream(5, c), np.random.Generator(_rng(5).bit_generator.jumped(c))
+        got = stable._stream(5, c)
+        want = np.random.Generator(np.random.Philox(key=np.uint64(5)).jumped(c))
         assert _state(got) == _state(want), c
         assert got.random(9).tobytes() == want.random(9).tobytes(), c
 
@@ -168,7 +168,7 @@ def test_sampler_starts_no_thread():
             imported.add(node.module)
     assert not imported & {"threading", "concurrent.futures"}
     before = threading.active_count()
-    assert unit_sas(1.5, 3 * stable._TILE, _rng(3)).size == 3 * stable._TILE
+    assert unit_sas(1.5, 3 * stable._TILE, stable._stream(3, 0)).size == 3 * stable._TILE
     assert threading.active_count() == before
 
 
@@ -195,7 +195,7 @@ def test_unit_sas_stream_is_pinned():
     # first draws of key 1: a change to the stream order or the transform's
     # arithmetic changes these bits; the sin/cos/power route gave the second
     # list, and the half-angle route moves each value by at most 1e-15
-    got = unit_sas(1.5, 4, _rng(1)).tolist()
+    got = unit_sas(1.5, 4, stable._stream(1, 0)).tolist()
     assert [x.hex() for x in got] == [
         "-0x1.f108ee17d0837p-1",
         "0x1.1c35e40600ee6p+0",
@@ -288,6 +288,9 @@ def test_domain_validation():
         StableLaw(1.5, -0.1)
     with pytest.raises(ValueError):
         sample_sas(StableLaw(1.5, 1.0), -1, seed=0)
+    # a key outside [0, 2^64) used to wrap: seed -1 drew seed 2^64 - 1's draws
+    with pytest.raises(ValueError, match="seed must be in"):
+        sample_sas(StableLaw(1.5, 1.0), 3, -1)
     with pytest.raises(ValueError):
         moment_constant(1.5, 1.5)
     with pytest.raises(ValueError):
