@@ -213,6 +213,14 @@ class ExperimentConfig:
                          ("verify_scale_replicates", MIN_MC_REPLICATES)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
+        # a whole number of noise cells of width delta on [0, 1) and on
+        # [-t_tail, 0), each refused by its own name (noise_cell_count's rule)
+        delta = self.noise_delta
+        for key, value, span in (("delta", delta, 1.0), ("t_tail", self.t_tail, self.t_tail)):
+            cells = span / delta
+            if abs(cells - round(cells)) > 1e-9:
+                raise ValueError(f"{key}={value:g}: {span:g} / delta = {cells:.10g} is not a "
+                                 f"whole number of noise cells of width {delta:g}")
         try:
             check_path_memory(-self.t_tail, self.noise_delta, self.path_refine,
                               _interp_nodes(self.hurst(), self.v_nodes)[0].size)

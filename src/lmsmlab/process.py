@@ -22,9 +22,11 @@ convolutions and the one table of their buffers, the far part's certified
 power series, and the consumers, which take each row's far series and then
 each residue row as the pass makes it.  The path's consumer is
 ``_Barycentric``: the field is analytic in v, so barycentric sums over a few
-dozen Chebyshev nodes reach near machine precision, and they keep three
-arrays on the residue grid, no node row.  ``eval_field`` is the direct
-Riemann sum at one point, the reference the mesh route is tested against.
+dozen Chebyshev nodes reach near machine precision, and they keep two
+arrays on the residue grid, the numerator and its node hits: no node row,
+and no H(t), which they read one block at a time.  ``eval_field`` is the
+direct Riemann sum at one point, the reference the mesh route is tested
+against.
 """
 
 from __future__ import annotations
@@ -445,8 +447,9 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     lands on index i + l, or on i + l - L when that reaches L; since i + l
     <= (n_near - 1) + (i0 + K), a wrapped term lands below i0, outside the
     window [i0, i0 + K] that is read.  The noise is transformed once per
-    pass, and the kernel values g = t^kappa at the refine residues share one
-    log t.  Each v's residue rows go in blocks of min(2, refine) rows
+    pass, first, and the kernel values g = t^kappa of a block are formed in
+    its own buffer: t, then log t, then kappa log t and its exp.  Each v's
+    residue rows go in blocks of min(2, refine) rows
     (``_BLOCK``), one ``numpy.fft`` call per block and stage, each on the
     thread that makes it; a node's first block holds residue 0.  Stage 1 is
     the kernel half, a function of the geometry, the node and the block's
@@ -460,15 +463,16 @@ def field_on_mesh(grid: NoiseGrid, v, refine: int = 1, *consumers):
     place before handing it on, which makes residue 0 exactly 0 at t = 0.
     Stage 1 runs on one helper thread, started for the pass and ended with
     it, one block ahead of the caller, which runs stage 2; a pass of one
-    block runs it there too.  A pass allocates its buffers once, each from
-    its entry in one table of shapes and dtypes (``_pass_geometry``, the
-    list ``check_path_memory`` sums), in this order: the ``log t`` table,
-    refine rows of i0 + K + 1 points, filled before the rest exist; the
-    kernel values over the same support, which rfft pads with zeros to L; a
-    ring of two spectra (block n's in slot n % 2, free because the caller is
-    done with block n - 2); and the convolution.  Each transform buffer
-    holds min(2, refine) rows, and every 2-D transform writes into one
-    (``out=``); no buffer holds a mesh.
+    block runs it there too.  Block 0's stage 1 starts before the far part,
+    which the caller computes and hands on meanwhile.  A pass allocates its
+    buffers once, after the noise spectrum, each from its entry in one
+    table of shapes and dtypes (``_pass_geometry``, the list
+    ``check_path_memory`` sums), in this order: the kernel values over
+    i0 + K + 1 points, which rfft pads with zeros to L; a ring of two
+    spectra (block n's in slot n % 2, free because the caller is done with
+    block n - 2); and the convolution.  Each transform buffer holds
+    min(2, refine) rows, and every 2-D transform writes into one
+    (``out=``); no buffer holds a mesh or a table of times.
 
     Far cells s_i < -ceil(K/4) delta, x_i = -s_i >= x_near = (ceil(K/4) + 1)
     delta, add sum_i [(x_i + t)^kappa - x_i^kappa] dZ_i.  On a piece, t = c
@@ -512,14 +516,15 @@ def _pass_geometry(n_cells: int, K: int, refine: int) -> tuple[int, int, int, di
     (s >= -ceil(K/4) delta), the near window's origin, the transform length
     n_near + K, the shortest with no wrap-around, and the near half's
     buffers, name -> (shape, dtype), in the order ``_field_pass`` allocates
-    them (see ``field_on_mesh``): the ``log t`` table and the transform
-    buffers of min(2, refine) rows.  A residue row goes to the consumers
-    straight from the convolution, so the pass holds no mesh."""
+    them (see ``field_on_mesh``): the transform buffers of min(2, refine)
+    rows.  A block's log t lives in its kernel values, and a residue row
+    goes to the consumers straight from the convolution, so the pass holds
+    no table of times and no mesh."""
     i_origin = n_cells - K
     i_near = max(i_origin - -(-K // _NEAR_SHARE), 0)
     i0, n_fft, rows = i_origin - i_near, n_cells - i_near + K, min(_BLOCK, refine)
     return i_near, i0, n_fft, {
-        "log t": ((refine, i0 + K + 1), float), "kernel values": ((rows, i0 + K + 1), float),
+        "kernel values": ((rows, i0 + K + 1), float),
         "ring": ((2, rows, n_fft // 2 + 1), complex), "convolution": ((rows, n_fft), float)}
 
 
@@ -527,16 +532,7 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     # the pass behind field_on_mesh (see there): far parts, then residue rows
     K = grid.unit_cells
     i_near, i0, n_fft, buffers = _pass_geometry(grid.n_cells, K, refine)
-    if i_near > 0:
-        _far_part(grid, kappa, K, i_near, refine, consumers)
     zf = rfft(grid.increments[i_near:], n_fft)
-    # row rho: log t at t = (q + rho/refine) delta; log 0 = -inf makes the
-    # kernel value at t = 0 exactly 0.  Filled in place before the transform
-    # buffers exist, so it costs the pass no temporary beside them
-    log_t = np.empty(*buffers["log t"])
-    np.add(np.arange(i0 + K + 1), np.arange(refine)[:, None] / refine, out=log_t)
-    with np.errstate(divide="ignore"):
-        np.log(np.multiply(log_t, grid.delta, out=log_t), out=log_t)
     # the workspace, made once per pass: the kernel values over their support
     # (rfft pads them with zeros to n_fft), a ring of two spectra, one per
     # block in flight, and the convolution
@@ -552,18 +548,25 @@ def _field_pass(grid: NoiseGrid, kappa: np.ndarray, refine: int, consumers) -> N
     def kernel_spectrum(n):
         # stage 1, the kernel half of block n, a function of the geometry, the
         # node and the residues alone: their kernel values and their transform
-        # into ring slot n % 2, which the caller is done with (see below)
+        # into ring slot n % 2, which the caller is done with (see below).
+        # Row rho - lo of the values is first t = (q + rho/refine) delta, then
+        # log t (log 0 = -inf makes the value at t = 0 exactly 0), then t^kappa
         i, lo, hi = blocks[n]
         g = gk[: hi - lo]
-        np.exp(np.multiply(log_t[lo:hi], kappa[i], out=g), out=g)
+        np.add(np.arange(i0 + K + 1), np.arange(lo, hi)[:, None] / refine, out=g)
+        with np.errstate(divide="ignore"):
+            np.log(np.multiply(g, grid.delta, out=g), out=g)
+        np.exp(np.multiply(g, kappa[i], out=g), out=g)
         return rfft(g, n_fft, axis=-1, out=ring[n % 2, : hi - lo])
 
-    # one helper thread runs stage 1 one block ahead: it starts block n + 1
-    # once the caller holds block n, so the caller is done with block n - 1
-    # and its ring slot; leaving the pool, also on an error, waits for the
-    # helper to end
+    # one helper thread runs stage 1 one block ahead: it starts block 0
+    # before the far part and block n + 1 once the caller holds block n, so
+    # the caller is done with block n - 1 and its ring slot; leaving the
+    # pool, also on an error, waits for the helper to end
     with ThreadPoolExecutor(1) as helper:
         ahead = helper.submit(kernel_spectrum, 0)
+        if i_near > 0:
+            _far_part(grid, kappa, K, i_near, refine, consumers)
         for n, (i, lo, hi) in enumerate(blocks):
             spec = ahead.result()
             if n + 1 < len(blocks):
@@ -587,7 +590,7 @@ def _far_part(grid: NoiseGrid, kappa: np.ndarray, K: int, i_near: int, refine: i
               consumers) -> None:
     # the far cells' series coefficients, handed to every consumer once per
     # piece with its (refine, n) block of h on the residue grid; a function
-    # of its own, so its temporaries are gone before the transforms
+    # of its own, so its temporaries are gone before the first residue row
     coefs = _far_coeffs(grid, i_near, kappa, _far_terms(K, grid.delta, kappa.max()))
     for (qa, qb, c, _), coef in zip(_far_pieces(K, grid.delta), coefs):
         q = np.arange(qa, qb + (qb == K))  # the last piece also takes column K
@@ -658,34 +661,47 @@ class _Barycentric:
     """Barycentric sums over node rows fed one residue row at a time: the
     value at v is sum_i c_i X_i / sum_i c_i, c_i = w_i / (v - node_i).
 
-    v is H on a field pass's (refine, K + 1) residue grid, or any 1-D row
-    as a grid of one row, and the sums and their exact node hits lie on it,
+    The sums lie on a grid of ``rows`` rows of ``width`` points, a field
+    pass's (refine, K + 1) residue grid or any 1-D row as a grid of one row,
     flat: grid entry (rho, q) sits at rho * width + q, so each residue row
     of a node is one contiguous update, and so is each residue's stretch of
-    a far piece.  The sums keep three arrays of v's size: v, the numerator
-    ``num`` and the hit positions (``_node_hits``), as long as v when every
-    point is a hit, as for a constant H's one node.  They go one block of
-    ``_CHUNK`` points at a time, and ``_weights`` is the one route to one
-    node's c_i on a block.  ``far`` adds the far part of a field pass from
-    one piece's series coefficients, residue by residue and block by block:
-    node i's far part is sum_n coef[i, n] h^n, so its share of the
-    numerator is the series with coefficients sum_i c_i coef[i, n], a
-    matrix product per block, of the nodes' weights one row each, that BLAS
-    runs on the calling thread (``stable.serial_matmul``).  ``residue`` adds
-    c_i X_i on one residue row, in one block-sized scratch.  ``result``
-    forms the denominator block by block, adding the c_i in node order,
-    divides ``num`` by it in place and returns it on v's grid.  An exact
-    node hit rides the weights, also on the far part's blocks: there c is
-    1 for the first node within 1e-15 of v and 0 for every other, so the
-    sums hold that node's row over exactly 1 and ``result`` reads it bit
-    for bit."""
+    a far piece.  v is never held on the grid: ``v(rho, lo, hi)`` gives it
+    on row rho's columns lo..hi-1, one block of at most ``_CHUNK`` points at
+    a time, and the sums read it there each time they visit the block.  They
+    keep two arrays of the grid's size: the numerator ``num`` and the
+    positions of its exact node hits (``_node_hits``), found block by block,
+    as long as the grid when every point is a hit, as for a constant H's one
+    node, which fills one array made for them.  ``_weights`` is the one
+    route to one node's c_i on a block.  ``far`` adds the far part of a
+    field pass from one piece's series coefficients, residue by residue and
+    block by block: node i's far part is sum_n coef[i, n] h^n, so its share
+    of the numerator is the series with coefficients sum_i c_i coef[i, n],
+    a matrix product per block, of the nodes' weights one row each, that
+    BLAS runs on the calling thread (``stable.serial_matmul``).  ``residue``
+    adds c_i X_i on one residue row, in one block-sized scratch.
+    ``result`` forms the denominator block by block, adding the c_i in node
+    order, divides ``num`` by it in place and returns it, flat.  An exact
+    node hit rides the weights, also on the far part's blocks: there c is 1
+    for the first node within 1e-15 of v and 0 for every other, so the sums
+    hold that node's row over exactly 1 and ``result`` reads it bit for
+    bit."""
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, v: np.ndarray):
-        self.nodes, self.weights, self.shape, self.width = nodes, weights, v.shape, v.shape[-1]
-        self.v = v.reshape(-1)
-        self.hits = _node_hits(nodes, self.v)
-        self.num = np.zeros(self.v.size)
-        self.c = np.empty(min(_CHUNK, self.v.size))
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, rows: int, width: int, v):
+        self.nodes, self.weights, self.rows, self.width, self.v = nodes, weights, rows, width, v
+        self.c = np.empty(min(_CHUNK, width))
+        one = nodes.size == 1  # every point may be a hit: one array for them
+        hits, found, n = np.empty(rows * width if one else 0, np.intp), [], 0
+        for rho in range(rows):
+            for lo in range(0, width, _CHUNK):
+                at = _node_hits(nodes, v(rho, lo, min(lo + _CHUNK, width)))
+                at += rho * width + lo
+                if one:
+                    hits[n : n + at.size] = at
+                    n += at.size
+                else:
+                    found.append(at)
+        self.hits = hits[:n] if one else np.concatenate(found)
+        self.num = np.zeros(rows * width)
 
     def _weights(self, v: np.ndarray, hits: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
         """Node i's c_i = w_i / (v - x_i) at the block ``v``, into ``out``;
@@ -703,39 +719,41 @@ class _Barycentric:
             c[hits] = first
         return c
 
-    def _blocks(self, a: int, b: int):
-        # per block of the positions a..b-1: its first position, its part of
-        # num and of v, its hits (as position - lo) and the scratch sized to it
+    def _blocks(self, rho: int, a: int, b: int):
+        # per block of row rho's columns a..b-1: its first column, its part of
+        # num, v on it, its hits (as position - its first) and the scratch
+        # sized to it
+        at = rho * self.width
         for lo in range(a, b, _CHUNK):
             hi = min(lo + _CHUNK, b)
-            s, e = np.searchsorted(self.hits, (lo, hi))
-            yield lo, self.num[lo:hi], self.v[lo:hi], self.hits[s:e] - lo, self.c[: hi - lo]
+            s, e = np.searchsorted(self.hits, (at + lo, at + hi))
+            yield (lo, self.num[at + lo : at + hi], self.v(rho, lo, hi),
+                   self.hits[s:e] - (at + lo), self.c[: hi - lo])
 
     def far(self, coef: np.ndarray, qa: int, h: np.ndarray) -> None:
         for rho, h_rho in enumerate(h):
-            a = rho * self.width + qa
-            for lo, part, v, hits, _ in self._blocks(a, a + h_rho.size):
+            for lo, part, v, hits, _ in self._blocks(rho, qa, qa + h_rho.size):
                 c = np.empty((self.nodes.size, part.size))
                 for i, row in enumerate(c):
                     self._weights(v, hits, i, row)
-                part += _poly_eval(serial_matmul(coef.T, c), h_rho[lo - a : lo - a + part.size])
+                part += _poly_eval(serial_matmul(coef.T, c), h_rho[lo - qa : lo - qa + part.size])
 
     def residue(self, i: int, rho: int, values: np.ndarray) -> None:
-        a = rho * self.width
-        for lo, part, v, hits, scratch in self._blocks(a, a + values.size):
+        for lo, part, v, hits, scratch in self._blocks(rho, 0, values.size):
             c = self._weights(v, hits, i, scratch)
-            c *= values[lo - a : lo - a + part.size]
+            c *= values[lo : lo + part.size]
             part += c
 
     def result(self) -> np.ndarray:
         den = np.empty(self.c.size)
-        for _, part, v, hits, scratch in self._blocks(0, self.num.size):
-            d = den[: part.size]
-            d[:] = 0.0
-            for i in range(self.nodes.size):
-                d += self._weights(v, hits, i, scratch)
-            part /= d
-        return self.num.reshape(self.shape)
+        for rho in range(self.rows):
+            for _, part, v, hits, scratch in self._blocks(rho, 0, self.width):
+                d = den[: part.size]
+                d[:] = 0.0
+                for i in range(self.nodes.size):
+                    d += self._weights(v, hits, i, scratch)
+                part /= d
+        return self.num
 
 
 def _interp_nodes(H: HurstFunction, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -775,14 +793,23 @@ class MeshFieldInterpolant:
     def at(self, *consumers) -> np.ndarray:
         """X(m*t_step, H(m*t_step)) on the whole mesh, from one field pass
         (``field_on_mesh``) whose node rows also go to ``consumers``; it is
-        0 at t = 0.  The sums lie on the pass's residue grid, H evaluated on
-        it straight into them (a local would keep the times through the
-        pass), and one transpose puts them in mesh order."""
-        K = self.grid.unit_cells
-        sums = _Barycentric(self.nodes, self.weights, self.H(
-            (np.arange(K + 1) * self.refine + np.arange(self.refine)[:, None]) * self.t_step))
-        field_on_mesh(self.grid, self.nodes, self.refine, sums, *consumers)
-        out = sums.result().T.reshape(-1)[: self.size]
+        0 at t = 0.  The sums lie on the pass's residue grid and read H on
+        it one block at a time, at the exact times (q * refine + rho) *
+        t_step of its entries (rho, q), so no H(t) and no times are kept
+        through the pass; one transpose puts the sums in mesh order."""
+        K, refine, t_step, H = self.grid.unit_cells, self.refine, self.t_step, self.H
+        # a block's times from one block of column offsets: every q * refine +
+        # rho is an integer, exact as a float, so no integer cast is needed
+        offsets = np.arange(min(_CHUNK, K + 1)) * float(refine)
+        times = np.empty(offsets.size)
+
+        def v(rho, lo, hi):
+            t = np.add(offsets[: hi - lo], lo * refine + rho, out=times[: hi - lo])
+            return H(np.multiply(t, t_step, out=t))
+
+        sums = _Barycentric(self.nodes, self.weights, refine, K + 1, v)
+        field_on_mesh(self.grid, self.nodes, refine, sums, *consumers)
+        out = sums.result().reshape(refine, K + 1).T.reshape(-1)[: self.size]
         out[0] = 0.0  # the u = 0 kernel vanishes identically
         return out
 
@@ -795,10 +822,11 @@ class MeshFieldInterpolant:
         lo, hi = self.H.h_low, self.H.h_high
         if np.any((v < lo - 1e-12) | (v > hi + 1e-12)):
             raise ValueError(f"v outside the interpolant's [{lo}, {hi}]")
-        sums = _Barycentric(self.nodes, self.weights, np.broadcast_to(v, vals.shape[1:]))
+        v = np.broadcast_to(v, vals.shape[1:]).reshape(-1)
+        sums = _Barycentric(self.nodes, self.weights, 1, v.size, lambda rho, a, b: v[a:b])
         for i, row in enumerate(vals):
             sums.residue(i, 0, row)
-        return sums.result()
+        return sums.result().reshape(vals.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -850,43 +878,46 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
     RAM.  ``n_nodes`` is the interpolant's own count (``_interp_nodes``): 1
     for a constant H.
 
-    A build holds the noise grid and the barycentric sums throughout: three
-    arrays as long as the (refine, K + 1) residue grid, H(t), the numerator
-    and the hit positions (as long as the grid when every point is a hit, as
-    for a constant H), and eight block-sized temporaries, where a block
-    holds under five at once: its scratch, its denominator, its hit offsets
-    and v at its hits, and under one block for the two tests of the weights
-    there and numpy's cast buffer for their indicator.  Its field pass then
-    goes in two phases, and the count is the larger.  The far part, when the noise
-    reaches below the split, holds the larger of its two steps.  Its
-    coefficients: the far noise in source blocks, its block moments, the
-    translation table (two copies, one row per block, one column per pair
-    of series term and block-expansion degree) and three tables of that
-    width with one row per node (the translated terms, their binomial
-    weighting, and the series of every piece).  Its series: one piece's h,
-    (refine, n) for the widest piece's n columns, with its integer grid,
-    the series' blocks of at most ``_CHUNK`` of those columns (one row per
-    node for the weights, one per series term for their product with the
-    coefficients and one for the series' value), and the series of every
-    piece.  Both at the largest term counts of any piece.  The blocks read
-    v and the hits in place, as each residue's columns of a piece are a
-    contiguous stretch of the sums.  Its temporaries are freed before the
-    near half makes the noise spectrum and its buffers, the sum of the
-    table the pass allocates them from (``_pass_geometry``): the ``log t``
-    table, the kernel values, a ring of two spectra and the convolution,
-    each transform buffer of min(``_BLOCK``, refine) rows.  Never a row per
-    v-node, no mesh for a residue row, which goes to the sums straight from
-    the convolution, and nothing for the kernel's second term b: stage 1
-    reads no noise, and b is residue 0's own convolution at t = 0."""
+    A build holds, throughout its field pass, the noise grid and its
+    spectrum, the transform buffers of the pass's table (``_pass_geometry``:
+    the kernel values, a ring of two spectra and the convolution, each of
+    min(``_BLOCK``, refine) rows), the kernel half's row of window indices
+    q (i0 + K + 1 points, the one temporary its times need), and the
+    barycentric sums: two arrays as long as the (refine, K + 1) residue
+    grid, the numerator and the hit positions (as long as the grid when
+    every point is a hit, as for a constant H), and ten block-sized
+    temporaries: ``at``'s column offsets and times, the scratch and the
+    denominator throughout, and per block v, H's one temporary while it
+    forms v, the hit offsets and v at the hits, and under one block for
+    the two tests of the weights there and numpy's cast buffer for their
+    indicator; finding the hits holds v and four more.
+
+    The far part, when the noise reaches below the split, runs beside all
+    of these, block 0's kernel half on the helper meanwhile, and adds the
+    larger of its two steps.  Its coefficients: the far noise in source
+    blocks, its block moments, the translation table (two copies, one row
+    per block, one column per pair of series term and block-expansion
+    degree) and three tables of that width with one row per node (the
+    translated terms, their binomial weighting, and the series of every
+    piece).  Its series: one piece's h, (refine, n) for the widest piece's
+    n columns, with its integer grid, the series' blocks of at most
+    ``_CHUNK`` of those columns (one row per node for the weights, one per
+    series term for their product with the coefficients and one for the
+    series' value), and the series of every piece.  Both at the largest
+    term counts of any piece.
+
+    Never a row per v-node, no H(t) and no table of times on the grid, no
+    mesh for a residue row, which goes to the sums straight from the
+    convolution, and nothing for the kernel's second term b: stage 1 reads
+    no noise, and b is residue 0's own convolution at t = 0."""
     n_cells = noise_cell_count(t_min, delta)
     K = round(1.0 / delta)  # cells of [0, 1)
-    i_near, _, n_fft, buffers = _pass_geometry(n_cells, K, refine)
-    # the doubles of each buffer of the near half
-    near = {k: math.prod(s) * np.dtype(t).itemsize // 8 for k, (s, t) in buffers.items()}
+    i_near, i0, n_fft, buffers = _pass_geometry(n_cells, K, refine)
     noise = n_cells + 2 * (n_fft // 2 + 1)  # the noise and its complex spectrum
+    transforms = sum(math.prod(s) * np.dtype(t).itemsize // 8 for s, t in buffers.values())
+    index, rows = i0 + K + 1, buffers["convolution"][0][0]
     size = refine * (K + 1)  # the residue grid
-    log_t, sums = near.pop("log t"), 3 * size + 8 * min(_CHUNK, size)
-    transforms, rows = sum(near.values()), buffers["convolution"][0][0]
+    sums = 2 * size + 10 * min(_CHUNK, K + 1)
     far = 0
     if i_near:
         B = _far_blocks(K, delta)[0]
@@ -898,14 +929,13 @@ def check_path_memory(t_min: float, delta: float, refine: int, n_nodes: int) -> 
                   2 * refine * points + (n_nodes + n + 2) * min(_CHUNK, points)
                   + _PIECES * n_nodes * (n + 1))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if 8 * (max(noise + log_t + transforms, n_cells + far) + sums) > memory:
+    if 8 * (noise + transforms + index + sums + far) > memory:
         raise ValueError(
-            f"{noise} values of noise and its spectrum, {log_t} of the log t table, "
-            f"{transforms} of transform buffers (kernel values, next spectrum, current "
-            f"spectrum and convolution, {rows} rows each) and {sums} of barycentric sums "
-            f"(H(t), numerator, hit positions and a block's temporaries), or before those "
-            f"buffers the noise, the sums and {far} far noise, block moment, translation "
-            f"and far series values, exceed RAM")
+            f"{noise} values of noise and its spectrum, {transforms} of transform buffers "
+            f"(kernel values, next spectrum, current spectrum and convolution, {rows} rows "
+            f"each), {index} window indices of the kernel half, {sums} of barycentric sums "
+            f"(numerator, hit positions and a block's temporaries) and {far} far noise, "
+            f"block moment, translation and far series values exceed RAM")
 
 
 def simulate_lmsm(field: MeshFieldInterpolant, *consumers) -> SamplePath:

@@ -81,7 +81,7 @@ def test_readme_config_example_is_valid():
      {"workers": 0}, {"interval": (0.4, 0.4)}, {"interval": (0.5, 1.2)},
      {"verify_scale_replicates": -4}, {"verify_cov_replicates": 2.5},
      {"verify_cov_replicates": 9_999}, {"out_dir": None}, {"out_dir": ""},
-     {"hurst_name": ["linear"]}, {"seed": 2**64 + 80}, {"seed": -1}],
+     {"hurst_name": ["linear"]}, {"seed": 2**64 + 80}, {"seed": -1}, {"t_tail": 8.3}],
     ids=["v_nodes=1", "path_refine=0", "alpha=2.5", "j_range=(0,4)", "delta=3e-4",
          "hurst_params=(0.8,)", "interval=(0.2,)", "j_range=()", "j_range=(40,)",
          "delta=2^-8", "t_tail=1", "hurst_name=cubic", "hurst_params=0.8", "interval=0.3",
@@ -91,7 +91,7 @@ def test_readme_config_example_is_valid():
          "interval=(0,nan)", "workers=0", "interval=(0.4,0.4)", "interval=(0.5,1.2)",
          "verify_scale_replicates=-4", "verify_cov_replicates=2.5",
          "verify_cov_replicates=9999", "out_dir=None", "out_dir=''",
-         "hurst_name=['linear']", "seed=2^64+80", "seed=-1"],
+         "hurst_name=['linear']", "seed=2^64+80", "seed=-1", "t_tail=8.3"],
 )
 def test_config_rejects_unusable_mesh_settings(bad):
     # each used to pass validate and fail only inside the replicate (a nan v
@@ -117,8 +117,9 @@ def test_config_rejects_unusable_mesh_settings(bad):
     # Philox with the seed mod 2^64 and draw seed 80's or 2^64 - 1's noise
     # under another seed and config_hash (seeds in [0, 2^63) keep seed ^ r
     # and the verify bundle's seed + 3 inside 64 bits).  An empty interval
-    # and one leaving [0, 1] must name the field too; validate only, no
-    # replicate runs
+    # and one leaving [0, 1] must name the field too, and so must a t_tail
+    # that is no whole number of noise cells, which the RAM check once
+    # refused under j_range and delta; validate only, no replicate runs
     cfg = ExperimentConfig(**{**FAST, "hurst_name": "linear", "hurst_params": (0.7, 0.15),
                               **bad})
     with pytest.raises(ValueError, match=next(iter(bad))):

@@ -540,24 +540,25 @@ def test_node_hits_ride_the_weights():
     # the denominator is exactly 1, the numerator holds the node's row on
     # the (refine, K + 1) grid, flat, residue 0's row then residue 1's, and
     # never a NaN, and the result is that row bit for bit (X(0, v) = 0 is
-    # set by at(), not by the sums).  Residue 1's column K lies past t = 1
+    # set by at(), not by the sums).  Residue 1's column K lies past t = 1.
+    # The sums read v block by block, each block inside one residue row
     K = 2**14
     g = make_noise_grid(LAW, -2.0, 1.0 / K, seed=31)  # noise beyond s = -1: a far part
     interp = MeshFieldInterpolant(g, L.constant_hurst(0.8), 16, 2)
-    sums = L.process._Barycentric(interp.nodes, interp.weights, np.full((2, K + 1), 0.8))
+    sums = L.process._Barycentric(interp.nodes, interp.weights, 2, K + 1,
+                                  lambda rho, lo, hi: np.full(hi - lo, 0.8))
     rows = L.process._Rows(1, g, 2)
     field_on_mesh(g, interp.nodes, 2, sums, rows)
     assert interp.nodes.size == 1
     assert sums.width == K + 1 and sums.num.size == 2 * (K + 1) == interp.size + 1
     assert np.array_equal(sums.hits, np.arange(sums.num.size))
-    blocks = list(sums._blocks(0, sums.num.size))
-    assert len(blocks) == 3
+    blocks = [b for rho in range(2) for b in sums._blocks(rho, 0, K + 1)]
+    assert [part.size for _, part, _, _, _ in blocks] == [L.process._CHUNK, 1] * 2
     dens = [sums._weights(v, hits, 0, np.empty(v.size)) for _, _, v, hits, _ in blocks]
     assert sum(d.size for d in dens) == sums.num.size
     assert all(np.all(d == 1.0) for d in dens)
     assert np.all(np.isfinite(sums.num))
-    grid = sums.result()
-    assert grid.shape == (2, K + 1)
+    grid = sums.result().reshape(2, K + 1)
     assert np.array_equal(grid[0, 1:], rows.out[0, 2::2])
     assert np.array_equal(grid[1, :K], rows.out[0, 1::2])
 
@@ -570,8 +571,8 @@ def test_a_hit_reads_the_first_node_of_a_degenerate_pair():
     n = 2 * L.process._CHUNK + 3
     rng = np.random.default_rng(5)
     rows, coef, h = rng.standard_normal((3, n)), rng.standard_normal((3, 4)), rng.random((1, n))
-    sums = L.process._Barycentric(np.array([0.8, 0.8 + 4e-16, 0.9]),
-                                  np.array([0.5, -1.0, 0.5]), np.full(n, 0.8))
+    sums = L.process._Barycentric(np.array([0.8, 0.8 + 4e-16, 0.9]), np.array([0.5, -1.0, 0.5]),
+                                  1, n, lambda rho, lo, hi: np.full(hi - lo, 0.8))
     sums.far(coef, 0, h)
     for i, row in enumerate(rows):
         sums.residue(i, 0, row)
@@ -636,20 +637,20 @@ def test_combine_streams_node_rows():
 @pytest.mark.parametrize("cells", [2**10, 2**13, 2**15])
 def test_path_build_streams_node_rows(cells):
     # a 16-node path build never holds the 16 node rows: besides the field
-    # pass's log t table, its transform buffers of min(2, refine) rows (the
-    # kernel values, a ring of two spectra and the convolution) and the far
-    # part's blocks (one row per node and per series term, at most _CHUNK
-    # points long, at piece 0's term count, the largest) it keeps at most
-    # three mesh rows (H(t) and the barycentric numerator on the residue
-    # grid, and one piece's h or, once the pass is done, the path in mesh
-    # order): no near row
+    # pass's transform buffers of min(2, refine) rows (the kernel values, a
+    # ring of two spectra and the convolution) and the far part's blocks
+    # (one row per node and per series term, at most _CHUNK points long, at
+    # piece 0's term count, the largest) it keeps at most two mesh rows (the
+    # barycentric numerator on the residue grid, and one piece's h or, once
+    # the pass is done, the path in mesh order): no near row, no log t table
+    # and no H(t).  The peak reads 0.44, 0.43 and 0.67 of the bound at 2^10,
+    # 2^13 and 2^15 cells, and read 0.42, 0.43 and 0.85 of it with H(t) and
+    # the log t table held
     g = make_noise_grid(LAW, -4.0, 1.0 / cells, seed=39)
     H = L.linear_hurst(0.7, 0.15)
     refine, n_nodes = 8, 16
     n = cells * refine + 1
-    i0 = min(_split_cells(cells), g.origin_index)
     n_fft = _near_cells(g) + cells
-    log_table = refine * (i0 + cells + 1)
     n_terms = L.process._far_terms(cells, g.delta, H.h_high - 1.0 / LAW.alpha)[0][0]
     far_blocks = (n_nodes + n_terms + 1) * min(L.process._CHUNK, n)
     workspace = (2 + 2) * min(2, refine) * n_fft
@@ -659,7 +660,44 @@ def test_path_build_streams_node_rows(cells):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * (workspace + log_table + far_blocks + 3 * n)
+    assert peak < 8 * (workspace + far_blocks + 2 * n)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("H", [L.linear_hurst(0.7, 0.15), L.constant_hurst(0.8)],
+                         ids=["linear", "constant"])
+def test_path_sums_hold_no_h_grid(H, monkeypatch):
+    # the sums at() builds, with their hits, before its field pass starts:
+    # the numerator, the hit positions (as long as the grid for a constant
+    # H, whose every point is a hit) and a few blocks of temporaries, since
+    # H and the hits are found one block at a time.  At 2^13 cells, refine 8
+    # and 16 nodes the peak beyond the numerator and the hits reads 1.53
+    # and 2.02 _CHUNK blocks for the linear and the constant H; H and
+    # _node_hits over the whole grid read 16 and 12 (2-core machine).  The
+    # second build's peak is read, so it leaves out what only a process's
+    # first build allocates
+    g = make_noise_grid(LAW, -4.0, 2.0**-13, seed=39)
+    interp = MeshFieldInterpolant(g, H, 16, 8)
+    seen = []
+
+    def stop(grid, v, refine, sums, *consumers):
+        seen.append((tracemalloc.get_traced_memory()[1], sums.num.nbytes + sums.hits.nbytes))
+        raise _Stop
+
+    monkeypatch.setattr(L.process, "field_on_mesh", stop)
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                interp.at()
+        finally:
+            tracemalloc.stop()
+    peak, held = seen[-1]
+    assert held >= 8 * interp.size
+    assert peak < held + 4 * 8 * L.process._CHUNK
 
 
 # ids: cells for the linear H, constant-cells for the constant one
@@ -674,15 +712,15 @@ def test_path_memory_rule_counts_what_a_build_holds(H, cells, monkeypatch):
     # memory is that build's tracemalloc peak (the noise grid included) and
     # passes it on twice that: the rule never counts less than a build
     # holds, and not wildly more.  It counts the interpolant's own nodes, as
-    # ExperimentConfig.validate does: one for the constant H.  The far part is freed before the
-    # transforms, so the rule counts the larger of the pass's two phases,
-    # each beside the noise and the barycentric sums, whose hit positions it
-    # counts as if every point were one, as it is for a constant H.  The
-    # far phase holds one piece's h on the residue grid and the blocks of
-    # its series (test_path_memory_rule_counts_what_the_far_phase_holds pins
-    # it alone).  The rule reads 1.80, 1.42 and 1.20 times the measured peak
-    # at 2^10, 2^13 and 2^16 cells for the linear H, and 1.64, 1.17 and
-    # 1.018 for the constant one, whose hits fill the mesh (2-core
+    # ExperimentConfig.validate does: one for the constant H.  The far part
+    # runs beside the transform buffers, so the rule adds it to them, the
+    # noise and the barycentric sums, whose hit positions it counts as if
+    # every point were one, as it is for a constant H.  The far phase holds
+    # one piece's h on the residue grid and the blocks of its series
+    # (test_path_memory_rule_counts_what_the_far_phase_holds pins it
+    # alone).  The rule reads 1.43, 1.44 and 1.31 times the measured peak
+    # at 2^10, 2^13 and 2^16 cells for the linear H, and 1.27, 1.20 and
+    # 1.08 for the constant one, whose hits fill the mesh (2-core
     # machine).  A
     # small build first, so that the peak leaves out what only a process's
     # first build allocates, about 0.67 MiB of lazy imports: 1.83 against
@@ -741,25 +779,25 @@ def test_path_memory_rule_counts_what_the_far_phase_holds(t_min, cells, monkeypa
                         0 if name == "SC_PHYS_PAGES" else sysconf(name))
     with pytest.raises(ValueError) as refused:
         L.process.check_path_memory(t_min, 1.0 / cells, refine, n_nodes)
-    far = 8 * int(re.search(r"the sums and (\d+) far noise", str(refused.value)).group(1))
+    far = 8 * int(re.search(r"(\d+) far noise", str(refused.value)).group(1))
     assert peaks[-1] <= far <= 2 * peaks[-1]
 
 
 def test_field_pass_allocates_its_buffer_table(monkeypatch):
-    # the near half's buffers come from one table of (shape, dtype): the log t
-    # table, the kernel values over their support, a ring of two spectra and
-    # the convolution, each transform buffer of min(2, refine) rows, and no
-    # mesh: the residue rows go to the consumers straight from the
-    # convolution.  _field_pass makes exactly these with np.empty, in the
-    # table's order, and no other (the far part's own temporaries are
-    # _far_part's); check_path_memory counts the same table, so its log t
-    # and transform terms sum to the table's
+    # the near half's buffers come from one table of (shape, dtype): the
+    # kernel values over their support, a ring of two spectra and the
+    # convolution, each transform buffer of min(2, refine) rows, no log t
+    # table (a block's log t lives in its kernel values) and no mesh: the
+    # residue rows go to the consumers straight from the convolution.
+    # _field_pass makes exactly these with np.empty, in the table's order,
+    # and no other (the far part's own temporaries are _far_part's);
+    # check_path_memory counts the same table, so its transform term is the
+    # table's sum
     g = make_noise_grid(LAW, -4.0, 2.0**-7, seed=41)
     K, refine = round(1 / g.delta), 6
     i_near, i0, n_fft, table = L.process._pass_geometry(g.n_cells, K, refine)
     assert (i0, n_fft) == (K // 4, 9 * K // 4) and i_near > 0
-    assert table == {"log t": ((refine, K // 4 + K + 1), float),
-                     "kernel values": ((2, K // 4 + K + 1), float),
+    assert table == {"kernel values": ((2, K // 4 + K + 1), float),
                      "ring": ((2, 2, n_fft // 2 + 1), complex),
                      "convolution": ((2, n_fft), float)}
     made, empty = [], np.empty
@@ -778,11 +816,10 @@ def test_field_pass_allocates_its_buffer_table(monkeypatch):
                         0 if name == "SC_PHYS_PAGES" else sysconf(name))
     with pytest.raises(ValueError) as refused:
         L.process.check_path_memory(g.t_min, g.delta, refine, 16)
-    log_t, transforms = map(int, re.search(
-        r"(\d+) of the log t table, (\d+) of transform buffers", str(refused.value)).groups())
+    transforms = int(re.search(r"(\d+) of transform buffers", str(refused.value)).group(1))
     doubles = sum(math.prod(shape) * np.dtype(dtype).itemsize // 8
                   for shape, dtype in table.values())
-    assert log_t + transforms == doubles
+    assert transforms == doubles
 
 
 class _ResidueLog:
